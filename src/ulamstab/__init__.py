@@ -12,7 +12,6 @@ from .model import (
     Endpoint,
     Interval,
     OscillatorProblem,
-    RiccatiSolution,
     StabilityReport,
     problem_from_dict,
     problem_to_dict,
@@ -27,7 +26,6 @@ from .dynamics import (
     instability_probe,
     nearest_solution,
     random_perturbation_test,
-    solve_representation,
 )
 from .riccati import NumericSolution, residual_sup, rho_coverage, solve_riccati
 
@@ -41,7 +39,6 @@ __all__ = [
     "IvpData",
     "NumericSolution",
     "OscillatorProblem",
-    "RiccatiSolution",
     "SolutionEngine",
     "SolutionFamilyParams",
     "StabilityEngine",
@@ -56,7 +53,6 @@ __all__ = [
     "random_perturbation_test",
     "residual_sup",
     "rho_coverage",
-    "solve_representation",
     "solve_riccati",
     "validate_problem",
     "__version__",

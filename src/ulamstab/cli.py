@@ -102,7 +102,6 @@ def _make_config(tolerances, tol):
             _fail("config", f"{CONFIG_ENV}: {exc}")
     overrides.update(tolerances or {})
     if tol is not None:
-        overrides["quad_tol"] = tol
         overrides["cum_tol"] = 0.1 * tol
     return Config.from_dict({**Config().to_dict(), **overrides})
 
@@ -248,7 +247,7 @@ def main():
 @click.option("--best/--no-best", default=True, help="Also certify the minimal constant.")
 @click.option("--fast-path", is_flag=True, help="Closed-form route for constant coefficients.")
 @click.option("--solve-rho", default=None, metavar="t0=..,rho0=..", help="Integrate the Riccati companion numerically.")
-@click.option("--tol", type=float, default=None, help="Override the quadrature tolerance.")
+@click.option("--tol", type=float, default=None, help="Quadrature tolerance; cumulative caches are built to a tenth of it.")
 @click.option("--reproducible", is_flag=True, help="Omit timing fields for byte-identical output.")
 @click.option("--out", type=click.Path(file_okay=False), default=None, help="Directory for report artifacts.")
 def analyze(problem_path, best, fast_path, solve_rho, tol, reproducible, out):
@@ -290,7 +289,8 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
     config = _make_config(tolerances, tol)
     rho = _resolve_rho(problem, rho_expr, solve_rho, config)
 
-    report = stability.analyze(problem, rho, config, best=True)
+    analysis = stability.StabilityEngine(problem, rho, config)
+    report = stability.analyze(problem, rho, config, best=True, engine=analysis)
     doc_report = report.to_dict()
     if report.case == "none":
         doc = _report_doc(data, doc_report, config, time.perf_counter() - t_start, reproducible)
@@ -299,7 +299,7 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
         sys.exit(_VERDICT_EXIT[doc["report"]["verdict"]])
 
     bound = report.constant.get("B", report.constant.get("L"))
-    engine = dynamics.SolutionEngine(problem, rho, config)
+    engine = dynamics.SolutionEngine(problem, rho, config, stability_engine=analysis)
     extremal = dynamics.extremal_experiment(problem, rho, report.case, epsilon, config, engine=engine)
     try:
         max_ratio, records = dynamics.random_perturbation_test(

@@ -223,7 +223,8 @@ def check_variant(entry: CorpusEntry, variant: Variant, config: Config = Config(
     result = {"name": entry.name, "label": variant.label, "passed": True, "detail": {}}
 
     if entry.expected_verdict == "best_constant":
-        report = stability.analyze(problem, rho, config, best=True)
+        engine = stability.StabilityEngine(problem, rho, config)
+        report = stability.analyze(problem, rho, config, best=True, engine=engine)
         b = report.constant.get("B")
         rel = abs(b - variant.expected_B) / abs(variant.expected_B) if b is not None else math.inf
         result["detail"] = {
@@ -235,10 +236,9 @@ def check_variant(entry: CorpusEntry, variant: Variant, config: Config = Config(
         }
         ok = report.case == variant.expected_case and report.verdict == "best_constant" and rel <= B_RELTOL
         if variant.f_sup_targets:
-            eng = stability.StabilityEngine(problem, rho, config)
             sups = {}
             for fname, target in variant.f_sup_targets:
-                res = eng.f_sup(fname)
+                res = engine.f_sup(fname)
                 sups[fname] = {"value": res.sup_value, "target": target}
                 ok = ok and abs(res.sup_value - target) <= F_SUP_TOL
             result["detail"]["f_sups"] = sups

@@ -29,8 +29,6 @@ __all__ = [
     "CoverageExceeded",
     "RatioExceedsConstant",
     "SolutionEngine",
-    "solve_representation",
-    "homogeneous_member",
     "ivp_solution",
     "nearest_solution",
     "extremal_experiment",
@@ -88,7 +86,6 @@ class SolutionEngine:
 
     def __init__(self, problem: OscillatorProblem, rho, config: Config = Config(), stability_engine=None):
         self.problem = problem
-        self.config = config
         self.se = stability_engine if stability_engine is not None else StabilityEngine(problem, rho, config)
         self._alpha = problem.fn("alpha")
         self._fc = {}
@@ -112,18 +109,7 @@ class SolutionEngine:
         if self._h1c is None:
             lo, hi = self._limits()
             g = lambda s: np.exp(-(self.Rc.value(s) + self.Pc.value(s)))
-            self._h1c = quad.cumulative(
-                g,
-                self.se.anchor,
-                lo,
-                hi,
-                tol=self.config.cum_tol,
-                log_budget=self.config.log_budget,
-                range_cap=self.config.range_cap,
-                tail_mode=True,
-                tail_tol=self.config.cum_tol,
-                leaf_rel=1e-8,
-            )
+            self._h1c = self.se.cumulative(g, lo, hi, tail=True)
         return self._h1c
 
     def forcing_caches(self, g, key=None):
@@ -135,32 +121,10 @@ class SolutionEngine:
             return self._fc[key], self._h2[key]
         lo, hi = self._limits()
         fint = lambda s: np.exp(self.Pc.value(s)) * np.asarray(g(s)) / self._alpha(s)
-        fc = quad.cumulative(
-            fint,
-            self.se.anchor,
-            lo,
-            hi,
-            tol=self.config.cum_tol,
-            log_budget=self.config.log_budget,
-            range_cap=self.config.range_cap,
-            tail_mode=True,
-            tail_tol=self.config.cum_tol,
-            leaf_rel=1e-8,
-        )
+        fc = self.se.cumulative(fint, lo, hi, tail=True)
         l2, h2lim = self.se._shrink(max(fc.lo, self.H1c.lo), min(fc.hi, self.H1c.hi))
         h2int = lambda s: fc.value(s) * np.exp(-(self.Rc.value(s) + self.Pc.value(s)))
-        h2 = quad.cumulative(
-            h2int,
-            self.se.anchor,
-            l2,
-            h2lim,
-            tol=self.config.cum_tol,
-            log_budget=self.config.log_budget,
-            range_cap=self.config.range_cap,
-            tail_mode=True,
-            tail_tol=self.config.cum_tol,
-            leaf_rel=1e-8,
-        )
+        h2 = self.se.cumulative(h2int, l2, h2lim, tail=True)
         if key is not None:
             self._fc[key] = fc
             self._h2[key] = h2
@@ -253,18 +217,6 @@ class SolutionEngine:
 # module-level operations
 
 
-def solve_representation(problem, rho, ivp: IvpData, config: Config = Config(), engine=None):
-    eng = engine if engine is not None else SolutionEngine(problem, rho, config)
-    return eng.representation(ivp, forcing_key="problem")
-
-
-def homogeneous_member(problem, rho, params: SolutionFamilyParams, t0=None, config: Config = Config(), engine=None):
-    eng = engine if engine is not None else SolutionEngine(problem, rho, config)
-    if t0 is None:
-        t0 = eng.se.anchor
-    return eng.homogeneous(t0, params)
-
-
 def ivp_solution(problem, ivp: IvpData, ts, forcing=None, rtol=1e-10, atol=1e-12, method="DOP853"):
     """Independent oracle: direct integration of the second-order system."""
     a = problem.fn("alpha")
@@ -295,11 +247,18 @@ def ivp_solution(problem, ivp: IvpData, ts, forcing=None, rtol=1e-10, atol=1e-12
     return out
 
 
-def _min_sup_distance(xi_arr, basis, starts, scale):
-    """Nelder-Mead minimization of max_t |xi - sum c_k basis_k|."""
+def _min_sup_distance(target, basis):
+    """Nelder-Mead minimization of max_t |target - c1 w1 - c2 w2|.
+
+    Starts from each coefficient at -1, 0 and +1 times the ratio of the
+    target's sup to its basis function's sup, nine starts in all.
+    """
+    scale = float(np.max(np.abs(target))) or 1.0
+    m1, m2 = (scale / (float(np.max(np.abs(b))) or 1.0) for b in basis)
+    starts = [(s1 * m1, s2 * m2) for s1 in (-1.0, 0.0, 1.0) for s2 in (-1.0, 0.0, 1.0)]
 
     def objective(c):
-        diff = xi_arr - sum(ck * bk for ck, bk in zip(c, basis))
+        diff = target - sum(ck * bk for ck, bk in zip(c, basis))
         m = np.abs(diff)
         return float(np.max(m)) if np.all(np.isfinite(m)) else 1e300
 
@@ -327,12 +286,7 @@ def nearest_solution(xi, problem, rho, config: Config = Config(), engine=None, t
     p_arr = eng.representation(IvpData(t0, 0.0, 0.0), forcing_key="problem")(grid)
     w1 = eng.homogeneous(t0, SolutionFamilyParams(1.0, 0.0))(grid)
     w2 = eng.homogeneous(t0, SolutionFamilyParams(0.0, 1.0))(grid)
-    target = xi_arr - p_arr
-    m = float(np.max(np.abs(target))) or 1.0
-    m1 = m / (float(np.max(np.abs(w1))) or 1.0)
-    m2 = m / (float(np.max(np.abs(w2))) or 1.0)
-    starts = [(s1 * m1, s2 * m2) for s1 in (-1.0, 0.0, 1.0) for s2 in (-1.0, 0.0, 1.0)]
-    coeffs, dist = _min_sup_distance(target, (w1, w2), starts, m)
+    coeffs, dist = _min_sup_distance(xi_arr - p_arr, (w1, w2))
     return {
         "params": SolutionFamilyParams(complex(coeffs[0]), complex(coeffs[1])),
         "sup_distance": dist,
@@ -459,12 +413,7 @@ def random_perturbation_test(problem, rho, case, epsilon, trials, seed, best_val
         g, desc = _random_smooth(rng, grid, epsilon)
         forced = lambda s: np.asarray(base(s)) + g(s)
         xi_arr = eng.representation(IvpData(t0, 0.0, 0.0), forcing=forced)(grid)
-        target = xi_arr - p_arr
-        m = float(np.max(np.abs(target))) or 1.0
-        m1 = m / (float(np.max(np.abs(w1))) or 1.0)
-        m2 = m / (float(np.max(np.abs(w2))) or 1.0)
-        starts = [(s1 * m1, s2 * m2) for s1 in (-1.0, 0.0, 1.0) for s2 in (-1.0, 0.0, 1.0)]
-        _, dist = _min_sup_distance(target, (w1, w2), starts, m)
+        _, dist = _min_sup_distance(xi_arr - p_arr, (w1, w2))
         ratio = dist / epsilon
         records.append({"trial": trial, "perturbation": desc, "sup_distance": dist, "ratio": ratio})
         if ratio > bound:
@@ -522,12 +471,7 @@ def instability_probe(problem, xi_family, epsilon=0.1, config: Config = Config()
         y1 = ivp_solution(problem, IvpData(t0, 1.0, 0.0), grid, forcing=lambda s: np.zeros_like(np.asarray(s, float)), rtol=rtol, atol=atol)
         y2 = ivp_solution(problem, IvpData(t0, 0.0, 1.0), grid, forcing=lambda s: np.zeros_like(np.asarray(s, float)), rtol=rtol, atol=atol)
         p = ivp_solution(problem, IvpData(t0, 0.0, 0.0), grid, rtol=rtol, atol=atol)
-        target = np.asarray(xi_fn(grid), dtype=complex) - p
-        m = float(np.max(np.abs(target))) or 1.0
-        m1 = m / (float(np.max(np.abs(y1))) or 1.0)
-        m2 = m / (float(np.max(np.abs(y2))) or 1.0)
-        starts = [(s1 * m1, s2 * m2) for s1 in (-1.0, 0.0, 1.0) for s2 in (-1.0, 0.0, 1.0)]
-        _, dist = _min_sup_distance(target, (y1, y2), starts, m)
+        _, dist = _min_sup_distance(np.asarray(xi_fn(grid), dtype=complex) - p, (y1, y2))
         trace.append({"T": float(T), "sup_distance": dist})
     dists = [rec["sup_distance"] for rec in trace]
     growing = all(dists[k + 1] >= 10.0 * dists[k] for k in range(len(dists) - 1)) and dists[0] > 0

@@ -1,7 +1,7 @@
 """Domain objects shared by all modules.
 
-Intervals with extended-real endpoints, oscillator problems, Riccati
-solutions, characteristic roots, stability reports, and the tolerance
+Intervals with extended-real endpoints, oscillator problems,
+characteristic roots, stability reports, and the tolerance
 configuration.  All types are immutable after construction and safe to
 share across threads.
 """
@@ -20,10 +20,10 @@ __all__ = [
     "Endpoint",
     "Interval",
     "OscillatorProblem",
-    "RiccatiSolution",
     "CharacteristicRoots",
     "StabilityReport",
     "Config",
+    "interior_anchor",
     "validate_problem",
     "problem_from_dict",
     "problem_to_dict",
@@ -42,6 +42,21 @@ class Endpoint:
     @property
     def finite(self):
         return math.isfinite(self.value)
+
+
+def interior_anchor(lo, hi):
+    """Deterministic reference point of (lo, hi).
+
+    Midpoint for finite ends, one unit inside a single infinite end, zero
+    for the whole real line.
+    """
+    if math.isfinite(lo) and math.isfinite(hi):
+        return 0.5 * (lo + hi)
+    if math.isfinite(lo):
+        return lo + 1.0
+    if math.isfinite(hi):
+        return hi - 1.0
+    return 0.0
 
 
 @dataclass(frozen=True)
@@ -66,19 +81,8 @@ class Interval:
         return self.upper.value
 
     def default_anchor(self):
-        """Deterministic interior reference point.
-
-        Midpoint for finite intervals, one unit inside a single infinite
-        endpoint, zero for the whole real line.
-        """
-        lo, hi = self.tau, self.sigma
-        if math.isfinite(lo) and math.isfinite(hi):
-            return 0.5 * (lo + hi)
-        if math.isfinite(lo):
-            return lo + 1.0
-        if math.isfinite(hi):
-            return hi - 1.0
-        return 0.0
+        """Deterministic interior reference point; see `interior_anchor`."""
+        return interior_anchor(self.tau, self.sigma)
 
     def contains(self, t):
         lo_ok = t > self.tau or (self.lower.included and t == self.tau)
@@ -101,15 +105,6 @@ class OscillatorProblem:
     def fn(self, which):
         expr = getattr(self, which)
         return exprlang.compile_expr(expr, self.params)
-
-
-@dataclass
-class RiccatiSolution:
-    """A candidate solution rho of alpha(rho' + rho^2) + beta rho + gamma = 0."""
-
-    rho: object  # exprlang.Expr or riccati.NumericSolution
-    source: str = "analytic"  # "analytic" | "numeric"
-    residual_sup: float | None = None
 
 
 @dataclass(frozen=True)
@@ -145,7 +140,6 @@ class StabilityReport:
 class Config:
     """Numerical knobs; defaults sized for 1e-4-relative final constants."""
 
-    quad_tol: float = 1e-9
     cum_tol: float = 1e-10
     residual_tol: float = 1e-6
     reality_tol: float = 1e-12
@@ -155,7 +149,6 @@ class Config:
     divergence_points: int = 24
     tail_k: int = 8
     sup_scan: int = 257
-    nested_scan: int = 129
     probe_points: int = 1024
 
     def to_dict(self):

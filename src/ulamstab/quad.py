@@ -1,9 +1,11 @@
 """Integration machinery.
 
-Provides adaptive Gauss-Kronrod quadrature with tanh-sinh handling of
-endpoint singularities and infinite endpoints, cached cumulative
-antiderivatives with per-panel polynomial interpolants, graded evaluation
-grids, and sup-over-interval search with endpoint limit extrapolation.
+Provides cached cumulative antiderivatives built from adaptive
+Gauss-Kronrod 15(7) panels with per-panel Legendre interpolants, graded
+evaluation grids, and sup-over-interval search with endpoint limit
+extrapolation.  Coverage of a cumulative grows from an interior anchor
+toward each endpoint, finite or infinite, and stops where the endpoint is
+resolved or a budget is hit; the reason is recorded per side.
 
 Everything here is pure; `CumulativeIntegral` objects are built once and
 read-only afterwards, so they can be shared freely between threads.
@@ -18,11 +20,8 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 __all__ = [
-    "IntegralResult",
     "Divergent",
-    "MaxDepthExceeded",
     "CoverageError",
-    "integrate",
     "CumulativeIntegral",
     "cumulative",
     "SupResult",
@@ -34,23 +33,9 @@ __all__ = [
 class Divergent(Exception):
     """Integral grows without bound under refinement."""
 
-    def __init__(self, message, trace=()):
-        super().__init__(message)
-        self.trace = list(trace)
-
-
-class MaxDepthExceeded(Exception):
-    pass
-
 
 class CoverageError(Exception):
     """Query point outside the covered range of a cumulative cache."""
-
-
-@dataclass(frozen=True)
-class IntegralResult:
-    value: complex
-    error_bound: float
 
 
 # ---------------------------------------------------------------------------
@@ -124,161 +109,6 @@ def _gk15(g, a, b):
 
 
 # ---------------------------------------------------------------------------
-# tanh-sinh rule for panels touching a (possibly singular) endpoint
-
-
-def _tanh_sinh(g, a, b, tol, max_level=11):
-    """Double-exponential quadrature on the open panel (a, b).
-
-    Returns (value, error, status) with status in {"converged",
-    "not_converged", "diverging"}.  Abscissas are formed via their distance
-    to the nearest endpoint so singular endpoints are never hit exactly.
-    """
-    mid = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    total = 0.0 + 0.0j
-    prev = None
-    deltas = []
-    h = 1.0
-    for level in range(max_level + 1):
-        if level == 0:
-            js = np.arange(0.0, 7.0, 1.0)
-            js = np.concatenate([-js[1:][::-1], js])
-        else:
-            # trapezoid doubling: only the new (odd-multiple) nodes
-            js = np.arange(1.0, 7.0 / h, 2.0) * h
-            js = np.concatenate([-js[::-1], js])
-        js = js[np.abs(np.pi / 2 * np.sinh(js)) < 350.0]
-        u = js
-        v = 0.5 * np.pi * np.sinh(u)
-        w = hw * h * 0.5 * np.pi * np.cosh(u) / np.cosh(v) ** 2
-        # distance to the nearer endpoint: hw * (1 - |tanh(v)|)
-        d = hw * 2.0 / (np.exp(2.0 * np.abs(v)) + 1.0)
-        x = np.where(v >= 0, b - d, a + d)
-        keep = (x > a) & (x < b)
-        if not np.any(keep):
-            vals = np.zeros(0, dtype=complex)
-            w = w[:0]
-        else:
-            x, w = x[keep], w[keep]
-            with np.errstate(all="ignore"):
-                vals = np.asarray(g(x), dtype=complex)
-        finite = np.isfinite(vals.real) & np.isfinite(vals.imag)
-        terms = w[finite] * vals[finite]
-        if terms.size and not np.all(np.isfinite(terms)):
-            return total, math.inf, "diverging"
-        contrib = np.sum(terms)
-        if level == 0:
-            total = contrib
-        else:
-            total = 0.5 * total + contrib
-        if not np.isfinite(abs(total)):
-            return total, math.inf, "diverging"
-        if prev is not None:
-            delta = abs(total - prev)
-            deltas.append(delta)
-            if delta <= tol * max(1.0, abs(total)):
-                return total, delta, "converged"
-        prev = total
-        h *= 0.5
-    status = "not_converged"
-    if len(deltas) >= 3 and deltas[-1] > deltas[-2] > deltas[-3] and deltas[-1] > 10 * tol:
-        status = "diverging"
-    return total, deltas[-1] if deltas else math.inf, status
-
-
-# ---------------------------------------------------------------------------
-# integrate()
-
-
-def integrate(g, a, b, tol=1e-9, max_depth=60):
-    """Integrate ``g`` over the open interval (a, b).
-
-    ``a``/``b`` may be +-inf (mapped through a rational transform).  Panels
-    touching an endpoint use tanh-sinh; interior panels use adaptive
-    Gauss-Kronrod 15(7).  Raises `Divergent` when refinement toward an
-    endpoint keeps growing, `MaxDepthExceeded` on interior non-convergence.
-    """
-    if not a < b:
-        raise ValueError("integrate requires a < b")
-    if math.isinf(a) and math.isinf(b):
-        left = integrate(g, a, 0.0, tol=0.5 * tol, max_depth=max_depth)
-        right = integrate(g, 0.0, b, tol=0.5 * tol, max_depth=max_depth)
-        return IntegralResult(left.value + right.value, left.error_bound + right.error_bound)
-    if math.isinf(b):
-
-        def gt(u):
-            s = a + u / (1.0 - u)
-            return np.asarray(g(s), dtype=complex) / (1.0 - u) ** 2
-
-        return _integrate_finite(gt, 0.0, 1.0, tol, max_depth)
-    if math.isinf(a):
-
-        def gt(u):
-            s = b - (1.0 - u) / u
-            return np.asarray(g(s), dtype=complex) / u**2
-
-        return _integrate_finite(gt, 0.0, 1.0, tol, max_depth)
-    return _integrate_finite(lambda x: np.asarray(g(x), dtype=complex), a, b, tol, max_depth)
-
-
-def _integrate_finite(g, A, B, tol, max_depth):
-    span = B - A
-    total = 0.0 + 0.0j
-    err_total = 0.0
-    # panel stack: (lo, hi, depth)
-    init = np.linspace(A, B, 5)
-    stack = [(init[i], init[i + 1], 0) for i in range(4)]
-    trace = []
-    while stack:
-        lo, hi, depth = stack.pop()
-        width = hi - lo
-        share = tol * max(width / span, 1e-3)
-        touches_end = (lo == A) or (hi == B)
-        if touches_end:
-            val, err, status = _tanh_sinh(g, lo, hi, share)
-            if status == "converged":
-                total += val
-                err_total += err
-                trace.append((lo, hi, val))
-                continue
-            if status == "diverging":
-                raise Divergent(
-                    f"integral appears divergent near endpoint of ({lo}, {hi})",
-                    trace=[(lo, hi, val)],
-                )
-            # shrink toward the endpoint and retry
-            if depth >= max_depth or width < 1e-14 * span:
-                raise Divergent(
-                    "no convergence while refining toward endpoint",
-                    trace=[(lo, hi, val)],
-                )
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-            continue
-        val, err, _ = _gk15(g, lo, hi)
-        if not np.isfinite(abs(val)):
-            if depth >= max_depth:
-                raise Divergent("non-finite interior panel", trace=[(lo, hi, val)])
-            mid = 0.5 * (lo + hi)
-            stack.append((lo, mid, depth + 1))
-            stack.append((mid, hi, depth + 1))
-            continue
-        if err <= share or err <= 1e-15 * abs(val):
-            total += val
-            err_total += err
-            trace.append((lo, hi, val))
-            continue
-        if depth >= max_depth:
-            raise MaxDepthExceeded(f"panel ({lo}, {hi}) did not converge")
-        mid = 0.5 * (lo + hi)
-        stack.append((lo, mid, depth + 1))
-        stack.append((mid, hi, depth + 1))
-    return IntegralResult(total, err_total)
-
-
-# ---------------------------------------------------------------------------
 # cumulative antiderivative cache
 
 _LEG_DEG = 12
@@ -338,49 +168,35 @@ class CumulativeIntegral:
         t = np.asarray(t, float)
         return (t >= self.bps[0]) & (t <= self.bps[-1])
 
-    def _locate(self, t):
+    def _in_panel(self, t):
+        """(panel index, int from the panel start to t) for covered t."""
         t = np.asarray(t, float)
         if np.any(t < self.bps[0]) or np.any(t > self.bps[-1]):
             raise CoverageError(
                 f"query outside coverage [{self.bps[0]}, {self.bps[-1]}]"
             )
-        idx = np.searchsorted(self.bps, t, side="right") - 1
-        return t, np.clip(idx, 0, len(self.panel_vals) - 1)
-
-    def _interp_prefix(self, t):
-        """int from bps[0] to t, anchored at the lower edge."""
-        t, idx = self._locate(t)
+        idx = np.clip(np.searchsorted(self.bps, t, side="right") - 1, 0, len(self.panel_vals) - 1)
         x0 = self.bps[idx]
         x1 = self.bps[idx + 1]
         xi = 2.0 * (t - x0) / (x1 - x0) - 1.0
         part_re = npleg.legval(xi, self.antider.real[:, idx], tensor=False)
         part_im = npleg.legval(xi, self.antider.imag[:, idx], tensor=False)
-        return self._left[idx] + part_re + 1j * part_im
+        return idx, part_re + 1j * part_im
 
     def _anch_prefix(self, t):
         """int from the reference panel start to t."""
-        t, idx = self._locate(t)
-        x0 = self.bps[idx]
-        x1 = self.bps[idx + 1]
-        xi = 2.0 * (t - x0) / (x1 - x0) - 1.0
-        part_re = npleg.legval(xi, self.antider.real[:, idx], tensor=False)
-        part_im = npleg.legval(xi, self.antider.imag[:, idx], tensor=False)
-        return self._anch[idx] + part_re + 1j * part_im
+        idx, part = self._in_panel(t)
+        return self._anch[idx] + part
 
     def from_lower(self, t):
         """int over (lower edge, t]; accurate for t near the lower edge."""
-        return self._interp_prefix(t)
+        idx, part = self._in_panel(t)
+        return self._left[idx] + part
 
     def from_upper(self, t):
         """int over [t, upper edge); accurate for t near the upper edge."""
-        t, idx = self._locate(t)
-        x0 = self.bps[idx]
-        x1 = self.bps[idx + 1]
-        xi = 2.0 * (t - x0) / (x1 - x0) - 1.0
-        part_re = npleg.legval(xi, self.antider.real[:, idx], tensor=False)
-        part_im = npleg.legval(xi, self.antider.imag[:, idx], tensor=False)
-        partial = part_re + 1j * part_im
-        return self._right[idx] - partial
+        idx, part = self._in_panel(t)
+        return self._right[idx] - part
 
     def value(self, t):
         """P(t) with P(t_ref) = 0."""
@@ -473,7 +289,6 @@ def cumulative(
     log_budget=300.0,
     range_cap=1e8,
     tail_mode=False,
-    tail_tol=None,
     leaf_rel=1e-13,
     max_panels=4000,
 ):
@@ -485,8 +300,6 @@ def cumulative(
     (with ``tail_mode``) the endpoint tail has converged or is evidently
     diverging.  Coverage limits are recorded as data, never raised.
     """
-    if tail_tol is None:
-        tail_tol = tol
     # tail caches serve edge-anchored partial sums over exponential dynamic
     # range: an absolute tolerance floor would let deep-decay panels carry
     # huge relative errors that downstream prefactors amplify
@@ -544,14 +357,14 @@ def cumulative(
                     # divergence is flagged but never stops the expansion:
                     # truncating coverage early would poison edge-anchored
                     # queries whose prefactor amplifies the missing mass
-                    if len(contribs) > 6 and c3 >= c2 >= c1 and c3 > 10.0 * (contribs[0] + tail_tol):
+                    if len(contribs) > 6 and c3 >= c2 >= c1 and c3 > 10.0 * (contribs[0] + tol):
                         diverging = True
                     # log-type endpoint divergence: halved panels keep
                     # contributing the same mass instead of decaying
                     if (
                         len(contribs) > 8
                         and math.isfinite(endpoint)
-                        and c3 > tail_tol
+                        and c3 > tol
                         and c3 >= 0.999 * c2
                         and c2 >= 0.999 * c1
                     ):
@@ -568,12 +381,12 @@ def cumulative(
             if diverging:
                 status = "diverging"
             elif status in ("budget", "range_cap"):
-                if c3 <= tail_tol and c2 <= tail_tol and c1 <= tail_tol and c3 <= c2 <= c1:
+                if c3 <= tol and c2 <= tol and c1 <= tol and c3 <= c2 <= c1:
                     # cut off by range only after the tail had already died
                     ratio = c3 / c2 if c2 > 0 else 0.0
                     tail_bound = c3 * ratio / (1.0 - ratio) if ratio < 1 else c3
                     status = "converged"
-                elif c3 > tail_tol and c3 >= 0.7 * c2:
+                elif c3 > tol and c3 >= 0.7 * c2:
                     # tail not decaying by the time expansion was cut off
                     status = "diverging"
         infos[side] = SideInfo(status or "resolved", tail_bound)
@@ -619,8 +432,6 @@ def graded_grid(lo, hi, n, include_lo=False, include_hi=False):
     pts.append(lo + span * ratios)
     pts.append(hi - span * ratios)
     grid = np.concatenate(pts)
-    eps_lo = max(abs(lo), abs(hi), 1.0) * 1e-14
-    grid = grid[(grid > lo + (0 if include_lo else eps_lo * 0)) & (grid < hi)]
     grid = grid[(grid > lo) & (grid < hi)]
     if include_lo:
         grid = np.append(grid, lo)

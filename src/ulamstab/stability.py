@@ -23,6 +23,7 @@ import numpy as np
 
 from . import exprlang, quad, riccati
 from .model import Config, Interval, OscillatorProblem, StabilityReport, CharacteristicRoots, probe_grid, validate_problem
+from .model import interior_anchor
 
 __all__ = [
     "CaseSelection",
@@ -95,16 +96,6 @@ class DivergenceEvidence:
         }
 
 
-def _interior_anchor(lo, hi):
-    if math.isfinite(lo) and math.isfinite(hi):
-        return 0.5 * (lo + hi)
-    if math.isfinite(lo):
-        return lo + 1.0
-    if math.isfinite(hi):
-        return hi - 1.0
-    return 0.0
-
-
 class StabilityEngine:
     """Builds and caches everything needed to analyze one (problem, rho) pair.
 
@@ -125,7 +116,7 @@ class StabilityEngine:
         self.coverage = coverage if coverage is not None else riccati.rho_coverage(problem, rho, config)
         self.lo = self.coverage.lo
         self.hi = self.coverage.hi
-        self.anchor = _interior_anchor(self.lo, self.hi)
+        self.anchor = interior_anchor(self.lo, self.hi)
         self._alpha = problem.fn("alpha")
         self._beta = problem.fn("beta")
         self._gamma = problem.fn("gamma")
@@ -158,33 +149,38 @@ class StabilityEngine:
         mhi = 1e-12 * max(1.0, abs(hi))
         return lo + mlo, hi - mhi
 
+    def cumulative(self, g, lo, hi, tail=False):
+        """Cumulative of ``g`` over (lo, hi), anchored at the engine's anchor.
+
+        ``tail`` builds an exponential-scale cache whose endpoint tails are
+        classified as converged or diverging (`quad.cumulative` tail mode).
+        """
+        return quad.cumulative(
+            g,
+            self.anchor,
+            lo,
+            hi,
+            tol=self.config.cum_tol,
+            log_budget=self.config.log_budget,
+            range_cap=self.config.range_cap,
+            tail_mode=tail,
+            # tail integrands are built on other caches and carry their
+            # interpolation noise; demanding tighter relative accuracy only
+            # forces full-depth splitting against that noise floor
+            leaf_rel=1e-8 if tail else 1e-13,
+        )
+
     @property
     def Rc(self):
         if "Rc" not in self._cache:
-            self._cache["Rc"] = quad.cumulative(
-                self.rho_fn,
-                self.anchor,
-                self.lo,
-                self.hi,
-                tol=self.config.cum_tol,
-                log_budget=self.config.log_budget,
-                range_cap=self.config.range_cap,
-            )
+            self._cache["Rc"] = self.cumulative(self.rho_fn, self.lo, self.hi)
         return self._cache["Rc"]
 
     @property
     def Pc(self):
         if "Pc" not in self._cache:
             g = lambda s: np.asarray(self.rho_fn(s)) + self._beta(s) / self._alpha(s)
-            self._cache["Pc"] = quad.cumulative(
-                g,
-                self.anchor,
-                self.lo,
-                self.hi,
-                tol=self.config.cum_tol,
-                log_budget=self.config.log_budget,
-                range_cap=self.config.range_cap,
-            )
+            self._cache["Pc"] = self.cumulative(g, self.lo, self.hi)
         return self._cache["Pc"]
 
     def _R(self, t):
@@ -197,21 +193,7 @@ class StabilityEngine:
 
     def _tail_cache(self, key, g, lo, hi):
         if key not in self._cache:
-            self._cache[key] = quad.cumulative(
-                g,
-                self.anchor,
-                lo,
-                hi,
-                tol=self.config.cum_tol,
-                log_budget=self.config.log_budget,
-                range_cap=self.config.range_cap,
-                tail_mode=True,
-                tail_tol=self.config.cum_tol,
-                # integrands built on other caches carry their interpolation
-                # noise; demanding tighter relative accuracy only forces
-                # full-depth splitting against that noise floor
-                leaf_rel=1e-8,
-            )
+            self._cache[key] = self.cumulative(g, lo, hi, tail=True)
         return self._cache[key]
 
     @property
@@ -364,17 +346,16 @@ class StabilityEngine:
         return res
 
     def best_constant(self, case):
-        """Minimal-constant value plus the growth certificates backing it.
+        """Growth certificates that make the Ulam constant the minimal one.
 
         Requires real-valued data; with real data the no-real-part kernel
-        coincides pointwise with the stability kernel, so the value is the
-        same supremum, and the certificates are what upgrade its status.
+        coincides pointwise with the stability kernel, so the minimal
+        constant is the `ulam_constant` supremum itself, and the
+        certificates are what upgrade its status.
         """
         if not self.is_real:
             raise RealityViolated("coefficients or rho are not real-valued on the probe grid")
-        res = self.ulam_constant(case)
-        evidence = self.check_divergence(case)
-        return res, evidence
+        return self.check_divergence(case)
 
     # -- divergence certificates -----------------------------------------
 
@@ -494,8 +475,12 @@ def constant_coefficients(a0, a1, a2):
 # orchestration
 
 
-def analyze(problem: OscillatorProblem, rho, config: Config = Config(), best=True):
-    """Full pipeline: validate, check rho, classify, compute constants."""
+def analyze(problem: OscillatorProblem, rho, config: Config = Config(), best=True, engine=None):
+    """Full pipeline: validate, check rho, classify, compute constants.
+
+    ``engine`` is a `StabilityEngine` for the same problem, rho and config,
+    so that callers running experiments afterwards reuse its caches.
+    """
     report = StabilityReport()
     violations = validate_problem(problem, config)
     if violations:
@@ -512,43 +497,46 @@ def analyze(problem: OscillatorProblem, rho, config: Config = Config(), best=Tru
         )
         return report
 
-    engine = StabilityEngine(problem, rho, config)
+    engine = engine if engine is not None else StabilityEngine(problem, rho, config)
+    _classify_and_bound(report, engine, best)
+    if report.case != "none" and not engine.coverage.full:
+        # hypotheses were only checked on the covered piece of the domain:
+        # its case and constants describe that piece, not the problem
+        blank = StabilityReport()
+        for key in ("case", "f_sups", "divergence", "constant", "verdict"):
+            report.diagnostics[f"subinterval_{key}"] = getattr(report, key)
+            setattr(report, key, getattr(blank, key))
+    report.diagnostics.update(engine.diagnostics())
+    return report
+
+
+def _classify_and_bound(report, engine, best):
+    """Fill case, f-sups and constants; the verdict stays inconclusive on failure."""
     selection = engine.classify()
     report.case = selection.case
     if selection.case == "none":
-        report.verdict = "inconclusive"
         report.f_sups = {k: {"status": v} for k, v in selection.f_sups.items()}
-        report.diagnostics.update(engine.diagnostics())
-        return report
+        return
     for name, res in selection.f_sups.items():
         report.f_sups[name] = {"value": float(res.sup_value), "attained_near": str(res.attained_near)}
 
     try:
         l_res = engine.ulam_constant(selection.case)
     except (quad.Divergent, HypothesisFailed) as exc:
-        report.verdict = "inconclusive"
         report.diagnostics["error"] = str(exc)
-        report.diagnostics.update(engine.diagnostics())
-        return report
+        return
     report.constant["L"] = l_res.sup_value
     report.verdict = "stable_with_constant"
-
-    if best:
-        try:
-            b_res, evidence = engine.best_constant(selection.case)
-        except RealityViolated as exc:
-            report.diagnostics["best_constant"] = str(exc)
-        else:
-            report.divergence = [ev.to_dict() for ev in evidence]
-            if all(ev.holds for ev in evidence):
-                report.constant["B"] = b_res.sup_value
-                report.verdict = "best_constant"
-            else:
-                report.diagnostics["best_constant"] = "divergence certificates not evidenced"
-
-    if not engine.coverage.full:
-        # hypotheses were only checked on the covered piece of the domain
-        report.diagnostics["subinterval_verdict"] = report.verdict
-        report.verdict = "inconclusive"
-    report.diagnostics.update(engine.diagnostics())
-    return report
+    if not best:
+        return
+    try:
+        evidence = engine.best_constant(selection.case)
+    except RealityViolated as exc:
+        report.diagnostics["best_constant"] = str(exc)
+        return
+    report.divergence = [ev.to_dict() for ev in evidence]
+    if all(ev.holds for ev in evidence):
+        report.constant["B"] = l_res.sup_value
+        report.verdict = "best_constant"
+    else:
+        report.diagnostics["best_constant"] = "divergence certificates not evidenced"

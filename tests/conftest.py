@@ -19,6 +19,20 @@ def make_problem(alpha, beta, gamma, forcing, lo, hi, params=None, name=""):
     )
 
 
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """Record every `StabilityEngine` construction while the test runs."""
+    builds = []
+    init = StabilityEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(StabilityEngine, "__init__", counting_init)
+    return builds
+
+
 @pytest.fixture(scope="session")
 def cfg():
     return Config()

@@ -127,6 +127,30 @@ def test_empirical_writes_report_and_csv(runner, tmp_path):
     assert len(csv) > 100
 
 
+def test_empirical_builds_one_engine(runner, tmp_path, engine_builds):
+    args = ["empirical", str(PROBLEMS / "exeq03.json"), "--trials", "1", "--reproducible", "--out", str(tmp_path)]
+    result = _invoke(runner, args)
+    assert result.exit_code == 0
+    assert len(engine_builds) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "empirical"])
+def test_partial_coverage_reports_no_case(runner, tmp_path, command):
+    # rho = -tan(t) - 1/t has a pole at pi/2: only (0, pi/2) is analyzed
+    args = [command, str(PROBLEMS / "exeq05.json"), "--reproducible", "--out", str(tmp_path)]
+    result = _invoke(runner, args)
+    assert result.exit_code == 3
+    report = _json_out(result)["report"]
+    assert report["verdict"] == "instability_evidence"
+    assert report["case"] == "none"
+    assert report["constant"] == {}
+    diag = report["diagnostics"]
+    assert diag["subinterval_verdict"] == "best_constant"
+    assert diag["subinterval_case"] == "iii"
+    # B of the covered piece (0, pi/2): 1 - sin(sigma)/sigma at sigma = pi/2
+    assert diag["subinterval_constant"]["B"] == pytest.approx(0.363, abs=1e-3)
+
+
 def test_empirical_rejects_zero_epsilon(runner):
     result = runner.invoke(cli.main, ["empirical", str(PROBLEMS / "exeq01.json"), "--epsilon", "0"])
     assert result.exit_code == 1
