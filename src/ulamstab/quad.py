@@ -7,6 +7,14 @@ extrapolation.  Coverage of a cumulative grows from an interior anchor
 toward each endpoint, finite or infinite, and stops where the endpoint is
 resolved or a budget is hit; the reason is recorded per side.
 
+The numeric work runs as numpy batches.  Each skeleton panel is bisected
+one level at a time, with one integrand call on the nodes of the whole
+level (as in `scipy.integrate.quad_vec`).  The nodes are fixed, so a
+panel's fit residual and antiderivative coefficients are constant matrices
+applied to its node values.  A query reads its panel's interpolant with one
+complex Clenshaw recurrence, and the sup search refines its candidate
+maxima in lockstep, one call of the function per golden-section step.
+
 Everything here is pure; `CumulativeIntegral` objects are built once and
 read-only afterwards, so they can be shared freely between threads.
 """
@@ -92,26 +100,29 @@ _WG = np.array(
 )
 
 
-def _gk15(g, a, b):
-    """Return (kronrod value, error estimate, node values) on [a, b]."""
-    mid = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    x = mid + hw * _XGK
-    y = np.asarray(g(x), dtype=complex)
-    k = hw * np.sum(_WGK * y)
-    gauss = hw * np.sum(_WG * y[1::2])
-    err = abs(k - gauss)
-    # standard sharper error model
-    resabs = hw * np.sum(_WGK * np.abs(y))
-    if resabs > 0 and err > 0:
-        err = min(err, resabs * (200.0 * err / resabs) ** 1.5) if err / resabs < 1 else err
-    return k, err, y
-
-
 # ---------------------------------------------------------------------------
 # cumulative antiderivative cache
 
 _LEG_DEG = 12
+
+
+def _leaf_operators():
+    """Fit residual and antiderivative as constant maps of the node values.
+
+    With ``FIT = pinv(V)`` the least-squares Legendre fit of the 15 node
+    values, ``V @ FIT - I`` maps them to the fit residual at the nodes and
+    ``S @ legint @ FIT`` to the coefficients of the fit's antiderivative on
+    [-1, 1] (times the half-width), where ``S`` shifts it to zero at -1.
+    """
+    vander = npleg.legvander(_XGK, _LEG_DEG)
+    fit = np.linalg.pinv(vander)
+    integ = npleg.legint(np.eye(_LEG_DEG + 1))
+    integ[0] -= npleg.legval(-1.0, integ)
+    return vander @ fit - np.eye(_XGK.size), integ @ fit
+
+
+_RESID, _ANTI = _leaf_operators()
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -138,9 +149,10 @@ class CumulativeIntegral:
     bps: np.ndarray
     panel_vals: np.ndarray  # complex, per panel
     panel_errs: np.ndarray
-    antider: np.ndarray  # (deg+1, n_panels) Legendre coeffs, zero at panel start
+    antider: np.ndarray  # (deg+2, n_panels) Legendre coeffs, zero at panel start
     lower_info: SideInfo = field(default_factory=lambda: SideInfo("resolved"))
     upper_info: SideInfo = field(default_factory=lambda: SideInfo("resolved"))
+    max_depth_leaves: int = 0  # leaves kept only because bisection hit max_depth
 
     def __post_init__(self):
         self._left = np.concatenate([[0.0 + 0.0j], np.cumsum(self.panel_vals)])
@@ -175,13 +187,18 @@ class CumulativeIntegral:
             raise CoverageError(
                 f"query outside coverage [{self.bps[0]}, {self.bps[-1]}]"
             )
-        idx = np.clip(np.searchsorted(self.bps, t, side="right") - 1, 0, len(self.panel_vals) - 1)
+        # covered t has idx >= 0; t at the upper edge reads the last panel
+        idx = np.minimum(np.searchsorted(self.bps, t, side="right") - 1, len(self.panel_vals) - 1)
         x0 = self.bps[idx]
         x1 = self.bps[idx + 1]
         xi = 2.0 * (t - x0) / (x1 - x0) - 1.0
-        part_re = npleg.legval(xi, self.antider.real[:, idx], tensor=False)
-        part_im = npleg.legval(xi, self.antider.imag[:, idx], tensor=False)
-        return idx, part_re + 1j * part_im
+        # Clenshaw recurrence of (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1},
+        # over the complex coefficient columns of every query's panel at once
+        c = self.antider[:, idx]
+        b0, b1 = c[-2], c[-1]
+        for j in range(c.shape[0] - 2, 0, -1):
+            b0, b1 = c[j - 1] - b1 * (j / (j + 1)), b0 + b1 * xi * ((2 * j + 1) / (j + 1))
+        return idx, b0 + b1 * xi
 
     def _anch_prefix(self, t):
         """int from the reference panel start to t."""
@@ -212,41 +229,72 @@ class CumulativeIntegral:
 
 
 def _leaf(g, lo, hi, leaf_tol, leaf_rel=1e-13, max_depth=28):
-    """Adaptively split [lo, hi] into converged leaves with interpolants."""
-    out = []
-    stack = [(lo, hi, 0)]
-    while stack:
-        a, b, depth = stack.pop()
-        val, err, y = _gk15(g, a, b)
-        finite = np.all(np.isfinite(y.real)) and np.all(np.isfinite(y.imag))
-        # relative scale: panel value, or sample magnitude when it cancels
-        mag = max(abs(val), (b - a) * float(np.max(np.abs(y))) if y.size else 0.0)
-        if finite and (err <= leaf_tol + leaf_rel * mag or depth >= max_depth):
-            coef = npleg.legfit(_XGK, y, _LEG_DEG)
-            resid = float(np.max(np.abs(npleg.legval(_XGK, coef) - y))) * (b - a)
-            # interior value() queries read the interpolant, so the fit must
-            # meet the same budget as the integral before the leaf is kept;
-            # node abscissas are rounded to ulp(|t|), which floors the
-            # attainable residual of steep narrow panels far from 0
-            ymax = float(np.max(np.abs(y))) if y.size else 0.0
-            pos_noise = 64.0 * np.finfo(float).eps * max(abs(a), abs(b)) * ymax
-            if resid > leaf_tol + leaf_rel * mag + pos_noise and depth < max_depth:
-                mid = 0.5 * (a + b)
-                stack.append((a, mid, depth + 1))
-                stack.append((mid, b, depth + 1))
-                continue
-            anti = npleg.legint(coef) * (0.5 * (b - a))
-            anti[0] -= npleg.legval(-1.0, anti)
-            out.append((a, b, val, err + 0.1 * resid, anti))
-            continue
-        if depth >= max_depth:
+    """Adaptively split [lo, hi] into converged leaves with interpolants.
+
+    The bisection tree is walked one level at a time: the integrand is called
+    once on the (m, 15) nodes of the level's m panels, and the GK15 value and
+    error, the fit residual and the accept/split decision of every panel are
+    computed as arrays.  A panel is accepted when its error estimate and its
+    fit residual meet the budget, or when it sits at ``max_depth``; a
+    non-finite panel at ``max_depth`` raises FloatingPointError.
+
+    Returns the accepted leaves sorted by left edge, as arrays
+    (left, right, value, error, antiderivative coefficients (14, n)), and
+    the number of leaves kept only because they reached ``max_depth``.
+    """
+    a = np.array([float(lo)])
+    b = np.array([float(hi)])
+    kept = []
+    forced = 0
+    for depth in range(max_depth + 1):
+        mid = 0.5 * (a + b)
+        hw = 0.5 * (b - a)
+        y = np.asarray(g(mid[:, None] + hw[:, None] * _XGK), dtype=complex)
+        # row sums along the contiguous node axis round as a 1-d np.sum of
+        # the panel would, so a panel's value does not depend on its level
+        val = hw * np.sum(_WGK * y, axis=1)
+        gauss = hw * np.sum(_WG * y[:, 1::2], axis=1)
+        err = np.abs(val - gauss)
+        # standard sharper error model
+        resabs = hw * np.sum(_WGK * np.abs(y), axis=1)
+        with np.errstate(all="ignore"):
+            sharp = (resabs > 0) & (err > 0) & (err / resabs < 1)
+            # fmin keeps err where the model gives NaN, as a scalar min() would
+            err = np.where(sharp, np.fmin(err, resabs * (200.0 * err / resabs) ** 1.5), err)
+        finite = np.all(np.isfinite(y), axis=1)
+        at_max = depth >= max_depth
+        if at_max and not np.all(finite):
             # non-finite leaf that refuses to resolve; signal to caller
             raise FloatingPointError("non-finite integrand inside panel")
-        mid = 0.5 * (a + b)
-        stack.append((a, mid, depth + 1))
-        stack.append((mid, b, depth + 1))
-    out.sort(key=lambda leaf: leaf[0])
-    return out
+        width = b - a
+        ymax = np.max(np.abs(y), axis=1)
+        # relative scale: panel value, or sample magnitude when it cancels
+        budget = leaf_tol + leaf_rel * np.maximum(np.abs(val), width * ymax)
+        converged = finite & (err <= budget)
+        fit = np.flatnonzero(converged | (finite & at_max))
+        # interior value() queries read the interpolant, so the fit must
+        # meet the same budget as the integral before the leaf is kept;
+        # node abscissas are rounded to ulp(|t|), which floors the
+        # attainable residual of steep narrow panels far from 0
+        resid = np.max(np.abs(y[fit] @ _RESID.T), axis=1, initial=0.0) * width[fit]
+        pos_noise = 64.0 * _EPS * np.maximum(np.abs(a[fit]), np.abs(b[fit])) * ymax[fit]
+        fit_ok = ~(resid > budget[fit] + pos_noise)
+        if at_max:
+            forced += int(np.count_nonzero(~(converged[fit] & fit_ok)))
+            acc = fit
+        else:
+            acc = fit[fit_ok]
+            resid = resid[fit_ok]
+        kept.append((a[acc], b[acc], val[acc], err[acc] + 0.1 * resid, (y[acc] @ _ANTI.T) * hw[acc, None]))
+        split = np.ones(a.size, dtype=bool)
+        split[acc] = False
+        if not np.any(split):
+            break
+        a, mid, b = a[split], mid[split], b[split]
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
+    left, right, vals, errs, anti = (np.concatenate(part) for part in zip(*kept))
+    order = np.argsort(left, kind="stable")
+    return left[order], right[order], vals[order], errs[order], anti[order].T, forced
 
 
 def _finite_skeleton(t_ref, endpoint, sign):
@@ -306,6 +354,7 @@ def cumulative(
     leaf_tol = 0.0 if tail_mode else tol * 1e-2
 
     leaves = []
+    max_depth_leaves = 0
     infos = {}
     for side, endpoint in (("upper", upper), ("lower", lower)):
         sign = 1 if side == "upper" else -1
@@ -338,18 +387,19 @@ def cumulative(
                 nxt = pts[k - 1]
             lo_, hi_ = (edge, nxt) if sign > 0 else (nxt, edge)
             try:
-                new = _leaf(g, lo_, hi_, leaf_tol, leaf_rel)
+                *new, forced = _leaf(g, lo_, hi_, leaf_tol, leaf_rel)
             except FloatingPointError:
                 status = "singular"
                 break
-            pv = sum(leaf[2] for leaf in new)
+            pv = sum(new[2].tolist())
             cum += pv
             # only the endpoint-approach phase feeds the tail heuristics;
             # panels still growing away from the anchor carry growing mass
             # for perfectly integrable functions
             if k > n_grow:
                 contribs.append(abs(pv))
-            leaves.extend(new)
+            leaves.append(new)
+            max_depth_leaves += forced
             edge = nxt
             if tail_mode:
                 if len(contribs) >= 3:
@@ -391,24 +441,21 @@ def cumulative(
                     status = "diverging"
         infos[side] = SideInfo(status or "resolved", tail_bound)
 
-    leaves.sort(key=lambda leaf: leaf[0])
     if not leaves:
         raise ValueError("empty coverage; t_ref too close to both endpoints")
-    bps = np.array([leaf[0] for leaf in leaves] + [leaves[-1][1]])
-    vals = np.array([leaf[2] for leaf in leaves], dtype=complex)
-    errs = np.array([leaf[3] for leaf in leaves], dtype=float)
-    deg = max(leaf[4].shape[0] for leaf in leaves)
-    anti = np.zeros((deg, len(leaves)), dtype=complex)
-    for j, leaf in enumerate(leaves):
-        anti[: leaf[4].shape[0], j] = leaf[4]
+    left, right, vals, errs, anti = (np.concatenate(part, axis=-1) for part in zip(*leaves))
+    # a zero-width leaf (a split at ulp width) goes before the leaf that
+    # starts at the same point, so every panel reads its own edges in bps
+    order = np.lexsort((right, left))
     return CumulativeIntegral(
         t_ref=float(t_ref),
-        bps=bps,
-        panel_vals=vals,
-        panel_errs=errs,
-        antider=anti,
+        bps=np.append(left[order], right[order[-1]]),
+        panel_vals=vals[order],
+        panel_errs=errs[order],
+        antider=anti[:, order],
         lower_info=infos["lower"],
         upper_info=infos["upper"],
+        max_depth_leaves=max_depth_leaves,
     )
 
 
@@ -448,26 +495,39 @@ class SupResult:
     trace: list = field(default_factory=list)
 
 
-def _golden_refine(h, a, b, iters=80):
+def _golden_lockstep(h, a, b, iters=80):
+    """Golden-section maxima of ``h`` on the brackets [a_i, b_i], refined together.
+
+    Each bracket takes exactly the steps of a scalar golden-section search
+    and freezes once it is narrower than 1e-13 relative; every iteration
+    makes one ``h`` call on the new points of the brackets still active.
+    Returns the best probe point and value of each bracket (the upper probe
+    only when it is strictly higher).
+    """
+    if a.size == 0:
+        return a, a
     phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = a.copy(), b.copy()
     x1 = b - phi * (b - a)
     x2 = a + phi * (b - a)
-    f1 = float(np.real(h(np.array([x1]))[0]))
-    f2 = float(np.real(h(np.array([x2]))[0]))
+    f1, f2 = np.split(np.real(np.asarray(h(np.concatenate([x1, x2])))).astype(float), 2)
+    active = np.ones(a.size, dtype=bool)
     for _ in range(iters):
-        if b - a < 1e-13 * max(1.0, abs(a), abs(b)):
+        active &= ~(b - a < 1e-13 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+        if not np.any(active):
             break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = float(np.real(h(np.array([x2]))[0]))
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = float(np.real(h(np.array([x1]))[0]))
-    if f1 >= f2:
-        return x1, f1
-    return x2, f2
+        up = np.flatnonzero(active & (f1 < f2))
+        down = np.flatnonzero(active & ~(f1 < f2))
+        # up: the maximum lies above x1, which becomes the new lower end
+        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
+        x2[up] = a[up] + phi * (b[up] - a[up])
+        # down: it lies below x2, which becomes the new upper end
+        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
+        x1[down] = b[down] - phi * (b[down] - a[down])
+        fn = np.real(np.asarray(h(np.concatenate([x2[up], x1[down]])))).astype(float)
+        f2[up], f1[down] = fn[: up.size], fn[up.size :]
+    lower = f1 >= f2
+    return np.where(lower, x1, x2), np.where(lower, f1, f2)
 
 
 def _richardson(values, ratio):
@@ -502,7 +562,11 @@ def sup_over(
     Coarse graded scan, golden-section refinement around the top five scan
     maxima, then endpoint limit handling: a geometric approach sequence per
     open endpoint, flagged as unbounded evidence if its tail is strictly
-    increasing past ``threshold``, otherwise Richardson-extrapolated.
+    increasing past ``threshold``, otherwise Richardson-extrapolated.  The
+    five brackets are refined in lockstep (one ``h`` call per step on the
+    brackets still narrowing), each taking the steps a scalar golden-section
+    search would; their results are then taken in scan order, a later one
+    replacing the best only when strictly higher.
     """
     grid = graded_grid(lo, hi, n_scan, include_lo=not lo_open, include_hi=not hi_open)
     with np.errstate(all="ignore"):
@@ -516,15 +580,14 @@ def sup_over(
     order = np.argsort(vals)[::-1]
     best_val = float(vals[order[0]])
     best_t = float(grid[order[0]])
-    # local refinement around top-5 scan maxima
-    for idx in order[:5]:
-        i = int(idx)
-        a = grid[i - 1] if i > 0 else grid[0]
-        b = grid[i + 1] if i < grid.size - 1 else grid[-1]
-        if b > a:
-            t_loc, v_loc = _golden_refine(h, float(a), float(b))
-            if v_loc > best_val:
-                best_val, best_t = v_loc, t_loc
+    # local refinement around the top-5 scan maxima, all five in lockstep
+    top = order[:5]
+    a = grid[np.maximum(top - 1, 0)]
+    b = grid[np.minimum(top + 1, grid.size - 1)]
+    t_loc, v_loc = _golden_lockstep(h, a[b > a], b[b > a])
+    for t, v in zip(t_loc.tolist(), v_loc.tolist()):
+        if v > best_val:
+            best_val, best_t = v, t
 
     span = hi - lo
     ratio = 0.5

@@ -423,6 +423,7 @@ class StabilityEngine:
                 "hi": cache.hi,
                 "panels": int(len(cache.panel_vals)),
                 "error_bound": cache.error_bound,
+                "max_depth_leaves": cache.max_depth_leaves,
                 "lower_status": cache.lower_info.status,
                 "upper_status": cache.upper_info.status,
             }

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import legendre as npleg
 
 from ulamstab import quad
 
@@ -61,6 +62,119 @@ def test_tail_mode_finite_singular_edge():
     assert c.from_lower(t)[0].real == pytest.approx(1.0, rel=2e-6)
 
 
+# closed-form endpoint singularities: (integrand, antiderivative, panels)
+_SINGULAR = {
+    "log-lower": (lambda s: np.log(s), lambda t: t * np.log(t) - t, 92),
+    "log-upper": (lambda s: np.log(1.0 - s), lambda t: -t - (1.0 - t) * np.log(1.0 - t), 92),
+    "power-lower": (lambda s: s**-0.5, lambda t: 2.0 * np.sqrt(t), 97),
+    "power-upper": (lambda s: (1.0 - s) ** -0.5, lambda t: -2.0 * np.sqrt(1.0 - t), 100),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SINGULAR))
+def test_cumulative_endpoint_singularity(name):
+    g, antiderivative, panels = _SINGULAR[name]
+    c = quad.cumulative(g, 0.5, 0.0, 1.0)
+    ts = np.array([1e-9, 1e-4, 0.1, 0.3, 0.7, 0.9, 1.0 - 1e-4, 1.0 - 1e-9])
+    err = np.abs(c.value(ts).real - (antiderivative(ts) - antiderivative(0.5)))
+    assert np.all(err <= c.error_bound) and c.error_bound < 1e-11
+    # pinned: a change of the splitting rule must update these on purpose
+    assert len(c.panel_vals) == panels
+    assert c.lower_info.status == c.upper_info.status == "resolved"
+    assert c.max_depth_leaves == 0
+
+
+def test_max_depth_leaves_recorded():
+    # a jump cannot be resolved by bisection; the leaf holding it is kept at
+    # max_depth and counted, and its error still bounds the value
+    c = quad.cumulative(lambda s: np.sign(s - 0.3), 0.5, 0.0, 1.0)
+    assert c.max_depth_leaves >= 1
+    ts = np.linspace(0.01, 0.99, 99)
+    exact = np.where(ts >= 0.3, ts - 0.5, 0.1 - ts)
+    assert np.max(np.abs(c.value(ts).real - exact)) <= c.error_bound
+
+
+def test_exeq01_panel_counts(exeq01_engine):
+    # exeq01's Pc splits to ulp width near t=1; pinned so a
+    # change of the splitting rule updates these on purpose
+    assert len(exeq01_engine.Pc.panel_vals) == 5481
+    assert len(exeq01_engine.A4.panel_vals) == 685
+    diag = exeq01_engine.diagnostics()
+    assert diag["cache_Pc"]["max_depth_leaves"] == diag["cache_A4"]["max_depth_leaves"] == 0
+
+
+def test_in_panel_matches_legval():
+    rng = np.random.default_rng(3)
+    n = 9
+    bps = np.cumsum(rng.uniform(0.1, 1.0, n + 1))
+    antider = rng.normal(size=(14, n)) + 1j * rng.normal(size=(14, n))
+    c = quad.CumulativeIntegral(bps[0], bps, np.zeros(n, complex), np.zeros(n), antider)
+    ts = np.concatenate([rng.uniform(bps[0], bps[-1], 190), bps])
+    idx, got = c._in_panel(ts.reshape(20, 10))
+    assert got.shape == (20, 10)
+    idx, got = idx.ravel(), got.ravel()
+    assert np.array_equal(idx, np.clip(np.searchsorted(bps, ts, side="right") - 1, 0, n - 1))
+    xi = 2.0 * (ts - bps[idx]) / (bps[idx + 1] - bps[idx]) - 1.0
+    want = np.array([npleg.legval(x, antider[:, i]) for x, i in zip(xi, idx)])
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel=1e-13, max_depth=28):
+    """`quad._leaf` one panel at a time, depth first, with per-panel fits.
+
+    Returns sorted (left, right, value, error, antiderivative, width * max|g|).
+    """
+    out = []
+    stack = [(lo, hi, 0)]
+    while stack:
+        a, b, depth = stack.pop()
+        hw = 0.5 * (b - a)
+        y = np.asarray(g(0.5 * (a + b) + hw * quad._XGK), dtype=complex)
+        val = hw * np.sum(quad._WGK * y)
+        err = abs(val - hw * np.sum(quad._WG * y[1::2]))
+        resabs = hw * np.sum(quad._WGK * np.abs(y))
+        if resabs > 0 and err > 0 and err / resabs < 1:
+            err = min(err, resabs * (200.0 * err / resabs) ** 1.5)
+        ymax = float(np.max(np.abs(y)))
+        budget = leaf_tol + leaf_rel * max(abs(val), (b - a) * ymax)
+        if np.all(np.isfinite(y)) and (err <= budget or depth >= max_depth):
+            coef = npleg.legfit(quad._XGK, y, quad._LEG_DEG)
+            resid = float(np.max(np.abs(npleg.legval(quad._XGK, coef) - y))) * (b - a)
+            pos_noise = 64.0 * np.finfo(float).eps * max(abs(a), abs(b)) * ymax
+            if not resid > budget + pos_noise or depth >= max_depth:
+                anti = npleg.legint(coef) * hw
+                anti[0] -= npleg.legval(-1.0, anti)
+                out.append((a, b, val, err + 0.1 * resid, anti, (b - a) * ymax))
+                continue
+        elif depth >= max_depth:
+            raise FloatingPointError("non-finite integrand inside panel")
+        stack += [(a, 0.5 * (a + b), depth + 1), (0.5 * (a + b), b, depth + 1)]
+    out.sort(key=lambda leaf: leaf[0])
+    return [np.array(part) for part in zip(*out)]
+
+
+@pytest.mark.parametrize("leaf_tol", [1e-12, 0.0])
+@pytest.mark.parametrize(
+    "g, lo, hi",
+    [
+        (np.cos, 0.0, 5.0),
+        (lambda s: np.log(1.0 - s), 0.5, 1.0 - 1e-13),
+        (lambda s: s * np.exp(40j * s), 0.0, 3.0),
+        (lambda s: np.sign(s - 0.3), 0.25, 0.325),
+    ],
+)
+def test_leaf_matches_panel_by_panel_reference(g, lo, hi, leaf_tol):
+    # same leaves and values; the fit residual and the antiderivative come
+    # from constant matrices instead of per-panel fits, so they agree to
+    # rounding of the panel's scale
+    left, right, vals, errs, anti, _ = quad._leaf(g, lo, hi, leaf_tol)
+    r_left, r_right, r_vals, r_errs, r_anti, scale = _leaf_reference(g, lo, hi, leaf_tol)
+    assert np.array_equal(left, r_left) and np.array_equal(right, r_right)
+    assert np.array_equal(vals, r_vals)
+    assert np.all(np.abs(errs - r_errs) <= 16 * np.finfo(float).eps * scale)
+    assert np.all(np.abs(anti - r_anti.T) <= 16 * np.finfo(float).eps * scale)
+
+
 # -- graded_grid -----------------------------------------------------------
 
 
@@ -113,6 +227,60 @@ def test_sup_unbounded_slow_divergence():
     # t^{-1/2} diverges but never reaches the big-value threshold nearby
     res = quad.sup_over(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0)
     assert res.unbounded
+
+
+def test_sup_highest_of_five_maxima():
+    # five narrow bumps; the scan ranks the highest one last of its top five,
+    # so only the refinement of all five brackets finds it
+    centers = np.array([0.7, 1.9, 3.05, 4.2, 5.3])
+    heights = np.array([0.996, 0.998, 1.0, 0.999, 0.997])
+
+    def h(t):
+        t = np.asarray(t)[None, :]
+        return np.sum(heights[:, None] * np.exp(-(((t - centers[:, None]) / 0.02) ** 2)), axis=0)
+
+    res = quad.sup_over(h, 0.0, 6.0)
+    assert not res.unbounded
+    assert res.sup_value == pytest.approx(1.0, abs=1e-12)
+    assert res.attained_near == pytest.approx(3.05, abs=1e-6)
+    scan = max(v for t, v in res.trace)
+    assert scan < 0.99
+
+
+def _golden_scalar(h, a, b, iters=80):
+    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = b - phi * (b - a), a + phi * (b - a)
+    f1, f2 = float(h(np.array([x1]))[0]), float(h(np.array([x2]))[0])
+    for _ in range(iters):
+        if b - a < 1e-13 * max(1.0, abs(a), abs(b)):
+            break
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + phi * (b - a)
+            f2 = float(h(np.array([x2]))[0])
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - phi * (b - a)
+            f1 = float(h(np.array([x1]))[0])
+    return (x1, f1) if f1 >= f2 else (x2, f2)
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        lambda t: np.sin(3.0 * t) * np.exp(-0.1 * t),
+        lambda t: np.round(np.cos(t), 6),  # plateaus: ties between probes
+        lambda t: np.where(t > 2.0, np.nan, -((t - 1.0) ** 2)),
+    ],
+)
+def test_golden_lockstep_matches_scalar_search(h):
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-5.0, 25.0, 5)
+    b = a + rng.uniform(1e-12, 2.0, 5)
+    t, v = quad._golden_lockstep(h, a, b)
+    for i in range(5):
+        t0, v0 = _golden_scalar(h, a[i], b[i])
+        assert t[i] == t0 and (v[i] == v0 or (math.isnan(v[i]) and math.isnan(v0)))
 
 
 def test_sup_never_below_samples():
