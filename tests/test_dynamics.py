@@ -14,6 +14,11 @@ from ulamstab.dynamics import (
     SolutionEngine,
     SolutionFamilyParams,
 )
+from ulamstab.model import Interval, probe_grid
+
+EXEQ02 = ("1", "2/t", "0", "-1", 1.0, math.inf)
+EXEQ05 = ("1", "2/t", "1", "0", 0.0, math.inf)
+EXEQ05_WITNESS = "eps/(8*t)*(cos(t) + 2*t*sin(t) - 2*t^2*cos(t))"
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +121,141 @@ def test_nearest_solution_recovers_member(exeq01, eng01, cfg):
     member = eng01.homogeneous(0.5, SolutionFamilyParams(0.4, 0.9))
     out = dynamics.nearest_solution(member, p, r, cfg, engine=eng01)
     assert out["sup_distance"] < 1e-8
+
+
+def _reference_min_sup_distance(target, basis):
+    """The nearest-solution fit on complex arrays, as every fit once ran."""
+    scale = float(np.max(np.abs(target))) or 1.0
+    m1, m2 = (scale / (float(np.max(np.abs(b))) or 1.0) for b in basis)
+    starts = [(s1 * m1, s2 * m2) for s1 in (-1.0, 0.0, 1.0) for s2 in (-1.0, 0.0, 1.0)]
+
+    def objective(c):
+        diff = target - sum(ck * bk for ck, bk in zip(c, basis))
+        m = np.abs(diff)
+        return float(np.max(m)) if np.all(np.isfinite(m)) else 1e300
+
+    best = None
+    for start in starts:
+        res = dynamics._scipy_minimize(
+            objective,
+            np.asarray(start, float),
+            method="Nelder-Mead",
+            options={"xatol": 1e-12 * max(scale, 1.0), "fatol": 1e-14 * max(scale, 1.0), "maxiter": 2000},
+        )
+        if best is None or res.fun < best.fun:
+            best = res
+    return best.x, float(best.fun)
+
+
+def _family(t0):
+    """y1, y2 and the particular solution p, with the probe's forcings."""
+    return (IvpData(t0, 1.0, 0.0), IvpData(t0, 0.0, 1.0), IvpData(t0, 0.0, 0.0)), (0.0, 0.0, None)
+
+
+@pytest.mark.parametrize(
+    "coeffs, t0, ts",
+    [
+        (EXEQ02, 2.0, [5.0, 1.5, 2.0, 30.0, 1.5, 1.1, 10.0, 5.0, 1.0 + 1e-6]),
+        (EXEQ05, 1.0, [0.01, 3.0, 1.0, 0.5, 3.0, 20.0, 0.01, 1e-5]),
+    ],
+    ids=["exeq02", "exeq05"],
+)
+def test_stacked_ivp_matches_single_solves(coeffs, t0, ts):
+    # unsorted points on both sides of t0, with duplicates and t0 itself
+    p = make_problem(*coeffs)
+    ts = np.asarray(ts)
+    ivps, forcings = _family(t0)
+    zero = lambda s: np.zeros_like(np.asarray(s, float))
+    stacked = dynamics.ivp_solution(p, ivps, ts, forcing=forcings)
+    assert stacked.shape == (3, ts.size)
+    for row, ivp, f in zip(stacked, ivps, (zero, zero, None)):
+        single = dynamics.ivp_solution(p, ivp, ts, forcing=f)
+        assert single.shape == ts.shape
+        scale = float(np.max(np.abs(single)))
+        assert np.max(np.abs(row - single)) <= 1e-8 * scale
+        assert row[ts == t0] == pytest.approx(complex(ivp.x0), abs=0.0)
+    dup = np.flatnonzero(ts == ts[0])
+    assert len(dup) == 2 and np.all(stacked[:, dup[0]] == stacked[:, dup[1]])
+
+
+def test_stacked_ivp_requires_common_t0():
+    p = make_problem(*EXEQ02)
+    with pytest.raises(ValueError):
+        dynamics.ivp_solution(p, (IvpData(2.0, 1.0), IvpData(3.0, 1.0)), [2.5], forcing=(0.0, 0.0))
+
+
+def test_ivp_solution_reports_failed_solve(monkeypatch):
+    # a solve that stops early returns fewer points than asked for; it must
+    # not be read as a solution
+    class Stopped:
+        success = False
+        message = "Required step size is less than spacing between numbers."
+
+    monkeypatch.setattr(dynamics, "_scipy_solve_ivp", lambda *args, **kwargs: Stopped())
+    with pytest.raises(ValueError, match="step size"):
+        dynamics.ivp_solution(make_problem(*EXEQ02), IvpData(2.0, 1.0), [2.5, 3.0])
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Count `ivp_solution` calls and the scipy solves under them."""
+    calls = {"ivp_solution": 0, "solve_ivp": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "ivp_solution", counting("ivp_solution", dynamics.ivp_solution))
+    monkeypatch.setattr(dynamics, "_scipy_solve_ivp", counting("solve_ivp", dynamics._scipy_solve_ivp))
+    return calls
+
+
+@pytest.mark.parametrize(
+    "coeffs, witness",
+    [(EXEQ02, "(eps - 1)*t^2/6"), (EXEQ05, EXEQ05_WITNESS)],
+    ids=["exeq02", "exeq05"],
+)
+def test_instability_probe_integrates_once(solver_calls, cfg, coeffs, witness):
+    out = dynamics.instability_probe(make_problem(*coeffs), exprlang.parse(witness), 0.1, cfg)
+    assert len(out["trace"]) == 3
+    assert solver_calls["ivp_solution"] == 1
+    assert solver_calls["solve_ivp"] <= 2
+
+
+def test_min_sup_distance_real_path_is_bit_identical(cfg):
+    # exeq02's probe data on the T = 10 truncation, and random real data
+    p = make_problem(*EXEQ02)
+    grid = probe_grid(Interval.open(1.0, 10.0), cfg.probe_points, cfg.range_cap)
+    ivps, forcings = _family(2.0)
+    y1, y2, part = dynamics.ivp_solution(p, ivps, grid, forcing=forcings)
+    xi = exprlang.compile_expr(exprlang.parse("(eps - 1)*t^2/6"), {"eps": 0.1})
+    rng = np.random.default_rng(3)
+    cases = [(np.asarray(xi(grid), dtype=complex) - part, (y1, y2))]
+    cases.append((rng.normal(size=200) + 0j, (rng.normal(size=200) + 0j, np.linspace(-1.0, 3.0, 200) + 0j)))
+    for target, basis in cases:
+        assert not np.any(target.imag) and not np.any(basis[0].imag) and not np.any(basis[1].imag)
+        got_c, got_d = dynamics._min_sup_distance(target, basis)
+        ref_c, ref_d = _reference_min_sup_distance(target, basis)
+        assert np.array_equal(got_c, ref_c) and got_d == ref_d
+
+
+def test_nearest_solution_complex_member(exeq01, eng01, cfg):
+    # real coefficients cannot absorb the imaginary part 0.2j of d1, so the
+    # distance is 0.2 sup|w1| (a fit of the real parts alone would give 0);
+    # the optimal coefficients are not unique here
+    p, r = exeq01
+    member = eng01.homogeneous(0.5, SolutionFamilyParams(0.4 + 0.2j, 0.9))
+    out = dynamics.nearest_solution(member, p, r, cfg, engine=eng01)
+    grid = eng01.experiment_grid(0.5)
+    w1 = eng01.homogeneous(0.5, SolutionFamilyParams(1.0, 0.0))(grid)
+    w2 = eng01.homogeneous(0.5, SolutionFamilyParams(0.0, 1.0))(grid)
+    assert out["sup_distance"] == pytest.approx(0.2 * float(np.max(np.abs(w1))), rel=1e-6)
+    ref_c, ref_d = _reference_min_sup_distance(np.asarray(member(grid)), (w1, w2))
+    assert out["sup_distance"] == ref_d
+    assert np.array_equal([out["params"].d1, out["params"].d2], ref_c)
 
 
 def test_instability_probe_exeq02(cfg):
