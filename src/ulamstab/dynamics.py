@@ -241,24 +241,18 @@ def ivp_solution(problem, ivp, ts, forcing=None, rtol=1e-10, atol=1e-12, method=
     a = problem.fn("alpha")
     b = problem.fn("beta")
     c = problem.fn("gamma")
-    const = np.zeros(k, dtype=complex)
-    forced = []
-    for i, f in enumerate(forcings):
-        f = problem.fn("forcing") if f is None else f
-        if callable(f):
-            forced.append((i, f))
-        else:
-            const[i] = complex(f)
+    forcings = [problem.fn("forcing") if f is None else f if callable(f) else complex(f) for f in forcings]
 
     def rhs(t, y):
-        y = y.reshape(4, k)
-        x = y[0] + 1j * y[1]
-        xp = y[2] + 1j * y[3]
-        g = const.copy()
-        for i, f in forced:
-            g[i] = f(t)
-        xpp = (g - b(t) * xp - c(t) * x) / a(t)
-        return np.concatenate((xp.real, xp.imag, xpp.real, xpp.imag))
+        # Python scalars: numpy's per-call cost would dominate at k <= 3
+        av, bv, cv = a(t), b(t), c(t)
+        v = y.tolist()
+        xpp = []
+        for i, f in enumerate(forcings):
+            x, xp = complex(v[i], v[k + i]), complex(v[2 * k + i], v[3 * k + i])
+            g = complex(f(t)) if callable(f) else f
+            xpp.append(exprlang.complex_divide(g - bv * xp - cv * x, av))
+        return np.array(v[2 * k :] + [z.real for z in xpp] + [z.imag for z in xpp])
 
     x0 = np.array([complex(d.x0) for d in ivps])
     x0p = np.array([complex(d.x0p) for d in ivps])
@@ -297,8 +291,16 @@ def _min_sup_distance(target, basis):
     m1, m2 = (scale / (float(np.max(np.abs(b))) or 1.0) for b in (w1, w2))
     starts = [(s1 * m1, s2 * m2) for s1 in (-1.0, 0.0, 1.0) for s2 in (-1.0, 0.0, 1.0)]
 
+    # target - (c0 w1 + c1 w2) in this order, bit for bit, in two reused buffers
+    fit = np.empty_like(w1, dtype=np.result_type(target, w1, w2))
+    term = np.empty_like(fit)
+
     def objective(c):
-        m = float(np.max(np.abs(target - (c[0] * w1 + c[1] * w2))))
+        np.multiply(c[0], w1, out=fit)
+        np.multiply(c[1], w2, out=term)
+        np.add(fit, term, out=fit)
+        np.subtract(target, fit, out=fit)
+        m = float(np.abs(fit, out=term.real).max())
         return m if math.isfinite(m) else 1e300
 
     best = None

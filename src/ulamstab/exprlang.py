@@ -2,8 +2,9 @@
 
 Expressions are functions of the free variable ``t`` plus named parameters
 (``sigma``, ``a``, ...).  They are complex-valued end-to-end, support symbolic
-differentiation with respect to ``t``, and can be compiled into vectorized
-numpy callables for use inside quadrature loops.
+differentiation with respect to ``t``, and compile into one generated Python
+function that takes a scalar ``t`` (ODE right-hand sides) or an array of them
+(quadrature loops).
 
 The grammar (see GRAMMAR.md at the repository root) has precedence
 ``^`` > unary ``-`` > ``*``, ``/`` > ``+``, ``-``, with right-associative
@@ -13,6 +14,7 @@ The grammar (see GRAMMAR.md at the repository root) has precedence
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,16 +30,15 @@ __all__ = [
     "BinOp",
     "Call",
     "parse",
-    "evaluate",
     "differentiate",
     "to_string",
     "compile_expr",
+    "complex_divide",
     "free_params",
     "ExprError",
     "ExprSyntaxError",
     "UnknownFunctionError",
     "UnboundParameterError",
-    "DomainError",
     "NotDifferentiableError",
 ]
 
@@ -81,10 +82,6 @@ class UnboundParameterError(ExprError):
         self.name = name
 
 
-class DomainError(ExprError):
-    pass
-
-
 class NotDifferentiableError(ExprError):
     def __init__(self, kind):
         super().__init__(f"{kind!r} node has no derivative rule")
@@ -99,9 +96,6 @@ class Expr:
     """Immutable AST node.  Safe to share across threads."""
 
     __slots__ = ()
-
-    def __call__(self, t, params=None):
-        return evaluate(self, t, params)
 
 
 @dataclass(frozen=True, slots=True)
@@ -295,93 +289,6 @@ def parse(text: str) -> Expr:
     return node
 
 
-# ---------------------------------------------------------------------------
-# Evaluation
-
-
-def evaluate(e: Expr, t, params=None) -> complex:
-    """Evaluate ``e`` at scalar ``t`` with the given parameter bindings."""
-    params = params or {}
-    return _eval(e, complex(t), params)
-
-
-def _eval(e, t, params):
-    if isinstance(e, Num):
-        return complex(e.value)
-    if isinstance(e, ImagUnit):
-        return 1j
-    if isinstance(e, Var):
-        return t
-    if isinstance(e, Param):
-        try:
-            return complex(params[e.name])
-        except KeyError:
-            raise UnboundParameterError(e.name) from None
-    if isinstance(e, Neg):
-        return -_eval(e.operand, t, params)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, t, params)
-        b = _eval(e.right, t, params)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0:
-                raise DomainError(f"division by zero at t={t}")
-            return a / b
-        if e.op == "^":
-            return _pow(a, b, t)
-        raise AssertionError(e.op)
-    if isinstance(e, Call):
-        a = _eval(e.arg, t, params)
-        return _call(e.func, a, t)
-    raise AssertionError(type(e))
-
-
-def _pow(a, b, t):
-    if a == 0 and (b.real < 0 or b.imag != 0):
-        raise DomainError(f"zero base with nonpositive exponent at t={t}")
-    if a.imag == 0:
-        a = complex(a.real)  # normalize -0j so branch cuts don't flip
-    if b.imag == 0:
-        b = complex(b.real)
-    # real base, real integer-ish exponent stays on the real branch
-    try:
-        if a.imag == 0 and b.imag == 0 and a.real > 0:
-            return complex(math.pow(a.real, b.real)) if b.real == int(b.real) else complex(a.real**b.real)
-        if a.imag == 0 and b.imag == 0 and b.real == int(b.real):
-            return complex(a.real ** int(b.real))
-    except OverflowError:
-        sign = 1.0 if (a.real > 0 or int(b.real) % 2 == 0) else -1.0
-        return complex(sign * math.inf)
-    try:
-        return a**b
-    except OverflowError:
-        return complex(math.inf, math.inf)  # what the compiled (numpy) power gives
-
-
-def _call(func, a, t):
-    if a.imag == 0:
-        a = complex(a.real)  # normalize -0j so branch cuts don't flip
-    if func == "abs":
-        return complex(abs(a))
-    if func == "re":
-        return complex(a.real)
-    if func == "im":
-        return complex(a.imag)
-    if func in ("log", "sqrt") and a == 0 and func == "log":
-        raise DomainError(f"log(0) at t={t}")
-    if func == "sqrt" and a.imag == 0 and a.real >= 0:
-        return complex(math.sqrt(a.real))
-    if func == "log" and a.imag == 0 and a.real > 0:
-        return complex(math.log(a.real))
-    fn = getattr(cmath, func)
-    return fn(a)
-
-
 def free_params(e: Expr) -> set[str]:
     """Names of all parameters referenced by ``e``."""
     out = set()
@@ -551,77 +458,93 @@ def _fmt(e, parent_prec):
 
 
 # ---------------------------------------------------------------------------
-# Compilation to vectorized numpy callables
+# Compilation to one generated function
+#
+# One statement per node, formatted twice: "{0}" becomes "" for the Python
+# complex helpers of a real scalar t and "_a" for the numpy helpers of an
+# array (both bound from `_HELPERS`).  Identifiers come from the node kind
+# and a counter; numbers and parameter values live in the namespace, so no
+# text of the expression reaches `compile`.  A scalar that raises or comes
+# out non-finite is evaluated again on the array path.
 
 
 def compile_expr(e: Expr, params=None):
-    """Compile ``e`` into a callable ``f(t)`` over numpy arrays.
+    """Compile ``e`` into a callable ``f(t)`` of a real scalar or array ``t``.
 
     Parameter values are baked in at compile time.  Division by zero and
     domain edges produce inf/nan silently (callers evaluate on interior
     grids where the problem validator has already checked the expression).
+    A scalar gives a complex scalar, an array a complex array of its shape.
     """
     params = params or {}
     missing = free_params(e) - set(params)
     if missing:
         raise UnboundParameterError(sorted(missing)[0])
+    namespace = dict(_RUNTIME)
+    scalar, array = [], []
 
-    def build(node):
-        if isinstance(node, Num):
-            v = complex(node.value)
-            return lambda t: np.full_like(t, v, dtype=complex) if isinstance(t, np.ndarray) else v
-        if isinstance(node, ImagUnit):
-            return lambda t: np.full_like(t, 1j, dtype=complex) if isinstance(t, np.ndarray) else 1j
+    def emit(node):
+        if isinstance(node, (Num, ImagUnit, Param)):
+            name = f"{type(node).__name__.lower()}{len(array)}"
+            value = 1j if isinstance(node, ImagUnit) else node.value if isinstance(node, Num) else params[node.name]
+            namespace[name] = complex(value)
+            array.append(f"{name}_a = _np.full_like(t, {name}, dtype=complex)")
+            return name
         if isinstance(node, Var):
-            return lambda t: np.asarray(t, dtype=complex) if isinstance(t, np.ndarray) else complex(t)
-        if isinstance(node, Param):
-            v = complex(params[node.name])
-            return lambda t: np.full_like(t, v, dtype=complex) if isinstance(t, np.ndarray) else v
-        if isinstance(node, Neg):
-            f = build(node.operand)
-            return lambda t: -f(t)
-        if isinstance(node, BinOp):
-            fa, fb = build(node.left), build(node.right)
-            op = node.op
-            if op == "+":
-                return lambda t: fa(t) + fb(t)
-            if op == "-":
-                return lambda t: fa(t) - fb(t)
-            if op == "*":
-                return lambda t: fa(t) * fb(t)
-            if op == "/":
-                return lambda t: fa(t) / fb(t)
-            if op == "^":
-                return lambda t: _np_pow(fa(t), fb(t))
-            raise AssertionError(op)
-        if isinstance(node, Call):
-            fa = build(node.arg)
-            name = node.func
-            if name == "abs":
-                return lambda t: np.abs(fa(t)).astype(complex) if isinstance(t, np.ndarray) else complex(abs(fa(t)))
-            if name == "re":
-                return lambda t: np.real(fa(t)).astype(complex) if isinstance(t, np.ndarray) else complex(np.real(fa(t)))
-            if name == "im":
-                return lambda t: np.imag(fa(t)).astype(complex) if isinstance(t, np.ndarray) else complex(np.imag(fa(t)))
-            fn = getattr(np, name)
-            return lambda t: fn(_canon(fa(t)))
-        raise AssertionError(type(node))
+            stmt = "_var{0}(t)"
+        elif isinstance(node, Neg):
+            stmt = f"-{emit(node.operand)}{{0}}"
+        elif isinstance(node, BinOp):
+            stmt = _BINOPS[node.op].format(f"{emit(node.left)}{{0}}", f"{emit(node.right)}{{0}}")
+        elif isinstance(node, Call):
+            stmt = f"{_CALL_IDS[node.func]}{{0}}({emit(node.arg)}{{0}})"
+        else:
+            raise AssertionError(type(node))
+        name = f"{type(node).__name__.lower()}{len(array)}"
+        scalar.append(f"{name} = " + stmt.format(""))
+        array.append(f"{name}_a = " + stmt.format("_a"))
+        return name
 
-    body = build(e)
+    out = emit(e)
+    source = _SOURCE.format(
+        scalar="\n".join(" " * 12 + line for line in scalar),
+        array="\n".join(" " * 8 + line for line in array),
+        out=out,
+    )
+    exec(_code(source), namespace)
+    return namespace["expr"]
 
-    def fn(t):
-        arr = np.asarray(t, dtype=float)
-        scalar = arr.ndim == 0
-        with np.errstate(all="ignore"):
-            out = body(arr if not scalar else arr.reshape(1))
-        out = np.asarray(out, dtype=complex)
-        return out[0] if scalar else out
 
-    return fn
+@functools.lru_cache(maxsize=1024)
+def _code(source):
+    # the source depends on the tree's shape only, and shapes repeat
+    return compile(source, "<exprlang>", "exec")
+
+
+_SOURCE = """\
+def expr(t):
+    if isinstance(t, _real):
+        try:
+{scalar}
+            if _isfinite({out}):
+                return {out}
+        except (ZeroDivisionError, OverflowError, ValueError):
+            pass
+    t = _np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    if scalar:
+        t = t.reshape(1)
+    with _np.errstate(all="ignore"):
+{array}
+    out = _np.asarray({out}_a, dtype=complex)
+    return out[0] if scalar else out
+"""
+
+_BINOPS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_div{{0}}({}, {})", "^": "_pow{{0}}({}, {})"}
 
 
 def _canon(v):
-    """Replace -0j imaginary parts so numpy branch cuts match the evaluator."""
+    """Replace -0j imaginary parts so numpy branch cuts match the real branch."""
     v = np.asarray(v, dtype=complex)
     if np.any(np.signbit(v.imag) & (v.imag == 0.0)):
         v = np.where(v.imag == 0.0, v.real.astype(complex), v)
@@ -629,7 +552,7 @@ def _canon(v):
 
 
 def _np_pow(a, b):
-    # keep real branches real where the scalar evaluator would
+    # keep real branches real: a real base >= 0, or a real integer exponent
     if np.all(np.imag(a) == 0) and np.all(np.imag(b) == 0):
         ar = np.real(a)
         br = np.real(b)
@@ -640,3 +563,77 @@ def _np_pow(a, b):
                 sign = np.where((ar >= 0) | (np.round(br) % 2 == 0), 1.0, -1.0)
                 return np.asarray(sign * np.abs(ar) ** br, dtype=complex)
     return _canon(a) ** _canon(b)
+
+
+def complex_divide(a, b):
+    """``a / b`` rounded as numpy's complex divide: Smith's method with a reciprocal.
+
+    A zero divisor gives nan instead of raising.  Real operands take the
+    real part of that formula alone: ``a * (1 / b)``.
+    """
+    br, bi = b.real, b.imag
+    if not (bi or a.imag) and br:
+        return complex(a.real * (1.0 / br))
+    try:
+        if abs(br) >= abs(bi):
+            rat = bi / br
+            scl = 1.0 / (br + bi * rat)
+            return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
+        rat = br / bi
+        scl = 1.0 / (bi + br * rat)
+        return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
+    except ZeroDivisionError:
+        return complex(math.nan, math.nan)
+
+
+def _scalar_pow(a, b):
+    # `_np_pow` at one point
+    if not (a.imag or b.imag):
+        x, y = a.real, b.real
+        if x >= 0:
+            return complex(x**y)
+        if y == round(y):
+            p = (-x) ** y
+            return complex(-p if round(y) % 2 else p)
+    return _canonical(a) ** _canonical(b)
+
+
+def _scalar_log(a):
+    # a real argument takes numpy's branches (glibc clog)
+    if a.imag:
+        return cmath.log(a)
+    x = abs(a.real)
+    re = math.log1p((x - 1.0) * (x + 1.0)) / 2 if 0.5 <= x < 2.0 else math.log(x)
+    return complex(re, math.atan2(0.0, a.real))
+
+
+def _scalar_tan(a):
+    # a real argument takes numpy's formula (glibc ctan)
+    if a.imag:
+        return cmath.tan(a)
+    s, c = math.sin(a.real), math.cos(a.real)
+    return complex(s * c / (c * c))
+
+
+def _canonical(a):
+    return a if a.imag else complex(a.real)
+
+
+# helper: scalar and array version; the array one is bound with suffix _a
+_HELPERS = {
+    "_var": (complex, lambda t: np.asarray(t, dtype=complex)),
+    "_div": (complex_divide, np.divide),
+    "_pow": (_scalar_pow, _np_pow),
+    "_sin": (lambda a: cmath.sin(_canonical(a)), lambda v: np.sin(_canon(v))),
+    "_cos": (lambda a: cmath.cos(_canonical(a)), lambda v: np.cos(_canon(v))),
+    "_tan": (_scalar_tan, lambda v: np.tan(_canon(v))),
+    "_exp": (lambda a: cmath.exp(_canonical(a)), lambda v: np.exp(_canon(v))),
+    "_log": (_scalar_log, lambda v: np.log(_canon(v))),
+    "_sqrt": (lambda a: cmath.sqrt(_canonical(a)), lambda v: np.sqrt(_canon(v))),
+    "_abs": (lambda a: complex(abs(a)), lambda v: np.abs(v).astype(complex)),
+    "_re": (lambda a: complex(a.real), lambda v: np.real(v).astype(complex)),
+    "_im": (lambda a: complex(a.imag), lambda v: np.imag(v).astype(complex)),
+}
+_CALL_IDS = {func: f"_{func}" for func in FUNCTIONS}
+_RUNTIME = {"_np": np, "_real": (float, int), "_isfinite": cmath.isfinite}
+_RUNTIME.update((name + suffix, f) for name, pair in _HELPERS.items() for suffix, f in zip(("", "_a"), pair))

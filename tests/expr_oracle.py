@@ -1,0 +1,136 @@
+"""Reference evaluators of the expression language, for the tests only.
+
+`evaluate` walks the tree in Python complex arithmetic and raises
+`DomainError` at a division by zero or a log of zero, where the compiled
+function gives inf/nan.  `mp_eval` is the same walk in mpmath arithmetic.
+Both keep the real branch of `sqrt`, `log` and real powers, as
+`exprlang.compile_expr` does.
+"""
+
+import cmath
+import math
+
+import mpmath
+
+from ulamstab.exprlang import BinOp, Call, ExprError, ImagUnit, Neg, Num, Param, UnboundParameterError, Var
+
+
+class DomainError(ExprError):
+    pass
+
+
+def evaluate(e, t, params=None) -> complex:
+    """Evaluate ``e`` at scalar ``t`` with the given parameter bindings."""
+    params = params or {}
+    return _eval(e, complex(t), params)
+
+
+def _eval(e, t, params):
+    if isinstance(e, Num):
+        return complex(e.value)
+    if isinstance(e, ImagUnit):
+        return 1j
+    if isinstance(e, Var):
+        return t
+    if isinstance(e, Param):
+        try:
+            return complex(params[e.name])
+        except KeyError:
+            raise UnboundParameterError(e.name) from None
+    if isinstance(e, Neg):
+        return -_eval(e.operand, t, params)
+    if isinstance(e, BinOp):
+        a = _eval(e.left, t, params)
+        b = _eval(e.right, t, params)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0:
+                raise DomainError(f"division by zero at t={t}")
+            return a / b
+        if e.op == "^":
+            return _pow(a, b, t)
+        raise AssertionError(e.op)
+    if isinstance(e, Call):
+        a = _eval(e.arg, t, params)
+        return _call(e.func, a, t)
+    raise AssertionError(type(e))
+
+
+def _pow(a, b, t):
+    if a == 0 and (b.real < 0 or b.imag != 0):
+        raise DomainError(f"zero base with nonpositive exponent at t={t}")
+    if a.imag == 0:
+        a = complex(a.real)  # normalize -0j so branch cuts don't flip
+    if b.imag == 0:
+        b = complex(b.real)
+    # real base, real integer-ish exponent stays on the real branch
+    try:
+        if a.imag == 0 and b.imag == 0 and a.real > 0:
+            return complex(math.pow(a.real, b.real)) if b.real == int(b.real) else complex(a.real**b.real)
+        if a.imag == 0 and b.imag == 0 and b.real == int(b.real):
+            return complex(a.real ** int(b.real))
+    except OverflowError:
+        sign = 1.0 if (a.real > 0 or int(b.real) % 2 == 0) else -1.0
+        return complex(sign * math.inf)
+    try:
+        return a**b
+    except OverflowError:
+        return complex(math.inf, math.inf)  # what the compiled (numpy) power gives
+
+
+def _call(func, a, t):
+    if a.imag == 0:
+        a = complex(a.real)  # normalize -0j so branch cuts don't flip
+    if func == "abs":
+        return complex(abs(a))
+    if func == "re":
+        return complex(a.real)
+    if func == "im":
+        return complex(a.imag)
+    if func == "log" and a == 0:
+        raise DomainError(f"log(0) at t={t}")
+    if func == "sqrt" and a.imag == 0 and a.real >= 0:
+        return complex(math.sqrt(a.real))
+    if func == "log" and a.imag == 0 and a.real > 0:
+        return complex(math.log(a.real))
+    fn = getattr(cmath, func)
+    return fn(a)
+
+
+def mp_eval(e, t, params):
+    """``evaluate`` in mpmath arithmetic: the same branches, at high precision."""
+    if isinstance(e, Num):
+        return mpmath.mpc(e.value)
+    if isinstance(e, Var):
+        return mpmath.mpc(t)
+    if isinstance(e, Param):
+        return mpmath.mpc(params[e.name])
+    if isinstance(e, Neg):
+        return -mp_eval(e.operand, t, params)
+    if isinstance(e, BinOp):
+        a, b = mp_eval(e.left, t, params), mp_eval(e.right, t, params)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        if e.op == "/":
+            if b == 0:
+                raise DomainError("division by zero")
+            return a / b
+        if a == 0 and (b.real < 0 or b.imag != 0):
+            raise DomainError("zero base with nonpositive exponent")
+        # real positive base, or real base and integer exponent: real branch
+        if a.imag == 0 and b.imag == 0 and (a.real > 0 or b.real == int(b.real)):
+            return mpmath.mpc(mpmath.power(a.real, b.real))
+        return mpmath.power(a, b)
+    a = mp_eval(e.arg, t, params)
+    if e.func == "log" and a == 0:
+        raise DomainError("log(0)")
+    return getattr(mpmath, e.func)(a)

@@ -1,6 +1,8 @@
-"""Expression language: parsing, evaluation, differentiation, printing."""
+"""Expression language: parsing, compilation, differentiation, printing."""
 
 import math
+import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -8,20 +10,25 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from expr_oracle import DomainError, evaluate, mp_eval
 from ulamstab import exprlang
 from ulamstab.exprlang import (
-    DomainError,
     ExprSyntaxError,
     NotDifferentiableError,
     UnboundParameterError,
     UnknownFunctionError,
     compile_expr,
     differentiate,
-    evaluate,
     free_params,
     parse,
     to_string,
 )
+
+
+def _both_paths(e, t, params=None):
+    """The compiled function at ``t``: scalar path, then array path."""
+    fn = compile_expr(e, params)
+    return fn(t), fn(np.array([t]))[0]
 
 
 # -- parsing ---------------------------------------------------------------
@@ -42,27 +49,28 @@ from ulamstab.exprlang import (
     ],
 )
 def test_eval_examples(text, t, expected):
-    assert evaluate(parse(text), t) == pytest.approx(expected)
+    for v in _both_paths(parse(text), t):
+        assert v == pytest.approx(expected)
 
 
 def test_tan_example():
-    v = evaluate(parse("-tan(t) - 1/t"), 0.5)
-    assert v.real == pytest.approx(-math.tan(0.5) - 2.0)
-    assert v.imag == 0.0
+    for v in _both_paths(parse("-tan(t) - 1/t"), 0.5):
+        assert v.real == pytest.approx(-math.tan(0.5) - 2.0)
+        assert v.imag == 0.0
 
 
 def test_param_binding():
     e = parse("t^(1 - a)")
-    assert evaluate(e, 2.0, {"a": 1.0}) == pytest.approx(1.0)
+    assert _both_paths(e, 2.0, {"a": 1.0}) == (1.0, 1.0)
     assert free_params(e) == {"a"}
     with pytest.raises(UnboundParameterError):
-        evaluate(e, 2.0)
+        compile_expr(e)
 
 
 def test_imaginary_unit():
-    assert evaluate(parse("i*i"), 0.0) == pytest.approx(-1.0)
-    assert evaluate(parse("re(2 + 3*i)"), 0.0) == 2.0
-    assert evaluate(parse("im(2 + 3*i)"), 0.0) == 3.0
+    assert _both_paths(parse("i*i"), 0.0) == (-1.0, -1.0)
+    assert _both_paths(parse("re(2 + 3*i)"), 0.0) == (2.0, 2.0)
+    assert _both_paths(parse("im(2 + 3*i)"), 0.0) == (3.0, 3.0)
 
 
 @pytest.mark.parametrize("bad", ["", "   ", "2t", "1 +", "(t", "t @ 2", "2..5"])
@@ -83,20 +91,26 @@ def test_unknown_function():
 
 
 def test_domain_errors():
-    with pytest.raises(DomainError):
-        evaluate(parse("1/t"), 0.0)
-    with pytest.raises(DomainError):
-        evaluate(parse("log(t)"), 0.0)
+    # the oracle raises; the compiled function gives inf/nan on both paths,
+    # without an exception or a floating-point warning
+    for text in ("1/t", "log(t)"):
+        with pytest.raises(DomainError):
+            evaluate(parse(text), 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v in _both_paths(parse(text), 0.0):
+                assert not np.isfinite(v), text
 
 
 # -- differentiation -------------------------------------------------------
 
 
 def test_diff_examples():
-    assert evaluate(differentiate(parse("-1/t")), 2.0) == pytest.approx(0.25)
-    d = evaluate(differentiate(parse("-tan(t) - 1/t")), 1.0)
-    assert d.real == pytest.approx(-1.0 / math.cos(1.0) ** 2 + 1.0)
-    assert evaluate(differentiate(parse("3.5")), 1.0) == 0.0
+    for v in _both_paths(differentiate(parse("-1/t")), 2.0):
+        assert v == pytest.approx(0.25)
+    for d in _both_paths(differentiate(parse("-tan(t) - 1/t")), 1.0):
+        assert d.real == pytest.approx(-1.0 / math.cos(1.0) ** 2 + 1.0)
+    assert _both_paths(differentiate(parse("3.5")), 1.0) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("fn", ["abs", "re", "im"])
@@ -141,40 +155,6 @@ def test_print_parse_roundtrip(e, t):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
-def _mp_eval(e, t):
-    """``evaluate`` in mpmath arithmetic: the same branches, at high precision."""
-    if isinstance(e, exprlang.Num):
-        return mpmath.mpc(e.value)
-    if isinstance(e, exprlang.Var):
-        return mpmath.mpc(t)
-    if isinstance(e, exprlang.Param):
-        return mpmath.mpc(_params[e.name])
-    if isinstance(e, exprlang.Neg):
-        return -_mp_eval(e.operand, t)
-    if isinstance(e, exprlang.BinOp):
-        a, b = _mp_eval(e.left, t), _mp_eval(e.right, t)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if e.op == "/":
-            if b == 0:
-                raise DomainError("division by zero")
-            return a / b
-        if a == 0 and (b.real < 0 or b.imag != 0):
-            raise DomainError("zero base with nonpositive exponent")
-        # real positive base, or real base and integer exponent: real branch
-        if a.imag == 0 and b.imag == 0 and (a.real > 0 or b.real == int(b.real)):
-            return mpmath.mpc(mpmath.power(a.real, b.real))
-        return mpmath.power(a, b)
-    a = _mp_eval(e.arg, t)
-    if e.func == "log" and a == 0:
-        raise DomainError("log(0)")
-    return getattr(mpmath, e.func)(a)
-
-
 def _mp_derivative(e, t):
     """d/dt of ``e`` at ``t``: mpmath's central difference at 40 digits.
 
@@ -183,7 +163,7 @@ def _mp_derivative(e, t):
     cannot, such as cos(t/1e-6).
     """
     with mpmath.workdps(40):
-        return complex(mpmath.diff(lambda x: _mp_eval(e, x), mpmath.mpf(t)))
+        return complex(mpmath.diff(lambda x: mp_eval(e, x, _params), mpmath.mpf(t)))
 
 
 @given(e=_ast, t=st.floats(min_value=0.3, max_value=2.7))
@@ -205,14 +185,36 @@ def test_derivative_matches_central_difference(e, t):
 @given(e=_ast, t=st.floats(min_value=0.3, max_value=2.7))
 @settings(max_examples=100, deadline=None)
 def test_compiled_matches_interpreter(e, t):
+    # both paths against the oracle, and the scalar path against the array
+    # path at the same t
     try:
         want = evaluate(e, t, _params)
     except DomainError:
         assume(False)
     assume(abs(want) < 1e8)
-    fn = compile_expr(e, _params)
-    got = fn(np.array([t]))[0]
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    scalar, array = _both_paths(e, t, _params)
+    assert array == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert scalar == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert scalar == pytest.approx(array, rel=1e-12, abs=1e-12)
+
+
+def test_scalar_path_takes_python_scalars():
+    fn = compile_expr(parse("2/t + sin(t)"))
+    for t in (0.7, np.float64(0.7), 1):
+        v = fn(t)
+        assert type(v) is complex
+        assert v == fn(np.array([float(t)]))[0]
+    # a point the scalar path cannot finish goes to the array path
+    assert type(fn(0.0)) is np.complex128
+
+
+def test_scalar_path_rounds_as_array_path():
+    # on real data the scalar helpers reproduce numpy's rounding; powers are
+    # left out, as numpy's vectorised pow may differ in the last bit
+    ts = np.random.default_rng(1).uniform(0.05, 3.0, 200)
+    for text in ("2/t - 3/(t*t + 1)", "tan(t)*log(t)/sqrt(t)", "exp(-t)*cos(3*t) + sin(t)/t", "log(2 - t) + abs(1 - t)"):
+        fn = compile_expr(parse(text))
+        assert [fn(t) for t in ts] == list(fn(ts)), text
 
 
 def test_compiled_is_vectorized():
@@ -229,11 +231,56 @@ def test_complex_power_overflow_is_infinite():
     e = parse("(-1.0346814016171131e-196)^(-t)")
     t = 1.6563756637409774
     assert evaluate(e, t) == complex(math.inf, math.inf)
-    with np.errstate(over="ignore"):
-        assert compile_expr(e)(np.array([t]))[0] == complex(math.inf, math.inf)
+    assert _both_paths(e, t) == (complex(math.inf, math.inf),) * 2
 
 
 def test_real_inputs_stay_real():
-    for text in ("sqrt(t)", "log(t)", "t^0.5", "(-t)^2"):
-        v = evaluate(parse(text), 1.7)
-        assert v.imag == 0.0, text
+    cases = (("sqrt(t)", math.sqrt(1.7)), ("log(t)", math.log(1.7)), ("t^0.5", 1.7**0.5), ("(-t)^2", 1.7**2))
+    # beyond 100 Python's complex power leaves the real axis by rounding
+    for text, want in cases + (("(-t)^101", -(1.7**101)),):
+        for v in (evaluate(parse(text), 1.7), *_both_paths(parse(text), 1.7)):
+            assert v.imag == 0.0, text
+            assert v.real == pytest.approx(want, rel=1e-15), text
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("sqrt(-t)", math.sqrt(2.0) * 1j),
+        ("log(-t)", complex(math.log(2.0), math.pi)),
+        ("(-t)^0.5", math.sqrt(2.0) * 1j),
+    ],
+)
+def test_negative_zero_imaginary_part_takes_upper_branch(text, want):
+    # -t is -2 - 0j; both paths read the -0 as +0, as the oracle does
+    for v in (evaluate(parse(text), 2.0), *_both_paths(parse(text), 2.0)):
+        assert v == pytest.approx(want, rel=1e-15, abs=1e-15)
+        assert v.imag > 0
+
+
+def test_generated_source_holds_no_document_text(monkeypatch):
+    # parameters named like the generated code's own names still read as
+    # their bound values, and neither a value nor the text reaches compile()
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(exprlang, "compile", spy, raising=False)
+    exprlang._code.cache_clear()
+    names = ("np", "math", "cmath", "exp", "t0", "_x0")
+    params = {name: 271.828125 + 2.5 * k for k, name in enumerate(names)}
+    for name in names:
+        assert _both_paths(parse(name), 0.5, params) == (params[name], params[name])
+    text = "np*t + exp(math/100) - cmath/t0 + _x0^2 - 3.0625"
+    scalar, array = _both_paths(parse(text), 0.7, params)
+    want = evaluate(parse(text), 0.7, params)
+    assert scalar == pytest.approx(want, rel=1e-14) and array == pytest.approx(want, rel=1e-14)
+    # a parameter compiles to the same source whatever its name
+    assert len(sources) == 2
+    for source in sources:
+        assert text not in source and "3.0625" not in source
+        for name, value in params.items():
+            assert not re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", source), name
+            assert repr(value) not in source and str(value) not in source

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_problem
+from expr_oracle import evaluate
 from ulamstab import exprlang
 from ulamstab.model import (
     Config,
@@ -111,8 +112,8 @@ def test_problem_roundtrip_evaluation(t):
     p, _, _ = problem_from_dict(_doc())
     p2, _, _ = problem_from_dict(problem_to_dict(p))
     for which in ("alpha", "beta", "gamma", "forcing"):
-        assert exprlang.evaluate(getattr(p2, which), t, p2.params) == pytest.approx(
-            exprlang.evaluate(getattr(p, which), t, p.params), rel=1e-14, abs=1e-14
+        assert evaluate(getattr(p2, which), t, p2.params) == pytest.approx(
+            evaluate(getattr(p, which), t, p.params), rel=1e-14, abs=1e-14
         )
 
 
