@@ -7,11 +7,12 @@ extrapolation.  Coverage of a cumulative grows from an interior anchor
 toward each endpoint, finite or infinite, and stops where the endpoint is
 resolved or a budget is hit; the reason is recorded per side.
 
-The numeric work runs as numpy batches.  Each skeleton panel is bisected
-one level at a time, with one integrand call on the nodes of the whole
-level (as in `scipy.integrate.quad_vec`).  The nodes are fixed, so a
-panel's fit residual and antiderivative coefficients are constant matrices
-applied to its node values.  A query reads its panel's interpolant with one
+The numeric work runs as numpy batches.  All skeleton panels of a side are
+bisected together one level at a time, with one integrand call on the
+nodes of the whole level (as in `scipy.integrate.quad_vec`), while the
+stopping rules walk the finished panels in skeleton order.  The nodes are
+fixed, so a panel's fit residual and antiderivative coefficients are
+constant matrices applied to its node values.  A query reads its panel's interpolant with one
 complex Clenshaw recurrence, and the sup search refines its candidate
 maxima in lockstep, one call of the function per golden-section step.
 
@@ -22,6 +23,7 @@ read-only afterwards, so they can be shared freely between threads.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,6 +155,8 @@ class CumulativeIntegral:
     lower_info: SideInfo = field(default_factory=lambda: SideInfo("resolved"))
     upper_info: SideInfo = field(default_factory=lambda: SideInfo("resolved"))
     max_depth_leaves: int = 0  # leaves kept only because bisection hit max_depth
+    integrand_calls: int = 0  # calls of the integrand while building the cache
+    integrand_points: int = 0  # points it was evaluated at, past a stop too
 
     def __post_init__(self):
         self._left = np.concatenate([[0.0 + 0.0j], np.cumsum(self.panel_vals)])
@@ -228,48 +232,65 @@ class CumulativeIntegral:
         return complex(self._left[-1])
 
 
-def _leaf(g, lo, hi, leaf_tol, leaf_rel=1e-13, max_depth=28):
-    """Adaptively split [lo, hi] into converged leaves with interpolants.
+def _leaf(g, lo, hi, leaf_tol, work, leaf_rel=1e-13, max_depth=28):
+    """Adaptively split the root panels [lo_i, hi_i] into converged leaves.
 
-    The bisection tree is walked one level at a time: the integrand is called
-    once on the (m, 15) nodes of the level's m panels, and the GK15 value and
-    error, the fit residual and the accept/split decision of every panel are
-    computed as arrays.  A panel is accepted when its error estimate and its
-    fit residual meet the budget, or when it sits at ``max_depth``; a
-    non-finite panel at ``max_depth`` raises FloatingPointError.
+    The bisection trees of all roots are walked together one level at a
+    time: the integrand is called once on the (m, 15) nodes of the level's m
+    panels, and the GK15 value and error, the fit residual and the
+    accept/split decision of every panel are computed as arrays.  A panel's
+    numbers depend on its own nodes only, so every root gets the leaves it
+    would get alone.  A panel is accepted when its error estimate and its fit
+    residual meet the budget, or when it sits at ``max_depth``.
 
-    Returns the accepted leaves sorted by left edge, as arrays
-    (left, right, value, error, antiderivative coefficients (14, n)), and
-    the number of leaves kept only because they reached ``max_depth``.
+    A generator: it yields ``(i, leaves)`` for the roots in index order,
+    each once it and every root before it are done, and bisects the next
+    level only when asked for a root that is not done yet, so a consumer
+    that stops early leaves the later roots alone.  ``leaves`` are the
+    root's accepted leaves sorted by left edge, as arrays (left, right,
+    value, error, antiderivative coefficients (14, n)) and the number of
+    leaves kept only because they reached ``max_depth``.
+
+    A panel with a non-finite node is split further only while its root is
+    the first unfinished one; a later root that turns non-finite is dropped
+    and yields "dropped", so no bisection is spent on a root the consumer
+    may never ask for (a root given alone is never dropped).  A non-finite
+    panel at ``max_depth`` makes its root yield "singular".  The integrand
+    is evaluated quietly: its non-finite values are handled here, as data.
+    ``work`` (a `collections.Counter`) counts integrand calls and points.
     """
-    a = np.array([float(lo)])
-    b = np.array([float(hi)])
+    a = np.array(lo, dtype=float)
+    b = np.array(hi, dtype=float)
+    n = a.size
+    root = np.arange(n)
+    fate = np.full(n, "", dtype=object)  # "dropped" or "singular" once a root fails
     kept = []
-    forced = 0
+    done = 0  # roots below this index are yielded
     for depth in range(max_depth + 1):
         mid = 0.5 * (a + b)
         hw = 0.5 * (b - a)
-        y = np.asarray(g(mid[:, None] + hw[:, None] * _XGK), dtype=complex)
-        # row sums along the contiguous node axis round as a 1-d np.sum of
-        # the panel would, so a panel's value does not depend on its level
-        val = hw * np.sum(_WGK * y, axis=1)
-        gauss = hw * np.sum(_WG * y[:, 1::2], axis=1)
-        err = np.abs(val - gauss)
-        # standard sharper error model
-        resabs = hw * np.sum(_WGK * np.abs(y), axis=1)
+        x = mid[:, None] + hw[:, None] * _XGK
+        work["calls"] += 1
+        work["points"] += x.size
         with np.errstate(all="ignore"):
+            y = np.asarray(g(x), dtype=complex)
+            # row sums along the contiguous node axis round as a 1-d np.sum
+            # of the panel would, so a panel's value does not depend on its
+            # level or on the other panels of the batch
+            val = hw * np.sum(_WGK * y, axis=1)
+            gauss = hw * np.sum(_WG * y[:, 1::2], axis=1)
+            err = np.abs(val - gauss)
+            # standard sharper error model
+            resabs = hw * np.sum(_WGK * np.abs(y), axis=1)
             sharp = (resabs > 0) & (err > 0) & (err / resabs < 1)
             # fmin keeps err where the model gives NaN, as a scalar min() would
             err = np.where(sharp, np.fmin(err, resabs * (200.0 * err / resabs) ** 1.5), err)
+            width = b - a
+            ymax = np.max(np.abs(y), axis=1)
+            # relative scale: panel value, or sample magnitude when it cancels
+            budget = leaf_tol + leaf_rel * np.maximum(np.abs(val), width * ymax)
         finite = np.all(np.isfinite(y), axis=1)
         at_max = depth >= max_depth
-        if at_max and not np.all(finite):
-            # non-finite leaf that refuses to resolve; signal to caller
-            raise FloatingPointError("non-finite integrand inside panel")
-        width = b - a
-        ymax = np.max(np.abs(y), axis=1)
-        # relative scale: panel value, or sample magnitude when it cancels
-        budget = leaf_tol + leaf_rel * np.maximum(np.abs(val), width * ymax)
         converged = finite & (err <= budget)
         fit = np.flatnonzero(converged | (finite & at_max))
         # interior value() queries read the interpolant, so the fit must
@@ -280,21 +301,42 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel=1e-13, max_depth=28):
         pos_noise = 64.0 * _EPS * np.maximum(np.abs(a[fit]), np.abs(b[fit])) * ymax[fit]
         fit_ok = ~(resid > budget[fit] + pos_noise)
         if at_max:
-            forced += int(np.count_nonzero(~(converged[fit] & fit_ok)))
+            forced = ~(converged[fit] & fit_ok)
             acc = fit
         else:
             acc = fit[fit_ok]
             resid = resid[fit_ok]
-        kept.append((a[acc], b[acc], val[acc], err[acc] + 0.1 * resid, (y[acc] @ _ANTI.T) * hw[acc, None]))
+            forced = np.zeros(acc.size, dtype=bool)
+        anti = (y[acc] @ _ANTI.T) * hw[acc, None]
+        kept.append((root[acc], a[acc], b[acc], val[acc], err[acc] + 0.1 * resid, anti, forced))
         split = np.ones(a.size, dtype=bool)
         split[acc] = False
-        if not np.any(split):
-            break
-        a, mid, b = a[split], mid[split], b[split]
-        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
-    left, right, vals, errs, anti = (np.concatenate(part) for part in zip(*kept))
-    order = np.argsort(left, kind="stable")
-    return left[order], right[order], vals[order], errs[order], anti[order].T, forced
+        if not np.all(finite):
+            bad = np.unique(root[~finite])
+            if at_max:
+                fate[bad] = "singular"
+            else:
+                # only the first unfinished root splits its non-finite panels
+                fate[bad[bad != root[split].min()]] = "dropped"
+            split &= fate[root] == ""
+        root, a, mid, b = root[split], a[split], mid[split], b[split]
+        # roots done: every one below the first that still has a panel to split
+        ready = int(root.min()) if root.size else n
+        if ready > done:
+            kr, left, right, vals, errs, anti, forced = (np.concatenate(part) for part in zip(*kept))
+            now = kr < ready
+            # a root's leaves in left-edge order; ties keep their order of acceptance
+            order = np.flatnonzero(now)[np.lexsort((left[now], kr[now]))]
+            bounds = np.searchsorted(kr[order], np.arange(done, ready + 1)).tolist()
+            kept = [tuple(part[~now] for part in (kr, left, right, vals, errs, anti, forced))]
+            for r in range(done, ready):
+                i = order[bounds[r - done] : bounds[r - done + 1]]
+                leaves = (left[i], right[i], vals[i], errs[i], anti[i].T, int(np.count_nonzero(forced[i])))
+                yield r, fate[r] or leaves
+            done = ready
+        if not root.size:
+            return
+        root, a, b = np.concatenate([root, root]), np.concatenate([a, mid]), np.concatenate([mid, b])
 
 
 def _finite_skeleton(t_ref, endpoint, sign):
@@ -328,6 +370,28 @@ def _finite_skeleton(t_ref, endpoint, sign):
     return pts, n_grow
 
 
+def _skeleton(t_ref, endpoint, sign, range_cap, max_panels):
+    """Skeleton points from the anchor toward one endpoint, all known up front.
+
+    Returns (points, n_grow, status): the first ``n_grow`` points belong to
+    the doubling phase, and ``status`` is the side's status when coverage
+    reaches the last point.  A finite side uses `_finite_skeleton`; an
+    infinite one doubles its gaps until ``range_cap``.  Both stop at
+    ``max_panels`` points.
+    """
+    if math.isinf(endpoint):
+        h0 = max(1.0, 0.05 * abs(t_ref))
+        pts = []
+        while len(pts) < max_panels:
+            nxt = t_ref + sign * h0 * (2.0 ** (len(pts) + 1) - 1.0)
+            if abs(nxt) > range_cap:
+                break
+            pts.append(nxt)
+        return pts, 0, "range_cap"
+    pts, n_grow = _finite_skeleton(t_ref, endpoint, sign)
+    return pts[:max_panels], n_grow, "range_cap" if len(pts) >= max_panels else "resolved"
+
+
 def cumulative(
     g,
     t_ref,
@@ -347,6 +411,11 @@ def cumulative(
     the accumulated value exceeds ``log_budget``, the range cap is hit, or
     (with ``tail_mode``) the endpoint tail has converged or is evidently
     diverging.  Coverage limits are recorded as data, never raised.
+
+    All skeleton panels of a side are bisected together by one `_leaf`
+    batch, and the stopping rules walk the panels' sums in skeleton order as
+    the batch finishes them.  The batch stops with the walk; a panel it
+    dropped is evaluated alone once the walk reaches it.
     """
     # tail caches serve edge-anchored partial sums over exponential dynamic
     # range: an absolute tolerance floor would let deep-decay panels carry
@@ -355,52 +424,33 @@ def cumulative(
 
     leaves = []
     max_depth_leaves = 0
+    work = Counter()
     infos = {}
     for side, endpoint in (("upper", upper), ("lower", lower)):
         sign = 1 if side == "upper" else -1
+        pts, n_grow, status = _skeleton(t_ref, endpoint, sign, range_cap, max_panels)
+        edges = np.array([t_ref, *pts], dtype=float)
+        lo_, hi_ = (edges[:-1], edges[1:]) if sign > 0 else (edges[1:], edges[:-1])
         cum = 0.0 + 0.0j
         contribs = []
-        edge = t_ref
-        status = None
         tail_bound = 0.0
         diverging = False
-        k = 0
-        if math.isinf(endpoint):
-            pts, n_grow = None, 0
-        else:
-            pts, n_grow = _finite_skeleton(t_ref, endpoint, sign)
-        while True:
-            k += 1
-            if k > max_panels:
-                status = "range_cap"
-                break
-            if pts is None:
-                h0 = max(1.0, 0.05 * abs(t_ref))
-                nxt = t_ref + sign * h0 * (2.0**k - 1.0)
-                if abs(nxt) > range_cap:
-                    status = "range_cap"
-                    break
-            else:
-                if k > len(pts):
-                    status = "resolved"
-                    break
-                nxt = pts[k - 1]
-            lo_, hi_ = (edge, nxt) if sign > 0 else (nxt, edge)
-            try:
-                *new, forced = _leaf(g, lo_, hi_, leaf_tol, leaf_rel)
-            except FloatingPointError:
+        for k, new in _leaf(g, lo_, hi_, leaf_tol, work, leaf_rel) if pts else ():
+            if new == "dropped":
+                ((_, new),) = _leaf(g, lo_[k : k + 1], hi_[k : k + 1], leaf_tol, work, leaf_rel)
+            if new == "singular":
                 status = "singular"
                 break
+            *new, forced = new
             pv = sum(new[2].tolist())
             cum += pv
             # only the endpoint-approach phase feeds the tail heuristics;
             # panels still growing away from the anchor carry growing mass
             # for perfectly integrable functions
-            if k > n_grow:
+            if k >= n_grow:
                 contribs.append(abs(pv))
             leaves.append(new)
             max_depth_leaves += forced
-            edge = nxt
             if tail_mode:
                 if len(contribs) >= 3:
                     c1, c2, c3 = contribs[-3], contribs[-2], contribs[-1]
@@ -439,7 +489,7 @@ def cumulative(
                 elif c3 > tol and c3 >= 0.7 * c2:
                     # tail not decaying by the time expansion was cut off
                     status = "diverging"
-        infos[side] = SideInfo(status or "resolved", tail_bound)
+        infos[side] = SideInfo(status, tail_bound)
 
     if not leaves:
         raise ValueError("empty coverage; t_ref too close to both endpoints")
@@ -456,6 +506,8 @@ def cumulative(
         lower_info=infos["lower"],
         upper_info=infos["upper"],
         max_depth_leaves=max_depth_leaves,
+        integrand_calls=work["calls"],
+        integrand_points=work["points"],
     )
 
 

@@ -424,6 +424,8 @@ class StabilityEngine:
                 "panels": int(len(cache.panel_vals)),
                 "error_bound": cache.error_bound,
                 "max_depth_leaves": cache.max_depth_leaves,
+                "integrand_calls": cache.integrand_calls,
+                "integrand_points": cache.integrand_points,
                 "lower_status": cache.lower_info.status,
                 "upper_status": cache.upper_info.status,
             }

@@ -1,6 +1,7 @@
 """Quadrature layer: cumulative caches, graded grids, sup search."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -101,6 +102,9 @@ def test_exeq01_panel_counts(exeq01_engine):
     assert len(exeq01_engine.A4.panel_vals) == 685
     diag = exeq01_engine.diagnostics()
     assert diag["cache_Pc"]["max_depth_leaves"] == diag["cache_A4"]["max_depth_leaves"] == 0
+    # each side's skeleton panels are bisected together: one call per level
+    assert (diag["cache_Pc"]["integrand_calls"], diag["cache_Pc"]["integrand_points"]) == (14, 163080)
+    assert (diag["cache_A4"]["integrand_calls"], diag["cache_A4"]["integrand_points"]) == (10, 19200)
 
 
 def test_in_panel_matches_legval():
@@ -153,6 +157,12 @@ def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel=1e-13, max_depth=28):
     return [np.array(part) for part in zip(*out)]
 
 
+def _leaves_alone(g, lo, hi, leaf_tol, work, leaf_rel=1e-13):
+    """`quad._leaf` on the single root [lo, hi]: its leaves, or "singular"."""
+    ((_, leaves),) = quad._leaf(g, [lo], [hi], leaf_tol, work, leaf_rel)
+    return leaves
+
+
 @pytest.mark.parametrize("leaf_tol", [1e-12, 0.0])
 @pytest.mark.parametrize(
     "g, lo, hi",
@@ -167,12 +177,223 @@ def test_leaf_matches_panel_by_panel_reference(g, lo, hi, leaf_tol):
     # same leaves and values; the fit residual and the antiderivative come
     # from constant matrices instead of per-panel fits, so they agree to
     # rounding of the panel's scale
-    left, right, vals, errs, anti, _ = quad._leaf(g, lo, hi, leaf_tol)
-    r_left, r_right, r_vals, r_errs, r_anti, scale = _leaf_reference(g, lo, hi, leaf_tol)
-    assert np.array_equal(left, r_left) and np.array_equal(right, r_right)
-    assert np.array_equal(vals, r_vals)
-    assert np.all(np.abs(errs - r_errs) <= 16 * np.finfo(float).eps * scale)
-    assert np.all(np.abs(anti - r_anti.T) <= 16 * np.finfo(float).eps * scale)
+    eps = np.finfo(float).eps
+    edges = lo + (hi - lo) * np.array([0.0, 0.3, 0.55, 1.0])
+    batch_work = Counter()
+    batch = list(quad._leaf(g, edges[:-1], edges[1:], leaf_tol, batch_work))
+    assert [i for i, _ in batch] == [0, 1, 2]
+    alone_work = []
+    for i, (a, b) in enumerate([(lo, hi), *zip(edges[:-1], edges[1:])]):
+        work = Counter()
+        alone = _leaves_alone(g, a, b, leaf_tol, work)
+        alone_work.append(work)
+        r_left, r_right, r_vals, r_errs, r_anti, scale = _leaf_reference(g, a, b, leaf_tol)
+        # the whole range alone, then each of three roots alone and in the batch
+        for left, right, vals, errs, anti, _ in [alone] if i == 0 else [alone, batch[i - 1][1]]:
+            assert np.array_equal(left, r_left) and np.array_equal(right, r_right)
+            assert np.array_equal(vals, r_vals)
+            assert np.all(np.abs(errs - r_errs) <= 16 * eps * scale)
+            assert np.all(np.abs(anti - r_anti.T) <= 16 * eps * scale)
+    # one integrand call per level of the deepest root, on every panel once
+    assert batch_work["calls"] == max(w["calls"] for w in alone_work[1:])
+    assert batch_work["points"] == sum(w["points"] for w in alone_work[1:])
+
+
+def _cumulative_reference(
+    g, t_ref, lower, upper, tol=1e-10, log_budget=300.0, range_cap=1e8, tail_mode=False, leaf_rel=1e-13, max_panels=4000
+):
+    """`quad.cumulative` one skeleton panel at a time, stopping where a rule fires."""
+    leaf_tol = 0.0 if tail_mode else tol * 1e-2
+    work = Counter()
+    leaves = []
+    max_depth_leaves = 0
+    infos = {}
+    for side, endpoint in (("upper", upper), ("lower", lower)):
+        sign = 1 if side == "upper" else -1
+        cum = 0.0 + 0.0j
+        contribs = []
+        edge = t_ref
+        status = None
+        tail_bound = 0.0
+        diverging = False
+        k = 0
+        if math.isinf(endpoint):
+            pts, n_grow = None, 0
+        else:
+            pts, n_grow = quad._finite_skeleton(t_ref, endpoint, sign)
+        while True:
+            k += 1
+            if k > max_panels:
+                status = "range_cap"
+                break
+            if pts is None:
+                h0 = max(1.0, 0.05 * abs(t_ref))
+                nxt = t_ref + sign * h0 * (2.0**k - 1.0)
+                if abs(nxt) > range_cap:
+                    status = "range_cap"
+                    break
+            else:
+                if k > len(pts):
+                    status = "resolved"
+                    break
+                nxt = pts[k - 1]
+            lo_, hi_ = (edge, nxt) if sign > 0 else (nxt, edge)
+            new = _leaves_alone(g, lo_, hi_, leaf_tol, work, leaf_rel)
+            if new == "singular":
+                status = "singular"
+                break
+            *new, forced = new
+            pv = sum(new[2].tolist())
+            cum += pv
+            if k > n_grow:
+                contribs.append(abs(pv))
+            leaves.append(new)
+            max_depth_leaves += forced
+            edge = nxt
+            if tail_mode:
+                if len(contribs) >= 3:
+                    c1, c2, c3 = contribs[-3], contribs[-2], contribs[-1]
+                    if len(contribs) > 6 and c3 >= c2 >= c1 and c3 > 10.0 * (contribs[0] + tol):
+                        diverging = True
+                    if (
+                        len(contribs) > 8
+                        and math.isfinite(endpoint)
+                        and c3 > tol
+                        and c3 >= 0.999 * c2
+                        and c2 >= 0.999 * c1
+                    ):
+                        diverging = True
+                if abs(cum) > math.exp(min(log_budget, 700.0)):
+                    status = "budget"
+                    break
+            elif abs(cum.real) > log_budget:
+                status = "budget"
+                break
+        if tail_mode and len(contribs) >= 3:
+            c1, c2, c3 = contribs[-3], contribs[-2], contribs[-1]
+            if diverging:
+                status = "diverging"
+            elif status in ("budget", "range_cap"):
+                if c3 <= tol and c2 <= tol and c1 <= tol and c3 <= c2 <= c1:
+                    ratio = c3 / c2 if c2 > 0 else 0.0
+                    tail_bound = c3 * ratio / (1.0 - ratio) if ratio < 1 else c3
+                    status = "converged"
+                elif c3 > tol and c3 >= 0.7 * c2:
+                    status = "diverging"
+        infos[side] = quad.SideInfo(status, tail_bound)
+    left, right, vals, errs, anti = (np.concatenate(part, axis=-1) for part in zip(*leaves))
+    order = np.lexsort((right, left))
+    return quad.CumulativeIntegral(
+        t_ref=float(t_ref),
+        bps=np.append(left[order], right[order[-1]]),
+        panel_vals=vals[order],
+        panel_errs=errs[order],
+        antider=anti[:, order],
+        lower_info=infos["lower"],
+        upper_info=infos["upper"],
+        max_depth_leaves=max_depth_leaves,
+        integrand_calls=work["calls"],
+        integrand_points=work["points"],
+    )
+
+
+def _spike(c, halfwidth):
+    """1/sqrt|s - c|, and inf within ``halfwidth`` of c."""
+
+    def g(s):
+        d = np.abs(s - c)
+        return np.where(d < halfwidth, np.inf, 1.0 / np.sqrt(np.maximum(d, halfwidth)))
+
+    return g
+
+
+# one case per way a side ends: (integrand, t_ref, lower, upper, options,
+# (lower status, upper status), integrand calls, integrand points)
+_STOPS = {
+    "resolved": (np.cos, 0.0, -5.0, 5.0, {}, ("resolved", "resolved"), 2, 1380),
+    "converged": (lambda s: np.exp(-s), 1.0, 0.0, math.inf, {"tail_mode": True}, ("resolved", "converged"), 15, 15750),
+    # exp(s) overflows past the budget stop: those panels are dropped, not split
+    "diverging": (
+        lambda s: np.exp(s),
+        1.0,
+        0.0,
+        math.inf,
+        {"tail_mode": True, "log_budget": 60.0},
+        ("resolved", "diverging"),
+        6,
+        3210,
+    ),
+    "range_cap": (lambda s: 1.0 / (1.0 + s * s), 0.0, -math.inf, math.inf, {}, ("range_cap", "range_cap"), 6, 1500),
+    # |cum.real| > log_budget
+    "budget": (lambda s: s, 1.0, 0.0, math.inf, {"log_budget": 50.0}, ("resolved", "budget"), 2, 1080),
+    # |cum| > e^700; past s = 708 the integrand is subnormal noise that
+    # never converges, which the batch must not reach
+    "tail_budget": (
+        lambda s: 1e305 * np.exp(-s),
+        1.0,
+        0.0,
+        math.inf,
+        {"tail_mode": True, "log_budget": 1000.0},
+        ("budget", "budget"),
+        2,
+        1080,
+    ),
+    # inf within 1e-9 of 2.3, after finite panels
+    "singular": (_spike(2.3, 1e-9), 1.0, 0.0, 4.0, {}, ("resolved", "singular"), 30, 3465),
+    # inf only at the centre node of the skeleton panel [2.5, 3.25]: the
+    # batch drops that panel while [1.15, 1.45] still splits at the kink,
+    # and the walk evaluates it alone
+    "dropped": (
+        lambda s: np.where(s == 2.875, np.inf, np.sqrt(np.abs(s - 1.3))),
+        1.0,
+        0.0,
+        4.0,
+        {},
+        ("resolved", "resolved"),
+        23,
+        2580,
+    ),
+}
+
+
+def _counted(g):
+    calls = Counter()
+
+    def counted(s):
+        calls["calls"] += 1
+        calls["points"] += s.size
+        return g(s)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("case", list(_STOPS))
+def test_cumulative_matches_sequential_reference(case):
+    g, t_ref, lower, upper, opts, statuses, _, _ = _STOPS[case]
+    got = quad.cumulative(g, t_ref, lower, upper, **opts)
+    ref = _cumulative_reference(g, t_ref, lower, upper, **opts)
+    assert (got.lower_info.status, got.upper_info.status) == statuses
+    assert got.lower_info == ref.lower_info and got.upper_info == ref.upper_info
+    assert np.array_equal(got.bps, ref.bps)
+    assert got.max_depth_leaves == ref.max_depth_leaves
+    # panel scale: width times the largest |g| on the panel's nodes
+    eps = np.finfo(float).eps
+    mid, hw = 0.5 * (ref.bps[1:] + ref.bps[:-1]), 0.5 * np.diff(ref.bps)
+    scale = 2.0 * hw * np.max(np.abs(g(mid[:, None] + hw[:, None] * quad._XGK)), axis=1)
+    assert np.all(np.abs(got.panel_vals - ref.panel_vals) <= 16 * eps * np.abs(ref.panel_vals))
+    assert np.all(np.abs(got.panel_errs - ref.panel_errs) <= 16 * eps * scale)
+    assert np.all(np.abs(got.antider - ref.antider) <= 16 * eps * scale)
+
+
+@pytest.mark.parametrize("case", list(_STOPS))
+def test_cumulative_work_is_pinned(case):
+    # panels past a stop are bisected only until the walk reaches the stop,
+    # and a panel that turns non-finite there is dropped, not split; pinned
+    # so that a change of either rule updates these on purpose
+    g, t_ref, lower, upper, opts, _, calls, points = _STOPS[case]
+    counted, work = _counted(g)
+    c = quad.cumulative(counted, t_ref, lower, upper, **opts)
+    assert (c.integrand_calls, c.integrand_points) == (work["calls"], work["points"]) == (calls, points)
 
 
 # -- graded_grid -----------------------------------------------------------
