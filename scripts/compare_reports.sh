@@ -1,0 +1,55 @@
+#!/usr/bin/env bash
+# Compare the program's outputs at a git revision with the working tree.
+#
+#   scripts/compare_reports.sh <rev>
+#
+# Unpacks <rev> with `git archive` into a temporary directory and runs the
+# same commands on both source trees:
+#   - `analyze --best --reproducible` on every problems/*.json;
+#   - `empirical --trials 4 --seed 7 --reproducible` on exeq01, exeq03,
+#     exeq04 and exeq06 (report and .extremal.csv);
+#   - `corpus run`.
+# Each command's standard output, exit status and written files land in one
+# output directory per tree.  The script lists the files that differ and
+# keeps both output directories for inspection; it exits 1 when any differ.
+set -euo pipefail
+
+rev=${1:?usage: scripts/compare_reports.sh <rev>}
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d "${TMPDIR:-/tmp}/compare_reports.XXXXXX")
+mkdir "$tmp/base"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/base"
+
+# run <tree> <out dir> <name> <cli args...>: stdout to <name>.out, status to <name>.exit
+run() {
+  local tree=$1 out=$2 name=$3 status=0
+  shift 3
+  (cd "$out" && PYTHONPATH="$tree/src" python3 -m ulamstab.cli "$@" >"$name.out" 2>/dev/null) || status=$?
+  echo "$status" >"$out/$name.exit"
+}
+
+contract() {
+  local tree=$1 out=$2 p stem
+  mkdir -p "$out"
+  for p in "$tree"/problems/*.json; do
+    stem=$(basename "$p" .json)
+    run "$tree" "$out" "analyze.$stem" analyze "$p" --best --reproducible
+  done
+  for stem in exeq01 exeq03 exeq04 exeq06; do
+    run "$tree" "$out" "empirical.$stem" empirical "$tree/problems/$stem.json" \
+      --trials 4 --seed 7 --reproducible --out "$out/empirical"
+  done
+  run "$tree" "$out" corpus corpus run
+}
+
+contract "$tmp/base" "$tmp/out-base"
+contract "$root" "$tmp/out-worktree"
+rm -rf "$tmp/base"
+
+echo "outputs of $rev and of the working tree: $tmp/out-base, $tmp/out-worktree" >&2
+cd "$tmp"
+if diff -rq out-base out-worktree; then
+  echo "no file differs"
+else
+  exit 1
+fi

@@ -2,11 +2,16 @@
 
 The closed-form solution of the initial value problem is a triple-nested
 integral; with the stability engine's two cached exponent antiderivatives
-it collapses to an algebraic combination of three more cached cumulatives,
-one of which depends on the forcing.  On top of the representation sit the
-experiments: reproduce the minimal constant with the extremal constant
-perturbation, dominate it over randomized smooth perturbations, and trace
-unbounded nearest-solution growth for instability witnesses.
+it collapses to an algebraic combination of three more cached cumulatives.
+The forcing-free one, H1 = int exp(-int(2 rho + beta/alpha)), is the
+stability engine's own `H1` cache, which its divergence certificates read
+too; the other two depend on the forcing.  The extremal family coefficients
+read the case's nested kernel from the engine's case table.
+
+On top of the representation sit the experiments: reproduce the minimal
+constant with the extremal constant perturbation, dominate it over
+randomized smooth perturbations, and trace unbounded nearest-solution
+growth for instability witnesses.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from scipy.optimize import minimize as _scipy_minimize
 
 from . import exprlang, quad
 from .model import Config, Interval, OscillatorProblem, probe_grid
-from .stability import StabilityEngine
+from .stability import _F_SIDE, _KERNEL, _NESTED, StabilityEngine
 
 __all__ = [
     "IvpData",
@@ -100,16 +105,11 @@ class SolutionEngine:
     def Pc(self):
         return self.se.Pc
 
-    def _limits(self):
-        return self.se._shrink(max(self.Rc.lo, self.Pc.lo), min(self.Rc.hi, self.Pc.hi))
-
     @property
     def H1c(self):
-        """Cumulative of exp(-int(2 rho + beta/alpha)), fully complex."""
+        """The stability engine's `H1`: cumulative of exp(-int(2 rho + beta/alpha))."""
         if self._h1c is None:
-            lo, hi = self._limits()
-            g = lambda s: np.exp(-(self.Rc.value(s) + self.Pc.value(s)))
-            self._h1c = self.se.cumulative(g, lo, hi, tail=True)
+            self._h1c = self.se.H1
         return self._h1c
 
     def forcing_caches(self, g, key=None):
@@ -119,7 +119,7 @@ class SolutionEngine:
         """
         if key is not None and key in self._fc:
             return self._fc[key], self._h2[key]
-        lo, hi = self._limits()
+        lo, hi = self.se._shrink(max(self.Rc.lo, self.Pc.lo), min(self.Rc.hi, self.Pc.hi))
         fint = lambda s: np.exp(self.Pc.value(s)) * np.asarray(g(s)) / self._alpha(s)
         fc = self.se.cumulative(fint, lo, hi, tail=True)
         l2, h2lim = self.se._shrink(max(fc.lo, self.H1c.lo), min(fc.hi, self.H1c.hi))
@@ -137,57 +137,50 @@ class SolutionEngine:
         if np.any(t < lo) or np.any(t > hi):
             raise CoverageExceeded(f"query outside cache coverage [{lo:.6g}, {hi:.6g}]")
 
-    def representation(self, ivp: IvpData, forcing=None, forcing_key=None):
-        """Callable x(t) solving the IVP, per the nested-integral formula."""
-        g = forcing if forcing is not None else self.problem.fn("forcing")
-        fc, h2 = self.forcing_caches(g, key=forcing_key)
+    def _member(self, t0, x0, c0, forced=None):
+        """Callable x(t) with x(t0) = x0 and x'(t0) - rho(t0) x0 = c0.
+
+        Unforced without ``forced``; else ``forced`` is the pair that
+        `forcing_caches` returns for the forcing.
+        """
         h1 = self.H1c
-        t0 = float(ivp.t0)
-        t0a = np.array([t0])
-        self._check_coverage(t0a, (self.Rc, self.Pc, h1, h2))
-        rho0 = complex(np.atleast_1d(self.se.rho_fn(t0a))[0])
+        caches = (h1,) if forced is None else (h1, forced[1])
+        t0a = np.array([float(t0)])
+        self._check_coverage(t0a, (self.Rc, self.Pc) + caches)
         r0 = complex(self.Rc.value(t0a)[0])
         p0 = complex(self.Pc.value(t0a)[0])
-        f0 = complex(fc.value(t0a)[0])
-        h1_0 = complex(h1.value(t0a)[0])
-        h2_0 = complex(h2.value(t0a)[0])
-        x0 = complex(ivp.x0)
-        c0 = complex(ivp.x0p) - rho0 * x0
         pre = np.exp(r0 + p0)
-        coef1 = pre * (c0 - np.exp(-p0) * f0)
-        coef2 = pre * np.exp(-p0)
+        if forced is None:
+            coefs = (pre * c0,)
+        else:
+            f0 = complex(forced[0].value(t0a)[0])
+            coefs = (pre * (c0 - np.exp(-p0) * f0), pre * np.exp(-p0))
+        offsets = [complex(k.value(t0a)[0]) for k in caches]
 
         def x(t):
             t = np.asarray(t, float)
             scalar = t.ndim == 0
             tt = np.atleast_1d(t)
-            self._check_coverage(tt, (self.Rc, h1, h2))
-            bracket = x0 + coef1 * (h1.value(tt) - h1_0) + coef2 * (h2.value(tt) - h2_0)
-            out = bracket * np.exp(self.Rc.value(tt) - r0)
+            self._check_coverage(tt, (self.Rc,) + caches)
+            out = x0
+            for coef, k, k0 in zip(coefs, caches, offsets):
+                out = out + coef * (k.value(tt) - k0)
+            out = out * np.exp(self.Rc.value(tt) - r0)
             return out[0] if scalar else out
 
         return x
 
+    def representation(self, ivp: IvpData, forcing=None, forcing_key=None):
+        """Callable x(t) solving the IVP, per the nested-integral formula."""
+        g = forcing if forcing is not None else self.problem.fn("forcing")
+        forced = self.forcing_caches(g, key=forcing_key)
+        rho0 = complex(np.atleast_1d(self.se.rho_fn(np.array([float(ivp.t0)])))[0])
+        x0 = complex(ivp.x0)
+        return self._member(ivp.t0, x0, complex(ivp.x0p) - rho0 * x0, forced)
+
     def homogeneous(self, t0, params: SolutionFamilyParams):
         """Callable w(t) = (d2 + d1 int_{t0}^t e^{-int(2rho+beta/alpha)}) e^{int rho}."""
-        h1 = self.H1c
-        t0a = np.array([float(t0)])
-        self._check_coverage(t0a, (self.Rc, self.Pc, h1))
-        r0 = complex(self.Rc.value(t0a)[0])
-        p0 = complex(self.Pc.value(t0a)[0])
-        h1_0 = complex(h1.value(t0a)[0])
-        pre = np.exp(r0 + p0)
-        d1, d2 = complex(params.d1), complex(params.d2)
-
-        def w(t):
-            t = np.asarray(t, float)
-            scalar = t.ndim == 0
-            tt = np.atleast_1d(t)
-            self._check_coverage(tt, (self.Rc, h1))
-            out = (d2 + d1 * pre * (h1.value(tt) - h1_0)) * np.exp(self.Rc.value(tt) - r0)
-            return out[0] if scalar else out
-
-        return w
+        return self._member(t0, complex(params.d2), complex(params.d1))
 
     def experiment_grid(self, t0, n=1025, amp_cap=8.0):
         """Graded grid restricted to moderate exponential amplification.
@@ -316,6 +309,14 @@ def _min_sup_distance(target, basis):
     return best.x, float(best.fun)
 
 
+def _fit_basis(eng, t0, grid):
+    """The problem's solution from (t0, 0, 0) and the basis (w1, w2) on ``grid``."""
+    p_arr = eng.representation(IvpData(t0, 0.0, 0.0), forcing_key="problem")(grid)
+    w1 = eng.homogeneous(t0, SolutionFamilyParams(1.0, 0.0))(grid)
+    w2 = eng.homogeneous(t0, SolutionFamilyParams(0.0, 1.0))(grid)
+    return p_arr, (w1, w2)
+
+
 def nearest_solution(xi, problem, rho, config: Config = Config(), engine=None, t0=None, grid=None):
     """Best (d1, d2) member of the solution family approximating xi in sup norm."""
     eng = engine if engine is not None else SolutionEngine(problem, rho, config)
@@ -324,10 +325,8 @@ def nearest_solution(xi, problem, rho, config: Config = Config(), engine=None, t
     if grid is None:
         grid = eng.experiment_grid(t0)
     xi_arr = np.asarray(xi(grid), dtype=complex)
-    p_arr = eng.representation(IvpData(t0, 0.0, 0.0), forcing_key="problem")(grid)
-    w1 = eng.homogeneous(t0, SolutionFamilyParams(1.0, 0.0))(grid)
-    w2 = eng.homogeneous(t0, SolutionFamilyParams(0.0, 1.0))(grid)
-    coeffs, dist = _min_sup_distance(xi_arr - p_arr, (w1, w2))
+    p_arr, basis = _fit_basis(eng, t0, grid)
+    coeffs, dist = _min_sup_distance(xi_arr - p_arr, basis)
     return {
         "params": SolutionFamilyParams(complex(coeffs[0]), complex(coeffs[1])),
         "sup_distance": dist,
@@ -341,27 +340,25 @@ def _proof_solution_params(eng: SolutionEngine, case, epsilon, t0):
     approximating true solution's family coefficients are explicit integrals
     of the perturbation against the case kernels.
     """
+    if case not in _KERNEL:
+        raise ValueError(f"no extremal construction for case {case!r}")
+    key, side = _KERNEL[case]
+    # d1 integrates 1/alpha to the edge of the boundedness function that
+    # the kernel nests
+    inner = _F_SIDE[_NESTED[key]][1]
+    s_in, s_out = (1.0 if s == "upper" else -1.0 for s in (inner, side))
     se = eng.se
     t0a = np.array([t0])
     p0 = complex(se.Pc.value(t0a)[0])
     r0 = complex(se.Rc.value(t0a)[0])
     funit, _ = eng.forcing_caches(lambda s: np.ones_like(np.asarray(s, float)), key="unit")
-    if case == "i":
-        d1 = epsilon * np.exp(-p0) * complex(funit.from_upper(t0a)[0])
-        d2 = -epsilon * np.exp(r0) * complex(se.C1.from_upper(t0a)[0])
-    elif case == "ii":
-        d1 = epsilon * np.exp(-p0) * complex(funit.from_upper(t0a)[0])
-        d2 = epsilon * np.exp(r0) * complex(se.C1.from_lower(t0a)[0])
-    elif case == "iii":
-        d1 = -epsilon * np.exp(-p0) * complex(funit.from_lower(t0a)[0])
-        d2 = -epsilon * np.exp(r0) * complex(se.C3.from_lower(t0a)[0])
-    else:
-        raise ValueError(f"no extremal construction for case {case!r}")
+    d1 = s_in * epsilon * np.exp(-p0) * complex(funit.from_edge(inner, t0a)[0])
+    d2 = -s_in * s_out * epsilon * np.exp(r0) * complex(getattr(se, key).from_edge(side, t0a)[0])
     return SolutionFamilyParams(complex(d1), complex(d2))
 
 
-def extremal_experiment(problem, rho, case, epsilon, config: Config = Config(), engine=None):
-    """Reproduce the minimal constant with the constant perturbation g = eps."""
+def _extremal_setup(problem, rho, case, epsilon, config, engine):
+    """Family coefficients, experiment grid and |xi - x| of the extremal pair."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     eng = engine if engine is not None else SolutionEngine(problem, rho, config)
@@ -372,12 +369,13 @@ def extremal_experiment(problem, rho, case, epsilon, config: Config = Config(), 
     p_base = eng.representation(IvpData(t0, 0.0, 0.0), forcing_key="problem")
     params = _proof_solution_params(eng, case, epsilon, t0)
     w = eng.homogeneous(t0, params)
-    grid = eng.experiment_grid(t0)
+    distance = lambda t: np.abs(xi(t) - p_base(t) - w(t))
+    return params, eng.experiment_grid(t0), distance
 
-    def distance(t):
-        t = np.asarray(t, float)
-        return np.abs(xi(t) - p_base(t) - w(t))
 
+def extremal_experiment(problem, rho, case, epsilon, config: Config = Config(), engine=None):
+    """Reproduce the minimal constant with the constant perturbation g = eps."""
+    params, grid, distance = _extremal_setup(problem, rho, case, epsilon, config, engine)
     res = quad.sup_over(distance, float(grid[0]), float(grid[-1]), n_scan=config.sup_scan)
     sup_d = float(res.sup_value)
     return PerturbationExperiment(
@@ -391,15 +389,8 @@ def extremal_experiment(problem, rho, case, epsilon, config: Config = Config(), 
 
 def extremal_profile(problem, rho, case, epsilon, config: Config = Config(), engine=None):
     """(t, |xi - x|) arrays over the experiment grid for the extremal pair."""
-    eng = engine if engine is not None else SolutionEngine(problem, rho, config)
-    t0 = eng.se.anchor
-    base = problem.fn("forcing")
-    perturbed = lambda s: np.asarray(base(s)) + epsilon
-    xi = eng.representation(IvpData(t0, 0.0, 0.0), forcing=perturbed, forcing_key=("extremal", float(epsilon)))
-    p_base = eng.representation(IvpData(t0, 0.0, 0.0), forcing_key="problem")
-    w = eng.homogeneous(t0, _proof_solution_params(eng, case, epsilon, t0))
-    grid = eng.experiment_grid(t0)
-    return grid, np.abs(xi(grid) - p_base(grid) - w(grid))
+    _, grid, distance = _extremal_setup(problem, rho, case, epsilon, config, engine)
+    return grid, distance(grid)
 
 
 def _random_smooth(rng, grid, epsilon):
@@ -443,9 +434,7 @@ def random_perturbation_test(problem, rho, case, epsilon, trials, seed, best_val
     t0 = eng.se.anchor
     grid = eng.experiment_grid(t0)
     base = problem.fn("forcing")
-    p_arr = eng.representation(IvpData(t0, 0.0, 0.0), forcing_key="problem")(grid)
-    w1 = eng.homogeneous(t0, SolutionFamilyParams(1.0, 0.0))(grid)
-    w2 = eng.homogeneous(t0, SolutionFamilyParams(0.0, 1.0))(grid)
+    p_arr, basis = _fit_basis(eng, t0, grid)
     bound = best_value * 1.02
     records = []
     max_ratio = 0.0
@@ -454,7 +443,7 @@ def random_perturbation_test(problem, rho, case, epsilon, trials, seed, best_val
         g, desc = _random_smooth(rng, grid, epsilon)
         forced = lambda s: np.asarray(base(s)) + g(s)
         xi_arr = eng.representation(IvpData(t0, 0.0, 0.0), forcing=forced)(grid)
-        _, dist = _min_sup_distance(xi_arr - p_arr, (w1, w2))
+        _, dist = _min_sup_distance(xi_arr - p_arr, basis)
         ratio = dist / epsilon
         records.append({"trial": trial, "perturbation": desc, "sup_distance": dist, "ratio": ratio})
         if ratio > bound:

@@ -180,10 +180,6 @@ class CumulativeIntegral:
     def hi(self):
         return float(self.bps[-1])
 
-    def covers(self, t):
-        t = np.asarray(t, float)
-        return (t >= self.bps[0]) & (t <= self.bps[-1])
-
     def _in_panel(self, t):
         """(panel index, int from the panel start to t) for covered t."""
         t = np.asarray(t, float)
@@ -223,13 +219,13 @@ class CumulativeIntegral:
         """P(t) with P(t_ref) = 0."""
         return self._anch_prefix(t) - self._ref_offset
 
+    def from_edge(self, side, t):
+        """`from_upper` or `from_lower`, as ``side`` says."""
+        return self.from_upper(t) if side == "upper" else self.from_lower(t)
+
     def between(self, a, b):
         """int over (a, b) for covered a, b."""
         return self._anch_prefix(np.asarray(b, float)) - self._anch_prefix(np.asarray(a, float))
-
-    @property
-    def total(self):
-        return complex(self._left[-1])
 
 
 def _leaf(g, lo, hi, leaf_tol, work, leaf_rel=1e-13, max_depth=28):

@@ -16,6 +16,7 @@ analysis costs a handful of 1-D adaptive passes instead of a triple loop.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +62,10 @@ _CASE_DIV = {
 }
 # which cache side must behave for each boundedness function to exist
 _F_SIDE = {"f1": ("A4", "upper"), "f2": ("A2", "upper"), "f3": ("A2", "lower"), "f4": ("A4", "lower")}
+# the nested kernel of each case: its cache and the edge it is anchored at
+_KERNEL = {"i": ("C1", "upper"), "ii": ("C1", "lower"), "iii": ("C3", "lower")}
+# the boundedness function each kernel cache integrates against e^{-R}
+_NESTED = {"C1": "f1", "C3": "f4"}
 
 
 @dataclass(frozen=True)
@@ -208,52 +213,57 @@ class StabilityEngine:
         g = lambda s: np.exp(-self._R(s))
         return self._tail_cache("A2", g, lo, hi)
 
-    @property
-    def C1(self):
+    def _nested(self, key):
         a4 = self.A4
         lo, hi = self._shrink(max(a4.lo, self.Rc.lo), min(a4.hi, self.Rc.hi))
-        g = lambda s: self.f1(s) * np.exp(-self._R(s))
-        return self._tail_cache("C1", g, lo, hi)
+        f = getattr(self, _NESTED[key])
+        g = lambda s: f(s) * np.exp(-self._R(s))
+        return self._tail_cache(key, g, lo, hi)
 
-    @property
-    def C3(self):
-        a4 = self.A4
-        lo, hi = self._shrink(max(a4.lo, self.Rc.lo), min(a4.hi, self.Rc.hi))
-        g = lambda s: self.f4(s) * np.exp(-self._R(s))
-        return self._tail_cache("C3", g, lo, hi)
+    C1 = property(lambda self: self._nested("C1"))
+    C3 = property(lambda self: self._nested("C3"))
 
     @property
     def H1(self):
+        """Cumulative of exp(-int(2 rho + beta/alpha)), fully complex."""
         lo, hi = self._shrink(max(self.Pc.lo, self.Rc.lo), min(self.Pc.hi, self.Rc.hi))
-        g = lambda s: np.exp(-(self._R(s) + self._P(s)))
+        g = lambda s: np.exp(-(self.Rc.value(s) + self.Pc.value(s)))
         return self._tail_cache("H1", g, lo, hi)
 
-    # -- boundedness functions -------------------------------------------
+    # -- boundedness functions and kernels -------------------------------
 
-    def f1(self, t):
+    def _edge_integral(self, key, side, t):
+        """Integral of cache ``key`` between t and its ``side`` edge, weighted.
+
+        A4's integrand carries e^{P}, so its weight is e^{-P(t)}; the
+        integrands of A2, C1 and C3 carry e^{-R}, so theirs is e^{R(t)}.
+        """
         t = np.asarray(t, float)
-        return np.exp(-self._P(t)) * self.A4.from_upper(t).real
+        weight = np.exp(-self._P(t) if key == "A4" else self._R(t))
+        return weight * getattr(self, key).from_edge(side, t).real
 
-    def f2(self, t):
-        t = np.asarray(t, float)
-        return np.exp(self._R(t)) * self.A2.from_upper(t).real
+    f1 = functools.partialmethod(_edge_integral, *_F_SIDE["f1"])
+    f2 = functools.partialmethod(_edge_integral, *_F_SIDE["f2"])
+    f3 = functools.partialmethod(_edge_integral, *_F_SIDE["f3"])
+    f4 = functools.partialmethod(_edge_integral, *_F_SIDE["f4"])
 
-    def f3(self, t):
-        t = np.asarray(t, float)
-        return np.exp(self._R(t)) * self.A2.from_lower(t).real
+    def _limit_cache(self, key, side, subject, which, prefix=""):
+        """Cache ``key``, once its ``side`` edge can stand in for the endpoint.
 
-    def f4(self, t):
-        t = np.asarray(t, float)
-        return np.exp(-self._P(t)) * self.A4.from_lower(t).real
-
-    def _f_status(self, name):
-        cache = getattr(self, _F_SIDE[name][0])
-        info = cache.upper_info if _F_SIDE[name][1] == "upper" else cache.lower_info
+        Raises `quad.Divergent` about ``subject`` when that side diverges and
+        `HypothesisFailed` on ``which`` when it is not resolved.
+        """
+        cache = getattr(self, key)
+        info = cache.upper_info if side == "upper" else cache.lower_info
         if info.status == "diverging":
-            return "diverging"
-        if info.usable_as_limit:
-            return "ok"
-        return "unresolved:" + info.status
+            raise quad.Divergent(f"{subject} diverges at the {side} endpoint")
+        if not info.usable_as_limit:
+            raise HypothesisFailed(which, prefix + info.status)
+        return cache
+
+    def _sup(self, fn, cache):
+        c = self.config
+        return quad.sup_over(fn, cache.lo, cache.hi, n_scan=c.sup_scan, threshold=c.divergence_threshold, tail_k=c.tail_k)
 
     def f_sup(self, name):
         """Supremum of a boundedness function over the working interval.
@@ -262,21 +272,8 @@ class StabilityEngine:
         without bound, `HypothesisFailed` when its endpoint behaviour could
         not be resolved within the coverage budget.
         """
-        status = self._f_status(name)
-        if status == "diverging":
-            raise quad.Divergent(f"{name} diverges at the {_F_SIDE[name][1]} endpoint")
-        if status != "ok":
-            raise HypothesisFailed(name, status)
-        fn = getattr(self, name)
-        cache = getattr(self, _F_SIDE[name][0])
-        return quad.sup_over(
-            fn,
-            cache.lo,
-            cache.hi,
-            n_scan=self.config.sup_scan,
-            threshold=self.config.divergence_threshold,
-            tail_k=self.config.tail_k,
-        )
+        cache = self._limit_cache(*_F_SIDE[name], name, name, prefix="unresolved:")
+        return self._sup(getattr(self, name), cache)
 
     # -- classification ---------------------------------------------------
 
@@ -308,39 +305,13 @@ class StabilityEngine:
 
     # -- constants ---------------------------------------------------------
 
-    def _kernel(self, case):
-        if case == "i":
-            cache = self.C1
-            fn = lambda t: np.exp(self._R(np.asarray(t, float))) * cache.from_upper(np.asarray(t, float)).real
-            side = "upper"
-        elif case == "ii":
-            cache = self.C1
-            fn = lambda t: np.exp(self._R(np.asarray(t, float))) * cache.from_lower(np.asarray(t, float)).real
-            side = "lower"
-        elif case == "iii":
-            cache = self.C3
-            fn = lambda t: np.exp(self._R(np.asarray(t, float))) * cache.from_lower(np.asarray(t, float)).real
-            side = "lower"
-        else:
-            raise ValueError(f"no constant for case {case!r}")
-        info = cache.upper_info if side == "upper" else cache.lower_info
-        if info.status == "diverging":
-            raise quad.Divergent(f"nested kernel diverges at the {side} endpoint")
-        if not info.usable_as_limit:
-            raise HypothesisFailed(f"kernel_{case}", info.status)
-        return fn, cache
-
     def ulam_constant(self, case):
         """Sup of the nested double integral for the given case."""
-        fn, cache = self._kernel(case)
-        res = quad.sup_over(
-            fn,
-            cache.lo,
-            cache.hi,
-            n_scan=self.config.sup_scan,
-            threshold=self.config.divergence_threshold,
-            tail_k=self.config.tail_k,
-        )
+        if case not in _KERNEL:
+            raise ValueError(f"no constant for case {case!r}")
+        key, side = _KERNEL[case]
+        cache = self._limit_cache(key, side, "nested kernel", f"kernel_{case}")
+        res = self._sup(lambda t: self._edge_integral(key, side, t), cache)
         if res.unbounded:
             raise HypothesisFailed(f"kernel_{case}", "unbounded")
         return res

@@ -1,10 +1,10 @@
 """Reference evaluators of the expression language, for the tests only.
 
 `evaluate` walks the tree in Python complex arithmetic and raises
-`DomainError` at a division by zero or a log of zero, where the compiled
-function gives inf/nan.  `mp_eval` is the same walk in mpmath arithmetic.
-Both keep the real branch of `sqrt`, `log` and real powers, as
-`exprlang.compile_expr` does.
+`DomainError` at a division by zero, a log of zero or an infinite argument
+that `cmath` rejects, where the compiled function gives inf/nan.  `mp_eval`
+is the same walk in mpmath arithmetic.  Both keep the real branch of
+`sqrt`, `log` and real powers, as `exprlang.compile_expr` does.
 """
 
 import cmath
@@ -98,8 +98,11 @@ def _call(func, a, t):
         return complex(math.sqrt(a.real))
     if func == "log" and a.imag == 0 and a.real > 0:
         return complex(math.log(a.real))
-    fn = getattr(cmath, func)
-    return fn(a)
+    try:
+        return getattr(cmath, func)(a)
+    except ValueError:
+        # cmath rejects some infinite arguments, e.g. sin(inf)
+        raise DomainError(f"{func}({a}) at t={t}") from None
 
 
 def mp_eval(e, t, params):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ulamstab import cli
+from ulamstab import cli, quad
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -132,6 +132,25 @@ def test_empirical_builds_one_engine(runner, tmp_path, engine_builds):
     result = _invoke(runner, args)
     assert result.exit_code == 0
     assert len(engine_builds) == 1
+
+
+def test_empirical_builds_h1_once(runner, tmp_path, monkeypatch):
+    # the solution engine reads the stability engine's exp(-(R+P)) cache
+    calls = []
+    cumulative = quad.cumulative
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return cumulative(*args, **kwargs)
+
+    monkeypatch.setattr(quad, "cumulative", counting)
+    trials = 2
+    args = ["empirical", str(PROBLEMS / "exeq03.json"), "--trials", str(trials), "--reproducible", "--out", str(tmp_path)]
+    result = _invoke(runner, args)
+    assert result.exit_code == 0
+    # Rc, Pc, A2, A4, C3 and H1 for the analysis, then two caches per
+    # forcing: the problem's, the extremal one, the unit one and each trial's
+    assert len(calls) == 6 + 2 * (3 + trials)
 
 
 @pytest.mark.parametrize("command", ["analyze", "empirical"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_problem
-from ulamstab import dynamics, exprlang
+from ulamstab import corpus, dynamics, exprlang
 from ulamstab.dynamics import (
     CoverageExceeded,
     IvpData,
@@ -15,6 +15,7 @@ from ulamstab.dynamics import (
     SolutionFamilyParams,
 )
 from ulamstab.model import Interval, probe_grid
+from ulamstab.stability import StabilityEngine
 
 EXEQ02 = ("1", "2/t", "0", "-1", 1.0, math.inf)
 EXEQ05 = ("1", "2/t", "1", "0", 0.0, math.inf)
@@ -73,10 +74,23 @@ def test_coverage_exceeded(eng01):
         x(np.array([1.5]))
 
 
-def test_extremal_reproduces_best_constant(exeq01, eng01, cfg):
+@pytest.mark.parametrize(
+    "name, case",
+    [("exeq01", "iii"), ("const-i", "i"), ("const-ii", "ii"), ("const-iii", "iii")],
+    ids=["exeq01", "const-i", "const-ii", "const-iii"],
+)
+def test_extremal_reproduces_best_constant(cfg, name, case):
+    # each case row of the kernel table: cache, edge and signs of (d1, d2)
+    variant = corpus.get(name).default
+    p, r = corpus.build(variant)
+    exp = dynamics.extremal_experiment(p, r, case, 0.1, cfg)
+    assert exp.ratio == pytest.approx(variant.expected_B, rel=1e-6)
+
+
+def test_solution_engine_reads_stability_h1(exeq01, cfg):
     p, r = exeq01
-    exp = dynamics.extremal_experiment(p, r, "iii", 0.1, cfg, engine=eng01)
-    assert exp.ratio == pytest.approx(0.5, rel=1e-3)
+    se = StabilityEngine(p, r, cfg)
+    assert SolutionEngine(p, r, cfg, stability_engine=se).H1c is se.H1
 
 
 def test_extremal_linear_in_epsilon(exeq01, eng01, cfg):

@@ -7,7 +7,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from expr_oracle import DomainError, evaluate, mp_eval
@@ -167,6 +167,7 @@ def _mp_derivative(e, t):
 
 
 @given(e=_ast, t=st.floats(min_value=0.3, max_value=2.7))
+@example(e=parse("-sin(t / 2.225073858507e-311)"), t=1.0)  # t/2.2e-311 overflows to inf
 @settings(max_examples=100, deadline=None)
 def test_derivative_matches_central_difference(e, t):
     try:
