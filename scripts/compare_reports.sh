@@ -5,7 +5,10 @@
 #
 # Unpacks <rev> with `git archive` into a temporary directory and runs the
 # same commands on both source trees:
-#   - `analyze --best --reproducible` on every problems/*.json;
+#   - `analyze --best --reproducible` and `riccati-check` on every
+#     problems/*.json;
+#   - `analyze --solve-rho t0=0.5,rho0=-2.546 --reproducible` on exeq04;
+#   - `analyze --fast-path --reproducible` on const-i, const-ii and const-iii;
 #   - `empirical --trials 4 --seed 7 --reproducible` on exeq01, exeq03,
 #     exeq04 and exeq06 (report and .extremal.csv);
 #   - `corpus run`.
@@ -34,6 +37,12 @@ contract() {
   for p in "$tree"/problems/*.json; do
     stem=$(basename "$p" .json)
     run "$tree" "$out" "analyze.$stem" analyze "$p" --best --reproducible
+    run "$tree" "$out" "riccati-check.$stem" riccati-check "$p"
+  done
+  run "$tree" "$out" solve-rho.exeq04 analyze "$tree/problems/exeq04.json" \
+    --solve-rho t0=0.5,rho0=-2.546 --reproducible
+  for stem in const-i const-ii const-iii; do
+    run "$tree" "$out" "fast-path.$stem" analyze "$tree/problems/$stem.json" --fast-path --reproducible
   done
   for stem in exeq01 exeq03 exeq04 exeq06; do
     run "$tree" "$out" "empirical.$stem" empirical "$tree/problems/$stem.json" \

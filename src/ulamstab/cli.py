@@ -152,12 +152,12 @@ def _escalate_instability(doc, problem, data, config):
     if witness is None:
         return
     try:
-        probe = dynamics.instability_probe(problem, exprlang.parse(witness), 0.1, config)
+        probe, evidenced = dynamics.instability_evidence(problem, witness, config)
     except (exprlang.ExprError, ValueError) as exc:
         doc["instability"] = {"error": str(exc)}
         return
     doc["instability"] = _jsonable({"witness": witness, **probe})
-    if probe["growth_ok"] and probe["residual_sup"] <= probe["epsilon"] * (1.0 + 1e-6):
+    if evidenced:
         doc["report"]["verdict"] = "instability_evidence"
 
 
@@ -299,12 +299,10 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
         sys.exit(_VERDICT_EXIT[doc["report"]["verdict"]])
 
     bound = report.constant.get("B", report.constant.get("L"))
-    engine = dynamics.SolutionEngine(problem, rho, config, stability_engine=analysis)
-    extremal = dynamics.extremal_experiment(problem, rho, report.case, epsilon, config, engine=engine)
+    engine = dynamics.SolutionEngine(analysis)
+    extremal = dynamics.extremal_experiment(engine, report.case, epsilon)
     try:
-        max_ratio, records = dynamics.random_perturbation_test(
-            problem, rho, report.case, epsilon, trials, seed, bound, config, engine=engine
-        )
+        max_ratio, records = dynamics.random_perturbation_test(engine, epsilon, trials, seed, bound)
     except dynamics.RatioExceedsConstant as exc:
         _fail("dominance", exc, code=EXIT_INCONCLUSIVE)
 
@@ -323,7 +321,7 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
     )
     _emit(doc, out, Path(problem_path).stem)
 
-    grid, dist = dynamics.extremal_profile(problem, rho, report.case, epsilon, config, engine=engine)
+    grid, dist = dynamics.extremal_profile(engine, report.case, epsilon)
     csv_dir = Path(out) if out else Path(".")
     csv_dir.mkdir(parents=True, exist_ok=True)
     csv_path = csv_dir / f"{Path(problem_path).stem}.extremal.csv"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import dynamics, exprlang, stability
+from . import dynamics, stability
 from .model import Config, problem_from_dict
 
 __all__ = ["Variant", "CorpusEntry", "entries", "get", "build", "check_variant", "run_all"]
@@ -245,19 +245,14 @@ def check_variant(entry: CorpusEntry, variant: Variant, config: Config = Config(
         result["passed"] = bool(ok)
     else:
         report = stability.analyze(problem, rho, config, best=True)
-        probe = dynamics.instability_probe(problem, exprlang.parse(entry.witness), 0.1, config)
+        probe, evidenced = dynamics.instability_evidence(problem, entry.witness, config)
         result["detail"] = {
             "verdict": report.verdict,
             "residual_sup": probe["residual_sup"],
             "growth_ok": probe["growth_ok"],
             "trace": probe["trace"],
         }
-        ok = (
-            report.verdict != "best_constant"
-            and probe["growth_ok"]
-            and probe["residual_sup"] <= probe["epsilon"] * (1.0 + 1e-6)
-        )
-        result["passed"] = bool(ok)
+        result["passed"] = bool(report.verdict != "best_constant" and evidenced)
     return result
 
 

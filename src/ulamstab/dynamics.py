@@ -24,7 +24,7 @@ from scipy.integrate import solve_ivp as _scipy_solve_ivp
 from scipy.optimize import minimize as _scipy_minimize
 
 from . import exprlang, quad
-from .model import Config, Interval, OscillatorProblem, probe_grid
+from .model import Config, Interval, probe_grid
 from .stability import _F_SIDE, _KERNEL, _NESTED, StabilityEngine
 
 __all__ = [
@@ -40,7 +40,10 @@ __all__ = [
     "extremal_profile",
     "random_perturbation_test",
     "instability_probe",
+    "instability_evidence",
 ]
+
+PROBE_EPSILON = 0.1  # residual size of the witness family an instability probe uses
 
 
 class CoverageExceeded(quad.CoverageError):
@@ -87,14 +90,13 @@ class PerturbationExperiment:
 
 
 class SolutionEngine:
-    """Evaluates solutions of the oscillator through the stability caches."""
+    """Evaluates solutions of the oscillator through a `StabilityEngine`'s caches."""
 
-    def __init__(self, problem: OscillatorProblem, rho, config: Config = Config(), stability_engine=None):
-        self.problem = problem
-        self.se = stability_engine if stability_engine is not None else StabilityEngine(problem, rho, config)
-        self._alpha = problem.fn("alpha")
-        self._fc = {}
-        self._h2 = {}
+    def __init__(self, engine: StabilityEngine):
+        self.se = engine
+        self.problem = engine.problem
+        self._alpha = engine._alpha
+        self._forcing = {}
         self._h1c = None
 
     @property
@@ -117,17 +119,16 @@ class SolutionEngine:
 
         ``key`` enables reuse across calls with the same forcing.
         """
-        if key is not None and key in self._fc:
-            return self._fc[key], self._h2[key]
-        lo, hi = self.se._shrink(max(self.Rc.lo, self.Pc.lo), min(self.Rc.hi, self.Pc.hi))
+        if key in self._forcing:
+            return self._forcing[key]
+        lo, hi = self.se._overlap(self.Rc, self.Pc)
         fint = lambda s: np.exp(self.Pc.value(s)) * np.asarray(g(s)) / self._alpha(s)
         fc = self.se.cumulative(fint, lo, hi, tail=True)
-        l2, h2lim = self.se._shrink(max(fc.lo, self.H1c.lo), min(fc.hi, self.H1c.hi))
+        lo, hi = self.se._overlap(fc, self.H1c)
         h2int = lambda s: fc.value(s) * np.exp(-(self.Rc.value(s) + self.Pc.value(s)))
-        h2 = self.se.cumulative(h2int, l2, h2lim, tail=True)
+        h2 = self.se.cumulative(h2int, lo, hi, tail=True)
         if key is not None:
-            self._fc[key] = fc
-            self._h2[key] = h2
+            self._forcing[key] = fc, h2
         return fc, h2
 
     def _check_coverage(self, t, caches):
@@ -182,25 +183,24 @@ class SolutionEngine:
         """Callable w(t) = (d2 + d1 int_{t0}^t e^{-int(2rho+beta/alpha)}) e^{int rho}."""
         return self._member(t0, complex(params.d2), complex(params.d1))
 
-    def experiment_grid(self, t0, n=1025, amp_cap=8.0):
+    def experiment_grid(self, t0):
         """Graded grid restricted to moderate exponential amplification.
 
         Both a perturbed solution and its nearest true solution scale like
         e^{R(t)-R(t0)}; where that factor is astronomically large their
         difference cannot be formed in floating point, so the experiments
-        measure on the region with |R(t)-R(t0)| <= amp_cap.  For every
+        measure on the region with |R(t)-R(t0)| <= 8.  For every
         corpus problem the sup of the distance kernel is attained there.
         """
-        h1 = self.H1c
-        lo = max(self.Rc.lo, self.Pc.lo, h1.lo)
-        hi = min(self.Rc.hi, self.Pc.hi, h1.hi)
-        # stay inside the (twice-shrunk) coverage of forcing-dependent caches
-        for _ in range(3):
+        # trimmed three times: inside the (twice-trimmed) coverage of the
+        # forcing-dependent caches
+        lo, hi = self.se._overlap(self.Rc, self.Pc, self.H1c)
+        for _ in range(2):
             lo, hi = self.se._shrink(lo, hi)
-        grid = quad.graded_grid(lo, hi, n)
+        grid = quad.graded_grid(lo, hi, 1025)
         r = self.Rc.value(grid).real
         r0 = float(self.Rc.value(np.array([float(t0)]))[0].real)
-        keep = np.abs(r - r0) <= amp_cap
+        keep = np.abs(r - r0) <= 8.0
         if not np.any(keep):
             raise CoverageExceeded("no grid point within the amplification cap")
         return grid[keep]
@@ -210,7 +210,7 @@ class SolutionEngine:
 # module-level operations
 
 
-def ivp_solution(problem, ivp, ts, forcing=None, rtol=1e-10, atol=1e-12, method="DOP853"):
+def ivp_solution(problem, ivp, ts, forcing=None):
     """Independent oracle: direct integration of the second-order system.
 
     ``ivp`` is one `IvpData`, or a sequence of them with a common ``t0``
@@ -260,9 +260,9 @@ def ivp_solution(problem, ivp, ts, forcing=None, rtol=1e-10, atol=1e-12, method=
         pts, where = np.unique(flat[mask], return_inverse=True)
         # t_eval runs from t0 outward, in the direction of integration
         t_eval = pts[::step]
-        sol = _scipy_solve_ivp(rhs, (t0, float(t_eval[-1])), y0, method=method, t_eval=t_eval, rtol=rtol, atol=atol)
+        sol = _scipy_solve_ivp(rhs, (t0, float(t_eval[-1])), y0, method="DOP853", t_eval=t_eval, rtol=1e-10, atol=1e-12)
         if not sol.success:
-            raise ValueError(f"{method} failed on the way to t={t_eval[-1]:.6g}: {sol.message}")
+            raise ValueError(f"DOP853 failed on the way to t={t_eval[-1]:.6g}: {sol.message}")
         y = sol.y[:, ::step]
         out[:, mask] = (y[:k] + 1j * y[k : 2 * k])[:, where]
     out = out.reshape((k,) + ts.shape)
@@ -317,15 +317,12 @@ def _fit_basis(eng, t0, grid):
     return p_arr, (w1, w2)
 
 
-def nearest_solution(xi, problem, rho, config: Config = Config(), engine=None, t0=None, grid=None):
+def nearest_solution(xi, engine: SolutionEngine):
     """Best (d1, d2) member of the solution family approximating xi in sup norm."""
-    eng = engine if engine is not None else SolutionEngine(problem, rho, config)
-    if t0 is None:
-        t0 = eng.se.anchor
-    if grid is None:
-        grid = eng.experiment_grid(t0)
+    t0 = engine.se.anchor
+    grid = engine.experiment_grid(t0)
     xi_arr = np.asarray(xi(grid), dtype=complex)
-    p_arr, basis = _fit_basis(eng, t0, grid)
+    p_arr, basis = _fit_basis(engine, t0, grid)
     coeffs, dist = _min_sup_distance(xi_arr - p_arr, basis)
     return {
         "params": SolutionFamilyParams(complex(coeffs[0]), complex(coeffs[1])),
@@ -357,13 +354,12 @@ def _proof_solution_params(eng: SolutionEngine, case, epsilon, t0):
     return SolutionFamilyParams(complex(d1), complex(d2))
 
 
-def _extremal_setup(problem, rho, case, epsilon, config, engine):
+def _extremal_setup(eng, case, epsilon):
     """Family coefficients, experiment grid and |xi - x| of the extremal pair."""
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    eng = engine if engine is not None else SolutionEngine(problem, rho, config)
     t0 = eng.se.anchor
-    base = problem.fn("forcing")
+    base = eng.problem.fn("forcing")
     perturbed = lambda s: np.asarray(base(s)) + epsilon
     xi = eng.representation(IvpData(t0, 0.0, 0.0), forcing=perturbed, forcing_key=("extremal", float(epsilon)))
     p_base = eng.representation(IvpData(t0, 0.0, 0.0), forcing_key="problem")
@@ -373,10 +369,10 @@ def _extremal_setup(problem, rho, case, epsilon, config, engine):
     return params, eng.experiment_grid(t0), distance
 
 
-def extremal_experiment(problem, rho, case, epsilon, config: Config = Config(), engine=None):
+def extremal_experiment(engine: SolutionEngine, case, epsilon):
     """Reproduce the minimal constant with the constant perturbation g = eps."""
-    params, grid, distance = _extremal_setup(problem, rho, case, epsilon, config, engine)
-    res = quad.sup_over(distance, float(grid[0]), float(grid[-1]), n_scan=config.sup_scan)
+    params, grid, distance = _extremal_setup(engine, case, epsilon)
+    res = quad.sup_over(distance, float(grid[0]), float(grid[-1]), n_scan=engine.se.config.sup_scan)
     sup_d = float(res.sup_value)
     return PerturbationExperiment(
         epsilon=float(epsilon),
@@ -387,9 +383,9 @@ def extremal_experiment(problem, rho, case, epsilon, config: Config = Config(), 
     )
 
 
-def extremal_profile(problem, rho, case, epsilon, config: Config = Config(), engine=None):
+def extremal_profile(engine: SolutionEngine, case, epsilon):
     """(t, |xi - x|) arrays over the experiment grid for the extremal pair."""
-    _, grid, distance = _extremal_setup(problem, rho, case, epsilon, config, engine)
+    _, grid, distance = _extremal_setup(engine, case, epsilon)
     return grid, distance(grid)
 
 
@@ -422,7 +418,7 @@ def _random_smooth(rng, grid, epsilon):
     return lambda t: scale * raw(t), desc
 
 
-def random_perturbation_test(problem, rho, case, epsilon, trials, seed, best_value, config: Config = Config(), engine=None):
+def random_perturbation_test(engine: SolutionEngine, epsilon, trials, seed, best_value):
     """Nearest-solution ratio of randomized smooth perturbations vs the constant.
 
     Every trial must satisfy ratio <= best_value * 1.02; returns the max
@@ -430,11 +426,10 @@ def random_perturbation_test(problem, rho, case, epsilon, trials, seed, best_val
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
-    eng = engine if engine is not None else SolutionEngine(problem, rho, config)
-    t0 = eng.se.anchor
-    grid = eng.experiment_grid(t0)
-    base = problem.fn("forcing")
-    p_arr, basis = _fit_basis(eng, t0, grid)
+    t0 = engine.se.anchor
+    grid = engine.experiment_grid(t0)
+    base = engine.problem.fn("forcing")
+    p_arr, basis = _fit_basis(engine, t0, grid)
     bound = best_value * 1.02
     records = []
     max_ratio = 0.0
@@ -442,7 +437,7 @@ def random_perturbation_test(problem, rho, case, epsilon, trials, seed, best_val
         rng = np.random.default_rng([int(seed), trial])
         g, desc = _random_smooth(rng, grid, epsilon)
         forced = lambda s: np.asarray(base(s)) + g(s)
-        xi_arr = eng.representation(IvpData(t0, 0.0, 0.0), forcing=forced)(grid)
+        xi_arr = engine.representation(IvpData(t0, 0.0, 0.0), forcing=forced)(grid)
         _, dist = _min_sup_distance(xi_arr - p_arr, basis)
         ratio = dist / epsilon
         records.append({"trial": trial, "perturbation": desc, "sup_distance": dist, "ratio": ratio})
@@ -460,7 +455,7 @@ def _truncations(domain: Interval, t0):
     return [sig - (sig - t0) * 10.0 ** (-k) for k in (1, 2, 3)]
 
 
-def instability_probe(problem, xi_family, epsilon=0.1, config: Config = Config(), rtol=1e-10, atol=1e-12):
+def instability_probe(problem, xi_family, epsilon=PROBE_EPSILON, config: Config = Config()):
     """Trace nearest-solution distance of approximate solutions over truncations.
 
     ``xi_family`` is an expression in t (parameter ``eps`` allowed) whose
@@ -501,7 +496,7 @@ def instability_probe(problem, xi_family, epsilon=0.1, config: Config = Config()
         residual_sup = max(residual_sup, float(np.max(resid)))
     # solution family by direct integration, once over every truncation's grid
     family = (IvpData(t0, 1.0, 0.0), IvpData(t0, 0.0, 1.0), IvpData(t0, 0.0, 0.0))
-    members = ivp_solution(problem, family, np.concatenate(grids), forcing=(0.0, 0.0, None), rtol=rtol, atol=atol)
+    members = ivp_solution(problem, family, np.concatenate(grids), forcing=(0.0, 0.0, None))
     bounds = np.cumsum([g.size for g in grids])[:-1]
     trace = []
     for T, grid, (y1, y2, p) in zip(truncations, grids, np.split(members, bounds, axis=1)):
@@ -515,3 +510,13 @@ def instability_probe(problem, xi_family, epsilon=0.1, config: Config = Config()
         "trace": trace,
         "growth_ok": growing,
     }
+
+
+def instability_evidence(problem, witness, config: Config):
+    """Run `instability_probe` on the witness text at `PROBE_EPSILON`.
+
+    Returns the probe and whether it evidences instability: distances that
+    grow while the witness residual stays within epsilon.
+    """
+    probe = instability_probe(problem, exprlang.parse(witness), PROBE_EPSILON, config)
+    return probe, probe["growth_ok"] and probe["residual_sup"] <= probe["epsilon"] * (1.0 + 1e-6)

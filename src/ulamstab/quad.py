@@ -106,6 +106,8 @@ _WG = np.array(
 # cumulative antiderivative cache
 
 _LEG_DEG = 12
+_MAX_DEPTH = 28  # bisection levels below a skeleton panel
+_MAX_PANELS = 4000  # skeleton panels per side of a cumulative
 
 
 def _leaf_operators():
@@ -154,7 +156,7 @@ class CumulativeIntegral:
     antider: np.ndarray  # (deg+2, n_panels) Legendre coeffs, zero at panel start
     lower_info: SideInfo = field(default_factory=lambda: SideInfo("resolved"))
     upper_info: SideInfo = field(default_factory=lambda: SideInfo("resolved"))
-    max_depth_leaves: int = 0  # leaves kept only because bisection hit max_depth
+    max_depth_leaves: int = 0  # leaves kept only because bisection hit _MAX_DEPTH
     integrand_calls: int = 0  # calls of the integrand while building the cache
     integrand_points: int = 0  # points it was evaluated at, past a stop too
 
@@ -223,12 +225,8 @@ class CumulativeIntegral:
         """`from_upper` or `from_lower`, as ``side`` says."""
         return self.from_upper(t) if side == "upper" else self.from_lower(t)
 
-    def between(self, a, b):
-        """int over (a, b) for covered a, b."""
-        return self._anch_prefix(np.asarray(b, float)) - self._anch_prefix(np.asarray(a, float))
 
-
-def _leaf(g, lo, hi, leaf_tol, work, leaf_rel=1e-13, max_depth=28):
+def _leaf(g, lo, hi, leaf_tol, work, leaf_rel=1e-13):
     """Adaptively split the root panels [lo_i, hi_i] into converged leaves.
 
     The bisection trees of all roots are walked together one level at a
@@ -237,7 +235,7 @@ def _leaf(g, lo, hi, leaf_tol, work, leaf_rel=1e-13, max_depth=28):
     accept/split decision of every panel are computed as arrays.  A panel's
     numbers depend on its own nodes only, so every root gets the leaves it
     would get alone.  A panel is accepted when its error estimate and its fit
-    residual meet the budget, or when it sits at ``max_depth``.
+    residual meet the budget, or when it sits at ``_MAX_DEPTH``.
 
     A generator: it yields ``(i, leaves)`` for the roots in index order,
     each once it and every root before it are done, and bisects the next
@@ -245,13 +243,13 @@ def _leaf(g, lo, hi, leaf_tol, work, leaf_rel=1e-13, max_depth=28):
     that stops early leaves the later roots alone.  ``leaves`` are the
     root's accepted leaves sorted by left edge, as arrays (left, right,
     value, error, antiderivative coefficients (14, n)) and the number of
-    leaves kept only because they reached ``max_depth``.
+    leaves kept only because they reached ``_MAX_DEPTH``.
 
     A panel with a non-finite node is split further only while its root is
     the first unfinished one; a later root that turns non-finite is dropped
     and yields "dropped", so no bisection is spent on a root the consumer
     may never ask for (a root given alone is never dropped).  A non-finite
-    panel at ``max_depth`` makes its root yield "singular".  The integrand
+    panel at ``_MAX_DEPTH`` makes its root yield "singular".  The integrand
     is evaluated quietly: its non-finite values are handled here, as data.
     ``work`` (a `collections.Counter`) counts integrand calls and points.
     """
@@ -262,7 +260,7 @@ def _leaf(g, lo, hi, leaf_tol, work, leaf_rel=1e-13, max_depth=28):
     fate = np.full(n, "", dtype=object)  # "dropped" or "singular" once a root fails
     kept = []
     done = 0  # roots below this index are yielded
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         mid = 0.5 * (a + b)
         hw = 0.5 * (b - a)
         x = mid[:, None] + hw[:, None] * _XGK
@@ -286,7 +284,7 @@ def _leaf(g, lo, hi, leaf_tol, work, leaf_rel=1e-13, max_depth=28):
             # relative scale: panel value, or sample magnitude when it cancels
             budget = leaf_tol + leaf_rel * np.maximum(np.abs(val), width * ymax)
         finite = np.all(np.isfinite(y), axis=1)
-        at_max = depth >= max_depth
+        at_max = depth >= _MAX_DEPTH
         converged = finite & (err <= budget)
         fit = np.flatnonzero(converged | (finite & at_max))
         # interior value() queries read the interpolant, so the fit must
@@ -366,26 +364,26 @@ def _finite_skeleton(t_ref, endpoint, sign):
     return pts, n_grow
 
 
-def _skeleton(t_ref, endpoint, sign, range_cap, max_panels):
+def _skeleton(t_ref, endpoint, sign, range_cap):
     """Skeleton points from the anchor toward one endpoint, all known up front.
 
     Returns (points, n_grow, status): the first ``n_grow`` points belong to
     the doubling phase, and ``status`` is the side's status when coverage
     reaches the last point.  A finite side uses `_finite_skeleton`; an
     infinite one doubles its gaps until ``range_cap``.  Both stop at
-    ``max_panels`` points.
+    ``_MAX_PANELS`` points.
     """
     if math.isinf(endpoint):
         h0 = max(1.0, 0.05 * abs(t_ref))
         pts = []
-        while len(pts) < max_panels:
+        while len(pts) < _MAX_PANELS:
             nxt = t_ref + sign * h0 * (2.0 ** (len(pts) + 1) - 1.0)
             if abs(nxt) > range_cap:
                 break
             pts.append(nxt)
         return pts, 0, "range_cap"
     pts, n_grow = _finite_skeleton(t_ref, endpoint, sign)
-    return pts[:max_panels], n_grow, "range_cap" if len(pts) >= max_panels else "resolved"
+    return pts[:_MAX_PANELS], n_grow, "range_cap" if len(pts) >= _MAX_PANELS else "resolved"
 
 
 def cumulative(
@@ -398,7 +396,6 @@ def cumulative(
     range_cap=1e8,
     tail_mode=False,
     leaf_rel=1e-13,
-    max_panels=4000,
 ):
     """Build a `CumulativeIntegral` of ``g`` anchored at ``t_ref``.
 
@@ -424,7 +421,7 @@ def cumulative(
     infos = {}
     for side, endpoint in (("upper", upper), ("lower", lower)):
         sign = 1 if side == "upper" else -1
-        pts, n_grow, status = _skeleton(t_ref, endpoint, sign, range_cap, max_panels)
+        pts, n_grow, status = _skeleton(t_ref, endpoint, sign, range_cap)
         edges = np.array([t_ref, *pts], dtype=float)
         lo_, hi_ = (edges[:-1], edges[1:]) if sign > 0 else (edges[1:], edges[:-1])
         cum = 0.0 + 0.0j
@@ -543,14 +540,14 @@ class SupResult:
     trace: list = field(default_factory=list)
 
 
-def _golden_lockstep(h, a, b, iters=80):
+def _golden_lockstep(h, a, b):
     """Golden-section maxima of ``h`` on the brackets [a_i, b_i], refined together.
 
-    Each bracket takes exactly the steps of a scalar golden-section search
-    and freezes once it is narrower than 1e-13 relative; every iteration
-    makes one ``h`` call on the new points of the brackets still active.
-    Returns the best probe point and value of each bracket (the upper probe
-    only when it is strictly higher).
+    Each bracket takes exactly the steps of a scalar golden-section search,
+    at most 80, and freezes once it is narrower than 1e-13 relative; every
+    iteration makes one ``h`` call on the new points of the brackets still
+    active.  Returns the best probe point and value of each bracket (the
+    upper probe only when it is strictly higher).
     """
     if a.size == 0:
         return a, a
@@ -560,7 +557,7 @@ def _golden_lockstep(h, a, b, iters=80):
     x2 = a + phi * (b - a)
     f1, f2 = np.split(np.real(np.asarray(h(np.concatenate([x1, x2])))).astype(float), 2)
     active = np.ones(a.size, dtype=bool)
-    for _ in range(iters):
+    for _ in range(80):
         active &= ~(b - a < 1e-13 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
         if not np.any(active):
             break
@@ -594,29 +591,19 @@ def _richardson(values, ratio):
     return best
 
 
-def sup_over(
-    h,
-    lo,
-    hi,
-    lo_open=True,
-    hi_open=True,
-    n_scan=257,
-    threshold=1e6,
-    tail_k=8,
-    n_approach=28,
-):
-    """Supremum of real-valued ``h`` over (lo, hi) within the covered range.
+def sup_over(h, lo, hi, n_scan=257, threshold=1e6, tail_k=8):
+    """Supremum of real-valued ``h`` over the open interval (lo, hi).
 
     Coarse graded scan, golden-section refinement around the top five scan
     maxima, then endpoint limit handling: a geometric approach sequence per
-    open endpoint, flagged as unbounded evidence if its tail is strictly
+    endpoint, flagged as unbounded evidence if its tail is strictly
     increasing past ``threshold``, otherwise Richardson-extrapolated.  The
     five brackets are refined in lockstep (one ``h`` call per step on the
     brackets still narrowing), each taking the steps a scalar golden-section
     search would; their results are then taken in scan order, a later one
     replacing the best only when strictly higher.
     """
-    grid = graded_grid(lo, hi, n_scan, include_lo=not lo_open, include_hi=not hi_open)
+    grid = graded_grid(lo, hi, n_scan)
     with np.errstate(all="ignore"):
         vals = np.real(np.asarray(h(grid), dtype=complex))
     ok = np.isfinite(vals)
@@ -639,12 +626,9 @@ def sup_over(
 
     span = hi - lo
     ratio = 0.5
-    for side, endpoint, is_open in (("lower", lo, lo_open), ("upper", hi, hi_open)):
-        if not is_open:
-            continue
-        sign = 1.0 if side == "lower" else -1.0
+    for endpoint, sign in ((lo, 1.0), (hi, -1.0)):
         d0 = 0.25 * span
-        ds = d0 * ratio ** np.arange(n_approach)
+        ds = d0 * ratio ** np.arange(28)
         pts = endpoint + sign * ds
         pts = pts[(pts > lo) & (pts < hi) & (pts != endpoint)]
         if pts.size < 4:

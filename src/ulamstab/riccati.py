@@ -61,10 +61,10 @@ class NumericSolution:
                 out[~below] = y[0] + 1j * y[1]
         return out[0] if scalar else out
 
-    def derivative(self, t, h_rel=1e-7):
+    def derivative(self, t):
         """Central difference of the interpolant (used by residual checks)."""
         t = np.asarray(t, dtype=float)
-        h = np.maximum(1e-12, h_rel * np.abs(t))
+        h = np.maximum(1e-12, 1e-7 * np.abs(t))
         lo = np.clip(t - h, self.lo, self.hi)
         hi = np.clip(t + h, self.lo, self.hi)
         return (self(hi) - self(lo)) / (hi - lo)
@@ -190,7 +190,7 @@ def solve_riccati(problem: OscillatorProblem, t0, rho0, config: Config = Config(
     )
 
 
-def rho_coverage(problem: OscillatorProblem, rho, config: Config = Config(), pole_cap=1e12):
+def rho_coverage(problem: OscillatorProblem, rho, config: Config = Config()):
     """Maximal probe-grid subinterval around the anchor where rho is usable.
 
     A candidate may blow up at interior points (poles); the stability
@@ -233,7 +233,7 @@ def rho_coverage(problem: OscillatorProblem, rho, config: Config = Config(), pol
 
     with np.errstate(all="ignore"):
         vals = np.asarray(fn(grid))
-    bad = ~(np.isfinite(vals.real) & np.isfinite(vals.imag)) | (np.abs(vals) >= pole_cap)
+    bad = ~(np.isfinite(vals.real) & np.isfinite(vals.imag)) | (np.abs(vals) >= 1e12)
     if np.all(np.abs(vals.imag[~bad]) < 1e-9 * (1.0 + np.abs(vals.real[~bad]))):
         # real-valued candidate: a sign flip at large magnitude between
         # neighbouring samples that resolve the growth marks a pole

@@ -108,7 +108,7 @@ class StabilityEngine:
     read-only after each cache is built and can be shared across threads.
     """
 
-    def __init__(self, problem: OscillatorProblem, rho, config: Config = Config(), coverage=None):
+    def __init__(self, problem: OscillatorProblem, rho, config: Config = Config()):
         self.problem = problem
         self.config = config
         self.rho = rho
@@ -118,7 +118,7 @@ class StabilityEngine:
             self.rho_fn = rho
         else:
             raise TypeError("rho must be an expression or a callable")
-        self.coverage = coverage if coverage is not None else riccati.rho_coverage(problem, rho, config)
+        self.coverage = riccati.rho_coverage(problem, rho, config)
         self.lo = self.coverage.lo
         self.hi = self.coverage.hi
         self.anchor = interior_anchor(self.lo, self.hi)
@@ -153,6 +153,10 @@ class StabilityEngine:
         mlo = 1e-12 * max(1.0, abs(lo))
         mhi = 1e-12 * max(1.0, abs(hi))
         return lo + mlo, hi - mhi
+
+    def _overlap(self, *caches):
+        """The range all ``caches`` cover, trimmed by `_shrink`: a cache built on them spans it."""
+        return self._shrink(max(c.lo for c in caches), min(c.hi for c in caches))
 
     def cumulative(self, g, lo, hi, tail=False):
         """Cumulative of ``g`` over (lo, hi), anchored at the engine's anchor.
@@ -203,19 +207,18 @@ class StabilityEngine:
 
     @property
     def A4(self):
-        lo, hi = self._shrink(self.Pc.lo, self.Pc.hi)
+        lo, hi = self._overlap(self.Pc)
         g = lambda s: np.exp(self._P(s)) / np.abs(self._alpha(s))
         return self._tail_cache("A4", g, lo, hi)
 
     @property
     def A2(self):
-        lo, hi = self._shrink(self.Rc.lo, self.Rc.hi)
+        lo, hi = self._overlap(self.Rc)
         g = lambda s: np.exp(-self._R(s))
         return self._tail_cache("A2", g, lo, hi)
 
     def _nested(self, key):
-        a4 = self.A4
-        lo, hi = self._shrink(max(a4.lo, self.Rc.lo), min(a4.hi, self.Rc.hi))
+        lo, hi = self._overlap(self.A4, self.Rc)
         f = getattr(self, _NESTED[key])
         g = lambda s: f(s) * np.exp(-self._R(s))
         return self._tail_cache(key, g, lo, hi)
@@ -226,7 +229,7 @@ class StabilityEngine:
     @property
     def H1(self):
         """Cumulative of exp(-int(2 rho + beta/alpha)), fully complex."""
-        lo, hi = self._shrink(max(self.Pc.lo, self.Rc.lo), min(self.Pc.hi, self.Rc.hi))
+        lo, hi = self._overlap(self.Pc, self.Rc)
         g = lambda s: np.exp(-(self.Rc.value(s) + self.Pc.value(s)))
         return self._tail_cache("H1", g, lo, hi)
 

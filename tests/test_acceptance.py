@@ -123,7 +123,7 @@ def test_criterion_6(analyzed):
     for key in _EXPERIMENT_PICKS:
         problem, rho = corpus.build(_variant(*key))
         rep, _ = analyzed[key]
-        exp = dynamics.extremal_experiment(problem, rho, rep.case, 0.1, CFG)
+        exp = dynamics.extremal_experiment(SolutionEngine(stability.StabilityEngine(problem, rho, CFG)), rep.case, 0.1)
         rel = abs(exp.ratio - rep.constant["B"]) / rep.constant["B"]
         ok = ok and rel <= 1e-3
         worst = max(worst, rel)
@@ -142,8 +142,9 @@ def test_criterion_7(analyzed):
         problem, rho = corpus.build(_variant(*key))
         rep, _ = analyzed[key]
         best = rep.constant["B"]
+        eng = SolutionEngine(stability.StabilityEngine(problem, rho, CFG))
         try:
-            max_ratio, _ = dynamics.random_perturbation_test(problem, rho, rep.case, 0.1, 32, 7, best, CFG)
+            max_ratio, _ = dynamics.random_perturbation_test(eng, 0.1, 32, 7, best)
         except dynamics.RatioExceedsConstant as exc:
             ok = False
             detail.append(f"{key[0]}: EXCEEDED ({exc})")
@@ -197,7 +198,7 @@ def test_criterion_10():
     ok = True
     for entry in corpus.entries():
         problem, rho = corpus.build(entry.default)
-        eng = SolutionEngine(problem, rho, CFG)
+        eng = SolutionEngine(stability.StabilityEngine(problem, rho, CFG))
         anchor = eng.se.anchor
         grid = eng.experiment_grid(anchor)
         ts = grid[:: max(1, len(grid) // 25)]

@@ -1,6 +1,7 @@
 """CLI: exit codes, report schema, determinism, error objects."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,18 @@ def test_schema_violation_is_input_error(runner, tmp_path):
 def test_bad_solve_rho_spec(runner):
     result = runner.invoke(cli.main, ["analyze", str(PROBLEMS / "exeq01.json"), "--solve-rho", "t0=0.5"])
     assert result.exit_code == 1
+
+
+def test_solve_rho_analyze(runner):
+    # the numeric companion from rho(0.5) = -tan(0.5) - 2 reaches the
+    # closed-form constant of exeq04 (sigma = 1)
+    args = ["analyze", str(PROBLEMS / "exeq04.json"), "--solve-rho", "t0=0.5,rho0=-2.546", "--reproducible"]
+    result = _invoke(runner, args)
+    assert result.exit_code == 0
+    report = _json_out(result)["report"]
+    assert report["verdict"] == "best_constant"
+    assert report["case"] == "iii"
+    assert report["constant"]["B"] == pytest.approx(1.0 - math.sin(1.0), rel=1e-6)
 
 
 def test_riccati_check(runner):

@@ -22,16 +22,18 @@ EXEQ05 = ("1", "2/t", "1", "0", 0.0, math.inf)
 EXEQ05_WITNESS = "eps/(8*t)*(cos(t) + 2*t*sin(t) - 2*t^2*cos(t))"
 
 
+def _engine(p, r, cfg):
+    return SolutionEngine(StabilityEngine(p, r, cfg))
+
+
 @pytest.fixture(scope="module")
 def eng01(exeq01, cfg):
-    p, r = exeq01
-    return SolutionEngine(p, r, cfg)
+    return _engine(*exeq01, cfg)
 
 
 @pytest.fixture(scope="module")
 def eng03(exeq03, cfg):
-    p, r = exeq03
-    return SolutionEngine(p, r, cfg)
+    return _engine(*exeq03, cfg)
 
 
 def test_representation_matches_closed_form(eng01):
@@ -83,57 +85,53 @@ def test_extremal_reproduces_best_constant(cfg, name, case):
     # each case row of the kernel table: cache, edge and signs of (d1, d2)
     variant = corpus.get(name).default
     p, r = corpus.build(variant)
-    exp = dynamics.extremal_experiment(p, r, case, 0.1, cfg)
+    exp = dynamics.extremal_experiment(_engine(p, r, cfg), case, 0.1)
     assert exp.ratio == pytest.approx(variant.expected_B, rel=1e-6)
 
 
 def test_solution_engine_reads_stability_h1(exeq01, cfg):
     p, r = exeq01
     se = StabilityEngine(p, r, cfg)
-    assert SolutionEngine(p, r, cfg, stability_engine=se).H1c is se.H1
+    eng = SolutionEngine(se)
+    assert eng.H1c is se.H1
+    assert eng.problem is p
 
 
-def test_extremal_linear_in_epsilon(exeq01, eng01, cfg):
-    p, r = exeq01
-    e1 = dynamics.extremal_experiment(p, r, "iii", 0.05, cfg, engine=eng01)
-    e2 = dynamics.extremal_experiment(p, r, "iii", 0.2, cfg, engine=eng01)
+def test_extremal_linear_in_epsilon(eng01):
+    e1 = dynamics.extremal_experiment(eng01, "iii", 0.05)
+    e2 = dynamics.extremal_experiment(eng01, "iii", 0.2)
     assert e2.sup_distance == pytest.approx(4.0 * e1.sup_distance, rel=1e-6)
     assert e2.ratio == pytest.approx(e1.ratio, rel=1e-6)
 
 
-def test_epsilon_must_be_positive(exeq01, cfg):
-    p, r = exeq01
+def test_epsilon_must_be_positive(eng01):
     with pytest.raises(ValueError):
-        dynamics.extremal_experiment(p, r, "iii", 0.0, cfg)
+        dynamics.extremal_experiment(eng01, "iii", 0.0)
     with pytest.raises(ValueError):
-        dynamics.random_perturbation_test(p, r, "iii", -1.0, 4, 7, 0.5, cfg)
+        dynamics.random_perturbation_test(eng01, -1.0, 4, 7, 0.5)
 
 
-def test_random_trials_stay_under_constant(exeq01, eng01, cfg):
-    p, r = exeq01
-    max_ratio, records = dynamics.random_perturbation_test(p, r, "iii", 0.1, 4, 11, 0.5, cfg, engine=eng01)
+def test_random_trials_stay_under_constant(eng01):
+    max_ratio, records = dynamics.random_perturbation_test(eng01, 0.1, 4, 11, 0.5)
     assert len(records) == 4
     assert 0.0 < max_ratio <= 0.5 * 1.02
     assert all(rec["ratio"] <= 0.5 * 1.02 for rec in records)
 
 
-def test_random_trials_are_seed_deterministic(exeq01, eng01, cfg):
-    p, r = exeq01
-    a, _ = dynamics.random_perturbation_test(p, r, "iii", 0.1, 3, 5, 0.5, cfg, engine=eng01)
-    b, _ = dynamics.random_perturbation_test(p, r, "iii", 0.1, 3, 5, 0.5, cfg, engine=eng01)
+def test_random_trials_are_seed_deterministic(eng01):
+    a, _ = dynamics.random_perturbation_test(eng01, 0.1, 3, 5, 0.5)
+    b, _ = dynamics.random_perturbation_test(eng01, 0.1, 3, 5, 0.5)
     assert a == b
 
 
-def test_ratio_exceeds_constant_raises(exeq01, eng01, cfg):
-    p, r = exeq01
+def test_ratio_exceeds_constant_raises(eng01):
     with pytest.raises(RatioExceedsConstant):
-        dynamics.random_perturbation_test(p, r, "iii", 0.1, 4, 7, 1e-6, cfg, engine=eng01)
+        dynamics.random_perturbation_test(eng01, 0.1, 4, 7, 1e-6)
 
 
-def test_nearest_solution_recovers_member(exeq01, eng01, cfg):
-    p, r = exeq01
+def test_nearest_solution_recovers_member(eng01):
     member = eng01.homogeneous(0.5, SolutionFamilyParams(0.4, 0.9))
-    out = dynamics.nearest_solution(member, p, r, cfg, engine=eng01)
+    out = dynamics.nearest_solution(member, eng01)
     assert out["sup_distance"] < 1e-8
 
 
@@ -256,13 +254,12 @@ def test_min_sup_distance_real_path_is_bit_identical(cfg):
         assert np.array_equal(got_c, ref_c) and got_d == ref_d
 
 
-def test_nearest_solution_complex_member(exeq01, eng01, cfg):
+def test_nearest_solution_complex_member(eng01):
     # real coefficients cannot absorb the imaginary part 0.2j of d1, so the
     # distance is 0.2 sup|w1| (a fit of the real parts alone would give 0);
     # the optimal coefficients are not unique here
-    p, r = exeq01
     member = eng01.homogeneous(0.5, SolutionFamilyParams(0.4 + 0.2j, 0.9))
-    out = dynamics.nearest_solution(member, p, r, cfg, engine=eng01)
+    out = dynamics.nearest_solution(member, eng01)
     grid = eng01.experiment_grid(0.5)
     w1 = eng01.homogeneous(0.5, SolutionFamilyParams(1.0, 0.0))(grid)
     w2 = eng01.homogeneous(0.5, SolutionFamilyParams(0.0, 1.0))(grid)

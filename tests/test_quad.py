@@ -27,11 +27,10 @@ def test_cumulative_value(cos_cum):
 
 
 def test_cumulative_between_additive(cos_cum):
-    a, b, c = -3.2, 0.7, 4.1
-    ab = cos_cum.between(np.array([a]), np.array([b]))[0]
-    bc = cos_cum.between(np.array([b]), np.array([c]))[0]
-    ac = cos_cum.between(np.array([a]), np.array([c]))[0]
-    assert ab + bc == pytest.approx(ac, abs=1e-12)
+    # the integral between two points is a difference of values
+    a, b, c = cos_cum.value(np.array([-3.2, 0.7, 4.1]))
+    assert (b - a) + (c - b) == pytest.approx(c - a, abs=1e-12)
+    assert c - a == pytest.approx(math.sin(4.1) - math.sin(-3.2), abs=1e-10)
 
 
 def test_cumulative_coverage_error(cos_cum):

@@ -97,7 +97,8 @@ def test_analyze_reports_violations(cfg):
 def test_best_constant_requires_real_data(cfg):
     p = make_problem("1", "3", "2", "0", -5.0, 5.0)
     rho = lambda t: np.full(np.shape(np.atleast_1d(t)), -2.0 + 0.5j)
-    eng = StabilityEngine(p, rho, cfg, coverage=RhoCoverage(-5.0, 5.0, True))
+    eng = StabilityEngine(p, rho, cfg)
+    assert eng.coverage == RhoCoverage(-5.0, 5.0, True)
     with pytest.raises(RealityViolated):
         eng.best_constant("iii")
 
