@@ -135,21 +135,10 @@ def _resolve_rho(problem, rho_expr, solve_rho, config):
     _fail("rho", 'no Riccati candidate: supply "rho" in the problem file or --solve-rho t0=..,rho0=..')
 
 
-def _witness_for(data):
-    if data.get("witness"):
-        return data["witness"]
-    name = data.get("name", "")
-    try:
-        entry = corpus_mod.get(name)
-    except KeyError:
-        return None
-    return entry.witness
-
-
 def _escalate_instability(doc, problem, data, config):
-    """Attach a witness-family probe; upgrade the verdict if it evidences growth."""
-    witness = _witness_for(data)
-    if witness is None:
+    """Attach the document's witness-family probe; upgrade the verdict if it evidences growth."""
+    witness = data.get("witness")
+    if not witness:
         return
     try:
         probe, evidenced = dynamics.instability_evidence(problem, witness, config)

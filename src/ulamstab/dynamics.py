@@ -47,7 +47,7 @@ PROBE_EPSILON = 0.1  # residual size of the witness family an instability probe 
 
 
 class CoverageExceeded(quad.CoverageError):
-    """Query point outside the range the caches can serve."""
+    """No experiment-grid point inside the range the caches can serve."""
 
 
 class RatioExceedsConstant(Exception):
@@ -95,17 +95,8 @@ class SolutionEngine:
     def __init__(self, engine: StabilityEngine):
         self.se = engine
         self.problem = engine.problem
-        self._alpha = engine._alpha
         self._forcing = {}
         self._h1c = None
-
-    @property
-    def Rc(self):
-        return self.se.Rc
-
-    @property
-    def Pc(self):
-        return self.se.Pc
 
     @property
     def H1c(self):
@@ -121,35 +112,28 @@ class SolutionEngine:
         """
         if key in self._forcing:
             return self._forcing[key]
-        lo, hi = self.se._overlap(self.Rc, self.Pc)
-        fint = lambda s: np.exp(self.Pc.value(s)) * np.asarray(g(s)) / self._alpha(s)
+        lo, hi = self.se._overlap(self.se.Rc, self.se.Pc)
+        fint = lambda s: np.exp(self.se.Pc.value(s)) * np.asarray(g(s)) / self.se._alpha(s)
         fc = self.se.cumulative(fint, lo, hi, tail=True)
         lo, hi = self.se._overlap(fc, self.H1c)
-        h2int = lambda s: fc.value(s) * np.exp(-(self.Rc.value(s) + self.Pc.value(s)))
+        h2int = lambda s: fc.value(s) * np.exp(-(self.se.Rc.value(s) + self.se.Pc.value(s)))
         h2 = self.se.cumulative(h2int, lo, hi, tail=True)
         if key is not None:
             self._forcing[key] = fc, h2
         return fc, h2
 
-    def _check_coverage(self, t, caches):
-        t = np.atleast_1d(np.asarray(t, float))
-        lo = max(c.lo for c in caches)
-        hi = min(c.hi for c in caches)
-        if np.any(t < lo) or np.any(t > hi):
-            raise CoverageExceeded(f"query outside cache coverage [{lo:.6g}, {hi:.6g}]")
-
     def _member(self, t0, x0, c0, forced=None):
         """Callable x(t) with x(t0) = x0 and x'(t0) - rho(t0) x0 = c0.
 
         Unforced without ``forced``; else ``forced`` is the pair that
-        `forcing_caches` returns for the forcing.
+        `forcing_caches` returns for the forcing.  A point outside the
+        coverage of a cache it reads raises `quad.CoverageError`.
         """
         h1 = self.H1c
         caches = (h1,) if forced is None else (h1, forced[1])
         t0a = np.array([float(t0)])
-        self._check_coverage(t0a, (self.Rc, self.Pc) + caches)
-        r0 = complex(self.Rc.value(t0a)[0])
-        p0 = complex(self.Pc.value(t0a)[0])
+        r0 = complex(self.se.Rc.value(t0a)[0])
+        p0 = complex(self.se.Pc.value(t0a)[0])
         pre = np.exp(r0 + p0)
         if forced is None:
             coefs = (pre * c0,)
@@ -162,11 +146,10 @@ class SolutionEngine:
             t = np.asarray(t, float)
             scalar = t.ndim == 0
             tt = np.atleast_1d(t)
-            self._check_coverage(tt, (self.Rc,) + caches)
             out = x0
             for coef, k, k0 in zip(coefs, caches, offsets):
                 out = out + coef * (k.value(tt) - k0)
-            out = out * np.exp(self.Rc.value(tt) - r0)
+            out = out * np.exp(self.se.Rc.value(tt) - r0)
             return out[0] if scalar else out
 
         return x
@@ -194,12 +177,12 @@ class SolutionEngine:
         """
         # trimmed three times: inside the (twice-trimmed) coverage of the
         # forcing-dependent caches
-        lo, hi = self.se._overlap(self.Rc, self.Pc, self.H1c)
+        lo, hi = self.se._overlap(self.se.Rc, self.se.Pc, self.H1c)
         for _ in range(2):
             lo, hi = self.se._shrink(lo, hi)
         grid = quad.graded_grid(lo, hi, 1025)
-        r = self.Rc.value(grid).real
-        r0 = float(self.Rc.value(np.array([float(t0)]))[0].real)
+        r = self.se.Rc.value(grid).real
+        r0 = float(self.se.Rc.value(np.array([float(t0)]))[0].real)
         keep = np.abs(r - r0) <= 8.0
         if not np.any(keep):
             raise CoverageExceeded("no grid point within the amplification cap")
@@ -210,21 +193,18 @@ class SolutionEngine:
 # module-level operations
 
 
-def ivp_solution(problem, ivp, ts, forcing=None):
+def ivp_solution(problem, ivps, ts, forcings):
     """Independent oracle: direct integration of the second-order system.
 
-    ``ivp`` is one `IvpData`, or a sequence of them with a common ``t0``
-    and ``forcing`` then a matching sequence.  A forcing is a callable of t,
-    None for the problem's forcing, or a constant (0 for a homogeneous
-    member, which then costs no forcing call).  The members are integrated
-    together as one real system of 4k components, one solve per side of
-    ``t0``, reporting only at the sorted unique points of ``ts``.  Returns x
-    at ``ts``: shape ``ts.shape`` for one `IvpData`, else ``(k,) + ts.shape``.
-    A solve that stops early raises ValueError.
+    ``ivps`` is a sequence of k `IvpData` with a common ``t0`` and
+    ``forcings`` a matching sequence.  A forcing is a callable of t, None
+    for the problem's forcing, or a constant (0 for a homogeneous member,
+    which then costs no forcing call).  The members are integrated together
+    as one real system of 4k components, one solve per side of ``t0``,
+    reporting only at the sorted unique points of ``ts``.  Returns x at
+    ``ts``, of shape ``(k,) + ts.shape``.  A solve that stops early raises
+    ValueError.
     """
-    single = isinstance(ivp, IvpData)
-    ivps = (ivp,) if single else tuple(ivp)
-    forcings = (forcing,) if single else tuple(forcing)
     if len(forcings) != len(ivps):
         raise ValueError("one forcing per initial value problem")
     t0 = float(ivps[0].t0)
@@ -265,8 +245,7 @@ def ivp_solution(problem, ivp, ts, forcing=None):
             raise ValueError(f"DOP853 failed on the way to t={t_eval[-1]:.6g}: {sol.message}")
         y = sol.y[:, ::step]
         out[:, mask] = (y[:k] + 1j * y[k : 2 * k])[:, where]
-    out = out.reshape((k,) + ts.shape)
-    return out[0] if single else out
+    return out.reshape((k,) + ts.shape)
 
 
 def _min_sup_distance(target, basis):
@@ -372,7 +351,7 @@ def _extremal_setup(eng, case, epsilon):
 def extremal_experiment(engine: SolutionEngine, case, epsilon):
     """Reproduce the minimal constant with the constant perturbation g = eps."""
     params, grid, distance = _extremal_setup(engine, case, epsilon)
-    res = quad.sup_over(distance, float(grid[0]), float(grid[-1]), n_scan=engine.se.config.sup_scan)
+    res = engine.se._sup(distance, float(grid[0]), float(grid[-1]))
     sup_d = float(res.sup_value)
     return PerturbationExperiment(
         epsilon=float(epsilon),
@@ -496,7 +475,7 @@ def instability_probe(problem, xi_family, epsilon=PROBE_EPSILON, config: Config 
         residual_sup = max(residual_sup, float(np.max(resid)))
     # solution family by direct integration, once over every truncation's grid
     family = (IvpData(t0, 1.0, 0.0), IvpData(t0, 0.0, 1.0), IvpData(t0, 0.0, 0.0))
-    members = ivp_solution(problem, family, np.concatenate(grids), forcing=(0.0, 0.0, None))
+    members = ivp_solution(problem, family, np.concatenate(grids), (0.0, 0.0, None))
     bounds = np.cumsum([g.size for g in grids])[:-1]
     trace = []
     for T, grid, (y1, y2, p) in zip(truncations, grids, np.split(members, bounds, axis=1)):

@@ -175,6 +175,8 @@ def _tokenize(text):
                 if text[j] == ".":
                     seen_dot = True
                 j += 1
+            if text[i:j] == ".":
+                raise ExprSyntaxError("number without digits", i, ("digit",))
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":

@@ -90,9 +90,16 @@ class Interval:
         return lo_ok and hi_ok
 
 
+_COEFFICIENTS = ("alpha", "beta", "gamma", "forcing")
+
+
 @dataclass(frozen=True)
 class OscillatorProblem:
-    """alpha x'' + beta x' + gamma x = forcing on the interval."""
+    """alpha x'' + beta x' + gamma x = forcing on the interval.
+
+    The four coefficients are compiled against ``params`` once, when the
+    problem is built, so an unbound parameter raises there.
+    """
 
     alpha: exprlang.Expr
     beta: exprlang.Expr
@@ -102,9 +109,12 @@ class OscillatorProblem:
     params: dict = field(default_factory=dict)
     name: str = ""
 
+    def __post_init__(self):
+        fns = {which: exprlang.compile_expr(getattr(self, which), self.params) for which in _COEFFICIENTS}
+        object.__setattr__(self, "_fns", fns)
+
     def fn(self, which):
-        expr = getattr(self, which)
-        return exprlang.compile_expr(expr, self.params)
+        return self._fns[which]
 
 
 @dataclass(frozen=True)
@@ -178,14 +188,9 @@ def validate_problem(p: OscillatorProblem, config: Config = Config()):
         grid = probe_grid(p.domain, config.probe_points, config.range_cap)
     except ValueError as exc:
         return [{"kind": "domain", "detail": str(exc)}]
-    for which in ("alpha", "beta", "gamma", "forcing"):
-        try:
-            fn = p.fn(which)
-        except exprlang.ExprError as exc:
-            violations.append({"kind": "expression", "which": which, "detail": str(exc)})
-            continue
+    for which in _COEFFICIENTS:
         with np.errstate(all="ignore"):
-            vals = fn(grid)
+            vals = p.fn(which)(grid)
         bad = ~(np.isfinite(vals.real) & np.isfinite(vals.imag))
         if np.any(bad):
             violations.append(
@@ -255,6 +260,9 @@ def problem_from_dict(d: dict) -> tuple[OscillatorProblem, exprlang.Expr | None,
         name=d.get("name", ""),
     )
     rho = exprlang.parse(d["rho"]) if d.get("rho") else None
+    if rho is not None:
+        # bound here, so an unbound parameter is an input error
+        exprlang.compile_expr(rho, params)
     return problem, rho, d.get("tolerances", {})
 
 

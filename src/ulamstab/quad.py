@@ -207,26 +207,17 @@ class CumulativeIntegral:
         idx, part = self._in_panel(t)
         return self._anch[idx] + part
 
-    def from_lower(self, t):
-        """int over (lower edge, t]; accurate for t near the lower edge."""
-        idx, part = self._in_panel(t)
-        return self._left[idx] + part
-
-    def from_upper(self, t):
-        """int over [t, upper edge); accurate for t near the upper edge."""
-        idx, part = self._in_panel(t)
-        return self._right[idx] - part
-
     def value(self, t):
         """P(t) with P(t_ref) = 0."""
         return self._anch_prefix(t) - self._ref_offset
 
     def from_edge(self, side, t):
-        """`from_upper` or `from_lower`, as ``side`` says."""
-        return self.from_upper(t) if side == "upper" else self.from_lower(t)
+        """int over [t, upper edge) or (lower edge, t], as ``side`` says; accurate near that edge."""
+        idx, part = self._in_panel(t)
+        return self._right[idx] - part if side == "upper" else self._left[idx] + part
 
 
-def _leaf(g, lo, hi, leaf_tol, work, leaf_rel=1e-13):
+def _leaf(g, lo, hi, leaf_tol, leaf_rel, work):
     """Adaptively split the root panels [lo_i, hi_i] into converged leaves.
 
     The bisection trees of all roots are walked together one level at a
@@ -395,7 +386,6 @@ def cumulative(
     log_budget=300.0,
     range_cap=1e8,
     tail_mode=False,
-    leaf_rel=1e-13,
 ):
     """Build a `CumulativeIntegral` of ``g`` anchored at ``t_ref``.
 
@@ -414,6 +404,10 @@ def cumulative(
     # range: an absolute tolerance floor would let deep-decay panels carry
     # huge relative errors that downstream prefactors amplify
     leaf_tol = 0.0 if tail_mode else tol * 1e-2
+    # tail integrands are built on other caches and carry their
+    # interpolation noise; demanding tighter relative accuracy only
+    # forces full-depth splitting against that noise floor
+    leaf_rel = 1e-8 if tail_mode else 1e-13
 
     leaves = []
     max_depth_leaves = 0
@@ -428,9 +422,9 @@ def cumulative(
         contribs = []
         tail_bound = 0.0
         diverging = False
-        for k, new in _leaf(g, lo_, hi_, leaf_tol, work, leaf_rel) if pts else ():
+        for k, new in _leaf(g, lo_, hi_, leaf_tol, leaf_rel, work) if pts else ():
             if new == "dropped":
-                ((_, new),) = _leaf(g, lo_[k : k + 1], hi_[k : k + 1], leaf_tol, work, leaf_rel)
+                ((_, new),) = _leaf(g, lo_[k : k + 1], hi_[k : k + 1], leaf_tol, leaf_rel, work)
             if new == "singular":
                 status = "singular"
                 break
@@ -537,7 +531,6 @@ class SupResult:
     sup_value: float
     attained_near: float | str
     unbounded: bool = False
-    trace: list = field(default_factory=list)
 
 
 def _golden_lockstep(h, a, b):
@@ -610,7 +603,6 @@ def sup_over(h, lo, hi, n_scan=257, threshold=1e6, tail_k=8):
     grid, vals = grid[ok], vals[ok]
     if grid.size == 0:
         raise ValueError("sup_over: no evaluable points")
-    trace = list(zip(grid.tolist(), vals.tolist()))
 
     order = np.argsort(vals)[::-1]
     best_val = float(vals[order[0]])
@@ -639,17 +631,16 @@ def sup_over(h, lo, hi, n_scan=257, threshold=1e6, tail_k=8):
         pts, seq = pts[ok], seq[ok]
         if seq.size < 4:
             continue
-        trace.extend(zip(pts.tolist(), seq.tolist()))
         tail = seq[-tail_k:]
         incr = np.diff(tail)
         if tail.size >= tail_k and np.all(incr > 0):
             if tail[-1] >= threshold:
-                return SupResult(math.inf, endpoint, unbounded=True, trace=trace)
+                return SupResult(math.inf, endpoint, unbounded=True)
             # slow (power/log) divergence: increments along a geometric
             # approach keep their size instead of decaying with the gap
             noise = 1e-9 * (1.0 + np.abs(tail[-1]))
             if np.all(incr > noise) and np.all(incr[1:] >= 0.95 * incr[:-1]):
-                return SupResult(math.inf, endpoint, unbounded=True, trace=trace)
+                return SupResult(math.inf, endpoint, unbounded=True)
         limit = _richardson(list(seq[-6:]), ratio)
         if np.isfinite(limit) and limit > best_val:
             # never report below a sampled value
@@ -658,4 +649,4 @@ def sup_over(h, lo, hi, n_scan=257, threshold=1e6, tail_k=8):
         elif float(np.max(seq)) > best_val:
             best_val = float(np.max(seq))
             best_t = float(pts[int(np.argmax(seq))])
-    return SupResult(best_val, best_t, unbounded=False, trace=trace)
+    return SupResult(best_val, best_t, unbounded=False)

@@ -84,7 +84,7 @@ def _rho_callable(rho, problem: OscillatorProblem):
     return rho  # NumericSolution or plain callable
 
 
-def residual_sup(problem: OscillatorProblem, rho, config: Config = Config(), grid=None):
+def residual_sup(problem: OscillatorProblem, rho, config: Config = Config()):
     """Relative residual sup of the companion equation on a probe grid.
 
     The pointwise residual |alpha (rho' + rho^2) + beta rho + gamma| is
@@ -98,14 +98,12 @@ def residual_sup(problem: OscillatorProblem, rho, config: Config = Config(), gri
     if isinstance(rho, exprlang.Expr):
         r = exprlang.compile_expr(rho, problem.params)
         rp = exprlang.compile_expr(exprlang.differentiate(rho), problem.params)
-        if grid is None:
-            grid = probe_grid(problem.domain, config.probe_points, config.range_cap)
+        grid = probe_grid(problem.domain, config.probe_points, config.range_cap)
     elif isinstance(rho, NumericSolution):
         r = rho
         rp = rho.derivative
-        if grid is None:
-            pad = 1e-6 * max(1.0, abs(rho.hi - rho.lo))
-            grid = probe_grid(Interval.open(rho.lo + pad, rho.hi - pad), config.probe_points, config.range_cap)
+        pad = 1e-6 * max(1.0, abs(rho.hi - rho.lo))
+        grid = probe_grid(Interval.open(rho.lo + pad, rho.hi - pad), config.probe_points, config.range_cap)
     else:
         raise TypeError("rho must be an expression or a NumericSolution")
     with np.errstate(all="ignore"):
@@ -263,12 +261,12 @@ def rho_coverage(problem: OscillatorProblem, rho, config: Config = Config()):
     lo_ok = (i == 0) or (lo - lo_edge) <= 1e-6 * span
     hi_ok = (j == grid.size - 1) or (hi_edge - hi) <= 1e-6 * span
     full = lo_ok and hi_ok
-    detail = ""
-    if not full:
-        bad_at = grid[j + 1] if not hi_ok else grid[i - 1]
-        detail = f"rho not finite near t={float(bad_at):.6g}; coverage limited to [{lo:.6g}, {hi:.6g}]"
     if lo_ok:
         lo = dom.tau
     if hi_ok:
         hi = dom.sigma
+    detail = ""
+    if not full:
+        bad_at = grid[j + 1] if not hi_ok else grid[i - 1]
+        detail = f"rho not finite near t={float(bad_at):.6g}; coverage limited to [{lo:.6g}, {hi:.6g}]"
     return RhoCoverage(lo, hi, full, detail)

@@ -16,6 +16,7 @@ analysis costs a handful of 1-D adaptive passes instead of a triple loop.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -173,10 +174,6 @@ class StabilityEngine:
             log_budget=self.config.log_budget,
             range_cap=self.config.range_cap,
             tail_mode=tail,
-            # tail integrands are built on other caches and carry their
-            # interpolation noise; demanding tighter relative accuracy only
-            # forces full-depth splitting against that noise floor
-            leaf_rel=1e-8 if tail else 1e-13,
         )
 
     @property
@@ -264,9 +261,10 @@ class StabilityEngine:
             raise HypothesisFailed(which, prefix + info.status)
         return cache
 
-    def _sup(self, fn, cache):
+    def _sup(self, fn, lo, hi):
+        """`quad.sup_over` of ``fn`` on (lo, hi) with the config's scan, threshold and tail."""
         c = self.config
-        return quad.sup_over(fn, cache.lo, cache.hi, n_scan=c.sup_scan, threshold=c.divergence_threshold, tail_k=c.tail_k)
+        return quad.sup_over(fn, lo, hi, n_scan=c.sup_scan, threshold=c.divergence_threshold, tail_k=c.tail_k)
 
     def f_sup(self, name):
         """Supremum of a boundedness function over the working interval.
@@ -276,7 +274,7 @@ class StabilityEngine:
         not be resolved within the coverage budget.
         """
         cache = self._limit_cache(*_F_SIDE[name], name, name, prefix="unresolved:")
-        return self._sup(getattr(self, name), cache)
+        return self._sup(getattr(self, name), cache.lo, cache.hi)
 
     # -- classification ---------------------------------------------------
 
@@ -314,7 +312,7 @@ class StabilityEngine:
             raise ValueError(f"no constant for case {case!r}")
         key, side = _KERNEL[case]
         cache = self._limit_cache(key, side, "nested kernel", f"kernel_{case}")
-        res = self._sup(lambda t: self._edge_integral(key, side, t), cache)
+        res = self._sup(lambda t: self._edge_integral(key, side, t), cache.lo, cache.hi)
         if res.unbounded:
             raise HypothesisFailed(f"kernel_{case}", "unbounded")
         return res
@@ -421,7 +419,9 @@ def constant_coefficients(a0, a1, a2):
     a0, a1, a2 = complex(a0), complex(a1), complex(a2)
     if a0 == 0:
         raise DegenerateLeadingCoefficient("leading coefficient is zero")
-    disc = np.sqrt(complex(a1 * a1 - 4.0 * a0 * a2))
+    # Python complex arithmetic: numpy's complex divide overflows on a
+    # subnormal divisor (a1 = 1e-309, a2 = 0 gives big = -1e-309)
+    disc = cmath.sqrt(a1 * a1 - 4.0 * a0 * a2)
     # pick the sign that avoids cancellation in -a1 -+ disc
     if abs(-a1 + disc) >= abs(-a1 - disc):
         big = (-a1 + disc) / 2.0

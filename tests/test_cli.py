@@ -52,6 +52,19 @@ def test_analyze_unstable_problem(runner):
     assert doc["instability"]["growth_ok"] is True
 
 
+def test_witness_comes_from_the_document(runner, tmp_path):
+    # a document named like a corpus entry does not borrow its witness
+    doc = json.loads((PROBLEMS / "exeq02.json").read_text())
+    del doc["witness"]
+    path = tmp_path / "exeq02.json"
+    path.write_text(json.dumps(doc))
+    result = _invoke(runner, ["analyze", str(path), "--reproducible"])
+    assert result.exit_code == 2
+    out = _json_out(result)
+    assert out["report"]["verdict"] == "inconclusive"
+    assert "instability" not in out
+
+
 def test_analyze_deterministic_bytes(runner):
     args = ["analyze", str(PROBLEMS / "const-iii.json"), "--fast-path", "--reproducible"]
     first = _invoke(runner, args)
@@ -87,6 +100,30 @@ def test_schema_violation_is_input_error(runner, tmp_path):
     path.write_text(json.dumps({"alpha": "1"}))
     result = runner.invoke(cli.main, ["analyze", str(path)])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "empirical", "riccati-check"])
+@pytest.mark.parametrize(
+    "field, text, detail",
+    [
+        ("alpha", "a*t", "parameter 'a' is not bound"),
+        ("rho", "-b/t", "parameter 'b' is not bound"),
+        ("gamma", ".", "at offset 0"),
+    ],
+    ids=["alpha-unbound", "rho-unbound", "gamma-bare-dot"],
+)
+def test_bad_expression_is_input_error(runner, tmp_path, command, field, text, detail):
+    # a structured error on stderr, not a traceback
+    doc = json.loads((PROBLEMS / "exeq01.json").read_text())
+    doc[field] = text
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = _invoke(runner, [command, str(path)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == "problem"
+    assert detail in error["detail"]
 
 
 def test_bad_solve_rho_spec(runner):

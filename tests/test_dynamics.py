@@ -6,15 +6,14 @@ import numpy as np
 import pytest
 
 from conftest import make_problem
-from ulamstab import corpus, dynamics, exprlang
+from ulamstab import corpus, dynamics, exprlang, quad
 from ulamstab.dynamics import (
-    CoverageExceeded,
     IvpData,
     RatioExceedsConstant,
     SolutionEngine,
     SolutionFamilyParams,
 )
-from ulamstab.model import Interval, probe_grid
+from ulamstab.model import Config, Interval, probe_grid
 from ulamstab.stability import StabilityEngine
 
 EXEQ02 = ("1", "2/t", "0", "-1", 1.0, math.inf)
@@ -53,7 +52,7 @@ def test_representation_vs_rk_oracle(exeq03, eng03):
     ivp = IvpData(0.5, 0.3, -0.2)
     x = eng03.representation(ivp, forcing_key="problem")
     ts = np.linspace(0.05, 0.95, 41)
-    oracle = dynamics.ivp_solution(p, ivp, ts)
+    oracle = dynamics.ivp_solution(p, (ivp,), ts, (None,))[0]
     assert np.max(np.abs(x(ts) - oracle)) < 1e-6
 
 
@@ -66,13 +65,13 @@ def test_homogeneous_member_solves_equation(exeq03, eng03):
     p, _ = exeq03
     ts = np.linspace(0.05, 0.95, 41)
     zero = lambda s: np.zeros_like(np.asarray(s, float))
-    oracle = dynamics.ivp_solution(p, ivp, ts, forcing=zero)
+    oracle = dynamics.ivp_solution(p, (ivp,), ts, (zero,))[0]
     assert np.max(np.abs(w(ts) - oracle)) < 1e-6
 
 
 def test_coverage_exceeded(eng01):
     x = eng01.representation(IvpData(0.5, 1.0, 0.0))
-    with pytest.raises(CoverageExceeded):
+    with pytest.raises(quad.CoverageError):
         x(np.array([1.5]))
 
 
@@ -95,6 +94,26 @@ def test_solution_engine_reads_stability_h1(exeq01, cfg):
     eng = SolutionEngine(se)
     assert eng.H1c is se.H1
     assert eng.problem is p
+
+
+def test_every_sup_reads_the_engine_config(exeq03, monkeypatch):
+    # the f-sups, the kernel and the extremal distance all search with the
+    # engine config's scan, divergence threshold and tail length
+    calls = []
+    sup_over = quad.sup_over
+
+    def recording(h, lo, hi, **kwargs):
+        calls.append(kwargs)
+        return sup_over(h, lo, hi, **kwargs)
+
+    monkeypatch.setattr(quad, "sup_over", recording)
+    cfg = Config(tail_k=5)
+    eng = _engine(*exeq03, cfg)
+    case = eng.se.classify().case
+    eng.se.ulam_constant(case)
+    dynamics.extremal_experiment(eng, case, 0.1)
+    want = {"n_scan": cfg.sup_scan, "threshold": cfg.divergence_threshold, "tail_k": 5}
+    assert len(calls) >= 3 and all(kwargs == want for kwargs in calls)
 
 
 def test_extremal_linear_in_epsilon(eng01):
@@ -178,10 +197,10 @@ def test_stacked_ivp_matches_single_solves(coeffs, t0, ts):
     ts = np.asarray(ts)
     ivps, forcings = _family(t0)
     zero = lambda s: np.zeros_like(np.asarray(s, float))
-    stacked = dynamics.ivp_solution(p, ivps, ts, forcing=forcings)
+    stacked = dynamics.ivp_solution(p, ivps, ts, forcings)
     assert stacked.shape == (3, ts.size)
     for row, ivp, f in zip(stacked, ivps, (zero, zero, None)):
-        single = dynamics.ivp_solution(p, ivp, ts, forcing=f)
+        single = dynamics.ivp_solution(p, (ivp,), ts, (f,))[0]
         assert single.shape == ts.shape
         scale = float(np.max(np.abs(single)))
         assert np.max(np.abs(row - single)) <= 1e-8 * scale
@@ -193,7 +212,7 @@ def test_stacked_ivp_matches_single_solves(coeffs, t0, ts):
 def test_stacked_ivp_requires_common_t0():
     p = make_problem(*EXEQ02)
     with pytest.raises(ValueError):
-        dynamics.ivp_solution(p, (IvpData(2.0, 1.0), IvpData(3.0, 1.0)), [2.5], forcing=(0.0, 0.0))
+        dynamics.ivp_solution(p, (IvpData(2.0, 1.0), IvpData(3.0, 1.0)), [2.5], (0.0, 0.0))
 
 
 def test_ivp_solution_reports_failed_solve(monkeypatch):
@@ -205,7 +224,7 @@ def test_ivp_solution_reports_failed_solve(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_scipy_solve_ivp", lambda *args, **kwargs: Stopped())
     with pytest.raises(ValueError, match="step size"):
-        dynamics.ivp_solution(make_problem(*EXEQ02), IvpData(2.0, 1.0), [2.5, 3.0])
+        dynamics.ivp_solution(make_problem(*EXEQ02), (IvpData(2.0, 1.0),), [2.5, 3.0], (None,))
 
 
 @pytest.fixture
@@ -242,7 +261,7 @@ def test_min_sup_distance_real_path_is_bit_identical(cfg):
     p = make_problem(*EXEQ02)
     grid = probe_grid(Interval.open(1.0, 10.0), cfg.probe_points, cfg.range_cap)
     ivps, forcings = _family(2.0)
-    y1, y2, part = dynamics.ivp_solution(p, ivps, grid, forcing=forcings)
+    y1, y2, part = dynamics.ivp_solution(p, ivps, grid, forcings)
     xi = exprlang.compile_expr(exprlang.parse("(eps - 1)*t^2/6"), {"eps": 0.1})
     rng = np.random.default_rng(3)
     cases = [(np.asarray(xi(grid), dtype=complex) - part, (y1, y2))]

@@ -73,10 +73,17 @@ def test_imaginary_unit():
     assert _both_paths(parse("im(2 + 3*i)"), 0.0) == (3.0, 3.0)
 
 
-@pytest.mark.parametrize("bad", ["", "   ", "2t", "1 +", "(t", "t @ 2", "2..5"])
+@pytest.mark.parametrize("bad", ["", "   ", "2t", "1 +", "(t", "t @ 2", "2..5", ".", "..5", "1+."])
 def test_syntax_errors(bad):
     with pytest.raises(ExprSyntaxError):
         parse(bad)
+
+
+@pytest.mark.parametrize("bad, offset", [(".", 0), ("..5", 0), ("1+.", 2)])
+def test_bare_dot_error_carries_offset(bad, offset):
+    with pytest.raises(ExprSyntaxError) as ei:
+        parse(bad)
+    assert ei.value.offset == offset
 
 
 def test_syntax_error_carries_offset():

@@ -58,3 +58,6 @@ def test_coverage_reduced_by_interior_pole(cfg):
     cov = riccati.rho_coverage(p, exprlang.parse("-tan(t) - 1/t"), cfg)
     assert not cov.full
     assert cov.hi == pytest.approx(math.pi / 2, abs=1e-2)
+    # the detail names the range reported, resolved lower edge included
+    assert cov.lo == 0.0
+    assert cov.detail.endswith(f"coverage limited to [{cov.lo:.6g}, {cov.hi:.6g}]")
