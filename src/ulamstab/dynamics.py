@@ -12,16 +12,28 @@ On top of the representation sit the experiments: reproduce the minimal
 constant with the extremal constant perturbation, dominate it over
 randomized smooth perturbations, and trace unbounded nearest-solution
 growth for instability witnesses.
+
+The nearest solution is an exact discrete minimax fit,
+min over c of max over the grid of |target - c1 w1 - c2 w2|.  Real data
+runs Stiefel's exchange on 3-point references, levelled in rational
+arithmetic, with the residual over the grid in double-double; it stops on
+the de la Vallee Poussin certificate, so the distance is the grid optimum
+to within 1e-12 relative.  A singular reference or a stall restarts it from
+a HiGHS LP.  Complex data runs Lawson's iteratively reweighted least
+squares until its lower bound and the distance agree to 1e-10 relative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp as _scipy_solve_ivp
-from scipy.optimize import minimize as _scipy_minimize
+from scipy.linalg import qr as _scipy_qr
+from scipy.optimize import linprog as _scipy_linprog
 
 from . import exprlang, quad
 from .model import Config, Interval, probe_grid
@@ -248,44 +260,217 @@ def ivp_solution(problem, ivps, ts, forcings):
     return out.reshape((k,) + ts.shape)
 
 
+class _Fit(NamedTuple):
+    """A certified minimax fit: lower <= grid optimum <= distance."""
+
+    coeffs: np.ndarray  # (c1, c2), rounded to double
+    distance: float  # max_t |target - c1 w1 - c2 w2| at the fit's exact coefficients
+    lower: float  # levelled |h| of the exchange, or Lawson's weighted least squares
+    reference: tuple  # the exchange's levelled reference points; () from Lawson
+
+
+_EXCHANGE_STEPS = 50  # each step raises |h| strictly; the probe and trial data take 1-4
+_LAWSON_STEPS = 50000
+_GAP = 1e-12  # certificate of the exchange: distance <= |h| (1 + _GAP)
+_LAWSON_GAP = 1e-10
+_SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant for doubles
+
+
 def _min_sup_distance(target, basis):
-    """Nelder-Mead minimization of max_t |target - c1 w1 - c2 w2|.
+    """Coefficients c and the grid optimum of max_t |target - c1 w1 - c2 w2|."""
+    fit = _fit(target, basis)
+    return fit.coeffs, fit.distance
 
-    Starts from each coefficient at -1, 0 and +1 times the ratio of the
-    target's sup to its basis function's sup, nine starts in all.  Data
-    with zero imaginary parts is fitted on real arrays, which gives the
-    same objective values at less cost.
+
+def _fit(target, basis):
+    """Exact discrete minimax fit of ``target`` by the two ``basis`` columns.
+
+    Real data runs Stiefel's exchange (`_exchange`); complex data runs
+    Lawson's iteratively reweighted least squares (`_lawson`).  A value that
+    is not finite raises ValueError.
     """
-    w1, w2 = basis
-    if not (np.any(target.imag) or np.any(w1.imag) or np.any(w2.imag)):
-        target, w1, w2 = target.real, w1.real, w2.real
-    scale = float(np.max(np.abs(target))) or 1.0
-    m1, m2 = (scale / (float(np.max(np.abs(b))) or 1.0) for b in (w1, w2))
-    starts = [(s1 * m1, s2 * m2) for s1 in (-1.0, 0.0, 1.0) for s2 in (-1.0, 0.0, 1.0)]
+    y = np.asarray(target)
+    W = np.column_stack(basis)
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(W))):
+        raise ValueError("the fit's target or basis has a value that is not finite")
+    if not np.any(W):
+        top = float(np.max(np.abs(y)))
+        return _Fit(np.zeros(W.shape[1]), top, top, ())
+    if np.any(y.imag) or np.any(W.imag):
+        return _lawson(y.astype(complex), W.astype(complex))
+    y, W = y.real, W.real
+    a = np.linalg.lstsq(W, y, rcond=None)[0]
+    fit = _exchange(y, W, np.argsort(np.abs(y - W @ a))[-3:])
+    if fit is not None:
+        return fit
+    # a singular reference or a stall: the LP on an orthonormal basis of the
+    # independent columns, then the exchange again from the LP's dual support
+    c = np.zeros(W.shape[1])
+    Q, R, cols = _orthonormal(W)
+    a, dual = _linprog_fit(y, Q)
+    fit = _exchange(y, W[:, cols], np.argsort(dual)[-(len(cols) + 1) :])
+    if fit is None:
+        c[cols] = np.linalg.solve(R, a)
+        return _Fit(c, float(np.max(np.abs(y - W @ c))), 0.0, ())
+    c[cols] = fit.coeffs
+    return fit._replace(coeffs=c)
 
-    # target - (c0 w1 + c1 w2) in this order, bit for bit, in two reused buffers
-    fit = np.empty_like(w1, dtype=np.result_type(target, w1, w2))
-    term = np.empty_like(fit)
 
-    def objective(c):
-        np.multiply(c[0], w1, out=fit)
-        np.multiply(c[1], w2, out=term)
-        np.add(fit, term, out=fit)
-        np.subtract(target, fit, out=fit)
-        m = float(np.abs(fit, out=term.real).max())
-        return m if math.isfinite(m) else 1e300
+def _orthonormal(W):
+    """Q, R and the column indices with Q R = W[:, cols], by pivoted QR.
 
-    best = None
-    for start in starts:
-        res = _scipy_minimize(
-            objective,
-            np.asarray(start, float),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12 * max(scale, 1.0), "fatol": 1e-14 * max(scale, 1.0), "maxiter": 2000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return best.x, float(best.fun)
+    A column within rounding of the span of the ones before it is dropped;
+    W must not be 0.
+    """
+    Q, R, piv = _scipy_qr(W, mode="economic", pivoting=True)
+    d = np.abs(np.diag(R))
+    rank = int(np.sum(d > d[0] * W.shape[0] * np.finfo(float).eps))
+    return Q[:, :rank], R[:rank, :rank], piv[:rank]
+
+
+def _linprog_fit(y, Q):
+    """min over a of max |y - Q a| by HiGHS, solved twice more on its residual.
+
+    Returns a and the dual weight of each grid point in the last solve.
+    """
+    n, r = Q.shape
+    ones = np.ones((n, 1))
+    A = np.block([[Q, -ones], [-Q, -ones]])
+    cost = np.r_[np.zeros(r), 1.0]
+    bounds = [(None, None)] * r + [(0.0, None)]
+    a = np.zeros(r)
+    for _ in range(3):
+        res = y - Q @ a
+        s = float(np.max(np.abs(res))) or 1.0
+        sol = _scipy_linprog(cost, A_ub=A, b_ub=np.r_[res, -res] / s, bounds=bounds, method="highs")
+        if not sol.success:
+            raise ValueError(f"minimax LP failed: {sol.message}")
+        a = a + s * sol.x[:r]
+    marg = sol.ineqlin.marginals
+    return a, np.abs(marg[:n]) + np.abs(marg[n:])
+
+
+def _det(rows):
+    """Determinant of a 1x1 or 2x2 matrix given as lists."""
+    if len(rows) == 1:
+        return rows[0][0]
+    (a, b), (c, d) = rows
+    return a * d - b * c
+
+
+def _level(W, y, ref):
+    """The levelled reference in exact rational arithmetic.
+
+    lam spans the null space of W[ref]^T; the minimax of the reference alone
+    is |h| with h = lam.y / sum|lam|, attained with the residuals
+    sign(lam) h.  Returns (lam, h, rows), or None when a lam is 0 (singular).
+    """
+    rows = [[Fraction(v) for v in W[i].tolist()] for i in ref]
+    lam = [(-1) ** k * _det(rows[:k] + rows[k + 1 :]) for k in range(len(ref))]
+    if not all(lam):
+        return None
+    h = sum(lk * Fraction(float(y[i])) for lk, i in zip(lam, ref)) / sum(abs(lk) for lk in lam)
+    return lam, h, rows
+
+
+def _levelled_coeffs(y, ref, level):
+    """Exact coefficients with residual sign(lam) h on the reference (Cramer)."""
+    lam, h, rows = level
+    # rows 1.. have determinant +-lam[0], which is not 0
+    sub = rows[1:]
+    rhs = [Fraction(float(y[i])) - (h if lk > 0 else -h) for lk, i in zip(lam[1:], ref[1:])]
+    d = _det(sub)
+    return [_det([row[:k] + [v] + row[k + 1 :] for row, v in zip(sub, rhs)]) / d for k in range(len(sub))]
+
+
+def _split(x):
+    """Dekker's split of doubles into two halves of 26 bits."""
+    c = _SPLIT * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _residual(y, cols, coeffs):
+    """y - sum_k c_k w_k in double-double arithmetic, rounded to double.
+
+    ``cols`` holds (w, *_split(w)) per column; each exact coefficient enters
+    as its double and the double of its remainder.
+    """
+    s = y
+    err = 0.0
+    for (w, w_hi, w_lo), c in zip(cols, coeffs):
+        c_hi = float(c)
+        c_lo = float(c - Fraction(c_hi))
+        h, l = _split(c_hi)
+        p = c_hi * w
+        p_err = ((h * w_hi - p) + h * w_lo + l * w_hi) + l * w_lo  # p + p_err = c_hi w
+        t = s - p
+        z = t - s
+        err = err + ((s - (t - z)) - (p + z)) - p_err - c_lo * w  # s - p = t + first term
+        s = t
+    return s + err
+
+
+def _exchange(y, W, ref):
+    """Stiefel's exchange for min_c max |y - W c| from the reference ``ref``.
+
+    Each step levels the m + 1 reference points exactly, evaluates the
+    residual on the whole grid and, short of the de la Vallee Poussin
+    certificate max|res| <= |h| (1 + _GAP), swaps the point of largest
+    residual into the reference, keeping the swap with the largest |h|.
+    Returns a `_Fit`, or None for a singular reference or a stall.
+    """
+    ref = [int(i) for i in ref]
+    if len(set(ref)) != W.shape[1] + 1:
+        return None
+    cols = [(w, *_split(w)) for w in W.T]
+    level = _level(W, y, ref)
+    if level is None:
+        return None
+    for _ in range(_EXCHANGE_STEPS):
+        coeffs = _levelled_coeffs(y, ref, level)
+        res = np.abs(_residual(y, cols, coeffs))
+        j = int(np.argmax(res))
+        h = abs(level[1])
+        if res[j] <= float(h) * (1.0 + _GAP):
+            return _Fit(np.array([float(c) for c in coeffs]), float(res[j]), float(h), tuple(ref))
+        best = None
+        for k in range(len(ref)):
+            swap = ref[:k] + [j] + ref[k + 1 :]
+            lev = _level(W, y, swap)
+            if lev is not None and abs(lev[1]) > h:
+                best, h = (swap, lev), abs(lev[1])
+        if best is None:
+            return None
+        ref, level = best
+    return None
+
+
+def _lawson(y, W):
+    """Lawson's iteratively reweighted least squares for complex data.
+
+    The weighted least-squares residual is a lower bound on the minimax and
+    max|res| an upper bound; it stops when they agree to _LAWSON_GAP, or when
+    max|res| is within 1e-13 of max|y|, the rounding level of an exact fit.
+    """
+    Q, R, cols = _orthonormal(W)
+    w = np.full(y.size, 1.0 / y.size)
+    lower = 0.0
+    floor = 1e-13 * float(np.max(np.abs(y)))
+    for _ in range(_LAWSON_STEPS):
+        Qw = Q.conj().T * w
+        a = np.linalg.solve(Qw @ Q, Qw @ y)
+        res = np.abs(y - Q @ a)
+        lower = max(lower, math.sqrt(float(w @ (res * res))))
+        upper = float(np.max(res))
+        if upper - lower <= _LAWSON_GAP * upper or upper <= floor:
+            break
+        w = w * res
+        w /= w.sum()
+    c = np.zeros(W.shape[1], dtype=complex)
+    c[cols] = np.linalg.solve(R, a)
+    distance = float(np.max(np.abs(y - W @ c)))
+    return _Fit(c, distance, min(lower, distance), ())
 
 
 def _fit_basis(eng, t0, grid):
@@ -434,7 +619,7 @@ def _truncations(domain: Interval, t0):
     return [sig - (sig - t0) * 10.0 ** (-k) for k in (1, 2, 3)]
 
 
-def instability_probe(problem, xi_family, epsilon=PROBE_EPSILON, config: Config = Config()):
+def instability_probe(problem, xi_family, epsilon, config: Config):
     """Trace nearest-solution distance of approximate solutions over truncations.
 
     ``xi_family`` is an expression in t (parameter ``eps`` allowed) whose

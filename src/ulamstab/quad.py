@@ -584,7 +584,7 @@ def _richardson(values, ratio):
     return best
 
 
-def sup_over(h, lo, hi, n_scan=257, threshold=1e6, tail_k=8):
+def sup_over(h, lo, hi, n_scan, threshold, tail_k):
     """Supremum of real-valued ``h`` over the open interval (lo, hi).
 
     Coarse graded scan, golden-section refinement around the top five scan

@@ -1,9 +1,12 @@
 """Solution representation and perturbation experiments."""
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from conftest import make_problem
 from ulamstab import corpus, dynamics, exprlang, quad
@@ -154,33 +157,164 @@ def test_nearest_solution_recovers_member(eng01):
     assert out["sup_distance"] < 1e-8
 
 
-def _reference_min_sup_distance(target, basis):
-    """The nearest-solution fit on complex arrays, as every fit once ran."""
-    scale = float(np.max(np.abs(target))) or 1.0
-    m1, m2 = (scale / (float(np.max(np.abs(b))) or 1.0) for b in basis)
-    starts = [(s1 * m1, s2 * m2) for s1 in (-1.0, 0.0, 1.0) for s2 in (-1.0, 0.0, 1.0)]
-
-    def objective(c):
-        diff = target - sum(ck * bk for ck, bk in zip(c, basis))
-        m = np.abs(diff)
-        return float(np.max(m)) if np.all(np.isfinite(m)) else 1e300
-
-    best = None
-    for start in starts:
-        res = dynamics._scipy_minimize(
-            objective,
-            np.asarray(start, float),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12 * max(scale, 1.0), "fatol": 1e-14 * max(scale, 1.0), "maxiter": 2000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    return best.x, float(best.fun)
-
-
 def _family(t0):
     """y1, y2 and the particular solution p, with the probe's forcings."""
     return (IvpData(t0, 1.0, 0.0), IvpData(t0, 0.0, 1.0), IvpData(t0, 0.0, 0.0)), (0.0, 0.0, None)
+
+
+def _grid_optimum(target, basis, fit=None):
+    """The 40-digit minimax optimum of real data, on the fit's reference.
+
+    Levels the three reference points in mpmath: |h| bounds the optimum from
+    below, and the residual of the levelled coefficients over the whole grid
+    bounds it from above.  The two must agree to 1e-10.
+    """
+    fit = fit or dynamics._fit(target, basis)
+    rows = [np.asarray(v).real.tolist() for v in (target, *basis)]
+    with mpmath.workdps(40):
+        y, w1, w2 = ([mpmath.mpf(v) for v in row] for row in rows)
+        i, j, k = fit.reference
+        lam = [w1[j] * w2[k] - w1[k] * w2[j], w1[k] * w2[i] - w1[i] * w2[k], w1[i] * w2[j] - w1[j] * w2[i]]
+        h = (lam[0] * y[i] + lam[1] * y[j] + lam[2] * y[k]) / sum(abs(v) for v in lam)
+        m = mpmath.matrix([[w1[r], w2[r]] for r in (i, j)])
+        c = mpmath.lu_solve(m, mpmath.matrix([y[r] - mpmath.sign(v) * h for r, v in zip((i, j), lam)]))
+        top = max(abs(y[r] - c[0] * w1[r] - c[1] * w2[r]) for r in range(len(y)))
+        assert top <= abs(h) * (1 + mpmath.mpf("1e-10"))
+        return float(abs(h))
+
+
+def _brute_optimum(target, basis):
+    """Largest levelled |h| over every (m + 1)-point subset: the optimum for m <= 2 columns."""
+    W = np.column_stack(basis)
+    idx = np.array(list(itertools.combinations(range(target.size), W.shape[1] + 1)))
+    sub = W[idx]
+    if W.shape[1] == 2:
+        lam = np.cross(sub[:, :, 0], sub[:, :, 1])
+    else:
+        lam = np.column_stack([sub[:, 1, 0], -sub[:, 0, 0]])
+    den = np.sum(np.abs(lam), axis=1)
+    ok = den > 0
+    return float(np.max(np.abs(np.sum(lam * target[idx], axis=1))[ok] / den[ok], initial=0.0))
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """Record every fit as (target, basis, `dynamics._Fit`)."""
+    calls = []
+    fit = dynamics._fit
+
+    def recording(target, basis):
+        out = fit(target, basis)
+        calls.append((target, basis, out))
+        return out
+
+    monkeypatch.setattr(dynamics, "_fit", recording)
+    return calls
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Count the fallback's LP solves."""
+    calls = []
+    linprog_fit = dynamics._linprog_fit
+
+    def counting(*args):
+        calls.append(args)
+        return linprog_fit(*args)
+
+    monkeypatch.setattr(dynamics, "_linprog_fit", counting)
+    return calls
+
+
+_T = np.linspace(0.0, 1.0, 40)
+_W1 = np.cos(3.0 * _T) + 0.1
+_W2 = np.exp(_T)
+_Y = np.random.default_rng(1).normal(size=_T.size)
+
+
+@pytest.mark.parametrize(
+    "target, basis, one_column, fallback",
+    [
+        (np.zeros(_T.size), (_W1, _W2), False, False),
+        (_Y, (_W1, np.zeros(_T.size)), True, True),
+        (_Y, (_W1, 2.0 * _W1), True, True),
+        (_Y[:3], (_W1[:3], _W2[:3]), False, False),
+        (_Y, (_W1, _W2), False, False),
+    ],
+    ids=["zero-target", "w2-zero", "w2-twice-w1", "three-points", "generic"],
+)
+def test_fit_edge_cases(lp_calls, target, basis, one_column, fallback):
+    fit = dynamics._fit(target, basis)
+    want = _brute_optimum(target, basis[:1] if one_column else basis)
+    assert fit.lower <= fit.distance == pytest.approx(want, rel=1e-12, abs=1e-300)
+    resid = target - fit.coeffs[0] * basis[0] - fit.coeffs[1] * basis[1]
+    assert float(np.max(np.abs(resid))) == pytest.approx(fit.distance, rel=1e-12, abs=1e-300)
+    assert fit.distance <= fit.lower * (1.0 + 1e-12)
+    assert bool(lp_calls) == fallback
+
+
+def test_fit_zero_basis():
+    fit = dynamics._fit(_Y, (np.zeros(_T.size), np.zeros(_T.size)))
+    assert fit.distance == fit.lower == float(np.max(np.abs(_Y)))
+    assert not np.any(fit.coeffs)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_fit_rejects_non_finite(bad, where):
+    data = [_Y.copy(), _W1.copy(), _W2.copy()]
+    data[where][7] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        dynamics._min_sup_distance(data[0], tuple(data[1:]))
+
+
+def test_random_trial_with_non_finite_data_raises(eng01, monkeypatch):
+    # a NaN distance would pass the dominance check, since NaN > bound is False
+    fit_basis = dynamics._fit_basis
+
+    def spoiled(*args):
+        p_arr, (w1, w2) = fit_basis(*args)
+        w2 = w2.copy()
+        w2[3] = np.nan
+        return p_arr, (w1, w2)
+
+    monkeypatch.setattr(dynamics, "_fit_basis", spoiled)
+    with pytest.raises(ValueError, match="not finite"):
+        dynamics.random_perturbation_test(eng01, 0.1, 1, 5, 0.5)
+
+
+def _polygon_bracket(target, W, k=64):
+    """[t, t / cos(pi/k)] around the complex minimax: an LP on a k-gon modulus."""
+    n, m = W.shape
+    theta = np.exp(-2j * np.pi * np.arange(k) / k)[:, None]
+    # Re(theta (y - W c)) <= t with c = u + i v
+    rows_u = -(theta[:, :, None] * W[None]).real.reshape(-1, m)
+    rows_v = -(1j * theta[:, :, None] * W[None]).real.reshape(-1, m)
+    a_ub = np.column_stack([rows_u, rows_v, -np.ones(n * k)])
+    b_ub = -(theta * target[None]).real.ravel()
+    bounds = [(None, None)] * (2 * m) + [(0, None)]
+    sol = linprog(np.r_[np.zeros(2 * m), 1.0], A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    assert sol.success
+    return sol.fun, sol.fun / math.cos(math.pi / k)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_fit_complex_data_is_certified(seed):
+    rng = np.random.default_rng([5, seed])
+    target = rng.normal(size=60) + 1j * rng.normal(size=60)
+    W = rng.normal(size=(60, 2)) + 1j * rng.normal(size=(60, 2))
+    fit = dynamics._fit(target, (W[:, 0], W[:, 1]))
+    assert fit.lower <= fit.distance <= fit.lower * (1.0 + 1e-9)
+    assert fit.distance == pytest.approx(float(np.max(np.abs(target - W @ fit.coeffs))), rel=1e-12)
+    lo, hi = _polygon_bracket(target, W)
+    assert lo * (1.0 - 1e-9) <= fit.distance <= hi * (1.0 + 1e-9)
+
+
+def test_random_trials_reach_grid_optimum(eng01, fits):
+    dynamics.random_perturbation_test(eng01, 0.1, 4, 11, 0.5)
+    assert len(fits) == 4
+    for target, basis, fit in fits:
+        assert fit.distance == pytest.approx(_grid_optimum(target, basis, fit), rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -256,7 +390,7 @@ def test_instability_probe_integrates_once(solver_calls, cfg, coeffs, witness):
     assert solver_calls["solve_ivp"] <= 2
 
 
-def test_min_sup_distance_real_path_is_bit_identical(cfg):
+def test_min_sup_distance_reaches_grid_optimum(cfg):
     # exeq02's probe data on the T = 10 truncation, and random real data
     p = make_problem(*EXEQ02)
     grid = probe_grid(Interval.open(1.0, 10.0), cfg.probe_points, cfg.range_cap)
@@ -267,45 +401,43 @@ def test_min_sup_distance_real_path_is_bit_identical(cfg):
     cases = [(np.asarray(xi(grid), dtype=complex) - part, (y1, y2))]
     cases.append((rng.normal(size=200) + 0j, (rng.normal(size=200) + 0j, np.linspace(-1.0, 3.0, 200) + 0j)))
     for target, basis in cases:
-        assert not np.any(target.imag) and not np.any(basis[0].imag) and not np.any(basis[1].imag)
-        got_c, got_d = dynamics._min_sup_distance(target, basis)
-        ref_c, ref_d = _reference_min_sup_distance(target, basis)
-        assert np.array_equal(got_c, ref_c) and got_d == ref_d
+        coeffs, dist = dynamics._min_sup_distance(target, basis)
+        assert dist == pytest.approx(_grid_optimum(target, basis), rel=1e-10)
+        assert dist == pytest.approx(np.max(np.abs(target - coeffs[0] * basis[0] - coeffs[1] * basis[1])), rel=1e-10)
 
 
 def test_nearest_solution_complex_member(eng01):
-    # real coefficients cannot absorb the imaginary part 0.2j of d1, so the
-    # distance is 0.2 sup|w1| (a fit of the real parts alone would give 0);
-    # the optimal coefficients are not unique here
+    # the member with a complex d1 is its own nearest solution
     member = eng01.homogeneous(0.5, SolutionFamilyParams(0.4 + 0.2j, 0.9))
     out = dynamics.nearest_solution(member, eng01)
     grid = eng01.experiment_grid(0.5)
     w1 = eng01.homogeneous(0.5, SolutionFamilyParams(1.0, 0.0))(grid)
-    w2 = eng01.homogeneous(0.5, SolutionFamilyParams(0.0, 1.0))(grid)
-    assert out["sup_distance"] == pytest.approx(0.2 * float(np.max(np.abs(w1))), rel=1e-6)
-    ref_c, ref_d = _reference_min_sup_distance(np.asarray(member(grid)), (w1, w2))
-    assert out["sup_distance"] == ref_d
-    assert np.array_equal([out["params"].d1, out["params"].d2], ref_c)
+    assert out["sup_distance"] <= 1e-12 * float(np.max(np.abs(w1)))
+    assert out["params"].d1 == pytest.approx(0.4 + 0.2j, abs=1e-9)
+    assert out["params"].d2 == pytest.approx(0.9, abs=1e-9)
 
 
-def test_instability_probe_exeq02(cfg):
+def test_instability_probe_exeq02(cfg, fits):
     p = make_problem("1", "2/t", "0", "-1", 1.0, math.inf, name="exeq02")
     out = dynamics.instability_probe(p, exprlang.parse("(eps - 1)*t^2/6"), 0.1, cfg)
     assert out["residual_sup"] == pytest.approx(0.1, rel=1e-9)
     assert out["growth_ok"]
     dists = [rec["sup_distance"] for rec in out["trace"]]
     assert dists[1] >= 10.0 * dists[0] and dists[2] >= 10.0 * dists[1]
+    for (target, basis, fit), dist in zip(fits, dists):
+        assert dist == fit.distance == pytest.approx(_grid_optimum(target, basis, fit), rel=1e-10)
     # pinned, so that a change in the coefficient or fit numerics shows
     assert dists == pytest.approx([0.5634384017071673, 76.8162302578564, 8184.073571855228], rel=1e-10)
 
 
-def test_instability_probe_exeq05(cfg):
+def test_instability_probe_exeq05(cfg, fits):
     p = make_problem("1", "2/t", "1", "0", 0.0, math.inf, name="exeq05")
     wit = exprlang.parse("eps/(8*t)*(cos(t) + 2*t*sin(t) - 2*t^2*cos(t))")
     out = dynamics.instability_probe(p, wit, 0.1, cfg)
     assert out["residual_sup"] <= 0.1 * (1.0 + 1e-4)
     assert out["growth_ok"]
-    # pinned more loosely than exeq02: Nelder-Mead stops in an
-    # ill-conditioned valley here (see CHANGES.md)
     dists = [rec["sup_distance"] for rec in out["trace"]]
-    assert dists == pytest.approx([0.23560869994576542, 2.4345199545009493, 24.974391643544884], rel=1e-5)
+    assert len(fits) == 3
+    for (target, basis, fit), dist in zip(fits, dists):
+        assert dist == fit.distance == pytest.approx(_grid_optimum(target, basis, fit), rel=1e-10)
+    assert dists == pytest.approx([0.235608260501823, 2.43420753819139, 24.9743916430664], rel=1e-10)

@@ -425,9 +425,12 @@ def test_graded_grid_reaches_deep():
 
 # -- sup_over --------------------------------------------------------------
 
+# the scan, divergence threshold and tail length of `Config()`
+_SUP = {"n_scan": 257, "threshold": 1e6, "tail_k": 8}
+
 
 def test_sup_interior_maximum():
-    res = quad.sup_over(lambda t: np.sin(t), 0.0, 4.0)
+    res = quad.sup_over(lambda t: np.sin(t), 0.0, 4.0, **_SUP)
     assert not res.unbounded
     assert res.sup_value == pytest.approx(1.0, abs=1e-9)
     assert res.attained_near == pytest.approx(math.pi / 2, abs=1e-4)
@@ -435,19 +438,19 @@ def test_sup_interior_maximum():
 
 def test_sup_at_open_endpoint():
     # sup t on (0,1) is the (unattained) limit 1
-    res = quad.sup_over(lambda t: np.asarray(t), 0.0, 1.0)
+    res = quad.sup_over(lambda t: np.asarray(t), 0.0, 1.0, **_SUP)
     assert not res.unbounded
     assert res.sup_value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_sup_unbounded_pole():
-    res = quad.sup_over(lambda t: 1.0 / t, 0.0, 1.0)
+    res = quad.sup_over(lambda t: 1.0 / t, 0.0, 1.0, **_SUP)
     assert res.unbounded
 
 
 def test_sup_unbounded_slow_divergence():
     # t^{-1/2} diverges but never reaches the big-value threshold nearby
-    res = quad.sup_over(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0)
+    res = quad.sup_over(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0, **_SUP)
     assert res.unbounded
 
 
@@ -461,11 +464,11 @@ def test_sup_highest_of_five_maxima():
         t = np.asarray(t)[None, :]
         return np.sum(heights[:, None] * np.exp(-(((t - centers[:, None]) / 0.02) ** 2)), axis=0)
 
-    res = quad.sup_over(h, 0.0, 6.0)
+    res = quad.sup_over(h, 0.0, 6.0, **_SUP)
     assert not res.unbounded
     assert res.sup_value == pytest.approx(1.0, abs=1e-12)
     assert res.attained_near == pytest.approx(3.05, abs=1e-6)
-    # the default scan of 257 points misses every bump top
+    # the scan of 257 points misses every bump top
     assert np.max(h(quad.graded_grid(0.0, 6.0, 257))) < 0.99
 
 
@@ -507,6 +510,6 @@ def test_golden_lockstep_matches_scalar_search(h):
 
 def test_sup_never_below_samples():
     h = lambda t: -((np.asarray(t) - 0.3) ** 2)
-    res = quad.sup_over(h, 0.0, 1.0)
+    res = quad.sup_over(h, 0.0, 1.0, **_SUP)
     assert res.sup_value >= -1e-12
     assert res.sup_value == pytest.approx(0.0, abs=1e-9)
