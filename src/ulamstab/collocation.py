@@ -1,0 +1,225 @@
+"""Chebyshev panel collocation of alpha x'' + beta x' + gamma x = g.
+
+`dynamics.ivp_solution` solves its initial value problems here, without
+the stability engine's caches.  The equation is linear, so the local
+solutions on a panel, with data at the panel's end nearer t0, do not
+depend on any other panel: each side of t0 is bisected from one panel,
+and every level is solved as one batch, with one call of each coefficient
+on the nodes of all its panels and one LAPACK solve per panel.  The
+unknowns are the values of x'' at the N Chebyshev nodes, so the panel's
+matrix is well conditioned (spectral integration: Greengard, SIAM J.
+Numer. Anal. 28, 1991; Trefethen, *Spectral Methods in MATLAB*, SIAM
+2000).  A panel is accepted when the last 3 Chebyshev coefficients of
+every local solution are at most TAIL of its largest value.  The members
+are then carried across the accepted panels in order and read at their
+points by barycentric interpolation.
+
+A panel's numbers depend on its own nodes only: every sum runs over its
+own nodes (no BLAS product across panels), and it is solved in real
+arithmetic when its node values are real.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from numpy.polynomial import chebyshev
+
+__all__ = ["panels", "panel_solutions", "evaluate"]
+
+N = 20  # Chebyshev points per collocation panel
+TAIL = 1e-13  # trailing coefficients of an accepted local solution, relative to its largest value
+FLOOR = 8.0 * np.finfo(float).eps  # narrowest panel, relative to |t|: a few ulp
+MAX_PANELS = 10000  # accepted and pending panels per side
+CHUNK = 1024  # panels solved together at most, which bounds the temporaries
+
+
+def _chebyshev_operators(n):
+    """The n second-kind Chebyshev points on [-1, 1], from 1 down to -1, and their operators.
+
+    Returns the points, the map from node values to Chebyshev coefficients,
+    the barycentric weights, and per start point -1 and 1 the matrices that
+    map node values to node values of the integral and the double integral
+    from that point, both exact for the interpolant.
+    """
+    j = np.arange(n)
+    x = np.sin(np.pi * (n - 1 - 2 * j) / (2 * (n - 1)))
+    half = np.where((j == 0) | (j == n - 1), 0.5, 1.0)
+    coef = (2.0 / (n - 1)) * np.cos(np.pi * np.outer(j, j) / (n - 1)) * np.outer(half, half)
+    # each column of coef is the series of one node's cardinal function
+    integrals = {start: tuple(chebyshev.chebval(x, chebyshev.chebint(coef, m=m, lbnd=start)).T for m in (1, 2)) for start in (-1.0, 1.0)}
+    return x, coef, half * (-1.0) ** j, integrals
+
+
+_X, _COEF, _W, _INT = _chebyshev_operators(N)
+
+
+def _node_sum(w, u):
+    """sum_j w_j u[..., j], the real and imaginary parts each summed in node order.
+
+    A panel's sum is then the same whatever else is in its batch, and
+    whether or not the batch is complex.
+    """
+    s = np.add.reduce(w * u.real, axis=-1)
+    return s + 1j * np.add.reduce(w * u.imag, axis=-1) if np.iscomplexobj(u) else s
+
+
+def _apply(M, u):
+    """M applied to the node values u[..., :] of every panel, by `_node_sum`."""
+    return np.stack([_node_sum(row, u) for row in M], axis=-1)
+
+
+def panels(fns, t0, far):
+    """Panels of [t0, far] on which the local solutions are resolved, from t0 out.
+
+    ``fns`` are alpha, beta, gamma and the forcings (callables or nonzero
+    constants).  Bisection starts from the whole side, and all panels of a
+    level are solved together by `panel_solutions`, in chunks of at most
+    `CHUNK`.  A panel is accepted when the last 3 Chebyshev coefficients
+    of every local solution are at most `TAIL` times its largest value,
+    and split otherwise: at the geometric mean of its ends when they
+    differ by more than a factor 4 in |t|, else at its midpoint.  A panel
+    still failing at a few ulp wide raises ValueError, and so does a side
+    that needs more than `MAX_PANELS` panels: where rounding in the
+    coefficients keeps the tail up, as next to a zero of alpha, every
+    panel fails at every level.
+
+    Returns the near ends, the far ends, the node values (m, r, n) and the
+    far-end values and derivatives (m, r, 2) of the m accepted panels.
+    """
+    near, end = np.array([t0]), np.array([far])
+    done = []
+    accepted = 0
+    while near.size:
+        if accepted + near.size > MAX_PANELS:
+            t = near[np.argmin(np.abs(near - t0))]
+            raise ValueError(f"collocation does not resolve the solution near t={t:.17g} within {MAX_PANELS} panels")
+        chunks = (panel_solutions(fns, near[i : i + CHUNK], end[i : i + CHUNK]) for i in range(0, near.size, CHUNK))
+        u, ends, ok = (np.concatenate(part) for part in zip(*chunks))
+        mid = 0.5 * (near + end)
+        floor = ~ok & (np.abs(end - near) <= FLOOR * np.maximum(np.abs(near), np.abs(end)))
+        if np.any(floor):
+            raise ValueError(f"collocation does not resolve the solution near t={mid[floor][0]:.17g}: the panel is a few ulp wide")
+        done.append((near[ok], end[ok], u[ok], ends[ok]))
+        accepted += int(np.sum(ok))
+        # geometric splits grade the panels toward t = 0, where coefficients
+        # such as 2/t are singular, in a few levels
+        a, b = near[~ok], end[~ok]
+        geometric = (np.sign(a) == np.sign(b)) & (np.abs(a - b) > 3.0 * np.minimum(np.abs(a), np.abs(b)))
+        split = np.where(geometric, np.sign(a) * np.sqrt(np.abs(a)) * np.sqrt(np.abs(b)), mid[~ok])
+        near, end = np.concatenate((near[~ok], split)), np.concatenate((split, end[~ok]))
+    near, end, u, ends = (np.concatenate(part) for part in zip(*done))
+    order = np.argsort(np.abs(near - t0), kind="stable")
+    return near[order], end[order], u[order], ends[order]
+
+
+def panel_solutions(fns, near, end):
+    """Local solutions on the panels between ``near`` and ``end``, solved together.
+
+    Each callable of ``fns`` is called once, on the Chebyshev nodes of all
+    panels.  On a panel of half-width h with near end a, the unknowns are
+    the node values v of x''; with K and K2 the integral and the double
+    integral from a, x' = x'(a) + h K v and x = x(a) + x'(a)(t - a) + h^2 K2 v.
+    Collocating the equation at every node gives the n x n system
+    ``(diag(alpha) + h diag(beta) K + h^2 diag(gamma) K2) v = rhs``, whose
+    conditioning does not grow with n as that of D^2 does.  One LAPACK
+    solve per panel gives the local solutions with data (1, 0) at a, with
+    (0, 1) and, per forcing, with (0, 0).  A value of ``fns`` that is not
+    finite at a node raises ValueError.
+
+    Returns the node values (m, r, n), the far-end values and derivatives
+    (m, r, 2) and whether the Chebyshev tail of each panel is small enough.
+    """
+    x = _X
+    n = x.size
+    diag = np.arange(n)
+    # a panel's near end as a point of [-1, 1], and the node index of its far end
+    start, i1 = (-1.0, 0) if end[0] > near[0] else (1.0, n - 1)
+    K, K2 = _INT[start]
+    h = 0.5 * np.abs(end - near)[:, None]
+    nodes = 0.5 * (near + end)[:, None] + h * x
+    vals = np.stack([np.broadcast_to(np.asarray(f(nodes) if callable(f) else f, dtype=complex), nodes.shape) for f in fns])
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        t_bad = nodes[np.any(bad, axis=0)][0]
+        raise ValueError(f"a coefficient or forcing is not finite at the collocation node t={t_bad:.17g}")
+    real = ~np.any(vals.imag, axis=(0, 2))
+    if np.all(real):
+        vals = vals.real
+    a, b, c, g = vals[0], vals[1], vals[2], vals[3:]
+    # a panel too wide for its solution may overflow; the tail test rejects it
+    with np.errstate(all="ignore"):
+        A = (h * b)[:, :, None] * K
+        A += (h * h * c)[:, :, None] * K2
+        A[:, diag, diag] += a
+        s = h * (x - start)  # t - a at the nodes
+        v = _solve_panels(A, np.stack((-c, -b - c * s, *g), axis=-1), real)
+        v = np.ascontiguousarray(np.moveaxis(v, -1, 1))
+        u = (h * h)[:, None] * _apply(K2, v)
+        u[:, 0] += 1.0
+        u[:, 1] += s
+        du = h * _node_sum(K[i1], v)
+        du[:, 1] += 1.0
+        tail = np.max(np.abs(_apply(_COEF[-3:], u)), axis=-1)
+        ok = np.all(tail <= TAIL * np.max(np.abs(u), axis=-1), axis=-1)
+    return u, np.stack((u[:, :, i1], du), axis=-1), ok
+
+
+def _solve_panels(A, B, real):
+    """Each panel's ``A X = B`` by its own LAPACK solve.
+
+    Panels flagged ``real`` are solved in real arithmetic, and the result is
+    real when all of them are.
+    """
+    if np.all(real) or not np.any(real):
+        return _solve(A, B)
+    out = np.empty(B.shape, dtype=complex)
+    out[real] = _solve(A[real].real, B[real].real)
+    out[~real] = _solve(A[~real], B[~real])
+    return out
+
+
+def _solve(A, B):
+    """The stacked solve, one LAPACK call per panel; NaN for a singular panel."""
+    with np.errstate(all="ignore"):
+        try:
+            return np.linalg.solve(A, B)
+        except np.linalg.LinAlgError:
+            out = np.full(B.shape, np.nan, dtype=np.result_type(A, B))
+            for i in range(len(A)):
+                try:
+                    out[i] = np.linalg.solve(A[i], B[i])
+                except np.linalg.LinAlgError:
+                    pass
+            return out
+
+
+def evaluate(side, x0, x0p, col, pts):
+    """The members at the sorted points ``pts`` of one side of t0.
+
+    ``side`` is what `panels` returns for that side, ``x0`` and ``x0p`` are
+    the members' x and x' at t0, and ``col`` gives each member's forced
+    local solution (None for a homogeneous member).
+    """
+    near, end, u, ends = side
+    k = len(x0)
+    # (x, x') of every member at each panel's near end, carried outward
+    state = []
+    x, d = x0, x0p
+    for e in ends.tolist():
+        state.append(x + d)
+        x, d = [[xi * e[0][j] + di * e[1][j] + (e[c][j] if c else 0.0) for xi, di, c in zip(x, d, col)] for j in (0, 1)]
+    state = np.array(state, dtype=complex)
+    # each point on the panel that holds it; a node reads its value exactly
+    s = 1.0 if end[0] > near[0] else -1.0
+    p = np.minimum(np.searchsorted(s * end, s * pts), near.size - 1)
+    mid = 0.5 * (near + end)[p]
+    hw = 0.5 * np.abs(end - near)[p]
+    diff = ((pts - mid) / hw)[:, None] - _X
+    hit = diff == 0.0
+    with np.errstate(divide="ignore"):
+        w = np.where(np.any(hit, axis=1)[:, None], hit.astype(float), _W / diff)
+    local = np.stack([_node_sum(w, u[p, j]) for j in range(u.shape[1])], axis=-1) / np.sum(w, axis=1)[:, None]
+    out = np.empty((k, pts.size), dtype=complex)
+    for i, c in enumerate(col):
+        out[i] = state[p, i] * local[:, 0] + state[p, k + i] * local[:, 1] + (local[:, c] if c else 0.0)
+    return out

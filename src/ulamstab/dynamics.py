@@ -13,6 +13,10 @@ constant with the extremal constant perturbation, dominate it over
 randomized smooth perturbations, and trace unbounded nearest-solution
 growth for instability witnesses.
 
+The instability probe and the tests take their solutions from
+`ivp_solution`, which reads none of the caches: Chebyshev panel
+collocation of the equation (`collocation`).
+
 The nearest solution is an exact discrete minimax fit,
 min over c of max over the grid of |target - c1 w1 - c2 w2|.  Real data
 runs Stiefel's exchange on 3-point references, levelled in rational
@@ -31,11 +35,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp as _scipy_solve_ivp
 from scipy.linalg import qr as _scipy_qr
 from scipy.optimize import linprog as _scipy_linprog
 
-from . import exprlang, quad
+from . import collocation, exprlang, quad
 from .model import Config, Interval, probe_grid
 from .stability import _F_SIDE, _KERNEL, _NESTED, StabilityEngine
 
@@ -206,16 +209,18 @@ class SolutionEngine:
 
 
 def ivp_solution(problem, ivps, ts, forcings):
-    """Independent oracle: direct integration of the second-order system.
+    """Independent oracle: Chebyshev panel collocation of the equation.
 
     ``ivps`` is a sequence of k `IvpData` with a common ``t0`` and
     ``forcings`` a matching sequence.  A forcing is a callable of t, None
     for the problem's forcing, or a constant (0 for a homogeneous member,
-    which then costs no forcing call).  The members are integrated together
-    as one real system of 4k components, one solve per side of ``t0``,
-    reporting only at the sorted unique points of ``ts``.  Returns x at
-    ``ts``, of shape ``(k,) + ts.shape``.  A solve that stops early raises
-    ValueError.
+    which then costs no forcing call).  Each side of ``t0`` is cut into
+    panels out to its farthest point of ``ts`` (`collocation.panels`); the
+    members are carried across them in order and read at ``ts`` by
+    barycentric interpolation (`collocation.evaluate`).  Returns x at
+    ``ts``, of shape ``(k,) + ts.shape``; a point at ``t0`` keeps the
+    initial value exactly.  A coefficient or forcing that is not finite at
+    a node, or a solution that no panel resolves, raises ValueError naming t.
     """
     if len(forcings) != len(ivps):
         raise ValueError("one forcing per initial value problem")
@@ -223,40 +228,29 @@ def ivp_solution(problem, ivps, ts, forcings):
     if any(float(d.t0) != t0 for d in ivps):
         raise ValueError("stacked initial value problems need a common t0")
     k = len(ivps)
-    a = problem.fn("alpha")
-    b = problem.fn("beta")
-    c = problem.fn("gamma")
-    forcings = [problem.fn("forcing") if f is None else f if callable(f) else complex(f) for f in forcings]
-
-    def rhs(t, y):
-        # Python scalars: numpy's per-call cost would dominate at k <= 3
-        av, bv, cv = a(t), b(t), c(t)
-        v = y.tolist()
-        xpp = []
-        for i, f in enumerate(forcings):
-            x, xp = complex(v[i], v[k + i]), complex(v[2 * k + i], v[3 * k + i])
-            g = complex(f(t)) if callable(f) else f
-            xpp.append(exprlang.complex_divide(g - bv * xp - cv * x, av))
-        return np.array(v[2 * k :] + [z.real for z in xpp] + [z.imag for z in xpp])
-
-    x0 = np.array([complex(d.x0) for d in ivps])
-    x0p = np.array([complex(d.x0p) for d in ivps])
-    y0 = np.concatenate((x0.real, x0.imag, x0p.real, x0p.imag))
+    # one zero-data forced solution per distinct forcing other than 0; a
+    # member's `col` entry is the index of its local solution, None for none
+    sources, col = {}, []
+    for f in forcings:
+        f = problem.fn("forcing") if f is None else f if callable(f) else complex(f)
+        if not callable(f) and f == 0:
+            col.append(None)
+            continue
+        key = ("fn", id(f)) if callable(f) else ("const", f)
+        col.append(2 + sources.setdefault(key, (len(sources), f))[0])
+    fns = [problem.fn(which) for which in ("alpha", "beta", "gamma")] + [f for _, f in sources.values()]
+    x0 = [complex(d.x0) for d in ivps]
+    x0p = [complex(d.x0p) for d in ivps]
     ts = np.asarray(ts, float)
     flat = ts.ravel()
     out = np.empty((k, flat.size), dtype=complex)
-    out[:, flat == t0] = x0[:, None]
-    for mask, step in ((flat < t0, -1), (flat > t0, 1)):
+    out[:, flat == t0] = np.array(x0)[:, None]
+    for mask in (flat < t0, flat > t0):
         if not np.any(mask):
             continue
         pts, where = np.unique(flat[mask], return_inverse=True)
-        # t_eval runs from t0 outward, in the direction of integration
-        t_eval = pts[::step]
-        sol = _scipy_solve_ivp(rhs, (t0, float(t_eval[-1])), y0, method="DOP853", t_eval=t_eval, rtol=1e-10, atol=1e-12)
-        if not sol.success:
-            raise ValueError(f"DOP853 failed on the way to t={t_eval[-1]:.6g}: {sol.message}")
-        y = sol.y[:, ::step]
-        out[:, mask] = (y[:k] + 1j * y[k : 2 * k])[:, where]
+        far = float(pts[0] if pts[0] < t0 else pts[-1])
+        out[:, mask] = collocation.evaluate(collocation.panels(fns, t0, far), x0, x0p, col, pts)[:, where]
     return out.reshape((k,) + ts.shape)
 
 

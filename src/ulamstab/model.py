@@ -97,7 +97,8 @@ _COEFFICIENTS = ("alpha", "beta", "gamma", "forcing")
 class OscillatorProblem:
     """alpha x'' + beta x' + gamma x = forcing on the interval.
 
-    The four coefficients are compiled against ``params`` once, when the
+    ``rho``, when given, is the document's Riccati companion.  The four
+    coefficients and ``rho`` are compiled against ``params`` once, when the
     problem is built, so an unbound parameter raises there.
     """
 
@@ -108,13 +109,26 @@ class OscillatorProblem:
     domain: Interval
     params: dict = field(default_factory=dict)
     name: str = ""
+    rho: exprlang.Expr | None = None
 
     def __post_init__(self):
-        fns = {which: exprlang.compile_expr(getattr(self, which), self.params) for which in _COEFFICIENTS}
+        which = _COEFFICIENTS if self.rho is None else _COEFFICIENTS + ("rho",)
+        fns = {w: exprlang.compile_expr(getattr(self, w), self.params) for w in which}
         object.__setattr__(self, "_fns", fns)
 
     def fn(self, which):
         return self._fns[which]
+
+    def bind(self, rho):
+        """A companion as a callable of t.
+
+        The problem's own ``rho`` is the function compiled with the problem;
+        another expression is compiled against ``params``; a callable (such
+        as a numeric solution) is returned as it is.
+        """
+        if not isinstance(rho, exprlang.Expr):
+            return rho
+        return self._fns["rho"] if rho == self.rho else exprlang.compile_expr(rho, self.params)
 
 
 @dataclass(frozen=True)
@@ -258,15 +272,14 @@ def problem_from_dict(d: dict) -> tuple[OscillatorProblem, exprlang.Expr | None,
         domain=domain,
         params=params,
         name=d.get("name", ""),
+        rho=exprlang.parse(d["rho"]) if d.get("rho") else None,
     )
-    rho = exprlang.parse(d["rho"]) if d.get("rho") else None
-    if rho is not None:
-        # bound here, so an unbound parameter is an input error
-        exprlang.compile_expr(rho, params)
-    return problem, rho, d.get("tolerances", {})
+    return problem, problem.rho, d.get("tolerances", {})
 
 
 def problem_to_dict(p: OscillatorProblem, rho=None) -> dict:
+    """The document of ``p``, with ``rho`` or else the problem's own companion."""
+    rho = p.rho if rho is None else rho
     out = {
         "alpha": exprlang.to_string(p.alpha),
         "beta": exprlang.to_string(p.beta),

@@ -78,12 +78,6 @@ class RhoCoverage:
     detail: str = ""
 
 
-def _rho_callable(rho, problem: OscillatorProblem):
-    if isinstance(rho, exprlang.Expr):
-        return exprlang.compile_expr(rho, problem.params)
-    return rho  # NumericSolution or plain callable
-
-
 def residual_sup(problem: OscillatorProblem, rho, config: Config = Config()):
     """Relative residual sup of the companion equation on a probe grid.
 
@@ -96,7 +90,7 @@ def residual_sup(problem: OscillatorProblem, rho, config: Config = Config()):
     b = problem.fn("beta")
     c = problem.fn("gamma")
     if isinstance(rho, exprlang.Expr):
-        r = exprlang.compile_expr(rho, problem.params)
+        r = problem.bind(rho)
         rp = exprlang.compile_expr(exprlang.differentiate(rho), problem.params)
         grid = probe_grid(problem.domain, config.probe_points, config.range_cap)
     elif isinstance(rho, NumericSolution):
@@ -206,7 +200,7 @@ def rho_coverage(problem: OscillatorProblem, rho, config: Config = Config()):
         detail = "" if full else f"numeric blow-up limits coverage to [{lo:.6g}, {hi:.6g}]"
         return RhoCoverage(lo, hi, full, detail)
 
-    fn = _rho_callable(rho, problem)
+    fn = problem.bind(rho)
     anchor = dom.default_anchor()
     lo_edge = dom.tau if dom.lower.finite else -config.range_cap
     hi_edge = dom.sigma if dom.upper.finite else config.range_cap

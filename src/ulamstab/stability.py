@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import exprlang, quad, riccati
+from . import quad, riccati
 from .model import Config, Interval, OscillatorProblem, StabilityReport, CharacteristicRoots, probe_grid, validate_problem
 from .model import interior_anchor
 
@@ -113,11 +113,8 @@ class StabilityEngine:
         self.problem = problem
         self.config = config
         self.rho = rho
-        if isinstance(rho, exprlang.Expr):
-            self.rho_fn = exprlang.compile_expr(rho, problem.params)
-        elif callable(rho):
-            self.rho_fn = rho
-        else:
+        self.rho_fn = problem.bind(rho)
+        if not callable(self.rho_fn):
             raise TypeError("rho must be an expression or a callable")
         self.coverage = riccati.rho_coverage(problem, rho, config)
         self.lo = self.coverage.lo

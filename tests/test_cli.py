@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from ulamstab import cli, quad
+from ulamstab import cli, exprlang, quad
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -42,6 +42,24 @@ def test_analyze_stable_problem(runner):
     assert doc["report"]["case"] == "iii"
     assert doc["report"]["constant"]["B"] == pytest.approx(0.5, rel=1e-4)
     assert doc["tool"]["name"] == "ulamstab" and doc["tool"]["config_hash"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "riccati-check"])
+def test_rho_is_compiled_once(runner, monkeypatch, command):
+    # the four coefficients and rho when the problem is built, and rho' for
+    # the residual check; the engine and the coverage reuse the bound rho
+    compiled = []
+    compile_expr = exprlang.compile_expr
+
+    def counting(e, params=None):
+        compiled.append(exprlang.to_string(e))
+        return compile_expr(e, params)
+
+    monkeypatch.setattr(exprlang, "compile_expr", counting)
+    result = _invoke(runner, [command, str(PROBLEMS / "exeq01.json")])
+    assert result.exit_code == 0
+    assert len(compiled) == 6
+    assert compiled.count("-1.0/t") == 1
 
 
 def test_analyze_unstable_problem(runner):

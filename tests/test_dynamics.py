@@ -9,7 +9,8 @@ import pytest
 from scipy.optimize import linprog
 
 from conftest import make_problem
-from ulamstab import corpus, dynamics, exprlang, quad
+from ivp_oracle import dop853
+from ulamstab import collocation, corpus, dynamics, exprlang, quad
 from ulamstab.dynamics import (
     IvpData,
     RatioExceedsConstant,
@@ -349,32 +350,63 @@ def test_stacked_ivp_requires_common_t0():
         dynamics.ivp_solution(p, (IvpData(2.0, 1.0), IvpData(3.0, 1.0)), [2.5], (0.0, 0.0))
 
 
-def test_ivp_solution_reports_failed_solve(monkeypatch):
-    # a solve that stops early returns fewer points than asked for; it must
-    # not be read as a solution
-    class Stopped:
-        success = False
-        message = "Required step size is less than spacing between numbers."
-
-    monkeypatch.setattr(dynamics, "_scipy_solve_ivp", lambda *args, **kwargs: Stopped())
-    with pytest.raises(ValueError, match="step size"):
-        dynamics.ivp_solution(make_problem(*EXEQ02), (IvpData(2.0, 1.0),), [2.5, 3.0], (None,))
+def test_ivp_solution_reports_failed_solve():
+    # alpha = t - 3 vanishes at t = 3, where the solution has a branch
+    # point: no panel there resolves it, and it must not be read as a solution
+    p = make_problem("t - 3", "2/t", "0", "-1", 1.0, math.inf)
+    with pytest.raises(ValueError, match=r"near t=(2\.99999|3\.00000)"):
+        dynamics.ivp_solution(p, (IvpData(2.0, 1.0),), [2.5, 3.5], (None,))
+    # with beta = gamma = 0, alpha = 0 at the node t = 3 makes the panels
+    # ending there singular; they are bisected as unresolved
+    p = make_problem("t - 3", "0", "0", "-1", 1.0, math.inf)
+    with pytest.raises(ValueError, match=r"near t=(2\.99999|3\.00000)"):
+        dynamics.ivp_solution(p, (IvpData(2.0, 1.0),), [2.5, 4.0], (None,))
+    # gamma is infinite at t = 3, a Chebyshev node of the first panel of [2, 3]
+    p = make_problem("1", "2/t", "1/(t - 3)", "-1", 1.0, math.inf)
+    with pytest.raises(ValueError, match=r"not finite .* t=3$"):
+        dynamics.ivp_solution(p, (IvpData(2.0, 1.0),), [2.5, 3.0], (None,))
 
 
 @pytest.fixture
 def solver_calls(monkeypatch):
-    """Count `ivp_solution` calls and the scipy solves under them."""
-    calls = {"ivp_solution": 0, "solve_ivp": 0}
+    """Count `ivp_solution` calls and log the work under them.
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
+    ``watch(problem)`` wraps the problem's coefficients: an array call made
+    inside `ivp_solution` appends the coefficient's name to ``log``, and
+    every panel batch (one bisection level of one side) appends "batch"
+    once it is solved.
+    """
+    calls = {"ivp_solution": 0, "log": [], "inside": False}
+    ivp_solution = dynamics.ivp_solution
+    panel_solutions = collocation.panel_solutions
 
-        return wrapper
+    def counting(*args, **kwargs):
+        calls["ivp_solution"] += 1
+        calls["inside"] = True
+        try:
+            return ivp_solution(*args, **kwargs)
+        finally:
+            calls["inside"] = False
 
-    monkeypatch.setattr(dynamics, "ivp_solution", counting("ivp_solution", dynamics.ivp_solution))
-    monkeypatch.setattr(dynamics, "_scipy_solve_ivp", counting("solve_ivp", dynamics._scipy_solve_ivp))
+    def batch(*args):
+        out = panel_solutions(*args)
+        calls["log"].append("batch")
+        return out
+
+    def watch(problem):
+        for name, fn in list(problem._fns.items()):
+
+            def logged(t, name=name, fn=fn):
+                if calls["inside"] and np.ndim(t) > 0:
+                    calls["log"].append(name)
+                return fn(t)
+
+            problem._fns[name] = logged
+        return problem
+
+    monkeypatch.setattr(dynamics, "ivp_solution", counting)
+    monkeypatch.setattr(collocation, "panel_solutions", batch)
+    calls["watch"] = watch
     return calls
 
 
@@ -384,10 +416,101 @@ def solver_calls(monkeypatch):
     ids=["exeq02", "exeq05"],
 )
 def test_instability_probe_integrates_once(solver_calls, cfg, coeffs, witness):
-    out = dynamics.instability_probe(make_problem(*coeffs), exprlang.parse(witness), 0.1, cfg)
+    p = solver_calls["watch"](make_problem(*coeffs))
+    out = dynamics.instability_probe(p, exprlang.parse(witness), 0.1, cfg)
     assert len(out["trace"]) == 3
     assert solver_calls["ivp_solution"] == 1
-    assert solver_calls["solve_ivp"] <= 2
+    # every bisection level of each side calls each coefficient and the
+    # forcing once, on the nodes of all its panels
+    log = solver_calls["log"]
+    assert log[-1] == "batch"
+    levels = " ".join(log).split("batch")[:-1]
+    assert len(levels) >= 2
+    for level in levels:
+        assert sorted(level.split()) == ["alpha", "beta", "forcing", "gamma"]
+
+
+def _exact_family(name, t):
+    """y1, y2 and p of `_family` in closed form: exeq02 from t0 = 2, exeq05 from t0 = 1."""
+    if name == "exeq02":
+        # 1 and 1/t solve x'' + 2x'/t = 0, and -t^2/6 the forced equation
+        return np.ones_like(t), 2.0 - 4.0 / t, 2.0 - 8.0 / (3.0 * t) - t * t / 6.0
+    # sin(t - 1)/t and cos(t - 1)/t solve x'' + 2x'/t + x = 0
+    s, c = np.sin(t - 1.0) / t, np.cos(t - 1.0) / t
+    return s + c, s, np.zeros_like(t)
+
+
+@pytest.mark.parametrize(
+    "name, coeffs, t0, witness",
+    [("exeq02", EXEQ02, 2.0, "(eps - 1)*t^2/6"), ("exeq05", EXEQ05, 1.0, EXEQ05_WITNESS)],
+    ids=["exeq02", "exeq05"],
+)
+def test_ivp_solution_matches_closed_form_family(cfg, name, coeffs, t0, witness):
+    # the probe's three grids, out to T = 1000 (and down to 1e-9 on exeq05)
+    p = make_problem(*coeffs)
+    lo = coeffs[4]
+    grids = [probe_grid(Interval.open(lo, T), cfg.probe_points, cfg.range_cap) for T in (10.0, 100.0, 1000.0)]
+    grids = [g[g > lo] for g in grids]
+    ts = np.concatenate(grids)
+    ivps, forcings = _family(t0)
+    for member, exact in zip(dynamics.ivp_solution(p, ivps, ts, forcings), _exact_family(name, ts)):
+        assert np.max(np.abs(member - exact)) <= 5e-11 * np.max(np.abs(exact))
+    # the probe's distances against fits of the exact family on the same grids
+    out = dynamics.instability_probe(p, exprlang.parse(witness), 0.1, cfg)
+    xi = exprlang.compile_expr(exprlang.parse(witness), {"eps": 0.1})
+    for grid, rec in zip(grids, out["trace"]):
+        y1, y2, part = _exact_family(name, grid)
+        _, dist = dynamics._min_sup_distance(np.asarray(xi(grid), dtype=complex) - part, (y1 + 0j, y2 + 0j))
+        assert rec["sup_distance"] == pytest.approx(dist, rel=1e-11)
+
+
+_MIXED_GAMMA = "1 + i*((abs(t - 2) + t - 2)/8)^7"
+_ORACLE_CASES = [(entry.name, entry.default) for entry in corpus.entries()]
+
+
+@pytest.mark.parametrize("variant", [v for _, v in _ORACLE_CASES], ids=[n for n, _ in _ORACLE_CASES])
+def test_ivp_solution_matches_dop853_oracle(cfg, variant):
+    # criterion 10's points and data, against step-by-step DOP853
+    p, r = corpus.build(variant)
+    eng = _engine(p, r, cfg)
+    grid = eng.experiment_grid(eng.se.anchor)
+    ts = grid[:: max(1, len(grid) // 25)]
+    ivp = IvpData(eng.se.anchor, 0.3, -0.2)
+    oracle = dop853(p, ivp, ts)
+    x = dynamics.ivp_solution(p, (ivp,), ts, (None,))[0]
+    assert np.max(np.abs(x - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+
+
+def test_ivp_solution_complex_coefficients_match_dop853_oracle():
+    # gamma is real up to t = 2 and complex past it (with six continuous
+    # derivatives there), so the panels of one level are solved partly in
+    # real and partly in complex arithmetic
+    p = make_problem("1", "2/t", _MIXED_GAMMA, "cos(t)", 0.0, math.inf)
+    ts = np.concatenate([np.linspace(0.3, 6.0, 40), [0.5]])
+    ivp = IvpData(0.5, 0.3 + 0.1j, -0.2j)
+    oracle = dop853(p, ivp, ts)
+    x = dynamics.ivp_solution(p, (ivp,), ts, (None,))[0]
+    assert np.max(np.abs(x - oracle)) <= 1e-10 * np.max(np.abs(oracle))
+    assert x[-1] == ivp.x0
+
+
+@pytest.mark.parametrize(
+    "coeffs, t0, far",
+    [(EXEQ05, 1.0, 1000.0), (EXEQ05, 1.0, 1e-9), (("1", "2/t", _MIXED_GAMMA, "cos(t)", 0.0, math.inf), 0.5, 6.0)],
+    ids=["exeq05-upper", "exeq05-lower", "mixed-real-complex"],
+)
+def test_panel_solutions_do_not_depend_on_the_batch(coeffs, t0, far):
+    # a panel's local solutions are bit-identical solved alone and in a batch
+    p = make_problem(*coeffs)
+    fns = [p.fn(which) for which in ("alpha", "beta", "gamma", "forcing")]
+    near, end, u, ends = collocation.panels(fns, t0, far)
+    batch = collocation.panel_solutions(fns, near, end)
+    assert np.all(batch[2])
+    for i in range(near.size):
+        alone = collocation.panel_solutions(fns, near[i : i + 1], end[i : i + 1])
+        for got, want in zip(alone, batch):
+            assert np.array_equal(got[0], want[i])
+        assert np.array_equal(alone[0][0], u[i]) and np.array_equal(alone[1][0], ends[i])
 
 
 def test_min_sup_distance_reaches_grid_optimum(cfg):
