@@ -8,6 +8,7 @@ error, 2 inconclusive, 3 instability evidence.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -40,8 +41,20 @@ _VERDICT_EXIT = {
 CONFIG_ENV = "ULAMSTAB_CONFIG"
 
 
-def _schema(name):
-    return json.loads(resources.files("ulamstab.schemas").joinpath(name).read_text())
+@functools.cache
+def _validator(name):
+    """The validator of a bundled schema, its schema checked once per process."""
+    schema = json.loads(resources.files("ulamstab.schemas").joinpath(name).read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(doc, name):
+    """`jsonschema.validate` against a bundled schema: raise the best-matching error."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
+    if error is not None:
+        raise error
 
 
 def _fail(kind, detail, code=EXIT_INPUT_ERROR):
@@ -79,7 +92,7 @@ def _load_document(path):
     except (OSError, json.JSONDecodeError) as exc:
         _fail("read", exc)
     try:
-        jsonschema.validate(data, _schema("problem.schema.json"))
+        _validate(data, "problem.schema.json")
     except jsonschema.ValidationError as exc:
         _fail("schema", exc.message)
     return data
@@ -170,7 +183,7 @@ def _report_doc(problem_data, report_dict, config, wall_time, reproducible, extr
 
 
 def _emit(doc, out, stem):
-    jsonschema.validate(doc, _schema("report.schema.json"))
+    _validate(doc, "report.schema.json")
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     click.echo(text, nl=False)
     if out:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import dynamics, stability
 from .model import Config, problem_from_dict
 
-__all__ = ["Variant", "CorpusEntry", "entries", "get", "build", "check_variant", "run_all"]
+__all__ = ["Variant", "CorpusEntry", "entries", "build", "check_variant", "run_all"]
 
 B_RELTOL = 1e-4
 F_SUP_TOL = 1e-6
@@ -202,13 +202,6 @@ _ENTRIES = (
 
 def entries():
     return _ENTRIES
-
-
-def get(name: str) -> CorpusEntry:
-    for e in _ENTRIES:
-        if e.name == name:
-            return e
-    raise KeyError(f"no corpus entry named {name!r}")
 
 
 def build(variant: Variant):

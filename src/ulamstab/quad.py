@@ -13,8 +13,10 @@ nodes of the whole level (as in `scipy.integrate.quad_vec`), while the
 stopping rules walk the finished panels in skeleton order.  The nodes are
 fixed, so a panel's fit residual and antiderivative coefficients are
 constant matrices applied to its node values.  A query reads its panel's interpolant with one
-complex Clenshaw recurrence, and the sup search refines its candidate
-maxima in lockstep, one call of the function per golden-section step.
+complex Clenshaw recurrence, and the sup search zooms in on its candidate
+maxima in lockstep, one call of the function per step on ``_ZOOM_K``
+equispaced points of every bracket, until the bracket is narrower than
+rounding or its samples agree to rounding.
 
 Everything here is pure; `CumulativeIntegral` objects are built once and
 read-only afterwards, so they can be shared freely between threads.
@@ -533,39 +535,56 @@ class SupResult:
     unbounded: bool = False
 
 
-def _golden_lockstep(h, a, b):
-    """Golden-section maxima of ``h`` on the brackets [a_i, b_i], refined together.
+_ZOOM_K = 16  # interior points per bracket and zoom step
+_ZOOM_STEPS = 24
+_ZOOM_REL = 1e-13  # bracket width and sample spread that count as rounding
 
-    Each bracket takes exactly the steps of a scalar golden-section search,
-    at most 80, and freezes once it is narrower than 1e-13 relative; every
-    iteration makes one ``h`` call on the new points of the brackets still
-    active.  Returns the best probe point and value of each bracket (the
-    upper probe only when it is strictly higher).
+
+def _zoom_lockstep(h, a, b, fa, fb):
+    """Maxima of ``h`` on the brackets [a_i, b_i], refined together by a multi-point zoom.
+
+    ``fa`` and ``fb`` are the values at the bracket ends.  Each step makes one
+    ``h`` call on ``_ZOOM_K`` equispaced interior points of every bracket still
+    active and keeps the two cells next to the bracket's best sample (one cell
+    when that sample is an end), so a bracket shrinks by (K + 1)/2 per step.  A
+    bracket stops when it is narrower than 1e-13 relative, when its samples
+    agree to 1e-13 relative (flat to rounding), or after ``_ZOOM_STEPS`` steps.
+    Non-finite values count as -inf.  A bracket's numbers depend on its own
+    samples only, so it gets the same result alone as in a batch.  Returns the
+    best sample of each bracket, ends included; a later sample replaces the
+    best only when strictly higher, and within a step the lowest t wins a tie.
     """
-    if a.size == 0:
-        return a, a
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
+    frac = np.arange(1, _ZOOM_K + 1) / (_ZOOM_K + 1)
     a, b = a.copy(), b.copy()
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = np.split(np.real(np.asarray(h(np.concatenate([x1, x2])))).astype(float), 2)
-    active = np.ones(a.size, dtype=bool)
-    for _ in range(80):
-        active &= ~(b - a < 1e-13 * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
-        if not np.any(active):
+    fa, fb = (np.where(np.isfinite(v), v, -np.inf) for v in (fa, fb))
+    best_t, best_v = np.where(fb > fa, b, a), np.maximum(fa, fb)
+    active = np.arange(a.size)
+    for _ in range(_ZOOM_STEPS):
+        lo, hi = a[active], b[active]
+        wide = ~(hi - lo < _ZOOM_REL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
+        active, lo, hi = active[wide], lo[wide], hi[wide]
+        if not active.size:
             break
-        up = np.flatnonzero(active & (f1 < f2))
-        down = np.flatnonzero(active & ~(f1 < f2))
-        # up: the maximum lies above x1, which becomes the new lower end
-        a[up], x1[up], f1[up] = x1[up], x2[up], f2[up]
-        x2[up] = a[up] + phi * (b[up] - a[up])
-        # down: it lies below x2, which becomes the new upper end
-        b[down], x2[down], f2[down] = x2[down], x1[down], f1[down]
-        x1[down] = b[down] - phi * (b[down] - a[down])
-        fn = np.real(np.asarray(h(np.concatenate([x2[up], x1[down]])))).astype(float)
-        f2[up], f1[down] = fn[: up.size], fn[up.size :]
-    lower = f1 >= f2
-    return np.where(lower, x1, x2), np.where(lower, f1, f2)
+        xs = np.empty((active.size, _ZOOM_K + 2))
+        xs[:, 0], xs[:, -1] = lo, hi
+        xs[:, 1:-1] = lo[:, None] + (hi - lo)[:, None] * frac
+        with np.errstate(all="ignore"):
+            vals = np.real(np.asarray(h(xs[:, 1:-1].ravel()), dtype=complex)).reshape(-1, _ZOOM_K)
+        fs = np.column_stack([fa[active], np.where(np.isfinite(vals), vals, -np.inf), fb[active]])
+        rows = np.arange(active.size)
+        j = np.argmax(fs, axis=1)
+        top, low = fs[rows, j], np.min(fs, axis=1)
+        better = top > best_v[active]
+        best_t[active[better]], best_v[active[better]] = xs[rows, j][better], top[better]
+        # keep the cells on both sides of the best sample
+        left, right = np.maximum(j - 1, 0), np.minimum(j + 1, _ZOOM_K + 1)
+        a[active], b[active] = xs[rows, left], xs[rows, right]
+        fa[active], fb[active] = fs[rows, left], fs[rows, right]
+        # a bracket with a -inf sample is never flat
+        with np.errstate(invalid="ignore"):
+            flat = np.isfinite(low) & (top - low <= _ZOOM_REL * np.maximum(np.abs(top), np.abs(low)))
+        active = active[~flat]
+    return best_t, best_v
 
 
 def _richardson(values, ratio):
@@ -587,13 +606,14 @@ def _richardson(values, ratio):
 def sup_over(h, lo, hi, n_scan, threshold, tail_k):
     """Supremum of real-valued ``h`` over the open interval (lo, hi).
 
-    Coarse graded scan, golden-section refinement around the top five scan
-    maxima, then endpoint limit handling: a geometric approach sequence per
+    Coarse graded scan, a multi-point zoom around the top five scan maxima,
+    then endpoint limit handling: a geometric approach sequence per
     endpoint, flagged as unbounded evidence if its tail is strictly
-    increasing past ``threshold``, otherwise Richardson-extrapolated.  The
-    five brackets are refined in lockstep (one ``h`` call per step on the
-    brackets still narrowing), each taking the steps a scalar golden-section
-    search would; their results are then taken in scan order, a later one
+    increasing past ``threshold``, otherwise Richardson-extrapolated.  Each
+    maximum's bracket spans its two scan neighbours, and the five are zoomed
+    in lockstep by `_zoom_lockstep` (one ``h`` call per step on ``_ZOOM_K``
+    points of every bracket still narrowing, until it is 1e-13 wide or flat
+    to rounding); their results are then taken in scan order, a later one
     replacing the best only when strictly higher.
     """
     grid = graded_grid(lo, hi, n_scan)
@@ -609,9 +629,9 @@ def sup_over(h, lo, hi, n_scan, threshold, tail_k):
     best_t = float(grid[order[0]])
     # local refinement around the top-5 scan maxima, all five in lockstep
     top = order[:5]
-    a = grid[np.maximum(top - 1, 0)]
-    b = grid[np.minimum(top + 1, grid.size - 1)]
-    t_loc, v_loc = _golden_lockstep(h, a[b > a], b[b > a])
+    ia, ib = np.maximum(top - 1, 0), np.minimum(top + 1, grid.size - 1)
+    ia, ib = ia[ib > ia], ib[ib > ia]
+    t_loc, v_loc = _zoom_lockstep(h, grid[ia], grid[ib], vals[ia], vals[ib])
     for t, v in zip(t_loc.tolist(), v_loc.tolist()):
         if v > best_val:
             best_val, best_t = v, t

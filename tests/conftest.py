@@ -2,7 +2,7 @@
 
 import pytest
 
-from ulamstab import exprlang
+from ulamstab import corpus, exprlang
 from ulamstab.model import Config, Interval, OscillatorProblem
 from ulamstab.stability import StabilityEngine
 
@@ -17,6 +17,12 @@ def make_problem(alpha, beta, gamma, forcing, lo, hi, params=None, name=""):
         dict(params or {}),
         name,
     )
+
+
+def corpus_entry(name):
+    """The corpus entry named ``name``."""
+    (entry,) = (e for e in corpus.entries() if e.name == name)
+    return entry
 
 
 @pytest.fixture

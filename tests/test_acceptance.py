@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_problem
+from conftest import corpus_entry, make_problem
 from ulamstab import corpus, dynamics, exprlang, quad, riccati, stability
 from ulamstab.dynamics import IvpData, SolutionEngine
 from ulamstab.model import Config
@@ -42,7 +42,7 @@ _EXPERIMENT_PICKS = [
 
 
 def _variant(name, label):
-    entry = corpus.get(name)
+    entry = corpus_entry(name)
     for v in entry.variants:
         if v.label == label:
             return v
@@ -108,7 +108,7 @@ def test_criterion_5():
     worst = 0.0
     ok = True
     for name, case in specs:
-        v = corpus.get(name).default
+        v = corpus_entry(name).default
         problem, rho = corpus.build(v)
         rep = analyze(problem, rho, CFG)
         rel = abs(rep.constant.get("B", math.nan) - v.expected_B) / v.expected_B
@@ -159,7 +159,7 @@ def test_criterion_7(analyzed):
 def test_criterion_8(analyzed):
     probes = {}
     for name in ("exeq02", "exeq05"):
-        entry = corpus.get(name)
+        entry = corpus_entry(name)
         problem, _ = corpus.build(entry.default)
         probes[name] = dynamics.instability_probe(problem, exprlang.parse(entry.witness), 0.1, CFG)
     ok = True
@@ -168,7 +168,7 @@ def test_criterion_8(analyzed):
         grows = all(dists[k + 1] >= 10.0 * dists[k] for k in range(len(dists) - 1))
         ok = ok and probe["growth_ok"] and grows and probe["residual_sup"] <= 0.1 * (1.0 + 1e-4)
     # f1 divergence flagged for exeq02
-    p2, r2 = corpus.build(corpus.get("exeq02").default)
+    p2, r2 = corpus.build(corpus_entry("exeq02").default)
     rep2 = analyze(p2, r2, CFG)
     ok = ok and rep2.case == "none" and rep2.f_sups["f1"]["status"] in ("unbounded", "divergent")
     # no false instability on the stable problems
@@ -184,7 +184,7 @@ def test_criterion_9():
     for entry in corpus.entries():
         problem, rho = corpus.build(entry.default)
         worst = max(worst, riccati.residual_sup(problem, rho, CFG))
-    p1, _ = corpus.build(corpus.get("exeq01").default)
+    p1, _ = corpus.build(corpus_entry("exeq01").default)
     sol = riccati.solve_riccati(p1, 0.5, -2.0, CFG)
     ts = np.linspace(0.05, 0.95, 181)
     ivp_err = float(np.max(np.abs(sol(ts) - (-1.0 / ts))))

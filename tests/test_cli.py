@@ -4,6 +4,7 @@ import json
 import math
 from pathlib import Path
 
+import jsonschema
 import pytest
 from click.testing import CliRunner
 
@@ -60,6 +61,21 @@ def test_rho_is_compiled_once(runner, monkeypatch, command):
     assert result.exit_code == 0
     assert len(compiled) == 6
     assert compiled.count("-1.0/t") == 1
+
+
+def test_each_schema_is_checked_once(runner, monkeypatch):
+    checked = []
+    check_schema = jsonschema.Draft7Validator.check_schema
+
+    def counting(cls, schema, *args, **kwargs):
+        checked.append(schema["$id"])
+        return check_schema(schema, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", classmethod(counting))
+    cli._validator.cache_clear()
+    for _ in range(2):
+        assert _invoke(runner, ["analyze", str(PROBLEMS / "exeq01.json"), "--reproducible"]).exit_code == 0
+    assert sorted(checked) == ["ulamstab-problem/1", "ulamstab-report/1"]
 
 
 def test_analyze_unstable_problem(runner):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from conftest import make_problem
+from conftest import corpus_entry, make_problem
 from ivp_oracle import dop853
 from ulamstab import collocation, corpus, dynamics, exprlang, quad
 from ulamstab.dynamics import (
@@ -86,7 +86,7 @@ def test_coverage_exceeded(eng01):
 )
 def test_extremal_reproduces_best_constant(cfg, name, case):
     # each case row of the kernel table: cache, edge and signs of (d1, d2)
-    variant = corpus.get(name).default
+    variant = corpus_entry(name).default
     p, r = corpus.build(variant)
     exp = dynamics.extremal_experiment(_engine(p, r, cfg), case, 0.1)
     assert exp.ratio == pytest.approx(variant.expected_B, rel=1e-6)

@@ -429,11 +429,24 @@ def test_graded_grid_reaches_deep():
 _SUP = {"n_scan": 257, "threshold": 1e6, "tail_k": 8}
 
 
+def _call_sizes(h):
+    calls = []
+
+    def counting(t):
+        calls.append(np.size(t))
+        return h(t)
+
+    return counting, calls
+
+
 def test_sup_interior_maximum():
-    res = quad.sup_over(lambda t: np.sin(t), 0.0, 4.0, **_SUP)
+    h, calls = _call_sizes(np.sin)
+    res = quad.sup_over(h, 0.0, 4.0, **_SUP)
     assert not res.unbounded
-    assert res.sup_value == pytest.approx(1.0, abs=1e-9)
+    assert res.sup_value == pytest.approx(1.0, abs=1e-12)
     assert res.attained_near == pytest.approx(math.pi / 2, abs=1e-4)
+    # the scan, the zoom steps and the two endpoint sequences
+    assert len(calls) <= 16
 
 
 def test_sup_at_open_endpoint():
@@ -472,40 +485,31 @@ def test_sup_highest_of_five_maxima():
     assert np.max(h(quad.graded_grid(0.0, 6.0, 257))) < 0.99
 
 
-def _golden_scalar(h, a, b, iters=80):
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = b - phi * (b - a), a + phi * (b - a)
-    f1, f2 = float(h(np.array([x1]))[0]), float(h(np.array([x2]))[0])
-    for _ in range(iters):
-        if b - a < 1e-13 * max(1.0, abs(a), abs(b)):
-            break
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = float(h(np.array([x2]))[0])
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = float(h(np.array([x1]))[0])
-    return (x1, f1) if f1 >= f2 else (x2, f2)
-
-
 @pytest.mark.parametrize(
     "h",
     [
         lambda t: np.sin(3.0 * t) * np.exp(-0.1 * t),
-        lambda t: np.round(np.cos(t), 6),  # plateaus: ties between probes
+        lambda t: np.round(np.cos(t), 6),  # plateaus: ties between samples
         lambda t: np.where(t > 2.0, np.nan, -((t - 1.0) ** 2)),
     ],
 )
-def test_golden_lockstep_matches_scalar_search(h):
+def test_zoom_lockstep_bracket_does_not_depend_on_the_batch(h):
     rng = np.random.default_rng(5)
     a = rng.uniform(-5.0, 25.0, 5)
     b = a + rng.uniform(1e-12, 2.0, 5)
-    t, v = quad._golden_lockstep(h, a, b)
+    fa, fb = h(a), h(b)
+    t, v = quad._zoom_lockstep(h, a, b, fa, fb)
     for i in range(5):
-        t0, v0 = _golden_scalar(h, a[i], b[i])
-        assert t[i] == t0 and (v[i] == v0 or (math.isnan(v[i]) and math.isnan(v0)))
+        t0, v0 = quad._zoom_lockstep(h, a[i : i + 1], b[i : i + 1], fa[i : i + 1], fb[i : i + 1])
+        assert t[i] == t0[0] and v[i] == v0[0]
+        assert a[i] <= t[i] <= b[i]
+
+
+def test_sup_of_a_constant_stops_when_flat():
+    h, calls = _call_sizes(lambda t: np.full(np.shape(t), 2.5))
+    res = quad.sup_over(h, -40.0, 40.0, **_SUP)
+    assert res.sup_value == 2.5 and not res.unbounded
+    assert len(calls) <= 4
 
 
 def test_sup_never_below_samples():
