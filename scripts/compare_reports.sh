@@ -7,7 +7,10 @@
 # same commands on both source trees:
 #   - `analyze --best --reproducible` and `riccati-check` on every
 #     problems/*.json;
-#   - `analyze --solve-rho t0=0.5,rho0=-2.546 --reproducible` on exeq04;
+#   - `analyze --solve-rho t0=0.5,rho0=-2.546 --reproducible` on exeq04, and
+#     `analyze --solve-rho t0=0.5,rho0=-2 --best --reproducible` on exeq06,
+#     whose real powers t^(-a) the Riccati right-hand side evaluates at one
+#     point per step;
 #   - `analyze --fast-path --reproducible` on const-i, const-ii and const-iii;
 #   - `empirical --trials 4 --seed 7 --reproducible` on exeq01, exeq03,
 #     exeq04 and exeq06 (report and .extremal.csv);
@@ -58,6 +61,8 @@ contract() {
   done
   run "$tree" "$out" solve-rho.exeq04 analyze "$tree/problems/exeq04.json" \
     --solve-rho t0=0.5,rho0=-2.546 --reproducible
+  run "$tree" "$out" solve-rho.exeq06 analyze "$tree/problems/exeq06.json" \
+    --solve-rho t0=0.5,rho0=-2 --best --reproducible
   for stem in const-i const-ii const-iii; do
     run "$tree" "$out" "fast-path.$stem" analyze "$tree/problems/$stem.json" --fast-path --reproducible
   done

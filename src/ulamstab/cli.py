@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, dynamics, exprlang, riccati, stability
 from . import corpus as corpus_mod
-from .model import Config, problem_from_dict
+from .model import Config, probe_grid, problem_from_dict
 
 EXIT_STABLE = 0
 EXIT_INPUT_ERROR = 1
@@ -192,13 +192,18 @@ def _emit(doc, out, stem):
         (out_dir / f"{stem}.report.json").write_text(text)
 
 
-def _fast_path_report(problem):
-    grid = np.linspace(problem.domain.default_anchor() - 1.0, problem.domain.default_anchor() + 1.0, 17)
-    grid = grid[[problem.domain.contains(t) for t in grid]]
+def _fast_path_report(problem, config):
+    # constancy on the grid that validates the problem; a non-finite value fails it
+    try:
+        grid = probe_grid(problem.domain, config.probe_points, config.range_cap)
+    except ValueError as exc:
+        _fail("fast-path", exc)
     consts = []
     for which in ("alpha", "beta", "gamma"):
         vals = problem.fn(which)(grid)
-        if np.max(np.abs(vals - vals[0])) > 1e-12 * (1.0 + np.max(np.abs(vals))):
+        with np.errstate(all="ignore"):
+            constant = np.all(np.abs(vals - vals[0]) <= 1e-12 * (1.0 + np.max(np.abs(vals))))
+        if not constant:
             _fail("fast-path", f"{which} is not constant; the closed-form route does not apply")
         consts.append(complex(vals[0]))
     try:
@@ -260,7 +265,7 @@ def analyze(problem_path, best, fast_path, solve_rho, tol, reproducible, out):
     config = _make_config(tolerances, tol)
 
     if fast_path:
-        report_dict = _fast_path_report(problem)
+        report_dict = _fast_path_report(problem, config)
     else:
         rho = _resolve_rho(problem, rho_expr, solve_rho, config)
         report_dict = stability.analyze(problem, rho, config, best=best).to_dict()

@@ -3,8 +3,9 @@
 Expressions are functions of the free variable ``t`` plus named parameters
 (``sigma``, ``a``, ...).  They are complex-valued end-to-end, support symbolic
 differentiation with respect to ``t``, and compile into one generated Python
-function that takes a scalar ``t`` (ODE right-hand sides) or an array of them
-(quadrature loops).
+function of numpy array arithmetic.  It takes an array of ``t`` (quadrature
+loops, collocation panels) or a scalar ``t``, which it evaluates as an array
+of one point.
 
 The grammar (see GRAMMAR.md at the repository root) has precedence
 ``^`` > unary ``-`` > ``*``, ``/`` > ``+``, ``-``, with right-associative
@@ -13,9 +14,7 @@ The grammar (see GRAMMAR.md at the repository root) has precedence
 
 from __future__ import annotations
 
-import cmath
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "differentiate",
     "to_string",
     "compile_expr",
-    "complex_divide",
     "free_params",
     "ExprError",
     "ExprSyntaxError",
@@ -462,12 +460,10 @@ def _fmt(e, parent_prec):
 # ---------------------------------------------------------------------------
 # Compilation to one generated function
 #
-# One statement per node, formatted twice: "{0}" becomes "" for the Python
-# complex helpers of a real scalar t and "_a" for the numpy helpers of an
-# array (both bound from `_HELPERS`).  Identifiers come from the node kind
-# and a counter; numbers and parameter values live in the namespace, so no
-# text of the expression reaches `compile`.  A scalar that raises or comes
-# out non-finite is evaluated again on the array path.
+# One numpy statement per node, calling the helpers of `_RUNTIME`.
+# Identifiers come from the node kind and a counter; numbers and parameter
+# values live in the namespace, so no text of the expression reaches
+# `compile`.  A scalar t is evaluated as an array of one point.
 
 
 def compile_expr(e: Expr, params=None):
@@ -476,43 +472,39 @@ def compile_expr(e: Expr, params=None):
     Parameter values are baked in at compile time.  Division by zero and
     domain edges produce inf/nan silently (callers evaluate on interior
     grids where the problem validator has already checked the expression).
-    A scalar gives a complex scalar, an array a complex array of its shape.
+    An array gives a complex array of its shape; a scalar gives an
+    ``np.complex128``, which is a ``complex``.
     """
     params = params or {}
     missing = free_params(e) - set(params)
     if missing:
         raise UnboundParameterError(sorted(missing)[0])
     namespace = dict(_RUNTIME)
-    scalar, array = [], []
+    lines = []
 
     def emit(node):
         if isinstance(node, (Num, ImagUnit, Param)):
-            name = f"{type(node).__name__.lower()}{len(array)}"
             value = 1j if isinstance(node, ImagUnit) else node.value if isinstance(node, Num) else params[node.name]
-            namespace[name] = complex(value)
-            array.append(f"{name}_a = _np.full_like(t, {name}, dtype=complex)")
-            return name
-        if isinstance(node, Var):
-            stmt = "_var{0}(t)"
+            const = f"_k{len(lines)}"
+            namespace[const] = complex(value)
+            stmt = f"_np.full_like(t, {const}, dtype=complex)"
+        elif isinstance(node, Var):
+            stmt = "_np.asarray(t, dtype=complex)"
         elif isinstance(node, Neg):
-            stmt = f"-{emit(node.operand)}{{0}}"
+            stmt = f"-{emit(node.operand)}"
         elif isinstance(node, BinOp):
-            stmt = _BINOPS[node.op].format(f"{emit(node.left)}{{0}}", f"{emit(node.right)}{{0}}")
+            left, right = emit(node.left), emit(node.right)
+            stmt = f"_pow({left}, {right})" if node.op == "^" else f"{left} {node.op} {right}"
         elif isinstance(node, Call):
-            stmt = f"{_CALL_IDS[node.func]}{{0}}({emit(node.arg)}{{0}})"
+            stmt = f"_{node.func}({emit(node.arg)})"
         else:
             raise AssertionError(type(node))
-        name = f"{type(node).__name__.lower()}{len(array)}"
-        scalar.append(f"{name} = " + stmt.format(""))
-        array.append(f"{name}_a = " + stmt.format("_a"))
+        name = f"{type(node).__name__.lower()}{len(lines)}"
+        lines.append(f"{name} = {stmt}")
         return name
 
     out = emit(e)
-    source = _SOURCE.format(
-        scalar="\n".join(" " * 12 + line for line in scalar),
-        array="\n".join(" " * 8 + line for line in array),
-        out=out,
-    )
+    source = _SOURCE.format(body="\n".join(" " * 8 + line for line in lines), out=out)
     exec(_code(source), namespace)
     return namespace["expr"]
 
@@ -525,24 +517,15 @@ def _code(source):
 
 _SOURCE = """\
 def expr(t):
-    if isinstance(t, _real):
-        try:
-{scalar}
-            if _isfinite({out}):
-                return {out}
-        except (ZeroDivisionError, OverflowError, ValueError):
-            pass
     t = _np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     if scalar:
         t = t.reshape(1)
     with _np.errstate(all="ignore"):
-{array}
-    out = _np.asarray({out}_a, dtype=complex)
+{body}
+    out = _np.asarray({out}, dtype=complex)
     return out[0] if scalar else out
 """
-
-_BINOPS = {"+": "{} + {}", "-": "{} - {}", "*": "{} * {}", "/": "_div{{0}}({}, {})", "^": "_pow{{0}}({}, {})"}
 
 
 def _canon(v):
@@ -553,7 +536,7 @@ def _canon(v):
     return v
 
 
-def _np_pow(a, b):
+def _pow(a, b):
     # keep real branches real: a real base >= 0, or a real integer exponent
     if np.all(np.imag(a) == 0) and np.all(np.imag(b) == 0):
         ar = np.real(a)
@@ -567,75 +550,16 @@ def _np_pow(a, b):
     return _canon(a) ** _canon(b)
 
 
-def complex_divide(a, b):
-    """``a / b`` rounded as numpy's complex divide: Smith's method with a reciprocal.
-
-    A zero divisor gives nan instead of raising.  Real operands take the
-    real part of that formula alone: ``a * (1 / b)``.
-    """
-    br, bi = b.real, b.imag
-    if not (bi or a.imag) and br:
-        return complex(a.real * (1.0 / br))
-    try:
-        if abs(br) >= abs(bi):
-            rat = bi / br
-            scl = 1.0 / (br + bi * rat)
-            return complex((a.real + a.imag * rat) * scl, (a.imag - a.real * rat) * scl)
-        rat = br / bi
-        scl = 1.0 / (bi + br * rat)
-        return complex((a.real * rat + a.imag) * scl, (a.imag * rat - a.real) * scl)
-    except ZeroDivisionError:
-        return complex(math.nan, math.nan)
-
-
-def _scalar_pow(a, b):
-    # `_np_pow` at one point
-    if not (a.imag or b.imag):
-        x, y = a.real, b.real
-        if x >= 0:
-            return complex(x**y)
-        if y == round(y):
-            p = (-x) ** y
-            return complex(-p if round(y) % 2 else p)
-    return _canonical(a) ** _canonical(b)
-
-
-def _scalar_log(a):
-    # a real argument takes numpy's branches (glibc clog)
-    if a.imag:
-        return cmath.log(a)
-    x = abs(a.real)
-    re = math.log1p((x - 1.0) * (x + 1.0)) / 2 if 0.5 <= x < 2.0 else math.log(x)
-    return complex(re, math.atan2(0.0, a.real))
-
-
-def _scalar_tan(a):
-    # a real argument takes numpy's formula (glibc ctan)
-    if a.imag:
-        return cmath.tan(a)
-    s, c = math.sin(a.real), math.cos(a.real)
-    return complex(s * c / (c * c))
-
-
-def _canonical(a):
-    return a if a.imag else complex(a.real)
-
-
-# helper: scalar and array version; the array one is bound with suffix _a
-_HELPERS = {
-    "_var": (complex, lambda t: np.asarray(t, dtype=complex)),
-    "_div": (complex_divide, np.divide),
-    "_pow": (_scalar_pow, _np_pow),
-    "_sin": (lambda a: cmath.sin(_canonical(a)), lambda v: np.sin(_canon(v))),
-    "_cos": (lambda a: cmath.cos(_canonical(a)), lambda v: np.cos(_canon(v))),
-    "_tan": (_scalar_tan, lambda v: np.tan(_canon(v))),
-    "_exp": (lambda a: cmath.exp(_canonical(a)), lambda v: np.exp(_canon(v))),
-    "_log": (_scalar_log, lambda v: np.log(_canon(v))),
-    "_sqrt": (lambda a: cmath.sqrt(_canonical(a)), lambda v: np.sqrt(_canon(v))),
-    "_abs": (lambda a: complex(abs(a)), lambda v: np.abs(v).astype(complex)),
-    "_re": (lambda a: complex(a.real), lambda v: np.real(v).astype(complex)),
-    "_im": (lambda a: complex(a.imag), lambda v: np.imag(v).astype(complex)),
+_RUNTIME = {
+    "_np": np,
+    "_pow": _pow,
+    "_sin": lambda v: np.sin(_canon(v)),
+    "_cos": lambda v: np.cos(_canon(v)),
+    "_tan": lambda v: np.tan(_canon(v)),
+    "_exp": lambda v: np.exp(_canon(v)),
+    "_log": lambda v: np.log(_canon(v)),
+    "_sqrt": lambda v: np.sqrt(_canon(v)),
+    "_abs": lambda v: np.abs(v).astype(complex),
+    "_re": lambda v: np.real(v).astype(complex),
+    "_im": lambda v: np.imag(v).astype(complex),
 }
-_CALL_IDS = {func: f"_{func}" for func in FUNCTIONS}
-_RUNTIME = {"_np": np, "_real": (float, int), "_isfinite": cmath.isfinite}
-_RUNTIME.update((name + suffix, f) for name, pair in _HELPERS.items() for suffix, f in zip(("", "_a"), pair))

@@ -3,11 +3,16 @@
 The program solves the linear oscillator by Chebyshev panel collocation.
 This module integrates the same initial value problem as a first-order
 system with scipy's DOP853 at rtol 1e-12 and atol 1e-14, for the tests
-that have no closed form to compare with.
+that have no closed form to compare with.  The right-hand side reads the
+coefficients through `expr_oracle.evaluate`, in Python complex arithmetic,
+so the oracle shares no code with the compiled functions it checks.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from expr_oracle import evaluate
+from ulamstab.exprlang import Expr
 
 RTOL = 1e-12
 ATOL = 1e-14
@@ -16,16 +21,21 @@ ATOL = 1e-14
 def dop853(problem, ivp, ts, forcing=None):
     """x at ``ts`` of the member with data ``ivp``, for one forcing.
 
-    ``forcing`` is a callable of t, a constant, or None for the problem's
-    forcing.  ``ts`` may lie on both sides of ``ivp.t0``, unsorted.
+    ``forcing`` is an expression, a callable of t, a constant, or None for
+    the problem's forcing.  ``ts`` may lie on both sides of ``ivp.t0``,
+    unsorted.
     """
-    a, b, c = (problem.fn(which) for which in ("alpha", "beta", "gamma"))
-    f = problem.fn("forcing") if forcing is None else forcing
+    a, b, c = problem.alpha, problem.beta, problem.gamma
+    f = problem.forcing if forcing is None else forcing
 
     def rhs(t, y):
         x, xp = complex(y[0], y[1]), complex(y[2], y[3])
-        g = complex(f(t)) if callable(f) else complex(f)
-        xpp = (g - complex(b(t)) * xp - complex(c(t)) * x) / complex(a(t))
+        av, bv, cv = (evaluate(e, t, problem.params) for e in (a, b, c))
+        if isinstance(f, Expr):
+            g = evaluate(f, t, problem.params)
+        else:
+            g = complex(f(t)) if callable(f) else complex(f)
+        xpp = (g - bv * xp - cv * x) / av
         return [y[2], y[3], xpp.real, xpp.imag]
 
     t0 = float(ivp.t0)

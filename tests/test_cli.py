@@ -115,9 +115,18 @@ def test_fast_path_constant_coefficients(runner):
     assert doc["report"]["constant"] == {"B": 0.5, "L": 0.5}
 
 
-def test_fast_path_rejects_variable_coefficients(runner):
-    result = runner.invoke(cli.main, ["analyze", str(PROBLEMS / "exeq01.json"), "--fast-path"])
-    assert result.exit_code == 1
+def test_fast_path_rejects_variable_coefficients(runner, tmp_path):
+    # exeq01, and an alpha that runs from 1 to 11 on an interval shorter
+    # than one unit
+    narrow = tmp_path / "narrow.json"
+    narrow.write_text(
+        json.dumps({"alpha": "1 + 100*t", "beta": "3", "gamma": "2", "interval": {"lower": 0.0, "upper": 0.1}})
+    )
+    for path in (PROBLEMS / "exeq01.json", narrow):
+        result = _invoke(runner, ["analyze", str(path), "--fast-path"])
+        assert result.exit_code == 1, path.name
+        error = json.loads(result.stderr)["error"]
+        assert error == {"kind": "fast-path", "detail": "alpha is not constant; the closed-form route does not apply"}
 
 
 def test_missing_rho_is_input_error(runner, tmp_path):

@@ -25,8 +25,8 @@ from ulamstab.exprlang import (
 )
 
 
-def _both_paths(e, t, params=None):
-    """The compiled function at ``t``: scalar path, then array path."""
+def _scalar_and_batch(e, t, params=None):
+    """The compiled function at ``t``: a scalar input, then an array input."""
     fn = compile_expr(e, params)
     return fn(t), fn(np.array([t]))[0]
 
@@ -49,28 +49,28 @@ def _both_paths(e, t, params=None):
     ],
 )
 def test_eval_examples(text, t, expected):
-    for v in _both_paths(parse(text), t):
+    for v in _scalar_and_batch(parse(text), t):
         assert v == pytest.approx(expected)
 
 
 def test_tan_example():
-    for v in _both_paths(parse("-tan(t) - 1/t"), 0.5):
+    for v in _scalar_and_batch(parse("-tan(t) - 1/t"), 0.5):
         assert v.real == pytest.approx(-math.tan(0.5) - 2.0)
         assert v.imag == 0.0
 
 
 def test_param_binding():
     e = parse("t^(1 - a)")
-    assert _both_paths(e, 2.0, {"a": 1.0}) == (1.0, 1.0)
+    assert _scalar_and_batch(e, 2.0, {"a": 1.0}) == (1.0, 1.0)
     assert free_params(e) == {"a"}
     with pytest.raises(UnboundParameterError):
         compile_expr(e)
 
 
 def test_imaginary_unit():
-    assert _both_paths(parse("i*i"), 0.0) == (-1.0, -1.0)
-    assert _both_paths(parse("re(2 + 3*i)"), 0.0) == (2.0, 2.0)
-    assert _both_paths(parse("im(2 + 3*i)"), 0.0) == (3.0, 3.0)
+    assert _scalar_and_batch(parse("i*i"), 0.0) == (-1.0, -1.0)
+    assert _scalar_and_batch(parse("re(2 + 3*i)"), 0.0) == (2.0, 2.0)
+    assert _scalar_and_batch(parse("im(2 + 3*i)"), 0.0) == (3.0, 3.0)
 
 
 @pytest.mark.parametrize("bad", ["", "   ", "2t", "1 +", "(t", "t @ 2", "2..5", ".", "..5", "1+."])
@@ -98,14 +98,14 @@ def test_unknown_function():
 
 
 def test_domain_errors():
-    # the oracle raises; the compiled function gives inf/nan on both paths,
-    # without an exception or a floating-point warning
+    # the oracle raises; the compiled function gives inf/nan at a scalar t
+    # and in an array, without an exception or a floating-point warning
     for text in ("1/t", "log(t)"):
         with pytest.raises(DomainError):
             evaluate(parse(text), 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for v in _both_paths(parse(text), 0.0):
+            for v in _scalar_and_batch(parse(text), 0.0):
                 assert not np.isfinite(v), text
 
 
@@ -113,11 +113,11 @@ def test_domain_errors():
 
 
 def test_diff_examples():
-    for v in _both_paths(differentiate(parse("-1/t")), 2.0):
+    for v in _scalar_and_batch(differentiate(parse("-1/t")), 2.0):
         assert v == pytest.approx(0.25)
-    for d in _both_paths(differentiate(parse("-tan(t) - 1/t")), 1.0):
+    for d in _scalar_and_batch(differentiate(parse("-tan(t) - 1/t")), 1.0):
         assert d.real == pytest.approx(-1.0 / math.cos(1.0) ** 2 + 1.0)
-    assert _both_paths(differentiate(parse("3.5")), 1.0) == (0.0, 0.0)
+    assert _scalar_and_batch(differentiate(parse("3.5")), 1.0) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize("fn", ["abs", "re", "im"])
@@ -162,19 +162,41 @@ def test_print_parse_roundtrip(e, t):
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def _subtrees(e):
+    yield e
+    for child in (getattr(e, name) for name in ("operand", "left", "right", "arg") if hasattr(e, name)):
+        yield from _subtrees(child)
+
+
 def _mp_derivative(e, t):
-    """d/dt of ``e`` at ``t``: mpmath's central difference at 40 digits.
+    """d/dt of ``e`` at ``t``: mpmath's central difference.
 
     mpmath sizes the step to its working precision and adds guard digits,
     so the difference resolves terms that a fixed double-precision step
-    cannot, such as cos(t/1e-6).
+    cannot, such as cos(t/1e-6).  A large term can still hide t: in
+    t + a/6.3e-103 the difference comes out 0 below about 100 digits.  So
+    the working precision starts at 40 digits plus the largest decimal
+    exponent of any subexpression at t, and doubles until two precisions
+    agree.  Exponents count up to the double range's (2^±1100): a larger
+    term, such as exp(1/4e-67), would ask for more digits than mpmath can
+    hold.
     """
-    with mpmath.workdps(40):
-        return complex(mpmath.diff(lambda x: mp_eval(e, x, _params), mpmath.mpf(t)))
+    mags = [min(abs(int(mpmath.mag(v))), 1100) for v in (mp_eval(s, t, _params) for s in _subtrees(e)) if v != 0]
+    dps = 40 + math.ceil(0.302 * max(mags, default=0))
+    prev = None
+    for _ in range(4):
+        with mpmath.workdps(dps):
+            d = mpmath.diff(lambda x: mp_eval(e, x, _params), mpmath.mpf(t))
+        if prev is not None and abs(d - prev) <= 1e-12 * abs(d):
+            break
+        prev, dps = d, 2 * dps
+    return complex(d)
 
 
 @given(e=_ast, t=st.floats(min_value=0.3, max_value=2.7))
 @example(e=parse("-sin(t / 2.225073858507e-311)"), t=1.0)  # t/2.2e-311 overflows to inf
+@example(e=parse("-(t + a/6.256086849589852e-103)"), t=1.0)  # t is lost against 2e102 at 40 digits
+@example(e=parse("-exp(1/3.9792795715600237e-67)"), t=1.0)  # e^(2.5e66) outside the double range
 @settings(max_examples=100, deadline=None)
 def test_derivative_matches_central_difference(e, t):
     try:
@@ -193,34 +215,40 @@ def test_derivative_matches_central_difference(e, t):
 @given(e=_ast, t=st.floats(min_value=0.3, max_value=2.7))
 @settings(max_examples=100, deadline=None)
 def test_compiled_matches_interpreter(e, t):
-    # both paths against the oracle, and the scalar path against the array
-    # path at the same t
+    # a scalar t and an array of t against the oracle, and against each other
     try:
         want = evaluate(e, t, _params)
     except DomainError:
         assume(False)
     assume(abs(want) < 1e8)
-    scalar, array = _both_paths(e, t, _params)
+    scalar, array = _scalar_and_batch(e, t, _params)
     assert array == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert scalar == pytest.approx(want, rel=1e-12, abs=1e-12)
     assert scalar == pytest.approx(array, rel=1e-12, abs=1e-12)
 
 
-def test_scalar_path_takes_python_scalars():
+def test_scalar_t_gives_complex_scalar():
     fn = compile_expr(parse("2/t + sin(t)"))
     for t in (0.7, np.float64(0.7), 1):
         v = fn(t)
-        assert type(v) is complex
+        assert isinstance(v, complex) and np.ndim(v) == 0
         assert v == fn(np.array([float(t)]))[0]
-    # a point the scalar path cannot finish goes to the array path
-    assert type(fn(0.0)) is np.complex128
+    # a domain edge gives inf/nan, not an exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(fn(0.0))
 
 
-def test_scalar_path_rounds_as_array_path():
-    # on real data the scalar helpers reproduce numpy's rounding; powers are
-    # left out, as numpy's vectorised pow may differ in the last bit
+def test_point_alone_equals_point_in_batch():
     ts = np.random.default_rng(1).uniform(0.05, 3.0, 200)
-    for text in ("2/t - 3/(t*t + 1)", "tan(t)*log(t)/sqrt(t)", "exp(-t)*cos(3*t) + sin(t)/t", "log(2 - t) + abs(1 - t)"):
+    texts = (
+        "2/t - 3/(t*t + 1)",
+        "tan(t)*log(t)/sqrt(t)",
+        "exp(-t)*cos(3*t) + sin(t)/t",
+        "log(2 - t) + abs(1 - t)",
+        "t^(-1.25) + (t + 1)^(t/3)",
+    )
+    for text in texts:
         fn = compile_expr(parse(text))
         assert [fn(t) for t in ts] == list(fn(ts)), text
 
@@ -235,18 +263,19 @@ def test_compiled_is_vectorized():
 
 def test_complex_power_overflow_is_infinite():
     # a tiny negative base to a negative non-integer power overflows on the
-    # complex branch; both evaluators give infinity instead of raising
+    # complex branch; the oracle and the compiled function give infinity
+    # instead of raising
     e = parse("(-1.0346814016171131e-196)^(-t)")
     t = 1.6563756637409774
     assert evaluate(e, t) == complex(math.inf, math.inf)
-    assert _both_paths(e, t) == (complex(math.inf, math.inf),) * 2
+    assert _scalar_and_batch(e, t) == (complex(math.inf, math.inf),) * 2
 
 
 def test_real_inputs_stay_real():
     cases = (("sqrt(t)", math.sqrt(1.7)), ("log(t)", math.log(1.7)), ("t^0.5", 1.7**0.5), ("(-t)^2", 1.7**2))
     # beyond 100 Python's complex power leaves the real axis by rounding
     for text, want in cases + (("(-t)^101", -(1.7**101)),):
-        for v in (evaluate(parse(text), 1.7), *_both_paths(parse(text), 1.7)):
+        for v in (evaluate(parse(text), 1.7), *_scalar_and_batch(parse(text), 1.7)):
             assert v.imag == 0.0, text
             assert v.real == pytest.approx(want, rel=1e-15), text
 
@@ -260,8 +289,8 @@ def test_real_inputs_stay_real():
     ],
 )
 def test_negative_zero_imaginary_part_takes_upper_branch(text, want):
-    # -t is -2 - 0j; both paths read the -0 as +0, as the oracle does
-    for v in (evaluate(parse(text), 2.0), *_both_paths(parse(text), 2.0)):
+    # -t is -2 - 0j; the compiled function reads the -0 as +0, as the oracle does
+    for v in (evaluate(parse(text), 2.0), *_scalar_and_batch(parse(text), 2.0)):
         assert v == pytest.approx(want, rel=1e-15, abs=1e-15)
         assert v.imag > 0
 
@@ -280,9 +309,9 @@ def test_generated_source_holds_no_document_text(monkeypatch):
     names = ("np", "math", "cmath", "exp", "t0", "_x0")
     params = {name: 271.828125 + 2.5 * k for k, name in enumerate(names)}
     for name in names:
-        assert _both_paths(parse(name), 0.5, params) == (params[name], params[name])
+        assert _scalar_and_batch(parse(name), 0.5, params) == (params[name], params[name])
     text = "np*t + exp(math/100) - cmath/t0 + _x0^2 - 3.0625"
-    scalar, array = _both_paths(parse(text), 0.7, params)
+    scalar, array = _scalar_and_batch(parse(text), 0.7, params)
     want = evaluate(parse(text), 0.7, params)
     assert scalar == pytest.approx(want, rel=1e-14) and array == pytest.approx(want, rel=1e-14)
     # a parameter compiles to the same source whatever its name
