@@ -1,8 +1,9 @@
 """Reference evaluators of the expression language, for the tests only.
 
 `evaluate` walks the tree in Python complex arithmetic and raises
-`DomainError` at a division by zero, a log of zero or an infinite argument
-that `cmath` rejects, where the compiled function gives inf/nan.  `mp_eval`
+`DomainError` at a division by zero, a log of zero, an infinite argument
+that `cmath` rejects or a `cmath` result outside the double range, where
+the compiled function gives inf/nan.  `mp_eval`
 is the same walk in mpmath arithmetic.  Both keep the real branch of
 `sqrt`, `log` and real powers, as `exprlang.compile_expr` does.
 """
@@ -103,6 +104,9 @@ def _call(func, a, t):
     except ValueError:
         # cmath rejects some infinite arguments, e.g. sin(inf)
         raise DomainError(f"{func}({a}) at t={t}") from None
+    except OverflowError:
+        # cmath raises where the result leaves the double range, e.g. exp(1024)
+        raise DomainError(f"{func}({a}) overflows at t={t}") from None
 
 
 def mp_eval(e, t, params):

@@ -151,6 +151,7 @@ _params = {"a": 1.25}
 
 
 @given(e=_ast, t=st.floats(min_value=0.3, max_value=2.7))
+@example(e=parse("exp(2/0.001953125)"), t=1.0)  # e^1024 outside the double range
 @settings(max_examples=150, deadline=None)
 def test_print_parse_roundtrip(e, t):
     try:
