@@ -21,7 +21,10 @@
 # Each command's standard output, last line of standard error, exit status
 # and written files land in one output directory per tree.  The script
 # lists the files that differ and keeps both output directories for
-# inspection; it exits 1 when any differ.
+# inspection; it exits 1 when any differ.  For each differing pair that
+# parses as JSON or CSV it also prints the largest relative change of a
+# numeric field found in both, with that field's path, and the paths found
+# in only one of them.
 set -euo pipefail
 
 rev=${1:?usage: scripts/compare_reports.sh <rev>}
@@ -88,5 +91,52 @@ cd "$tmp"
 if diff -rq out-base out-worktree; then
   echo "no file differs"
 else
+  diff -rq out-base out-worktree | sed -n 's/^Files out-base\/\(.*\) and .* differ$/\1/p' | python3 -c '
+import csv, json, math, sys
+
+def fields(text, name):
+    """{path: leaf value} of a JSON document or, for a .csv file, of its rows."""
+    if name.endswith(".csv"):
+        rows = list(csv.reader(text.splitlines()))
+        return {f"row {i}.{key}": value for i, row in enumerate(rows[1:], 1) for key, value in zip(rows[0], row)}
+    out = {}
+
+    def walk(node, path):
+        items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else None
+        if items is None:
+            out[path] = node
+            return
+        for key, child in items:
+            walk(child, f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]")
+
+    walk(json.loads(text), "")
+    return out
+
+def number(v):
+    if isinstance(v, bool):
+        return None
+    try:
+        return float(v)
+    except (TypeError, ValueError):
+        return None
+
+for name in sys.stdin.read().split():
+    try:
+        old, new = (fields(open(f"{side}/{name}").read(), name) for side in ("out-base", "out-worktree"))
+    except ValueError:
+        continue  # neither JSON nor CSV
+    worst, where = 0.0, None
+    for path in old.keys() & new.keys():
+        a, b = number(old[path]), number(new[path])
+        if a is None or b is None or a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        rel = abs(b - a) / abs(a) if a else math.inf
+        if not rel <= worst:
+            worst, where = rel, f"{path} {old[path]!r} -> {new[path]!r}"
+    print(f"{name}: largest relative change {worst:.2g}" + (f" at {where}" if where else ""))
+    for label, only in (("base", old.keys() - new.keys()), ("worktree", new.keys() - old.keys())):
+        if only:
+            print(f"  only in {label}: {sorted(only)}")
+'
   exit 1
 fi

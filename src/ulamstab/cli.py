@@ -321,6 +321,8 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
             "epsilon": epsilon,
             "max_ratio": max_ratio,
             "records": records,
+            # the trials' forcing caches, replayed on the unit forcing's panels
+            "replay": dict(engine.replay_counts),
         },
     }
     doc = _report_doc(

@@ -537,16 +537,21 @@ def _canon(v):
 
 
 def _pow(a, b):
-    # keep real branches real: a real base >= 0, or a real integer exponent
+    # keep real branches real, point by point: a real base >= 0, or a real
+    # integer exponent; only the other points take the complex power, so a
+    # point's value does not depend on the rest of its batch
     if np.all(np.imag(a) == 0) and np.all(np.imag(b) == 0):
         ar = np.real(a)
         br = np.real(b)
         with np.errstate(all="ignore"):
             if np.all(ar >= 0):
                 return np.asarray(ar**br, dtype=complex)
-            if np.all(br == np.round(br)):
-                sign = np.where((ar >= 0) | (np.round(br) % 2 == 0), 1.0, -1.0)
-                return np.asarray(sign * np.abs(ar) ** br, dtype=complex)
+            whole = br == np.round(br)
+            sign = np.where((ar >= 0) | (np.round(br) % 2 == 0), 1.0, -1.0)
+            real = sign * np.abs(ar) ** br
+            if np.all(whole):
+                return np.asarray(real, dtype=complex)
+            return np.where((ar >= 0) | whole, real, _canon(a) ** _canon(b))
     return _canon(a) ** _canon(b)
 
 

@@ -9,14 +9,23 @@ resolved or a budget is hit; the reason is recorded per side.
 
 The numeric work runs as numpy batches.  All skeleton panels of a side are
 bisected together one level at a time, with one integrand call on the
-nodes of the whole level (as in `scipy.integrate.quad_vec`), while the
-stopping rules walk the finished panels in skeleton order.  The nodes are
+nodes of the whole level (as in `scipy.integrate.quad_vec`).  Each level
+hands the panels it finished to the caller as one block of arrays, and the
+stopping rules walk the panels' sums in skeleton order as Python floats, so
+the walk costs one numpy pass per level, not per panel.  The nodes are
 fixed, so a panel's fit residual and antiderivative coefficients are
-constant matrices applied to its node values.  A query reads its panel's interpolant with one
-complex Clenshaw recurrence, and the sup search zooms in on its candidate
-maxima in lockstep, one call of the function per step on ``_ZOOM_K``
-equispaced points of every bracket, until the bracket is narrower than
-rounding or its samples agree to rounding.
+constant matrices applied to its node values.
+
+`replay` integrates a second integrand on the panels of a built cache: it
+is given the integrand's values at that cache's nodes, keeps every panel
+that meets its budget and bisects the others as an adaptive build would.
+The solution engine replays every forcing on the unit forcing's panels.
+
+A query reads its panel's interpolant with one complex Clenshaw
+recurrence, and the sup search zooms in on its candidate maxima in
+lockstep, one call of the function per step on ``_ZOOM_K`` equispaced
+points of every bracket, until the bracket is narrower than rounding or its
+samples agree to rounding.
 
 Everything here is pure; `CumulativeIntegral` objects are built once and
 read-only afterwards, so they can be shared freely between threads.
@@ -27,6 +36,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
@@ -36,6 +46,7 @@ __all__ = [
     "CoverageError",
     "CumulativeIntegral",
     "cumulative",
+    "replay",
     "SupResult",
     "sup_over",
     "graded_grid",
@@ -218,8 +229,43 @@ class CumulativeIntegral:
         idx, part = self._in_panel(t)
         return self._right[idx] - part if side == "upper" else self._left[idx] + part
 
+    def nodes(self):
+        """The (n, 15) GK15 nodes of the n panels, where `replay` takes its first values."""
+        return _nodes(self.bps[:-1], self.bps[1:])[2]
 
-def _leaf(g, lo, hi, leaf_tol, leaf_rel, work):
+
+class _Block(NamedTuple):
+    """The roots ``first, first + 1, ...`` that one bisection level finished.
+
+    ``fates[j]`` is "" for a root with leaves, else "dropped" or "singular".
+    Root ``first + j`` owns rows ``bounds[j]:bounds[j + 1]`` of the leaf
+    arrays, sorted by left edge (ties in their order of acceptance); a root
+    with a fate owns none.
+    """
+
+    first: int
+    fates: list
+    bounds: list
+    left: np.ndarray
+    right: np.ndarray
+    vals: np.ndarray  # complex
+    errs: np.ndarray
+    anti: np.ndarray  # (n, 14) antiderivative coefficients per leaf
+    forced: np.ndarray  # leaf kept only because it reached _MAX_DEPTH
+
+    def rows(self, stop):
+        """(left, right, value, error, antiderivative) of the rows before ``stop``."""
+        return self.left[:stop], self.right[:stop], self.vals[:stop], self.errs[:stop], self.anti[:stop]
+
+
+def _nodes(a, b):
+    """Midpoints, half-widths and (n, 15) GK15 nodes of the panels [a_i, b_i]."""
+    mid = 0.5 * (a + b)
+    hw = 0.5 * (b - a)
+    return mid, hw, mid[:, None] + hw[:, None] * _XGK
+
+
+def _leaf(g, lo, hi, leaf_tol, leaf_rel, work, y0):
     """Adaptively split the root panels [lo_i, hi_i] into converged leaves.
 
     The bisection trees of all roots are walked together one level at a
@@ -228,23 +274,24 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work):
     accept/split decision of every panel are computed as arrays.  A panel's
     numbers depend on its own nodes only, so every root gets the leaves it
     would get alone.  A panel is accepted when its error estimate and its fit
-    residual meet the budget, or when it sits at ``_MAX_DEPTH``.
+    residual meet the budget, or when it sits at ``_MAX_DEPTH``.  ``y0``, when
+    not None, holds the integrand's values on the roots' own nodes
+    (`_nodes`), which then cost no integrand call.
 
-    A generator: it yields ``(i, leaves)`` for the roots in index order,
-    each once it and every root before it are done, and bisects the next
-    level only when asked for a root that is not done yet, so a consumer
-    that stops early leaves the later roots alone.  ``leaves`` are the
-    root's accepted leaves sorted by left edge, as arrays (left, right,
-    value, error, antiderivative coefficients (14, n)) and the number of
-    leaves kept only because they reached ``_MAX_DEPTH``.
+    A generator of `_Block`s: after a level it yields one block with the
+    roots that are now done and were not yet yielded (a root is done once it
+    and every root before it have no panel left to split), and bisects the
+    next level only when asked for more, so a consumer that stops early
+    leaves the later roots alone.
 
     A panel with a non-finite node is split further only while its root is
     the first unfinished one; a later root that turns non-finite is dropped
-    and yields "dropped", so no bisection is spent on a root the consumer
-    may never ask for (a root given alone is never dropped).  A non-finite
-    panel at ``_MAX_DEPTH`` makes its root yield "singular".  The integrand
-    is evaluated quietly: its non-finite values are handled here, as data.
-    ``work`` (a `collections.Counter`) counts integrand calls and points.
+    and gets the fate "dropped", so no bisection is spent on a root the
+    consumer may never ask for (a root given alone is never dropped).  A
+    non-finite panel at ``_MAX_DEPTH`` makes its root "singular".  The
+    integrand is evaluated quietly: its non-finite values are handled here,
+    as data.  ``work`` (a `collections.Counter`) counts integrand calls and
+    points.
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
@@ -254,13 +301,14 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work):
     kept = []
     done = 0  # roots below this index are yielded
     for depth in range(_MAX_DEPTH + 1):
-        mid = 0.5 * (a + b)
-        hw = 0.5 * (b - a)
-        x = mid[:, None] + hw[:, None] * _XGK
-        work["calls"] += 1
-        work["points"] += x.size
+        mid, hw, x = _nodes(a, b)
         with np.errstate(all="ignore"):
-            y = np.asarray(g(x), dtype=complex)
+            if depth == 0 and y0 is not None:
+                y = np.asarray(y0, dtype=complex)
+            else:
+                work["calls"] += 1
+                work["points"] += x.size
+                y = np.asarray(g(x), dtype=complex)
             # row sums along the contiguous node axis round as a 1-d np.sum
             # of the panel would, so a panel's value does not depend on its
             # level or on the other panels of the batch
@@ -312,14 +360,14 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work):
         if ready > done:
             kr, left, right, vals, errs, anti, forced = (np.concatenate(part) for part in zip(*kept))
             now = kr < ready
+            kept = [tuple(part[~now] for part in (kr, left, right, vals, errs, anti, forced))]
+            # a root with a fate keeps none of its leaves
+            now &= fate[kr] == ""
             # a root's leaves in left-edge order; ties keep their order of acceptance
             order = np.flatnonzero(now)[np.lexsort((left[now], kr[now]))]
             bounds = np.searchsorted(kr[order], np.arange(done, ready + 1)).tolist()
-            kept = [tuple(part[~now] for part in (kr, left, right, vals, errs, anti, forced))]
-            for r in range(done, ready):
-                i = order[bounds[r - done] : bounds[r - done + 1]]
-                leaves = (left[i], right[i], vals[i], errs[i], anti[i].T, int(np.count_nonzero(forced[i])))
-                yield r, fate[r] or leaves
+            parts = (part[order] for part in (left, right, vals, errs, anti, forced))
+            yield _Block(done, fate[done:ready].tolist(), bounds, *parts)
             done = ready
         if not root.size:
             return
@@ -398,19 +446,11 @@ def cumulative(
     diverging.  Coverage limits are recorded as data, never raised.
 
     All skeleton panels of a side are bisected together by one `_leaf`
-    batch, and the stopping rules walk the panels' sums in skeleton order as
-    the batch finishes them.  The batch stops with the walk; a panel it
-    dropped is evaluated alone once the walk reaches it.
+    batch, and the stopping rules walk the panels' sums in skeleton order,
+    one block of finished panels per level.  The batch stops with the walk;
+    a panel it dropped is evaluated alone once the walk reaches it.
     """
-    # tail caches serve edge-anchored partial sums over exponential dynamic
-    # range: an absolute tolerance floor would let deep-decay panels carry
-    # huge relative errors that downstream prefactors amplify
-    leaf_tol = 0.0 if tail_mode else tol * 1e-2
-    # tail integrands are built on other caches and carry their
-    # interpolation noise; demanding tighter relative accuracy only
-    # forces full-depth splitting against that noise floor
-    leaf_rel = 1e-8 if tail_mode else 1e-13
-
+    leaf_tol, leaf_rel = _leaf_budget(tol, tail_mode)
     leaves = []
     max_depth_leaves = 0
     work = Counter()
@@ -424,46 +464,63 @@ def cumulative(
         contribs = []
         tail_bound = 0.0
         diverging = False
-        for k, new in _leaf(g, lo_, hi_, leaf_tol, leaf_rel, work) if pts else ():
-            if new == "dropped":
-                ((_, new),) = _leaf(g, lo_[k : k + 1], hi_[k : k + 1], leaf_tol, leaf_rel, work)
-            if new == "singular":
-                status = "singular"
-                break
-            *new, forced = new
-            pv = sum(new[2].tolist())
-            cum += pv
-            # only the endpoint-approach phase feeds the tail heuristics;
-            # panels still growing away from the anchor carry growing mass
-            # for perfectly integrable functions
-            if k >= n_grow:
-                contribs.append(abs(pv))
-            leaves.append(new)
-            max_depth_leaves += forced
-            if tail_mode:
-                if len(contribs) >= 3:
-                    c1, c2, c3 = contribs[-3], contribs[-2], contribs[-1]
-                    # divergence is flagged but never stops the expansion:
-                    # truncating coverage early would poison edge-anchored
-                    # queries whose prefactor amplifies the missing mass
-                    if len(contribs) > 6 and c3 >= c2 >= c1 and c3 > 10.0 * (contribs[0] + tol):
-                        diverging = True
-                    # log-type endpoint divergence: halved panels keep
-                    # contributing the same mass instead of decaying
-                    if (
-                        len(contribs) > 8
-                        and math.isfinite(endpoint)
-                        and c3 > tol
-                        and c3 >= 0.999 * c2
-                        and c2 >= 0.999 * c1
-                    ):
-                        diverging = True
-                # tail caches hold exponential-scale values; budget their log
-                if abs(cum) > math.exp(min(log_budget, 700.0)):
-                    status = "budget"
+        stopped = False
+        for blk in _leaf(g, lo_, hi_, leaf_tol, leaf_rel, work, None) if pts else ():
+            vals = blk.vals.tolist()
+            alone = []  # the dropped roots, each evaluated alone
+            taken = len(vals)  # rows of the block the walk keeps
+            for j, fate in enumerate(blk.fates):
+                k = blk.first + j
+                one = None
+                if fate == "dropped":
+                    (one,) = _leaf(g, lo_[k : k + 1], hi_[k : k + 1], leaf_tol, leaf_rel, work, None)
+                    fate = one.fates[0]
+                if fate == "singular":
+                    status = "singular"
+                    taken, stopped = blk.bounds[j], True
                     break
-            elif abs(cum.real) > log_budget:
-                status = "budget"
+                if one is None:
+                    pv = sum(vals[blk.bounds[j] : blk.bounds[j + 1]])
+                else:
+                    alone.append(one)
+                    pv = sum(one.vals.tolist())
+                cum += pv
+                # only the endpoint-approach phase feeds the tail heuristics;
+                # panels still growing away from the anchor carry growing mass
+                # for perfectly integrable functions
+                if k >= n_grow:
+                    contribs.append(abs(pv))
+                if tail_mode:
+                    if len(contribs) >= 3:
+                        c1, c2, c3 = contribs[-3], contribs[-2], contribs[-1]
+                        # divergence is flagged but never stops the expansion:
+                        # truncating coverage early would poison edge-anchored
+                        # queries whose prefactor amplifies the missing mass
+                        if len(contribs) > 6 and c3 >= c2 >= c1 and c3 > 10.0 * (contribs[0] + tol):
+                            diverging = True
+                        # log-type endpoint divergence: halved panels keep
+                        # contributing the same mass instead of decaying
+                        if (
+                            len(contribs) > 8
+                            and math.isfinite(endpoint)
+                            and c3 > tol
+                            and c3 >= 0.999 * c2
+                            and c2 >= 0.999 * c1
+                        ):
+                            diverging = True
+                    # tail caches hold exponential-scale values; budget their log
+                    if abs(cum) > math.exp(min(log_budget, 700.0)):
+                        status = "budget"
+                elif abs(cum.real) > log_budget:
+                    status = "budget"
+                if status == "budget":
+                    taken, stopped = blk.bounds[j + 1], True
+                    break
+            for part in (blk, *alone):
+                stop = taken if part is blk else len(part.vals)
+                leaves.append(part.rows(stop))
+                max_depth_leaves += int(np.count_nonzero(part.forced[:stop]))
+            if stopped:
                 break
         if tail_mode and len(contribs) >= 3:
             c1, c2, c3 = contribs[-3], contribs[-2], contribs[-1]
@@ -482,7 +539,51 @@ def cumulative(
 
     if not leaves:
         raise ValueError("empty coverage; t_ref too close to both endpoints")
-    left, right, vals, errs, anti = (np.concatenate(part, axis=-1) for part in zip(*leaves))
+    return _assemble(t_ref, leaves, infos["lower"], infos["upper"], max_depth_leaves, work)
+
+
+def replay(template, y0, g, tol, tail_mode):
+    """A `CumulativeIntegral` of ``g`` on the panels of the built cache ``template``.
+
+    ``y0`` holds ``g`` on the template's nodes (`CumulativeIntegral.nodes`),
+    so a panel that meets its budget costs no integrand call; one that misses
+    it is bisected exactly as in `cumulative`, with ``tol`` and ``tail_mode``
+    setting the budget as there.  The blocks of `_leaf` are taken whole, with
+    no stopping rules: the result keeps the template's coverage and
+    `SideInfo`.  Returns the cache and the number of template panels that were
+    bisected, or None when ``y0`` is not finite (the integrand has a
+    singularity the template was not built for) or a panel comes back
+    dropped or singular.
+    """
+    if not np.all(np.isfinite(y0)):
+        return None
+    leaf_tol, leaf_rel = _leaf_budget(tol, tail_mode)
+    work = Counter()
+    blocks = []
+    for blk in _leaf(g, template.bps[:-1], template.bps[1:], leaf_tol, leaf_rel, work, y0):
+        if any(blk.fates):
+            return None
+        blocks.append(blk)
+    bisected = sum(int(np.count_nonzero(np.diff(blk.bounds) > 1)) for blk in blocks)
+    forced = sum(int(np.count_nonzero(blk.forced)) for blk in blocks)
+    leaves = [blk.rows(len(blk.vals)) for blk in blocks]
+    return _assemble(template.t_ref, leaves, template.lower_info, template.upper_info, forced, work), bisected
+
+
+def _leaf_budget(tol, tail_mode):
+    """(leaf_tol, leaf_rel): the absolute and relative budget of a leaf."""
+    # tail caches serve edge-anchored partial sums over exponential dynamic
+    # range: an absolute tolerance floor would let deep-decay panels carry
+    # huge relative errors that downstream prefactors amplify; their
+    # integrands are built on other caches and carry their interpolation
+    # noise, so demanding tighter relative accuracy only forces full-depth
+    # splitting against that noise floor
+    return (0.0, 1e-8) if tail_mode else (tol * 1e-2, 1e-13)
+
+
+def _assemble(t_ref, leaves, lower_info, upper_info, max_depth_leaves, work):
+    """The `CumulativeIntegral` of ``leaves``, a list of (left, right, value, error, anti) arrays."""
+    left, right, vals, errs, anti = (np.concatenate(part) for part in zip(*leaves))
     # a zero-width leaf (a split at ulp width) goes before the leaf that
     # starts at the same point, so every panel reads its own edges in bps
     order = np.lexsort((right, left))
@@ -491,9 +592,9 @@ def cumulative(
         bps=np.append(left[order], right[order[-1]]),
         panel_vals=vals[order],
         panel_errs=errs[order],
-        antider=anti[:, order],
-        lower_info=infos["lower"],
-        upper_info=infos["upper"],
+        antider=np.ascontiguousarray(anti[order].T),
+        lower_info=lower_info,
+        upper_info=upper_info,
         max_depth_leaves=max_depth_leaves,
         integrand_calls=work["calls"],
         integrand_points=work["points"],

@@ -274,10 +274,10 @@ def test_random_trial_with_non_finite_data_raises(eng01, monkeypatch):
     fit_basis = dynamics._fit_basis
 
     def spoiled(*args):
-        p_arr, (w1, w2) = fit_basis(*args)
+        w1, w2 = fit_basis(*args)
         w2 = w2.copy()
         w2[3] = np.nan
-        return p_arr, (w1, w2)
+        return w1, w2
 
     monkeypatch.setattr(dynamics, "_fit_basis", spoiled)
     with pytest.raises(ValueError, match="not finite"):
@@ -316,6 +316,65 @@ def test_random_trials_reach_grid_optimum(eng01, fits):
     assert len(fits) == 4
     for target, basis, fit in fits:
         assert fit.distance == pytest.approx(_grid_optimum(target, basis, fit), rel=1e-10)
+
+
+def test_replay_bisects_a_forcing_finer_than_the_unit(exeq03, cfg):
+    # cos(100 t) oscillates faster than the unit forcing's panels resolve
+    p, _ = exeq03
+    eng = _engine(*exeq03, cfg)
+    g = lambda s: np.cos(100.0 * np.asarray(s, float))
+    ivp = IvpData(0.5, 0.3, -0.2)
+    x = eng.representation(ivp, forcing=g)
+    assert eng.replay_counts["bisected_panels"] > 0 and eng.replay_counts["fallbacks"] == 0
+    unit = eng.forcing_caches(dynamics._unit, key="unit")
+    replayed = eng.forcing_caches(g)
+    for c, u in zip(replayed, unit):
+        assert len(c.panel_vals) > len(u.panel_vals)
+        assert (c.lo, c.hi, c.lower_info, c.upper_info) == (u.lo, u.hi, u.lower_info, u.upper_info)
+    ts = np.linspace(0.05, 0.95, 41)
+    oracle = dynamics.ivp_solution(p, (ivp,), ts, (g,))[0]
+    adaptive = eng._member(0.5, 0.3, -0.2 + 2.0 * 0.3, eng._build(g))  # rho(0.5) = -2
+    assert np.max(np.abs(x(ts) - oracle)) < 1e-10
+    assert np.max(np.abs(x(ts) - adaptive(ts))) < 1e-12
+
+
+def test_non_finite_forcing_takes_the_adaptive_build(exeq03, cfg):
+    eng = _engine(*exeq03, cfg)
+    # infinite at one node of the unit forcing's panels, 1 elsewhere
+    node = float(eng.forcing_caches(dynamics._unit, key="unit")[0].nodes()[40, 7])
+    g = lambda s: np.where(np.asarray(s) == node, np.inf, 1.0)
+    fc, h2 = eng.forcing_caches(g)
+    assert eng.replay_counts == {"bisected_panels": 0, "fallbacks": 1}
+    for c, ref in zip((fc, h2), eng._build(g)):
+        assert np.array_equal(c.bps, ref.bps) and np.array_equal(c.panel_vals, ref.panel_vals)
+        assert np.all(np.isfinite(c.panel_vals))
+
+
+def _pick(name, label):
+    (variant,) = (v for v in corpus_entry(name).variants if v.label == label)
+    return corpus.build(variant)
+
+
+@pytest.mark.parametrize(
+    "name, label",
+    [("exeq01", "default"), ("exeq03", "sigma=1.0"), ("exeq04", "sigma=1.0"), ("exeq06", "a=0.5 b=1.5 sigma=1.0")],
+)
+def test_replayed_trials_match_adaptive_builds(name, label, cfg):
+    # each trial as the parent algorithm computed it: adaptive caches for the
+    # problem's forcing plus g, less the solution for the problem's forcing
+    eng = _engine(*_pick(name, label), cfg)
+    _, records = dynamics.random_perturbation_test(eng, 0.1, 32, 7, math.inf)
+    assert eng.replay_counts["fallbacks"] == 0
+    t0 = eng.se.anchor
+    grid = eng.experiment_grid(t0)
+    basis = dynamics._fit_basis(eng, t0, grid)
+    base = eng.problem.fn("forcing")
+    p_arr = eng._member(t0, 0j, 0j, eng._build(base))(grid)
+    for trial, rec in enumerate(records):
+        g, _ = dynamics._random_smooth(np.random.default_rng([7, trial]), grid, 0.1)
+        forced = eng._build(lambda s: np.asarray(base(s)) + g(s))
+        _, dist = dynamics._min_sup_distance(eng._member(t0, 0j, 0j, forced)(grid) - p_arr, basis)
+        assert rec["ratio"] == pytest.approx(dist / 0.1, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize(

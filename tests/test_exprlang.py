@@ -254,6 +254,16 @@ def test_point_alone_equals_point_in_batch():
         assert [fn(t) for t in ts] == list(fn(ts)), text
 
 
+def test_real_power_does_not_depend_on_the_batch():
+    # one negative base in a batch sends only its own point to the complex power
+    fn = compile_expr(parse("t^(1/3)"))
+    ts = np.linspace(0.1, 3.0, 1002)[1:-1]
+    alone = fn(ts)
+    batch = fn(np.append(ts, -1.0))
+    assert alone.tobytes() == batch[:-1].tobytes()
+    assert batch[-1] == pytest.approx(complex(0.5, math.sqrt(3.0) / 2.0), rel=1e-15)
+
+
 def test_compiled_is_vectorized():
     fn = compile_expr(parse("t^2 - sin(t)"))
     ts = np.linspace(0.1, 2.0, 7)

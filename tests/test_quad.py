@@ -156,9 +156,23 @@ def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel, max_depth=28):
     return [np.array(part) for part in zip(*out)]
 
 
+def _roots(blocks):
+    """(root, leaves or fate) for each root of `quad._leaf`'s blocks, in order.
+
+    ``leaves`` are arrays (left, right, value, error, antiderivative
+    coefficients (14, n)) and the number of leaves kept only because they
+    reached ``_MAX_DEPTH``.
+    """
+    for blk in blocks:
+        for j, fate in enumerate(blk.fates):
+            i = slice(blk.bounds[j], blk.bounds[j + 1])
+            forced = int(np.count_nonzero(blk.forced[i]))
+            yield blk.first + j, fate or (blk.left[i], blk.right[i], blk.vals[i], blk.errs[i], blk.anti[i].T, forced)
+
+
 def _leaves_alone(g, lo, hi, leaf_tol, leaf_rel, work):
     """`quad._leaf` on the single root [lo, hi]: its leaves, or "singular"."""
-    ((_, leaves),) = quad._leaf(g, [lo], [hi], leaf_tol, leaf_rel, work)
+    ((_, leaves),) = _roots(quad._leaf(g, [lo], [hi], leaf_tol, leaf_rel, work, None))
     return leaves
 
 
@@ -180,7 +194,7 @@ def test_leaf_matches_panel_by_panel_reference(g, lo, hi, leaf_tol, leaf_rel):
     eps = np.finfo(float).eps
     edges = lo + (hi - lo) * np.array([0.0, 0.3, 0.55, 1.0])
     batch_work = Counter()
-    batch = list(quad._leaf(g, edges[:-1], edges[1:], leaf_tol, leaf_rel, batch_work))
+    batch = list(_roots(quad._leaf(g, edges[:-1], edges[1:], leaf_tol, leaf_rel, batch_work, None)))
     assert [i for i, _ in batch] == [0, 1, 2]
     alone_work = []
     for i, (a, b) in enumerate([(lo, hi), *zip(edges[:-1], edges[1:])]):
