@@ -494,7 +494,8 @@ def compile_expr(e: Expr, params=None):
             stmt = f"-{emit(node.operand)}"
         elif isinstance(node, BinOp):
             left, right = emit(node.left), emit(node.right)
-            stmt = f"_pow({left}, {right})" if node.op == "^" else f"{left} {node.op} {right}"
+            helper = {"^": "_pow", "/": "_quotient"}.get(node.op)
+            stmt = f"{helper}({left}, {right})" if helper else f"{left} {node.op} {right}"
         elif isinstance(node, Call):
             stmt = f"_{node.func}({emit(node.arg)})"
         else:
@@ -555,9 +556,29 @@ def _pow(a, b):
     return _canon(a) ** _canon(b)
 
 
+def _quotient(a, b):
+    # numpy divides by a real divisor as a * (1/b), which gives inf or nan
+    # once 1/b overflows (|b| below about 5.6e-309); only those points, all
+    # among the non-finite quotients, divide each part directly, so every
+    # other point keeps numpy's quotient
+    q = a / b
+    # a sum is finite only when every term is (an overflow only costs the
+    # slow path), and it allocates no mask
+    if np.isfinite(q.sum()):
+        return q
+    bad = ~np.isfinite(q)
+    num, den, fixed = a[bad], b[bad], q[bad]
+    direct = (den.imag == 0) & (den.real != 0) & np.isinf(1.0 / den.real)
+    fixed.real[direct] = num.real[direct] / den.real[direct]
+    fixed.imag[direct] = num.imag[direct] / den.real[direct]
+    q[bad] = fixed
+    return q
+
+
 _RUNTIME = {
     "_np": np,
     "_pow": _pow,
+    "_quotient": _quotient,
     "_sin": lambda v: np.sin(_canon(v)),
     "_cos": lambda v: np.cos(_canon(v)),
     "_tan": lambda v: np.tan(_canon(v)),

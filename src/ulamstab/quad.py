@@ -1,7 +1,7 @@
 """Integration machinery.
 
 Provides cached cumulative antiderivatives built from adaptive
-Gauss-Kronrod 15(7) panels with per-panel Legendre interpolants, graded
+Gauss-Kronrod 15(7) panels with per-panel Chebyshev interpolants, graded
 evaluation grids, and sup-over-interval search with endpoint limit
 extrapolation.  Coverage of a cumulative grows from an interior anchor
 toward each endpoint, finite or infinite, and stops where the endpoint is
@@ -21,11 +21,12 @@ is given the integrand's values at that cache's nodes, keeps every panel
 that meets its budget and bisects the others as an adaptive build would.
 The solution engine replays every forcing on the unit forcing's panels.
 
-A query reads its panel's interpolant with one complex Clenshaw
-recurrence, and the sup search zooms in on its candidate maxima in
-lockstep, one call of the function per step on ``_ZOOM_K`` equispaced
-points of every bracket, until the bracket is narrower than rounding or its
-samples agree to rounding.
+A query reads its panel's interpolant, a Chebyshev series, with one
+complex Clenshaw recurrence of three array operations per term.  The sup
+search evaluates its scan and its endpoint approach sequences in one call of
+the function, then zooms in on its candidate maxima in lockstep, one call
+per step on ``_ZOOM_K`` equispaced points of every bracket, until the
+bracket is narrower than rounding or its samples agree to rounding.
 
 Everything here is pure; `CumulativeIntegral` objects are built once and
 read-only afterwards, so they can be shared freely between threads.
@@ -39,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
 __all__ = [
@@ -118,7 +120,7 @@ _WG = np.array(
 # ---------------------------------------------------------------------------
 # cumulative antiderivative cache
 
-_LEG_DEG = 12
+_FIT_DEG = 12
 _MAX_DEPTH = 28  # bisection levels below a skeleton panel
 _MAX_PANELS = 4000  # skeleton panels per side of a cumulative
 
@@ -126,16 +128,18 @@ _MAX_PANELS = 4000  # skeleton panels per side of a cumulative
 def _leaf_operators():
     """Fit residual and antiderivative as constant maps of the node values.
 
-    With ``FIT = pinv(V)`` the least-squares Legendre fit of the 15 node
-    values, ``V @ FIT - I`` maps them to the fit residual at the nodes and
-    ``S @ legint @ FIT`` to the coefficients of the fit's antiderivative on
-    [-1, 1] (times the half-width), where ``S`` shifts it to zero at -1.
+    The least-squares polynomial of degree ``_FIT_DEG`` through the 15 node
+    values is ``V @ pinv(V)`` of them for the Legendre Vandermonde matrix
+    ``V``, so ``V @ pinv(V) - I`` maps them to the fit residual at the nodes.
+    With the Chebyshev one ``C``, ``S @ chebint @ pinv(C)`` maps them to the
+    Chebyshev coefficients of the same fit's antiderivative on [-1, 1] (times
+    the half-width), where ``S`` shifts it to zero at -1.
     """
-    vander = npleg.legvander(_XGK, _LEG_DEG)
-    fit = np.linalg.pinv(vander)
-    integ = npleg.legint(np.eye(_LEG_DEG + 1))
-    integ[0] -= npleg.legval(-1.0, integ)
-    return vander @ fit - np.eye(_XGK.size), integ @ fit
+    vander = npleg.legvander(_XGK, _FIT_DEG)
+    cheb = npcheb.chebvander(_XGK, _FIT_DEG)
+    integ = npcheb.chebint(np.eye(_FIT_DEG + 1))
+    integ[0] -= npcheb.chebval(-1.0, integ)
+    return vander @ np.linalg.pinv(vander) - np.eye(_XGK.size), integ @ np.linalg.pinv(cheb)
 
 
 _RESID, _ANTI = _leaf_operators()
@@ -166,7 +170,7 @@ class CumulativeIntegral:
     bps: np.ndarray
     panel_vals: np.ndarray  # complex, per panel
     panel_errs: np.ndarray
-    antider: np.ndarray  # (deg+2, n_panels) Legendre coeffs, zero at panel start
+    antider: np.ndarray  # (deg+2, n_panels) Chebyshev coeffs, zero at panel start
     lower_info: SideInfo = field(default_factory=lambda: SideInfo("resolved"))
     upper_info: SideInfo = field(default_factory=lambda: SideInfo("resolved"))
     max_depth_leaves: int = 0  # leaves kept only because bisection hit _MAX_DEPTH
@@ -198,7 +202,7 @@ class CumulativeIntegral:
     def _in_panel(self, t):
         """(panel index, int from the panel start to t) for covered t."""
         t = np.asarray(t, float)
-        if np.any(t < self.bps[0]) or np.any(t > self.bps[-1]):
+        if np.min(t, initial=np.inf) < self.bps[0] or np.max(t, initial=-np.inf) > self.bps[-1]:
             raise CoverageError(
                 f"query outside coverage [{self.bps[0]}, {self.bps[-1]}]"
             )
@@ -207,13 +211,15 @@ class CumulativeIntegral:
         x0 = self.bps[idx]
         x1 = self.bps[idx + 1]
         xi = 2.0 * (t - x0) / (x1 - x0) - 1.0
-        # Clenshaw recurrence of (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1},
-        # over the complex coefficient columns of every query's panel at once
+        # Clenshaw recurrence b_k = c_k + 2 xi b_{k+1} - b_{k+2} of the
+        # Chebyshev series, over the complex coefficient columns of every
+        # query's panel at once
         c = self.antider[:, idx]
-        b0, b1 = c[-2], c[-1]
-        for j in range(c.shape[0] - 2, 0, -1):
-            b0, b1 = c[j - 1] - b1 * (j / (j + 1)), b0 + b1 * xi * ((2 * j + 1) / (j + 1))
-        return idx, b0 + b1 * xi
+        x2 = 2.0 * xi
+        b1, b2 = c[-1], 0.0
+        for k in range(c.shape[0] - 2, 0, -1):
+            b1, b2 = c[k] + x2 * b1 - b2, b1
+        return idx, c[0] + xi * b1 - b2
 
     def _anch_prefix(self, t):
         """int from the reference panel start to t."""
@@ -250,7 +256,7 @@ class _Block(NamedTuple):
     right: np.ndarray
     vals: np.ndarray  # complex
     errs: np.ndarray
-    anti: np.ndarray  # (n, 14) antiderivative coefficients per leaf
+    anti: np.ndarray  # (n, 14) Chebyshev coefficients of each leaf's antiderivative
     forced: np.ndarray  # leaf kept only because it reached _MAX_DEPTH
 
     def rows(self, stop):
@@ -288,9 +294,9 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work, y0):
     the first unfinished one; a later root that turns non-finite is dropped
     and gets the fate "dropped", so no bisection is spent on a root the
     consumer may never ask for (a root given alone is never dropped).  A
-    non-finite panel at ``_MAX_DEPTH`` makes its root "singular".  The
-    integrand is evaluated quietly: its non-finite values are handled here,
-    as data.  ``work`` (a `collections.Counter`) counts integrand calls and
+    non-finite panel at ``_MAX_DEPTH``, or one non-finite at all its nodes at
+    any depth, makes its root "singular".  The integrand is evaluated
+    quietly: its non-finite values are handled here, as data.  ``work`` (a `collections.Counter`) counts integrand calls and
     points.
     """
     a = np.array(lo, dtype=float)
@@ -353,6 +359,9 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work, y0):
             else:
                 # only the first unfinished root splits its non-finite panels
                 fate[bad[bad != root[split].min()]] = "dropped"
+                # a panel non-finite at every node would only double its
+                # non-finite panels per level until _MAX_DEPTH
+                fate[np.unique(root[~np.any(np.isfinite(y), axis=1)])] = "singular"
             split &= fate[root] == ""
         root, a, mid, b = root[split], a[split], mid[split], b[split]
         # roots done: every one below the first that still has a panel to split
@@ -715,11 +724,20 @@ def sup_over(h, lo, hi, n_scan, threshold, tail_k):
     in lockstep by `_zoom_lockstep` (one ``h`` call per step on ``_ZOOM_K``
     points of every bracket still narrowing, until it is 1e-13 wide or flat
     to rounding); their results are then taken in scan order, a later one
-    replacing the best only when strictly higher.
+    replacing the best only when strictly higher.  ``h`` is pointwise, so the
+    scan and both approach sequences are evaluated in one call.
     """
     grid = graded_grid(lo, hi, n_scan)
+    span = hi - lo
+    ratio = 0.5
+    ds = 0.25 * span * ratio ** np.arange(28)
+    approach = []
+    for endpoint, sign in ((lo, 1.0), (hi, -1.0)):
+        pts = endpoint + sign * ds
+        approach.append((endpoint, pts[(pts > lo) & (pts < hi) & (pts != endpoint)]))
     with np.errstate(all="ignore"):
-        vals = np.real(np.asarray(h(grid), dtype=complex))
+        allv = np.real(np.asarray(h(np.concatenate([grid, *(pts for _, pts in approach)])), dtype=complex))
+    vals, seqs = allv[: grid.size], np.split(allv[grid.size :], [approach[0][1].size])
     ok = np.isfinite(vals)
     grid, vals = grid[ok], vals[ok]
     if grid.size == 0:
@@ -737,17 +755,9 @@ def sup_over(h, lo, hi, n_scan, threshold, tail_k):
         if v > best_val:
             best_val, best_t = v, t
 
-    span = hi - lo
-    ratio = 0.5
-    for endpoint, sign in ((lo, 1.0), (hi, -1.0)):
-        d0 = 0.25 * span
-        ds = d0 * ratio ** np.arange(28)
-        pts = endpoint + sign * ds
-        pts = pts[(pts > lo) & (pts < hi) & (pts != endpoint)]
+    for (endpoint, pts), seq in zip(approach, seqs):
         if pts.size < 4:
             continue
-        with np.errstate(all="ignore"):
-            seq = np.real(np.asarray(h(pts), dtype=complex))
         ok = np.isfinite(seq)
         pts, seq = pts[ok], seq[ok]
         if seq.size < 4:

@@ -243,12 +243,11 @@ def rho_coverage(problem: OscillatorProblem, rho, config: Config = Config()):
         if good_idx.size == 0:
             return RhoCoverage(anchor, anchor, False, "rho not evaluable anywhere on the probe grid")
         k = int(good_idx[np.argmin(np.abs(grid[good_idx] - anchor))])
-    i = k
-    while i > 0 and good[i - 1]:
-        i -= 1
-    j = k
-    while j < grid.size - 1 and good[j + 1]:
-        j += 1
+    # the good run around k ends next to the nearest bad samples on either side
+    bad_idx = np.flatnonzero(bad)
+    pos = int(np.searchsorted(bad_idx, k))
+    i = int(bad_idx[pos - 1]) + 1 if pos > 0 else 0
+    j = int(bad_idx[pos]) - 1 if pos < bad_idx.size else grid.size - 1
     lo, hi = float(grid[i]), float(grid[j])
 
     span = hi_edge - lo_edge

@@ -214,6 +214,7 @@ def test_derivative_matches_central_difference(e, t):
 
 
 @given(e=_ast, t=st.floats(min_value=0.3, max_value=2.7))
+@example(e=parse("-(-(0/2.2250738585e-313))"), t=1.0)  # 1/2.2e-313 overflows: numpy's a*(1/b) gives nan
 @settings(max_examples=100, deadline=None)
 def test_compiled_matches_interpreter(e, t):
     # a scalar t and an array of t against the oracle, and against each other
@@ -262,6 +263,25 @@ def test_real_power_does_not_depend_on_the_batch():
     batch = fn(np.append(ts, -1.0))
     assert alone.tobytes() == batch[:-1].tobytes()
     assert batch[-1] == pytest.approx(complex(0.5, math.sqrt(3.0) / 2.0), rel=1e-15)
+
+
+def test_tiny_real_divisor_divides_directly():
+    # numpy's complex divide takes 1/b first, which overflows below |b| of
+    # about 5.6e-309; those points divide directly, the others keep numpy's bits
+    tiny = 2.2250738585e-313
+    ts = np.array([0.7, tiny, 1.9, -tiny])
+    for text, want in (("0/t", (0.0, 0.0, 0.0, -0.0)), ("1/t", (1 / 0.7, math.inf, 1 / 1.9, -math.inf))):
+        got = compile_expr(parse(text))(ts)
+        assert [complex(v) for v in got] == [complex(w, 0.0) for w in want]
+        assert evaluate(parse(text), tiny) == complex(want[1], 0.0)
+    # a zero divisor and a non-finite numerator keep numpy's quotient too
+    num = np.array([2.0 + 3.0j, 5.0 - 1.0j, 0.25j, 1.0 + 1.0j, 1.0, complex(math.inf, 1.0)])
+    den = np.append(ts, [0.0, 1.5]).astype(complex)
+    with np.errstate(all="ignore"):
+        got, ref = exprlang._quotient(num, den), num / den
+    keep = np.array([True, False, True, False, True, True])
+    assert got[keep].tobytes() == ref[keep].tobytes()
+    assert got[1] == complex(math.inf, -math.inf) and got[3] == complex(-math.inf, -math.inf)
 
 
 def test_compiled_is_vectorized():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
 from ulamstab import quad
@@ -106,7 +107,7 @@ def test_exeq01_panel_counts(exeq01_engine):
     assert (diag["cache_A4"]["integrand_calls"], diag["cache_A4"]["integrand_points"]) == (10, 19200)
 
 
-def test_in_panel_matches_legval():
+def test_in_panel_matches_chebval():
     rng = np.random.default_rng(3)
     n = 9
     bps = np.cumsum(rng.uniform(0.1, 1.0, n + 1))
@@ -118,8 +119,52 @@ def test_in_panel_matches_legval():
     idx, got = idx.ravel(), got.ravel()
     assert np.array_equal(idx, np.clip(np.searchsorted(bps, ts, side="right") - 1, 0, n - 1))
     xi = 2.0 * (ts - bps[idx]) / (bps[idx + 1] - bps[idx]) - 1.0
-    want = np.array([npleg.legval(x, antider[:, i]) for x, i in zip(xi, idx)])
+    want = np.array([npcheb.chebval(x, antider[:, i]) for x, i in zip(xi, idx)])
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13
+
+
+def _clenshaw_longdouble(c, xi):
+    """The Chebyshev series with coefficient columns ``c`` at ``xi``, summed in long double."""
+    x = xi.astype(np.longdouble)
+    parts = []
+    for coef in (c.real, c.imag):
+        coef = coef.astype(np.longdouble)
+        b1, b2 = coef[-1], np.zeros_like(x)
+        for k in range(coef.shape[0] - 2, 0, -1):
+            b1, b2 = coef[k] + 2 * x * b1 - b2, b1
+        parts.append(coef[0] + x * b1 - b2)
+    return parts
+
+
+def test_in_panel_matches_longdouble_clenshaw(exeq01_engine):
+    # every panel of exeq01's largest caches, read at both panel ends
+    # (xi = -1, and +1 or its neighbour below) and at random interior points
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    for cache in (exeq01_engine.Pc, exeq01_engine.A4):
+        bps = cache.bps
+        ts = np.concatenate([bps, np.nextafter(bps[1:], -np.inf), rng.uniform(bps[0], bps[-1], 2000)])
+        ts = np.clip(ts, bps[0], bps[-1])
+        idx, got = cache._in_panel(ts)
+        xi = 2.0 * (ts - bps[idx]) / (bps[idx + 1] - bps[idx]) - 1.0
+        assert np.any(xi == -1.0) and np.any(xi == 1.0)
+        c = cache.antider[:, idx]
+        re, im = _clenshaw_longdouble(c, xi)
+        # |T_k| <= 1 on [-1, 1], so sum |c_k| bounds the panel's series
+        scale = np.sum(np.abs(c), axis=0)
+        err = np.maximum(np.abs(got.real - re), np.abs(got.imag - im)).astype(float)
+        assert np.all(err <= 4 * eps * scale)
+
+
+def test_query_does_not_depend_on_the_batch(exeq01_engine):
+    rng = np.random.default_rng(2)
+    cache = exeq01_engine.Pc
+    ts = np.concatenate([rng.uniform(cache.lo, cache.hi, 300), cache.bps[:: len(cache.bps) // 50]])
+    reads = (cache.value, lambda t: cache.from_edge("lower", t), lambda t: cache.from_edge("upper", t))
+    for read in reads:
+        batch = read(ts)
+        alone = np.concatenate([read(ts[i : i + 1]) for i in range(ts.size)])
+        assert alone.tobytes() == batch.tobytes()
 
 
 def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel, max_depth=28):
@@ -141,12 +186,12 @@ def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel, max_depth=28):
         ymax = float(np.max(np.abs(y)))
         budget = leaf_tol + leaf_rel * max(abs(val), (b - a) * ymax)
         if np.all(np.isfinite(y)) and (err <= budget or depth >= max_depth):
-            coef = npleg.legfit(quad._XGK, y, quad._LEG_DEG)
+            coef = npleg.legfit(quad._XGK, y, quad._FIT_DEG)
             resid = float(np.max(np.abs(npleg.legval(quad._XGK, coef) - y))) * (b - a)
             pos_noise = 64.0 * np.finfo(float).eps * max(abs(a), abs(b)) * ymax
             if not resid > budget + pos_noise or depth >= max_depth:
-                anti = npleg.legint(coef) * hw
-                anti[0] -= npleg.legval(-1.0, anti)
+                anti = npcheb.chebint(npcheb.chebfit(quad._XGK, y, quad._FIT_DEG)) * hw
+                anti[0] -= npcheb.chebval(-1.0, anti)
                 out.append((a, b, val, err + 0.1 * resid, anti, (b - a) * ymax))
                 continue
         elif depth >= max_depth:
@@ -411,6 +456,18 @@ def test_cumulative_work_is_pinned(case):
     assert (c.integrand_calls, c.integrand_points) == (work["calls"], work["points"]) == (calls, points)
 
 
+def test_panel_non_finite_at_every_node_ends_the_side():
+    # NaN on all of (0.7, 1): bisecting would double the NaN panels per level
+    # down to _MAX_DEPTH; a panel NaN at all 15 nodes makes the root singular
+    counted, work = _counted(lambda s: np.where(s > 0.7, np.nan, 1.0))
+    c = quad.cumulative(counted, 0.5, 0.0, 1.0)
+    assert c.upper_info.status == "singular" and c.lower_info.status == "resolved"
+    assert work["points"] == c.integrand_points < 10_000
+    assert c.lo < 1e-12 and 0.5 < c.hi <= 0.7
+    ts = np.linspace(c.lo, c.hi, 50)
+    assert np.max(np.abs(c.value(ts).real - (ts - 0.5))) < 1e-12
+
+
 # -- graded_grid -----------------------------------------------------------
 
 
@@ -531,3 +588,69 @@ def test_sup_never_below_samples():
     res = quad.sup_over(h, 0.0, 1.0, **_SUP)
     assert res.sup_value >= -1e-12
     assert res.sup_value == pytest.approx(0.0, abs=1e-9)
+
+
+def _sup_over_reference(h, lo, hi, n_scan, threshold, tail_k):
+    """`quad.sup_over` with the scan and each endpoint's approach as separate calls of ``h``."""
+    grid = quad.graded_grid(lo, hi, n_scan)
+    with np.errstate(all="ignore"):
+        vals = np.real(np.asarray(h(grid), dtype=complex))
+    ok = np.isfinite(vals)
+    grid, vals = grid[ok], vals[ok]
+    order = np.argsort(vals)[::-1]
+    best_val, best_t = float(vals[order[0]]), float(grid[order[0]])
+    top = order[:5]
+    ia, ib = np.maximum(top - 1, 0), np.minimum(top + 1, grid.size - 1)
+    ia, ib = ia[ib > ia], ib[ib > ia]
+    t_loc, v_loc = quad._zoom_lockstep(h, grid[ia], grid[ib], vals[ia], vals[ib])
+    for t, v in zip(t_loc.tolist(), v_loc.tolist()):
+        if v > best_val:
+            best_val, best_t = v, t
+    span, ratio = hi - lo, 0.5
+    for endpoint, sign in ((lo, 1.0), (hi, -1.0)):
+        pts = endpoint + sign * (0.25 * span * ratio ** np.arange(28))
+        pts = pts[(pts > lo) & (pts < hi) & (pts != endpoint)]
+        if pts.size < 4:
+            continue
+        with np.errstate(all="ignore"):
+            seq = np.real(np.asarray(h(pts), dtype=complex))
+        ok = np.isfinite(seq)
+        pts, seq = pts[ok], seq[ok]
+        if seq.size < 4:
+            continue
+        tail = seq[-tail_k:]
+        incr = np.diff(tail)
+        if tail.size >= tail_k and np.all(incr > 0):
+            if tail[-1] >= threshold:
+                return quad.SupResult(math.inf, endpoint, unbounded=True)
+            noise = 1e-9 * (1.0 + np.abs(tail[-1]))
+            if np.all(incr > noise) and np.all(incr[1:] >= 0.95 * incr[:-1]):
+                return quad.SupResult(math.inf, endpoint, unbounded=True)
+        limit = quad._richardson(list(seq[-6:]), ratio)
+        if np.isfinite(limit) and limit > best_val:
+            best_val, best_t = max(limit, float(np.max(seq))), endpoint
+        elif float(np.max(seq)) > best_val:
+            best_val, best_t = float(np.max(seq)), float(pts[int(np.argmax(seq))])
+    return quad.SupResult(best_val, best_t, unbounded=False)
+
+
+@pytest.mark.parametrize(
+    "h, lo, hi",
+    [
+        (lambda t: np.sin(3.0 * t) * np.exp(-0.1 * t), 0.0, 4.0),  # smooth, interior maximum
+        (lambda t: np.asarray(t, dtype=float), 0.0, 1.0),  # supremum at an open endpoint
+        (lambda t: 1.0 / t, 0.0, 1.0),  # diverges at the lower endpoint
+        (lambda t: 1.0 / np.sqrt(1.0 - t), 0.0, 1.0),  # diverges slowly at the upper endpoint
+        # NaN on part of the upper approach sequence
+        (lambda t: np.where((t > 0.99) & (t < 0.999), np.nan, t * (1.0 - t) + t**4), 0.0, 1.0),
+    ],
+    ids=["smooth", "open-endpoint", "pole", "slow-divergence", "nan-approach"],
+)
+def test_sup_over_matches_separate_calls(h, lo, hi):
+    h_one, one = _call_sizes(h)
+    h_sep, sep = _call_sizes(h)
+    got = quad.sup_over(h_one, lo, hi, **_SUP)
+    want = _sup_over_reference(h_sep, lo, hi, **_SUP)
+    assert (got.sup_value, got.attained_near, got.unbounded) == (want.sup_value, want.attained_near, want.unbounded)
+    # the scan and both approach sequences of 28 points each share one call
+    assert one[0] == quad.graded_grid(lo, hi, _SUP["n_scan"]).size + 2 * 28

@@ -61,3 +61,14 @@ def test_coverage_reduced_by_interior_pole(cfg):
     # the detail names the range reported, resolved lower edge included
     assert cov.lo == 0.0
     assert cov.detail.endswith(f"coverage limited to [{cov.lo:.6g}, {cov.hi:.6g}]")
+
+
+def test_coverage_between_two_interior_poles(cfg):
+    # tan has poles at pi/2 and 3 pi/2 on either side of the anchor 3, so the
+    # good run ends next to a bad sample on both sides
+    p = make_problem("1", "0", "1", "0", 0.0, 6.0)
+    assert p.domain.default_anchor() == 3.0
+    cov = riccati.rho_coverage(p, exprlang.parse("tan(t)"), cfg)
+    assert not cov.full
+    assert cov.lo == pytest.approx(math.pi / 2, abs=1e-2) and cov.lo > math.pi / 2
+    assert cov.hi == pytest.approx(3 * math.pi / 2, abs=1e-2) and cov.hi < 3 * math.pi / 2
