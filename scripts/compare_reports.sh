@@ -13,7 +13,9 @@
 #     point per step;
 #   - `analyze --fast-path --reproducible` on const-i, const-ii and const-iii;
 #   - `empirical --trials 4 --seed 7 --reproducible` on exeq01, exeq03,
-#     exeq04 and exeq06 (report and .extremal.csv);
+#     exeq04 and exeq06, and on exeq03 moved to (1e5, 1e5 + 1), where the
+#     caches and the experiment grid must still cover each other (report
+#     and .extremal.csv);
 #   - `corpus run`;
 #   - `analyze`, `empirical` and `riccati-check` on three bad-input
 #     documents written to the temporary directory: an unbound parameter in
@@ -41,6 +43,9 @@ mkdir "$tmp/bad"
 doc "a*t" "1" "-1/t" >"$tmp/bad/unbound-alpha.json"
 doc "t*(1 - t)" "1" "-b/t" >"$tmp/bad/unbound-rho.json"
 doc "t*(1 - t)" "." "-1/t" >"$tmp/bad/bare-dot.json"
+# exeq03 on (1e5, 1e5 + 1), with B = 1/6 as on (0, 1)
+printf '{"name": "exeq03-at-1e5", "alpha": "1", "beta": "2/(t - 100000)", "gamma": "0", "forcing": "-1", "interval": {"lower": 100000.0, "upper": 100001.0}, "rho": "-1/(t - 100000)"}\n' \
+  >"$tmp/exeq03-at-1e5.json"
 
 # run <tree> <out dir> <name> <cli args...>: stdout to <name>.out, the last
 # stderr line to <name>.err (a structured error or a traceback's last line),
@@ -73,6 +78,8 @@ contract() {
     run "$tree" "$out" "empirical.$stem" empirical "$tree/problems/$stem.json" \
       --trials 4 --seed 7 --reproducible --out "$out/empirical"
   done
+  run "$tree" "$out" empirical.exeq03-at-1e5 empirical "$tmp/exeq03-at-1e5.json" \
+    --trials 4 --seed 7 --reproducible --out "$out/empirical"
   run "$tree" "$out" corpus corpus run
   for p in "$tmp"/bad/*.json; do
     stem=$(basename "$p" .json)
@@ -84,7 +91,7 @@ contract() {
 
 contract "$tmp/base" "$tmp/out-base"
 contract "$root" "$tmp/out-worktree"
-rm -rf "$tmp/base" "$tmp/bad"
+rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json"
 
 echo "outputs of $rev and of the working tree: $tmp/out-base, $tmp/out-worktree" >&2
 cd "$tmp"

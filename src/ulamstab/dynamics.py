@@ -260,11 +260,8 @@ class SolutionEngine:
         measure on the region with |R(t)-R(t0)| <= 8.  For every
         corpus problem the sup of the distance kernel is attained there.
         """
-        # trimmed three times: inside the (twice-trimmed) coverage of the
-        # forcing-dependent caches
-        lo, hi = self.se._overlap(self.se.Rc, self.se.Pc, self.H1c)
-        for _ in range(2):
-            lo, hi = self.se._shrink(lo, hi)
+        # every forcing's caches have the unit forcing's panels
+        lo, hi = self.se._overlap(self.se.Rc, self.se.Pc, self.H1c, *self.forcing_caches(_unit, key="unit"))
         grid = quad.graded_grid(lo, hi, 1025)
         r = self.se.Rc.value(grid).real
         r0 = float(self.se.Rc.value(np.array([float(t0)]))[0].real)

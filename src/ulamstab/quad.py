@@ -14,7 +14,9 @@ hands the panels it finished to the caller as one block of arrays, and the
 stopping rules walk the panels' sums in skeleton order as Python floats, so
 the walk costs one numpy pass per level, not per panel.  The nodes are
 fixed, so a panel's fit residual and antiderivative coefficients are
-constant matrices applied to its node values.
+constant matrices applied to its node values.  Bisection stops at the
+resolution floor: a panel whose nodes do not round to distinct points
+inside it is kept as a panel at the depth cap is, and counted.
 
 `replay` integrates a second integrand on the panels of a built cache: it
 is given the integrand's values at that cache's nodes, keeps every panel
@@ -122,6 +124,7 @@ _WG = np.array(
 
 _FIT_DEG = 12
 _MAX_DEPTH = 28  # bisection levels below a skeleton panel
+_AT_MAX_DEPTH, _AT_FLOOR = 1, 2  # why a leaf was kept unconverged (0: it converged)
 _MAX_PANELS = 4000  # skeleton panels per side of a cumulative
 
 
@@ -174,6 +177,7 @@ class CumulativeIntegral:
     lower_info: SideInfo = field(default_factory=lambda: SideInfo("resolved"))
     upper_info: SideInfo = field(default_factory=lambda: SideInfo("resolved"))
     max_depth_leaves: int = 0  # leaves kept only because bisection hit _MAX_DEPTH
+    resolution_floor_leaves: int = 0  # leaves kept only because they hit the resolution floor
     integrand_calls: int = 0  # calls of the integrand while building the cache
     integrand_points: int = 0  # points it was evaluated at, past a stop too
 
@@ -245,8 +249,7 @@ class _Block(NamedTuple):
 
     ``fates[j]`` is "" for a root with leaves, else "dropped" or "singular".
     Root ``first + j`` owns rows ``bounds[j]:bounds[j + 1]`` of the leaf
-    arrays, sorted by left edge (ties in their order of acceptance); a root
-    with a fate owns none.
+    arrays, sorted by left edge; a root with a fate owns none.
     """
 
     first: int
@@ -257,7 +260,7 @@ class _Block(NamedTuple):
     vals: np.ndarray  # complex
     errs: np.ndarray
     anti: np.ndarray  # (n, 14) Chebyshev coefficients of each leaf's antiderivative
-    forced: np.ndarray  # leaf kept only because it reached _MAX_DEPTH
+    forced: np.ndarray  # _AT_MAX_DEPTH or _AT_FLOOR for a leaf kept unconverged, else 0
 
     def rows(self, stop):
         """(left, right, value, error, antiderivative) of the rows before ``stop``."""
@@ -280,9 +283,12 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work, y0):
     accept/split decision of every panel are computed as arrays.  A panel's
     numbers depend on its own nodes only, so every root gets the leaves it
     would get alone.  A panel is accepted when its error estimate and its fit
-    residual meet the budget, or when it sits at ``_MAX_DEPTH``.  ``y0``, when
-    not None, holds the integrand's values on the roots' own nodes
-    (`_nodes`), which then cost no integrand call.
+    residual meet the budget, or when it is not split: at ``_MAX_DEPTH``, or
+    at the resolution floor, where its 15 nodes do not round to distinct
+    points strictly inside it (a panel a few ulp wide).  ``forced`` in the
+    blocks says which of the two kept an unconverged leaf.  ``y0``, when not
+    None, holds the integrand's values on the roots' own nodes (`_nodes`),
+    which then cost no integrand call.
 
     A generator of `_Block`s: after a level it yields one block with the
     roots that are now done and were not yet yielded (a root is done once it
@@ -294,9 +300,10 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work, y0):
     the first unfinished one; a later root that turns non-finite is dropped
     and gets the fate "dropped", so no bisection is spent on a root the
     consumer may never ask for (a root given alone is never dropped).  A
-    non-finite panel at ``_MAX_DEPTH``, or one non-finite at all its nodes at
-    any depth, makes its root "singular".  The integrand is evaluated
-    quietly: its non-finite values are handled here, as data.  ``work`` (a `collections.Counter`) counts integrand calls and
+    non-finite panel at ``_MAX_DEPTH`` or at the resolution floor, or one
+    non-finite at all its nodes at any depth, makes its root "singular".  The
+    integrand is evaluated quietly: its non-finite values are handled here, as
+    data.  ``work`` (a `collections.Counter`) counts integrand calls and
     points.
     """
     a = np.array(lo, dtype=float)
@@ -331,9 +338,11 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work, y0):
             # relative scale: panel value, or sample magnitude when it cancels
             budget = leaf_tol + leaf_rel * np.maximum(np.abs(val), width * ymax)
         finite = np.all(np.isfinite(y), axis=1)
-        at_max = depth >= _MAX_DEPTH
+        # a panel is not split at _MAX_DEPTH or at the resolution floor,
+        # where its nodes no longer round to distinct points inside it
+        final = (depth >= _MAX_DEPTH) | (x[:, 0] <= a) | (x[:, -1] >= b) | np.any(x[:, 1:] <= x[:, :-1], axis=1)
         converged = finite & (err <= budget)
-        fit = np.flatnonzero(converged | (finite & at_max))
+        fit = np.flatnonzero(converged | (finite & final))
         # interior value() queries read the interpolant, so the fit must
         # meet the same budget as the integral before the leaf is kept;
         # node abscissas are rounded to ulp(|t|), which floors the
@@ -341,27 +350,20 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work, y0):
         resid = np.max(np.abs(y[fit] @ _RESID.T), axis=1, initial=0.0) * width[fit]
         pos_noise = 64.0 * _EPS * np.maximum(np.abs(a[fit]), np.abs(b[fit])) * ymax[fit]
         fit_ok = ~(resid > budget[fit] + pos_noise)
-        if at_max:
-            forced = ~(converged[fit] & fit_ok)
-            acc = fit
-        else:
-            acc = fit[fit_ok]
-            resid = resid[fit_ok]
-            forced = np.zeros(acc.size, dtype=bool)
+        keep = fit_ok | final[fit]
+        acc = fit[keep]
+        forced = np.where(converged[acc] & fit_ok[keep], 0, _AT_MAX_DEPTH if depth >= _MAX_DEPTH else _AT_FLOOR)
         anti = (y[acc] @ _ANTI.T) * hw[acc, None]
-        kept.append((root[acc], a[acc], b[acc], val[acc], err[acc] + 0.1 * resid, anti, forced))
+        kept.append((root[acc], a[acc], b[acc], val[acc], err[acc] + 0.1 * resid[keep], anti, forced))
         split = np.ones(a.size, dtype=bool)
         split[acc] = False
         if not np.all(finite):
             bad = np.unique(root[~finite])
-            if at_max:
-                fate[bad] = "singular"
-            else:
-                # only the first unfinished root splits its non-finite panels
-                fate[bad[bad != root[split].min()]] = "dropped"
-                # a panel non-finite at every node would only double its
-                # non-finite panels per level until _MAX_DEPTH
-                fate[np.unique(root[~np.any(np.isfinite(y), axis=1)])] = "singular"
+            # only the first unfinished root splits its non-finite panels
+            fate[bad[bad != root[split].min()]] = "dropped"
+            # a non-finite panel that is not split, or one non-finite at every
+            # node (which would only double its non-finite panels per level)
+            fate[np.unique(root[~finite & (final | ~np.any(np.isfinite(y), axis=1))])] = "singular"
             split &= fate[root] == ""
         root, a, mid, b = root[split], a[split], mid[split], b[split]
         # roots done: every one below the first that still has a panel to split
@@ -461,7 +463,7 @@ def cumulative(
     """
     leaf_tol, leaf_rel = _leaf_budget(tol, tail_mode)
     leaves = []
-    max_depth_leaves = 0
+    forced = np.zeros(3, dtype=int)  # leaves by `_Block.forced` code
     work = Counter()
     infos = {}
     for side, endpoint in (("upper", upper), ("lower", lower)):
@@ -528,7 +530,7 @@ def cumulative(
             for part in (blk, *alone):
                 stop = taken if part is blk else len(part.vals)
                 leaves.append(part.rows(stop))
-                max_depth_leaves += int(np.count_nonzero(part.forced[:stop]))
+                forced += np.bincount(part.forced[:stop], minlength=3)
             if stopped:
                 break
         if tail_mode and len(contribs) >= 3:
@@ -548,7 +550,7 @@ def cumulative(
 
     if not leaves:
         raise ValueError("empty coverage; t_ref too close to both endpoints")
-    return _assemble(t_ref, leaves, infos["lower"], infos["upper"], max_depth_leaves, work)
+    return _assemble(t_ref, leaves, infos["lower"], infos["upper"], forced, work)
 
 
 def replay(template, y0, g, tol, tail_mode):
@@ -574,7 +576,7 @@ def replay(template, y0, g, tol, tail_mode):
             return None
         blocks.append(blk)
     bisected = sum(int(np.count_nonzero(np.diff(blk.bounds) > 1)) for blk in blocks)
-    forced = sum(int(np.count_nonzero(blk.forced)) for blk in blocks)
+    forced = sum(np.bincount(blk.forced, minlength=3) for blk in blocks)
     leaves = [blk.rows(len(blk.vals)) for blk in blocks]
     return _assemble(template.t_ref, leaves, template.lower_info, template.upper_info, forced, work), bisected
 
@@ -590,12 +592,10 @@ def _leaf_budget(tol, tail_mode):
     return (0.0, 1e-8) if tail_mode else (tol * 1e-2, 1e-13)
 
 
-def _assemble(t_ref, leaves, lower_info, upper_info, max_depth_leaves, work):
-    """The `CumulativeIntegral` of ``leaves``, a list of (left, right, value, error, anti) arrays."""
+def _assemble(t_ref, leaves, lower_info, upper_info, forced, work):
+    """The `CumulativeIntegral` of ``leaves``, (left, right, value, error, anti) arrays, ``forced`` counted by code."""
     left, right, vals, errs, anti = (np.concatenate(part) for part in zip(*leaves))
-    # a zero-width leaf (a split at ulp width) goes before the leaf that
-    # starts at the same point, so every panel reads its own edges in bps
-    order = np.lexsort((right, left))
+    order = np.argsort(left)
     return CumulativeIntegral(
         t_ref=float(t_ref),
         bps=np.append(left[order], right[order[-1]]),
@@ -604,7 +604,8 @@ def _assemble(t_ref, leaves, lower_info, upper_info, max_depth_leaves, work):
         antider=np.ascontiguousarray(anti[order].T),
         lower_info=lower_info,
         upper_info=upper_info,
-        max_depth_leaves=max_depth_leaves,
+        max_depth_leaves=int(forced[_AT_MAX_DEPTH]),
+        resolution_floor_leaves=int(forced[_AT_FLOOR]),
         integrand_calls=work["calls"],
         integrand_points=work["points"],
     )

@@ -147,14 +147,9 @@ class StabilityEngine:
 
     # -- exponent caches -------------------------------------------------
 
-    def _shrink(self, lo, hi):
-        mlo = 1e-12 * max(1.0, abs(lo))
-        mhi = 1e-12 * max(1.0, abs(hi))
-        return lo + mlo, hi - mhi
-
     def _overlap(self, *caches):
-        """The range all ``caches`` cover, trimmed by `_shrink`: a cache built on them spans it."""
-        return self._shrink(max(c.lo for c in caches), min(c.hi for c in caches))
+        """The range all ``caches`` cover: a cache built on them spans it."""
+        return max(c.lo for c in caches), min(c.hi for c in caches)
 
     def cumulative(self, g, lo, hi, tail=False):
         """Cumulative of ``g`` over (lo, hi), anchored at the engine's anchor.
@@ -329,8 +324,7 @@ class StabilityEngine:
     # -- divergence certificates -----------------------------------------
 
     def _approach_points(self, side):
-        lo = max(self.Rc.lo, self.H1.lo)
-        hi = min(self.Rc.hi, self.H1.hi)
+        lo, hi = self._overlap(self.Rc, self.H1)
         t0 = self.anchor
         n = self.config.divergence_points
         ratios = np.exp(np.linspace(math.log(0.5), math.log(1e-9), n))
@@ -393,6 +387,7 @@ class StabilityEngine:
                 "panels": int(len(cache.panel_vals)),
                 "error_bound": cache.error_bound,
                 "max_depth_leaves": cache.max_depth_leaves,
+                "resolution_floor_leaves": cache.resolution_floor_leaves,
                 "integrand_calls": cache.integrand_calls,
                 "integrand_points": cache.integrand_points,
                 "lower_status": cache.lower_info.status,

@@ -247,6 +247,23 @@ def test_empirical_builds_h1_once(runner, tmp_path, monkeypatch):
     assert len(calls) == 6 + 2
 
 
+@pytest.mark.parametrize("shift", [1000.0, 1e5])
+def test_empirical_on_a_translated_interval(runner, tmp_path, shift):
+    # exeq03 moved to (shift, shift + 1), where B = 1/6: the experiment grid
+    # stays inside the forcing caches, and the caches reach the endpoints to
+    # within their skeleton's last gap of 1e-13 * shift
+    doc = json.loads((PROBLEMS / "exeq03.json").read_text())
+    doc.update(beta=f"2/(t - {shift})", rho=f"-1/(t - {shift})", interval={"lower": shift, "upper": shift + 1.0})
+    path = tmp_path / "exeq03-shifted.json"
+    path.write_text(json.dumps(doc))
+    result = _invoke(runner, ["empirical", str(path), "--trials", "1", "--reproducible", "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    out = _json_out(result)
+    b = out["report"]["constant"]["B"]
+    assert b == pytest.approx(1.0 / 6.0, rel=2e-7)
+    assert out["experiments"]["extremal"]["ratio"] == pytest.approx(b, rel=1e-9)
+
+
 @pytest.mark.parametrize("command", ["analyze", "empirical"])
 def test_partial_coverage_reports_no_case(runner, tmp_path, command):
     # rho = -tan(t) - 1/t has a pole at pi/2: only (0, pi/2) is analyzed

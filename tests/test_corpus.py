@@ -1,7 +1,9 @@
 """Corpus checks against the analytic targets."""
 
+import numpy as np
+
 from conftest import corpus_entry
-from ulamstab import corpus
+from ulamstab import corpus, stability
 
 
 def test_check_variant_builds_one_engine(cfg, engine_builds):
@@ -10,3 +12,16 @@ def test_check_variant_builds_one_engine(cfg, engine_builds):
     assert result["passed"]
     assert set(result["detail"]["f_sups"]) == {"f3", "f4"}
     assert len(engine_builds) == 1
+
+
+def test_no_cache_has_a_zero_width_panel(cfg):
+    # bisection stops at the resolution floor, before a panel's nodes or
+    # edges can coincide
+    for entry in corpus.entries():
+        for variant in entry.variants:
+            problem, rho = corpus.build(variant)
+            engine = stability.StabilityEngine(problem, rho, cfg)
+            stability.analyze(problem, rho, cfg, best=True, engine=engine)
+            assert engine._cache
+            for key, cache in engine._cache.items():
+                assert np.all(np.diff(cache.bps) > 0), (entry.name, variant.label, key)

@@ -96,15 +96,16 @@ def test_max_depth_leaves_recorded():
 
 
 def test_exeq01_panel_counts(exeq01_engine):
-    # exeq01's Pc splits to ulp width near t=1; pinned so a
-    # change of the splitting rule updates these on purpose
-    assert len(exeq01_engine.Pc.panel_vals) == 5481
-    assert len(exeq01_engine.A4.panel_vals) == 685
+    # exeq01's Pc and A4 split down to the resolution floor near t=1;
+    # pinned so a change of the splitting rule updates these on purpose
+    assert len(exeq01_engine.Pc.panel_vals) == 1641
+    assert len(exeq01_engine.A4.panel_vals) == 704
     diag = exeq01_engine.diagnostics()
     assert diag["cache_Pc"]["max_depth_leaves"] == diag["cache_A4"]["max_depth_leaves"] == 0
+    assert (diag["cache_Pc"]["resolution_floor_leaves"], diag["cache_A4"]["resolution_floor_leaves"]) == (549, 270)
     # each side's skeleton panels are bisected together: one call per level
-    assert (diag["cache_Pc"]["integrand_calls"], diag["cache_Pc"]["integrand_points"]) == (14, 163080)
-    assert (diag["cache_A4"]["integrand_calls"], diag["cache_A4"]["integrand_points"]) == (10, 19200)
+    assert (diag["cache_Pc"]["integrand_calls"], diag["cache_Pc"]["integrand_points"]) == (12, 47880)
+    assert (diag["cache_A4"]["integrand_calls"], diag["cache_A4"]["integrand_points"]) == (10, 19770)
 
 
 def test_in_panel_matches_chebval():
@@ -170,14 +171,20 @@ def test_query_does_not_depend_on_the_batch(exeq01_engine):
 def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel, max_depth=28):
     """`quad._leaf` one panel at a time, depth first, with per-panel fits.
 
-    Returns sorted (left, right, value, error, antiderivative, width * max|g|).
+    A panel is not split at ``max_depth`` or when its nodes do not round to
+    distinct points strictly inside it.  Returns sorted (left, right, value,
+    error, antiderivative, width * max|g|, why a leaf was kept unconverged
+    as a `quad._Block.forced` code).
     """
     out = []
     stack = [(lo, hi, 0)]
     while stack:
         a, b, depth = stack.pop()
         hw = 0.5 * (b - a)
-        y = np.asarray(g(0.5 * (a + b) + hw * quad._XGK), dtype=complex)
+        x = 0.5 * (a + b) + hw * quad._XGK
+        floor = not np.all(np.diff([a, *x, b]) > 0)
+        final = depth >= max_depth or floor
+        y = np.asarray(g(x), dtype=complex)
         val = hw * np.sum(quad._WGK * y)
         err = abs(val - hw * np.sum(quad._WG * y[1::2]))
         resabs = hw * np.sum(quad._WGK * np.abs(y))
@@ -185,16 +192,18 @@ def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel, max_depth=28):
             err = min(err, resabs * (200.0 * err / resabs) ** 1.5)
         ymax = float(np.max(np.abs(y)))
         budget = leaf_tol + leaf_rel * max(abs(val), (b - a) * ymax)
-        if np.all(np.isfinite(y)) and (err <= budget or depth >= max_depth):
+        if np.all(np.isfinite(y)) and (err <= budget or final):
             coef = npleg.legfit(quad._XGK, y, quad._FIT_DEG)
             resid = float(np.max(np.abs(npleg.legval(quad._XGK, coef) - y))) * (b - a)
             pos_noise = 64.0 * np.finfo(float).eps * max(abs(a), abs(b)) * ymax
-            if not resid > budget + pos_noise or depth >= max_depth:
+            fit_ok = not resid > budget + pos_noise
+            if fit_ok or final:
                 anti = npcheb.chebint(npcheb.chebfit(quad._XGK, y, quad._FIT_DEG)) * hw
                 anti[0] -= npcheb.chebval(-1.0, anti)
-                out.append((a, b, val, err + 0.1 * resid, anti, (b - a) * ymax))
+                why = 0 if err <= budget and fit_ok else quad._AT_MAX_DEPTH if depth >= max_depth else quad._AT_FLOOR
+                out.append((a, b, val, err + 0.1 * resid, anti, (b - a) * ymax, why))
                 continue
-        elif depth >= max_depth:
+        elif final:
             raise FloatingPointError("non-finite integrand inside panel")
         stack += [(a, 0.5 * (a + b), depth + 1), (0.5 * (a + b), b, depth + 1)]
     out.sort(key=lambda leaf: leaf[0])
@@ -205,13 +214,13 @@ def _roots(blocks):
     """(root, leaves or fate) for each root of `quad._leaf`'s blocks, in order.
 
     ``leaves`` are arrays (left, right, value, error, antiderivative
-    coefficients (14, n)) and the number of leaves kept only because they
-    reached ``_MAX_DEPTH``.
+    coefficients (14, n)) and the leaves counted by their `quad._Block.forced`
+    code.
     """
     for blk in blocks:
         for j, fate in enumerate(blk.fates):
             i = slice(blk.bounds[j], blk.bounds[j + 1])
-            forced = int(np.count_nonzero(blk.forced[i]))
+            forced = np.bincount(blk.forced[i], minlength=3)
             yield blk.first + j, fate or (blk.left[i], blk.right[i], blk.vals[i], blk.errs[i], blk.anti[i].T, forced)
 
 
@@ -230,6 +239,8 @@ def _leaves_alone(g, lo, hi, leaf_tol, leaf_rel, work):
         (lambda s: np.log(1.0 - s), 0.5, 1.0 - 1e-13),
         (lambda s: s * np.exp(40j * s), 0.0, 3.0),
         (lambda s: np.sign(s - 0.3), 0.25, 0.325),
+        # exeq01's Pc integrand, split down to the resolution floor near 1
+        pytest.param(lambda s: (2.0 - s) / (s * (1.0 - s)) - 1.0 / s, 1.0 - 1e-6, 1.0 - 1e-13, id="exeq01-Pc"),
     ],
 )
 def test_leaf_matches_panel_by_panel_reference(g, lo, hi, leaf_tol, leaf_rel):
@@ -246,9 +257,10 @@ def test_leaf_matches_panel_by_panel_reference(g, lo, hi, leaf_tol, leaf_rel):
         work = Counter()
         alone = _leaves_alone(g, a, b, leaf_tol, leaf_rel, work)
         alone_work.append(work)
-        r_left, r_right, r_vals, r_errs, r_anti, scale = _leaf_reference(g, a, b, leaf_tol, leaf_rel)
+        r_left, r_right, r_vals, r_errs, r_anti, scale, r_why = _leaf_reference(g, a, b, leaf_tol, leaf_rel)
         # the whole range alone, then each of three roots alone and in the batch
-        for left, right, vals, errs, anti, _ in [alone] if i == 0 else [alone, batch[i - 1][1]]:
+        for left, right, vals, errs, anti, forced in [alone] if i == 0 else [alone, batch[i - 1][1]]:
+            assert np.array_equal(forced, np.bincount(r_why, minlength=3))
             assert np.array_equal(left, r_left) and np.array_equal(right, r_right)
             assert np.array_equal(vals, r_vals)
             assert np.all(np.abs(errs - r_errs) <= 16 * eps * scale)
@@ -256,6 +268,18 @@ def test_leaf_matches_panel_by_panel_reference(g, lo, hi, leaf_tol, leaf_rel):
     # one integrand call per level of the deepest root, on every panel once
     assert batch_work["calls"] == max(w["calls"] for w in alone_work[1:])
     assert batch_work["points"] == sum(w["points"] for w in alone_work[1:])
+
+
+def test_non_finite_panel_at_the_resolution_floor_is_singular():
+    # a pole at 0.7 that is inf within 4 ulp of it: the panel around the
+    # pole reaches the floor with some nodes finite and some not
+    c = 0.7
+    g = lambda s: np.where(np.abs(s - c) <= 4 * np.spacing(c), np.inf, 1.0 / (s - c))
+    work = Counter()
+    ((_, fate),) = _roots(quad._leaf(g, [c - 1e-12], [c + 3e-13], 0.0, 1e-8, work, None))
+    assert fate == "singular"
+    # eight levels bring the root to the floor, well before _MAX_DEPTH
+    assert work["calls"] == 8
 
 
 def _cumulative_reference(
@@ -266,7 +290,7 @@ def _cumulative_reference(
     leaf_rel = 1e-8 if tail_mode else 1e-13
     work = Counter()
     leaves = []
-    max_depth_leaves = 0
+    kept_unconverged = np.zeros(3, dtype=int)  # by `quad._Block.forced` code
     infos = {}
     for side, endpoint in (("upper", upper), ("lower", lower)):
         sign = 1 if side == "upper" else -1
@@ -308,7 +332,7 @@ def _cumulative_reference(
             if k > n_grow:
                 contribs.append(abs(pv))
             leaves.append(new)
-            max_depth_leaves += forced
+            kept_unconverged += forced
             edge = nxt
             if tail_mode:
                 if len(contribs) >= 3:
@@ -342,7 +366,7 @@ def _cumulative_reference(
                     status = "diverging"
         infos[side] = quad.SideInfo(status, tail_bound)
     left, right, vals, errs, anti = (np.concatenate(part, axis=-1) for part in zip(*leaves))
-    order = np.lexsort((right, left))
+    order = np.argsort(left)
     return quad.CumulativeIntegral(
         t_ref=float(t_ref),
         bps=np.append(left[order], right[order[-1]]),
@@ -351,7 +375,8 @@ def _cumulative_reference(
         antider=anti[:, order],
         lower_info=infos["lower"],
         upper_info=infos["upper"],
-        max_depth_leaves=max_depth_leaves,
+        max_depth_leaves=int(kept_unconverged[quad._AT_MAX_DEPTH]),
+        resolution_floor_leaves=int(kept_unconverged[quad._AT_FLOOR]),
         integrand_calls=work["calls"],
         integrand_points=work["points"],
     )
@@ -436,6 +461,7 @@ def test_cumulative_matches_sequential_reference(case):
     assert got.lower_info == ref.lower_info and got.upper_info == ref.upper_info
     assert np.array_equal(got.bps, ref.bps)
     assert got.max_depth_leaves == ref.max_depth_leaves
+    assert got.resolution_floor_leaves == ref.resolution_floor_leaves
     # panel scale: width times the largest |g| on the panel's nodes
     eps = np.finfo(float).eps
     mid, hw = 0.5 * (ref.bps[1:] + ref.bps[:-1]), 0.5 * np.diff(ref.bps)
