@@ -12,6 +12,7 @@
 #     whose real powers t^(-a) the Riccati right-hand side evaluates at one
 #     point per step;
 #   - `analyze --fast-path --reproducible` on const-i, const-ii and const-iii;
+#   - `analyze --tol 1e-8 --best --reproducible` on exeq01 and const-iii;
 #   - `empirical --trials 4 --seed 7 --reproducible` on exeq01, exeq03,
 #     exeq04 and exeq06, and on exeq03 moved to (1e5, 1e5 + 1), where the
 #     caches and the experiment grid must still cover each other (report
@@ -19,7 +20,10 @@
 #   - `corpus run`;
 #   - `analyze`, `empirical` and `riccati-check` on three bad-input
 #     documents written to the temporary directory: an unbound parameter in
-#     alpha, one in rho, and a bare "." as gamma.
+#     alpha, one in rho, and a bare "." as gamma; each once as it is and
+#     once with `--tol nan`.
+# Every command runs under a 2 GiB address-space limit (`ulimit -v`), so a
+# tree whose bisection does not stop fails instead of filling memory.
 # Each command's standard output, last line of standard error, exit status
 # and written files land in one output directory per tree.  The script
 # lists the files that differ and keeps both output directories for
@@ -53,7 +57,8 @@ printf '{"name": "exeq03-at-1e5", "alpha": "1", "beta": "2/(t - 100000)", "gamma
 run() {
   local tree=$1 out=$2 name=$3 status=0
   shift 3
-  (cd "$out" && PYTHONPATH="$tree/src" python3 -m ulamstab.cli "$@" >"$name.out" 2>"$name.stderr") || status=$?
+  (ulimit -v 2097152 && cd "$out" && PYTHONPATH="$tree/src" python3 -m ulamstab.cli "$@" >"$name.out" 2>"$name.stderr") ||
+    status=$?
   echo "$status" >"$out/$name.exit"
   tail -n 1 "$out/$name.stderr" >"$out/$name.err"
   rm "$out/$name.stderr"
@@ -74,6 +79,9 @@ contract() {
   for stem in const-i const-ii const-iii; do
     run "$tree" "$out" "fast-path.$stem" analyze "$tree/problems/$stem.json" --fast-path --reproducible
   done
+  for stem in exeq01 const-iii; do
+    run "$tree" "$out" "tol.$stem" analyze "$tree/problems/$stem.json" --tol 1e-8 --best --reproducible
+  done
   for stem in exeq01 exeq03 exeq04 exeq06; do
     run "$tree" "$out" "empirical.$stem" empirical "$tree/problems/$stem.json" \
       --trials 4 --seed 7 --reproducible --out "$out/empirical"
@@ -85,6 +93,7 @@ contract() {
     stem=$(basename "$p" .json)
     for cmd in analyze empirical riccati-check; do
       run "$tree" "$out" "$cmd.bad-$stem" "$cmd" "$p"
+      run "$tree" "$out" "$cmd.bad-$stem.tol-nan" "$cmd" "$p" --tol nan
     done
   done
 }

@@ -12,7 +12,6 @@ import functools
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 from importlib import resources
@@ -37,8 +36,6 @@ _VERDICT_EXIT = {
     "inconclusive": EXIT_INCONCLUSIVE,
     "instability_evidence": EXIT_INSTABILITY,
 }
-
-CONFIG_ENV = "ULAMSTAB_CONFIG"
 
 
 @functools.cache
@@ -105,18 +102,13 @@ def _build_problem(data):
         _fail("problem", exc)
 
 
-def _make_config(tolerances, tol):
-    overrides = {}
-    env_path = os.environ.get(CONFIG_ENV)
-    if env_path:
-        try:
-            overrides.update(json.loads(Path(env_path).read_text()))
-        except (OSError, json.JSONDecodeError) as exc:
-            _fail("config", f"{CONFIG_ENV}: {exc}")
-    overrides.update(tolerances or {})
-    if tol is not None:
-        overrides["cum_tol"] = 0.1 * tol
-    return Config.from_dict({**Config().to_dict(), **overrides})
+def _make_config(tol):
+    """The config of ``--tol``: cumulative caches are built to a tenth of it."""
+    if tol is None:
+        return Config()
+    if not (math.isfinite(tol) and tol > 0):
+        _fail("tol", f"--tol must be a finite positive number, got {tol!r}")
+    return Config(cum_tol=0.1 * tol)
 
 
 def _config_hash(config: Config):
@@ -139,22 +131,22 @@ def _parse_solve_rho(spec):
     return fields["t0"], fields["rho0"]
 
 
-def _resolve_rho(problem, rho_expr, solve_rho, config):
+def _resolve_rho(problem, solve_rho):
     if solve_rho:
         t0, rho0 = _parse_solve_rho(solve_rho)
-        return riccati.solve_riccati(problem, t0, rho0, config)
-    if rho_expr is not None:
-        return rho_expr
+        return riccati.solve_riccati(problem, t0, rho0)
+    if problem.rho is not None:
+        return problem.rho
     _fail("rho", 'no Riccati candidate: supply "rho" in the problem file or --solve-rho t0=..,rho0=..')
 
 
-def _escalate_instability(doc, problem, data, config):
+def _escalate_instability(doc, problem, data):
     """Attach the document's witness-family probe; upgrade the verdict if it evidences growth."""
     witness = data.get("witness")
     if not witness:
         return
     try:
-        probe, evidenced = dynamics.instability_evidence(problem, witness, config)
+        probe, evidenced = dynamics.instability_evidence(problem, witness)
     except (exprlang.ExprError, ValueError) as exc:
         doc["instability"] = {"error": str(exc)}
         return
@@ -192,10 +184,10 @@ def _emit(doc, out, stem):
         (out_dir / f"{stem}.report.json").write_text(text)
 
 
-def _fast_path_report(problem, config):
+def _fast_path_report(problem):
     # constancy on the grid that validates the problem; a non-finite value fails it
     try:
-        grid = probe_grid(problem.domain, config.probe_points, config.range_cap)
+        grid = probe_grid(problem.domain)
     except ValueError as exc:
         _fail("fast-path", exc)
     consts = []
@@ -254,25 +246,30 @@ def main():
 @click.option("--best/--no-best", default=True, help="Also certify the minimal constant.")
 @click.option("--fast-path", is_flag=True, help="Closed-form route for constant coefficients.")
 @click.option("--solve-rho", default=None, metavar="t0=..,rho0=..", help="Integrate the Riccati companion numerically.")
-@click.option("--tol", type=float, default=None, help="Quadrature tolerance; cumulative caches are built to a tenth of it.")
+@click.option(
+    "--tol",
+    type=float,
+    default=None,
+    help="Quadrature tolerance, finite and positive; cumulative caches are built to a tenth of it.",
+)
 @click.option("--reproducible", is_flag=True, help="Omit timing fields for byte-identical output.")
 @click.option("--out", type=click.Path(file_okay=False), default=None, help="Directory for report artifacts.")
 def analyze(problem_path, best, fast_path, solve_rho, tol, reproducible, out):
     """Classify a problem and compute its Ulam constant(s)."""
     t_start = time.perf_counter()
     data = _load_document(problem_path)
-    problem, rho_expr, tolerances = _build_problem(data)
-    config = _make_config(tolerances, tol)
+    problem = _build_problem(data)
+    config = _make_config(tol)
 
     if fast_path:
-        report_dict = _fast_path_report(problem, config)
+        report_dict = _fast_path_report(problem)
     else:
-        rho = _resolve_rho(problem, rho_expr, solve_rho, config)
+        rho = _resolve_rho(problem, solve_rho)
         report_dict = stability.analyze(problem, rho, config, best=best).to_dict()
 
     doc = _report_doc(data, report_dict, config, time.perf_counter() - t_start, reproducible)
     if doc["report"]["verdict"] == "inconclusive":
-        _escalate_instability(doc, problem, data, config)
+        _escalate_instability(doc, problem, data)
     _emit(doc, out, Path(problem_path).stem)
     sys.exit(_VERDICT_EXIT[doc["report"]["verdict"]])
 
@@ -292,16 +289,16 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
         _fail("epsilon", "epsilon must be positive")
     t_start = time.perf_counter()
     data = _load_document(problem_path)
-    problem, rho_expr, tolerances = _build_problem(data)
-    config = _make_config(tolerances, tol)
-    rho = _resolve_rho(problem, rho_expr, solve_rho, config)
+    problem = _build_problem(data)
+    config = _make_config(tol)
+    rho = _resolve_rho(problem, solve_rho)
 
     analysis = stability.StabilityEngine(problem, rho, config)
     report = stability.analyze(problem, rho, config, best=True, engine=analysis)
     doc_report = report.to_dict()
     if report.case == "none":
         doc = _report_doc(data, doc_report, config, time.perf_counter() - t_start, reproducible)
-        _escalate_instability(doc, problem, data, config)
+        _escalate_instability(doc, problem, data)
         _emit(doc, out, Path(problem_path).stem)
         sys.exit(_VERDICT_EXIT[doc["report"]["verdict"]])
 
@@ -348,18 +345,18 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
 def riccati_check(problem_path, solve_rho, tol):
     """Validate the Riccati candidate: residual and usable coverage."""
     data = _load_document(problem_path)
-    problem, rho_expr, tolerances = _build_problem(data)
-    config = _make_config(tolerances, tol)
-    rho = _resolve_rho(problem, rho_expr, solve_rho, config)
-    resid = riccati.residual_sup(problem, rho, config)
-    cov = riccati.rho_coverage(problem, rho, config)
-    ok = resid <= config.residual_tol
+    problem = _build_problem(data)
+    _make_config(tol)  # no cache is built here, but a bad --tol is still an input error
+    rho = _resolve_rho(problem, solve_rho)
+    resid = riccati.residual_sup(problem, rho)
+    cov = riccati.rho_coverage(problem, rho)
+    ok = resid <= riccati.RESIDUAL_TOL
     click.echo(
         json.dumps(
             _jsonable(
                 {
                     "residual_sup": resid,
-                    "tolerance": config.residual_tol,
+                    "tolerance": riccati.RESIDUAL_TOL,
                     "ok": ok,
                     "coverage": {"lo": cov.lo, "hi": cov.hi, "full": cov.full, "detail": cov.detail},
                 }
@@ -390,7 +387,7 @@ def corpus_list():
 @click.option("--tol", type=float, default=None)
 def corpus_run(default_only, tol):
     """Run every corpus problem and compare against the analytic targets."""
-    config = _make_config({}, tol)
+    config = _make_config(tol)
     failures = 0
     for result in corpus_mod.run_all(config, default_only=default_only):
         status = "PASS" if result["passed"] else "FAIL"

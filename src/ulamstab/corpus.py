@@ -206,8 +206,8 @@ def entries():
 
 def build(variant: Variant):
     """Instantiate (problem, rho expression) from a variant's document."""
-    problem, rho, _ = problem_from_dict(variant.data)
-    return problem, rho
+    problem = problem_from_dict(variant.data)
+    return problem, problem.rho
 
 
 def check_variant(entry: CorpusEntry, variant: Variant, config: Config = Config()):
@@ -238,7 +238,7 @@ def check_variant(entry: CorpusEntry, variant: Variant, config: Config = Config(
         result["passed"] = bool(ok)
     else:
         report = stability.analyze(problem, rho, config, best=True)
-        probe, evidenced = dynamics.instability_evidence(problem, entry.witness, config)
+        probe, evidenced = dynamics.instability_evidence(problem, entry.witness)
         result["detail"] = {
             "verdict": report.verdict,
             "residual_sup": probe["residual_sup"],

@@ -50,7 +50,7 @@ from scipy.linalg import qr as _scipy_qr
 from scipy.optimize import linprog as _scipy_linprog
 
 from . import collocation, exprlang, quad
-from .model import Config, Interval, probe_grid
+from .model import Interval, probe_grid
 from .stability import _F_SIDE, _KERNEL, _NESTED, StabilityEngine
 
 __all__ = [
@@ -596,7 +596,7 @@ def _extremal_setup(eng, case, epsilon):
 def extremal_experiment(engine: SolutionEngine, case, epsilon):
     """Reproduce the minimal constant with the constant perturbation g = eps."""
     params, grid, distance = _extremal_setup(engine, case, epsilon)
-    res = engine.se._sup(distance, float(grid[0]), float(grid[-1]))
+    res = quad.sup_over(distance, float(grid[0]), float(grid[-1]))
     sup_d = float(res.sup_value)
     return PerturbationExperiment(
         epsilon=float(epsilon),
@@ -679,7 +679,7 @@ def _truncations(domain: Interval, t0):
     return [sig - (sig - t0) * 10.0 ** (-k) for k in (1, 2, 3)]
 
 
-def instability_probe(problem, xi_family, epsilon, config: Config):
+def instability_probe(problem, xi_family, epsilon):
     """Trace nearest-solution distance of approximate solutions over truncations.
 
     ``xi_family`` is an expression in t (parameter ``eps`` allowed) whose
@@ -699,12 +699,12 @@ def instability_probe(problem, xi_family, epsilon, config: Config):
     c = problem.fn("gamma")
     f = problem.fn("forcing")
 
-    lo_edge = dom.tau if dom.lower.finite else -config.range_cap
+    lo_edge = dom.tau if dom.lower.finite else -quad.RANGE_CAP
     truncations = _truncations(dom, t0)
     grids = []
     residual_sup = 0.0
     for T in truncations:
-        grid = probe_grid(Interval.open(max(lo_edge, dom.tau), float(T)), config.probe_points, config.range_cap)
+        grid = probe_grid(Interval.open(max(lo_edge, dom.tau), float(T)))
         grid = grid[grid > dom.tau]
         grids.append(grid)
         # residual evaluation stays a modest distance from an open finite lower
@@ -736,11 +736,11 @@ def instability_probe(problem, xi_family, epsilon, config: Config):
     }
 
 
-def instability_evidence(problem, witness, config: Config):
+def instability_evidence(problem, witness):
     """Run `instability_probe` on the witness text at `PROBE_EPSILON`.
 
     Returns the probe and whether it evidences instability: distances that
     grow while the witness residual stays within epsilon.
     """
-    probe = instability_probe(problem, exprlang.parse(witness), PROBE_EPSILON, config)
+    probe = instability_probe(problem, exprlang.parse(witness), PROBE_EPSILON)
     return probe, probe["growth_ok"] and probe["residual_sup"] <= probe["epsilon"] * (1.0 + 1e-6)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import exprlang
-from .quad import graded_grid
+from .quad import RANGE_CAP, graded_grid
 
 __all__ = [
     "Endpoint",
@@ -162,44 +162,30 @@ class StabilityReport:
 
 @dataclass(frozen=True)
 class Config:
-    """Numerical knobs; defaults sized for 1e-4-relative final constants."""
+    """The accuracy knob: cumulative caches are built to ``cum_tol``."""
 
     cum_tol: float = 1e-10
-    residual_tol: float = 1e-6
-    reality_tol: float = 1e-12
-    log_budget: float = 300.0
-    range_cap: float = 1e8
-    divergence_threshold: float = 1e6
-    divergence_points: int = 24
-    tail_k: int = 8
-    sup_scan: int = 257
-    probe_points: int = 1024
 
     def to_dict(self):
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {k: v for k, v in d.items() if k in cls.__dataclass_fields__}
-        return cls(**known)
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def probe_grid(interval: Interval, n=1024, range_cap=1e8):
-    """Interior probe points, geometrically graded toward hard endpoints."""
-    lo = interval.tau if interval.lower.finite else -range_cap
-    hi = interval.sigma if interval.upper.finite else range_cap
-    return graded_grid(lo, hi, n, include_lo=interval.lower.included, include_hi=interval.upper.included)
+def probe_grid(interval: Interval):
+    """1024 interior probe points, geometrically graded toward hard endpoints."""
+    lo = interval.tau if interval.lower.finite else -RANGE_CAP
+    hi = interval.sigma if interval.upper.finite else RANGE_CAP
+    return graded_grid(lo, hi, 1024, include_lo=interval.lower.included, include_hi=interval.upper.included)
 
 
-def validate_problem(p: OscillatorProblem, config: Config = Config()):
+def validate_problem(p: OscillatorProblem):
     """Check the standing hypotheses on a probe grid; violations are data."""
     violations = []
     try:
-        grid = probe_grid(p.domain, config.probe_points, config.range_cap)
+        grid = probe_grid(p.domain)
     except ValueError as exc:
         return [{"kind": "domain", "detail": str(exc)}]
     for which in _COEFFICIENTS:
@@ -256,8 +242,8 @@ def _endpoint_to_json(e: Endpoint):
     return e.value
 
 
-def problem_from_dict(d: dict) -> tuple[OscillatorProblem, exprlang.Expr | None, dict]:
-    """Build (problem, optional rho expression, tolerances) from JSON data."""
+def problem_from_dict(d: dict) -> OscillatorProblem:
+    """Build the problem, with its optional ``rho``, from JSON data."""
     params = {k: float(v) for k, v in d.get("params", {}).items()}
     iv = d["interval"]
     domain = Interval(
@@ -274,7 +260,7 @@ def problem_from_dict(d: dict) -> tuple[OscillatorProblem, exprlang.Expr | None,
         name=d.get("name", ""),
         rho=exprlang.parse(d["rho"]) if d.get("rho") else None,
     )
-    return problem, problem.rho, d.get("tolerances", {})
+    return problem
 
 
 def problem_to_dict(p: OscillatorProblem, rho=None) -> dict:

@@ -126,6 +126,10 @@ _FIT_DEG = 12
 _MAX_DEPTH = 28  # bisection levels below a skeleton panel
 _AT_MAX_DEPTH, _AT_FLOOR = 1, 2  # why a leaf was kept unconverged (0: it converged)
 _MAX_PANELS = 4000  # skeleton panels per side of a cumulative
+RANGE_CAP = 1e8  # an infinite side's coverage ends before |t| passes this
+# a side's coverage ends once |Re cum| passes this, or |cum| its exponential
+# in a tail cache
+LOG_BUDGET = 300.0
 
 
 def _leaf_operators():
@@ -416,13 +420,13 @@ def _finite_skeleton(t_ref, endpoint, sign):
     return pts, n_grow
 
 
-def _skeleton(t_ref, endpoint, sign, range_cap):
+def _skeleton(t_ref, endpoint, sign):
     """Skeleton points from the anchor toward one endpoint, all known up front.
 
     Returns (points, n_grow, status): the first ``n_grow`` points belong to
     the doubling phase, and ``status`` is the side's status when coverage
     reaches the last point.  A finite side uses `_finite_skeleton`; an
-    infinite one doubles its gaps until ``range_cap``.  Both stop at
+    infinite one doubles its gaps until `RANGE_CAP`.  Both stop at
     ``_MAX_PANELS`` points.
     """
     if math.isinf(endpoint):
@@ -430,7 +434,7 @@ def _skeleton(t_ref, endpoint, sign, range_cap):
         pts = []
         while len(pts) < _MAX_PANELS:
             nxt = t_ref + sign * h0 * (2.0 ** (len(pts) + 1) - 1.0)
-            if abs(nxt) > range_cap:
+            if abs(nxt) > RANGE_CAP:
                 break
             pts.append(nxt)
         return pts, 0, "range_cap"
@@ -438,21 +442,12 @@ def _skeleton(t_ref, endpoint, sign, range_cap):
     return pts[:_MAX_PANELS], n_grow, "range_cap" if len(pts) >= _MAX_PANELS else "resolved"
 
 
-def cumulative(
-    g,
-    t_ref,
-    lower,
-    upper,
-    tol=1e-10,
-    log_budget=300.0,
-    range_cap=1e8,
-    tail_mode=False,
-):
+def cumulative(g, t_ref, lower, upper, tol=1e-10, tail_mode=False):
     """Build a `CumulativeIntegral` of ``g`` anchored at ``t_ref``.
 
     Coverage expands from ``t_ref`` toward each endpoint with geometrically
     graded skeleton panels until the endpoint is resolved, the real part of
-    the accumulated value exceeds ``log_budget``, the range cap is hit, or
+    the accumulated value exceeds `LOG_BUDGET`, `RANGE_CAP` is hit, or
     (with ``tail_mode``) the endpoint tail has converged or is evidently
     diverging.  Coverage limits are recorded as data, never raised.
 
@@ -468,7 +463,7 @@ def cumulative(
     infos = {}
     for side, endpoint in (("upper", upper), ("lower", lower)):
         sign = 1 if side == "upper" else -1
-        pts, n_grow, status = _skeleton(t_ref, endpoint, sign, range_cap)
+        pts, n_grow, status = _skeleton(t_ref, endpoint, sign)
         edges = np.array([t_ref, *pts], dtype=float)
         lo_, hi_ = (edges[:-1], edges[1:]) if sign > 0 else (edges[1:], edges[:-1])
         cum = 0.0 + 0.0j
@@ -520,9 +515,9 @@ def cumulative(
                         ):
                             diverging = True
                     # tail caches hold exponential-scale values; budget their log
-                    if abs(cum) > math.exp(min(log_budget, 700.0)):
+                    if abs(cum) > math.exp(LOG_BUDGET):
                         status = "budget"
-                elif abs(cum.real) > log_budget:
+                elif abs(cum.real) > LOG_BUDGET:
                     status = "budget"
                 if status == "budget":
                     taken, stopped = blk.bounds[j + 1], True
@@ -649,6 +644,12 @@ class SupResult:
 _ZOOM_K = 16  # interior points per bracket and zoom step
 _ZOOM_STEPS = 24
 _ZOOM_REL = 1e-13  # bracket width and sample spread that count as rounding
+SUP_SCAN = 257  # points of the coarse scan
+# an approach sequence whose last TAIL_K values increase strictly is
+# unbounded once it passes DIVERGENCE_THRESHOLD; the divergence
+# certificates hold their traces to the same two numbers
+DIVERGENCE_THRESHOLD = 1e6
+TAIL_K = 8
 
 
 def _zoom_lockstep(h, a, b, fa, fb):
@@ -714,21 +715,22 @@ def _richardson(values, ratio):
     return best
 
 
-def sup_over(h, lo, hi, n_scan, threshold, tail_k):
+def sup_over(h, lo, hi):
     """Supremum of real-valued ``h`` over the open interval (lo, hi).
 
-    Coarse graded scan, a multi-point zoom around the top five scan maxima,
-    then endpoint limit handling: a geometric approach sequence per
-    endpoint, flagged as unbounded evidence if its tail is strictly
-    increasing past ``threshold``, otherwise Richardson-extrapolated.  Each
-    maximum's bracket spans its two scan neighbours, and the five are zoomed
-    in lockstep by `_zoom_lockstep` (one ``h`` call per step on ``_ZOOM_K``
-    points of every bracket still narrowing, until it is 1e-13 wide or flat
-    to rounding); their results are then taken in scan order, a later one
-    replacing the best only when strictly higher.  ``h`` is pointwise, so the
-    scan and both approach sequences are evaluated in one call.
+    Coarse graded scan of `SUP_SCAN` points, a multi-point zoom around the
+    top five scan maxima, then endpoint limit handling: a geometric approach
+    sequence per endpoint, flagged as unbounded evidence if its last
+    `TAIL_K` values increase strictly past `DIVERGENCE_THRESHOLD`, otherwise
+    Richardson-extrapolated.  Each maximum's bracket spans its two scan
+    neighbours, and the five are zoomed in lockstep by `_zoom_lockstep` (one
+    ``h`` call per step on ``_ZOOM_K`` points of every bracket still
+    narrowing, until it is 1e-13 wide or flat to rounding); their results
+    are then taken in scan order, a later one replacing the best only when
+    strictly higher.  ``h`` is pointwise, so the scan and both approach
+    sequences are evaluated in one call.
     """
-    grid = graded_grid(lo, hi, n_scan)
+    grid = graded_grid(lo, hi, SUP_SCAN)
     span = hi - lo
     ratio = 0.5
     ds = 0.25 * span * ratio ** np.arange(28)
@@ -763,10 +765,10 @@ def sup_over(h, lo, hi, n_scan, threshold, tail_k):
         pts, seq = pts[ok], seq[ok]
         if seq.size < 4:
             continue
-        tail = seq[-tail_k:]
+        tail = seq[-TAIL_K:]
         incr = np.diff(tail)
-        if tail.size >= tail_k and np.all(incr > 0):
-            if tail[-1] >= threshold:
+        if tail.size >= TAIL_K and np.all(incr > 0):
+            if tail[-1] >= DIVERGENCE_THRESHOLD:
                 return SupResult(math.inf, endpoint, unbounded=True)
             # slow (power/log) divergence: increments along a geometric
             # approach keep their size instead of decaying with the gap

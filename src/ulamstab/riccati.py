@@ -21,11 +21,13 @@ import numpy as np
 from scipy.integrate import solve_ivp as _scipy_solve_ivp
 
 from . import exprlang
-from .model import Config, Interval, OscillatorProblem, probe_grid
+from .model import Interval, OscillatorProblem, probe_grid
+from .quad import RANGE_CAP
 
-__all__ = ["NumericSolution", "RhoCoverage", "residual_sup", "solve_riccati", "rho_coverage"]
+__all__ = ["NumericSolution", "RhoCoverage", "RESIDUAL_TOL", "residual_sup", "solve_riccati", "rho_coverage"]
 
 _BLOWUP_CAP = 1e8
+RESIDUAL_TOL = 1e-6  # the largest `residual_sup` of a candidate the analysis accepts
 
 
 @dataclass
@@ -78,7 +80,7 @@ class RhoCoverage:
     detail: str = ""
 
 
-def residual_sup(problem: OscillatorProblem, rho, config: Config = Config()):
+def residual_sup(problem: OscillatorProblem, rho):
     """Relative residual sup of the companion equation on a probe grid.
 
     The pointwise residual |alpha (rho' + rho^2) + beta rho + gamma| is
@@ -92,12 +94,12 @@ def residual_sup(problem: OscillatorProblem, rho, config: Config = Config()):
     if isinstance(rho, exprlang.Expr):
         r = problem.bind(rho)
         rp = exprlang.compile_expr(exprlang.differentiate(rho), problem.params)
-        grid = probe_grid(problem.domain, config.probe_points, config.range_cap)
+        grid = probe_grid(problem.domain)
     elif isinstance(rho, NumericSolution):
         r = rho
         rp = rho.derivative
         pad = 1e-6 * max(1.0, abs(rho.hi - rho.lo))
-        grid = probe_grid(Interval.open(rho.lo + pad, rho.hi - pad), config.probe_points, config.range_cap)
+        grid = probe_grid(Interval.open(rho.lo + pad, rho.hi - pad))
     else:
         raise TypeError("rho must be an expression or a NumericSolution")
     with np.errstate(all="ignore"):
@@ -112,7 +114,7 @@ def residual_sup(problem: OscillatorProblem, rho, config: Config = Config()):
     return float(np.max(rel))
 
 
-def solve_riccati(problem: OscillatorProblem, t0, rho0, config: Config = Config()):
+def solve_riccati(problem: OscillatorProblem, t0, rho0):
     """Integrate rho' = -(beta rho + gamma)/alpha - rho^2 from (t0, rho0).
 
     Runs an adaptive high-order Runge-Kutta in both directions with dense
@@ -138,8 +140,8 @@ def solve_riccati(problem: OscillatorProblem, t0, rho0, config: Config = Config(
     if not dom.contains(t0):
         raise ValueError(f"anchor t0={t0} outside the problem domain")
     y0 = [complex(rho0).real, complex(rho0).imag]
-    lo_target = dom.tau if dom.lower.finite else max(-config.range_cap, t0 - config.range_cap)
-    hi_target = dom.sigma if dom.upper.finite else min(config.range_cap, t0 + config.range_cap)
+    lo_target = dom.tau if dom.lower.finite else max(-RANGE_CAP, t0 - RANGE_CAP)
+    hi_target = dom.sigma if dom.upper.finite else min(RANGE_CAP, t0 + RANGE_CAP)
     # stay strictly interior to singular finite endpoints
     span = hi_target - lo_target
     eps = 1e-12 * max(1.0, abs(lo_target), abs(hi_target))
@@ -182,7 +184,7 @@ def solve_riccati(problem: OscillatorProblem, t0, rho0, config: Config = Config(
     )
 
 
-def rho_coverage(problem: OscillatorProblem, rho, config: Config = Config()):
+def rho_coverage(problem: OscillatorProblem, rho):
     """Maximal probe-grid subinterval around the anchor where rho is usable.
 
     A candidate may blow up at interior points (poles); the stability
@@ -192,8 +194,8 @@ def rho_coverage(problem: OscillatorProblem, rho, config: Config = Config()):
     dom = problem.domain
     if isinstance(rho, NumericSolution):
         lo, hi = rho.lo, rho.hi
-        lo_edge = dom.tau if dom.lower.finite else -config.range_cap
-        hi_edge = dom.sigma if dom.upper.finite else config.range_cap
+        lo_edge = dom.tau if dom.lower.finite else -RANGE_CAP
+        hi_edge = dom.sigma if dom.upper.finite else RANGE_CAP
         full = (not rho.blowup_lower or lo <= lo_edge + 1e-6 * max(1.0, abs(lo_edge))) and (
             not rho.blowup_upper or hi >= hi_edge - 1e-6 * max(1.0, abs(hi_edge))
         )
@@ -202,12 +204,12 @@ def rho_coverage(problem: OscillatorProblem, rho, config: Config = Config()):
 
     fn = problem.bind(rho)
     anchor = dom.default_anchor()
-    lo_edge = dom.tau if dom.lower.finite else -config.range_cap
-    hi_edge = dom.sigma if dom.upper.finite else config.range_cap
+    lo_edge = dom.tau if dom.lower.finite else -RANGE_CAP
+    hi_edge = dom.sigma if dom.upper.finite else RANGE_CAP
 
     # probe grid plus dense windows doubling outward from the anchor, so
     # interior poles near the working region are actually resolved
-    grids = [probe_grid(dom, config.probe_points, config.range_cap)]
+    grids = [probe_grid(dom)]
     width = 1.0
     while True:
         w_lo = max(lo_edge, anchor - width)

@@ -67,6 +67,10 @@ _F_SIDE = {"f1": ("A4", "upper"), "f2": ("A2", "upper"), "f3": ("A2", "lower"), 
 _KERNEL = {"i": ("C1", "upper"), "ii": ("C1", "lower"), "iii": ("C3", "lower")}
 # the boundedness function each kernel cache integrates against e^{-R}
 _NESTED = {"C1": "f1", "C3": "f4"}
+# largest imaginary part, relative to the real part, of real-valued data
+REALITY_TOL = 1e-12
+# points of a certificate's geometric approach to its endpoint
+DIVERGENCE_POINTS = 24
 
 
 @dataclass(frozen=True)
@@ -116,7 +120,7 @@ class StabilityEngine:
         self.rho_fn = problem.bind(rho)
         if not callable(self.rho_fn):
             raise TypeError("rho must be an expression or a callable")
-        self.coverage = riccati.rho_coverage(problem, rho, config)
+        self.coverage = riccati.rho_coverage(problem, rho)
         self.lo = self.coverage.lo
         self.hi = self.coverage.hi
         self.anchor = interior_anchor(self.lo, self.hi)
@@ -132,14 +136,13 @@ class StabilityEngine:
     def is_real(self):
         if self._is_real is None:
             work = Interval.open(self.lo, self.hi)
-            grid = probe_grid(work, self.config.probe_points, self.config.range_cap)
-            tol = self.config.reality_tol
+            grid = probe_grid(work)
             ok = True
             with np.errstate(all="ignore"):
                 for fn in (self._alpha, self._beta, self._gamma, self.rho_fn):
                     v = np.asarray(fn(grid))
                     v = v[np.isfinite(v.real) & np.isfinite(v.imag)]
-                    if v.size and np.max(np.abs(v.imag)) > tol * (1.0 + np.max(np.abs(v.real))):
+                    if v.size and np.max(np.abs(v.imag)) > REALITY_TOL * (1.0 + np.max(np.abs(v.real))):
                         ok = False
                         break
             self._is_real = ok
@@ -157,16 +160,7 @@ class StabilityEngine:
         ``tail`` builds an exponential-scale cache whose endpoint tails are
         classified as converged or diverging (`quad.cumulative` tail mode).
         """
-        return quad.cumulative(
-            g,
-            self.anchor,
-            lo,
-            hi,
-            tol=self.config.cum_tol,
-            log_budget=self.config.log_budget,
-            range_cap=self.config.range_cap,
-            tail_mode=tail,
-        )
+        return quad.cumulative(g, self.anchor, lo, hi, tol=self.config.cum_tol, tail_mode=tail)
 
     @property
     def Rc(self):
@@ -253,11 +247,6 @@ class StabilityEngine:
             raise HypothesisFailed(which, prefix + info.status)
         return cache
 
-    def _sup(self, fn, lo, hi):
-        """`quad.sup_over` of ``fn`` on (lo, hi) with the config's scan, threshold and tail."""
-        c = self.config
-        return quad.sup_over(fn, lo, hi, n_scan=c.sup_scan, threshold=c.divergence_threshold, tail_k=c.tail_k)
-
     def f_sup(self, name):
         """Supremum of a boundedness function over the working interval.
 
@@ -266,7 +255,7 @@ class StabilityEngine:
         not be resolved within the coverage budget.
         """
         cache = self._limit_cache(*_F_SIDE[name], name, name, prefix="unresolved:")
-        return self._sup(getattr(self, name), cache.lo, cache.hi)
+        return quad.sup_over(getattr(self, name), cache.lo, cache.hi)
 
     # -- classification ---------------------------------------------------
 
@@ -304,7 +293,7 @@ class StabilityEngine:
             raise ValueError(f"no constant for case {case!r}")
         key, side = _KERNEL[case]
         cache = self._limit_cache(key, side, "nested kernel", f"kernel_{case}")
-        res = self._sup(lambda t: self._edge_integral(key, side, t), cache.lo, cache.hi)
+        res = quad.sup_over(lambda t: self._edge_integral(key, side, t), cache.lo, cache.hi)
         if res.unbounded:
             raise HypothesisFailed(f"kernel_{case}", "unbounded")
         return res
@@ -326,8 +315,7 @@ class StabilityEngine:
     def _approach_points(self, side):
         lo, hi = self._overlap(self.Rc, self.H1)
         t0 = self.anchor
-        n = self.config.divergence_points
-        ratios = np.exp(np.linspace(math.log(0.5), math.log(1e-9), n))
+        ratios = np.exp(np.linspace(math.log(0.5), math.log(1e-9), DIVERGENCE_POINTS))
         if side == "lower":
             return lo + (t0 - lo) * ratios
         return hi - (hi - t0) * ratios
@@ -336,9 +324,10 @@ class StabilityEngine:
         """Numerically evidence the endpoint growth conditions for a case.
 
         Each limit is evaluated in log space on a geometric approach to the
-        endpoint; it holds when the last ``tail_k`` values are strictly
+        endpoint; it holds when the last `quad.TAIL_K` values are strictly
         increasing in magnitude with the right sign and the final magnitude
-        crosses the threshold.
+        crosses `quad.DIVERGENCE_THRESHOLD`, the numbers `quad.sup_over`
+        calls a supremum unbounded by.
         """
         out = []
         t0 = self.anchor
@@ -360,7 +349,7 @@ class StabilityEngine:
             ev = DivergenceEvidence(kind, side, sign)
             vals = signs * np.exp(np.minimum(logmag, 700.0))
             ev.trace = list(zip(pts.tolist(), vals.tolist()))
-            k = self.config.tail_k
+            k = quad.TAIL_K
             tail_m = logmag[-k:]
             tail_s = signs[-k:]
             ev.monotone_tail = (
@@ -369,7 +358,7 @@ class StabilityEngine:
                 and bool(np.all(tail_s == sign))
             )
             ev.threshold_crossed = bool(
-                np.isfinite(logmag[-1]) and logmag[-1] >= math.log(self.config.divergence_threshold)
+                np.isfinite(logmag[-1]) and logmag[-1] >= math.log(quad.DIVERGENCE_THRESHOLD)
             )
             out.append(ev)
         return out
@@ -451,19 +440,17 @@ def analyze(problem: OscillatorProblem, rho, config: Config = Config(), best=Tru
     so that callers running experiments afterwards reuse its caches.
     """
     report = StabilityReport()
-    violations = validate_problem(problem, config)
+    violations = validate_problem(problem)
     if violations:
         report.verdict = "inconclusive"
         report.diagnostics["violations"] = violations
         return report
 
-    resid = riccati.residual_sup(problem, rho, config)
+    resid = riccati.residual_sup(problem, rho)
     report.diagnostics["riccati_residual"] = resid
-    if not resid <= config.residual_tol:
+    if not resid <= riccati.RESIDUAL_TOL:
         report.verdict = "inconclusive"
-        report.diagnostics["error"] = (
-            f"candidate rho residual {resid:.3e} exceeds tolerance {config.residual_tol:.1e}"
-        )
+        report.diagnostics["error"] = f"candidate rho residual {resid:.3e} exceeds tolerance {riccati.RESIDUAL_TOL:.1e}"
         return report
 
     engine = engine if engine is not None else StabilityEngine(problem, rho, config)

@@ -161,7 +161,7 @@ def test_criterion_8(analyzed):
     for name in ("exeq02", "exeq05"):
         entry = corpus_entry(name)
         problem, _ = corpus.build(entry.default)
-        probes[name] = dynamics.instability_probe(problem, exprlang.parse(entry.witness), 0.1, CFG)
+        probes[name] = dynamics.instability_probe(problem, exprlang.parse(entry.witness), 0.1)
     ok = True
     for name, probe in probes.items():
         dists = [rec["sup_distance"] for rec in probe["trace"]]
@@ -183,12 +183,12 @@ def test_criterion_9():
     worst = 0.0
     for entry in corpus.entries():
         problem, rho = corpus.build(entry.default)
-        worst = max(worst, riccati.residual_sup(problem, rho, CFG))
+        worst = max(worst, riccati.residual_sup(problem, rho))
     p1, _ = corpus.build(corpus_entry("exeq01").default)
-    sol = riccati.solve_riccati(p1, 0.5, -2.0, CFG)
+    sol = riccati.solve_riccati(p1, 0.5, -2.0)
     ts = np.linspace(0.05, 0.95, 181)
     ivp_err = float(np.max(np.abs(sol(ts) - (-1.0 / ts))))
-    blow = riccati.solve_riccati(make_problem("1", "0", "1", "0", 0.0, 2.0), 1e-6, 0.0, CFG)
+    blow = riccati.solve_riccati(make_problem("1", "0", "1", "0", 0.0, 2.0), 1e-6, 0.0)
     ok = worst <= 1e-10 and ivp_err <= 1e-8 and blow.blowup_upper and blow.hi < math.pi / 2 + 1e-3
     _line(9, ok, f"max analytic residual {worst:.2e}, IVP err {ivp_err:.2e}, blow-up at {blow.hi:.4f} < pi/2")
 

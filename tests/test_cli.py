@@ -284,3 +284,44 @@ def test_partial_coverage_reports_no_case(runner, tmp_path, command):
 def test_empirical_rejects_zero_epsilon(runner):
     result = runner.invoke(cli.main, ["empirical", str(PROBLEMS / "exeq01.json"), "--epsilon", "0"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["empirical"], ["riccati-check"], ["corpus", "run"]], ids=lambda c: "-".join(c)
+)
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_bad_tol_is_input_error(runner, command, tol):
+    # refused before any cache is built: a NaN or negative tolerance never
+    # converges a panel, and bisection ran until its arrays filled memory
+    document = [] if command[0] == "corpus" else [str(PROBLEMS / "exeq01.json")]
+    result = _invoke(runner, [*command, *document, f"--tol={tol}"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == "tol" and "finite positive" in error["detail"]
+
+
+def test_tol_sets_the_cache_tolerance(runner):
+    path = str(PROBLEMS / "exeq01.json")
+    default = _json_out(_invoke(runner, ["analyze", path, "--reproducible"]))
+    result = _invoke(runner, ["analyze", path, "--tol", "1e-8", "--reproducible"])
+    assert result.exit_code == 0
+    doc = _json_out(result)
+    assert default["tool"]["config"] == {"cum_tol": 1e-10}
+    assert doc["tool"]["config"] == {"cum_tol": 1e-9}
+    assert doc["tool"]["config_hash"] != default["tool"]["config_hash"]
+    assert doc["report"]["verdict"] == "best_constant"
+    assert doc["report"]["constant"]["B"] == pytest.approx(0.5, abs=1e-4)
+
+
+def test_document_tolerances_are_a_schema_error(runner, tmp_path):
+    # the tuning values other than --tol are constants; a document cannot set them
+    doc = json.loads((PROBLEMS / "exeq01.json").read_text())
+    doc["tolerances"] = {"tail_k": 0}
+    path = tmp_path / "tolerances.json"
+    path.write_text(json.dumps(doc))
+    result = _invoke(runner, ["analyze", str(path)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == "schema" and "tolerances" in error["detail"]

@@ -17,7 +17,7 @@ from ulamstab.dynamics import (
     SolutionEngine,
     SolutionFamilyParams,
 )
-from ulamstab.model import Config, Interval, probe_grid
+from ulamstab.model import Interval, probe_grid
 from ulamstab.stability import StabilityEngine
 
 EXEQ02 = ("1", "2/t", "0", "-1", 1.0, math.inf)
@@ -98,26 +98,6 @@ def test_solution_engine_reads_stability_h1(exeq01, cfg):
     eng = SolutionEngine(se)
     assert eng.H1c is se.H1
     assert eng.problem is p
-
-
-def test_every_sup_reads_the_engine_config(exeq03, monkeypatch):
-    # the f-sups, the kernel and the extremal distance all search with the
-    # engine config's scan, divergence threshold and tail length
-    calls = []
-    sup_over = quad.sup_over
-
-    def recording(h, lo, hi, **kwargs):
-        calls.append(kwargs)
-        return sup_over(h, lo, hi, **kwargs)
-
-    monkeypatch.setattr(quad, "sup_over", recording)
-    cfg = Config(tail_k=5)
-    eng = _engine(*exeq03, cfg)
-    case = eng.se.classify().case
-    eng.se.ulam_constant(case)
-    dynamics.extremal_experiment(eng, case, 0.1)
-    want = {"n_scan": cfg.sup_scan, "threshold": cfg.divergence_threshold, "tail_k": 5}
-    assert len(calls) >= 3 and all(kwargs == want for kwargs in calls)
 
 
 def test_extremal_linear_in_epsilon(eng01):
@@ -474,9 +454,9 @@ def solver_calls(monkeypatch):
     [(EXEQ02, "(eps - 1)*t^2/6"), (EXEQ05, EXEQ05_WITNESS)],
     ids=["exeq02", "exeq05"],
 )
-def test_instability_probe_integrates_once(solver_calls, cfg, coeffs, witness):
+def test_instability_probe_integrates_once(solver_calls, coeffs, witness):
     p = solver_calls["watch"](make_problem(*coeffs))
-    out = dynamics.instability_probe(p, exprlang.parse(witness), 0.1, cfg)
+    out = dynamics.instability_probe(p, exprlang.parse(witness), 0.1)
     assert len(out["trace"]) == 3
     assert solver_calls["ivp_solution"] == 1
     # every bisection level of each side calls each coefficient and the
@@ -504,18 +484,18 @@ def _exact_family(name, t):
     [("exeq02", EXEQ02, 2.0, "(eps - 1)*t^2/6"), ("exeq05", EXEQ05, 1.0, EXEQ05_WITNESS)],
     ids=["exeq02", "exeq05"],
 )
-def test_ivp_solution_matches_closed_form_family(cfg, name, coeffs, t0, witness):
+def test_ivp_solution_matches_closed_form_family(name, coeffs, t0, witness):
     # the probe's three grids, out to T = 1000 (and down to 1e-9 on exeq05)
     p = make_problem(*coeffs)
     lo = coeffs[4]
-    grids = [probe_grid(Interval.open(lo, T), cfg.probe_points, cfg.range_cap) for T in (10.0, 100.0, 1000.0)]
+    grids = [probe_grid(Interval.open(lo, T)) for T in (10.0, 100.0, 1000.0)]
     grids = [g[g > lo] for g in grids]
     ts = np.concatenate(grids)
     ivps, forcings = _family(t0)
     for member, exact in zip(dynamics.ivp_solution(p, ivps, ts, forcings), _exact_family(name, ts)):
         assert np.max(np.abs(member - exact)) <= 5e-11 * np.max(np.abs(exact))
     # the probe's distances against fits of the exact family on the same grids
-    out = dynamics.instability_probe(p, exprlang.parse(witness), 0.1, cfg)
+    out = dynamics.instability_probe(p, exprlang.parse(witness), 0.1)
     xi = exprlang.compile_expr(exprlang.parse(witness), {"eps": 0.1})
     for grid, rec in zip(grids, out["trace"]):
         y1, y2, part = _exact_family(name, grid)
@@ -572,10 +552,10 @@ def test_panel_solutions_do_not_depend_on_the_batch(coeffs, t0, far):
         assert np.array_equal(alone[0][0], u[i]) and np.array_equal(alone[1][0], ends[i])
 
 
-def test_min_sup_distance_reaches_grid_optimum(cfg):
+def test_min_sup_distance_reaches_grid_optimum():
     # exeq02's probe data on the T = 10 truncation, and random real data
     p = make_problem(*EXEQ02)
-    grid = probe_grid(Interval.open(1.0, 10.0), cfg.probe_points, cfg.range_cap)
+    grid = probe_grid(Interval.open(1.0, 10.0))
     ivps, forcings = _family(2.0)
     y1, y2, part = dynamics.ivp_solution(p, ivps, grid, forcings)
     xi = exprlang.compile_expr(exprlang.parse("(eps - 1)*t^2/6"), {"eps": 0.1})
@@ -599,9 +579,9 @@ def test_nearest_solution_complex_member(eng01):
     assert out["params"].d2 == pytest.approx(0.9, abs=1e-9)
 
 
-def test_instability_probe_exeq02(cfg, fits):
+def test_instability_probe_exeq02(fits):
     p = make_problem("1", "2/t", "0", "-1", 1.0, math.inf, name="exeq02")
-    out = dynamics.instability_probe(p, exprlang.parse("(eps - 1)*t^2/6"), 0.1, cfg)
+    out = dynamics.instability_probe(p, exprlang.parse("(eps - 1)*t^2/6"), 0.1)
     assert out["residual_sup"] == pytest.approx(0.1, rel=1e-9)
     assert out["growth_ok"]
     dists = [rec["sup_distance"] for rec in out["trace"]]
@@ -612,10 +592,10 @@ def test_instability_probe_exeq02(cfg, fits):
     assert dists == pytest.approx([0.5634384017071673, 76.8162302578564, 8184.073571855228], rel=1e-10)
 
 
-def test_instability_probe_exeq05(cfg, fits):
+def test_instability_probe_exeq05(fits):
     p = make_problem("1", "2/t", "1", "0", 0.0, math.inf, name="exeq05")
     wit = exprlang.parse("eps/(8*t)*(cos(t) + 2*t*sin(t) - 2*t^2*cos(t))")
-    out = dynamics.instability_probe(p, wit, 0.1, cfg)
+    out = dynamics.instability_probe(p, wit, 0.1)
     assert out["residual_sup"] <= 0.1 * (1.0 + 1e-4)
     assert out["growth_ok"]
     dists = [rec["sup_distance"] for rec in out["trace"]]

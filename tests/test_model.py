@@ -51,9 +51,9 @@ def test_contains_respects_closedness():
 
 
 def test_probe_grid_interior():
-    g = probe_grid(Interval.open(0.0, 1.0), 256)
+    g = probe_grid(Interval.open(0.0, 1.0))
     assert g[0] > 0.0 and g[-1] < 1.0
-    assert len(g) == 256
+    assert len(g) == 1024
 
 
 # -- validation ------------------------------------------------------------
@@ -98,19 +98,18 @@ def _doc(lo="0.0", hi=1.0):
 
 
 def test_problem_roundtrip_fields():
-    p, rho, tol = problem_from_dict(_doc())
-    d = problem_to_dict(p, rho)
-    p2, rho2, _ = problem_from_dict(d)
+    p = problem_from_dict(_doc())
+    p2 = problem_from_dict(problem_to_dict(p))
     assert p2.domain == p.domain
     assert p2.params == p.params
-    assert exprlang.to_string(rho2) == exprlang.to_string(rho)
+    assert exprlang.to_string(p2.rho) == exprlang.to_string(p.rho)
 
 
 @given(t=st.floats(min_value=0.05, max_value=0.95))
 @settings(max_examples=40, deadline=None)
 def test_problem_roundtrip_evaluation(t):
-    p, _, _ = problem_from_dict(_doc())
-    p2, _, _ = problem_from_dict(problem_to_dict(p))
+    p = problem_from_dict(_doc())
+    p2 = problem_from_dict(problem_to_dict(p))
     for which in ("alpha", "beta", "gamma", "forcing"):
         assert evaluate(getattr(p2, which), t, p2.params) == pytest.approx(
             evaluate(getattr(p, which), t, p.params), rel=1e-14, abs=1e-14
@@ -120,7 +119,7 @@ def test_problem_roundtrip_evaluation(t):
 def test_infinite_endpoints_as_strings():
     doc = _doc()
     doc["interval"] = {"lower": 1.0, "upper": "inf"}
-    p, _, _ = problem_from_dict(doc)
+    p = problem_from_dict(doc)
     assert p.domain.sigma == math.inf
     back = problem_to_dict(p)
     assert back["interval"]["upper"] == "inf"
@@ -131,10 +130,11 @@ def test_infinite_endpoints_as_strings():
 
 def test_config_roundtrip():
     c = Config(cum_tol=1e-7)
-    assert Config.from_dict(c.to_dict()) == c
+    assert c.to_dict() == {"cum_tol": 1e-7}
+    assert Config(**c.to_dict()) == c
 
 
-def test_config_ignores_unknown_keys():
-    # "quad_tol" was a knob once; configuration files naming it still load
-    c = Config.from_dict({"cum_tol": 1e-8, "quad_tol": 1e-9, "not_a_knob": 3})
-    assert c.cum_tol == 1e-8
+def test_config_rejects_a_removed_knob():
+    # the other tuning values are module constants, not fields
+    with pytest.raises(TypeError):
+        Config(tail_k=5)

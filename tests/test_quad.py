@@ -49,7 +49,7 @@ def test_tail_mode_converged_upper():
 
 
 def test_tail_mode_detects_divergence():
-    c = quad.cumulative(lambda s: np.exp(s), 1.0, 0.0, math.inf, tail_mode=True, log_budget=60.0)
+    c = quad.cumulative(lambda s: np.exp(s), 1.0, 0.0, math.inf, tail_mode=True)
     assert c.upper_info.status == "diverging"
     assert not c.upper_info.usable_as_limit
 
@@ -282,9 +282,7 @@ def test_non_finite_panel_at_the_resolution_floor_is_singular():
     assert work["calls"] == 8
 
 
-def _cumulative_reference(
-    g, t_ref, lower, upper, tol=1e-10, log_budget=300.0, range_cap=1e8, tail_mode=False, max_panels=4000
-):
+def _cumulative_reference(g, t_ref, lower, upper, tol=1e-10, tail_mode=False, max_panels=4000):
     """`quad.cumulative` one skeleton panel at a time, stopping where a rule fires."""
     leaf_tol = 0.0 if tail_mode else tol * 1e-2
     leaf_rel = 1e-8 if tail_mode else 1e-13
@@ -313,7 +311,7 @@ def _cumulative_reference(
             if pts is None:
                 h0 = max(1.0, 0.05 * abs(t_ref))
                 nxt = t_ref + sign * h0 * (2.0**k - 1.0)
-                if abs(nxt) > range_cap:
+                if abs(nxt) > quad.RANGE_CAP:
                     status = "range_cap"
                     break
             else:
@@ -347,10 +345,10 @@ def _cumulative_reference(
                         and c2 >= 0.999 * c1
                     ):
                         diverging = True
-                if abs(cum) > math.exp(min(log_budget, 700.0)):
+                if abs(cum) > math.exp(quad.LOG_BUDGET):
                     status = "budget"
                     break
-            elif abs(cum.real) > log_budget:
+            elif abs(cum.real) > quad.LOG_BUDGET:
                 status = "budget"
                 break
         if tail_mode and len(contribs) >= 3:
@@ -403,22 +401,22 @@ _STOPS = {
         1.0,
         0.0,
         math.inf,
-        {"tail_mode": True, "log_budget": 60.0},
+        {"tail_mode": True},
         ("resolved", "diverging"),
-        5,
-        2040,
+        8,
+        4680,
     ),
     "range_cap": (lambda s: 1.0 / (1.0 + s * s), 0.0, -math.inf, math.inf, {}, ("range_cap", "range_cap"), 6, 1500),
-    # |cum.real| > log_budget
-    "budget": (lambda s: s, 1.0, 0.0, math.inf, {"log_budget": 50.0}, ("resolved", "budget"), 2, 1080),
-    # |cum| > e^700; past s = 708 the integrand is subnormal noise that
+    # |cum.real| > LOG_BUDGET
+    "budget": (lambda s: s, 1.0, 0.0, math.inf, {}, ("resolved", "budget"), 2, 1080),
+    # |cum| > e^LOG_BUDGET; past s = 708 the integrand is subnormal noise that
     # never converges, which the batch must not reach
     "tail_budget": (
-        lambda s: 1e305 * np.exp(-s),
+        lambda s: 1e131 * np.exp(-s),
         1.0,
         0.0,
         math.inf,
-        {"tail_mode": True, "log_budget": 1000.0},
+        {"tail_mode": True},
         ("budget", "budget"),
         2,
         1080,
@@ -522,7 +520,7 @@ def test_graded_grid_reaches_deep():
 
 # -- sup_over --------------------------------------------------------------
 
-# the scan, divergence threshold and tail length of `Config()`
+# the scan, divergence threshold and tail length of `quad.sup_over`
 _SUP = {"n_scan": 257, "threshold": 1e6, "tail_k": 8}
 
 
@@ -538,7 +536,7 @@ def _call_sizes(h):
 
 def test_sup_interior_maximum():
     h, calls = _call_sizes(np.sin)
-    res = quad.sup_over(h, 0.0, 4.0, **_SUP)
+    res = quad.sup_over(h, 0.0, 4.0)
     assert not res.unbounded
     assert res.sup_value == pytest.approx(1.0, abs=1e-12)
     assert res.attained_near == pytest.approx(math.pi / 2, abs=1e-4)
@@ -548,19 +546,19 @@ def test_sup_interior_maximum():
 
 def test_sup_at_open_endpoint():
     # sup t on (0,1) is the (unattained) limit 1
-    res = quad.sup_over(lambda t: np.asarray(t), 0.0, 1.0, **_SUP)
+    res = quad.sup_over(lambda t: np.asarray(t), 0.0, 1.0)
     assert not res.unbounded
     assert res.sup_value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_sup_unbounded_pole():
-    res = quad.sup_over(lambda t: 1.0 / t, 0.0, 1.0, **_SUP)
+    res = quad.sup_over(lambda t: 1.0 / t, 0.0, 1.0)
     assert res.unbounded
 
 
 def test_sup_unbounded_slow_divergence():
     # t^{-1/2} diverges but never reaches the big-value threshold nearby
-    res = quad.sup_over(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0, **_SUP)
+    res = quad.sup_over(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0)
     assert res.unbounded
 
 
@@ -574,7 +572,7 @@ def test_sup_highest_of_five_maxima():
         t = np.asarray(t)[None, :]
         return np.sum(heights[:, None] * np.exp(-(((t - centers[:, None]) / 0.02) ** 2)), axis=0)
 
-    res = quad.sup_over(h, 0.0, 6.0, **_SUP)
+    res = quad.sup_over(h, 0.0, 6.0)
     assert not res.unbounded
     assert res.sup_value == pytest.approx(1.0, abs=1e-12)
     assert res.attained_near == pytest.approx(3.05, abs=1e-6)
@@ -604,14 +602,14 @@ def test_zoom_lockstep_bracket_does_not_depend_on_the_batch(h):
 
 def test_sup_of_a_constant_stops_when_flat():
     h, calls = _call_sizes(lambda t: np.full(np.shape(t), 2.5))
-    res = quad.sup_over(h, -40.0, 40.0, **_SUP)
+    res = quad.sup_over(h, -40.0, 40.0)
     assert res.sup_value == 2.5 and not res.unbounded
     assert len(calls) <= 4
 
 
 def test_sup_never_below_samples():
     h = lambda t: -((np.asarray(t) - 0.3) ** 2)
-    res = quad.sup_over(h, 0.0, 1.0, **_SUP)
+    res = quad.sup_over(h, 0.0, 1.0)
     assert res.sup_value >= -1e-12
     assert res.sup_value == pytest.approx(0.0, abs=1e-9)
 
@@ -675,7 +673,7 @@ def _sup_over_reference(h, lo, hi, n_scan, threshold, tail_k):
 def test_sup_over_matches_separate_calls(h, lo, hi):
     h_one, one = _call_sizes(h)
     h_sep, sep = _call_sizes(h)
-    got = quad.sup_over(h_one, lo, hi, **_SUP)
+    got = quad.sup_over(h_one, lo, hi)
     want = _sup_over_reference(h_sep, lo, hi, **_SUP)
     assert (got.sup_value, got.attained_near, got.unbounded) == (want.sup_value, want.attained_near, want.unbounded)
     # the scan and both approach sequences of 28 points each share one call
