@@ -6,7 +6,9 @@
 #
 # Unpacks <rev> with `git archive` and copies the working tree's src/,
 # perfbench/, problems/ and BENCHMARK.json, each into its own temporary
-# directory.  For seeds 1 to <pairs> (10 by default) it runs
+# directory.  The copy leaves out __pycache__ directories, which the archive
+# never has, so where bytecode is written both sides compile it alike.  For
+# seeds 1 to <pairs> (10 by default) it runs
 #
 #   python3 perfbench/run.py --workload <workload> --seed <n> --seconds 12 --trace 0
 #
@@ -31,7 +33,7 @@ tmp=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/parent" "$tmp/change"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
-cp -r "$root/src" "$root/perfbench" "$root/problems" "$root/BENCHMARK.json" "$tmp/change/"
+tar -C "$root" --exclude=__pycache__ -c src perfbench problems BENCHMARK.json | tar -x -C "$tmp/change"
 
 # run <side> <seed>: append run.py's result line to <side>.jsonl
 run() {

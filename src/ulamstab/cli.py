@@ -3,7 +3,7 @@
 Subcommands: ``analyze`` (classification and constants), ``empirical``
 (perturbation experiments), ``corpus`` (built-in examples), and
 ``riccati-check`` (candidate validation).  Exit codes: 0 stable, 1 input
-error, 2 inconclusive, 3 instability evidence.
+error (a usage error included), 2 inconclusive, 3 instability evidence.
 """
 
 from __future__ import annotations
@@ -235,14 +235,31 @@ def _fast_path_report(problem):
     }
 
 
-@click.group()
+class _Group(click.Group):
+    """A click group whose usage errors, its own and its subcommands', are input errors."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            _fail("usage", exc.format_message())
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            _fail("usage", exc.format_message())
+
+
+# without no_args_is_help a bare group is click's "Missing command." usage error, not help text
+@click.group(cls=_Group, no_args_is_help=False)
 @click.version_option(__version__, prog_name="ulamstab")
 def main():
     """Ulam stability analysis for second-order linear oscillators."""
 
 
 @main.command()
-@click.argument("problem_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("problem_path", type=click.Path())
 @click.option("--best/--no-best", default=True, help="Also certify the minimal constant.")
 @click.option("--fast-path", is_flag=True, help="Closed-form route for constant coefficients.")
 @click.option("--solve-rho", default=None, metavar="t0=..,rho0=..", help="Integrate the Riccati companion numerically.")
@@ -275,7 +292,7 @@ def analyze(problem_path, best, fast_path, solve_rho, tol, reproducible, out):
 
 
 @main.command()
-@click.argument("problem_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("problem_path", type=click.Path())
 @click.option("--epsilon", type=float, default=0.1, show_default=True)
 @click.option("--trials", type=int, default=32, show_default=True)
 @click.option("--seed", type=int, default=7, show_default=True)
@@ -339,14 +356,12 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
 
 
 @main.command("riccati-check")
-@click.argument("problem_path", type=click.Path(exists=True, dir_okay=False))
+@click.argument("problem_path", type=click.Path())
 @click.option("--solve-rho", default=None, metavar="t0=..,rho0=..")
-@click.option("--tol", type=float, default=None)
-def riccati_check(problem_path, solve_rho, tol):
+def riccati_check(problem_path, solve_rho):
     """Validate the Riccati candidate: residual and usable coverage."""
     data = _load_document(problem_path)
     problem = _build_problem(data)
-    _make_config(tol)  # no cache is built here, but a bad --tol is still an input error
     rho = _resolve_rho(problem, solve_rho)
     resid = riccati.residual_sup(problem, rho)
     cov = riccati.rho_coverage(problem, rho)
@@ -368,7 +383,7 @@ def riccati_check(problem_path, solve_rho, tol):
     sys.exit(EXIT_STABLE if ok else EXIT_INCONCLUSIVE)
 
 
-@main.group()
+@main.group(no_args_is_help=False)
 def corpus():
     """Built-in example problems with analytic targets."""
 

@@ -46,8 +46,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import qr as _scipy_qr
-from scipy.optimize import linprog as _scipy_linprog
 
 from . import collocation, exprlang, quad
 from .model import Interval, probe_grid
@@ -383,7 +381,10 @@ def _orthonormal(W):
     A column within rounding of the span of the ones before it is dropped;
     W must not be 0.
     """
-    Q, R, piv = _scipy_qr(W, mode="economic", pivoting=True)
+    # imported here: scipy is most of the CLI's start-up, and only complex fits and the LP fallback call this
+    from scipy.linalg import qr
+
+    Q, R, piv = qr(W, mode="economic", pivoting=True)
     d = np.abs(np.diag(R))
     rank = int(np.sum(d > d[0] * W.shape[0] * np.finfo(float).eps))
     return Q[:, :rank], R[:rank, :rank], piv[:rank]
@@ -394,6 +395,9 @@ def _linprog_fit(y, Q):
 
     Returns a and the dual weight of each grid point in the last solve.
     """
+    # imported here: scipy is most of the CLI's start-up, and only a real fit's fallback solves an LP
+    from scipy.optimize import linprog
+
     n, r = Q.shape
     ones = np.ones((n, 1))
     A = np.block([[Q, -ones], [-Q, -ones]])
@@ -403,7 +407,7 @@ def _linprog_fit(y, Q):
     for _ in range(3):
         res = y - Q @ a
         s = float(np.max(np.abs(res))) or 1.0
-        sol = _scipy_linprog(cost, A_ub=A, b_ub=np.r_[res, -res] / s, bounds=bounds, method="highs")
+        sol = linprog(cost, A_ub=A, b_ub=np.r_[res, -res] / s, bounds=bounds, method="highs")
         if not sol.success:
             raise ValueError(f"minimax LP failed: {sol.message}")
         a = a + s * sol.x[:r]

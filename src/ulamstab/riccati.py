@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp as _scipy_solve_ivp
 
 from . import exprlang
 from .model import Interval, OscillatorProblem, probe_grid
@@ -121,6 +120,9 @@ def solve_riccati(problem: OscillatorProblem, t0, rho0):
     output.  Blow-up (|rho| crossing 1e8, or solver stall) is recorded as
     data, never raised; the covered interval ends at the last reliable t.
     """
+    # imported here: scipy is most of the CLI's start-up, and only --solve-rho integrates
+    from scipy.integrate import solve_ivp
+
     a = problem.fn("alpha")
     b = problem.fn("beta")
     c = problem.fn("gamma")
@@ -155,7 +157,7 @@ def solve_riccati(problem: OscillatorProblem, t0, rho0):
         if (side == "lower" and target >= t0) or (side == "upper" and target <= t0):
             out[side] = (t0, False, None)
             continue
-        sol = _scipy_solve_ivp(
+        sol = solve_ivp(
             rhs,
             (t0, target),
             y0,

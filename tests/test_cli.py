@@ -286,9 +286,7 @@ def test_empirical_rejects_zero_epsilon(runner):
     assert result.exit_code == 1
 
 
-@pytest.mark.parametrize(
-    "command", [["analyze"], ["empirical"], ["riccati-check"], ["corpus", "run"]], ids=lambda c: "-".join(c)
-)
+@pytest.mark.parametrize("command", [["analyze"], ["empirical"], ["corpus", "run"]], ids=lambda c: "-".join(c))
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_bad_tol_is_input_error(runner, command, tol):
     # refused before any cache is built: a NaN or negative tolerance never
@@ -299,6 +297,41 @@ def test_bad_tol_is_input_error(runner, command, tol):
     assert result.stdout == ""
     error = json.loads(result.stderr)["error"]
     assert error["kind"] == "tol" and "finite positive" in error["detail"]
+
+
+def test_riccati_check_takes_no_tol(runner):
+    # it builds no cumulative cache, the one thing --tol sets
+    result = _invoke(runner, ["riccati-check", str(PROBLEMS / "exeq01.json"), "--tol", "1e-3"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert json.loads(result.stderr)["error"] == {"kind": "usage", "detail": "No such option '--tol'."}
+
+
+@pytest.mark.parametrize("standalone", [True, False], ids=["standalone", "embedded"])
+@pytest.mark.parametrize(
+    "args, kind, detail",
+    [
+        (["analyze", str(PROBLEMS / "missing.json")], "read", "No such file or directory"),
+        (["analyze", str(PROBLEMS / "exeq01.json"), "--tol", "abc"], "usage", "'abc' is not a valid float"),
+        (["riccati-check", str(PROBLEMS / "exeq01.json"), "--bogus"], "usage", "No such option '--bogus'"),
+        (["corpus"], "usage", "Missing command."),
+    ],
+    ids=["missing-file", "tol-not-a-number", "unknown-option", "missing-command"],
+)
+def test_usage_error_is_input_error(runner, standalone, args, kind, detail):
+    # exit 1 with the structured error, not click's usage text and exit 2 (inconclusive)
+    result = runner.invoke(cli.main, args, standalone_mode=standalone)
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == kind and detail in error["detail"]
+
+
+@pytest.mark.parametrize("option", ["--help", "--version"])
+def test_help_and_version_exit_0(runner, option):
+    result = _invoke(runner, [option])
+    assert result.exit_code == 0
+    assert result.stdout and result.stderr == ""
 
 
 def test_tol_sets_the_cache_tolerance(runner):

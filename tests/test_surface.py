@@ -1,7 +1,11 @@
-"""The tuning surface: one knob, and few parameters with a default."""
+"""The tuning surface: one knob, few parameters with a default, and scipy loaded only where it is called."""
 
 import ast
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ulamstab
@@ -30,3 +34,64 @@ def test_parameters_with_a_default_stay_few():
 
 def test_config_has_one_field():
     assert [f.name for f in dataclasses.fields(Config)] == ["cum_tol"]
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+# runs each command line of argv[1] in-process and prints the exit codes and
+# whether scipy was imported
+_CHILD = """
+import contextlib, io, json, sys
+from ulamstab import cli
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main.main(argv, standalone_mode=False)
+        codes.append(0)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def _fresh_run(tmp_path, *commands):
+    """The exit codes of ``commands`` run in one fresh interpreter, and whether it imported scipy."""
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, json.dumps(commands)],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    return out["codes"], out["scipy"]
+
+
+def _doc(name):
+    return str(_ROOT / "problems" / f"{name}.json")
+
+
+def test_scipy_is_not_imported_without_solve_rho(tmp_path):
+    # modules loaded, not seconds: scipy's import is most of a fresh CLI's start-up
+    codes, scipy = _fresh_run(
+        tmp_path,
+        ["analyze", _doc("exeq01"), "--best", "--reproducible"],
+        ["analyze", _doc("exeq02"), "--reproducible"],
+        ["empirical", _doc("exeq03"), "--trials", "2", "--seed", "7", "--reproducible"],
+        ["riccati-check", _doc("exeq01")],
+    )
+    assert codes == [0, 3, 0, 0]
+    assert not scipy
+
+
+def test_solve_rho_imports_scipy(tmp_path):
+    codes, scipy = _fresh_run(
+        tmp_path, ["analyze", _doc("exeq06"), "--best", "--solve-rho", "t0=0.5,rho0=-2", "--reproducible"]
+    )
+    assert codes == [0]
+    assert scipy
