@@ -286,7 +286,9 @@ def test_empirical_rejects_zero_epsilon(runner):
     assert result.exit_code == 1
 
 
-@pytest.mark.parametrize("command", [["analyze"], ["empirical"], ["corpus", "run"]], ids=lambda c: "-".join(c))
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["empirical"], ["riccati-check"], ["corpus", "run"]], ids=lambda c: "-".join(c)
+)
 @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
 def test_bad_tol_is_input_error(runner, command, tol):
     # refused before any cache is built: a NaN or negative tolerance never
@@ -296,7 +298,11 @@ def test_bad_tol_is_input_error(runner, command, tol):
     assert result.exit_code == 1
     assert result.stdout == ""
     error = json.loads(result.stderr)["error"]
-    assert error["kind"] == "tol" and "finite positive" in error["detail"]
+    if command == ["riccati-check"]:
+        # it takes no --tol at all, so any value is a usage error
+        assert error == {"kind": "usage", "detail": "No such option '--tol'."}
+    else:
+        assert error["kind"] == "tol" and "finite positive" in error["detail"]
 
 
 def test_riccati_check_takes_no_tol(runner):
