@@ -24,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import chebyshev
 
+from .quad import node_sum
+
 __all__ = ["panels", "panel_solutions", "evaluate"]
 
 N = 20  # Chebyshev points per collocation panel
@@ -53,19 +55,9 @@ def _chebyshev_operators(n):
 _X, _COEF, _W, _INT = _chebyshev_operators(N)
 
 
-def _node_sum(w, u):
-    """sum_j w_j u[..., j], the real and imaginary parts each summed in node order.
-
-    A panel's sum is then the same whatever else is in its batch, and
-    whether or not the batch is complex.
-    """
-    s = np.add.reduce(w * u.real, axis=-1)
-    return s + 1j * np.add.reduce(w * u.imag, axis=-1) if np.iscomplexobj(u) else s
-
-
 def _apply(M, u):
-    """M applied to the node values u[..., :] of every panel, by `_node_sum`."""
-    return np.stack([_node_sum(row, u) for row in M], axis=-1)
+    """M applied to the node values u[..., :] of every panel, by `node_sum`."""
+    return np.stack([node_sum(row, u) for row in M], axis=-1)
 
 
 def panels(fns, t0, far):
@@ -157,7 +149,7 @@ def panel_solutions(fns, near, end):
         u = (h * h)[:, None] * _apply(K2, v)
         u[:, 0] += 1.0
         u[:, 1] += s
-        du = h * _node_sum(K[i1], v)
+        du = h * node_sum(K[i1], v)
         du[:, 1] += 1.0
         tail = np.max(np.abs(_apply(_COEF[-3:], u)), axis=-1)
         ok = np.all(tail <= TAIL * np.max(np.abs(u), axis=-1), axis=-1)
@@ -218,7 +210,7 @@ def evaluate(side, x0, x0p, col, pts):
     hit = diff == 0.0
     with np.errstate(divide="ignore"):
         w = np.where(np.any(hit, axis=1)[:, None], hit.astype(float), _W / diff)
-    local = np.stack([_node_sum(w, u[p, j]) for j in range(u.shape[1])], axis=-1) / np.sum(w, axis=1)[:, None]
+    local = np.stack([node_sum(w, u[p, j]) for j in range(u.shape[1])], axis=-1) / np.sum(w, axis=1)[:, None]
     out = np.empty((k, pts.size), dtype=complex)
     for i, c in enumerate(col):
         out[i] = state[p, i] * local[:, 0] + state[p, k + i] * local[:, 1] + (local[:, c] if c else 0.0)

@@ -23,12 +23,16 @@ is given the integrand's values at that cache's nodes, keeps every panel
 that meets its budget and bisects the others as an adaptive build would.
 The solution engine replays every forcing on the unit forcing's panels.
 
-A query reads its panel's interpolant, a Chebyshev series, with one
-complex Clenshaw recurrence of three array operations per term.  The sup
-search evaluates its scan and its endpoint approach sequences in one call of
-the function, then zooms in on its candidate maxima in lockstep, one call
-per step on ``_ZOOM_K`` equispaced points of every bracket, until the
-bracket is narrower than rounding or its samples agree to rounding.
+The arithmetic follows the data: a bisection level whose integrand values
+have an imaginary part of exactly zero at every node is computed in
+float64, any other in complex128, so a real integrand gives a float64 cache
+and only exact zeros are dropped.  A query reads its panel's interpolant, a
+Chebyshev series, with one Clenshaw recurrence of three array operations
+per term, in the cache's dtype.  The sup search evaluates its scan and its
+endpoint approach sequences in one call of the function, then zooms in on
+its candidate maxima in lockstep, one call per step on ``_ZOOM_K``
+equispaced points of every bracket, until the bracket is narrower than
+rounding or its samples agree to rounding.
 
 Everything here is pure; `CumulativeIntegral` objects are built once and
 read-only afterwards, so they can be shared freely between threads.
@@ -54,6 +58,7 @@ __all__ = [
     "SupResult",
     "sup_over",
     "graded_grid",
+    "node_sum",
 ]
 
 
@@ -171,11 +176,12 @@ class CumulativeIntegral:
     Values are queried as differences anchored at an edge or at ``t_ref``;
     differences anchored at an edge accumulate the tiny near-edge panel
     contributions first, preserving relative accuracy of small tails.
+    Reads come back in the panels' dtype: float64 for a real integrand.
     """
 
     t_ref: float
     bps: np.ndarray
-    panel_vals: np.ndarray  # complex, per panel
+    panel_vals: np.ndarray  # per panel; float64 for a real integrand, else complex128
     panel_errs: np.ndarray
     antider: np.ndarray  # (deg+2, n_panels) Chebyshev coeffs, zero at panel start
     lower_info: SideInfo = field(default_factory=lambda: SideInfo("resolved"))
@@ -186,17 +192,19 @@ class CumulativeIntegral:
     integrand_points: int = 0  # points it was evaluated at, past a stop too
 
     def __post_init__(self):
-        self._left = np.concatenate([[0.0 + 0.0j], np.cumsum(self.panel_vals)])
-        self._right = np.concatenate([np.cumsum(self.panel_vals[::-1])[::-1], [0.0 + 0.0j]])
+        # the prefix sums keep the panels' dtype, so a real cache reads real
+        zero = np.zeros(1, self.panel_vals.dtype)
+        self._left = np.concatenate([zero, np.cumsum(self.panel_vals)])
+        self._right = np.concatenate([np.cumsum(self.panel_vals[::-1])[::-1], zero])
         # accumulation anchored at the reference panel: differences near
         # t_ref must not be formed by cancelling huge edge-anchored sums
         k = int(np.clip(np.searchsorted(self.bps, self.t_ref, side="right") - 1, 0, len(self.panel_vals) - 1))
-        anch = np.empty(len(self.panel_vals) + 1, dtype=complex)
+        anch = np.empty(len(self.panel_vals) + 1, dtype=self.panel_vals.dtype)
         anch[k] = 0.0
         anch[k + 1 :] = np.cumsum(self.panel_vals[k:])
         anch[:k] = -np.cumsum(self.panel_vals[:k][::-1])[::-1]
         self._anch = anch
-        self._ref_offset = complex(self._anch_prefix(np.array([self.t_ref]))[0])
+        self._ref_offset = self._anch_prefix(np.array([self.t_ref]))[0]
         self.error_bound = float(np.sum(self.panel_errs))
 
     @property
@@ -210,19 +218,19 @@ class CumulativeIntegral:
     def _in_panel(self, t):
         """(panel index, int from the panel start to t) for covered t."""
         t = np.asarray(t, float)
-        if np.min(t, initial=np.inf) < self.bps[0] or np.max(t, initial=-np.inf) > self.bps[-1]:
+        if t.min(initial=np.inf) < self.bps[0] or t.max(initial=-np.inf) > self.bps[-1]:
             raise CoverageError(
                 f"query outside coverage [{self.bps[0]}, {self.bps[-1]}]"
             )
         # covered t has idx >= 0; t at the upper edge reads the last panel
-        idx = np.minimum(np.searchsorted(self.bps, t, side="right") - 1, len(self.panel_vals) - 1)
+        idx = np.minimum(self.bps.searchsorted(t, side="right") - 1, len(self.panel_vals) - 1)
         x0 = self.bps[idx]
         x1 = self.bps[idx + 1]
         xi = 2.0 * (t - x0) / (x1 - x0) - 1.0
         # Clenshaw recurrence b_k = c_k + 2 xi b_{k+1} - b_{k+2} of the
-        # Chebyshev series, over the complex coefficient columns of every
-        # query's panel at once
-        c = self.antider[:, idx]
+        # Chebyshev series, over the coefficient columns of every query's
+        # panel at once
+        c = self.antider.take(idx, axis=1)
         x2 = 2.0 * xi
         b1, b2 = c[-1], 0.0
         for k in range(c.shape[0] - 2, 0, -1):
@@ -261,7 +269,7 @@ class _Block(NamedTuple):
     bounds: list
     left: np.ndarray
     right: np.ndarray
-    vals: np.ndarray  # complex
+    vals: np.ndarray  # float64 when every level the block was built from was real, else complex128
     errs: np.ndarray
     anti: np.ndarray  # (n, 14) Chebyshev coefficients of each leaf's antiderivative
     forced: np.ndarray  # _AT_MAX_DEPTH or _AT_FLOOR for a leaf kept unconverged, else 0
@@ -269,6 +277,24 @@ class _Block(NamedTuple):
     def rows(self, stop):
         """(left, right, value, error, antiderivative) of the rows before ``stop``."""
         return self.left[:stop], self.right[:stop], self.vals[:stop], self.errs[:stop], self.anti[:stop]
+
+
+def node_sum(w, u):
+    """sum_j w_j u[..., j], the real and imaginary parts each summed in node order.
+
+    A panel's sum is then the same whatever else is in its batch, and
+    whether or not the batch is complex.
+    """
+    s = np.add.reduce(w * u.real, axis=-1)
+    return s + 1j * np.add.reduce(w * u.imag, axis=-1) if np.iscomplexobj(u) else s
+
+
+def _real_if_zero_imag(y):
+    """``y`` as float64 when its imaginary part is exactly zero everywhere, else as complex128."""
+    y = np.asarray(y)
+    if np.iscomplexobj(y) and np.any(y.imag):
+        return y.astype(complex, copy=False)
+    return np.ascontiguousarray(y.real, dtype=float)
 
 
 def _nodes(a, b):
@@ -284,12 +310,15 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work, y0):
     The bisection trees of all roots are walked together one level at a
     time: the integrand is called once on the (m, 15) nodes of the level's m
     panels, and the GK15 value and error, the fit residual and the
-    accept/split decision of every panel are computed as arrays.  A panel's
-    numbers depend on its own nodes only, so every root gets the leaves it
-    would get alone.  A panel is accepted when its error estimate and its fit
-    residual meet the budget, or when it is not split: at ``_MAX_DEPTH``, or
-    at the resolution floor, where its 15 nodes do not round to distinct
-    points strictly inside it (a panel a few ulp wide).  ``forced`` in the
+    accept/split decision of every panel are computed as arrays.  A level
+    whose values have an imaginary part of exactly zero at every node is
+    computed in float64, any other in complex128.  A panel's numbers depend
+    on its own nodes only (`node_sum` adds the real and imaginary parts
+    apart), so every root gets the leaves it would get alone.  A panel is
+    accepted when its error estimate and its fit residual meet the budget,
+    or when it is not split: at ``_MAX_DEPTH``, or at the resolution floor,
+    where its 15 nodes do not round to distinct points strictly inside it
+    (a panel a few ulp wide).  ``forced`` in the
     blocks says which of the two kept an unconverged leaf.  ``y0``, when not
     None, holds the integrand's values on the roots' own nodes (`_nodes`),
     which then cost no integrand call.
@@ -321,24 +350,25 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work, y0):
         mid, hw, x = _nodes(a, b)
         with np.errstate(all="ignore"):
             if depth == 0 and y0 is not None:
-                y = np.asarray(y0, dtype=complex)
+                y = _real_if_zero_imag(y0)
             else:
                 work["calls"] += 1
                 work["points"] += x.size
-                y = np.asarray(g(x), dtype=complex)
+                y = _real_if_zero_imag(g(x))
             # row sums along the contiguous node axis round as a 1-d np.sum
             # of the panel would, so a panel's value does not depend on its
             # level or on the other panels of the batch
-            val = hw * np.sum(_WGK * y, axis=1)
-            gauss = hw * np.sum(_WG * y[:, 1::2], axis=1)
+            val = hw * node_sum(_WGK, y)
+            gauss = hw * node_sum(_WG, y[:, 1::2])
             err = np.abs(val - gauss)
             # standard sharper error model
-            resabs = hw * np.sum(_WGK * np.abs(y), axis=1)
+            ay = np.abs(y)
+            resabs = hw * node_sum(_WGK, ay)
             sharp = (resabs > 0) & (err > 0) & (err / resabs < 1)
             # fmin keeps err where the model gives NaN, as a scalar min() would
             err = np.where(sharp, np.fmin(err, resabs * (200.0 * err / resabs) ** 1.5), err)
             width = b - a
-            ymax = np.max(np.abs(y), axis=1)
+            ymax = np.max(ay, axis=1)
             # relative scale: panel value, or sample magnitude when it cancels
             budget = leaf_tol + leaf_rel * np.maximum(np.abs(val), width * ymax)
         finite = np.all(np.isfinite(y), axis=1)
@@ -681,7 +711,7 @@ def _zoom_lockstep(h, a, b, fa, fb):
         xs[:, 0], xs[:, -1] = lo, hi
         xs[:, 1:-1] = lo[:, None] + (hi - lo)[:, None] * frac
         with np.errstate(all="ignore"):
-            vals = np.real(np.asarray(h(xs[:, 1:-1].ravel()), dtype=complex)).reshape(-1, _ZOOM_K)
+            vals = np.real(h(xs[:, 1:-1].ravel())).reshape(-1, _ZOOM_K)
         fs = np.column_stack([fa[active], np.where(np.isfinite(vals), vals, -np.inf), fb[active]])
         rows = np.arange(active.size)
         j = np.argmax(fs, axis=1)
@@ -739,7 +769,7 @@ def sup_over(h, lo, hi):
         pts = endpoint + sign * ds
         approach.append((endpoint, pts[(pts > lo) & (pts < hi) & (pts != endpoint)]))
     with np.errstate(all="ignore"):
-        allv = np.real(np.asarray(h(np.concatenate([grid, *(pts for _, pts in approach)])), dtype=complex))
+        allv = np.real(h(np.concatenate([grid, *(pts for _, pts in approach)])))
     vals, seqs = allv[: grid.size], np.split(allv[grid.size :], [approach[0][1].size])
     ok = np.isfinite(vals)
     grid, vals = grid[ok], vals[ok]

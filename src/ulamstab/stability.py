@@ -211,7 +211,7 @@ class StabilityEngine:
 
     @property
     def H1(self):
-        """Cumulative of exp(-int(2 rho + beta/alpha)), fully complex."""
+        """Cumulative of exp(-int(2 rho + beta/alpha)); complex only for complex data, like Rc and Pc."""
         lo, hi = self._overlap(self.Pc, self.Rc)
         g = lambda s: np.exp(-(self.Rc.value(s) + self.Pc.value(s)))
         return self._tail_cache("H1", g, lo, hi)

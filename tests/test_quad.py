@@ -168,13 +168,20 @@ def test_query_does_not_depend_on_the_batch(exeq01_engine):
         assert alone.tobytes() == batch.tobytes()
 
 
+def _parts_sum(w, y):
+    """sum w * y of one panel, the real and imaginary parts summed apart."""
+    return np.sum(w * y.real) + 1j * np.sum(w * y.imag) if np.iscomplexobj(y) else np.sum(w * y)
+
+
 def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel, max_depth=28):
     """`quad._leaf` one panel at a time, depth first, with per-panel fits.
 
     A panel is not split at ``max_depth`` or when its nodes do not round to
-    distinct points strictly inside it.  Returns sorted (left, right, value,
-    error, antiderivative, width * max|g|, why a leaf was kept unconverged
-    as a `quad._Block.forced` code).
+    distinct points strictly inside it.  A panel whose values have an
+    imaginary part of exactly zero is computed in float64, and a complex
+    one's sums add the real and imaginary parts apart.  Returns sorted
+    (left, right, value, error, antiderivative, width * max|g|, why a leaf
+    was kept unconverged as a `quad._Block.forced` code).
     """
     out = []
     stack = [(lo, hi, 0)]
@@ -185,8 +192,10 @@ def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel, max_depth=28):
         floor = not np.all(np.diff([a, *x, b]) > 0)
         final = depth >= max_depth or floor
         y = np.asarray(g(x), dtype=complex)
-        val = hw * np.sum(quad._WGK * y)
-        err = abs(val - hw * np.sum(quad._WG * y[1::2]))
+        if not np.any(y.imag):
+            y = y.real
+        val = hw * _parts_sum(quad._WGK, y)
+        err = abs(val - hw * _parts_sum(quad._WG, y[1::2]))
         resabs = hw * np.sum(quad._WGK * np.abs(y))
         if resabs > 0 and err > 0 and err / resabs < 1:
             err = min(err, resabs * (200.0 * err / resabs) ** 1.5)
@@ -241,6 +250,9 @@ def _leaves_alone(g, lo, hi, leaf_tol, leaf_rel, work):
         (lambda s: np.sign(s - 0.3), 0.25, 0.325),
         # exeq01's Pc integrand, split down to the resolution floor near 1
         pytest.param(lambda s: (2.0 - s) / (s * (1.0 - s)) - 1.0 / s, 1.0 - 1e-6, 1.0 - 1e-13, id="exeq01-Pc"),
+        # imaginary on the first root, mixed on the second and real on the
+        # third, which shares complex levels with the others in the batch
+        pytest.param(lambda s: np.sqrt(s - 0.3 + 0j), 0.1, 0.6, id="sqrt-mixed"),
     ],
 )
 def test_leaf_matches_panel_by_panel_reference(g, lo, hi, leaf_tol, leaf_rel):

@@ -1,6 +1,8 @@
 """Stability engine: case selection, constants, divergence certificates."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_problem
 from ulamstab import exprlang, quad, stability
-from ulamstab.model import Config
+from ulamstab.model import Config, problem_from_dict
 from ulamstab.riccati import RhoCoverage
 from ulamstab.stability import (
     DegenerateLeadingCoefficient,
@@ -101,6 +103,35 @@ def test_best_constant_requires_real_data(cfg):
     assert eng.coverage == RhoCoverage(-5.0, 5.0, True)
     with pytest.raises(RealityViolated):
         eng.best_constant("iii")
+
+
+_PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+_CACHES = ("Rc", "Pc", "A2", "A4", "C3", "H1")
+
+
+@pytest.mark.parametrize("name", ["exeq01", "const-iii"])
+def test_real_problem_builds_real_caches(name, cfg):
+    p = problem_from_dict(json.loads((_PROBLEMS / f"{name}.json").read_text()))
+    eng = StabilityEngine(p, p.rho, cfg)
+    assert analyze(p, p.rho, cfg, engine=eng).verdict == "best_constant"
+    assert sorted(eng._cache) == sorted(_CACHES)
+    for cache in eng._cache.values():
+        assert cache.panel_vals.dtype == cache.antider.dtype == np.float64
+        ts = np.linspace(cache.lo, cache.hi, 5)
+        assert cache.value(ts).dtype == cache.from_edge("upper", ts).dtype == np.float64
+
+
+def test_complex_problem_keeps_complex_exponent_caches(cfg):
+    # characteristic roots -1 + 0.5i and -2 - 0.5i: L = 1/|Re l1 Re l2| = 1/2
+    p = make_problem("1", "3", "2.25 - 0.5*i", "0", -40.0, 40.0)
+    rho = exprlang.parse("-2 - 0.5*i")
+    eng = StabilityEngine(p, rho, cfg)
+    rep = analyze(p, rho, cfg, engine=eng)
+    assert rep.verdict == "stable_with_constant"
+    assert rep.constant["L"] == pytest.approx(0.5, abs=1e-8)
+    # the exponents and H1 carry the imaginary part; the kernels read only real parts
+    dtypes = {key: getattr(eng, key).panel_vals.dtype for key in _CACHES}
+    assert dtypes == {"Rc": complex, "Pc": complex, "H1": complex, "A2": float, "A4": float, "C3": float}
 
 
 # -- closed-form constant-coefficient route --------------------------------
