@@ -33,7 +33,11 @@
 # inspection; it exits 1 when any differ.  For each differing pair that
 # parses as JSON or CSV it also prints the largest relative change of a
 # numeric field found in both, with that field's path, and the paths found
-# in only one of them.
+# in only one of them.  Fields named error_bound, integrand_calls and
+# integrand_points are left out of that maximum: error bounds are
+# rounding-level estimates that move with any last-bit change, and the
+# other two count work, not results.  For each of the three names it prints
+# instead how many such fields moved.
 set -euo pipefail
 
 rev=${1:?usage: scripts/compare_reports.sh <rev>}
@@ -119,6 +123,9 @@ else
   diff -rq out-base out-worktree | sed -n 's/^Files out-base\/\(.*\) and .* differ$/\1/p' | python3 -c '
 import csv, json, math, sys
 
+# error estimates and work counters, counted apart from the largest change
+APART = ("error_bound", "integrand_calls", "integrand_points")
+
 def fields(text, name):
     """{path: leaf value} of a JSON document or, for a .csv file, of its rows."""
     if name.endswith(".csv"):
@@ -151,14 +158,21 @@ for name in sys.stdin.read().split():
     except ValueError:
         continue  # neither JSON nor CSV
     worst, where = 0.0, None
+    moved = dict.fromkeys(APART, 0)
     for path in old.keys() & new.keys():
         a, b = number(old[path]), number(new[path])
         if a is None or b is None or a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        field = path.rsplit(".", 1)[-1]
+        if field in moved:
+            moved[field] += 1
             continue
         rel = abs(b - a) / abs(a) if a else math.inf
         if not rel <= worst:
             worst, where = rel, f"{path} {old[path]!r} -> {new[path]!r}"
     print(f"{name}: largest relative change {worst:.2g}" + (f" at {where}" if where else ""))
+    if any(moved.values()):
+        print("  moved, not in that maximum: " + ", ".join(f"{n} {field}" for field, n in moved.items() if n))
     for label, only in (("base", old.keys() - new.keys()), ("worktree", new.keys() - old.keys())):
         if only:
             print(f"  only in {label}: {sorted(only)}")

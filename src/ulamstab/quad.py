@@ -7,16 +7,18 @@ extrapolation.  Coverage of a cumulative grows from an interior anchor
 toward each endpoint, finite or infinite, and stops where the endpoint is
 resolved or a budget is hit; the reason is recorded per side.
 
-The numeric work runs as numpy batches.  All skeleton panels of a side are
-bisected together one level at a time, with one integrand call on the
-nodes of the whole level (as in `scipy.integrate.quad_vec`).  Each level
-hands the panels it finished to the caller as one block of arrays, and the
-stopping rules walk the panels' sums in skeleton order as Python floats, so
-the walk costs one numpy pass per level, not per panel.  The nodes are
-fixed, so a panel's fit residual and antiderivative coefficients are
-constant matrices applied to its node values.  Bisection stops at the
-resolution floor: a panel whose nodes do not round to distinct points
-inside it is kept as a panel at the depth cap is, and counted.
+The numeric work runs as numpy batches.  All skeleton panels of both sides
+of a cumulative are bisected together one level at a time, with one
+integrand call on the nodes of the whole level (as in
+`scipy.integrate.quad_vec`).  Each level hands the panels it finished to the
+caller as one block of arrays per side, and each side's stopping rules walk
+its panels' sums in skeleton order as Python floats, so the walk costs one
+numpy pass per level, not per panel; a side whose walk stops is bisected no
+further.  The nodes are fixed, so a panel's fit residual and
+antiderivative coefficients are constant matrices applied to its node
+values.  Bisection stops at the resolution floor: a panel whose nodes do
+not round to distinct points inside it is kept as a panel at the depth cap
+is, and counted.
 
 `replay` integrates a second integrand on the panels of a built cache: it
 is given the integrand's values at that cache's nodes, keeps every panel
@@ -29,8 +31,9 @@ float64, any other in complex128, so a real integrand gives a float64 cache
 and only exact zeros are dropped.  A query reads its panel's interpolant, a
 Chebyshev series, with one Clenshaw recurrence of three array operations
 per term, in the cache's dtype.  The sup search evaluates its scan and its
-endpoint approach sequences in one call of the function, then zooms in on
-its candidate maxima in lockstep, one call per step on ``_ZOOM_K``
+endpoint approach sequences in one call of the function, stops there when
+an endpoint is unbounded, and otherwise zooms in on its candidate maxima in
+lockstep, one call per step on ``_ZOOM_K``
 equispaced points of every bracket, until the bracket is narrower than
 rounding or its samples agree to rounding.
 
@@ -257,13 +260,15 @@ class CumulativeIntegral:
 
 
 class _Block(NamedTuple):
-    """The roots ``first, first + 1, ...`` that one bisection level finished.
+    """The roots ``first, first + 1, ...`` of group ``group`` that one bisection level finished.
 
-    ``fates[j]`` is "" for a root with leaves, else "dropped" or "singular".
-    Root ``first + j`` owns rows ``bounds[j]:bounds[j + 1]`` of the leaf
-    arrays, sorted by left edge; a root with a fate owns none.
+    Roots are counted within their group.  ``fates[j]`` is "" for a root
+    with leaves, else "dropped" or "singular".  Root ``first + j`` owns rows
+    ``bounds[j]:bounds[j + 1]`` of the leaf arrays, sorted by left edge; a
+    root with a fate owns none.
     """
 
+    group: int
     first: int
     fates: list
     bounds: list
@@ -304,49 +309,66 @@ def _nodes(a, b):
     return mid, hw, mid[:, None] + hw[:, None] * _XGK
 
 
-def _leaf(g, lo, hi, leaf_tol, leaf_rel, work, y0):
-    """Adaptively split the root panels [lo_i, hi_i] into converged leaves.
+def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
+    """Adaptively split root panels into converged leaves.
 
-    The bisection trees of all roots are walked together one level at a
-    time: the integrand is called once on the (m, 15) nodes of the level's m
-    panels, and the GK15 value and error, the fit residual and the
-    accept/split decision of every panel are computed as arrays.  A level
-    whose values have an imaginary part of exactly zero at every node is
-    computed in float64, any other in complex128.  A panel's numbers depend
-    on its own nodes only (`node_sum` adds the real and imaginary parts
-    apart), so every root gets the leaves it would get alone.  A panel is
-    accepted when its error estimate and its fit residual meet the budget,
-    or when it is not split: at ``_MAX_DEPTH``, or at the resolution floor,
-    where its 15 nodes do not round to distinct points strictly inside it
-    (a panel a few ulp wide).  ``forced`` in the
-    blocks says which of the two kept an unconverged leaf.  ``y0``, when not
-    None, holds the integrand's values on the roots' own nodes (`_nodes`),
-    which then cost no integrand call.
+    ``groups`` is a list of (lo, hi) arrays: group k's roots are the panels
+    [lo_i, hi_i], counted from 0 within the group.  The bisection trees of
+    the roots of every group are walked together one level at a time: the
+    integrand is called once on the (m, 15) nodes of the level's m panels,
+    and the GK15 value and error, the fit residual and the accept/split
+    decision of every panel are computed as arrays.  A level whose values
+    have an imaginary part of exactly zero at every node is computed in
+    float64, any other in complex128.  A panel's numbers depend on its own
+    nodes only (`node_sum` adds the real and imaginary parts apart), so every
+    root gets the leaves it would get alone.  A panel is accepted when its
+    error estimate and its fit residual meet the budget, or when it is not
+    split: at ``_MAX_DEPTH``, or at the resolution floor, where its 15 nodes
+    do not round to distinct points strictly inside it (a panel a few ulp
+    wide).  ``forced`` in the blocks says which of the two kept an
+    unconverged leaf.  ``y0``, when not None, holds the integrand's values on
+    the roots' own nodes (`_nodes`), group after group, which then cost no
+    integrand call.
 
-    A generator of `_Block`s: after a level it yields one block with the
-    roots that are now done and were not yet yielded (a root is done once it
-    and every root before it have no panel left to split), and bisects the
-    next level only when asked for more, so a consumer that stops early
-    leaves the later roots alone.
+    A generator of `_Block`s: after a level it yields, group by group, one
+    block with the group's roots that are now done and were not yet yielded
+    (a root is done once it and every root before it in its group have no
+    panel left to split), and bisects the next level only when asked for
+    more, so a consumer that stops early leaves the later roots alone.  A
+    group whose index the consumer adds to the set ``closed`` while that
+    level's blocks are out is done: its roots are not bisected further and it
+    yields no more blocks.
 
     A panel with a non-finite node is split further only while its root is
-    the first unfinished one; a later root that turns non-finite is dropped
-    and gets the fate "dropped", so no bisection is spent on a root the
-    consumer may never ask for (a root given alone is never dropped).  A
-    non-finite panel at ``_MAX_DEPTH`` or at the resolution floor, or one
-    non-finite at all its nodes at any depth, makes its root "singular".  The
-    integrand is evaluated quietly: its non-finite values are handled here, as
-    data.  ``work`` (a `collections.Counter`) counts integrand calls and
-    points.
+    the first unfinished one of its group; a later root that turns
+    non-finite is dropped and gets the fate "dropped", so no bisection is
+    spent on a root the consumer may never ask for (a root given alone is
+    never dropped).  A non-finite panel at ``_MAX_DEPTH`` or at the
+    resolution floor, or one non-finite at all its nodes at any depth, makes
+    its root "singular".  The integrand is evaluated quietly: its non-finite
+    values are handled here, as data.  ``work`` (a `collections.Counter`)
+    counts integrand calls and points.
     """
-    a = np.array(lo, dtype=float)
-    b = np.array(hi, dtype=float)
-    n = a.size
-    root = np.arange(n)
-    fate = np.full(n, "", dtype=object)  # "dropped" or "singular" once a root fails
+    a = np.concatenate([np.asarray(lo, dtype=float) for lo, _ in groups])
+    b = np.concatenate([np.asarray(hi, dtype=float) for _, hi in groups])
+    sizes = [len(lo) for lo, _ in groups]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes  # group k owns the roots starts[k] to ends[k] - 1
+    grp = np.repeat(np.arange(len(groups)), sizes)  # the group of each root
+    root = np.arange(a.size)
+    fate = np.full(a.size, "", dtype=object)  # "dropped" or "singular" once a root fails
     kept = []
-    done = 0  # roots below this index are yielded
+    done = starts.copy()  # group k's roots below done[k] are yielded
+
+    def first_per_group(roots):
+        """The lowest of ``roots`` in each group, or the group's end when it has none."""
+        first = ends.copy()
+        np.minimum.at(first, grp[roots], roots)
+        return first
+
     for depth in range(_MAX_DEPTH + 1):
+        if not root.size:
+            return
         mid, hw, x = _nodes(a, b)
         with np.errstate(all="ignore"):
             if depth == 0 and y0 is not None:
@@ -393,29 +415,39 @@ def _leaf(g, lo, hi, leaf_tol, leaf_rel, work, y0):
         split[acc] = False
         if not np.all(finite):
             bad = np.unique(root[~finite])
-            # only the first unfinished root splits its non-finite panels
-            fate[bad[bad != root[split].min()]] = "dropped"
+            # only the first unfinished root of each group splits its non-finite panels
+            fate[bad[bad != first_per_group(root[split])[grp[bad]]]] = "dropped"
             # a non-finite panel that is not split, or one non-finite at every
             # node (which would only double its non-finite panels per level)
             fate[np.unique(root[~finite & (final | ~np.any(np.isfinite(y), axis=1))])] = "singular"
             split &= fate[root] == ""
         root, a, mid, b = root[split], a[split], mid[split], b[split]
-        # roots done: every one below the first that still has a panel to split
-        ready = int(root.min()) if root.size else n
-        if ready > done:
+        # a group's roots are done below its first root that still has a panel to split
+        ready = first_per_group(root)
+        if np.any(ready > done):
             kr, left, right, vals, errs, anti, forced = (np.concatenate(part) for part in zip(*kept))
-            now = kr < ready
-            kept = [tuple(part[~now] for part in (kr, left, right, vals, errs, anti, forced))]
+            later = kr >= ready[grp[kr]]
+            kept = [tuple(part[later] for part in (kr, left, right, vals, errs, anti, forced))]
             # a root with a fate keeps none of its leaves
-            now &= fate[kr] == ""
+            now = ~later & (fate[kr] == "")
             # a root's leaves in left-edge order; ties keep their order of acceptance
             order = np.flatnonzero(now)[np.lexsort((left[now], kr[now]))]
-            bounds = np.searchsorted(kr[order], np.arange(done, ready + 1)).tolist()
-            parts = (part[order] for part in (left, right, vals, errs, anti, forced))
-            yield _Block(done, fate[done:ready].tolist(), bounds, *parts)
-            done = ready
-        if not root.size:
-            return
+            kr = kr[order]
+            parts = [part[order] for part in (left, right, vals, errs, anti, forced)]
+            for k in np.flatnonzero(ready > done).tolist():
+                first, stop = int(done[k]), int(ready[k])
+                bounds = np.searchsorted(kr, np.arange(first, stop + 1))
+                rows = slice(bounds[0], bounds[-1])
+                done[k] = stop
+                fates = fate[first:stop].tolist()
+                yield _Block(k, first - int(starts[k]), fates, (bounds - bounds[0]).tolist(), *(p[rows] for p in parts))
+        shut = [k for k in closed if done[k] < ends[k]]
+        if shut:
+            # a closed group is done: its roots are not split further, and the
+            # leaves it has kept fall out with the next blocks, in none of them
+            done[shut] = ends[shut]
+            live = root >= done[grp[root]]
+            root, a, mid, b = root[live], a[live], mid[live], b[live]
         root, a, b = np.concatenate([root, root]), np.concatenate([a, mid]), np.concatenate([mid, b])
 
 
@@ -472,95 +504,25 @@ def _skeleton(t_ref, endpoint, sign):
     return pts[:_MAX_PANELS], n_grow, "range_cap" if len(pts) >= _MAX_PANELS else "resolved"
 
 
-def cumulative(g, t_ref, lower, upper, tol=1e-10, tail_mode=False):
-    """Build a `CumulativeIntegral` of ``g`` anchored at ``t_ref``.
+class _Side:
+    """One side of a `cumulative` build: its skeleton panels and the state of their walk."""
 
-    Coverage expands from ``t_ref`` toward each endpoint with geometrically
-    graded skeleton panels until the endpoint is resolved, the real part of
-    the accumulated value exceeds `LOG_BUDGET`, `RANGE_CAP` is hit, or
-    (with ``tail_mode``) the endpoint tail has converged or is evidently
-    diverging.  Coverage limits are recorded as data, never raised.
-
-    All skeleton panels of a side are bisected together by one `_leaf`
-    batch, and the stopping rules walk the panels' sums in skeleton order,
-    one block of finished panels per level.  The batch stops with the walk;
-    a panel it dropped is evaluated alone once the walk reaches it.
-    """
-    leaf_tol, leaf_rel = _leaf_budget(tol, tail_mode)
-    leaves = []
-    forced = np.zeros(3, dtype=int)  # leaves by `_Block.forced` code
-    work = Counter()
-    infos = {}
-    for side, endpoint in (("upper", upper), ("lower", lower)):
-        sign = 1 if side == "upper" else -1
-        pts, n_grow, status = _skeleton(t_ref, endpoint, sign)
+    def __init__(self, t_ref, endpoint, sign):
+        pts, self.n_grow, self.status = _skeleton(t_ref, endpoint, sign)
         edges = np.array([t_ref, *pts], dtype=float)
-        lo_, hi_ = (edges[:-1], edges[1:]) if sign > 0 else (edges[1:], edges[:-1])
-        cum = 0.0 + 0.0j
-        contribs = []
-        tail_bound = 0.0
-        diverging = False
-        stopped = False
-        for blk in _leaf(g, lo_, hi_, leaf_tol, leaf_rel, work, None) if pts else ():
-            vals = blk.vals.tolist()
-            alone = []  # the dropped roots, each evaluated alone
-            taken = len(vals)  # rows of the block the walk keeps
-            for j, fate in enumerate(blk.fates):
-                k = blk.first + j
-                one = None
-                if fate == "dropped":
-                    (one,) = _leaf(g, lo_[k : k + 1], hi_[k : k + 1], leaf_tol, leaf_rel, work, None)
-                    fate = one.fates[0]
-                if fate == "singular":
-                    status = "singular"
-                    taken, stopped = blk.bounds[j], True
-                    break
-                if one is None:
-                    pv = sum(vals[blk.bounds[j] : blk.bounds[j + 1]])
-                else:
-                    alone.append(one)
-                    pv = sum(one.vals.tolist())
-                cum += pv
-                # only the endpoint-approach phase feeds the tail heuristics;
-                # panels still growing away from the anchor carry growing mass
-                # for perfectly integrable functions
-                if k >= n_grow:
-                    contribs.append(abs(pv))
-                if tail_mode:
-                    if len(contribs) >= 3:
-                        c1, c2, c3 = contribs[-3], contribs[-2], contribs[-1]
-                        # divergence is flagged but never stops the expansion:
-                        # truncating coverage early would poison edge-anchored
-                        # queries whose prefactor amplifies the missing mass
-                        if len(contribs) > 6 and c3 >= c2 >= c1 and c3 > 10.0 * (contribs[0] + tol):
-                            diverging = True
-                        # log-type endpoint divergence: halved panels keep
-                        # contributing the same mass instead of decaying
-                        if (
-                            len(contribs) > 8
-                            and math.isfinite(endpoint)
-                            and c3 > tol
-                            and c3 >= 0.999 * c2
-                            and c2 >= 0.999 * c1
-                        ):
-                            diverging = True
-                    # tail caches hold exponential-scale values; budget their log
-                    if abs(cum) > math.exp(LOG_BUDGET):
-                        status = "budget"
-                elif abs(cum.real) > LOG_BUDGET:
-                    status = "budget"
-                if status == "budget":
-                    taken, stopped = blk.bounds[j + 1], True
-                    break
-            for part in (blk, *alone):
-                stop = taken if part is blk else len(part.vals)
-                leaves.append(part.rows(stop))
-                forced += np.bincount(part.forced[:stop], minlength=3)
-            if stopped:
-                break
-        if tail_mode and len(contribs) >= 3:
-            c1, c2, c3 = contribs[-3], contribs[-2], contribs[-1]
-            if diverging:
+        # root panels in skeleton order, from the anchor toward the endpoint
+        self.lo, self.hi = (edges[:-1], edges[1:]) if sign > 0 else (edges[1:], edges[:-1])
+        self.endpoint = endpoint
+        self.cum = 0.0 + 0.0j
+        self.contribs = []  # |sum| of each endpoint-approach panel walked
+        self.diverging = False
+
+    def info(self, tol, tail_mode):
+        """The side's `SideInfo` once its walk has ended."""
+        status, tail_bound = self.status, 0.0
+        if tail_mode and len(self.contribs) >= 3:
+            c1, c2, c3 = self.contribs[-3:]
+            if self.diverging:
                 status = "diverging"
             elif status in ("budget", "range_cap"):
                 if c3 <= tol and c2 <= tol and c1 <= tol and c3 <= c2 <= c1:
@@ -571,11 +533,97 @@ def cumulative(g, t_ref, lower, upper, tol=1e-10, tail_mode=False):
                 elif c3 > tol and c3 >= 0.7 * c2:
                     # tail not decaying by the time expansion was cut off
                     status = "diverging"
-        infos[side] = SideInfo(status, tail_bound)
+        return SideInfo(status, tail_bound)
+
+
+def cumulative(g, t_ref, lower, upper, tol=1e-10, tail_mode=False):
+    """Build a `CumulativeIntegral` of ``g`` anchored at ``t_ref``.
+
+    Coverage expands from ``t_ref`` toward each endpoint with geometrically
+    graded skeleton panels until the endpoint is resolved, the real part of
+    the accumulated value exceeds `LOG_BUDGET`, `RANGE_CAP` is hit, or
+    (with ``tail_mode``) the endpoint tail has converged or is evidently
+    diverging.  Coverage limits are recorded as data, never raised.
+
+    The skeleton panels of both sides are bisected together by one `_leaf`
+    batch, the upper side's as one group and the lower side's as another,
+    so both share each level's integrand call.  The stopping rules walk each
+    side's panel sums in skeleton order, one block of finished panels per
+    side and level, in a `_Side` per side, so the two sides' blocks may come
+    interleaved.  A side whose walk stops is closed in the batch, which then
+    bisects the other side alone; a panel the batch dropped is evaluated
+    alone once its side's walk reaches it.
+    """
+    leaf_tol, leaf_rel = _leaf_budget(tol, tail_mode)
+    leaves = []
+    forced = np.zeros(3, dtype=int)  # leaves by `_Block.forced` code
+    work = Counter()
+    sides = (_Side(t_ref, upper, 1), _Side(t_ref, lower, -1))
+    closed = set()  # the groups, by index into sides, whose walk has stopped
+    for blk in _leaf(g, [(s.lo, s.hi) for s in sides], closed, leaf_tol, leaf_rel, work, None):
+        side = sides[blk.group]
+        vals = blk.vals.tolist()
+        alone = []  # the dropped roots, each evaluated alone
+        taken = len(vals)  # rows of the block the walk keeps
+        for j, fate in enumerate(blk.fates):
+            k = blk.first + j
+            one = None
+            if fate == "dropped":
+                (one,) = _leaf(g, [(side.lo[k : k + 1], side.hi[k : k + 1])], (), leaf_tol, leaf_rel, work, None)
+                fate = one.fates[0]
+            if fate == "singular":
+                side.status = "singular"
+                taken = blk.bounds[j]
+                closed.add(blk.group)
+                break
+            if one is None:
+                pv = sum(vals[blk.bounds[j] : blk.bounds[j + 1]])
+            else:
+                alone.append(one)
+                pv = sum(one.vals.tolist())
+            side.cum += pv
+            contribs = side.contribs
+            # only the endpoint-approach phase feeds the tail heuristics;
+            # panels still growing away from the anchor carry growing mass
+            # for perfectly integrable functions
+            if k >= side.n_grow:
+                contribs.append(abs(pv))
+            if tail_mode:
+                if len(contribs) >= 3:
+                    c1, c2, c3 = contribs[-3], contribs[-2], contribs[-1]
+                    # divergence is flagged but never stops the expansion:
+                    # truncating coverage early would poison edge-anchored
+                    # queries whose prefactor amplifies the missing mass
+                    if len(contribs) > 6 and c3 >= c2 >= c1 and c3 > 10.0 * (contribs[0] + tol):
+                        side.diverging = True
+                    # log-type endpoint divergence: halved panels keep
+                    # contributing the same mass instead of decaying
+                    if (
+                        len(contribs) > 8
+                        and math.isfinite(side.endpoint)
+                        and c3 > tol
+                        and c3 >= 0.999 * c2
+                        and c2 >= 0.999 * c1
+                    ):
+                        side.diverging = True
+                # tail caches hold exponential-scale values; budget their log
+                if abs(side.cum) > math.exp(LOG_BUDGET):
+                    side.status = "budget"
+            elif abs(side.cum.real) > LOG_BUDGET:
+                side.status = "budget"
+            if side.status == "budget":
+                taken = blk.bounds[j + 1]
+                closed.add(blk.group)
+                break
+        for part in (blk, *alone):
+            stop = taken if part is blk else len(part.vals)
+            leaves.append(part.rows(stop))
+            forced += np.bincount(part.forced[:stop], minlength=3)
 
     if not leaves:
         raise ValueError("empty coverage; t_ref too close to both endpoints")
-    return _assemble(t_ref, leaves, infos["lower"], infos["upper"], forced, work)
+    upper_info, lower_info = (side.info(tol, tail_mode) for side in sides)
+    return _assemble(t_ref, leaves, lower_info, upper_info, forced, work)
 
 
 def replay(template, y0, g, tol, tail_mode):
@@ -596,7 +644,7 @@ def replay(template, y0, g, tol, tail_mode):
     leaf_tol, leaf_rel = _leaf_budget(tol, tail_mode)
     work = Counter()
     blocks = []
-    for blk in _leaf(g, template.bps[:-1], template.bps[1:], leaf_tol, leaf_rel, work, y0):
+    for blk in _leaf(g, [(template.bps[:-1], template.bps[1:])], (), leaf_tol, leaf_rel, work, y0):
         if any(blk.fates):
             return None
         blocks.append(blk)
@@ -748,17 +796,21 @@ def _richardson(values, ratio):
 def sup_over(h, lo, hi):
     """Supremum of real-valued ``h`` over the open interval (lo, hi).
 
-    Coarse graded scan of `SUP_SCAN` points, a multi-point zoom around the
-    top five scan maxima, then endpoint limit handling: a geometric approach
-    sequence per endpoint, flagged as unbounded evidence if its last
-    `TAIL_K` values increase strictly past `DIVERGENCE_THRESHOLD`, otherwise
-    Richardson-extrapolated.  Each maximum's bracket spans its two scan
-    neighbours, and the five are zoomed in lockstep by `_zoom_lockstep` (one
-    ``h`` call per step on ``_ZOOM_K`` points of every bracket still
-    narrowing, until it is 1e-13 wide or flat to rounding); their results
-    are then taken in scan order, a later one replacing the best only when
-    strictly higher.  ``h`` is pointwise, so the scan and both approach
-    sequences are evaluated in one call.
+    Coarse graded scan of `SUP_SCAN` points and a geometric approach
+    sequence per endpoint, a multi-point zoom around the top five scan
+    maxima, then endpoint limit handling.  An approach sequence whose last
+    `TAIL_K` values increase strictly past `DIVERGENCE_THRESHOLD` (or with
+    increments that keep their size) is unbounded evidence; the lower
+    endpoint is tested first, then the upper, both before the zoom, whose
+    result an unbounded return does not use.  Otherwise each sequence is
+    Richardson-extrapolated after the zoom.  Each maximum's bracket spans its
+    two scan neighbours, and the five are zoomed in lockstep by
+    `_zoom_lockstep` (one ``h`` call per step on ``_ZOOM_K`` points of every
+    bracket still narrowing, until it is 1e-13 wide or flat to rounding);
+    their results are then taken in scan order, a later one replacing the
+    best only when strictly higher.  ``h`` is pointwise, so the scan and both
+    approach sequences are evaluated in one call, and an unbounded ``h``
+    costs that one call.
     """
     grid = graded_grid(lo, hi, SUP_SCAN)
     span = hi - lo
@@ -776,18 +828,8 @@ def sup_over(h, lo, hi):
     if grid.size == 0:
         raise ValueError("sup_over: no evaluable points")
 
-    order = np.argsort(vals)[::-1]
-    best_val = float(vals[order[0]])
-    best_t = float(grid[order[0]])
-    # local refinement around the top-5 scan maxima, all five in lockstep
-    top = order[:5]
-    ia, ib = np.maximum(top - 1, 0), np.minimum(top + 1, grid.size - 1)
-    ia, ib = ia[ib > ia], ib[ib > ia]
-    t_loc, v_loc = _zoom_lockstep(h, grid[ia], grid[ib], vals[ia], vals[ib])
-    for t, v in zip(t_loc.tolist(), v_loc.tolist()):
-        if v > best_val:
-            best_val, best_t = v, t
-
+    # the endpoint tests first: an unbounded endpoint needs no zoom
+    tails = []  # (endpoint, points, values) of each approach sequence to extrapolate
     for (endpoint, pts), seq in zip(approach, seqs):
         if pts.size < 4:
             continue
@@ -805,6 +847,21 @@ def sup_over(h, lo, hi):
             noise = 1e-9 * (1.0 + np.abs(tail[-1]))
             if np.all(incr > noise) and np.all(incr[1:] >= 0.95 * incr[:-1]):
                 return SupResult(math.inf, endpoint, unbounded=True)
+        tails.append((endpoint, pts, seq))
+
+    order = np.argsort(vals)[::-1]
+    best_val = float(vals[order[0]])
+    best_t = float(grid[order[0]])
+    # local refinement around the top-5 scan maxima, all five in lockstep
+    top = order[:5]
+    ia, ib = np.maximum(top - 1, 0), np.minimum(top + 1, grid.size - 1)
+    ia, ib = ia[ib > ia], ib[ib > ia]
+    t_loc, v_loc = _zoom_lockstep(h, grid[ia], grid[ib], vals[ia], vals[ib])
+    for t, v in zip(t_loc.tolist(), v_loc.tolist()):
+        if v > best_val:
+            best_val, best_t = v, t
+
+    for endpoint, pts, seq in tails:
         limit = _richardson(list(seq[-6:]), ratio)
         if np.isfinite(limit) and limit > best_val:
             # never report below a sampled value

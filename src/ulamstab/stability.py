@@ -128,6 +128,7 @@ class StabilityEngine:
         self._beta = problem.fn("beta")
         self._gamma = problem.fn("gamma")
         self._cache = {}
+        self._sups = {}  # f_sup results by name; apart from _cache, which diagnostics() reports
         self._is_real = None
 
     # -- reality ---------------------------------------------------------
@@ -252,10 +253,13 @@ class StabilityEngine:
 
         Raises `quad.Divergent` when the defining improper integral grows
         without bound, `HypothesisFailed` when its endpoint behaviour could
-        not be resolved within the coverage budget.
+        not be resolved within the coverage budget.  Computed once per name:
+        case i and case ii both ask for f1.
         """
         cache = self._limit_cache(*_F_SIDE[name], name, name, prefix="unresolved:")
-        return quad.sup_over(getattr(self, name), cache.lo, cache.hi)
+        if name not in self._sups:
+            self._sups[name] = quad.sup_over(getattr(self, name), cache.lo, cache.hi)
+        return self._sups[name]
 
     # -- classification ---------------------------------------------------
 

@@ -103,9 +103,10 @@ def test_exeq01_panel_counts(exeq01_engine):
     diag = exeq01_engine.diagnostics()
     assert diag["cache_Pc"]["max_depth_leaves"] == diag["cache_A4"]["max_depth_leaves"] == 0
     assert (diag["cache_Pc"]["resolution_floor_leaves"], diag["cache_A4"]["resolution_floor_leaves"]) == (549, 270)
-    # each side's skeleton panels are bisected together: one call per level
-    assert (diag["cache_Pc"]["integrand_calls"], diag["cache_Pc"]["integrand_points"]) == (12, 47880)
-    assert (diag["cache_A4"]["integrand_calls"], diag["cache_A4"]["integrand_points"]) == (10, 19770)
+    # the skeleton panels of both sides are bisected together: one call per
+    # level of the deeper side
+    assert (diag["cache_Pc"]["integrand_calls"], diag["cache_Pc"]["integrand_points"]) == (10, 47880)
+    assert (diag["cache_A4"]["integrand_calls"], diag["cache_A4"]["integrand_points"]) == (9, 19770)
 
 
 def test_in_panel_matches_chebval():
@@ -235,7 +236,7 @@ def _roots(blocks):
 
 def _leaves_alone(g, lo, hi, leaf_tol, leaf_rel, work):
     """`quad._leaf` on the single root [lo, hi]: its leaves, or "singular"."""
-    ((_, leaves),) = _roots(quad._leaf(g, [lo], [hi], leaf_tol, leaf_rel, work, None))
+    ((_, leaves),) = _roots(quad._leaf(g, [([lo], [hi])], (), leaf_tol, leaf_rel, work, None))
     return leaves
 
 
@@ -262,7 +263,7 @@ def test_leaf_matches_panel_by_panel_reference(g, lo, hi, leaf_tol, leaf_rel):
     eps = np.finfo(float).eps
     edges = lo + (hi - lo) * np.array([0.0, 0.3, 0.55, 1.0])
     batch_work = Counter()
-    batch = list(_roots(quad._leaf(g, edges[:-1], edges[1:], leaf_tol, leaf_rel, batch_work, None)))
+    batch = list(_roots(quad._leaf(g, [(edges[:-1], edges[1:])], (), leaf_tol, leaf_rel, batch_work, None)))
     assert [i for i, _ in batch] == [0, 1, 2]
     alone_work = []
     for i, (a, b) in enumerate([(lo, hi), *zip(edges[:-1], edges[1:])]):
@@ -288,10 +289,83 @@ def test_non_finite_panel_at_the_resolution_floor_is_singular():
     c = 0.7
     g = lambda s: np.where(np.abs(s - c) <= 4 * np.spacing(c), np.inf, 1.0 / (s - c))
     work = Counter()
-    ((_, fate),) = _roots(quad._leaf(g, [c - 1e-12], [c + 3e-13], 0.0, 1e-8, work, None))
+    ((_, fate),) = _roots(quad._leaf(g, [([c - 1e-12], [c + 3e-13])], (), 0.0, 1e-8, work, None))
     assert fate == "singular"
     # eight levels bring the root to the floor, well before _MAX_DEPTH
     assert work["calls"] == 8
+
+
+# kinks at 0.3 and -1.7, and inf only at the centre nodes of the roots
+# (2, 3), (-1, 0) and (-3, -2)
+def _kinked_with_poles(s):
+    return np.where((s == 2.5) | (s == -0.5) | (s == -2.5), np.inf, np.sqrt(np.abs(s - 0.3)) + np.sqrt(np.abs(s + 1.7)))
+
+
+# an upper and a lower side, as `quad.cumulative` groups them: each has a
+# non-finite root that is not its first unfinished one, and the lower side's
+# first root is non-finite too
+_GROUPS = [([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), ([-1.0, -2.0, -3.0], [0.0, -1.0, -2.0])]
+
+
+def _by_root(blocks):
+    """{(group, root): leaves or fate} of `quad._leaf`'s blocks."""
+    out = {}
+    for blk in blocks:
+        for root, leaves in _roots([blk]):
+            out[blk.group, root] = leaves
+    return out
+
+
+def _assert_same_roots(g, got, want):
+    """The same roots, fates, leaves and values; errors and antiderivatives to rounding of each leaf's scale."""
+    eps = np.finfo(float).eps
+    assert got.keys() == want.keys()
+    for key, leaves in want.items():
+        if isinstance(leaves, str):
+            assert got[key] == leaves
+            continue
+        (left, right, vals, errs, anti, forced), (w_left, w_right, w_vals, w_errs, w_anti, w_forced) = got[key], leaves
+        assert np.array_equal(left, w_left) and np.array_equal(right, w_right)
+        assert np.array_equal(vals, w_vals) and np.array_equal(forced, w_forced)
+        # width times the largest |g| on the leaf's nodes
+        scale = (right - left) * np.max(np.abs(g(quad._nodes(left, right)[2])), axis=1)
+        assert np.all(np.abs(errs - w_errs) <= 16 * eps * scale)
+        assert np.all(np.abs(anti - w_anti) <= 16 * eps * scale)
+
+
+def test_leaf_groups_match_each_group_alone():
+    work = Counter()
+    both = _by_root(quad._leaf(_kinked_with_poles, _GROUPS, (), 1e-12, 1e-13, work, None))
+    alone_work = [Counter(), Counter()]
+    alone = {}
+    for k, group in enumerate(_GROUPS):
+        blocks = list(quad._leaf(_kinked_with_poles, [group], (), 1e-12, 1e-13, alone_work[k], None))
+        alone.update({(k, root): leaves for (_, root), leaves in _by_root(blocks).items()})
+    _assert_same_roots(_kinked_with_poles, both, alone)
+    # the drop rule is each group's own: a batch-wide first unfinished root
+    # would drop the lower side's first root, which is split instead
+    assert [both[k, i] for k, i in [(0, 2), (1, 2)]] == ["dropped", "dropped"]
+    assert not isinstance(both[1, 0], str)
+    # one integrand call per level of the deeper group, on every panel once
+    assert work["calls"] == max(w["calls"] for w in alone_work)
+    assert work["points"] == sum(w["points"] for w in alone_work)
+
+
+def test_closed_leaf_group_yields_no_more_blocks():
+    # the lower side's first root is done long before its kinked second one
+    closed = set()
+    blocks = []
+    for blk in quad._leaf(_kinked_with_poles, _GROUPS, closed, 1e-12, 1e-13, Counter(), None):
+        blocks.append(blk)
+        if blk.group == 1:
+            closed.add(1)
+    assert [(blk.group, blk.first, len(blk.fates)) for blk in blocks if blk.group == 1] == [(1, 0, 1)]
+    alone = list(quad._leaf(_kinked_with_poles, _GROUPS[:1], (), 1e-12, 1e-13, Counter(), None))
+    _assert_same_roots(
+        _kinked_with_poles,
+        {key: v for key, v in _by_root(blocks).items() if key[0] == 0},
+        _by_root(alone),
+    )
 
 
 def _cumulative_reference(g, t_ref, lower, upper, tol=1e-10, tail_mode=False, max_panels=4000):
@@ -405,8 +479,8 @@ def _spike(c, halfwidth):
 # one case per way a side ends: (integrand, t_ref, lower, upper, options,
 # (lower status, upper status), integrand calls, integrand points)
 _STOPS = {
-    "resolved": (np.cos, 0.0, -5.0, 5.0, {}, ("resolved", "resolved"), 2, 1380),
-    "converged": (lambda s: np.exp(-s), 1.0, 0.0, math.inf, {"tail_mode": True}, ("resolved", "converged"), 15, 9270),
+    "resolved": (np.cos, 0.0, -5.0, 5.0, {}, ("resolved", "resolved"), 1, 1380),
+    "converged": (lambda s: np.exp(-s), 1.0, 0.0, math.inf, {"tail_mode": True}, ("resolved", "converged"), 14, 9270),
     # exp(s) overflows past the budget stop: those panels are dropped, not split
     "diverging": (
         lambda s: np.exp(s),
@@ -415,12 +489,12 @@ _STOPS = {
         math.inf,
         {"tail_mode": True},
         ("resolved", "diverging"),
-        8,
+        7,
         4680,
     ),
-    "range_cap": (lambda s: 1.0 / (1.0 + s * s), 0.0, -math.inf, math.inf, {}, ("range_cap", "range_cap"), 6, 1500),
+    "range_cap": (lambda s: 1.0 / (1.0 + s * s), 0.0, -math.inf, math.inf, {}, ("range_cap", "range_cap"), 3, 1500),
     # |cum.real| > LOG_BUDGET
-    "budget": (lambda s: s, 1.0, 0.0, math.inf, {}, ("resolved", "budget"), 2, 1080),
+    "budget": (lambda s: s, 1.0, 0.0, math.inf, {}, ("resolved", "budget"), 1, 1080),
     # |cum| > e^LOG_BUDGET; past s = 708 the integrand is subnormal noise that
     # never converges, which the batch must not reach
     "tail_budget": (
@@ -430,11 +504,11 @@ _STOPS = {
         math.inf,
         {"tail_mode": True},
         ("budget", "budget"),
-        2,
+        1,
         1080,
     ),
     # inf within 1e-9 of 2.3, after finite panels
-    "singular": (_spike(2.3, 1e-9), 1.0, 0.0, 4.0, {}, ("resolved", "singular"), 30, 3465),
+    "singular": (_spike(2.3, 1e-9), 1.0, 0.0, 4.0, {}, ("resolved", "singular"), 29, 3465),
     # inf only at the centre node of the skeleton panel [2.5, 3.25]: the
     # batch drops that panel while [1.15, 1.45] still splits at the kink,
     # and the walk evaluates it alone
@@ -445,7 +519,7 @@ _STOPS = {
         4.0,
         {},
         ("resolved", "resolved"),
-        23,
+        22,
         2580,
     ),
 }
@@ -610,6 +684,14 @@ def test_zoom_lockstep_bracket_does_not_depend_on_the_batch(h):
         t0, v0 = quad._zoom_lockstep(h, a[i : i + 1], b[i : i + 1], fa[i : i + 1], fb[i : i + 1])
         assert t[i] == t0[0] and v[i] == v0[0]
         assert a[i] <= t[i] <= b[i]
+
+
+@pytest.mark.parametrize("h", [lambda t: 1.0 / t, lambda t: 1.0 / np.sqrt(1.0 - t)], ids=["pole", "slow-divergence"])
+def test_unbounded_sup_costs_one_call(h):
+    # the endpoint tests read the first call only, and come before the zoom
+    h, calls = _call_sizes(h)
+    assert quad.sup_over(h, 0.0, 1.0).unbounded
+    assert len(calls) == 1
 
 
 def test_sup_of_a_constant_stops_when_flat():

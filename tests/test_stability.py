@@ -121,6 +121,20 @@ def test_real_problem_builds_real_caches(name, cfg):
         assert cache.value(ts).dtype == cache.from_edge("upper", ts).dtype == np.float64
 
 
+@pytest.mark.parametrize("name, case", [("const-ii", "ii"), ("exeq03", "iii")])
+def test_classify_computes_each_sup_once(name, case, cfg, monkeypatch):
+    # case i and case ii both ask for f1; its sup is computed the first time only
+    p = problem_from_dict(json.loads((_PROBLEMS / f"{name}.json").read_text()))
+    eng = StabilityEngine(p, p.rho, cfg)
+    asked, sups = [], []
+    f_sup, sup_over = eng.f_sup, quad.sup_over
+    monkeypatch.setattr(eng, "f_sup", lambda f: asked.append(f) or f_sup(f))
+    monkeypatch.setattr(quad, "sup_over", lambda h, lo, hi: sups.append(h) or sup_over(h, lo, hi))
+    assert eng.classify().case == case
+    assert asked.count("f1") == 2
+    assert len(sups) == len(set(asked))
+
+
 def test_complex_problem_keeps_complex_exponent_caches(cfg):
     # characteristic roots -1 + 0.5i and -2 - 0.5i: L = 1/|Re l1 Re l2| = 1/2
     p = make_problem("1", "3", "2.25 - 0.5*i", "0", -40.0, 40.0)
