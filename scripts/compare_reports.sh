@@ -21,10 +21,13 @@
 #     caches and the experiment grid must still cover each other (report
 #     and .extremal.csv);
 #   - `corpus run`;
-#   - `analyze`, `empirical` and `riccati-check` on three bad-input
+#   - `analyze`, `empirical` and `riccati-check` on seven bad-input
 #     documents written to the temporary directory: an unbound parameter in
-#     alpha, one in rho, and a bare "." as gamma; each once as it is, and
-#     `analyze` and `empirical` once more with `--tol nan`.
+#     alpha, one in rho, and a bare "." as gamma; and four that the problem
+#     schema rejects, whose `schema` error lines compare the two trees'
+#     schema checks: an unknown key `tolerances`, no `alpha`, an empty
+#     `beta`, and an interval lower end of "minus-inf".  Each runs once as
+#     it is, and under `analyze` and `empirical` once more with `--tol nan`.
 # Every command runs under a 2 GiB address-space limit (`ulimit -v`), so a
 # tree whose bisection does not stop fails instead of filling memory.
 # Each command's standard output, last line of standard error, exit status
@@ -54,6 +57,15 @@ mkdir "$tmp/bad"
 doc "a*t" "1" "-1/t" >"$tmp/bad/unbound-alpha.json"
 doc "t*(1 - t)" "1" "-b/t" >"$tmp/bad/unbound-rho.json"
 doc "t*(1 - t)" "." "-1/t" >"$tmp/bad/bare-dot.json"
+# schema-bad: exeq01's document with one fault each
+printf '{"alpha": "t*(1 - t)", "beta": "2 - t", "gamma": "1", "interval": {"lower": 0.0, "upper": 1.0}, "rho": "-1/t", "tolerances": {"tail_k": 0}}\n' \
+  >"$tmp/bad/schema-tolerances.json"
+printf '{"beta": "2 - t", "gamma": "1", "interval": {"lower": 0.0, "upper": 1.0}, "rho": "-1/t"}\n' \
+  >"$tmp/bad/schema-no-alpha.json"
+printf '{"alpha": "t*(1 - t)", "beta": "", "gamma": "1", "interval": {"lower": 0.0, "upper": 1.0}, "rho": "-1/t"}\n' \
+  >"$tmp/bad/schema-empty-beta.json"
+printf '{"alpha": "t*(1 - t)", "beta": "2 - t", "gamma": "1", "interval": {"lower": "minus-inf", "upper": 1.0}, "rho": "-1/t"}\n' \
+  >"$tmp/bad/schema-minus-inf.json"
 # exeq03 on (1e5, 1e5 + 1), with B = 1/6 as on (0, 1)
 printf '{"name": "exeq03-at-1e5", "alpha": "1", "beta": "2/(t - 100000)", "gamma": "0", "forcing": "-1", "interval": {"lower": 100000.0, "upper": 100001.0}, "rho": "-1/(t - 100000)"}\n' \
   >"$tmp/exeq03-at-1e5.json"

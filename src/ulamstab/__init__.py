@@ -18,16 +18,28 @@ from .model import (
     validate_problem,
 )
 from .stability import StabilityEngine, analyze, constant_coefficients
-from .dynamics import (
-    IvpData,
-    SolutionEngine,
-    SolutionFamilyParams,
-    extremal_experiment,
-    instability_probe,
-    nearest_solution,
-    random_perturbation_test,
-)
 from .riccati import NumericSolution, residual_sup, rho_coverage, solve_riccati
+
+# re-exported from `dynamics`, which is loaded on first use of one of them
+_DYNAMICS = frozenset(
+    {
+        "IvpData",
+        "SolutionEngine",
+        "SolutionFamilyParams",
+        "extremal_experiment",
+        "instability_probe",
+        "nearest_solution",
+        "random_perturbation_test",
+    }
+)
+
+
+def __getattr__(name):
+    if name in _DYNAMICS:
+        from . import dynamics
+
+        return getattr(dynamics, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __version__ = "0.1.0"
 

@@ -8,21 +8,17 @@ error (a usage error included), 2 inconclusive, 3 instability evidence.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
 import sys
 import time
-from importlib import resources
 from pathlib import Path
 
 import click
-import jsonschema
 import numpy as np
 
-from . import __version__, dynamics, exprlang, riccati, stability
-from . import corpus as corpus_mod
+from . import __version__, exprlang, riccati, schemacheck, stability
 from .model import Config, probe_grid, problem_from_dict
 
 EXIT_STABLE = 0
@@ -36,22 +32,6 @@ _VERDICT_EXIT = {
     "inconclusive": EXIT_INCONCLUSIVE,
     "instability_evidence": EXIT_INSTABILITY,
 }
-
-
-@functools.cache
-def _validator(name):
-    """The validator of a bundled schema, its schema checked once per process."""
-    schema = json.loads(resources.files("ulamstab.schemas").joinpath(name).read_text())
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
-
-
-def _validate(doc, name):
-    """`jsonschema.validate` against a bundled schema: raise the best-matching error."""
-    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(doc))
-    if error is not None:
-        raise error
 
 
 def _fail(kind, detail, code=EXIT_INPUT_ERROR):
@@ -89,9 +69,9 @@ def _load_document(path):
     except (OSError, json.JSONDecodeError) as exc:
         _fail("read", exc)
     try:
-        _validate(data, "problem.schema.json")
-    except jsonschema.ValidationError as exc:
-        _fail("schema", exc.message)
+        schemacheck.check(data, "problem.schema.json")
+    except schemacheck.SchemaViolation as exc:
+        _fail("schema", exc)
     return data
 
 
@@ -145,6 +125,10 @@ def _escalate_instability(doc, problem, data):
     witness = data.get("witness")
     if not witness:
         return
+    # imported here: every fresh command would load the experiment layer, and only
+    # the probe, `empirical` and the corpus use it
+    from . import dynamics
+
     try:
         probe, evidenced = dynamics.instability_evidence(problem, witness)
     except (exprlang.ExprError, ValueError) as exc:
@@ -175,7 +159,7 @@ def _report_doc(problem_data, report_dict, config, wall_time, reproducible, extr
 
 
 def _emit(doc, out, stem):
-    _validate(doc, "report.schema.json")
+    schemacheck.check(doc, "report.schema.json")
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     click.echo(text, nl=False)
     if out:
@@ -319,6 +303,8 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
         _emit(doc, out, Path(problem_path).stem)
         sys.exit(_VERDICT_EXIT[doc["report"]["verdict"]])
 
+    from . import dynamics
+
     bound = report.constant.get("B", report.constant.get("L"))
     engine = dynamics.SolutionEngine(analysis)
     extremal = dynamics.extremal_experiment(engine, report.case, epsilon)
@@ -348,10 +334,7 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
     csv_dir = Path(out) if out else Path(".")
     csv_dir.mkdir(parents=True, exist_ok=True)
     csv_path = csv_dir / f"{Path(problem_path).stem}.extremal.csv"
-    with csv_path.open("w") as fh:
-        fh.write("t,value\n")
-        for t, v in zip(grid, dist):
-            fh.write(f"{float(t)!r},{float(v)!r}\n")
+    csv_path.write_text("t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(grid.tolist(), dist.tolist())))
     sys.exit(_VERDICT_EXIT[doc["report"]["verdict"]])
 
 
@@ -391,6 +374,8 @@ def corpus():
 @corpus.command("list")
 def corpus_list():
     """Show the corpus entries and their targets."""
+    from . import corpus as corpus_mod
+
     for entry in corpus_mod.entries():
         v = entry.default
         target = f"B={v.expected_B:.6g}" if v.expected_B is not None else "unstable"
@@ -402,6 +387,8 @@ def corpus_list():
 @click.option("--tol", type=float, default=None)
 def corpus_run(default_only, tol):
     """Run every corpus problem and compare against the analytic targets."""
+    from . import corpus as corpus_mod
+
     config = _make_config(tol)
     failures = 0
     for result in corpus_mod.run_all(config, default_only=default_only):

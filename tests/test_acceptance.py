@@ -212,4 +212,4 @@ def test_criterion_10():
         err = float(np.max(np.abs(np.asarray(x(ts)) - oracle))) / scale
         worst = max(worst, err)
         ok = ok and err <= 1e-6
-    _line(10, ok, f"representation vs adaptive-RK oracle on all corpus problems: max sup err {worst:.2e}")
+    _line(10, ok, f"representation vs collocation oracle on all corpus problems: max sup err {worst:.2e}")

@@ -1,5 +1,6 @@
 """CLI: exit codes, report schema, determinism, error objects."""
 
+import copy
 import json
 import math
 from pathlib import Path
@@ -7,8 +8,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ulamstab import cli, exprlang, quad
+from ulamstab import cli, exprlang, quad, schemacheck
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -61,21 +64,6 @@ def test_rho_is_compiled_once(runner, monkeypatch, command):
     assert result.exit_code == 0
     assert len(compiled) == 6
     assert compiled.count("-1.0/t") == 1
-
-
-def test_each_schema_is_checked_once(runner, monkeypatch):
-    checked = []
-    check_schema = jsonschema.Draft7Validator.check_schema
-
-    def counting(cls, schema, *args, **kwargs):
-        checked.append(schema["$id"])
-        return check_schema(schema, *args, **kwargs)
-
-    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", classmethod(counting))
-    cli._validator.cache_clear()
-    for _ in range(2):
-        assert _invoke(runner, ["analyze", str(PROBLEMS / "exeq01.json"), "--reproducible"]).exit_code == 0
-    assert sorted(checked) == ["ulamstab-problem/1", "ulamstab-report/1"]
 
 
 def test_analyze_unstable_problem(runner):
@@ -364,3 +352,100 @@ def test_document_tolerances_are_a_schema_error(runner, tmp_path):
     assert result.stdout == ""
     error = json.loads(result.stderr)["error"]
     assert error["kind"] == "schema" and "tolerances" in error["detail"]
+
+
+@pytest.mark.parametrize("name", ["problem.schema.json", "report.schema.json"])
+def test_bundled_schemas_are_draft7_and_implemented(name):
+    # `load` refuses a keyword the checker does not implement
+    jsonschema.Draft7Validator.check_schema(schemacheck.load(name))
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"type": "string", "pattern": "^a"},
+        {"properties": {"a": {"maxLength": 2}}},
+        {"oneOf": [{"type": "number"}, {"$ref": "#"}]},
+        {"additionalProperties": {"minimum": 0}},
+        {"additionalProperties": True},
+        {"type": ["number", "integer"]},
+    ],
+    ids=["pattern", "in-properties", "in-oneOf", "in-additionalProperties", "boolean-subschema", "unknown-type"],
+)
+def test_unimplemented_schema_keyword_is_refused(schema):
+    with pytest.raises(ValueError, match="not implemented|not an object"):
+        schemacheck._implemented(schema)
+
+
+# replacement values: every JSON type, empty strings, and strings a schema's enums and consts hold or miss
+_VALUES = st.one_of(
+    st.integers(-2, 2),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["", "x", "inf", "-inf", "minus-inf", "iii", "best_constant", "ulamstab", "ulamstab-report/1"]),
+    st.lists(st.integers(0, 1), max_size=2),
+    st.dictionaries(st.sampled_from(["a", "lower"]), st.integers(0, 1), max_size=2),
+)
+# keys to add: unknown ones, and optional ones the documents leave out
+_NEW_KEYS = ["tolerances", "witness", "lower_closed", "wall_time_s", "experiments", "config", "L"]
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` after one to three edits, each to a random object in it: a key dropped, added or set."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while draw(st.booleans()):
+            inner = sorted(k for k, v in node.items() if isinstance(v, dict))
+            if not inner:
+                break
+            node = node[draw(st.sampled_from(inner))]
+        keys = sorted(node)
+        edit = draw(st.sampled_from(["drop", "add", "set"] if keys else ["add"]))
+        if edit == "drop":
+            del node[draw(st.sampled_from(keys))]
+        else:
+            node[draw(st.sampled_from(keys if edit == "set" else _NEW_KEYS))] = draw(_VALUES)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def schema_bases(runner):
+    """(schema, document) pairs: every bundled problem, and exeq01's report with its wall time."""
+    report = _json_out(_invoke(runner, ["analyze", str(PROBLEMS / "exeq01.json")]))
+    problems = [json.loads(p.read_text()) for p in sorted(PROBLEMS.glob("*.json"))]
+    return [("problem.schema.json", doc) for doc in problems] + [("report.schema.json", report)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_schema_check_agrees_with_jsonschema(schema_bases, data):
+    name, base = data.draw(st.sampled_from(schema_bases))
+    doc = data.draw(_mutated(base))
+    errors = list(jsonschema.Draft7Validator(schemacheck.load(name)).iter_errors(doc))
+    try:
+        schemacheck.check(doc, name)
+        message = None
+    except schemacheck.SchemaViolation as exc:
+        message = str(exc)
+    assert (message is None) == (not errors)
+    # the error jsonschema would report: the only one, or its best match among several
+    best = jsonschema.exceptions.best_match(errors)
+    assert message == (best.message if best else None)
+
+
+@pytest.mark.parametrize(
+    "schema, doc",
+    [
+        ({"oneOf": [{"type": "object", "required": ["a"]}, {"type": "string"}]}, {}),
+        ({"oneOf": [{"type": "number"}, {"type": "null"}, {"enum": [1]}, {"const": 1.0}]}, 1),
+        ({"properties": {"x": {"oneOf": [{"type": "number"}, {"enum": ["inf"]}]}}}, {"x": None}),
+    ],
+    ids=["one-alternative-stands-out", "valid-under-several", "alternatives-tie"],
+)
+def test_one_of_error_matches_jsonschema(schema, doc):
+    # the bundled schemas' one oneOf always ties, so these cases use schemas of their own
+    best = jsonschema.exceptions.best_match(jsonschema.Draft7Validator(schema).iter_errors(doc))
+    assert schemacheck._best(schemacheck._errors(doc, schema)).message == best.message

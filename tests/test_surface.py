@@ -1,4 +1,10 @@
-"""The tuning surface: one knob, few parameters with a default, and scipy loaded only where it is called."""
+"""The tuning surface and the import boundary.
+
+One knob and few parameters with a default.  A fresh command loads only
+what it calls: scipy only for `--solve-rho` (and a fit's fallback), the
+experiment layer (`dynamics`) only for the instability probe and
+`empirical`, the corpus only for `corpus`, and jsonschema never.
+"""
 
 import ast
 import dataclasses
@@ -7,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ulamstab
 from ulamstab.model import Config
@@ -38,8 +46,11 @@ def test_config_has_one_field():
 
 _ROOT = Path(__file__).resolve().parent.parent
 
+# modules whose loading a fresh command is checked for
+_WATCHED = ["scipy", "jsonschema", "ulamstab.dynamics", "ulamstab.collocation", "ulamstab.corpus"]
+
 # runs each command line of argv[1] in-process and prints the exit codes and
-# whether scipy was imported
+# which modules of argv[2] were imported
 _CHILD = """
 import contextlib, io, json, sys
 from ulamstab import cli
@@ -52,15 +63,21 @@ for argv in json.loads(sys.argv[1]):
         codes.append(0)
     except SystemExit as exc:
         codes.append(exc.code)
-print(json.dumps({"codes": codes, "scipy": "scipy" in sys.modules}))
+print(json.dumps({"codes": codes, "loaded": [m for m in json.loads(sys.argv[2]) if m in sys.modules]}))
 """
 
 
 def _fresh_run(tmp_path, *commands):
     """The exit codes of ``commands`` run in one fresh interpreter, and whether it imported scipy."""
+    codes, loaded = _fresh_loaded(tmp_path, *commands)
+    return codes, "scipy" in loaded
+
+
+def _fresh_loaded(tmp_path, *commands):
+    """The exit codes of ``commands`` run in one fresh interpreter, and which `_WATCHED` modules it imported."""
     env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, json.dumps(commands)],
+        [sys.executable, "-c", _CHILD, json.dumps(commands), json.dumps(_WATCHED)],
         env=env,
         cwd=tmp_path,
         capture_output=True,
@@ -69,7 +86,7 @@ def _fresh_run(tmp_path, *commands):
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    return out["codes"], out["scipy"]
+    return out["codes"], set(out["loaded"])
 
 
 def _doc(name):
@@ -95,3 +112,36 @@ def test_solve_rho_imports_scipy(tmp_path):
     )
     assert codes == [0]
     assert scipy
+
+
+def test_finite_analyze_and_riccati_check_load_no_experiment_layer(tmp_path):
+    # modules loaded, not seconds: jsonschema and the experiment layer were
+    # about 30% of a fresh command's start-up
+    codes, loaded = _fresh_loaded(
+        tmp_path, ["analyze", _doc("exeq01"), "--best", "--reproducible"], ["riccati-check", _doc("exeq01")]
+    )
+    assert codes == [0, 0]
+    assert loaded == set()
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["analyze", _doc("exeq02"), "--reproducible"], 3),
+        (["empirical", _doc("exeq03"), "--trials", "2", "--seed", "7", "--reproducible"], 0),
+    ],
+    ids=["instability-probe", "empirical"],
+)
+def test_experiments_load_the_experiment_layer(tmp_path, command, code):
+    codes, loaded = _fresh_loaded(tmp_path, command)
+    assert codes == [code]
+    assert loaded == {"ulamstab.dynamics", "ulamstab.collocation"}
+
+
+def test_every_public_name_resolves():
+    # the `dynamics` names load their module on first use
+    from ulamstab import dynamics
+
+    for name in ulamstab.__all__:
+        assert getattr(ulamstab, name) is not None, name
+    assert ulamstab.SolutionEngine is dynamics.SolutionEngine
