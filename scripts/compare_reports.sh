@@ -16,6 +16,10 @@
 #   - `analyze --best --reproducible` on a complex constant-coefficient
 #     problem (gamma 2.25 - 0.5i, rho -2 - 0.5i, roots -1 + 0.5i and
 #     -2 - 0.5i on (-40, 40)), whose exponent caches are complex;
+#   - `analyze --best --reproducible` on exeq01 moved to (1000, 1001), with
+#     B = 1/2 as on (0, 1): there ulp(t) is 1,024 times its size just below
+#     t = 1, so the resolution floor of the bisection acts on every panel
+#     next to either singular end;
 #   - `empirical --trials 4 --seed 7 --reproducible` on exeq01, exeq03,
 #     exeq04 and exeq06, and on exeq03 moved to (1e5, 1e5 + 1), where the
 #     caches and the experiment grid must still cover each other (report
@@ -69,6 +73,9 @@ printf '{"alpha": "t*(1 - t)", "beta": "2 - t", "gamma": "1", "interval": {"lowe
 # exeq03 on (1e5, 1e5 + 1), with B = 1/6 as on (0, 1)
 printf '{"name": "exeq03-at-1e5", "alpha": "1", "beta": "2/(t - 100000)", "gamma": "0", "forcing": "-1", "interval": {"lower": 100000.0, "upper": 100001.0}, "rho": "-1/(t - 100000)"}\n' \
   >"$tmp/exeq03-at-1e5.json"
+# exeq01 on (1000, 1001), with B = 1/2 as on (0, 1)
+printf '{"name": "exeq01-at-1e3", "alpha": "(t - 1000)*(1001 - t)", "beta": "2 - (t - 1000)", "gamma": "1", "forcing": "0", "interval": {"lower": 1000.0, "upper": 1001.0}, "rho": "-1/(t - 1000)"}\n' \
+  >"$tmp/exeq01-at-1e3.json"
 # const-iii with complex gamma and rho: roots -1 + 0.5i and -2 - 0.5i, L = 1/2
 printf '{"name": "const-iii-complex", "alpha": "1", "beta": "3", "gamma": "2.25 - 0.5*i", "forcing": "0", "interval": {"lower": -40.0, "upper": 40.0}, "rho": "-2 - 0.5*i"}\n' \
   >"$tmp/const-iii-complex.json"
@@ -105,6 +112,7 @@ contract() {
     run "$tree" "$out" "tol.$stem" analyze "$tree/problems/$stem.json" --tol 1e-8 --best --reproducible
   done
   run "$tree" "$out" analyze.const-iii-complex analyze "$tmp/const-iii-complex.json" --best --reproducible
+  run "$tree" "$out" analyze.exeq01-at-1e3 analyze "$tmp/exeq01-at-1e3.json" --best --reproducible
   for stem in exeq01 exeq03 exeq04 exeq06; do
     run "$tree" "$out" "empirical.$stem" empirical "$tree/problems/$stem.json" \
       --trials 4 --seed 7 --reproducible --out "$out/empirical"
@@ -125,7 +133,7 @@ contract() {
 
 contract "$tmp/base" "$tmp/out-base"
 contract "$root" "$tmp/out-worktree"
-rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json" "$tmp/const-iii-complex.json"
+rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json" "$tmp/exeq01-at-1e3.json" "$tmp/const-iii-complex.json"
 
 echo "outputs of $rev and of the working tree: $tmp/out-base, $tmp/out-worktree" >&2
 cd "$tmp"

@@ -128,6 +128,7 @@ class SolutionEngine:
         self._h1c = None
         self._weights = None  # the unit caches' nodes and forcing-free weights there
         self._frames = {}
+        self._reads = {}  # id of Rc or H1 -> (points, its values there) of its last read by a member
         # template panels the replays bisected, and replays that took the adaptive build
         self.replay_counts = {"bisected_panels": 0, "fallbacks": 0}
 
@@ -209,12 +210,14 @@ class SolutionEngine:
         t0a = np.array([float(t0)])
         r0, p0, h1_0 = self._frame(float(t0))
         pre = np.exp(r0 + p0)
+        # (coefficient, read of a cache, its value at t0) of each term
+        h1 = lambda tt: self._read(self.H1c, tt)
         if forced is None:
-            terms = [(pre * c0, self.H1c, h1_0)]
+            terms = [(pre * c0, h1, h1_0)]
         else:
             f0 = complex(forced[0].value(t0a)[0])
             h2_0 = complex(forced[1].value(t0a)[0])
-            terms = [(pre * (c0 - np.exp(-p0) * f0), self.H1c, h1_0), (pre * np.exp(-p0), forced[1], h2_0)]
+            terms = [(pre * (c0 - np.exp(-p0) * f0), h1, h1_0), (pre * np.exp(-p0), forced[1].value, h2_0)]
         # a term with a zero coefficient adds nothing and is not evaluated
         terms = [term for term in terms if term[0] != 0]
 
@@ -223,12 +226,26 @@ class SolutionEngine:
             scalar = t.ndim == 0
             tt = np.atleast_1d(t)
             out = x0
-            for coef, k, k0 in terms:
-                out = out + coef * (k.value(tt) - k0)
-            out = out * np.exp(self.se.Rc.value(tt) - r0)
+            for coef, read, k0 in terms:
+                out = out + coef * (read(tt) - k0)
+            out = out * np.exp(self._read(self.se.Rc, tt) - r0)
             return out[0] if scalar else out
 
         return x
+
+    def _read(self, cache, t):
+        """``cache.value(t)`` of the forcing-free ``cache``, Rc or H1.
+
+        The last points each of the two was read at are kept with their
+        values, so the members of every forcing on one grid read it once.
+        """
+        key = (t.shape, t.tobytes())
+        last = self._reads.get(id(cache))
+        if last is None or last[0] != key:
+            vals = cache.value(t)
+            vals.flags.writeable = False
+            last = self._reads[id(cache)] = key, vals
+        return last[1]
 
     def _frame(self, t0):
         """(R, P, H1) at t0, the forcing-free values every member from t0 reads."""

@@ -16,9 +16,10 @@ its panels' sums in skeleton order as Python floats, so the walk costs one
 numpy pass per level, not per panel; a side whose walk stops is bisected no
 further.  The nodes are fixed, so a panel's fit residual and
 antiderivative coefficients are constant matrices applied to its node
-values.  Bisection stops at the resolution floor: a panel whose nodes do
-not round to distinct points inside it is kept as a panel at the depth cap
-is, and counted.
+values.  Bisection stops at the resolution floor: a panel narrower than
+``_FLOOR_ULPS`` = 2^10 ulp of its larger end, whose node positions round by
+more than 2^-11 of its width, is kept as a panel at the depth cap is, and
+counted.
 
 `replay` integrates a second integrand on the panels of a built cache: it
 is given the integrand's values at that cache's nodes, keeps every panel
@@ -133,6 +134,9 @@ _WG = np.array(
 _FIT_DEG = 12
 _MAX_DEPTH = 28  # bisection levels below a skeleton panel
 _AT_MAX_DEPTH, _AT_FLOOR = 1, 2  # why a leaf was kept unconverged (0: it converged)
+# the resolution floor: a panel narrower than this many ulp of its larger end
+# is not split, as its node positions round by more than 2^-11 of its width
+_FLOOR_ULPS = 2**10
 _MAX_PANELS = 4000  # skeleton panels per side of a cumulative
 RANGE_CAP = 1e8  # an infinite side's coverage ends before |t| passes this
 # a side's coverage ends once |Re cum| passes this, or |cum| its exponential
@@ -323,12 +327,12 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
     nodes only (`node_sum` adds the real and imaginary parts apart), so every
     root gets the leaves it would get alone.  A panel is accepted when its
     error estimate and its fit residual meet the budget, or when it is not
-    split: at ``_MAX_DEPTH``, or at the resolution floor, where its 15 nodes
-    do not round to distinct points strictly inside it (a panel a few ulp
-    wide).  ``forced`` in the blocks says which of the two kept an
-    unconverged leaf.  ``y0``, when not None, holds the integrand's values on
-    the roots' own nodes (`_nodes`), group after group, which then cost no
-    integrand call.
+    split: at ``_MAX_DEPTH``, or at the resolution floor, narrower than
+    ``_FLOOR_ULPS`` ulp of its larger end, where further levels would
+    resolve the rounding of its node positions, not the integrand.
+    ``forced`` in the blocks says which of the two kept an unconverged leaf.
+    ``y0``, when not None, holds the integrand's values on the roots' own
+    nodes (`_nodes`), group after group, which then cost no integrand call.
 
     A generator of `_Block`s: after a level it yields, group by group, one
     block with the group's roots that are now done and were not yet yielded
@@ -343,11 +347,11 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
     the first unfinished one of its group; a later root that turns
     non-finite is dropped and gets the fate "dropped", so no bisection is
     spent on a root the consumer may never ask for (a root given alone is
-    never dropped).  A non-finite panel at ``_MAX_DEPTH`` or at the
-    resolution floor, or one non-finite at all its nodes at any depth, makes
-    its root "singular".  The integrand is evaluated quietly: its non-finite
-    values are handled here, as data.  ``work`` (a `collections.Counter`)
-    counts integrand calls and points.
+    never dropped).  A non-finite panel that is not split (at ``_MAX_DEPTH``
+    or at the resolution floor), or one non-finite at all its nodes at any
+    depth, makes its root "singular".  The integrand is evaluated quietly:
+    its non-finite values are handled here, as data.  ``work`` (a
+    `collections.Counter`) counts integrand calls and points.
     """
     a = np.concatenate([np.asarray(lo, dtype=float) for lo, _ in groups])
     b = np.concatenate([np.asarray(hi, dtype=float) for _, hi in groups])
@@ -394,9 +398,10 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
             # relative scale: panel value, or sample magnitude when it cancels
             budget = leaf_tol + leaf_rel * np.maximum(np.abs(val), width * ymax)
         finite = np.all(np.isfinite(y), axis=1)
-        # a panel is not split at _MAX_DEPTH or at the resolution floor,
-        # where its nodes no longer round to distinct points inside it
-        final = (depth >= _MAX_DEPTH) | (x[:, 0] <= a) | (x[:, -1] >= b) | np.any(x[:, 1:] <= x[:, :-1], axis=1)
+        # a panel is not split at _MAX_DEPTH or at the resolution floor: one
+        # at least _FLOOR_ULPS ulp wide has its nodes at least 21 ulp apart
+        # and 4 ulp inside it, so its halves' nodes are still distinct
+        final = (depth >= _MAX_DEPTH) | (width < _FLOOR_ULPS * np.spacing(np.maximum(np.abs(a), np.abs(b))))
         converged = finite & (err <= budget)
         fit = np.flatnonzero(converged | (finite & final))
         # interior value() queries read the interpolant, so the fit must

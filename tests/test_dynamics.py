@@ -100,6 +100,25 @@ def test_solution_engine_reads_stability_h1(exeq01, cfg):
     assert eng.problem is p
 
 
+def test_members_read_the_forcing_free_caches_once_per_grid(exeq03, cfg, monkeypatch):
+    # Rc and H1 do not depend on the forcing: the basis and every trial's
+    # member read them on the experiment grid once between them
+    eng = _engine(*exeq03, cfg)
+    reads = []  # (cache name, points) of each read
+    for name in ("Rc", "H1"):
+        cache = getattr(eng.se, name)
+        monkeypatch.setattr(cache, "value", lambda t, name=name, value=cache.value: reads.append((name, t.tobytes())) or value(t))
+    t0 = eng.se.anchor
+    grid = eng.experiment_grid(t0)
+    dynamics.random_perturbation_test(eng, 0.1, 3, 7, 1.0 / 6.0)
+    assert reads.count(("Rc", grid.tobytes())) == reads.count(("H1", grid.tobytes())) == 1
+    # a member reads the same bits as on an engine that never read the grid
+    g = lambda t: 0.1 * np.cos(t)
+    got = eng.representation(IvpData(t0, 0.0, 0.0), forcing=g)(grid)
+    fresh = _engine(*exeq03, cfg)
+    assert got.tobytes() == fresh.representation(IvpData(t0, 0.0, 0.0), forcing=g)(grid).tobytes()
+
+
 def test_extremal_linear_in_epsilon(eng01):
     e1 = dynamics.extremal_experiment(eng01, "iii", 0.05)
     e2 = dynamics.extremal_experiment(eng01, "iii", 0.2)

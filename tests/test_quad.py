@@ -68,7 +68,7 @@ _SINGULAR = {
     "log-lower": (lambda s: np.log(s), lambda t: t * np.log(t) - t, 92),
     "log-upper": (lambda s: np.log(1.0 - s), lambda t: -t - (1.0 - t) * np.log(1.0 - t), 92),
     "power-lower": (lambda s: s**-0.5, lambda t: 2.0 * np.sqrt(t), 97),
-    "power-upper": (lambda s: (1.0 - s) ** -0.5, lambda t: -2.0 * np.sqrt(1.0 - t), 100),
+    "power-upper": (lambda s: (1.0 - s) ** -0.5, lambda t: -2.0 * np.sqrt(1.0 - t), 99),
 }
 
 
@@ -98,15 +98,15 @@ def test_max_depth_leaves_recorded():
 def test_exeq01_panel_counts(exeq01_engine):
     # exeq01's Pc and A4 split down to the resolution floor near t=1;
     # pinned so a change of the splitting rule updates these on purpose
-    assert len(exeq01_engine.Pc.panel_vals) == 1641
-    assert len(exeq01_engine.A4.panel_vals) == 704
+    assert len(exeq01_engine.Pc.panel_vals) == 784
+    assert len(exeq01_engine.A4.panel_vals) == 272
     diag = exeq01_engine.diagnostics()
     assert diag["cache_Pc"]["max_depth_leaves"] == diag["cache_A4"]["max_depth_leaves"] == 0
-    assert (diag["cache_Pc"]["resolution_floor_leaves"], diag["cache_A4"]["resolution_floor_leaves"]) == (549, 270)
+    assert (diag["cache_Pc"]["resolution_floor_leaves"], diag["cache_A4"]["resolution_floor_leaves"]) == (259, 126)
     # the skeleton panels of both sides are bisected together: one call per
     # level of the deeper side
-    assert (diag["cache_Pc"]["integrand_calls"], diag["cache_Pc"]["integrand_points"]) == (10, 47880)
-    assert (diag["cache_A4"]["integrand_calls"], diag["cache_A4"]["integrand_points"]) == (9, 19770)
+    assert (diag["cache_Pc"]["integrand_calls"], diag["cache_Pc"]["integrand_points"]) == (9, 22170)
+    assert (diag["cache_A4"]["integrand_calls"], diag["cache_A4"]["integrand_points"]) == (7, 6810)
 
 
 def test_in_panel_matches_chebval():
@@ -177,8 +177,8 @@ def _parts_sum(w, y):
 def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel, max_depth=28):
     """`quad._leaf` one panel at a time, depth first, with per-panel fits.
 
-    A panel is not split at ``max_depth`` or when its nodes do not round to
-    distinct points strictly inside it.  A panel whose values have an
+    A panel is not split at ``max_depth`` or when it is narrower than
+    ``quad._FLOOR_ULPS`` ulp of its larger end.  A panel whose values have an
     imaginary part of exactly zero is computed in float64, and a complex
     one's sums add the real and imaginary parts apart.  Returns sorted
     (left, right, value, error, antiderivative, width * max|g|, why a leaf
@@ -190,7 +190,7 @@ def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel, max_depth=28):
         a, b, depth = stack.pop()
         hw = 0.5 * (b - a)
         x = 0.5 * (a + b) + hw * quad._XGK
-        floor = not np.all(np.diff([a, *x, b]) > 0)
+        floor = b - a < quad._FLOOR_ULPS * np.spacing(max(abs(a), abs(b)))
         final = depth >= max_depth or floor
         y = np.asarray(g(x), dtype=complex)
         if not np.any(y.imag):
@@ -283,16 +283,38 @@ def test_leaf_matches_panel_by_panel_reference(g, lo, hi, leaf_tol, leaf_rel):
     assert batch_work["points"] == sum(w["points"] for w in alone_work[1:])
 
 
+@pytest.mark.parametrize("leaf_tol, leaf_rel", [(1e-12, 1e-13), (0.0, 1e-8)], ids=["1e-12", "0.0"])
+def test_leaf_stops_at_the_floor_on_exeq01_pc(leaf_tol, leaf_rel):
+    # exeq01's Pc integrand near its singular end t = 1, where panels reach
+    # the floor: _FLOOR_ULPS ulp of their larger end
+    g = lambda s: (2.0 - s) / (s * (1.0 - s)) - 1.0 / s
+    lo, hi = 1.0 - 1e-6, 1.0 - 1e-13
+    (blk,) = quad._leaf(g, [([lo], [hi])], (), leaf_tol, leaf_rel, Counter(), None)
+    r_left, r_right, r_vals, _, _, _, r_why = _leaf_reference(g, lo, hi, leaf_tol, leaf_rel)
+    assert np.array_equal(blk.left, r_left) and np.array_equal(blk.right, r_right)
+    assert np.array_equal(blk.vals, r_vals) and np.array_equal(blk.forced, r_why)
+    width = blk.right - blk.left
+    ulp = np.spacing(np.maximum(np.abs(blk.left), np.abs(blk.right)))
+    at_floor = blk.forced == quad._AT_FLOOR
+    assert np.count_nonzero(at_floor) > 0
+    assert np.all(width[at_floor] < quad._FLOOR_ULPS * ulp[at_floor])
+    # every leaf is half of a panel at least the floor wide, less one ulp
+    # of rounding in the midpoint
+    assert len(width) > 1
+    assert np.all(width >= (quad._FLOOR_ULPS / 2 - 1) * ulp)
+
+
 def test_non_finite_panel_at_the_resolution_floor_is_singular():
-    # a pole at 0.7 that is inf within 4 ulp of it: the panel around the
-    # pole reaches the floor with some nodes finite and some not
+    # a pole at 0.7 that is inf within 16 ulp of it: the panel around the
+    # pole reaches the floor 731 ulp wide, with its node nearest the pole
+    # 8 ulp from it, so some of its nodes are finite and some not
     c = 0.7
-    g = lambda s: np.where(np.abs(s - c) <= 4 * np.spacing(c), np.inf, 1.0 / (s - c))
+    g = lambda s: np.where(np.abs(s - c) <= 16 * np.spacing(c), np.inf, 1.0 / (s - c))
     work = Counter()
     ((_, fate),) = _roots(quad._leaf(g, [([c - 1e-12], [c + 3e-13])], (), 0.0, 1e-8, work, None))
     assert fate == "singular"
-    # eight levels bring the root to the floor, well before _MAX_DEPTH
-    assert work["calls"] == 8
+    # five levels bring the root to the floor, well before _MAX_DEPTH
+    assert work["calls"] == 5
 
 
 # kinks at 0.3 and -1.7, and inf only at the centre nodes of the roots

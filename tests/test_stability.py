@@ -34,6 +34,19 @@ def test_f_sups_match_closed_forms(exeq01_engine):
     assert exeq01_engine.f_sup("f4").sup_value == pytest.approx(1.0, abs=1e-6)
 
 
+def test_exeq01_accuracy_beyond_the_corpus_gate(exeq01, cfg, exeq01_engine):
+    # pinned well inside the corpus's 1e-6: a change of the resolution floor
+    # or of the leaf budget must update these on purpose
+    p, rho = exeq01
+    report = analyze(p, rho, cfg, best=True, engine=exeq01_engine)
+    assert report.verdict == "best_constant"
+    assert report.constant["B"] == pytest.approx(0.5, rel=2e-12)
+    assert report.constant["L"] == pytest.approx(0.5, rel=2e-12)
+    assert report.f_sups["f3"]["value"] == pytest.approx(0.5, abs=2e-13)
+    # f4 reads A4's interpolants next to the singular end t = 1
+    assert report.f_sups["f4"]["value"] == pytest.approx(1.0, abs=2e-7)
+
+
 def test_divergent_f_raises(exeq01_engine):
     # f1 has a 1/t(1-t) weight toward sigma: not summable
     with pytest.raises((quad.Divergent, HypothesisFailed)):
