@@ -20,6 +20,11 @@
 #     B = 1/2 as on (0, 1): there ulp(t) is 1,024 times its size just below
 #     t = 1, so the resolution floor of the bisection acts on every panel
 #     next to either singular end;
+#   - `analyze --reproducible` on exeq05 with its witness written around a
+#     parameter k = 2 and a term (-0)*cos(t):
+#     eps/(8*t)*(cos(t) + k*t*sin(t) - k*t^2*cos(t)) + (-0)*cos(t).  The
+#     probe compiles the witness and its two derivatives, which hold a
+#     parameter, repeated subtrees and a negative-zero constant subtree;
 #   - `empirical --trials 4 --seed 7 --reproducible` on exeq01, exeq03,
 #     exeq04 and exeq06, and on exeq03 moved to (1e5, 1e5 + 1), where the
 #     caches and the experiment grid must still cover each other (report
@@ -76,6 +81,9 @@ printf '{"name": "exeq03-at-1e5", "alpha": "1", "beta": "2/(t - 100000)", "gamma
 # exeq01 on (1000, 1001), with B = 1/2 as on (0, 1)
 printf '{"name": "exeq01-at-1e3", "alpha": "(t - 1000)*(1001 - t)", "beta": "2 - (t - 1000)", "gamma": "1", "forcing": "0", "interval": {"lower": 1000.0, "upper": 1001.0}, "rho": "-1/(t - 1000)"}\n' \
   >"$tmp/exeq01-at-1e3.json"
+# exeq05 with a witness that holds a parameter, repeated subtrees and a -0
+printf '{"name": "exeq05-witness-k", "alpha": "1", "beta": "2/t", "gamma": "1", "forcing": "0", "interval": {"lower": 0.0, "upper": "inf"}, "rho": "-tan(t) - 1/t", "params": {"k": 2.0}, "witness": "eps/(8*t)*(cos(t) + k*t*sin(t) - k*t^2*cos(t)) + (-0)*cos(t)"}\n' \
+  >"$tmp/exeq05-witness-k.json"
 # const-iii with complex gamma and rho: roots -1 + 0.5i and -2 - 0.5i, L = 1/2
 printf '{"name": "const-iii-complex", "alpha": "1", "beta": "3", "gamma": "2.25 - 0.5*i", "forcing": "0", "interval": {"lower": -40.0, "upper": 40.0}, "rho": "-2 - 0.5*i"}\n' \
   >"$tmp/const-iii-complex.json"
@@ -113,6 +121,7 @@ contract() {
   done
   run "$tree" "$out" analyze.const-iii-complex analyze "$tmp/const-iii-complex.json" --best --reproducible
   run "$tree" "$out" analyze.exeq01-at-1e3 analyze "$tmp/exeq01-at-1e3.json" --best --reproducible
+  run "$tree" "$out" analyze.exeq05-witness-k analyze "$tmp/exeq05-witness-k.json" --reproducible
   for stem in exeq01 exeq03 exeq04 exeq06; do
     run "$tree" "$out" "empirical.$stem" empirical "$tree/problems/$stem.json" \
       --trials 4 --seed 7 --reproducible --out "$out/empirical"
@@ -133,7 +142,8 @@ contract() {
 
 contract "$tmp/base" "$tmp/out-base"
 contract "$root" "$tmp/out-worktree"
-rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json" "$tmp/exeq01-at-1e3.json" "$tmp/const-iii-complex.json"
+rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
+  "$tmp/const-iii-complex.json"
 
 echo "outputs of $rev and of the working tree: $tmp/out-base, $tmp/out-worktree" >&2
 cd "$tmp"

@@ -30,11 +30,12 @@ collocation of the equation (`collocation`).
 
 The nearest solution is an exact discrete minimax fit,
 min over c of max over the grid of |target - c1 w1 - c2 w2|.  Real data
-runs Stiefel's exchange on 3-point references, levelled in rational
-arithmetic, with the residual over the grid in double-double; it stops on
-the de la Vallee Poussin certificate, so the distance is the grid optimum
-to within 1e-12 relative.  A singular reference or a stall restarts it from
-a HiGHS LP.  Complex data runs Lawson's iteratively reweighted least
+runs Stiefel's exchange on 3-point references, levelled in exact integer
+arithmetic at a power-of-two scale (the reference's doubles as integers over
+one power of two), with the residual over the grid in double-double; it
+stops on the de la Vallee Poussin certificate, so the distance is the grid
+optimum to within 1e-12 relative.  A singular reference or a stall restarts
+it from a HiGHS LP.  Complex data runs Lawson's iteratively reweighted least
 squares until its lower bound and the distance agree to 1e-10 relative.
 """
 
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -440,29 +440,48 @@ def _det(rows):
     return a * d - b * c
 
 
-def _level(W, y, ref):
-    """The levelled reference in exact rational arithmetic.
+def _integers(values):
+    """Integers n_k and an exponent s with values[k] = n_k / 2^s exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    s = max(d.bit_length() for _, d in ratios) - 1
+    return [n << (s + 1 - d.bit_length()) for n, d in ratios], s
 
-    lam spans the null space of W[ref]^T; the minimax of the reference alone
-    is |h| with h = lam.y / sum|lam|, attained with the residuals
-    sign(lam) h.  Returns (lam, h, rows), or None when a lam is 0 (singular).
+
+def _level(W, y, ref):
+    """The levelled reference in exact integer arithmetic.
+
+    The rows [W[i] | y[i]] of the reference are integers over one power of
+    two.  lam spans the null space of W[ref]^T; the minimax of the reference
+    alone is |h| with h = lam.y / sum|lam|, attained with the residuals
+    sign(lam) h.  Returns (lam, (num, den), rows) with h = num / den and
+    den > 0, or None when a lam is 0 (singular).
     """
-    rows = [[Fraction(v) for v in W[i].tolist()] for i in ref]
-    lam = [(-1) ** k * _det(rows[:k] + rows[k + 1 :]) for k in range(len(ref))]
+    m = W.shape[1]
+    ints, s = _integers([v for i in ref for v in (*W[i].tolist(), float(y[i]))])
+    rows = [ints[k : k + m + 1] for k in range(0, len(ints), m + 1)]
+    lam = [(-1) ** k * _det([row[:m] for row in rows[:k] + rows[k + 1 :]]) for k in range(len(ref))]
     if not all(lam):
         return None
-    h = sum(lk * Fraction(float(y[i])) for lk, i in zip(lam, ref)) / sum(abs(lk) for lk in lam)
-    return lam, h, rows
+    num = sum(lk * row[m] for lk, row in zip(lam, rows))
+    return lam, (num, sum(abs(lk) for lk in lam) << s), rows
 
 
-def _levelled_coeffs(y, ref, level):
-    """Exact coefficients with residual sign(lam) h on the reference (Cramer)."""
-    lam, h, rows = level
-    # rows 1.. have determinant +-lam[0], which is not 0
-    sub = rows[1:]
-    rhs = [Fraction(float(y[i])) - (h if lk > 0 else -h) for lk, i in zip(lam[1:], ref[1:])]
-    d = _det(sub)
-    return [_det([row[:k] + [v] + row[k + 1 :] for row, v in zip(sub, rhs)]) / d for k in range(len(sub))]
+def _levelled_coeffs(level):
+    """Exact coefficients with residual sign(lam) h on the reference (Cramer).
+
+    Each is a pair (num, den) of integers with den > 0.
+    """
+    lam, (num, _), rows = level
+    norm = sum(abs(lk) for lk in lam)
+    # over the den of h, which is norm 2^s, row i's right-hand side
+    # y_i - sign(lam_i) h is y_i norm - sign(lam_i) num; rows 1.. have
+    # determinant +-lam[0], which is not 0, and 2^s cancels in the quotient
+    sub = [row[:-1] for row in rows[1:]]
+    rhs = [row[-1] * norm - (num if lk > 0 else -num) for lk, row in zip(lam[1:], rows[1:])]
+    d = _det(sub) * norm
+    if d < 0:
+        d, rhs = -d, [-v for v in rhs]
+    return [(_det([row[:k] + [v] + row[k + 1 :] for row, v in zip(sub, rhs)]), d) for k in range(len(sub))]
 
 
 def _split(x):
@@ -475,14 +494,16 @@ def _split(x):
 def _residual(y, cols, coeffs):
     """y - sum_k c_k w_k in double-double arithmetic, rounded to double.
 
-    ``cols`` holds (w, *_split(w)) per column; each exact coefficient enters
-    as its double and the double of its remainder.
+    ``cols`` holds (w, *_split(w)) per column; each exact coefficient
+    (num, den) enters as its double and the double of its remainder, both
+    correctly rounded by the integer division.
     """
     s = y
     err = 0.0
-    for (w, w_hi, w_lo), c in zip(cols, coeffs):
-        c_hi = float(c)
-        c_lo = float(c - Fraction(c_hi))
+    for (w, w_hi, w_lo), (num, den) in zip(cols, coeffs):
+        c_hi = num / den
+        hi_num, hi_den = c_hi.as_integer_ratio()
+        c_lo = (num * hi_den - hi_num * den) / (den * hi_den)
         h, l = _split(c_hi)
         p = c_hi * w
         p_err = ((h * w_hi - p) + h * w_lo + l * w_hi) + l * w_lo  # p + p_err = c_hi w
@@ -510,18 +531,20 @@ def _exchange(y, W, ref):
     if level is None:
         return None
     for _ in range(_EXCHANGE_STEPS):
-        coeffs = _levelled_coeffs(y, ref, level)
+        coeffs = _levelled_coeffs(level)
         res = np.abs(_residual(y, cols, coeffs))
         j = int(np.argmax(res))
-        h = abs(level[1])
-        if res[j] <= float(h) * (1.0 + _GAP):
-            return _Fit(np.array([float(c) for c in coeffs]), float(res[j]), float(h), tuple(ref))
+        # |h| as a pair of integers; levels compare by cross-multiplying
+        num, den = abs(level[1][0]), level[1][1]
+        h = num / den
+        if res[j] <= h * (1.0 + _GAP):
+            return _Fit(np.array([c / d for c, d in coeffs]), float(res[j]), h, tuple(ref))
         best = None
         for k in range(len(ref)):
             swap = ref[:k] + [j] + ref[k + 1 :]
             lev = _level(W, y, swap)
-            if lev is not None and abs(lev[1]) > h:
-                best, h = (swap, lev), abs(lev[1])
+            if lev is not None and abs(lev[1][0]) * den > num * lev[1][1]:
+                best, num, den = (swap, lev), abs(lev[1][0]), lev[1][1]
         if best is None:
             return None
         ref, level = best

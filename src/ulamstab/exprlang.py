@@ -3,9 +3,10 @@
 Expressions are functions of the free variable ``t`` plus named parameters
 (``sigma``, ``a``, ...).  They are complex-valued end-to-end, support symbolic
 differentiation with respect to ``t``, and compile into one generated Python
-function of numpy array arithmetic.  It takes an array of ``t`` (quadrature
-loops, collocation panels) or a scalar ``t``, which it evaluates as an array
-of one point.
+function of numpy array arithmetic.  It has one statement per distinct
+subtree, and each subtree without ``t`` is folded to a constant at compile
+time.  It takes an array of ``t`` (quadrature loops, collocation panels) or a
+scalar ``t``, which it evaluates as an array of one point.
 
 The grammar (see GRAMMAR.md at the repository root) has precedence
 ``^`` > unary ``-`` > ``*``, ``/`` > ``+``, ``-``, with right-associative
@@ -15,6 +16,8 @@ The grammar (see GRAMMAR.md at the repository root) has precedence
 from __future__ import annotations
 
 import functools
+import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -460,20 +463,25 @@ def _fmt(e, parent_prec):
 # ---------------------------------------------------------------------------
 # Compilation to one generated function
 #
-# One numpy statement per node, calling the helpers of `_RUNTIME`.
-# Identifiers come from the node kind and a counter; numbers and parameter
-# values live in the namespace, so no text of the expression reaches
-# `compile`.  A scalar t is evaluated as an array of one point.
+# One numpy statement per distinct subtree, calling the helpers of
+# `_RUNTIME`.  A subtree without t is folded at compile time: its helpers run
+# once on a one-point t, as the generated code would run them, and its value
+# becomes one constant statement.  Identifiers come from the node kind and a
+# counter; numbers and parameter values live in the namespace, so no text of
+# the expression reaches `compile`.  A scalar t is evaluated as an array of
+# one point.
 
 
 def compile_expr(e: Expr, params=None):
     """Compile ``e`` into a callable ``f(t)`` of a real scalar or array ``t``.
 
-    Parameter values are baked in at compile time.  Division by zero and
-    domain edges produce inf/nan silently (callers evaluate on interior
-    grids where the problem validator has already checked the expression).
-    An array gives a complex array of its shape; a scalar gives an
-    ``np.complex128``, which is a ``complex``.
+    The generated function computes each distinct subtree once.  A subtree
+    without ``t`` is evaluated at compile time, at a one-point ``t``, and
+    enters as a constant.  Parameter values are baked in at compile time.
+    Division by zero and domain edges produce inf/nan silently (callers
+    evaluate on interior grids where the problem validator has already
+    checked the expression).  An array gives a complex array of its shape; a
+    scalar gives an ``np.complex128``, which is a ``complex``.
     """
     params = params or {}
     missing = free_params(e) - set(params)
@@ -481,33 +489,73 @@ def compile_expr(e: Expr, params=None):
         raise UnboundParameterError(sorted(missing)[0])
     namespace = dict(_RUNTIME)
     lines = []
+    names = {}  # operator and operand names of a subtree, or a constant's bits -> its statement
 
-    def emit(node):
-        if isinstance(node, (Num, ImagUnit, Param)):
-            value = 1j if isinstance(node, ImagUnit) else node.value if isinstance(node, Num) else params[node.name]
-            const = f"_k{len(lines)}"
-            namespace[const] = complex(value)
-            stmt = f"_np.full_like(t, {const}, dtype=complex)"
-        elif isinstance(node, Var):
-            stmt = "_np.asarray(t, dtype=complex)"
-        elif isinstance(node, Neg):
-            stmt = f"-{emit(node.operand)}"
-        elif isinstance(node, BinOp):
-            left, right = emit(node.left), emit(node.right)
-            helper = {"^": "_pow", "/": "_quotient"}.get(node.op)
-            stmt = f"{helper}({left}, {right})" if helper else f"{left} {node.op} {right}"
-        elif isinstance(node, Call):
-            stmt = f"_{node.func}({emit(node.arg)})"
-        else:
-            raise AssertionError(type(node))
-        name = f"{type(node).__name__.lower()}{len(lines)}"
-        lines.append(f"{name} = {stmt}")
+    def statement(key, kind, stmt):
+        name = names.get(key)
+        if name is None:
+            name = names[key] = f"{kind}{len(lines)}"
+            lines.append(f"{name} = {stmt}")
         return name
 
-    out = emit(e)
+    def constant(value):
+        # keyed on the bits, so that 0.0 and -0.0 are two constants
+        key = struct.pack("dd", value.real, value.imag)
+        name = names.get(key)
+        if name is None:
+            name = names[key] = f"const{len(lines)}"
+            namespace[f"_k{len(lines)}"] = value
+            lines.append(f"{name} = _np.full_like(t, _k{len(lines)}, dtype=complex)")
+        return name
+
+    def fold(node):
+        """The statement name of a subtree with t, else the complex value of one without."""
+        kind = type(node)
+        if kind is BinOp:
+            a, b = fold(node.left), fold(node.right)
+            if type(a) is str:
+                if type(b) is not str:
+                    b = constant(b)
+            elif type(b) is str:
+                a = constant(a)
+            else:
+                return _fold(node, (a, b))
+            helper = _HELPERS.get(node.op)
+            return statement((node.op, a, b), "binop", f"{helper}({a}, {b})" if helper else f"{a} {node.op} {b}")
+        if kind is Num:
+            return complex(node.value)
+        if kind is Var:
+            return statement("t", "var", "_np.asarray(t, dtype=complex)")
+        if kind is Param:
+            return complex(params[node.name])
+        if kind is ImagUnit:
+            return 1j
+        if kind is Neg:
+            a = fold(node.operand)
+            return statement(("-", a), "neg", f"-{a}") if type(a) is str else _fold(node, (a,))
+        if kind is Call:
+            a = fold(node.arg)
+            return statement((node.func, a), "call", f"_{node.func}({a})") if type(a) is str else _fold(node, (a,))
+        raise AssertionError(kind)
+
+    out = fold(e)
+    if type(out) is not str:
+        out = constant(out)
     source = _SOURCE.format(body="\n".join(" " * 8 + line for line in lines), out=out)
     exec(_code(source), namespace)
     return namespace["expr"]
+
+
+def _fold(node, args):
+    """The value of ``node`` without t from its operands' values, as the generated code computes it."""
+    if type(node) is Neg:
+        # numpy negates a complex array part by part, as Python negates a complex
+        return -args[0]
+    # the arrays of one point that the generated code holds at a scalar t
+    args = [np.array([arg]) for arg in args]
+    with np.errstate(all="ignore"):
+        value = _BINARY[node.op](*args) if type(node) is BinOp else _RUNTIME[f"_{node.func}"](*args)
+    return complex(value[0])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -589,3 +637,8 @@ _RUNTIME = {
     "_re": lambda v: np.real(v).astype(complex),
     "_im": lambda v: np.imag(v).astype(complex),
 }
+
+# the binary operators as the generated code applies them, for folding, and
+# the helpers it calls by name
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _quotient, "^": _pow}
+_HELPERS = {"/": "_quotient", "^": "_pow"}

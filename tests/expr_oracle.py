@@ -6,14 +6,17 @@ that `cmath` rejects or a `cmath` result outside the double range, where
 the compiled function gives inf/nan.  `mp_eval`
 is the same walk in mpmath arithmetic.  Both keep the real branch of
 `sqrt`, `log` and real powers, as `exprlang.compile_expr` does.
+`numpy_eval` is the compiled function's arithmetic node by node, with no
+sharing and no folding: its results are the compiled function's bits.
 """
 
 import cmath
 import math
 
 import mpmath
+import numpy as np
 
-from ulamstab.exprlang import BinOp, Call, ExprError, ImagUnit, Neg, Num, Param, UnboundParameterError, Var
+from ulamstab.exprlang import _RUNTIME, BinOp, Call, ExprError, ImagUnit, Neg, Num, Param, UnboundParameterError, Var
 
 
 class DomainError(ExprError):
@@ -141,3 +144,43 @@ def mp_eval(e, t, params):
     if e.func == "log" and a == 0:
         raise DomainError("log(0)")
     return getattr(mpmath, e.func)(a)
+
+
+def numpy_eval(e, t, params=None):
+    """``e`` at a scalar or array ``t`` by one `_RUNTIME` call per node.
+
+    Every node is evaluated on the whole ``t``, each time it occurs, as one
+    statement of the generated function did before it shared repeated
+    subtrees and folded those without t.  A scalar ``t`` is an array of one
+    point, and gives a complex scalar.
+    """
+    params = params or {}
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    if scalar:
+        t = t.reshape(1)
+    with np.errstate(all="ignore"):
+        out = np.asarray(_np_eval(e, t, params), dtype=complex)
+    return out[0] if scalar else out
+
+
+def _np_eval(e, t, params):
+    if isinstance(e, (Num, ImagUnit, Param)):
+        value = 1j if isinstance(e, ImagUnit) else e.value if isinstance(e, Num) else params[e.name]
+        return np.full_like(t, complex(value), dtype=complex)
+    if isinstance(e, Var):
+        return np.asarray(t, dtype=complex)
+    if isinstance(e, Neg):
+        return -_np_eval(e.operand, t, params)
+    if isinstance(e, BinOp):
+        a, b = _np_eval(e.left, t, params), _np_eval(e.right, t, params)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        return _RUNTIME["_quotient" if e.op == "/" else "_pow"](a, b)
+    if isinstance(e, Call):
+        return _RUNTIME[f"_{e.func}"](_np_eval(e.arg, t, params))
+    raise AssertionError(type(e))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import exchange_oracle
 from conftest import corpus_entry, make_problem
 from ivp_oracle import dop853
 from ulamstab import collocation, corpus, dynamics, exprlang, quad
@@ -251,6 +252,50 @@ def test_fit_edge_cases(lp_calls, target, basis, one_column, fallback):
     assert float(np.max(np.abs(resid))) == pytest.approx(fit.distance, rel=1e-12, abs=1e-300)
     assert fit.distance <= fit.lower * (1.0 + 1e-12)
     assert bool(lp_calls) == fallback
+
+
+def _exchange_case(rng):
+    """A seeded real fit: smooth or random columns, the second possibly 0 or
+    the first over a power of two, scaled by powers of ten from 1e-300 to
+    1e299, with a few subnormal entries now and then."""
+    n = int(rng.integers(3, 60))
+    t = np.sort(rng.uniform(0.0, 4.0, n))
+    smooth = lambda: np.exp(rng.normal() * t) * np.cos(rng.uniform(0.0, 3.0) * t + rng.uniform(0.0, 3.0))
+    w1 = smooth() if rng.random() < 0.6 else rng.normal(size=n)
+    w2 = smooth() if rng.random() < 0.6 else rng.normal(size=n)
+    y = smooth() + 1e-3 * rng.normal(size=n) if rng.random() < 0.5 else rng.normal(size=n)
+    # each vector's largest entry is 10^e with e up to 299: Dekker's split
+    # multiplies by 2^27 + 1, which overflows beyond about 1.3e300
+    e_y = int(rng.integers(-300, 300))
+    e_1, e_2 = (int(np.clip(e_y + rng.integers(-8, 9), -300, 299)) for _ in range(2))
+    y, w1, w2 = (v / np.max(np.abs(v)) * 10.0**e for v, e in ((y, e_y), (w1, e_1), (w2, e_2)))
+    w2 = (w2, np.zeros(n), w1 / 2.0 ** int(rng.integers(0, 9)))[rng.choice(3, p=(0.8, 0.1, 0.1))]
+    if rng.random() < 0.25:
+        for v in (y, w1, w2):
+            v[rng.integers(n, size=2)] = rng.integers(1, 2**40, size=2) * 5e-324
+    return y, (w1, w2)
+
+
+def test_integer_exchange_is_the_rational_exchange(monkeypatch, lp_calls):
+    # the same fit, bit for bit, as the exchange levelled in Fractions
+    rng = np.random.default_rng(24)
+    exchange = dynamics._exchange
+    fits = one_column = 0
+    for _ in range(340):
+        y, basis = _exchange_case(rng)
+        got, want = [], []
+        for run, out in ((exchange, got), (exchange_oracle.exchange, want)):
+            monkeypatch.setattr(dynamics, "_exchange", run)
+            try:
+                fit = dynamics._fit(y, basis)
+                out.append((fit.coeffs.tobytes(), fit.distance, fit.lower, fit.reference))
+            except (ValueError, OverflowError) as exc:
+                out.append((type(exc), str(exc)))
+        assert got == want
+        fits += isinstance(got[0][1], float)
+        one_column += isinstance(got[0][1], float) and len(got[0][3]) == 2
+    assert fits >= 300 and one_column >= 40
+    assert len(lp_calls) >= 2 * 50  # a case that falls back solves the LP under each exchange
 
 
 def test_fit_zero_basis():

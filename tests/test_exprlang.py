@@ -1,8 +1,11 @@
 """Expression language: parsing, compilation, differentiation, printing."""
 
+import cmath
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from expr_oracle import DomainError, evaluate, mp_eval
+from expr_oracle import DomainError, evaluate, mp_eval, numpy_eval
 from ulamstab import exprlang
 from ulamstab.exprlang import (
     ExprSyntaxError,
@@ -169,6 +172,33 @@ def _subtrees(e):
         yield from _subtrees(child)
 
 
+def _has_t(e):
+    return any(isinstance(s, exprlang.Var) for s in _subtrees(e))
+
+
+def _frozen(e):
+    """``e`` with each subtree without t replaced by the double `evaluate` gives it.
+
+    The program computes such a subtree in doubles; a/1e-14, say, is the
+    double nearest to the double quotient, not the decimal 1.25e14.  Its
+    derivative is the derivative of the tree with those doubles in it.  A
+    subtree that `evaluate` rejects, or whose double is not finite, raises
+    `DomainError`.
+    """
+    if not _has_t(e):
+        value = evaluate(e, 0.0, _params)
+        if not cmath.isfinite(value):
+            raise DomainError(f"{to_string(e)} is {value}")
+        return exprlang.Num(value)
+    if isinstance(e, exprlang.Neg):
+        return exprlang.Neg(_frozen(e.operand))
+    if isinstance(e, exprlang.BinOp):
+        return exprlang.BinOp(e.op, _frozen(e.left), _frozen(e.right))
+    if isinstance(e, exprlang.Call):
+        return exprlang.Call(e.func, _frozen(e.arg))
+    return e
+
+
 def _mp_derivative(e, t):
     """d/dt of ``e`` at ``t``: mpmath's central difference.
 
@@ -180,8 +210,9 @@ def _mp_derivative(e, t):
     exponent of any subexpression at t, and doubles until two precisions
     agree.  Exponents count up to the double range's (2^±1100): a larger
     term, such as exp(1/4e-67), would ask for more digits than mpmath can
-    hold.
+    hold.  Each subtree without t enters at its double value (`_frozen`).
     """
+    e = _frozen(e)
     mags = [min(abs(int(mpmath.mag(v))), 1100) for v in (mp_eval(s, t, _params) for s in _subtrees(e)) if v != 0]
     dps = 40 + math.ceil(0.302 * max(mags, default=0))
     prev = None
@@ -198,6 +229,7 @@ def _mp_derivative(e, t):
 @example(e=parse("-sin(t / 2.225073858507e-311)"), t=1.0)  # t/2.2e-311 overflows to inf
 @example(e=parse("-(t + a/6.256086849589852e-103)"), t=1.0)  # t is lost against 2e102 at 40 digits
 @example(e=parse("-exp(1/3.9792795715600237e-67)"), t=1.0)  # e^(2.5e66) outside the double range
+@example(e=parse("t*(-sin(a/1e-14))"), t=1.0)  # a/1e-14 is a double 0.0156 from 1.25e14
 @settings(max_examples=100, deadline=None)
 def test_derivative_matches_central_difference(e, t):
     try:
@@ -352,3 +384,87 @@ def test_generated_source_holds_no_document_text(monkeypatch):
         for name, value in params.items():
             assert not re.search(rf"(?<![\w.]){re.escape(name)}(?!\w)", source), name
             assert repr(value) not in source and str(value) not in source
+
+
+# -- the generated code against the node-by-node evaluation ----------------
+
+_bit_leaf = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0).map(exprlang.Num),
+    st.sampled_from((0.0, -0.0, 1e-310, 1e308, math.inf, -math.inf, math.nan)).map(exprlang.Num),
+    st.just(exprlang.Param("a")),
+    st.just(exprlang.ImagUnit()),
+    st.just(exprlang.Var()),
+)
+_ops = st.sampled_from("+-*/^")
+_funcs = st.sampled_from(exprlang.FUNCTIONS)
+
+
+def _combine_shared(children):
+    # besides fresh subtrees, a subtree used twice under one node
+    return st.one_of(
+        st.tuples(_ops, children, children).map(lambda x: exprlang.BinOp(*x)),
+        st.tuples(_ops, children).map(lambda x: exprlang.BinOp(x[0], x[1], x[1])),
+        st.tuples(_ops, _funcs, children).map(lambda x: exprlang.BinOp(x[0], exprlang.Call(x[1], x[2]), x[2])),
+        children.map(exprlang.Neg),
+        st.tuples(_funcs, children).map(lambda x: exprlang.Call(*x)),
+    )
+
+
+_shared_ast = st.recursive(_bit_leaf, _combine_shared, max_leaves=16)
+
+
+def _assert_same_bits(got, want):
+    """Equal real and imaginary parts, NaN at the same places, zeros of the same sign."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype == complex
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        nan = np.isnan(w)
+        assert np.array_equal(np.isnan(g), nan)
+        assert np.array_equal(g[~nan], w[~nan])
+        assert np.array_equal(np.signbit(g[~nan]), np.signbit(w[~nan]))
+
+
+@given(
+    e=_shared_ast,
+    ts=st.lists(st.floats(allow_subnormal=True) | st.sampled_from((0.0, -0.0, 0.5, 2.0)), min_size=1, max_size=9),
+)
+@example(e=parse("t + (-0) - (t + 0)"), ts=[-0.0, 1.0])  # -0 and 0 are two constants: -0 at t = -0
+@example(e=parse("sin(t)*sin(t) + sqrt(-a)*log(-1) + i"), ts=[0.25, 3.0])
+@settings(max_examples=300, deadline=None)
+def test_compiled_is_node_by_node_evaluation_bit_for_bit(e, ts):
+    fn = compile_expr(e, _params)
+    ts = np.array(ts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_same_bits(fn(ts), numpy_eval(e, ts, _params))
+        scalar = fn(ts[0])
+        assert isinstance(scalar, complex)
+        _assert_same_bits(scalar, numpy_eval(e, ts[0], _params))
+        _assert_same_bits(fn(ts[:1]), numpy_eval(e, ts[:1], _params))
+
+
+def _statements(e, params, monkeypatch):
+    """The number of statements in the source that ``compile_expr(e, params)`` generates."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(exprlang, "compile", spy, raising=False)
+    exprlang._code.cache_clear()
+    compile_expr(e, params)
+    (source,) = sources
+    # a statement names its node's kind and a counter
+    return sum(1 for line in source.splitlines() if re.match(r" {8}[a-z]+\d+ = ", line))
+
+
+def test_witness_second_derivative_compiles_each_distinct_subtree_once(monkeypatch):
+    # exeq05's witness: 241 nodes in its second derivative, one statement
+    # each without sharing; 56 distinct subtrees with t, and a few constants
+    doc = json.loads((Path(__file__).resolve().parent.parent / "problems" / "exeq05.json").read_text())
+    d2 = differentiate(differentiate(parse(doc["witness"])))
+    assert len(list(_subtrees(d2))) == 241
+    assert _statements(d2, {"eps": 0.1}, monkeypatch) <= 64
+    # a repeated subtree is one statement, and so is a folded constant
+    assert _statements(parse("sin(t)*sin(t) + exp(2*a)"), _params, monkeypatch) == 5
