@@ -7,10 +7,14 @@
 # same commands on both source trees:
 #   - `analyze --best --reproducible` and `riccati-check` on every
 #     problems/*.json;
-#   - `analyze --solve-rho t0=0.5,rho0=-2.546 --reproducible` on exeq04, and
+#   - the numeric companion rho = x'/x of `--solve-rho`:
+#     `analyze --solve-rho t0=0.5,rho0=-2.546 --reproducible` on exeq04;
 #     `analyze --solve-rho t0=0.5,rho0=-2 --best --reproducible` on exeq06,
-#     whose real powers t^(-a) the Riccati right-hand side evaluates at one
-#     point per step;
+#     whose coefficients are real powers t^(-a), and on exeq01;
+#     `riccati-check --solve-rho t0=0.5,rho0=-2` on exeq01; and both
+#     commands on a blow-up document (alpha 1, beta 0, gamma 1 on (0, 2),
+#     `--solve-rho t0=0.5,rho0=-0.5463024898437905`, which is -tan 0.5), whose
+#     rho = -tan(t) has its pole at pi/2, where x = cos(t)/cos(0.5) vanishes;
 #   - `analyze --fast-path --reproducible` on const-i, const-ii and const-iii;
 #   - `analyze --tol 1e-8 --best --reproducible` on exeq01 and const-iii;
 #   - `analyze --best --reproducible` on a complex constant-coefficient
@@ -84,6 +88,9 @@ printf '{"name": "exeq01-at-1e3", "alpha": "(t - 1000)*(1001 - t)", "beta": "2 -
 # exeq05 with a witness that holds a parameter, repeated subtrees and a -0
 printf '{"name": "exeq05-witness-k", "alpha": "1", "beta": "2/t", "gamma": "1", "forcing": "0", "interval": {"lower": 0.0, "upper": "inf"}, "rho": "-tan(t) - 1/t", "params": {"k": 2.0}, "witness": "eps/(8*t)*(cos(t) + k*t*sin(t) - k*t^2*cos(t)) + (-0)*cos(t)"}\n' \
   >"$tmp/exeq05-witness-k.json"
+# rho' + rho^2 + 1 = 0 with no rho: --solve-rho from -tan(0.5) meets the pole of -tan(t) at pi/2
+printf '{"name": "tan-pole", "alpha": "1", "beta": "0", "gamma": "1", "forcing": "0", "interval": {"lower": 0.0, "upper": 2.0}}\n' \
+  >"$tmp/tan-pole.json"
 # const-iii with complex gamma and rho: roots -1 + 0.5i and -2 - 0.5i, L = 1/2
 printf '{"name": "const-iii-complex", "alpha": "1", "beta": "3", "gamma": "2.25 - 0.5*i", "forcing": "0", "interval": {"lower": -40.0, "upper": 40.0}, "rho": "-2 - 0.5*i"}\n' \
   >"$tmp/const-iii-complex.json"
@@ -113,6 +120,13 @@ contract() {
     --solve-rho t0=0.5,rho0=-2.546 --reproducible
   run "$tree" "$out" solve-rho.exeq06 analyze "$tree/problems/exeq06.json" \
     --solve-rho t0=0.5,rho0=-2 --best --reproducible
+  run "$tree" "$out" solve-rho.exeq01 analyze "$tree/problems/exeq01.json" \
+    --solve-rho t0=0.5,rho0=-2 --best --reproducible
+  run "$tree" "$out" solve-rho-check.exeq01 riccati-check "$tree/problems/exeq01.json" --solve-rho t0=0.5,rho0=-2
+  run "$tree" "$out" solve-rho.tan-pole analyze "$tmp/tan-pole.json" \
+    --solve-rho t0=0.5,rho0=-0.5463024898437905 --best --reproducible
+  run "$tree" "$out" solve-rho-check.tan-pole riccati-check "$tmp/tan-pole.json" \
+    --solve-rho t0=0.5,rho0=-0.5463024898437905
   for stem in const-i const-ii const-iii; do
     run "$tree" "$out" "fast-path.$stem" analyze "$tree/problems/$stem.json" --fast-path --reproducible
   done
@@ -143,7 +157,7 @@ contract() {
 contract "$tmp/base" "$tmp/out-base"
 contract "$root" "$tmp/out-worktree"
 rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
-  "$tmp/const-iii-complex.json"
+  "$tmp/const-iii-complex.json" "$tmp/tan-pole.json"
 
 echo "outputs of $rev and of the working tree: $tmp/out-base, $tmp/out-worktree" >&2
 cd "$tmp"

@@ -114,7 +114,10 @@ def _parse_solve_rho(spec):
 def _resolve_rho(problem, solve_rho):
     if solve_rho:
         t0, rho0 = _parse_solve_rho(solve_rho)
-        return riccati.solve_riccati(problem, t0, rho0)
+        try:
+            return riccati.solve_riccati(problem, t0, rho0)
+        except ValueError as exc:  # t0 outside the domain, or a value that is not finite
+            _fail("solve-rho", exc)
     if problem.rho is not None:
         return problem.rho
     _fail("rho", 'no Riccati candidate: supply "rho" in the problem file or --solve-rho t0=..,rho0=..')
@@ -246,7 +249,7 @@ def main():
 @click.argument("problem_path", type=click.Path())
 @click.option("--best/--no-best", default=True, help="Also certify the minimal constant.")
 @click.option("--fast-path", is_flag=True, help="Closed-form route for constant coefficients.")
-@click.option("--solve-rho", default=None, metavar="t0=..,rho0=..", help="Integrate the Riccati companion numerically.")
+@click.option("--solve-rho", default=None, metavar="t0=..,rho0=..", help="Numeric companion x'/x with x(t0) = 1, x'(t0) = rho0.")
 @click.option(
     "--tol",
     type=float,

@@ -1,15 +1,15 @@
 """Chebyshev panel collocation of alpha x'' + beta x' + gamma x = g.
 
-`dynamics.ivp_solution` solves its initial value problems here, without
-the stability engine's caches.  The equation is linear, so the local
-solutions on a panel, with data at the panel's end nearer t0, do not
-depend on any other panel: each side of t0 is bisected from one panel,
-and every level is solved as one batch, with one call of each coefficient
-on the nodes of all its panels and one LAPACK solve per panel.  The
-unknowns are the values of x'' at the N Chebyshev nodes, so the panel's
-matrix is well conditioned (spectral integration: Greengard, SIAM J.
-Numer. Anal. 28, 1991; Trefethen, *Spectral Methods in MATLAB*, SIAM
-2000).  A panel is accepted when the last 3 Chebyshev coefficients of
+`dynamics.ivp_solution` and `riccati.solve_riccati` solve their initial
+value problems here, without the stability engine's caches.  The equation
+is linear, so the local solutions on a panel, with data at the panel's end
+nearer t0, do not depend on any other panel: each side of t0 is bisected
+from one panel, and every level is solved as one batch, with one call of
+each coefficient on the nodes of all its panels and one LAPACK solve per
+panel.  The unknowns are the values of x'' at the N Chebyshev nodes, so
+the panel's matrix is well conditioned (spectral integration: Greengard,
+SIAM J. Numer. Anal. 28, 1991; Trefethen, *Spectral Methods in MATLAB*,
+SIAM 2000).  A panel is accepted when the last 3 Chebyshev coefficients of
 every local solution are at most TAIL of its largest value.  The members
 are then carried across the accepted panels in order and read at their
 points by barycentric interpolation.
@@ -26,7 +26,7 @@ from numpy.polynomial import chebyshev
 
 from .quad import node_sum
 
-__all__ = ["panels", "panel_solutions", "evaluate"]
+__all__ = ["panels", "panel_solutions", "evaluate", "differentiate", "first_zero"]
 
 N = 20  # Chebyshev points per collocation panel
 TAIL = 1e-13  # trailing coefficients of an accepted local solution, relative to its largest value
@@ -53,6 +53,7 @@ def _chebyshev_operators(n):
 
 
 _X, _COEF, _W, _INT = _chebyshev_operators(N)
+_DIFF = chebyshev.chebval(_X, chebyshev.chebder(_COEF)).T  # node values to node values of the derivative
 
 
 def _apply(M, u):
@@ -69,29 +70,35 @@ def panels(fns, t0, far):
     `CHUNK`.  A panel is accepted when the last 3 Chebyshev coefficients
     of every local solution are at most `TAIL` times its largest value,
     and split otherwise: at the geometric mean of its ends when they
-    differ by more than a factor 4 in |t|, else at its midpoint.  A panel
-    still failing at a few ulp wide raises ValueError, and so does a side
-    that needs more than `MAX_PANELS` panels: where rounding in the
-    coefficients keeps the tail up, as next to a zero of alpha, every
-    panel fails at every level.
+    differ by more than a factor 4 in |t|, else at its midpoint.  A side
+    is not resolved where a panel still fails at a few ulp wide, where it
+    needs more than `MAX_PANELS` panels, or where a value of ``fns`` is not
+    finite: where rounding in the coefficients keeps the tail up, as next
+    to a zero of alpha, every panel fails at every level.
 
-    Returns the near ends, the far ends, the node values (m, r, n) and the
-    far-end values and derivatives (m, r, 2) of the m accepted panels.
+    Returns the side, and None or why it is not resolved.  The side is the
+    near ends, the far ends, the node values (m, r, n) and the far-end
+    values and derivatives (m, r, 2) of the m accepted panels nearer t0
+    than every unresolved one, in order from t0 out.
     """
     near, end = np.array([t0]), np.array([far])
-    done = []
+    done = [(near[:0], end[:0], np.empty((0, len(fns) - 1, N)), np.empty((0, len(fns) - 1, 2)))]
     accepted = 0
     while near.size:
         if accepted + near.size > MAX_PANELS:
             t = near[np.argmin(np.abs(near - t0))]
-            raise ValueError(f"collocation does not resolve the solution near t={t:.17g} within {MAX_PANELS} panels")
+            return _accepted(done, near, t0), f"collocation does not resolve the solution near t={t:.17g} within {MAX_PANELS} panels"
         chunks = (panel_solutions(fns, near[i : i + CHUNK], end[i : i + CHUNK]) for i in range(0, near.size, CHUNK))
-        u, ends, ok = (np.concatenate(part) for part in zip(*chunks))
+        try:
+            u, ends, ok = (np.concatenate(part) for part in zip(*chunks))
+        except ValueError as exc:
+            return _accepted(done, near, t0), str(exc)
         mid = 0.5 * (near + end)
         floor = ~ok & (np.abs(end - near) <= FLOOR * np.maximum(np.abs(near), np.abs(end)))
-        if np.any(floor):
-            raise ValueError(f"collocation does not resolve the solution near t={mid[floor][0]:.17g}: the panel is a few ulp wide")
         done.append((near[ok], end[ok], u[ok], ends[ok]))
+        if np.any(floor):
+            why = f"collocation does not resolve the solution near t={mid[floor][0]:.17g}: the panel is a few ulp wide"
+            return _accepted(done, near[~ok], t0), why
         accepted += int(np.sum(ok))
         # geometric splits grade the panels toward t = 0, where coefficients
         # such as 2/t are singular, in a few levels
@@ -99,9 +106,15 @@ def panels(fns, t0, far):
         geometric = (np.sign(a) == np.sign(b)) & (np.abs(a - b) > 3.0 * np.minimum(np.abs(a), np.abs(b)))
         split = np.where(geometric, np.sign(a) * np.sqrt(np.abs(a)) * np.sqrt(np.abs(b)), mid[~ok])
         near, end = np.concatenate((near[~ok], split)), np.concatenate((split, end[~ok]))
+    return _accepted(done, near, t0), None
+
+
+def _accepted(done, pending, t0):
+    """The accepted panels of ``done`` nearer t0 than every ``pending`` near end, in order from t0 out."""
     near, end, u, ends = (np.concatenate(part) for part in zip(*done))
-    order = np.argsort(np.abs(near - t0), kind="stable")
-    return near[order], end[order], u[order], ends[order]
+    keep = np.abs(near - t0) < np.min(np.abs(pending - t0), initial=np.inf)
+    order = np.argsort(np.abs(near[keep] - t0), kind="stable")
+    return near[keep][order], end[keep][order], u[keep][order], ends[keep][order]
 
 
 def panel_solutions(fns, near, end):
@@ -215,3 +228,32 @@ def evaluate(side, x0, x0p, col, pts):
     for i, c in enumerate(col):
         out[i] = state[p, i] * local[:, 0] + state[p, k + i] * local[:, 1] + (local[:, c] if c else 0.0)
     return out
+
+
+def differentiate(side):
+    """``side`` with each local solution replaced by its derivative in t, for `evaluate` to read x' off."""
+    near, end, u, ends = side
+    return near, end, _apply(_DIFF, u) / (0.5 * np.abs(end - near))[:, None, None], ends
+
+
+def first_zero(side, x0, x0p):
+    """The first zero of the homogeneous member with data (x0, x0p) at t0 on ``side`` (or None), and the side up to it.
+
+    The zero is a root in [-1, 1] of the member's Chebyshev interpolant on a
+    panel, its coefficients below TAIL of the largest dropped as noise; a
+    root of complex data counts within 1e-12 of the axis.  The side returned
+    has each panel's far-end data over a power of two: exact, so x cannot
+    overflow and x'/x does not move.
+    """
+    near, end, u, ends = side
+    ends, state = ends.astype(complex), [np.array([x0, x0p], dtype=complex)]
+    for e in ends[:-1]:  # (x, x') at the next panel's near end, brought to [0.5, 1)
+        e *= 2.0 ** -np.frexp(np.max(np.abs(state[-1] @ e)))[1]
+        state.append(state[-1] @ e)
+    for p, c in enumerate(_apply(_COEF, np.sum(np.array(state)[:, :, None] * u, axis=1))):
+        r = chebyshev.chebroots(chebyshev.chebtrim(c, TAIL * np.max(np.abs(c))))
+        r = r.real[(np.abs(r.imag) <= 1e-12) & (np.abs(r.real) <= 1.0)]
+        if r.size:
+            t = 0.5 * (near[p] + end[p]) + 0.5 * np.abs(end[p] - near[p]) * r
+            return float(t[np.argmin(np.abs(t - near[0]))]), (near[: p + 1], end[: p + 1], u[: p + 1], ends[: p + 1])
+    return None, (near, end, u, ends)

@@ -332,7 +332,10 @@ def ivp_solution(problem, ivps, ts, forcings):
             continue
         pts, where = np.unique(flat[mask], return_inverse=True)
         far = float(pts[0] if pts[0] < t0 else pts[-1])
-        out[:, mask] = collocation.evaluate(collocation.panels(fns, t0, far), x0, x0p, col, pts)[:, where]
+        side, failure = collocation.panels(fns, t0, far)
+        if failure:
+            raise ValueError(failure)
+        out[:, mask] = collocation.evaluate(side, x0, x0p, col, pts)[:, where]
     return out.reshape((k,) + ts.shape)
 
 
@@ -374,22 +377,25 @@ def _fit(target, basis):
         return _Fit(np.zeros(W.shape[1]), top, top, ())
     if np.any(y.imag) or np.any(W.imag):
         return _lawson(y.astype(complex), W.astype(complex))
-    y, W = y.real, W.real
+    # the target and each column of largest entry 1 or more over the power of
+    # two that brings it to [0.5, 1): exact, and clear of overflow in Dekker's
+    # split and the rank test.  Scaled up, a column of subnormals could need
+    # a coefficient beyond the doubles.
+    ey = max(int(np.frexp(np.max(np.abs(y.real)))[1]), 0)
+    ew = np.maximum(np.frexp(np.max(np.abs(W.real), axis=0))[1], 0)
+    y, W = np.ldexp(y.real, -ey), np.ldexp(W.real, -ew)
     a = np.linalg.lstsq(W, y, rcond=None)[0]
     fit = _exchange(y, W, np.argsort(np.abs(y - W @ a))[-3:])
-    if fit is not None:
-        return fit
-    # a singular reference or a stall: the LP on an orthonormal basis of the
-    # independent columns, then the exchange again from the LP's dual support
-    c = np.zeros(W.shape[1])
-    Q, R, cols = _orthonormal(W)
-    a, dual = _linprog_fit(y, Q)
-    fit = _exchange(y, W[:, cols], np.argsort(dual)[-(len(cols) + 1) :])
     if fit is None:
-        c[cols] = np.linalg.solve(R, a)
-        return _Fit(c, float(np.max(np.abs(y - W @ c))), 0.0, ())
-    c[cols] = fit.coeffs
-    return fit._replace(coeffs=c)
+        # a singular reference or a stall: the LP on an orthonormal basis of the
+        # independent columns, then the exchange again from the LP's dual support
+        Q, R, cols = _orthonormal(W)
+        a, dual = _linprog_fit(y, Q)
+        fit = _exchange(y, W[:, cols], np.argsort(dual)[-(len(cols) + 1) :])
+        c = np.zeros(W.shape[1])
+        c[cols] = np.linalg.solve(R, a) if fit is None else fit.coeffs
+        fit = _Fit(c, float(np.max(np.abs(y - W @ c))), 0.0, ()) if fit is None else fit._replace(coeffs=c)
+    return fit._replace(coeffs=np.ldexp(fit.coeffs, ey - ew), distance=math.ldexp(fit.distance, ey), lower=math.ldexp(fit.lower, ey))
 
 
 def _orthonormal(W):

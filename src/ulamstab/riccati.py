@@ -6,10 +6,10 @@ factorizes the homogeneous operator when it solves
     alpha (rho' + rho^2) + beta rho + gamma = 0.
 
 This module measures how well a candidate rho satisfies that equation
-(`residual_sup`), solves it as an IVP when no candidate is supplied
-(`solve_riccati`), and determines the subinterval on which a candidate is
-actually usable (`rho_coverage`) -- candidates with interior poles only
-certify stability on the part they cover.
+(`residual_sup`), builds one as x'/x of a homogeneous solution x when none
+is supplied (`solve_riccati`), and determines the subinterval on which a
+candidate is actually usable (`rho_coverage`) -- candidates with interior
+poles only certify stability on the part they cover.
 """
 
 from __future__ import annotations
@@ -25,13 +25,15 @@ from .quad import RANGE_CAP
 
 __all__ = ["NumericSolution", "RhoCoverage", "RESIDUAL_TOL", "residual_sup", "solve_riccati", "rho_coverage"]
 
-_BLOWUP_CAP = 1e8
 RESIDUAL_TOL = 1e-6  # the largest `residual_sup` of a candidate the analysis accepts
 
 
 @dataclass
 class NumericSolution:
-    """Dense-output trajectory of the companion equation around an anchor."""
+    """rho = x'/x, where alpha x'' + beta x' + gamma x = 0, x(t0) = 1 and x'(t0) = rho0.
+
+    x and its derivatives are read off the collocation panels of each side.
+    """
 
     t0: float
     rho0: complex
@@ -39,36 +41,29 @@ class NumericSolution:
     hi: float
     blowup_lower: bool
     blowup_upper: bool
-    _interp_lo: object = None  # scipy OdeSolution for t < t0 (may be None)
-    _interp_hi: object = None
+    _sides: tuple  # panels of x, x' and x'' below t0 and above it; the other side's where a side has none
+
+    def _ratios(self, t, k):
+        """x'/x up to the k-th derivative of x over x, at the points t."""
+        from . import collocation
+
+        t = np.asarray(t, dtype=float)
+        out = np.full((k + 1,) + t.shape, np.nan, dtype=complex)  # NaN where no side has panels
+        for sides, mask in zip(self._sides, (t < self.t0, t >= self.t0)):
+            if sides is not None and np.any(mask):
+                for j in range(k + 1):
+                    out[j, mask] = collocation.evaluate(sides[j], [1.0], [self.rho0], [None], t[mask])[0]
+        with np.errstate(all="ignore"):
+            return out[1:] / out[0]
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        tt = np.atleast_1d(t)
-        out = np.empty(tt.shape, dtype=complex)
-        below = tt < self.t0
-        if np.any(below):
-            if self._interp_lo is None:
-                out[below] = complex(self.rho0)
-            else:
-                y = self._interp_lo(tt[below])
-                out[below] = y[0] + 1j * y[1]
-        if np.any(~below):
-            if self._interp_hi is None:
-                out[~below] = complex(self.rho0)
-            else:
-                y = self._interp_hi(tt[~below])
-                out[~below] = y[0] + 1j * y[1]
-        return out[0] if scalar else out
+        return self._ratios(t, 1)[0][()]
 
     def derivative(self, t):
-        """Central difference of the interpolant (used by residual checks)."""
-        t = np.asarray(t, dtype=float)
-        h = np.maximum(1e-12, 1e-7 * np.abs(t))
-        lo = np.clip(t - h, self.lo, self.hi)
-        hi = np.clip(t + h, self.lo, self.hi)
-        return (self(hi) - self(lo)) / (hi - lo)
+        """x''/x - rho^2, with x'' from the panels and not from the equation."""
+        rho, xpp = self._ratios(t, 2)
+        with np.errstate(all="ignore"):
+            return (xpp - rho**2)[()]
 
 
 @dataclass(frozen=True)
@@ -98,6 +93,8 @@ def residual_sup(problem: OscillatorProblem, rho):
         r = rho
         rp = rho.derivative
         pad = 1e-6 * max(1.0, abs(rho.hi - rho.lo))
+        if not rho.lo + pad < rho.hi - pad:
+            return math.inf
         grid = probe_grid(Interval.open(rho.lo + pad, rho.hi - pad))
     else:
         raise TypeError("rho must be an expression or a NumericSolution")
@@ -114,76 +111,40 @@ def residual_sup(problem: OscillatorProblem, rho):
 
 
 def solve_riccati(problem: OscillatorProblem, t0, rho0):
-    """Integrate rho' = -(beta rho + gamma)/alpha - rho^2 from (t0, rho0).
+    """rho = x'/x, with x(t0) = 1 and x'(t0) = rho0, as a `NumericSolution`.
 
-    Runs an adaptive high-order Runge-Kutta in both directions with dense
-    output.  Blow-up (|rho| crossing 1e8, or solver stall) is recorded as
-    data, never raised; the covered interval ends at the last reliable t.
+    A pole of rho is a zero of x (Reid, *Riccati Differential Equations*,
+    1972, ch. 2).  Each side of t0 is one `collocation.panels` call, out to
+    the domain's end (1e-12 max(1, |end|) inside an open one) or RANGE_CAP
+    from t0.  It ends at the first zero of x, or at its last resolved panel:
+    a blow-up, recorded as data and never raised.  A t0 outside the domain
+    or a rho0 that is not finite raises ValueError.
     """
-    # imported here: scipy is most of the CLI's start-up, and only --solve-rho integrates
-    from scipy.integrate import solve_ivp
+    # imported here: only --solve-rho solves, and a plain analyze loads no collocation
+    from . import collocation
 
-    a = problem.fn("alpha")
-    b = problem.fn("beta")
-    c = problem.fn("gamma")
-
-    def rhs(t, y):
-        rho = y[0] + 1j * y[1]
-        val = -(b(t) * rho + c(t)) / a(t) - rho * rho
-        return [val.real, val.imag]
-
-    def too_big(t, y):
-        return math.hypot(y[0], y[1]) - _BLOWUP_CAP
-
-    too_big.terminal = True
-
-    dom = problem.domain
-    t0 = float(t0)
+    dom, t0 = problem.domain, float(t0)
     if not dom.contains(t0):
         raise ValueError(f"anchor t0={t0} outside the problem domain")
-    y0 = [complex(rho0).real, complex(rho0).imag]
-    lo_target = dom.tau if dom.lower.finite else max(-RANGE_CAP, t0 - RANGE_CAP)
-    hi_target = dom.sigma if dom.upper.finite else min(RANGE_CAP, t0 + RANGE_CAP)
-    # stay strictly interior to singular finite endpoints
-    span = hi_target - lo_target
-    eps = 1e-12 * max(1.0, abs(lo_target), abs(hi_target))
-    if dom.lower.finite and not dom.lower.included:
-        lo_target += max(eps, 1e-10 * span)
-    if dom.upper.finite and not dom.upper.included:
-        hi_target -= max(eps, 1e-10 * span)
-
-    out = {}
-    for side, target in (("lower", lo_target), ("upper", hi_target)):
-        if (side == "lower" and target >= t0) or (side == "upper" and target <= t0):
-            out[side] = (t0, False, None)
+    if not np.isfinite(complex(rho0)):
+        raise ValueError(f"rho0={rho0} is not finite")
+    fns = [problem.fn(which) for which in ("alpha", "beta", "gamma")]
+    rho0 = complex(rho0)
+    out = []
+    for end, sign in ((dom.lower, -1.0), (dom.upper, 1.0)):
+        target = float(np.clip(t0 + sign * RANGE_CAP, -RANGE_CAP, RANGE_CAP))
+        if end.finite:
+            target = end.value - (0.0 if end.included else sign * 1e-12 * max(1.0, abs(end.value)))
+        side, failure = collocation.panels(fns, t0, target) if sign * (target - t0) > 0 else (None, None)
+        if side is None or not side[0].size:
+            out.append((t0, failure is not None, None))
             continue
-        sol = solve_ivp(
-            rhs,
-            (t0, target),
-            y0,
-            method="DOP853",
-            rtol=1e-12,
-            atol=1e-14,
-            dense_output=True,
-            events=too_big,
-        )
-        reached = float(sol.t[-1])
-        blowup = (sol.status == 1) or (sol.status == -1) or (
-            abs(reached - target) > 1e-9 * max(1.0, abs(target)) and sol.status != 0
-        )
-        out[side] = (reached, bool(blowup), sol.sol)
-    lo, blow_lo, interp_lo = out["lower"]
-    hi, blow_hi, interp_hi = out["upper"]
-    return NumericSolution(
-        t0=t0,
-        rho0=complex(rho0),
-        lo=lo,
-        hi=hi,
-        blowup_lower=blow_lo,
-        blowup_upper=blow_hi,
-        _interp_lo=interp_lo,
-        _interp_hi=interp_hi,
-    )
+        zero, side = collocation.first_zero(side, 1.0, rho0)
+        reach = side[1][-1] if zero is None else zero
+        first = collocation.differentiate(side)
+        out.append((float(reach), failure is not None or zero is not None, (side, first, collocation.differentiate(first))))
+    (lo, blow_lo, lower), (hi, blow_hi, upper) = out
+    return NumericSolution(t0, rho0, lo, hi, blow_lo, blow_hi, (lower or upper, upper or lower))
 
 
 def rho_coverage(problem: OscillatorProblem, rho):

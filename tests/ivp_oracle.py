@@ -1,4 +1,4 @@
-"""Test oracle for `dynamics.ivp_solution`: step-by-step DOP853 integration.
+"""Test oracle for `dynamics.ivp_solution` and `riccati.solve_riccati`: step-by-step DOP853 integration.
 
 The program solves the linear oscillator by Chebyshev panel collocation.
 This module integrates the same initial value problem as a first-order
@@ -25,6 +25,11 @@ def dop853(problem, ivp, ts, forcing=None):
     the problem's forcing.  ``ts`` may lie on both sides of ``ivp.t0``,
     unsorted.
     """
+    return dop853_state(problem, ivp, ts, forcing)[0]
+
+
+def dop853_state(problem, ivp, ts, forcing=None):
+    """x and x' at ``ts`` of the member with data ``ivp``, as for `dop853`."""
     a, b, c = problem.alpha, problem.beta, problem.gamma
     f = problem.forcing if forcing is None else forcing
 
@@ -41,7 +46,7 @@ def dop853(problem, ivp, ts, forcing=None):
     t0 = float(ivp.t0)
     x0, x0p = complex(ivp.x0), complex(ivp.x0p)
     ts = np.asarray(ts, float)
-    out = np.full(ts.shape, x0, dtype=complex)
+    out = np.array([np.full(ts.shape, x0), np.full(ts.shape, x0p)], dtype=complex)
     for mask, step in ((ts < t0, -1), (ts > t0, 1)):
         if not np.any(mask):
             continue
@@ -50,5 +55,5 @@ def dop853(problem, ivp, ts, forcing=None):
         y0 = [x0.real, x0.imag, x0p.real, x0p.imag]
         sol = solve_ivp(rhs, (t0, float(t_eval[-1])), y0, method="DOP853", t_eval=t_eval, rtol=RTOL, atol=ATOL)
         assert sol.success, sol.message
-        out[mask] = (sol.y[0] + 1j * sol.y[1])[::step][where]
+        out[:, mask] = (sol.y[0::2] + 1j * sol.y[1::2])[:, ::step][:, where]
     return out

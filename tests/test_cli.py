@@ -157,9 +157,28 @@ def test_bad_expression_is_input_error(runner, tmp_path, command, field, text, d
     assert detail in error["detail"]
 
 
-def test_bad_solve_rho_spec(runner):
-    result = runner.invoke(cli.main, ["analyze", str(PROBLEMS / "exeq01.json"), "--solve-rho", "t0=0.5"])
+@pytest.mark.parametrize("command", ["analyze", "empirical", "riccati-check"])
+@pytest.mark.parametrize(
+    "spec, detail",
+    [
+        ("t0=0.5", "expected exactly t0=..,rho0=.."),
+        ("t0=0.5,rho0=x", "non-numeric value"),
+        ("t0=5,rho0=-2", "anchor t0=5.0 outside the problem domain"),
+        ("t0=inf,rho0=-2", "anchor t0=inf outside the problem domain"),
+        ("t0=nan,rho0=-2", "anchor t0=nan outside the problem domain"),
+        ("t0=0.5,rho0=nan", "rho0=nan is not finite"),
+        ("t0=0.5,rho0=-inf", "rho0=-inf is not finite"),
+    ],
+    ids=["no-rho0", "non-numeric", "t0-outside", "t0-inf", "t0-nan", "rho0-nan", "rho0-inf"],
+)
+def test_bad_solve_rho_spec(runner, command, spec, detail):
+    # a structured error on stderr, not a traceback
+    result = _invoke(runner, [command, str(PROBLEMS / "exeq01.json"), "--solve-rho", spec])
     assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == "solve-rho"
+    assert detail in error["detail"]
 
 
 def test_solve_rho_analyze(runner):

@@ -298,6 +298,18 @@ def test_integer_exchange_is_the_rational_exchange(monkeypatch, lp_calls):
     assert len(lp_calls) >= 2 * 50  # a case that falls back solves the LP under each exchange
 
 
+def test_fit_near_overflow_is_certified():
+    # entries up to 2e306: Dekker's split and the rank test would overflow
+    # without the power-of-two scaling; the same data times 1e-10 agrees
+    t = np.linspace(0.0, 3.0, 400)
+    big = dynamics._fit(np.sin(5.0 * t) * 1e305, (np.exp(t) * 1e305, np.cos(3.0 * t) * 1e305))
+    small = dynamics._fit(np.sin(5.0 * t) * 1e295, (np.exp(t) * 1e295, np.cos(3.0 * t) * 1e295))
+    assert big.lower <= big.distance <= big.lower * (1.0 + dynamics._GAP)
+    assert big.distance == pytest.approx(1e10 * small.distance, rel=1e-12)
+    assert np.allclose(big.coeffs, small.coeffs, rtol=1e-10, atol=0.0)
+    assert big.reference == small.reference
+
+
 def test_fit_zero_basis():
     fit = dynamics._fit(_Y, (np.zeros(_T.size), np.zeros(_T.size)))
     assert fit.distance == fit.lower == float(np.max(np.abs(_Y)))
@@ -606,7 +618,8 @@ def test_panel_solutions_do_not_depend_on_the_batch(coeffs, t0, far):
     # a panel's local solutions are bit-identical solved alone and in a batch
     p = make_problem(*coeffs)
     fns = [p.fn(which) for which in ("alpha", "beta", "gamma", "forcing")]
-    near, end, u, ends = collocation.panels(fns, t0, far)
+    (near, end, u, ends), failure = collocation.panels(fns, t0, far)
+    assert failure is None
     batch = collocation.panel_solutions(fns, near, end)
     assert np.all(batch[2])
     for i in range(near.size):

@@ -1,12 +1,24 @@
-"""Riccati companion equation: residuals, numeric solving, coverage."""
+"""Riccati companion equation: residuals, numeric solving, coverage.
 
+`solve_riccati` reads rho = x'/x off the collocation panels of x; its rho
+is checked against closed forms and against x'/x of the independent DOP853
+integration in `ivp_oracle`.
+"""
+
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import make_problem
-from ulamstab import exprlang, riccati
+from ivp_oracle import dop853_state
+from ulamstab import exprlang, riccati, stability
+from ulamstab.dynamics import IvpData
+from ulamstab.model import problem_from_dict
+
+PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 
 def test_residual_exact_candidate(exeq01):
@@ -43,6 +55,65 @@ def test_blowup_detected_before_pole():
     sol = riccati.solve_riccati(p, 1e-6, 0.0)
     assert sol.blowup_upper
     assert sol.hi < math.pi / 2 + 1e-3
+
+
+@pytest.mark.parametrize(
+    "name, rho0, closed_form",
+    [
+        ("exeq01", -2.0, 0.5),
+        ("exeq04", -math.tan(0.5) - 2.0, 1.0 - math.sin(1.0)),
+        ("exeq06", -2.0, 1.0 / 6.0),
+    ],
+    ids=["exeq01", "exeq04", "exeq06"],
+)
+def test_solve_rho_best_constant_matches_closed_form(name, rho0, closed_form):
+    # the numeric companion from t0 = 0.5 reaches 1e-12 of both singular ends
+    problem = problem_from_dict(json.loads((PROBLEMS / f"{name}.json").read_text()))
+    sol = riccati.solve_riccati(problem, 0.5, rho0)
+    assert (sol.lo, sol.hi) == (1e-12, 1.0 - 1e-12)
+    assert not (sol.blowup_lower or sol.blowup_upper)
+    report = stability.analyze(problem, sol, best=True)
+    assert report.verdict == "best_constant"
+    assert report.constant["B"] == pytest.approx(closed_form, rel=1e-11)
+
+
+def test_solve_riccati_complex_rho0_is_the_oracle_ratio(exeq01):
+    # x never vanishes for a complex rho0 with real coefficients; rho is x'/x
+    p, _ = exeq01
+    rho0 = -2.0 + 0.5j
+    sol = riccati.solve_riccati(p, 0.5, rho0)
+    assert not (sol.blowup_lower or sol.blowup_upper)
+    ts = np.linspace(0.05, 0.95, 37)
+    x, xp = dop853_state(p, IvpData(0.5, 1.0, rho0), ts)
+    want = xp / x
+    assert np.max(np.abs(sol(ts) - want) / np.abs(want)) < 1e-9
+    assert riccati.residual_sup(p, sol) <= riccati.RESIDUAL_TOL
+
+
+def test_solve_riccati_derivative_is_differentiated(exeq01):
+    # rho = -1/t, so rho' = 1/t^2; `derivative` reads x'' off the panels
+    p, _ = exeq01
+    sol = riccati.solve_riccati(p, 0.5, -2.0)
+    ts = np.concatenate([np.geomspace(1e-6, 0.5, 40), 1.0 - np.geomspace(1e-6, 0.5, 40)])
+    assert np.max(np.abs(sol.derivative(ts) * ts**2 - 1.0)) < 1e-8
+    assert sol(0.25) == pytest.approx(-4.0, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [("t - 0.75", "1"), ("(t - 0.75)^2", "1"), ("1", "1/(t - 0.75)")],
+    ids=["alpha-zero", "alpha-double-zero", "beta-pole"],
+)
+def test_unresolved_side_is_blowup_data(alpha, beta):
+    # collocation cannot resolve x next to t = 0.75: the upper side ends at
+    # its last resolved panel, recorded as a blow-up, and nothing is raised
+    p = make_problem(alpha, beta, "1", "0", 0.0, 1.0)
+    sol = riccati.solve_riccati(p, 0.5, -1.0)
+    assert sol.blowup_upper and 0.7 < sol.hi < 0.75
+    assert not sol.blowup_lower and sol.lo == 1e-12
+    assert np.all(np.isfinite(sol(np.linspace(0.1, sol.hi, 50))))
+    cov = riccati.rho_coverage(p, sol)
+    assert not cov.full and cov.hi == sol.hi
 
 
 def test_coverage_full(exeq01):

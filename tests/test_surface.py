@@ -1,9 +1,10 @@
 """The tuning surface and the import boundary.
 
 One knob and few parameters with a default.  A fresh command loads only
-what it calls: scipy only for `--solve-rho` (and a fit's fallback), the
-experiment layer (`dynamics`) only for the instability probe and
-`empirical`, the corpus only for `corpus`, and jsonschema never.
+what it calls: scipy only for a fit's pivoted QR and LP, the collocation
+solver only for `--solve-rho` and the experiment layer (`dynamics`), which
+only the instability probe and `empirical` load, the corpus only for
+`corpus`, and jsonschema never.
 """
 
 import ast
@@ -106,12 +107,15 @@ def test_scipy_is_not_imported_without_solve_rho(tmp_path):
     assert not scipy
 
 
-def test_solve_rho_imports_scipy(tmp_path):
-    codes, scipy = _fresh_run(
-        tmp_path, ["analyze", _doc("exeq06"), "--best", "--solve-rho", "t0=0.5,rho0=-2", "--reproducible"]
+def test_solve_rho_loads_no_scipy(tmp_path):
+    # the numeric companion is read off the collocation panels
+    codes, loaded = _fresh_loaded(
+        tmp_path,
+        ["analyze", _doc("exeq06"), "--best", "--solve-rho", "t0=0.5,rho0=-2", "--reproducible"],
+        ["riccati-check", _doc("exeq01"), "--solve-rho", "t0=0.5,rho0=-2"],
     )
-    assert codes == [0]
-    assert scipy
+    assert codes == [0, 0]
+    assert loaded == {"ulamstab.collocation"}
 
 
 def test_finite_analyze_and_riccati_check_load_no_experiment_layer(tmp_path):
