@@ -11,8 +11,8 @@ the panel's matrix is well conditioned (spectral integration: Greengard,
 SIAM J. Numer. Anal. 28, 1991; Trefethen, *Spectral Methods in MATLAB*,
 SIAM 2000).  A panel is accepted when the last 3 Chebyshev coefficients of
 every local solution are at most TAIL of its largest value.  The members
-are then carried across the accepted panels in order and read at their
-points by barycentric interpolation.
+are then carried across the accepted panels in order (`carry`) and read at
+their points by barycentric interpolation (`read`).
 
 A panel's numbers depend on its own nodes only: every sum runs over its
 own nodes (no BLAS product across panels), and it is solved in real
@@ -21,12 +21,14 @@ arithmetic when its node values are real.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial import chebyshev
 
 from .quad import node_sum
 
-__all__ = ["panels", "panel_solutions", "evaluate", "differentiate", "first_zero"]
+__all__ = ["Unresolved", "panels", "panel_solutions", "evaluate", "carry", "read", "differentiate", "first_zero"]
 
 N = 20  # Chebyshev points per collocation panel
 TAIL = 1e-13  # trailing coefficients of an accepted local solution, relative to its largest value
@@ -56,6 +58,14 @@ _X, _COEF, _W, _INT = _chebyshev_operators(N)
 _DIFF = chebyshev.chebval(_X, chebyshev.chebder(_COEF)).T  # node values to node values of the derivative
 
 
+class Unresolved(ValueError):
+    """A side that collocation does not resolve; ``side`` is its resolved part, as `panels` returns it."""
+
+    def __init__(self, why, side):
+        super().__init__(why)
+        self.side = side
+
+
 def _apply(M, u):
     """M applied to the node values u[..., :] of every panel, by `node_sum`."""
     return np.stack([node_sum(row, u) for row in M], axis=-1)
@@ -70,16 +80,16 @@ def panels(fns, t0, far):
     `CHUNK`.  A panel is accepted when the last 3 Chebyshev coefficients
     of every local solution are at most `TAIL` times its largest value,
     and split otherwise: at the geometric mean of its ends when they
-    differ by more than a factor 4 in |t|, else at its midpoint.  A side
-    is not resolved where a panel still fails at a few ulp wide, where it
-    needs more than `MAX_PANELS` panels, or where a value of ``fns`` is not
-    finite: where rounding in the coefficients keeps the tail up, as next
-    to a zero of alpha, every panel fails at every level.
+    differ by more than a factor 4 in |t|, else at its midpoint.  A panel
+    still failing at a few ulp wide raises `Unresolved`, and so does a side
+    that needs more than `MAX_PANELS` panels or meets a value of ``fns``
+    that is not finite: where rounding in the coefficients keeps the tail
+    up, as next to a zero of alpha, every panel fails at every level.
 
-    Returns the side, and None or why it is not resolved.  The side is the
-    near ends, the far ends, the node values (m, r, n) and the far-end
-    values and derivatives (m, r, 2) of the m accepted panels nearer t0
-    than every unresolved one, in order from t0 out.
+    Returns the near ends, the far ends, the node values (m, r, n) and the
+    far-end values and derivatives (m, r, 2) of the m accepted panels, in
+    order from t0 out; `Unresolved` holds those nearer t0 than every
+    unresolved panel.
     """
     near, end = np.array([t0]), np.array([far])
     done = [(near[:0], end[:0], np.empty((0, len(fns) - 1, N)), np.empty((0, len(fns) - 1, 2)))]
@@ -87,18 +97,18 @@ def panels(fns, t0, far):
     while near.size:
         if accepted + near.size > MAX_PANELS:
             t = near[np.argmin(np.abs(near - t0))]
-            return _accepted(done, near, t0), f"collocation does not resolve the solution near t={t:.17g} within {MAX_PANELS} panels"
+            raise Unresolved(f"collocation does not resolve the solution near t={t:.17g} within {MAX_PANELS} panels", _accepted(done, near, t0))
         chunks = (panel_solutions(fns, near[i : i + CHUNK], end[i : i + CHUNK]) for i in range(0, near.size, CHUNK))
         try:
             u, ends, ok = (np.concatenate(part) for part in zip(*chunks))
         except ValueError as exc:
-            return _accepted(done, near, t0), str(exc)
+            raise Unresolved(str(exc), _accepted(done, near, t0)) from None
         mid = 0.5 * (near + end)
         floor = ~ok & (np.abs(end - near) <= FLOOR * np.maximum(np.abs(near), np.abs(end)))
         done.append((near[ok], end[ok], u[ok], ends[ok]))
         if np.any(floor):
             why = f"collocation does not resolve the solution near t={mid[floor][0]:.17g}: the panel is a few ulp wide"
-            return _accepted(done, near[~ok], t0), why
+            raise Unresolved(why, _accepted(done, near[~ok], t0))
         accepted += int(np.sum(ok))
         # geometric splits grade the panels toward t = 0, where coefficients
         # such as 2/t are singular, in a few levels
@@ -106,7 +116,7 @@ def panels(fns, t0, far):
         geometric = (np.sign(a) == np.sign(b)) & (np.abs(a - b) > 3.0 * np.minimum(np.abs(a), np.abs(b)))
         split = np.where(geometric, np.sign(a) * np.sqrt(np.abs(a)) * np.sqrt(np.abs(b)), mid[~ok])
         near, end = np.concatenate((near[~ok], split)), np.concatenate((split, end[~ok]))
-    return _accepted(done, near, t0), None
+    return _accepted(done, near, t0)
 
 
 def _accepted(done, pending, t0):
@@ -205,15 +215,33 @@ def evaluate(side, x0, x0p, col, pts):
     the members' x and x' at t0, and ``col`` gives each member's forced
     local solution (None for a homogeneous member).
     """
-    near, end, u, ends = side
-    k = len(x0)
-    # (x, x') of every member at each panel's near end, carried outward
+    return read(side, carry(side, x0, x0p, col, False), col, pts)
+
+
+def carry(side, x0, x0p, col, unit):
+    """(x, x') of every member at each panel's near end and past the last panel, (m + 1, 2k).
+
+    The members start from ``x0`` and ``x0p`` at t0.  With ``unit``, each
+    state is taken over the power of two that brings its largest entry to
+    [0.5, 1): exact, and for homogeneous members x'/x does not move while x
+    cannot overflow.
+    """
     state = []
     x, d = x0, x0p
-    for e in ends.tolist():
+    for e in side[3].tolist():
+        if unit:
+            s = 2.0 ** -math.frexp(max(map(abs, x + d)))[1]
+            x, d = [xi * s for xi in x], [di * s for di in d]
         state.append(x + d)
         x, d = [[xi * e[0][j] + di * e[1][j] + (e[c][j] if c else 0.0) for xi, di, c in zip(x, d, col)] for j in (0, 1)]
-    state = np.array(state, dtype=complex)
+    state.append(x + d)
+    return np.array(state, dtype=complex)
+
+
+def read(side, state, col, pts):
+    """The members with the `carry` ``state`` at the sorted points ``pts`` of ``side``."""
+    near, end, u, _ = side
+    k = len(col)
     # each point on the panel that holds it; a node reads its value exactly
     s = 1.0 if end[0] > near[0] else -1.0
     p = np.minimum(np.searchsorted(s * end, s * pts), near.size - 1)
@@ -231,29 +259,30 @@ def evaluate(side, x0, x0p, col, pts):
 
 
 def differentiate(side):
-    """``side`` with each local solution replaced by its derivative in t, for `evaluate` to read x' off."""
+    """``side`` with each local solution replaced by its derivative in t, for `read` to read x' off."""
     near, end, u, ends = side
     return near, end, _apply(_DIFF, u) / (0.5 * np.abs(end - near))[:, None, None], ends
 
 
-def first_zero(side, x0, x0p):
-    """The first zero of the homogeneous member with data (x0, x0p) at t0 on ``side`` (or None), and the side up to it.
+def first_zero(side, state):
+    """The first zero on ``side`` of the homogeneous member with the `carry` ``state``, and its panel; or None.
 
     The zero is a root in [-1, 1] of the member's Chebyshev interpolant on a
     panel, its coefficients below TAIL of the largest dropped as noise; a
-    root of complex data counts within 1e-12 of the axis.  The side returned
-    has each panel's far-end data over a power of two: exact, so x cannot
-    overflow and x'/x does not move.
+    root of complex data counts within 1e-12 of the axis.  Only a panel
+    whose node values change sign or vanish, in the real and in the
+    imaginary part, is searched: x and x' never vanish together, so a real
+    x changes sign at a zero, and with real coefficients so do both parts
+    of a complex x.
     """
-    near, end, u, ends = side
-    ends, state = ends.astype(complex), [np.array([x0, x0p], dtype=complex)]
-    for e in ends[:-1]:  # (x, x') at the next panel's near end, brought to [0.5, 1)
-        e *= 2.0 ** -np.frexp(np.max(np.abs(state[-1] @ e)))[1]
-        state.append(state[-1] @ e)
-    for p, c in enumerate(_apply(_COEF, np.sum(np.array(state)[:, :, None] * u, axis=1))):
+    near, end, u, _ = side
+    x = np.sum(state[:-1, :, None] * u, axis=1)
+    crosses = [np.any(v[:, :-1] * v[:, 1:] <= 0.0, axis=1) for v in (x.real, x.imag)]
+    for p in np.flatnonzero(crosses[0] & crosses[1]):
+        c = _apply(_COEF, x[p])
         r = chebyshev.chebroots(chebyshev.chebtrim(c, TAIL * np.max(np.abs(c))))
         r = r.real[(np.abs(r.imag) <= 1e-12) & (np.abs(r.real) <= 1.0)]
         if r.size:
             t = 0.5 * (near[p] + end[p]) + 0.5 * np.abs(end[p] - near[p]) * r
-            return float(t[np.argmin(np.abs(t - near[0]))]), (near[: p + 1], end[: p + 1], u[: p + 1], ends[: p + 1])
-    return None, (near, end, u, ends)
+            return float(t[np.argmin(np.abs(t - near[0]))]), int(p)
+    return None

@@ -332,10 +332,7 @@ def ivp_solution(problem, ivps, ts, forcings):
             continue
         pts, where = np.unique(flat[mask], return_inverse=True)
         far = float(pts[0] if pts[0] < t0 else pts[-1])
-        side, failure = collocation.panels(fns, t0, far)
-        if failure:
-            raise ValueError(failure)
-        out[:, mask] = collocation.evaluate(side, x0, x0p, col, pts)[:, where]
+        out[:, mask] = collocation.evaluate(collocation.panels(fns, t0, far), x0, x0p, col, pts)[:, where]
     return out.reshape((k,) + ts.shape)
 
 
@@ -377,25 +374,30 @@ def _fit(target, basis):
         return _Fit(np.zeros(W.shape[1]), top, top, ())
     if np.any(y.imag) or np.any(W.imag):
         return _lawson(y.astype(complex), W.astype(complex))
-    # the target and each column of largest entry 1 or more over the power of
-    # two that brings it to [0.5, 1): exact, and clear of overflow in Dekker's
-    # split and the rank test.  Scaled up, a column of subnormals could need
-    # a coefficient beyond the doubles.
-    ey = max(int(np.frexp(np.max(np.abs(y.real)))[1]), 0)
-    ew = np.maximum(np.frexp(np.max(np.abs(W.real), axis=0))[1], 0)
-    y, W = np.ldexp(y.real, -ey), np.ldexp(W.real, -ew)
+    y, W = y.real, W.real
+    if max(np.max(np.abs(y)), np.max(np.abs(W))) >= 2.0**960:
+        # the target and each column with an entry at 2^960 or more over the
+        # power of two that brings it below: exact, and clear of overflow in
+        # Dekker's split and the rank test
+        ey = max(math.frexp(float(np.max(np.abs(y))))[1] - 960, 0)
+        ew = np.maximum(np.frexp(np.max(np.abs(W), axis=0))[1] - 960, 0)
+        fit = _fit(np.ldexp(y, -ey), tuple(np.ldexp(W, -ew).T))
+        return fit._replace(coeffs=np.ldexp(fit.coeffs, ey - ew), distance=math.ldexp(fit.distance, ey), lower=math.ldexp(fit.lower, ey))
     a = np.linalg.lstsq(W, y, rcond=None)[0]
     fit = _exchange(y, W, np.argsort(np.abs(y - W @ a))[-3:])
+    if fit is not None:
+        return fit
+    # a singular reference or a stall: the LP on an orthonormal basis of the
+    # independent columns, then the exchange again from the LP's dual support
+    c = np.zeros(W.shape[1])
+    Q, R, cols = _orthonormal(W)
+    a, dual = _linprog_fit(y, Q)
+    fit = _exchange(y, W[:, cols], np.argsort(dual)[-(len(cols) + 1) :])
     if fit is None:
-        # a singular reference or a stall: the LP on an orthonormal basis of the
-        # independent columns, then the exchange again from the LP's dual support
-        Q, R, cols = _orthonormal(W)
-        a, dual = _linprog_fit(y, Q)
-        fit = _exchange(y, W[:, cols], np.argsort(dual)[-(len(cols) + 1) :])
-        c = np.zeros(W.shape[1])
-        c[cols] = np.linalg.solve(R, a) if fit is None else fit.coeffs
-        fit = _Fit(c, float(np.max(np.abs(y - W @ c))), 0.0, ()) if fit is None else fit._replace(coeffs=c)
-    return fit._replace(coeffs=np.ldexp(fit.coeffs, ey - ew), distance=math.ldexp(fit.distance, ey), lower=math.ldexp(fit.lower, ey))
+        c[cols] = np.linalg.solve(R, a)
+        return _Fit(c, float(np.max(np.abs(y - W @ c))), 0.0, ())
+    c[cols] = fit.coeffs
+    return fit._replace(coeffs=c)
 
 
 def _orthonormal(W):

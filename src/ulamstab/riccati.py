@@ -26,6 +26,7 @@ from .quad import RANGE_CAP
 __all__ = ["NumericSolution", "RhoCoverage", "RESIDUAL_TOL", "residual_sup", "solve_riccati", "rho_coverage"]
 
 RESIDUAL_TOL = 1e-6  # the largest `residual_sup` of a candidate the analysis accepts
+_ROUNDING = 20 * float(np.finfo(float).eps)  # the error of a panel's local solutions, relative to x and x'
 
 
 @dataclass
@@ -41,18 +42,19 @@ class NumericSolution:
     hi: float
     blowup_lower: bool
     blowup_upper: bool
-    _sides: tuple  # panels of x, x' and x'' below t0 and above it; the other side's where a side has none
+    _sides: tuple  # per side of t0, None or the panels of x, x' and x'' and the carried state
 
     def _ratios(self, t, k):
-        """x'/x up to the k-th derivative of x over x, at the points t."""
+        """x'/x up to the k-th derivative of x over x, at the points t; NaN on a side without panels."""
         from . import collocation
 
         t = np.asarray(t, dtype=float)
-        out = np.full((k + 1,) + t.shape, np.nan, dtype=complex)  # NaN where no side has panels
-        for sides, mask in zip(self._sides, (t < self.t0, t >= self.t0)):
-            if sides is not None and np.any(mask):
+        out = np.full((k + 1,) + t.shape, np.nan, dtype=complex)
+        below = (t < self.t0) | ((t == self.t0) & (self._sides[1] is None))
+        for side, mask in zip(self._sides, (below, ~below)):
+            if side is not None and np.any(mask):
                 for j in range(k + 1):
-                    out[j, mask] = collocation.evaluate(sides[j], [1.0], [self.rho0], [None], t[mask])[0]
+                    out[j, mask] = collocation.read(side[j], side[3], [None], t[mask])[0]
         with np.errstate(all="ignore"):
             return out[1:] / out[0]
 
@@ -114,37 +116,74 @@ def solve_riccati(problem: OscillatorProblem, t0, rho0):
     """rho = x'/x, with x(t0) = 1 and x'(t0) = rho0, as a `NumericSolution`.
 
     A pole of rho is a zero of x (Reid, *Riccati Differential Equations*,
-    1972, ch. 2).  Each side of t0 is one `collocation.panels` call, out to
-    the domain's end (1e-12 max(1, |end|) inside an open one) or RANGE_CAP
-    from t0.  It ends at the first zero of x, or at its last resolved panel:
-    a blow-up, recorded as data and never raised.  A t0 outside the domain
-    or a rho0 that is not finite raises ValueError.
+    1972, ch. 2).  Each side of t0 is marched out by `_side` to the
+    domain's end (1e-12 max(1, |end|) inside an open one) or RANGE_CAP from
+    t0.  A t0 outside the domain or a rho0 that is not finite raises
+    ValueError.
     """
-    # imported here: only --solve-rho solves, and a plain analyze loads no collocation
-    from . import collocation
-
     dom, t0 = problem.domain, float(t0)
     if not dom.contains(t0):
         raise ValueError(f"anchor t0={t0} outside the problem domain")
     if not np.isfinite(complex(rho0)):
         raise ValueError(f"rho0={rho0} is not finite")
     fns = [problem.fn(which) for which in ("alpha", "beta", "gamma")]
-    rho0 = complex(rho0)
     out = []
     for end, sign in ((dom.lower, -1.0), (dom.upper, 1.0)):
-        target = float(np.clip(t0 + sign * RANGE_CAP, -RANGE_CAP, RANGE_CAP))
+        far = float(np.clip(t0 + sign * RANGE_CAP, -RANGE_CAP, RANGE_CAP))
         if end.finite:
-            target = end.value - (0.0 if end.included else sign * 1e-12 * max(1.0, abs(end.value)))
-        side, failure = collocation.panels(fns, t0, target) if sign * (target - t0) > 0 else (None, None)
-        if side is None or not side[0].size:
-            out.append((t0, failure is not None, None))
-            continue
-        zero, side = collocation.first_zero(side, 1.0, rho0)
-        reach = side[1][-1] if zero is None else zero
-        first = collocation.differentiate(side)
-        out.append((float(reach), failure is not None or zero is not None, (side, first, collocation.differentiate(first))))
+            far = end.value - (0.0 if end.included else sign * 1e-12 * max(1.0, abs(end.value)))
+        out.append(_side(fns, t0, far, complex(rho0)))
     (lo, blow_lo, lower), (hi, blow_hi, upper) = out
-    return NumericSolution(t0, rho0, lo, hi, blow_lo, blow_hi, (lower or upper, upper or lower))
+    return NumericSolution(t0, complex(rho0), lo, hi, blow_lo, blow_hi, (lower, upper))
+
+
+def _side(fns, t0, far, rho0):
+    """Where x'/x reaches from t0 toward ``far``, whether it ends at a blow-up, and its panels.
+
+    The side is marched out in chunks 1, 2, 4, ... wide, each one
+    `collocation.panels` call, with (x, x') carried on from the last.  It
+    ends at the first zero of x, or at its last resolved panel where
+    collocation does not resolve x: a blow-up, recorded as data and never
+    raised.  It also ends, short of ``far`` but not at a blow-up, where x
+    would hold fewer than 8 digits, as when x decays against a growing
+    solution, and where the next chunk would take it past `MAX_PANELS`
+    panels at the last chunk's density, as an exponential needs panels a
+    few units wide all the way.  The digits are those of a probe solution
+    with data (0, 1), which a rounding error at t0 grows as.
+    """
+    # imported here: only --solve-rho solves, and a plain analyze loads no collocation
+    from . import collocation
+
+    sign, a, width, count = np.sign(far - t0), t0, 1.0, 0
+    state = np.array([1.0, 0.0, rho0, 1.0])  # x, the probe, x', the probe's derivative
+    parts = []
+    while a != far:
+        b = far if abs(far - a) <= width else a + sign * width
+        try:
+            side, unresolved = collocation.panels(fns, a, b), False
+        except collocation.Unresolved as exc:
+            side, unresolved = exc.side, True
+        states = collocation.carry(side, list(state[:2]), list(state[2:]), [None, None], True)
+        lost = _ROUNDING * max(1.0, abs(rho0)) * np.max(np.abs(states[:, 1::2]), axis=1) > 1e-8 * np.max(np.abs(states[:, ::2]), axis=1)
+        m = int(np.argmax(lost)) if np.any(lost) else side[0].size
+        zero = collocation.first_zero(tuple(v[:m] for v in side), states[: m + 1, ::2])
+        if zero is not None:
+            b, m = zero[0], zero[1] + 1
+        elif m < side[0].size or unresolved:
+            b = side[0][m] if m < side[0].size else side[1][m - 1] if m else a
+        side, states = tuple(v[:m] for v in side), states[: m + 1]
+        parts.append((side, states[:-1, ::2]))
+        count, a, width, state = count + m, b, 2.0 * width, states[-1]
+        blowup = zero is not None or (unresolved and not np.any(lost))
+        if blowup or np.any(lost) or count + 2 * m > collocation.MAX_PANELS:
+            break
+    else:
+        blowup = False
+    if not count:
+        return t0, blowup, None
+    side = tuple(np.concatenate(v) for v in zip(*(s for s, _ in parts)))
+    first = collocation.differentiate(side)
+    return float(a), blowup, (side, first, collocation.differentiate(first), np.concatenate([st for _, st in parts]))
 
 
 def rho_coverage(problem: OscillatorProblem, rho):
@@ -159,10 +198,9 @@ def rho_coverage(problem: OscillatorProblem, rho):
         lo, hi = rho.lo, rho.hi
         lo_edge = dom.tau if dom.lower.finite else -RANGE_CAP
         hi_edge = dom.sigma if dom.upper.finite else RANGE_CAP
-        full = (not rho.blowup_lower or lo <= lo_edge + 1e-6 * max(1.0, abs(lo_edge))) and (
-            not rho.blowup_upper or hi >= hi_edge - 1e-6 * max(1.0, abs(hi_edge))
-        )
-        detail = "" if full else f"numeric blow-up limits coverage to [{lo:.6g}, {hi:.6g}]"
+        short = (lo > lo_edge + 1e-6 * max(1.0, abs(lo_edge)), hi < hi_edge - 1e-6 * max(1.0, abs(hi_edge)))
+        full = not (rho.blowup_lower and short[0] or rho.blowup_upper and short[1])
+        detail = "" if not any(short) else f"numeric {'solution resolved only on' if full else 'blow-up limits coverage to'} [{lo:.6g}, {hi:.6g}]"
         return RhoCoverage(lo, hi, full, detail)
 
     fn = problem.bind(rho)

@@ -16,7 +16,7 @@ from conftest import make_problem
 from ivp_oracle import dop853_state
 from ulamstab import exprlang, riccati, stability
 from ulamstab.dynamics import IvpData
-from ulamstab.model import problem_from_dict
+from ulamstab.model import Endpoint, Interval, OscillatorProblem, problem_from_dict
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -114,6 +114,51 @@ def test_unresolved_side_is_blowup_data(alpha, beta):
     assert np.all(np.isfinite(sol(np.linspace(0.1, sol.hi, 50))))
     cov = riccati.rho_coverage(p, sol)
     assert not cov.full and cov.hi == sol.hi
+
+
+@pytest.mark.parametrize(
+    "lo, hi, t0",
+    [(-math.inf, math.inf, 0.0), (0.0, math.inf, 1.0), (-40.0, 40.0, 0.0)],
+    ids=["line", "half-line", "const-iii"],
+)
+def test_solve_rho_ends_short_of_far_ends_without_blowup(lo, hi, t0):
+    # rho0 = -2 makes x = exp(-2 (t - t0)), which decays against exp(-t):
+    # the upper side ends where x would hold fewer than 8 digits, a whole
+    # lower side where its panels run out, and neither is a blow-up
+    p = make_problem("1", "3", "2", "0", lo, hi)
+    sol = riccati.solve_riccati(p, t0, -2.0)
+    assert not (sol.blowup_lower or sol.blowup_upper)
+    assert 10.0 < sol.hi - t0 < 20.0
+    assert sol.lo < -1e4 if lo == -math.inf else sol.lo == lo + 1e-12 * max(1.0, abs(lo))
+    ts = np.linspace(max(sol.lo, -100.0), sol.hi, 201)
+    assert np.max(np.abs(sol(ts) + 2.0)) < 2e-8
+    cov = riccati.rho_coverage(p, sol)
+    assert cov.full and (cov.lo, cov.hi) == (sol.lo, sol.hi)
+    assert cov.detail.startswith("numeric solution resolved only on")
+    report = stability.analyze(p, sol, best=True)
+    assert report.verdict == "best_constant"
+    # B of the interval the solution covers: on the half-line (1e-12, 16) it
+    # is 1.1e-7 below the 1/2 of (0, inf)
+    assert report.constant["B"] == pytest.approx(0.5, rel=1e-6)
+
+
+def test_pole_ends_the_march_at_its_chunk():
+    # exeq05's equation from t0 = 1 with rho0 = -tan(1) - 1: x = cos(t)/(t cos 1),
+    # whose zero at pi/2 lies in the first chunk, [1, 2], of the infinite side
+    p = make_problem("1", "2/t", "1", "0", 0.0, math.inf)
+    sol = riccati.solve_riccati(p, 1.0, -math.tan(1.0) - 1.0)
+    assert sol.blowup_upper and sol.hi == pytest.approx(math.pi / 2, abs=1e-12)
+    assert sol._sides[1][0][0].size < 50
+
+
+def test_anchor_reads_the_side_with_panels():
+    # t0 at the closed lower end: t0 reads the upper side, below it is NaN
+    p = OscillatorProblem(*(exprlang.parse(e) for e in ("1", "0", "1", "0")), Interval(Endpoint(0.5, True), Endpoint(2.0)), {}, "")
+    sol = riccati.solve_riccati(p, 0.5, -math.tan(0.5))
+    assert sol._sides[0] is None and sol.lo == 0.5 and not sol.blowup_lower
+    assert sol(0.5) == pytest.approx(-math.tan(0.5), rel=1e-14)
+    assert sol(0.7) == pytest.approx(-math.tan(0.7), rel=1e-12)
+    assert np.isnan(sol(0.4))
 
 
 def test_coverage_full(exeq01):
