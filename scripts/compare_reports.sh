@@ -17,9 +17,12 @@
 #     rho = -tan(t) has its pole at pi/2, where x = cos(t)/cos(0.5) vanishes;
 #   - `analyze --fast-path --reproducible` on const-i, const-ii and const-iii;
 #   - `analyze --tol 1e-8 --best --reproducible` on exeq01 and const-iii;
-#   - `analyze --best --reproducible` on a complex constant-coefficient
-#     problem (gamma 2.25 - 0.5i, rho -2 - 0.5i, roots -1 + 0.5i and
-#     -2 - 0.5i on (-40, 40)), whose exponent caches are complex;
+#   - `analyze --best --reproducible` and `empirical --trials 8 --seed 7
+#     --reproducible` on a complex constant-coefficient problem (gamma
+#     2.25 - 0.5i, rho -2 - 0.5i, roots -1 + 0.5i and -2 - 0.5i on
+#     (-40, 40)), whose exponent caches are complex and whose extremal
+#     member and trials take complex nearest-solution fits (report and
+#     .extremal.csv);
 #   - `analyze --best --reproducible` on exeq01 moved to (1000, 1001), with
 #     B = 1/2 as on (0, 1): there ulp(t) is 1,024 times its size just below
 #     t = 1, so the resolution floor of the bisection acts on every panel
@@ -134,6 +137,8 @@ contract() {
     run "$tree" "$out" "tol.$stem" analyze "$tree/problems/$stem.json" --tol 1e-8 --best --reproducible
   done
   run "$tree" "$out" analyze.const-iii-complex analyze "$tmp/const-iii-complex.json" --best --reproducible
+  run "$tree" "$out" empirical.const-iii-complex empirical "$tmp/const-iii-complex.json" \
+    --trials 8 --seed 7 --reproducible --out "$out/empirical"
   run "$tree" "$out" analyze.exeq01-at-1e3 analyze "$tmp/exeq01-at-1e3.json" --best --reproducible
   run "$tree" "$out" analyze.exeq05-witness-k analyze "$tmp/exeq05-witness-k.json" --reproducible
   for stem in exeq01 exeq03 exeq04 exeq06; do

@@ -34,9 +34,9 @@ runs Stiefel's exchange on 3-point references, levelled in exact integer
 arithmetic at a power-of-two scale (the reference's doubles as integers over
 one power of two), with the residual over the grid in double-double; it
 stops on the de la Vallee Poussin certificate, so the distance is the grid
-optimum to within 1e-12 relative.  A singular reference or a stall restarts
-it from a HiGHS LP.  Complex data runs Lawson's iteratively reweighted least
-squares until its lower bound and the distance agree to 1e-10 relative.
+optimum to within 1e-12 relative.  Complex data, or a singular reference or
+a stall of the exchange, runs a log-barrier fit until the distance is within
+1e-10 relative of Lawson's lower bound at its dual weights.
 """
 
 from __future__ import annotations
@@ -341,28 +341,23 @@ class _Fit(NamedTuple):
 
     coeffs: np.ndarray  # (c1, c2), rounded to double
     distance: float  # max_t |target - c1 w1 - c2 w2| at the fit's exact coefficients
-    lower: float  # levelled |h| of the exchange, or Lawson's weighted least squares
-    reference: tuple  # the exchange's levelled reference points; () from Lawson
+    lower: float  # levelled |h| of the exchange, or Lawson's bound at the barrier fit's dual weights
+    reference: tuple  # the exchange's levelled reference points; () from the barrier fit
 
 
 _EXCHANGE_STEPS = 50  # each step raises |h| strictly; the probe and trial data take 1-4
-_LAWSON_STEPS = 50000
 _GAP = 1e-12  # certificate of the exchange: distance <= |h| (1 + _GAP)
-_LAWSON_GAP = 1e-10
+_BARRIER_STEPS = 200  # Newton steps of the barrier fit; random complex data takes 55-70
+_BARRIER_GAP = 1e-10  # certificate of the barrier fit: max|r| <= lower (1 + _BARRIER_GAP)
 _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitting constant for doubles
-
-
-def _min_sup_distance(target, basis):
-    """Coefficients c and the grid optimum of max_t |target - c1 w1 - c2 w2|."""
-    fit = _fit(target, basis)
-    return fit.coeffs, fit.distance
 
 
 def _fit(target, basis):
     """Exact discrete minimax fit of ``target`` by the two ``basis`` columns.
 
-    Real data runs Stiefel's exchange (`_exchange`); complex data runs
-    Lawson's iteratively reweighted least squares (`_lawson`).  A value that
+    Real data runs Stiefel's exchange (`_exchange`), complex data the barrier
+    fit (`_barrier_fit`); a stalled exchange restarts from that fit's m + 1
+    heaviest dual points and, stalled again, returns the fit.  A value that
     is not finite raises ValueError.
     """
     y = np.asarray(target)
@@ -372,72 +367,96 @@ def _fit(target, basis):
     if not np.any(W):
         top = float(np.max(np.abs(y)))
         return _Fit(np.zeros(W.shape[1]), top, top, ())
-    if np.any(y.imag) or np.any(W.imag):
-        return _lawson(y.astype(complex), W.astype(complex))
-    y, W = y.real, W.real
-    if max(np.max(np.abs(y)), np.max(np.abs(W))) >= 2.0**960:
-        # the target and each column with an entry at 2^960 or more over the
-        # power of two that brings it below: exact, and clear of overflow in
-        # Dekker's split and the rank test
-        ey = max(math.frexp(float(np.max(np.abs(y))))[1] - 960, 0)
-        ew = np.maximum(np.frexp(np.max(np.abs(W), axis=0))[1] - 960, 0)
-        fit = _fit(np.ldexp(y, -ey), tuple(np.ldexp(W, -ew).T))
-        return fit._replace(coeffs=np.ldexp(fit.coeffs, ey - ew), distance=math.ldexp(fit.distance, ey), lower=math.ldexp(fit.lower, ey))
-    a = np.linalg.lstsq(W, y, rcond=None)[0]
-    fit = _exchange(y, W, np.argsort(np.abs(y - W @ a))[-3:])
+    real = not (np.any(y.imag) or np.any(W.imag))
+    if real:
+        y, W = y.real, W.real
+        if max(np.max(np.abs(y)), np.max(np.abs(W))) >= 2.0**960:
+            # the target and each column with an entry at 2^960 or more over the
+            # power of two that brings it below: exact, and clear of overflow in
+            # Dekker's split and the rank test
+            ey = max(math.frexp(float(np.max(np.abs(y))))[1] - 960, 0)
+            ew = np.maximum(np.frexp(np.max(np.abs(W), axis=0))[1] - 960, 0)
+            fit = _fit(np.ldexp(y, -ey), tuple(np.ldexp(W, -ew).T))
+            return fit._replace(coeffs=np.ldexp(fit.coeffs, ey - ew), distance=math.ldexp(fit.distance, ey), lower=math.ldexp(fit.lower, ey))
+        a = np.linalg.lstsq(W, y, rcond=None)[0]
+        fit = _exchange(y, W, np.argsort(np.abs(y - W @ a))[-3:])
+        if fit is not None:
+            return fit
+    cols, a, lower, dual = _barrier_fit(y, W)
+    c = np.zeros(W.shape[1], np.result_type(y, W))
+    c[cols] = a.real if real else a
+    fit = _exchange(y, W[:, cols], np.argsort(dual)[-(len(cols) + 1) :]) if real else None
     if fit is not None:
-        return fit
-    # a singular reference or a stall: the LP on an orthonormal basis of the
-    # independent columns, then the exchange again from the LP's dual support
-    c = np.zeros(W.shape[1])
-    Q, R, cols = _orthonormal(W)
-    a, dual = _linprog_fit(y, Q)
-    fit = _exchange(y, W[:, cols], np.argsort(dual)[-(len(cols) + 1) :])
-    if fit is None:
-        c[cols] = np.linalg.solve(R, a)
-        return _Fit(c, float(np.max(np.abs(y - W @ c))), 0.0, ())
-    c[cols] = fit.coeffs
-    return fit._replace(coeffs=c)
+        c[cols] = fit.coeffs
+        return fit._replace(coeffs=c)
+    distance = float(np.max(np.abs(y - W @ c)))
+    return _Fit(c, distance, min(lower, distance), ())
 
 
-def _orthonormal(W):
-    """Q, R and the column indices with Q R = W[:, cols], by pivoted QR.
+def _barrier_fit(y, W):
+    """min over c of max_k |y_k - (W c)_k| by a log barrier, for W != 0.
 
-    A column within rounding of the span of the ones before it is dropped;
-    W must not be 0.
+    Keeps the columns pivoted QR keeps (the largest 2-norm first, the first
+    on a tie; the other if more than rounding from its span).  On their
+    orthonormal basis Q, with y and W over their largest moduli, it solves
+    the second-order cone program min h subject to |y_k - (Q a)_k| <= h
+    (Lobo, Vandenberghe, Boyd and Lebret, Linear Algebra Appl. 284, 1998):
+    damped Newton steps in (Re a, h, Im a) on t h - sum_k log psi_k, with
+    psi_k = h^2 - |r_k|^2 and t 30-fold once centred.  Weights w_k >= 0 of
+    sum 1 give Lawson's lower bound sqrt(min_a sum_k w_k |r_k|^2), and near
+    the centre a is the fit for w_k ~ 1/psi_k, here less those below 1e-6 of
+    the largest.  Stops at max|r| within _BARRIER_GAP of the bound or 1e-13
+    of max|y| (an exact fit), or when rounding leaves a cone.  Returns the
+    kept columns, their coefficients, the bound and its weights.
     """
-    # imported here: scipy is most of the CLI's start-up, and only complex fits and the LP fallback call this
-    from scipy.linalg import qr
-
-    Q, R, piv = qr(W, mode="economic", pivoting=True)
-    d = np.abs(np.diag(R))
-    rank = int(np.sum(d > d[0] * W.shape[0] * np.finfo(float).eps))
-    return Q[:, :rank], R[:rank, :rank], piv[:rank]
-
-
-def _linprog_fit(y, Q):
-    """min over a of max |y - Q a| by HiGHS, solved twice more on its residual.
-
-    Returns a and the dual weight of each grid point in the last solve.
-    """
-    # imported here: scipy is most of the CLI's start-up, and only a real fit's fallback solves an LP
-    from scipy.optimize import linprog
-
-    n, r = Q.shape
-    ones = np.ones((n, 1))
-    A = np.block([[Q, -ones], [-Q, -ones]])
-    cost = np.r_[np.zeros(r), 1.0]
-    bounds = [(None, None)] * r + [(0.0, None)]
-    a = np.zeros(r)
-    for _ in range(3):
-        res = y - Q @ a
-        s = float(np.max(np.abs(res))) or 1.0
-        sol = linprog(cost, A_ub=A, b_ub=np.r_[res, -res] / s, bounds=bounds, method="highs")
-        if not sol.success:
-            raise ValueError(f"minimax LP failed: {sol.message}")
-        a = a + s * sol.x[:r]
-    marg = sol.ineqlin.marginals
-    return a, np.abs(marg[:n]) + np.abs(marg[n:])
+    n = y.size
+    sy, sw = float(np.max(np.abs(y))) or 1.0, float(np.max(np.abs(W)))
+    b, W = y.real / sy + 1j * (y.imag / sy), W / sw
+    cols = np.argsort(-np.linalg.norm(W, axis=0), kind="stable")
+    Q, R = np.linalg.qr(W[:, cols])
+    m = int(np.sum(np.abs(np.diag(R)) > abs(R[0, 0]) * n * np.finfo(float).eps))
+    Q, R, cols = Q[:, :m], R[:m, :m], cols[:m]
+    a, h, t, lower, w = Q.conj().T @ b, None, None, 0.0, np.full(n, 1.0 / n)
+    for _ in range(_BARRIER_STEPS):
+        r = b - Q @ a
+        mod = np.abs(r)
+        upper = float(np.max(mod))
+        h = h or 2.0 * upper
+        if upper <= 1e-13 or not upper < h:
+            break
+        psi = (h - mod) * (h + mod)
+        t = t or 2.0 * h * float(np.sum(1.0 / psi))  # the first t centres h
+        wk = np.where(psi <= 1e6 * np.min(psi), 1.0 / psi, 0.0)
+        root = np.sqrt(wk / np.sum(wk))
+        aw = np.linalg.lstsq(root[:, None] * Q, root * b, rcond=None)[0]
+        bound = float(np.linalg.norm(root * (b - Q @ aw)))
+        if bound > lower:
+            lower, w = bound, root**2
+        if upper - lower <= _BARRIER_GAP * upper:
+            break
+        Pu = Q.conj() * np.divide(r, mod, out=np.ones(n, complex), where=mod > 0)[:, None]
+        # the Hessian of -log psi in (h, r) is the Gram matrix of (h, -r),
+        # (|r|, -h u) and sqrt(psi) (0, i u) times sqrt(2)/psi, u = r/|r|: it
+        # stays positive where a sum of signed terms cancels, and no row
+        # couples Im a to the rest for real data, whose Im a stays 0
+        rows = np.concatenate(
+            [
+                np.column_stack([mod[:, None] * Pu.real, np.full(n, h), mod[:, None] * Pu.imag]),
+                np.column_stack([h * Pu.real, mod, h * Pu.imag]),
+                np.sqrt(psi)[:, None] * np.column_stack([-Pu.imag, np.zeros(n), Pu.real]),
+            ]
+        ) * np.tile(math.sqrt(2.0) / psi, 3)[:, None]
+        grad = -math.sqrt(2.0) * np.sum(rows[:n], axis=0)  # the first rows are grad psi / (sqrt(2) psi)
+        grad[m] += t
+        step = np.linalg.solve(rows.T @ rows, -grad)
+        dec = float(-grad @ step)  # the squared Newton decrement
+        if dec < 1e-2:
+            t *= 30.0
+            continue
+        # inside every cone by self-concordance, but for rounding
+        alpha = 1.0 if dec < 0.25 else 1.0 / (1.0 + math.sqrt(dec))
+        a, h = a + alpha * (step[:m] + 1j * step[m + 1 :]), h + alpha * step[m]
+    return cols, np.linalg.solve(R, a) / sw * sy, lower * sy, w
 
 
 def _det(rows):
@@ -559,33 +578,6 @@ def _exchange(y, W, ref):
     return None
 
 
-def _lawson(y, W):
-    """Lawson's iteratively reweighted least squares for complex data.
-
-    The weighted least-squares residual is a lower bound on the minimax and
-    max|res| an upper bound; it stops when they agree to _LAWSON_GAP, or when
-    max|res| is within 1e-13 of max|y|, the rounding level of an exact fit.
-    """
-    Q, R, cols = _orthonormal(W)
-    w = np.full(y.size, 1.0 / y.size)
-    lower = 0.0
-    floor = 1e-13 * float(np.max(np.abs(y)))
-    for _ in range(_LAWSON_STEPS):
-        Qw = Q.conj().T * w
-        a = np.linalg.solve(Qw @ Q, Qw @ y)
-        res = np.abs(y - Q @ a)
-        lower = max(lower, math.sqrt(float(w @ (res * res))))
-        upper = float(np.max(res))
-        if upper - lower <= _LAWSON_GAP * upper or upper <= floor:
-            break
-        w = w * res
-        w /= w.sum()
-    c = np.zeros(W.shape[1], dtype=complex)
-    c[cols] = np.linalg.solve(R, a)
-    distance = float(np.max(np.abs(y - W @ c)))
-    return _Fit(c, distance, min(lower, distance), ())
-
-
 def _fit_basis(eng, t0, grid):
     """The basis (w1, w2) of the solution family on ``grid``."""
     w1 = eng.homogeneous(t0, SolutionFamilyParams(1.0, 0.0))(grid)
@@ -599,10 +591,10 @@ def nearest_solution(xi, engine: SolutionEngine):
     grid = engine.experiment_grid(t0)
     xi_arr = np.asarray(xi(grid), dtype=complex)
     p_arr = engine.representation(IvpData(t0, 0.0, 0.0), forcing_key="problem")(grid)
-    coeffs, dist = _min_sup_distance(xi_arr - p_arr, _fit_basis(engine, t0, grid))
+    fit = _fit(xi_arr - p_arr, _fit_basis(engine, t0, grid))
     return {
-        "params": SolutionFamilyParams(complex(coeffs[0]), complex(coeffs[1])),
-        "sup_distance": dist,
+        "params": SolutionFamilyParams(complex(fit.coeffs[0]), complex(fit.coeffs[1])),
+        "sup_distance": fit.distance,
     }
 
 
@@ -639,10 +631,14 @@ def _extremal_setup(eng, case, epsilon):
     # forcing plus epsilon, less the one for the problem's forcing, is
     # epsilon times the unit forcing's member
     u = eng.representation(IvpData(t0, 0.0, 0.0), forcing=_unit, forcing_key="unit")
-    params = _proof_solution_params(eng, case, epsilon, t0)
+    grid = eng.experiment_grid(t0)
+    if eng.se.is_real:
+        params = _proof_solution_params(eng, case, epsilon, t0)
+    else:  # the proof's construction reads real-data kernels: the nearest member instead
+        params = SolutionFamilyParams(*map(complex, _fit(epsilon * u(grid), _fit_basis(eng, t0, grid)).coeffs))
     w = eng.homogeneous(t0, params)
     distance = lambda t: np.abs(epsilon * u(t) - w(t))
-    return params, eng.experiment_grid(t0), distance
+    return params, grid, distance
 
 
 def extremal_experiment(engine: SolutionEngine, case, epsilon):
@@ -650,12 +646,15 @@ def extremal_experiment(engine: SolutionEngine, case, epsilon):
     params, grid, distance = _extremal_setup(engine, case, epsilon)
     res = quad.sup_over(distance, float(grid[0]), float(grid[-1]))
     sup_d = float(res.sup_value)
+    detail = {"params": [params.d1, params.d2], "attained_near": str(res.attained_near)}
+    if not engine.se.is_real:
+        detail["member"] = "nearest-solution fit on the experiment grid"
     return PerturbationExperiment(
         epsilon=float(epsilon),
         perturbation="extremal-constant",
         sup_distance=sup_d,
         ratio=sup_d / epsilon,
-        detail={"params": [params.d1, params.d2], "attained_near": str(res.attained_near)},
+        detail=detail,
     )
 
 
@@ -714,7 +713,7 @@ def random_perturbation_test(engine: SolutionEngine, epsilon, trials, seed, best
         # linear in the forcing: the perturbed solution less the problem's
         # own is the solution for g alone
         xi_arr = engine.representation(IvpData(t0, 0.0, 0.0), forcing=g)(grid)
-        _, dist = _min_sup_distance(xi_arr, basis)
+        dist = _fit(xi_arr, basis).distance
         ratio = dist / epsilon
         records.append({"trial": trial, "perturbation": desc, "sup_distance": dist, "ratio": ratio})
         if ratio > bound:
@@ -776,7 +775,7 @@ def instability_probe(problem, xi_family, epsilon):
     bounds = np.cumsum([g.size for g in grids])[:-1]
     trace = []
     for T, grid, (y1, y2, p) in zip(truncations, grids, np.split(members, bounds, axis=1)):
-        _, dist = _min_sup_distance(np.asarray(xi_fn(grid), dtype=complex) - p, (y1, y2))
+        dist = _fit(np.asarray(xi_fn(grid), dtype=complex) - p, (y1, y2)).distance
         trace.append({"T": float(T), "sup_distance": dist})
     dists = [rec["sup_distance"] for rec in trace]
     growing = all(dists[k + 1] >= 10.0 * dists[k] for k in range(len(dists) - 1)) and dists[0] > 0

@@ -8,6 +8,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linprog
 
 import exchange_oracle
@@ -21,7 +22,7 @@ from ulamstab.dynamics import (
     SolutionFamilyParams,
 )
 from ulamstab.model import Interval, probe_grid
-from ulamstab.stability import StabilityEngine
+from ulamstab.stability import StabilityEngine, analyze
 
 EXEQ02 = ("1", "2/t", "0", "-1", 1.0, math.inf)
 EXEQ05 = ("1", "2/t", "1", "0", 0.0, math.inf)
@@ -93,6 +94,20 @@ def test_extremal_reproduces_best_constant(cfg, name, case):
     p, r = corpus.build(variant)
     exp = dynamics.extremal_experiment(_engine(p, r, cfg), case, 0.1)
     assert exp.ratio == pytest.approx(variant.expected_B, rel=1e-6)
+
+
+def test_complex_extremal_member_is_the_nearest_solution(cfg, eng01):
+    # the proof's member reads real-data kernels, and on this problem its
+    # distance is 345 times epsilon; the nearest member on the grid stays
+    # under L = 1/2 (characteristic roots -1 + 0.5i and -2 - 0.5i)
+    p = make_problem("1", "3", "2.25 - 0.5*i", "0", -40.0, 40.0)
+    rho = exprlang.parse("-2 - 0.5*i")
+    se = StabilityEngine(p, rho, cfg)
+    rep = analyze(p, rho, cfg, best=True, engine=se)
+    exp = dynamics.extremal_experiment(SolutionEngine(se), rep.case, 0.1)
+    assert 0.4 < exp.ratio <= rep.constant["L"]
+    assert exp.detail["member"] == "nearest-solution fit on the experiment grid"
+    assert "member" not in dynamics.extremal_experiment(eng01, "iii", 0.1).detail
 
 
 def test_solution_engine_reads_stability_h1(exeq01, cfg):
@@ -217,15 +232,15 @@ def fits(monkeypatch):
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """Count the fallback's LP solves."""
+    """Count the solves of the exchange's fallback, the barrier fit."""
     calls = []
-    linprog_fit = dynamics._linprog_fit
+    barrier_fit = dynamics._barrier_fit
 
     def counting(*args):
         calls.append(args)
-        return linprog_fit(*args)
+        return barrier_fit(*args)
 
-    monkeypatch.setattr(dynamics, "_linprog_fit", counting)
+    monkeypatch.setattr(dynamics, "_barrier_fit", counting)
     return calls
 
 
@@ -256,9 +271,25 @@ def test_fit_edge_cases(lp_calls, target, basis, one_column, fallback):
     assert bool(lp_calls) == fallback
 
 
-# sha256 of the 340 fits of `test_integer_exchange_is_the_rational_exchange`
-# as `_fit` gave them before it scaled data near overflow
-_EXCHANGE_DIGEST = "a3ad5111db7de5a3af380fc75b4b1f73feb3937c5004fe8798ae4d7a318e9115"
+# sha256 of the fits of `test_integer_exchange_is_the_rational_exchange`
+# other than those of `_LP_UNCERTIFIED`, as the fallback through HiGHS
+# (`scipy.optimize.linprog`) and pivoted QR gave them at commit 2b5d257; the
+# digest of all 340 was a3ad5111db7de5a3af380fc75b4b1f73feb3937c5004fe8798ae4d7a318e9115
+# there, and so before `_fit` scaled data near overflow
+_EXCHANGE_DIGEST = "dc9863d69752ca61ca71abb3af09abf345f214afe7985e6fca8afc69a48c1435"
+
+# the seeded fits (by position) for which that fallback, with the exchange
+# failing again from the LP's dual support, returned lower = 0.0, and the
+# distance it returned
+_LP_UNCERTIFIED = {
+    85: float.fromhex("0x1.e494a316b3364p-858"),
+    99: float.fromhex("0x1.16122ce8562aap-512"),
+    140: float.fromhex("0x1.e0bff2e5baa57p+607"),
+    174: float.fromhex("0x1.7108c800e3a6dp-469"),
+    225: float.fromhex("0x1.ecdfa23660ee3p+112"),
+    254: float.fromhex("0x1.bf76e752e9b3cp-237"),
+    259: float.fromhex("0x1.406f2706bd2a4p+46"),
+}
 
 
 def _exchange_case(rng):
@@ -289,7 +320,7 @@ def test_integer_exchange_is_the_rational_exchange(monkeypatch, lp_calls):
     exchange = dynamics._exchange
     fits = one_column = 0
     digest = hashlib.sha256()
-    for _ in range(340):
+    for case in range(340):
         y, basis = _exchange_case(rng)
         got, want = [], []
         for run, out in ((exchange, got), (exchange_oracle.exchange, want)):
@@ -300,17 +331,36 @@ def test_integer_exchange_is_the_rational_exchange(monkeypatch, lp_calls):
             except (ValueError, OverflowError) as exc:
                 out.append((type(exc), str(exc)))
         assert got == want
+        fits += isinstance(got[0][1], float)
+        one_column += isinstance(got[0][1], float) and len(got[0][3]) == 2
+        if case in _LP_UNCERTIFIED:
+            continue  # `test_fallback_certifies_what_the_lp_left_uncertified`
         fit = got[0]
         if isinstance(fit[1], float):
             fit = (fit[0], fit[1].hex(), float(fit[2]).hex(), tuple(map(int, fit[3])))
         digest.update(repr(fit).encode())
-        fits += isinstance(got[0][1], float)
-        one_column += isinstance(got[0][1], float) and len(got[0][3]) == 2
     assert fits >= 300 and one_column >= 40
-    assert len(lp_calls) >= 2 * 50  # a case that falls back solves the LP under each exchange
-    # and the fits themselves, bit for bit, are those before `_fit` scaled
-    # data near overflow: 7 of these cases have an entry above 2^960
+    assert len(lp_calls) >= 2 * 50  # a case that falls back solves it under each exchange
+    # and the fits themselves, bit for bit, are those of the LP fallback and
+    # before `_fit` scaled data near overflow: 7 of these cases have an entry
+    # above 2^960
     assert digest.hexdigest() == _EXCHANGE_DIGEST
+
+
+def test_fallback_certifies_what_the_lp_left_uncertified(lp_calls):
+    # the exchange fails again from the barrier fit's dual support, and the
+    # barrier fit is the result: certified, at the LP's distance
+    rng = np.random.default_rng(24)
+    for case in range(max(_LP_UNCERTIFIED) + 1):
+        y, basis = _exchange_case(rng)
+        if case not in _LP_UNCERTIFIED:
+            continue
+        calls = len(lp_calls)
+        fit = dynamics._fit(y, basis)
+        assert len(lp_calls) == calls + 1 and fit.reference == ()
+        assert 0.0 < fit.lower and fit.distance <= fit.lower * (1.0 + 1e-9)
+        assert fit.distance == pytest.approx(_LP_UNCERTIFIED[case], rel=1e-10, abs=0.0)
+        assert fit.distance == float(np.max(np.abs(y - np.column_stack(basis) @ fit.coeffs)))
 
 
 def test_fit_near_overflow_is_certified():
@@ -339,7 +389,7 @@ def test_fit_rejects_non_finite(bad, where):
     data = [_Y.copy(), _W1.copy(), _W2.copy()]
     data[where][7] = bad
     with pytest.raises(ValueError, match="not finite"):
-        dynamics._min_sup_distance(data[0], tuple(data[1:]))
+        dynamics._fit(data[0], tuple(data[1:]))
 
 
 def test_random_trial_with_non_finite_data_raises(eng01, monkeypatch):
@@ -372,16 +422,54 @@ def _polygon_bracket(target, W, k=64):
     return sol.fun, sol.fun / math.cos(math.pi / k)
 
 
+# the distances Lawson's iteratively reweighted least squares gave these sets
+# at commit 2b5d257, to its gap of 1e-10
+_LAWSON_DISTANCES = [
+    2.315237243362814,
+    2.6395640393837505,
+    2.484506563028319,
+    2.899369644500365,
+    2.2396354802858127,
+    2.5852708461645,
+    2.402461869621577,
+    2.490548957482068,
+    2.2766360512813217,
+    2.5305336199471635,
+]
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_fit_complex_data_is_certified(seed):
     rng = np.random.default_rng([5, seed])
     target = rng.normal(size=60) + 1j * rng.normal(size=60)
     W = rng.normal(size=(60, 2)) + 1j * rng.normal(size=(60, 2))
     fit = dynamics._fit(target, (W[:, 0], W[:, 1]))
-    assert fit.lower <= fit.distance <= fit.lower * (1.0 + 1e-9)
+    assert fit.lower <= fit.distance <= fit.lower * (1.0 + 1e-10)
     assert fit.distance == pytest.approx(float(np.max(np.abs(target - W @ fit.coeffs))), rel=1e-12)
+    assert fit.distance == pytest.approx(_LAWSON_DISTANCES[seed], rel=1e-9)
     lo, hi = _polygon_bracket(target, W)
     assert lo * (1.0 - 1e-9) <= fit.distance <= hi * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_barrier_fit_keeps_the_pivoted_qr_columns_and_real_coefficients(seed):
+    # scipy's pivoted QR is the oracle for the columns kept: the largest
+    # 2-norm first, the first on a tie, and a second column only when it is
+    # independent of the first; real data gets real coefficients, exactly
+    rng = np.random.default_rng([9, seed])
+    y = rng.normal(size=30)
+    w1 = rng.normal(size=30)
+    w2 = [rng.normal(size=30), w1 / 4.0, w1.copy(), np.zeros(30), -w1, 4.0 * w1][seed]
+    W = np.column_stack([w1, w2])
+    _, R, piv = scipy.linalg.qr(W, mode="economic", pivoting=True)
+    d = np.abs(np.diag(R))
+    rank = int(np.sum(d > d[0] * W.shape[0] * np.finfo(float).eps))
+    cols, coeffs, lower, _ = dynamics._barrier_fit(y, W)
+    assert cols.tolist() == piv[:rank].tolist()
+    assert np.all(coeffs.imag == 0.0)
+    distance = float(np.max(np.abs(y - W[:, cols] @ coeffs.real)))
+    assert lower <= distance <= lower * (1.0 + 1e-10)
+    assert distance == pytest.approx(_brute_optimum(y, tuple(W[:, cols].T)), rel=1e-10)
 
 
 def test_random_trials_reach_grid_optimum(eng01, fits):
@@ -446,7 +534,7 @@ def test_replayed_trials_match_adaptive_builds(name, label, cfg):
     for trial, rec in enumerate(records):
         g, _ = dynamics._random_smooth(np.random.default_rng([7, trial]), grid, 0.1)
         forced = eng._build(lambda s: np.asarray(base(s)) + g(s))
-        _, dist = dynamics._min_sup_distance(eng._member(t0, 0j, 0j, forced)(grid) - p_arr, basis)
+        dist = dynamics._fit(eng._member(t0, 0j, 0j, forced)(grid) - p_arr, basis).distance
         assert rec["ratio"] == pytest.approx(dist / 0.1, rel=1e-10, abs=0.0)
 
 
@@ -592,7 +680,7 @@ def test_ivp_solution_matches_closed_form_family(name, coeffs, t0, witness):
     xi = exprlang.compile_expr(exprlang.parse(witness), {"eps": 0.1})
     for grid, rec in zip(grids, out["trace"]):
         y1, y2, part = _exact_family(name, grid)
-        _, dist = dynamics._min_sup_distance(np.asarray(xi(grid), dtype=complex) - part, (y1 + 0j, y2 + 0j))
+        dist = dynamics._fit(np.asarray(xi(grid), dtype=complex) - part, (y1 + 0j, y2 + 0j)).distance
         assert rec["sup_distance"] == pytest.approx(dist, rel=1e-11)
 
 
@@ -656,9 +744,10 @@ def test_min_sup_distance_reaches_grid_optimum():
     cases = [(np.asarray(xi(grid), dtype=complex) - part, (y1, y2))]
     cases.append((rng.normal(size=200) + 0j, (rng.normal(size=200) + 0j, np.linspace(-1.0, 3.0, 200) + 0j)))
     for target, basis in cases:
-        coeffs, dist = dynamics._min_sup_distance(target, basis)
-        assert dist == pytest.approx(_grid_optimum(target, basis), rel=1e-10)
-        assert dist == pytest.approx(np.max(np.abs(target - coeffs[0] * basis[0] - coeffs[1] * basis[1])), rel=1e-10)
+        fit = dynamics._fit(target, basis)
+        assert fit.distance == pytest.approx(_grid_optimum(target, basis), rel=1e-10)
+        resid = target - fit.coeffs[0] * basis[0] - fit.coeffs[1] * basis[1]
+        assert fit.distance == pytest.approx(np.max(np.abs(resid)), rel=1e-10)
 
 
 def test_nearest_solution_complex_member(eng01):

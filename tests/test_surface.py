@@ -1,10 +1,10 @@
 """The tuning surface and the import boundary.
 
 One knob and few parameters with a default.  A fresh command loads only
-what it calls: scipy only for a fit's pivoted QR and LP, the collocation
-solver only for `--solve-rho` and the experiment layer (`dynamics`), which
-only the instability probe and `empirical` load, the corpus only for
-`corpus`, and jsonschema never.
+what it calls: the collocation solver only for `--solve-rho` and the
+experiment layer (`dynamics`), which only the instability probe and
+`empirical` load, the corpus only for `corpus`, and scipy and jsonschema
+never, complex-data fits included.
 """
 
 import ast
@@ -94,16 +94,32 @@ def _doc(name):
     return str(_ROOT / "problems" / f"{name}.json")
 
 
+# const-iii with complex gamma and rho: roots -1 + 0.5i and -2 - 0.5i, L = 1/2
+_COMPLEX_DOC = {
+    "name": "const-iii-complex",
+    "alpha": "1",
+    "beta": "3",
+    "gamma": "2.25 - 0.5*i",
+    "forcing": "0",
+    "interval": {"lower": -40.0, "upper": 40.0},
+    "rho": "-2 - 0.5*i",
+}
+
+
 def test_scipy_is_not_imported_without_solve_rho(tmp_path):
-    # modules loaded, not seconds: scipy's import is most of a fresh CLI's start-up
+    # modules loaded, not seconds: scipy's import is most of a fresh CLI's
+    # start-up; the complex document's fits run the barrier fit
+    complex_doc = tmp_path / "const-iii-complex.json"
+    complex_doc.write_text(json.dumps(_COMPLEX_DOC))
     codes, scipy = _fresh_run(
         tmp_path,
         ["analyze", _doc("exeq01"), "--best", "--reproducible"],
         ["analyze", _doc("exeq02"), "--reproducible"],
         ["empirical", _doc("exeq03"), "--trials", "2", "--seed", "7", "--reproducible"],
         ["riccati-check", _doc("exeq01")],
+        ["empirical", str(complex_doc), "--trials", "2", "--seed", "7", "--reproducible"],
     )
-    assert codes == [0, 3, 0, 0]
+    assert codes == [0, 3, 0, 0, 0]
     assert not scipy
 
 
