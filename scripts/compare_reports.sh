@@ -32,6 +32,12 @@
 #     eps/(8*t)*(cos(t) + k*t*sin(t) - k*t^2*cos(t)) + (-0)*cos(t).  The
 #     probe compiles the witness and its two derivatives, which hold a
 #     parameter, repeated subtrees and a negative-zero constant subtree;
+#   - `analyze --reproducible` on an alpha-zero document with a witness
+#     (alpha t - 3, beta 2/t, gamma 0, forcing -1 on (1, inf), rho -1/t,
+#     witness (eps - 1)*t^2/6): the probe's collocation resolves the side
+#     below t0 = 2 and not the one above, where alpha vanishes at t = 3, so
+#     its `instability.error` names the per-side panel budget and the t of
+#     the first unresolved side;
 #   - `empirical --trials 4 --seed 7 --reproducible` on exeq01, exeq03,
 #     exeq04 and exeq06, and on exeq03 moved to (1e5, 1e5 + 1), where the
 #     caches and the experiment grid must still cover each other (report
@@ -91,6 +97,9 @@ printf '{"name": "exeq01-at-1e3", "alpha": "(t - 1000)*(1001 - t)", "beta": "2 -
 # exeq05 with a witness that holds a parameter, repeated subtrees and a -0
 printf '{"name": "exeq05-witness-k", "alpha": "1", "beta": "2/t", "gamma": "1", "forcing": "0", "interval": {"lower": 0.0, "upper": "inf"}, "rho": "-tan(t) - 1/t", "params": {"k": 2.0}, "witness": "eps/(8*t)*(cos(t) + k*t*sin(t) - k*t^2*cos(t)) + (-0)*cos(t)"}\n' \
   >"$tmp/exeq05-witness-k.json"
+# exeq02 with alpha = t - 3: the probe's upper side runs into the zero of alpha at t = 3
+printf '{"name": "alpha-zero", "alpha": "t - 3", "beta": "2/t", "gamma": "0", "forcing": "-1", "interval": {"lower": 1.0, "upper": "inf"}, "rho": "-1/t", "witness": "(eps - 1)*t^2/6"}\n' \
+  >"$tmp/alpha-zero.json"
 # rho' + rho^2 + 1 = 0 with no rho: --solve-rho from -tan(0.5) meets the pole of -tan(t) at pi/2
 printf '{"name": "tan-pole", "alpha": "1", "beta": "0", "gamma": "1", "forcing": "0", "interval": {"lower": 0.0, "upper": 2.0}}\n' \
   >"$tmp/tan-pole.json"
@@ -141,6 +150,7 @@ contract() {
     --trials 8 --seed 7 --reproducible --out "$out/empirical"
   run "$tree" "$out" analyze.exeq01-at-1e3 analyze "$tmp/exeq01-at-1e3.json" --best --reproducible
   run "$tree" "$out" analyze.exeq05-witness-k analyze "$tmp/exeq05-witness-k.json" --reproducible
+  run "$tree" "$out" analyze.alpha-zero analyze "$tmp/alpha-zero.json" --reproducible
   for stem in exeq01 exeq03 exeq04 exeq06; do
     run "$tree" "$out" "empirical.$stem" empirical "$tree/problems/$stem.json" \
       --trials 4 --seed 7 --reproducible --out "$out/empirical"
@@ -162,7 +172,7 @@ contract() {
 contract "$tmp/base" "$tmp/out-base"
 contract "$root" "$tmp/out-worktree"
 rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
-  "$tmp/const-iii-complex.json" "$tmp/tan-pole.json"
+  "$tmp/alpha-zero.json" "$tmp/const-iii-complex.json" "$tmp/tan-pole.json"
 
 echo "outputs of $rev and of the working tree: $tmp/out-base, $tmp/out-worktree" >&2
 cd "$tmp"

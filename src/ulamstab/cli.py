@@ -337,7 +337,7 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
     csv_dir = Path(out) if out else Path(".")
     csv_dir.mkdir(parents=True, exist_ok=True)
     csv_path = csv_dir / f"{Path(problem_path).stem}.extremal.csv"
-    csv_path.write_text("t,value\n" + "".join(f"{t!r},{v!r}\n" for t, v in zip(grid.tolist(), dist.tolist())))
+    csv_path.write_text("t,value\n" + "".join(map("{!r},{!r}\n".format, grid.tolist(), dist.tolist())))
     sys.exit(_VERDICT_EXIT[doc["report"]["verdict"]])
 
 

@@ -4,19 +4,20 @@
 value problems here, without the stability engine's caches.  The equation
 is linear, so the local solutions on a panel, with data at the panel's end
 nearer t0, do not depend on any other panel: each side of t0 is bisected
-from one panel, and every level is solved as one batch, with one call of
-each coefficient on the nodes of all its panels and one LAPACK solve per
-panel.  The unknowns are the values of x'' at the N Chebyshev nodes, so
-the panel's matrix is well conditioned (spectral integration: Greengard,
-SIAM J. Numer. Anal. 28, 1991; Trefethen, *Spectral Methods in MATLAB*,
-SIAM 2000).  A panel is accepted when the last 3 Chebyshev coefficients of
-every local solution are at most TAIL of its largest value.  The members
-are then carried across the accepted panels in order (`carry`) and read at
-their points by barycentric interpolation (`read`).
+from one panel, the sides of one call together, and every level is solved
+as one batch, with one call of each coefficient on the nodes of all its
+panels and one LAPACK solve per panel.  The unknowns are the values of x''
+at the N Chebyshev nodes, so the panel's matrix is well conditioned
+(spectral integration: Greengard, SIAM J. Numer. Anal. 28, 1991;
+Trefethen, *Spectral Methods in MATLAB*, SIAM 2000).  A panel is accepted
+when the last 3 Chebyshev coefficients of every local solution are at most
+TAIL of its largest value.  The members are then carried across the
+accepted panels in order (`carry`) and read at their points by barycentric
+interpolation (`read`).
 
 A panel's numbers depend on its own nodes only: every sum runs over its
-own nodes (no BLAS product across panels), and it is solved in real
-arithmetic when its node values are real.
+own nodes in node order (no BLAS product across panels), and it is solved
+in real arithmetic when its node values are real.
 """
 
 from __future__ import annotations
@@ -41,21 +42,24 @@ def _chebyshev_operators(n):
     """The n second-kind Chebyshev points on [-1, 1], from 1 down to -1, and their operators.
 
     Returns the points, the map from node values to Chebyshev coefficients,
-    the barycentric weights, and per start point -1 and 1 the matrices that
-    map node values to node values of the integral and the double integral
-    from that point, both exact for the interpolant.
+    the barycentric weights, and, indexed by start point (0 for -1, 1 for
+    1) and then by order, the matrices (2, 2, n, n) that map node values to
+    node values of the integral and the double integral from that point,
+    both exact for the interpolant.  Every matrix is C-contiguous, so that
+    a broadcast product with it sums each row in node order (`_apply`).
     """
     j = np.arange(n)
     x = np.sin(np.pi * (n - 1 - 2 * j) / (2 * (n - 1)))
     half = np.where((j == 0) | (j == n - 1), 0.5, 1.0)
     coef = (2.0 / (n - 1)) * np.cos(np.pi * np.outer(j, j) / (n - 1)) * np.outer(half, half)
     # each column of coef is the series of one node's cardinal function
-    integrals = {start: tuple(chebyshev.chebval(x, chebyshev.chebint(coef, m=m, lbnd=start)).T for m in (1, 2)) for start in (-1.0, 1.0)}
+    integrals = np.array([[chebyshev.chebval(x, chebyshev.chebint(coef, m=m, lbnd=start)).T for m in (1, 2)] for start in (-1.0, 1.0)])
     return x, coef, half * (-1.0) ** j, integrals
 
 
 _X, _COEF, _W, _INT = _chebyshev_operators(N)
-_DIFF = chebyshev.chebval(_X, chebyshev.chebder(_COEF)).T  # node values to node values of the derivative
+_START = np.array([-1.0, 1.0])  # the start point of each first index of _INT
+_DIFF = np.ascontiguousarray(chebyshev.chebval(_X, chebyshev.chebder(_COEF)).T)  # node values to node values of the derivative
 
 
 class Unresolved(ValueError):
@@ -67,62 +71,104 @@ class Unresolved(ValueError):
 
 
 def _apply(M, u):
-    """M applied to the node values u[..., :] of every panel, by `node_sum`."""
-    return np.stack([node_sum(row, u) for row in M], axis=-1)
+    """sum_j M[..., i, j] u[..., j]: M applied to the node values of every panel.
+
+    One broadcast product and one `node_sum` reduction over the node axis;
+    with M C-contiguous each row sums in node order, as alone.
+    """
+    return node_sum(M, u[..., None, :])
 
 
-def panels(fns, t0, far):
-    """Panels of [t0, far] on which the local solutions are resolved, from t0 out.
+def panels(fns, t0, *fars):
+    """Per far end, the panels of [t0, far] on which the local solutions are resolved, from t0 out.
 
     ``fns`` are alpha, beta, gamma and the forcings (callables or nonzero
-    constants).  Bisection starts from the whole side, and all panels of a
-    level are solved together by `panel_solutions`, in chunks of at most
-    `CHUNK`.  A panel is accepted when the last 3 Chebyshev coefficients
-    of every local solution are at most `TAIL` times its largest value,
-    and split otherwise: at the geometric mean of its ends when they
-    differ by more than a factor 4 in |t|, else at its midpoint.  A panel
-    still failing at a few ulp wide raises `Unresolved`, and so does a side
-    that needs more than `MAX_PANELS` panels or meets a value of ``fns``
-    that is not finite: where rounding in the coefficients keeps the tail
-    up, as next to a zero of alpha, every panel fails at every level.
+    constants).  Bisection starts from each whole side, and the pending
+    panels of every side at a level are solved together by
+    `panel_solutions`, in chunks of at most `CHUNK`.  A panel is accepted
+    when the last 3 Chebyshev coefficients of every local solution are at
+    most `TAIL` times its largest value, and split otherwise: at the
+    geometric mean of its ends when they differ by more than a factor 4 in
+    |t|, else at its midpoint.  A side with a panel still failing at a few
+    ulp wide is unresolved, and so is a side that needs more than
+    `MAX_PANELS` panels or meets a value of ``fns`` that is not finite:
+    where rounding in the coefficients keeps the tail up, as next to a zero
+    of alpha, every panel fails at every level.  The first unresolved side
+    in the order of ``fars`` raises `Unresolved`, once every side before it
+    is resolved; the sides after it are no longer solved.
 
-    Returns the near ends, the far ends, the node values (m, r, n) and the
-    far-end values and derivatives (m, r, 2) of the m accepted panels, in
-    order from t0 out; `Unresolved` holds those nearer t0 than every
-    unresolved panel.
+    Returns per far end the near ends, the far ends, the node values
+    (m, r, n) and the far-end values and derivatives (m, r, 2) of its m
+    accepted panels, in order from t0 out; `Unresolved` holds those of its
+    side nearer t0 than every unresolved panel.
     """
-    near, end = np.array([t0]), np.array([far])
-    done = [(near[:0], end[:0], np.empty((0, len(fns) - 1, N)), np.empty((0, len(fns) - 1, 2)))]
-    accepted = 0
+    k = len(fars)
+    near, end, which = np.full(k, float(t0)), np.array(fars, dtype=float), np.arange(k)  # which: the side of each panel
+    done = [(near[:0], end[:0], np.empty((0, len(fns) - 1, N)), np.empty((0, len(fns) - 1, 2)), which[:0])]
+    accepted = 0  # over every side
+    first, error = k, None  # the first unresolved side and the arguments of its `Unresolved`
+
+    def fail(s, why, pending):
+        nonlocal first, error
+        if s < first:
+            first, error = s, (why, _accepted(done, pending, t0, s))
+
     while near.size:
         if accepted + near.size > MAX_PANELS:
-            t = near[np.argmin(np.abs(near - t0))]
-            raise Unresolved(f"collocation does not resolve the solution near t={t:.17g} within {MAX_PANELS} panels", _accepted(done, near, t0))
-        chunks = (panel_solutions(fns, near[i : i + CHUNK], end[i : i + CHUNK]) for i in range(0, near.size, CHUNK))
+            sides = np.concatenate([d[4] for d in done] + [which])
+            for s in np.flatnonzero(np.bincount(sides, minlength=k) > MAX_PANELS):
+                mine = near[which == s]
+                t = mine[np.argmin(np.abs(mine - t0))]
+                fail(s, f"collocation does not resolve the solution near t={t:.17g} within {MAX_PANELS} panels", mine)
+        if first < k:
+            live = which < first
+            near, end, which = near[live], end[live], which[live]
         try:
-            u, ends, ok = (np.concatenate(part) for part in zip(*chunks))
-        except ValueError as exc:
-            raise Unresolved(str(exc), _accepted(done, near, t0)) from None
+            u, ends, ok = _solve_level(fns, near, end)
+        except ValueError:
+            # each side apart, in order, raises what it raises alone
+            for s in np.unique(which):
+                try:
+                    _solve_level(fns, near[which == s], end[which == s])
+                except ValueError as exc:
+                    fail(s, str(exc), near[which == s])
+                    break
+            live = which < first
+            near, end, which = near[live], end[live], which[live]
+            u, ends, ok = _solve_level(fns, near, end)
         mid = 0.5 * (near + end)
         floor = ~ok & (np.abs(end - near) <= FLOOR * np.maximum(np.abs(near), np.abs(end)))
-        done.append((near[ok], end[ok], u[ok], ends[ok]))
+        done.append((near[ok], end[ok], u[ok], ends[ok], which[ok]))
         if np.any(floor):
-            why = f"collocation does not resolve the solution near t={mid[floor][0]:.17g}: the panel is a few ulp wide"
-            raise Unresolved(why, _accepted(done, near[~ok], t0))
-        accepted += int(np.sum(ok))
+            for s in np.unique(which[floor]):
+                why = f"collocation does not resolve the solution near t={mid[floor & (which == s)][0]:.17g}: the panel is a few ulp wide"
+                fail(s, why, near[~ok & (which == s)])
+        accepted += int(np.count_nonzero(ok))
         # geometric splits grade the panels toward t = 0, where coefficients
-        # such as 2/t are singular, in a few levels
-        a, b = near[~ok], end[~ok]
+        # such as 2/t are singular, in a few levels; the sides from the first
+        # unresolved one on are dropped at the next level
+        a, b, side = near[~ok], end[~ok], which[~ok]
         geometric = (np.sign(a) == np.sign(b)) & (np.abs(a - b) > 3.0 * np.minimum(np.abs(a), np.abs(b)))
         split = np.where(geometric, np.sign(a) * np.sqrt(np.abs(a)) * np.sqrt(np.abs(b)), mid[~ok])
-        near, end = np.concatenate((near[~ok], split)), np.concatenate((split, end[~ok]))
-    return _accepted(done, near, t0)
+        near, end, which = np.concatenate((a, split)), np.concatenate((split, b)), np.concatenate((side, side))
+    if error is not None:
+        raise Unresolved(*error)
+    return tuple(_accepted(done, near, t0, s) for s in range(k))
 
 
-def _accepted(done, pending, t0):
-    """The accepted panels of ``done`` nearer t0 than every ``pending`` near end, in order from t0 out."""
-    near, end, u, ends = (np.concatenate(part) for part in zip(*done))
-    keep = np.abs(near - t0) < np.min(np.abs(pending - t0), initial=np.inf)
+def _solve_level(fns, near, end):
+    """`panel_solutions` of the panels between ``near`` and ``end``, in chunks of at most `CHUNK`."""
+    if not near.size:
+        r = len(fns) - 1
+        return np.empty((0, r, N)), np.empty((0, r, 2)), np.empty(0, dtype=bool)
+    chunks = [panel_solutions(fns, near[i : i + CHUNK], end[i : i + CHUNK]) for i in range(0, near.size, CHUNK)]
+    return tuple(np.concatenate(part) for part in zip(*chunks))
+
+
+def _accepted(done, pending, t0, s):
+    """The accepted panels of side ``s`` in ``done`` nearer t0 than every ``pending`` near end, in order from t0 out."""
+    near, end, u, ends, which = (np.concatenate(part) for part in zip(*done))
+    keep = (which == s) & (np.abs(near - t0) < np.min(np.abs(pending - t0), initial=np.inf))
     order = np.argsort(np.abs(near[keep] - t0), kind="stable")
     return near[keep][order], end[keep][order], u[keep][order], ends[keep][order]
 
@@ -138,8 +184,11 @@ def panel_solutions(fns, near, end):
     ``(diag(alpha) + h diag(beta) K + h^2 diag(gamma) K2) v = rhs``, whose
     conditioning does not grow with n as that of D^2 does.  One LAPACK
     solve per panel gives the local solutions with data (1, 0) at a, with
-    (0, 1) and, per forcing, with (0, 0).  A value of ``fns`` that is not
-    finite at a node raises ValueError.
+    (0, 1) and, per forcing, with (0, 0).  Each panel takes its direction
+    from its own ends: a is its end ``near``, at -1 on [-1, 1] when ``end``
+    lies above it and at 1 when below, so one batch may hold panels of both
+    sides of t0.  A value of ``fns`` that is not finite at a node raises
+    ValueError.
 
     Returns the node values (m, r, n), the far-end values and derivatives
     (m, r, 2) and whether the Chebyshev tail of each panel is small enough.
@@ -147,17 +196,21 @@ def panel_solutions(fns, near, end):
     x = _X
     n = x.size
     diag = np.arange(n)
-    # a panel's near end as a point of [-1, 1], and the node index of its far end
-    start, i1 = (-1.0, 0) if end[0] > near[0] else (1.0, n - 1)
-    K, K2 = _INT[start]
+    panel = np.arange(near.size)
+    # per panel: its near end as a point of [-1, 1], the integrals from
+    # there, and the node index of its far end
+    back = (~(end > near)).astype(int)
+    start = _START[back][:, None]
+    K, K2 = _INT[back, 0], _INT[back, 1]
+    i1 = back * (n - 1)
     h = 0.5 * np.abs(end - near)[:, None]
     nodes = 0.5 * (near + end)[:, None] + h * x
-    vals = np.stack([np.broadcast_to(np.asarray(f(nodes) if callable(f) else f, dtype=complex), nodes.shape) for f in fns])
+    vals = np.stack([np.broadcast_to(np.asarray(f(nodes) if callable(f) else f), nodes.shape) for f in fns])
     bad = ~np.isfinite(vals)
     if np.any(bad):
         t_bad = nodes[np.any(bad, axis=0)][0]
         raise ValueError(f"a coefficient or forcing is not finite at the collocation node t={t_bad:.17g}")
-    real = ~np.any(vals.imag, axis=(0, 2))
+    real = ~np.any(vals.imag, axis=(0, 2)) if np.iscomplexobj(vals) else np.ones(near.size, dtype=bool)
     if np.all(real):
         vals = vals.real
     a, b, c, g = vals[0], vals[1], vals[2], vals[3:]
@@ -169,14 +222,14 @@ def panel_solutions(fns, near, end):
         s = h * (x - start)  # t - a at the nodes
         v = _solve_panels(A, np.stack((-c, -b - c * s, *g), axis=-1), real)
         v = np.ascontiguousarray(np.moveaxis(v, -1, 1))
-        u = (h * h)[:, None] * _apply(K2, v)
+        u = (h * h)[:, None] * _apply(K2[:, None], v)
         u[:, 0] += 1.0
         u[:, 1] += s
-        du = h * node_sum(K[i1], v)
+        du = h * node_sum(K[panel, i1][:, None], v)
         du[:, 1] += 1.0
         tail = np.max(np.abs(_apply(_COEF[-3:], u)), axis=-1)
         ok = np.all(tail <= TAIL * np.max(np.abs(u), axis=-1), axis=-1)
-    return u, np.stack((u[:, :, i1], du), axis=-1), ok
+    return u, np.stack((u[panel, :, i1], du), axis=-1), ok
 
 
 def _solve_panels(A, B, real):
@@ -261,7 +314,9 @@ def read(side, state, col, pts):
 def differentiate(side):
     """``side`` with each local solution replaced by its derivative in t, for `read` to read x' off."""
     near, end, u, ends = side
-    return near, end, _apply(_DIFF, u) / (0.5 * np.abs(end - near))[:, None, None], ends
+    # in chunks of `CHUNK` panels, as they were solved, which bounds the temporaries
+    du = np.concatenate([_apply(_DIFF, u[i : i + CHUNK]) for i in range(0, len(u), CHUNK)])
+    return near, end, du / (0.5 * np.abs(end - near))[:, None, None], ends
 
 
 def first_zero(side, state):

@@ -129,6 +129,8 @@ class SolutionEngine:
         self._weights = None  # the unit caches' nodes and forcing-free weights there
         self._frames = {}
         self._reads = {}  # id of Rc or H1 -> (points, its values there) of its last read by a member
+        self._grids = {}  # t0 -> its experiment grid, read-only
+        self._extremal = {}  # (case, epsilon) -> family coefficients of that extremal pair
         # template panels the replays bisected, and replays that took the adaptive build
         self.replay_counts = {"bisected_panels": 0, "fallbacks": 0}
 
@@ -274,16 +276,22 @@ class SolutionEngine:
         difference cannot be formed in floating point, so the experiments
         measure on the region with |R(t)-R(t0)| <= 8.  For every
         corpus problem the sup of the distance kernel is attained there.
+        The grid is built once per t0 and comes back read-only.
         """
-        # every forcing's caches have the unit forcing's panels
-        lo, hi = self.se._overlap(self.se.Rc, self.se.Pc, self.H1c, *self.forcing_caches(_unit, key="unit"))
-        grid = quad.graded_grid(lo, hi, 1025)
-        r = self.se.Rc.value(grid).real
-        r0 = float(self.se.Rc.value(np.array([float(t0)]))[0].real)
-        keep = np.abs(r - r0) <= 8.0
-        if not np.any(keep):
-            raise CoverageExceeded("no grid point within the amplification cap")
-        return grid[keep]
+        t0 = float(t0)
+        if t0 not in self._grids:
+            # every forcing's caches have the unit forcing's panels
+            lo, hi = self.se._overlap(self.se.Rc, self.se.Pc, self.H1c, *self.forcing_caches(_unit, key="unit"))
+            grid = quad.graded_grid(lo, hi, 1025)
+            r = self.se.Rc.value(grid).real
+            r0 = float(self.se.Rc.value(np.array([t0]))[0].real)
+            keep = np.abs(r - r0) <= 8.0
+            if not np.any(keep):
+                raise CoverageExceeded("no grid point within the amplification cap")
+            grid = grid[keep]
+            grid.flags.writeable = False
+            self._grids[t0] = grid
+        return self._grids[t0]
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +304,15 @@ def ivp_solution(problem, ivps, ts, forcings):
     ``ivps`` is a sequence of k `IvpData` with a common ``t0`` and
     ``forcings`` a matching sequence.  A forcing is a callable of t, None
     for the problem's forcing, or a constant (0 for a homogeneous member,
-    which then costs no forcing call).  Each side of ``t0`` is cut into
-    panels out to its farthest point of ``ts`` (`collocation.panels`); the
-    members are carried across them in order and read at ``ts`` by
-    barycentric interpolation (`collocation.evaluate`).  Returns x at
-    ``ts``, of shape ``(k,) + ts.shape``; a point at ``t0`` keeps the
-    initial value exactly.  A coefficient or forcing that is not finite at
-    a node, or a solution that no panel resolves, raises ValueError naming t.
+    which then costs no forcing call).  Both sides of ``t0`` are cut into
+    panels together, each out to its farthest point of ``ts``, in one
+    `collocation.panels` call; the members are carried across each side's
+    panels in order and read at ``ts`` by barycentric interpolation
+    (`collocation.evaluate`).  Returns x at ``ts``, of shape
+    ``(k,) + ts.shape``; a point at ``t0`` keeps the initial value exactly.
+    A coefficient or forcing that is not finite at a node, or a solution
+    that no panel resolves, raises ValueError naming t, the side below
+    ``t0`` first.
     """
     if len(forcings) != len(ivps):
         raise ValueError("one forcing per initial value problem")
@@ -327,12 +337,11 @@ def ivp_solution(problem, ivps, ts, forcings):
     flat = ts.ravel()
     out = np.empty((k, flat.size), dtype=complex)
     out[:, flat == t0] = np.array(x0)[:, None]
-    for mask in (flat < t0, flat > t0):
-        if not np.any(mask):
-            continue
-        pts, where = np.unique(flat[mask], return_inverse=True)
-        far = float(pts[0] if pts[0] < t0 else pts[-1])
-        out[:, mask] = collocation.evaluate(collocation.panels(fns, t0, far), x0, x0p, col, pts)[:, where]
+    masks = [mask for mask in (flat < t0, flat > t0) if np.any(mask)]
+    points = [np.unique(flat[mask], return_inverse=True) for mask in masks]
+    fars = [float(pts[0] if pts[0] < t0 else pts[-1]) for pts, _ in points]
+    for mask, (pts, where), side in zip(masks, points, collocation.panels(fns, t0, *fars)):
+        out[:, mask] = collocation.evaluate(side, x0, x0p, col, pts)[:, where]
     return out.reshape((k,) + ts.shape)
 
 
@@ -623,7 +632,12 @@ def _proof_solution_params(eng: SolutionEngine, case, epsilon, t0):
 
 
 def _extremal_setup(eng, case, epsilon):
-    """Family coefficients, experiment grid and |xi - x| of the extremal pair."""
+    """Family coefficients, experiment grid and |xi - x| of the extremal pair.
+
+    The coefficients and the grid are computed once per engine.  The
+    members are built anew: they hold the engine, which a stored member
+    would keep alive in a reference cycle.
+    """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     t0 = eng.se.anchor
@@ -632,10 +646,13 @@ def _extremal_setup(eng, case, epsilon):
     # epsilon times the unit forcing's member
     u = eng.representation(IvpData(t0, 0.0, 0.0), forcing=_unit, forcing_key="unit")
     grid = eng.experiment_grid(t0)
-    if eng.se.is_real:
-        params = _proof_solution_params(eng, case, epsilon, t0)
-    else:  # the proof's construction reads real-data kernels: the nearest member instead
-        params = SolutionFamilyParams(*map(complex, _fit(epsilon * u(grid), _fit_basis(eng, t0, grid)).coeffs))
+    if (case, epsilon) not in eng._extremal:
+        if eng.se.is_real:
+            params = _proof_solution_params(eng, case, epsilon, t0)
+        else:  # the proof's construction reads real-data kernels: the nearest member instead
+            params = SolutionFamilyParams(*map(complex, _fit(epsilon * u(grid), _fit_basis(eng, t0, grid)).coeffs))
+        eng._extremal[case, epsilon] = params
+    params = eng._extremal[case, epsilon]
     w = eng.homogeneous(t0, params)
     distance = lambda t: np.abs(epsilon * u(t) - w(t))
     return params, grid, distance
@@ -753,25 +770,20 @@ def instability_probe(problem, xi_family, epsilon):
     lo_edge = dom.tau if dom.lower.finite else -quad.RANGE_CAP
     truncations = _truncations(dom, t0)
     grids = []
-    residual_sup = 0.0
     for T in truncations:
         grid = probe_grid(Interval.open(max(lo_edge, dom.tau), float(T)))
-        grid = grid[grid > dom.tau]
-        grids.append(grid)
-        # residual evaluation stays a modest distance from an open finite lower
-        # endpoint: compiled derivatives of the witness are cancellation-limited
-        # arbitrarily close to a singularity there
-        if dom.lower.finite:
-            rgrid = grid[grid >= dom.tau + 1e-3 * (t0 - dom.tau)]
-        else:
-            rgrid = grid
-        with np.errstate(all="ignore"):
-            resid = np.abs(a(rgrid) * xi_pp(rgrid) + b(rgrid) * xi_p(rgrid) + c(rgrid) * xi_fn(rgrid) - f(rgrid))
-        resid = resid[np.isfinite(resid)]
-        residual_sup = max(residual_sup, float(np.max(resid)))
-    # solution family by direct integration, once over every truncation's grid
+        grids.append(grid[grid > dom.tau])
+    # the residual and the solution family each once over every truncation's grid
+    ts = np.concatenate(grids)
+    # residual evaluation stays a modest distance from an open finite lower
+    # endpoint: compiled derivatives of the witness are cancellation-limited
+    # arbitrarily close to a singularity there
+    rgrid = ts[ts >= dom.tau + 1e-3 * (t0 - dom.tau)] if dom.lower.finite else ts
+    with np.errstate(all="ignore"):
+        resid = np.abs(a(rgrid) * xi_pp(rgrid) + b(rgrid) * xi_p(rgrid) + c(rgrid) * xi_fn(rgrid) - f(rgrid))
+    residual_sup = float(np.max(resid[np.isfinite(resid)]))
     family = (IvpData(t0, 1.0, 0.0), IvpData(t0, 0.0, 1.0), IvpData(t0, 0.0, 0.0))
-    members = ivp_solution(problem, family, np.concatenate(grids), (0.0, 0.0, None))
+    members = ivp_solution(problem, family, ts, (0.0, 0.0, None))
     bounds = np.cumsum([g.size for g in grids])[:-1]
     trace = []
     for T, grid, (y1, y2, p) in zip(truncations, grids, np.split(members, bounds, axis=1)):

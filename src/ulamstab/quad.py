@@ -44,6 +44,7 @@ read-only afterwards, so they can be shared freely between threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -211,8 +212,12 @@ class CumulativeIntegral:
         anch[k + 1 :] = np.cumsum(self.panel_vals[k:])
         anch[:k] = -np.cumsum(self.panel_vals[:k][::-1])[::-1]
         self._anch = anch
-        self._ref_offset = self._anch_prefix(np.array([self.t_ref]))[0]
         self.error_bound = float(np.sum(self.panel_errs))
+
+    @functools.cached_property
+    def _ref_offset(self):
+        """int from the reference panel start to t_ref; only `value` reads it."""
+        return self._anch_prefix(np.array([self.t_ref]))[0]
 
     @property
     def lo(self):

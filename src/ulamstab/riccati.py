@@ -160,7 +160,7 @@ def _side(fns, t0, far, rho0):
     while a != far:
         b = far if abs(far - a) <= width else a + sign * width
         try:
-            side, unresolved = collocation.panels(fns, a, b), False
+            (side,), unresolved = collocation.panels(fns, a, b), False
         except collocation.Unresolved as exc:
             side, unresolved = exc.side, True
         states = collocation.carry(side, list(state[:2]), list(state[2:]), [None, None], True)

@@ -254,6 +254,30 @@ def test_empirical_builds_h1_once(runner, tmp_path, monkeypatch):
     assert len(calls) == 6 + 2
 
 
+def test_empirical_sets_up_the_extremal_pair_once(runner, tmp_path, monkeypatch):
+    # on complex data the extremal member is a nearest-solution fit; the
+    # experiment and the written profile share one setup, so one fit
+    from ulamstab import dynamics
+
+    fits = []
+    fit = dynamics._fit
+    monkeypatch.setattr(dynamics, "_fit", lambda *args: fits.append(None) or fit(*args))
+    doc = {
+        "alpha": "1",
+        "beta": "3",
+        "gamma": "2.25 - 0.5*i",
+        "forcing": "0",
+        "interval": {"lower": -40.0, "upper": 40.0},
+        "rho": "-2 - 0.5*i",
+    }
+    path = tmp_path / "const-iii-complex.json"
+    path.write_text(json.dumps(doc))
+    result = _invoke(runner, ["empirical", str(path), "--trials", "0", "--reproducible", "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    assert len(fits) == 1
+    assert (tmp_path / "const-iii-complex.extremal.csv").exists()
+
+
 @pytest.mark.parametrize("shift", [1000.0, 1e5])
 def test_empirical_on_a_translated_interval(runner, tmp_path, shift):
     # exeq03 moved to (shift, shift + 1), where B = 1/6: the experiment grid

@@ -576,6 +576,9 @@ def test_ivp_solution_reports_failed_solve():
     p = make_problem("t - 3", "2/t", "0", "-1", 1.0, math.inf)
     with pytest.raises(ValueError, match=r"near t=(2\.99999|3\.00000)"):
         dynamics.ivp_solution(p, (IvpData(2.0, 1.0),), [2.5, 3.5], (None,))
+    # the side below t0 resolves; the one above still names t near 3
+    with pytest.raises(ValueError, match=r"near t=(2\.99999|3\.00000)"):
+        dynamics.ivp_solution(p, (IvpData(2.0, 1.0),), [1.5, 3.5], (None,))
     # with beta = gamma = 0, alpha = 0 at the node t = 3 makes the panels
     # ending there singular; they are bisected as unresolved
     p = make_problem("t - 3", "0", "0", "-1", 1.0, math.inf)
@@ -593,8 +596,8 @@ def solver_calls(monkeypatch):
 
     ``watch(problem)`` wraps the problem's coefficients: an array call made
     inside `ivp_solution` appends the coefficient's name to ``log``, and
-    every panel batch (one bisection level of one side) appends "batch"
-    once it is solved.
+    every panel batch (one bisection level of both sides of t0) appends
+    "batch" once it is solved.
     """
     calls = {"ivp_solution": 0, "log": [], "inside": False}
     ivp_solution = dynamics.ivp_solution
@@ -631,21 +634,23 @@ def solver_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "coeffs, witness",
-    [(EXEQ02, "(eps - 1)*t^2/6"), (EXEQ05, EXEQ05_WITNESS)],
+    "coeffs, witness, depth",
+    [(EXEQ02, "(eps - 1)*t^2/6", 5), (EXEQ05, EXEQ05_WITNESS, 11)],
     ids=["exeq02", "exeq05"],
 )
-def test_instability_probe_integrates_once(solver_calls, coeffs, witness):
+def test_instability_probe_integrates_once(solver_calls, coeffs, witness, depth):
     p = solver_calls["watch"](make_problem(*coeffs))
     out = dynamics.instability_probe(p, exprlang.parse(witness), 0.1)
     assert len(out["trace"]) == 3
     assert solver_calls["ivp_solution"] == 1
-    # every bisection level of each side calls each coefficient and the
-    # forcing once, on the nodes of all its panels
+    # every bisection level calls each coefficient and the forcing once, on
+    # the nodes of the panels of both sides
     log = solver_calls["log"]
     assert log[-1] == "batch"
     levels = " ".join(log).split("batch")[:-1]
-    assert len(levels) >= 2
+    # as many levels as the deeper side needs (below and above t0: exeq02
+    # 2 and 5, exeq05 7 and 11)
+    assert len(levels) == depth
     for level in levels:
         assert sorted(level.split()) == ["alpha", "beta", "forcing", "gamma"]
 
@@ -715,15 +720,26 @@ def test_ivp_solution_complex_coefficients_match_dop853_oracle():
 
 
 @pytest.mark.parametrize(
-    "coeffs, t0, far",
-    [(EXEQ05, 1.0, 1000.0), (EXEQ05, 1.0, 1e-9), (("1", "2/t", _MIXED_GAMMA, "cos(t)", 0.0, math.inf), 0.5, 6.0)],
-    ids=["exeq05-upper", "exeq05-lower", "mixed-real-complex"],
+    "coeffs, t0, fars",
+    [
+        (EXEQ05, 1.0, (1000.0,)),
+        (EXEQ05, 1.0, (1e-9,)),
+        (("1", "2/t", _MIXED_GAMMA, "cos(t)", 0.0, math.inf), 0.5, (6.0,)),
+        (EXEQ05, 1.0, (1e-9, 1000.0)),
+        (("1", "2/t", _MIXED_GAMMA, "cos(t)", 0.0, math.inf), 0.5, (0.3, 6.0)),
+    ],
+    ids=["exeq05-upper", "exeq05-lower", "mixed-real-complex", "exeq05-both-sides", "mixed-both-sides"],
 )
-def test_panel_solutions_do_not_depend_on_the_batch(coeffs, t0, far):
-    # a panel's local solutions are bit-identical solved alone and in a batch
+def test_panel_solutions_do_not_depend_on_the_batch(coeffs, t0, fars):
+    # a panel's local solutions are bit-identical solved alone and in a
+    # batch, which may mix panels below and above t0
     p = make_problem(*coeffs)
     fns = [p.fn(which) for which in ("alpha", "beta", "gamma", "forcing")]
-    near, end, u, ends = collocation.panels(fns, t0, far)
+    sides = collocation.panels(fns, t0, *fars)
+    assert len(sides) == len(fars)
+    near, end, u, ends = (np.concatenate(part) for part in zip(*sides))
+    if len(fars) > 1:
+        assert np.any(end < near) and np.any(end > near)
     batch = collocation.panel_solutions(fns, near, end)
     assert np.all(batch[2])
     for i in range(near.size):

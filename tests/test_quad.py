@@ -34,6 +34,15 @@ def test_cumulative_between_additive(cos_cum):
     assert c - a == pytest.approx(math.sin(4.1) - math.sin(-3.2), abs=1e-10)
 
 
+def test_reference_offset_is_read_on_first_value():
+    # a cache read only from its edges never takes the one-point read at t_ref
+    cum = quad.cumulative(np.cos, 0.3, -5.0, 5.0)
+    cum.from_edge("upper", np.array([1.0]))
+    assert "_ref_offset" not in vars(cum)
+    assert cum.value(np.array([0.3]))[0] == 0.0
+    assert "_ref_offset" in vars(cum)
+
+
 def test_cumulative_coverage_error(cos_cum):
     with pytest.raises(quad.CoverageError):
         cos_cum.value(np.array([6.0]))
