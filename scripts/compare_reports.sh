@@ -15,6 +15,12 @@
 #     commands on a blow-up document (alpha 1, beta 0, gamma 1 on (0, 2),
 #     `--solve-rho t0=0.5,rho0=-0.5463024898437905`, which is -tan 0.5), whose
 #     rho = -tan(t) has its pole at pi/2, where x = cos(t)/cos(0.5) vanishes;
+#   - `riccati-check` and `analyze --best --reproducible` on a whole-line
+#     document (alpha 1, beta 0, gamma 1/16, forcing 0, rho -tan(t/4)/4 on
+#     (-inf, inf)), where x = cos(t/4) and rho's poles at -2 pi and 2 pi lie
+#     beyond the first coverage window's reach on both sides, so coverage
+#     evaluates the rest of both sides' grids (exeq05's pole at pi/2 lies
+#     within that reach);
 #   - `analyze --fast-path --reproducible` on const-i, const-ii and const-iii;
 #   - `analyze --tol 1e-8 --best --reproducible` on exeq01 and const-iii;
 #   - `analyze --best --reproducible` and `empirical --trials 8 --seed 7
@@ -103,6 +109,9 @@ printf '{"name": "alpha-zero", "alpha": "t - 3", "beta": "2/t", "gamma": "0", "f
 # rho' + rho^2 + 1 = 0 with no rho: --solve-rho from -tan(0.5) meets the pole of -tan(t) at pi/2
 printf '{"name": "tan-pole", "alpha": "1", "beta": "0", "gamma": "1", "forcing": "0", "interval": {"lower": 0.0, "upper": 2.0}}\n' \
   >"$tmp/tan-pole.json"
+# x = cos(t/4) on the whole line: rho = -tan(t/4)/4 has its poles at -2 pi and 2 pi
+printf '{"name": "tan-quarter-line", "alpha": "1", "beta": "0", "gamma": "1/16", "forcing": "0", "interval": {"lower": "-inf", "upper": "inf"}, "rho": "-tan(t/4)/4"}\n' \
+  >"$tmp/tan-quarter-line.json"
 # const-iii with complex gamma and rho: roots -1 + 0.5i and -2 - 0.5i, L = 1/2
 printf '{"name": "const-iii-complex", "alpha": "1", "beta": "3", "gamma": "2.25 - 0.5*i", "forcing": "0", "interval": {"lower": -40.0, "upper": 40.0}, "rho": "-2 - 0.5*i"}\n' \
   >"$tmp/const-iii-complex.json"
@@ -139,6 +148,8 @@ contract() {
     --solve-rho t0=0.5,rho0=-0.5463024898437905 --best --reproducible
   run "$tree" "$out" solve-rho-check.tan-pole riccati-check "$tmp/tan-pole.json" \
     --solve-rho t0=0.5,rho0=-0.5463024898437905
+  run "$tree" "$out" riccati-check.tan-quarter-line riccati-check "$tmp/tan-quarter-line.json"
+  run "$tree" "$out" analyze.tan-quarter-line analyze "$tmp/tan-quarter-line.json" --best --reproducible
   for stem in const-i const-ii const-iii; do
     run "$tree" "$out" "fast-path.$stem" analyze "$tree/problems/$stem.json" --fast-path --reproducible
   done
@@ -172,7 +183,7 @@ contract() {
 contract "$tmp/base" "$tmp/out-base"
 contract "$root" "$tmp/out-worktree"
 rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
-  "$tmp/alpha-zero.json" "$tmp/const-iii-complex.json" "$tmp/tan-pole.json"
+  "$tmp/alpha-zero.json" "$tmp/const-iii-complex.json" "$tmp/tan-pole.json" "$tmp/tan-quarter-line.json"
 
 echo "outputs of $rev and of the working tree: $tmp/out-base, $tmp/out-worktree" >&2
 cd "$tmp"

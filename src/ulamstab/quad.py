@@ -328,13 +328,18 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
     and the GK15 value and error, the fit residual and the accept/split
     decision of every panel are computed as arrays.  A level whose values
     have an imaginary part of exactly zero at every node is computed in
-    float64, any other in complex128.  A panel's numbers depend on its own
-    nodes only (`node_sum` adds the real and imaginary parts apart), so every
-    root gets the leaves it would get alone.  A panel is accepted when its
-    error estimate and its fit residual meet the budget, or when it is not
-    split: at ``_MAX_DEPTH``, or at the resolution floor, narrower than
-    ``_FLOOR_ULPS`` ulp of its larger end, where further levels would
-    resolve the rounding of its node positions, not the integrand.
+    float64, any other in complex128.  A panel's value and error depend on
+    its own nodes only (`node_sum` adds the real and imaginary parts apart).
+    Its fit residual ``y @ _RESID.T`` and antiderivative ``y @ _ANTI.T`` do
+    not: BLAS rounds those products differently with the batch's row count
+    (one row alone and in a batch of 500 differ in about two thirds of the
+    entries), so a borderline accept/split decision and a leaf's interpolant
+    can move with the other panels of a level (open ROADMAP item 2).  A
+    panel is accepted when its error estimate and its fit residual meet the
+    budget, or when it is not split: at ``_MAX_DEPTH``, or at the resolution
+    floor, narrower than ``_FLOOR_ULPS`` ulp of its larger end, where
+    further levels would resolve the rounding of its node positions, not
+    the integrand.
     ``forced`` in the blocks says which of the two kept an unconverged leaf.
     ``y0``, when not None, holds the integrand's values on the roots' own
     nodes (`_nodes`), group after group, which then cost no integrand call.

@@ -27,6 +27,7 @@ __all__ = ["NumericSolution", "RhoCoverage", "RESIDUAL_TOL", "residual_sup", "so
 
 RESIDUAL_TOL = 1e-6  # the largest `residual_sup` of a candidate the analysis accepts
 _ROUNDING = 20 * float(np.finfo(float).eps)  # the error of a panel's local solutions, relative to x and x'
+_BLOCK = 8192  # samples per numpy call in `rho_coverage`: larger temporaries leave the cache and fault in fresh pages
 
 
 @dataclass
@@ -187,11 +188,34 @@ def _side(fns, t0, far, rho0):
 
 
 def rho_coverage(problem: OscillatorProblem, rho):
-    """Maximal probe-grid subinterval around the anchor where rho is usable.
+    """Maximal grid subinterval around the anchor where rho is usable.
 
     A candidate may blow up at interior points (poles); the stability
     theory then only applies to the contiguous piece containing the anchor.
     Blow-up *at* an endpoint is fine and does not reduce coverage.
+
+    The grid is the probe grid plus windows of 2,046 points (a `linspace`
+    of 2,048 without its ends) around the anchor, 1, 2, 4, ... wide on
+    each side and cut at the domain's ends, doubling until they cover it
+    or reach 1e8.  A sample is bad where rho is not finite or
+    |rho| >= 1e12, and, when rho is real on every good sample evaluated,
+    where it changes sign across a large value that the grid resolves;
+    such a flip marks the lower sample of the pair.  The coverage is the
+    run of good samples around the anchor, so it depends only on the
+    nearest bad sample on each side.
+
+    The grid is evaluated in two passes.  The first takes the probe grid
+    and every grid point within the first window's reach,
+    |t - anchor| <= 1.  A side is settled when the grid ends within that
+    reach or a bad sample lies there; the outermost sample above the
+    anchor does not count, as its sign-flip test needs the next point
+    out.  The second pass evaluates the rest of each side that is not
+    settled, each point once; an anchor sample that is bad takes the
+    whole grid.  A grid whose windows hold at most two blocks of `_BLOCK`
+    points is evaluated whole in the first pass.  The real-valuedness is
+    judged on the samples evaluated, so a rho that is real on all of them
+    but complex at a grid point further out keeps its sign-flip test,
+    which the whole grid would switch off everywhere.
     """
     dom = problem.domain
     if isinstance(rho, NumericSolution):
@@ -208,39 +232,68 @@ def rho_coverage(problem: OscillatorProblem, rho):
     lo_edge = dom.tau if dom.lower.finite else -RANGE_CAP
     hi_edge = dom.sigma if dom.upper.finite else RANGE_CAP
 
+    def points(*pieces):
+        """The distinct points of the pieces that lie in the domain, sorted."""
+        g = np.concatenate(pieces)
+        g.sort()
+        distinct = np.ones(g.size, dtype=bool)
+        distinct[1:] = g[1:] != g[:-1]
+        if not np.all(distinct):
+            g = g[distinct]
+        return g[np.searchsorted(g, lo_edge, "left" if dom.lower.included else "right") : np.searchsorted(g, hi_edge, "right" if dom.upper.included else "left")]
+
     # probe grid plus dense windows doubling outward from the anchor, so
     # interior poles near the working region are actually resolved
-    grids = [probe_grid(dom)]
+    probe = probe_grid(dom)  # sorted, distinct and in the domain
+    ends = []
     width = 1.0
     while True:
         w_lo = max(lo_edge, anchor - width)
         w_hi = min(hi_edge, anchor + width)
         if w_hi > w_lo:
-            grids.append(np.linspace(w_lo, w_hi, 2048)[1:-1])
+            ends.append((w_lo, w_hi))
         if w_lo == lo_edge and w_hi == hi_edge:
             break
         width *= 2.0
         if width > 2.0 * (hi_edge - lo_edge):
             break
-    grid = np.unique(np.concatenate(grids))
-    grid = grid[(grid > lo_edge) | ((grid == lo_edge) & dom.lower.included)]
-    grid = grid[(grid < hi_edge) | ((grid == hi_edge) & dom.upper.included)]
+    windows = np.linspace(*np.reshape(ends, (-1, 2)).T, 2048)[1:-1]  # one window a column
 
-    with np.errstate(all="ignore"):
-        vals = np.asarray(fn(grid))
-    bad = ~(np.isfinite(vals.real) & np.isfinite(vals.imag)) | (np.abs(vals) >= 1e12)
-    if np.all(np.abs(vals.imag[~bad]) < 1e-9 * (1.0 + np.abs(vals.real[~bad]))):
-        # real-valued candidate: a sign flip at large magnitude between
-        # neighbouring samples that resolve the growth marks a pole
-        re = vals.real
-        gap = np.diff(grid)
-        flip = (re[:-1] * re[1:] < 0) & (np.minimum(np.abs(re[:-1]), np.abs(re[1:])) * gap > 0.5)
-        flip &= np.minimum(np.abs(re[:-1]), np.abs(re[1:])) > 100.0
-        bad[:-1] |= flip
+    # the grid in three sorted parts: below the first window's reach, within
+    # it and above it; an outer part holds only its probe points until its
+    # side is evaluated whole.  A grid of two blocks takes one pass: a
+    # second would cost more than it saves.
+    if windows.size > 2 * _BLOCK:
+        reach = (anchor - 1.0, anchor + 1.0)
+        outer = (windows < reach[0], windows > reach[1])
+        parts = [probe[probe < reach[0]], points(probe[(probe >= reach[0]) & (probe <= reach[1])], windows[~(outer[0] | outer[1])]), probe[probe > reach[1]]]
+        whole = [not np.any(m) for m in outer]
+    else:
+        parts, whole = [probe[:0], points(probe, windows.ravel()), probe[:0]], [True, True]
+    grid, vals = np.empty(0), np.empty(0, dtype=complex)
+    while True:
+        old, grid = grid, np.concatenate(parts)
+        a, b = parts[0].size, parts[0].size + parts[1].size  # the samples within reach are grid[a:b]
+        parts = [grid[:a], grid[a:b], grid[b:]]
+        known = np.searchsorted(grid, old)
+        old_vals, vals = vals, np.empty(grid.size, dtype=complex)
+        vals[known] = old_vals
+        fresh = np.ones(grid.size, dtype=bool)
+        fresh[known] = False
+        _evaluate(fn, grid, vals, fresh)
+        bad = _bad_samples(grid, vals)
+        k = min(int(np.searchsorted(grid, anchor)), grid.size - 1)
+        # a bad sample within reach settles its side, but the last one above
+        # the anchor is not known to be good: its flip test needs the next point
+        todo = [s for s, settled in enumerate((np.any(bad[a:k]), np.any(bad[k : b - 1]))) if not (whole[s] or settled)]
+        if not todo and not (a <= k < b and not bad[k]):
+            todo = [s for s in (0, 1) if not whole[s]]  # a bad anchor sample takes the whole grid
+        if not todo:
+            break
+        for s in todo:
+            parts[2 * s], whole[s] = points(windows[outer[s]], parts[2 * s]), True
     good = ~bad
 
-    k = int(np.searchsorted(grid, anchor))
-    k = min(max(k, 0), grid.size - 1)
     if not good[k]:
         good_idx = np.flatnonzero(good)
         if good_idx.size == 0:
@@ -266,3 +319,38 @@ def rho_coverage(problem: OscillatorProblem, rho):
         bad_at = grid[j + 1] if not hi_ok else grid[i - 1]
         detail = f"rho not finite near t={float(bad_at):.6g}; coverage limited to [{lo:.6g}, {hi:.6g}]"
     return RhoCoverage(lo, hi, full, detail)
+
+
+def _evaluate(fn, t, out, where):
+    """Write rho(t) into ``out`` where ``where`` holds, `_BLOCK` points at a time."""
+    with np.errstate(all="ignore"):
+        for i in range(0, t.size, _BLOCK):
+            w = where[i : i + _BLOCK]
+            if np.all(w):
+                out[i : i + _BLOCK] = fn(t[i : i + _BLOCK])
+            else:
+                out[i : i + _BLOCK][w] = fn(t[i : i + _BLOCK][w])
+
+
+def _bad_samples(grid, vals):
+    """Where rho is not finite or |rho| >= 1e12, or, for a real rho, flips sign across a resolved large value.
+
+    Each block of `_BLOCK` samples is tested with the first sample of the next.
+    """
+    bad = np.empty(grid.size, dtype=bool)
+    flip = np.zeros(grid.size, dtype=bool)
+    real = True
+    for i in range(0, grid.size, _BLOCK):
+        j = min(i + _BLOCK, grid.size)
+        re, im = vals.real[i : j + 1], vals.imag[i:j]
+        size = np.abs(re)
+        zero_im = not np.any(im)  # then |rho| is |Re rho| and rho is real, with no hypot
+        np.logical_or(~np.isfinite(vals[i:j]), (size[: j - i] if zero_im else np.abs(vals[i:j])) >= 1e12, out=bad[i:j])
+        real = real and (zero_im or np.all((np.abs(im) < 1e-9 * (1.0 + size[: j - i])) | bad[i:j]))
+        # a sign flip at large magnitude between neighbouring samples that
+        # resolve the growth marks a pole of a real-valued candidate
+        least = np.minimum(size[:-1], size[1:])
+        flip[i : i + least.size] = (re[:-1] * re[1:] < 0) & (least * np.diff(grid[i : j + 1]) > 0.5) & (least > 100.0)
+    if real:
+        bad |= flip
+    return bad

@@ -12,11 +12,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import coverage_oracle
 from conftest import make_problem
 from ivp_oracle import dop853_state
 from ulamstab import exprlang, riccati, stability
 from ulamstab.dynamics import IvpData
-from ulamstab.model import Endpoint, Interval, OscillatorProblem, problem_from_dict
+from ulamstab.model import Endpoint, Interval, OscillatorProblem, probe_grid, problem_from_dict
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -187,3 +188,81 @@ def test_coverage_between_two_interior_poles():
     assert not cov.full
     assert cov.lo == pytest.approx(math.pi / 2, abs=1e-2) and cov.lo > math.pi / 2
     assert cov.hi == pytest.approx(3 * math.pi / 2, abs=1e-2) and cov.hi < 3 * math.pi / 2
+
+
+def _coverage_cases():
+    """(problem, rho) pairs whose poles lie within and beyond the first window's reach, on both sides."""
+    for path in sorted(PROBLEMS.glob("*.json")):
+        p = problem_from_dict(json.loads(path.read_text()))
+        yield p, p.rho
+    one = exprlang.parse("1")
+    for lo, hi, closed in ((0.0, 6.0, False), (0.0, 6.0, True), (0.0, math.inf, False), (1.0, math.inf, False), (-math.inf, math.inf, False)):
+        domain = Interval(Endpoint(lo, True), Endpoint(hi, True)) if closed else Interval.open(lo, hi)
+        p = OscillatorProblem(one, exprlang.parse("0"), one, exprlang.parse("0"), domain)
+        anchor = p.domain.default_anchor()
+        texts = [f"{c}*tan({k}*t + {ph})" for c in (1, -0.25) for k in (1, 0.25, 3) for ph in (0, 0.4, -1.2)]
+        for d in (-40.1, -4.3, -1.3, -1.005, -0.5, 0.0, 1e-3, 0.5, 1.005, 1.3, 4.3, 40.1):
+            if p.domain.contains(anchor + d):
+                # 300/(t - p) and 1e8/(t - p) pass the flip test's 100 between
+                # grid points 3 and 1e6 apart: the grid beyond the reach is
+                # only probe points until its side is evaluated whole
+                texts += [f"{c}/(t - {anchor + d!r})" for c in (1, 300, 1e8)]
+                # at least 1e12 within 0.13 of the anchor: the nearest good sample is looked for
+                texts.append(f"1e13/(1 + ((t - {anchor!r})/0.1)^8) + 300/(t - {anchor + d!r})")
+        # complex only at the probe point nearest the anchor, in the grid's first block
+        grid = probe_grid(domain)
+        c = float(grid[np.argmin(np.abs(grid - anchor))])
+        texts.append(f"300/(t - {anchor + 40.1!r}) + 1e-3*i*exp(-((t - {c!r})/1e-6)^2)")
+        texts.append("-2 - 0.5*i")
+        for text in texts:
+            yield p, exprlang.parse(text)
+
+
+def test_coverage_is_the_full_grid_coverage():
+    # the nearest bad samples around the anchor, found without the whole
+    # grid, give the coverage of the whole grid, field for field
+    cases = list(_coverage_cases())
+    assert len(cases) > 150
+    for p, rho in cases:
+        assert riccati.rho_coverage(p, rho) == coverage_oracle.rho_coverage(p, rho), (p.domain, rho)
+
+
+def test_coverage_evaluates_rho_only_up_to_the_pole():
+    # exeq05's pole at pi/2 lies within the first window's reach, so the
+    # windows out to 1e8 (about 55,000 points in all) are not evaluated
+    p = problem_from_dict(json.loads((PROBLEMS / "exeq05.json").read_text()))
+    fn, points = p.bind(p.rho), []
+
+    def counting(t):
+        points.append(np.size(t))
+        return fn(t)
+
+    cov = riccati.rho_coverage(p, counting)
+    assert cov == riccati.rho_coverage(p, p.rho)
+    assert not cov.full and cov.hi < math.pi / 2
+    assert sum(points) <= 6000
+
+
+def test_coverage_keeps_the_flip_test_of_a_rho_real_where_evaluated():
+    # tan(t) with a narrow imaginary bump at a grid point 30 past the pole:
+    # the whole grid sees it and switches the sign-flip test off, so the
+    # pole at pi/2 goes unseen; evaluated up to the pole, rho is real
+    p = make_problem("1", "0", "1", "0", 0.0, math.inf)
+    c = float(np.linspace(0.0, 65.0, 2048)[1000])  # a point of the window 64 wide
+    rho = exprlang.parse(f"tan(t) + 1e-3*i*exp(-((t - {c!r})/1e-6)^2)")
+    assert abs(p.bind(rho)(c).imag) == 1e-3
+    assert coverage_oracle.rho_coverage(p, rho).full
+    cov = riccati.rho_coverage(p, rho)
+    assert not cov.full and cov.hi == pytest.approx(math.pi / 2, abs=1e-2) and cov.hi < math.pi / 2
+
+
+def test_sign_flips_are_found_across_blocks():
+    # rho alternating between 1000 and -1000 flips between every pair of
+    # samples, the pairs that straddle two blocks included
+    n = 3 * riccati._BLOCK + 5
+    grid = np.arange(n, dtype=float)
+    vals = np.where(np.arange(n) % 2 == 0, 1000.0, -1000.0).astype(complex)
+    assert np.array_equal(riccati._bad_samples(grid, vals), np.arange(n) < n - 1)
+    # one complex sample in the first block switches the flip test off everywhere
+    vals[0] = 1000.0 + 1.0j
+    assert not np.any(riccati._bad_samples(grid, vals))
