@@ -48,6 +48,10 @@
 #     exeq04 and exeq06, and on exeq03 moved to (1e5, 1e5 + 1), where the
 #     caches and the experiment grid must still cover each other (report
 #     and .extremal.csv);
+#   - `analyze --best --reproducible`, `analyze --fast-path --reproducible`,
+#     `empirical --trials 4 --seed 7 --reproducible` and `riccati-check` on
+#     const-iii moved to (-1.7e308, 1.7e308), two finite ends whose
+#     difference overflows, which the problem input check rejects;
 #   - `corpus run`;
 #   - `analyze`, `empirical` and `riccati-check` on seven bad-input
 #     documents written to the temporary directory: an unbound parameter in
@@ -112,6 +116,9 @@ printf '{"name": "tan-pole", "alpha": "1", "beta": "0", "gamma": "1", "forcing":
 # x = cos(t/4) on the whole line: rho = -tan(t/4)/4 has its poles at -2 pi and 2 pi
 printf '{"name": "tan-quarter-line", "alpha": "1", "beta": "0", "gamma": "1/16", "forcing": "0", "interval": {"lower": "-inf", "upper": "inf"}, "rho": "-tan(t/4)/4"}\n' \
   >"$tmp/tan-quarter-line.json"
+# const-iii on (-1.7e308, 1.7e308): upper - lower overflows
+printf '{"name": "const-iii-overflow", "alpha": "1", "beta": "3", "gamma": "2", "forcing": "0", "interval": {"lower": -1.7e308, "upper": 1.7e308}, "rho": "-2"}\n' \
+  >"$tmp/const-iii-overflow.json"
 # const-iii with complex gamma and rho: roots -1 + 0.5i and -2 - 0.5i, L = 1/2
 printf '{"name": "const-iii-complex", "alpha": "1", "beta": "3", "gamma": "2.25 - 0.5*i", "forcing": "0", "interval": {"lower": -40.0, "upper": 40.0}, "rho": "-2 - 0.5*i"}\n' \
   >"$tmp/const-iii-complex.json"
@@ -168,6 +175,11 @@ contract() {
   done
   run "$tree" "$out" empirical.exeq03-at-1e5 empirical "$tmp/exeq03-at-1e5.json" \
     --trials 4 --seed 7 --reproducible --out "$out/empirical"
+  run "$tree" "$out" analyze.const-iii-overflow analyze "$tmp/const-iii-overflow.json" --best --reproducible
+  run "$tree" "$out" fast-path.const-iii-overflow analyze "$tmp/const-iii-overflow.json" --fast-path --reproducible
+  run "$tree" "$out" empirical.const-iii-overflow empirical "$tmp/const-iii-overflow.json" \
+    --trials 4 --seed 7 --reproducible --out "$out/empirical"
+  run "$tree" "$out" riccati-check.const-iii-overflow riccati-check "$tmp/const-iii-overflow.json"
   run "$tree" "$out" corpus corpus run
   for p in "$tmp"/bad/*.json; do
     stem=$(basename "$p" .json)
@@ -183,7 +195,8 @@ contract() {
 contract "$tmp/base" "$tmp/out-base"
 contract "$root" "$tmp/out-worktree"
 rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
-  "$tmp/alpha-zero.json" "$tmp/const-iii-complex.json" "$tmp/tan-pole.json" "$tmp/tan-quarter-line.json"
+  "$tmp/alpha-zero.json" "$tmp/const-iii-complex.json" "$tmp/const-iii-overflow.json" "$tmp/tan-pole.json" \
+  "$tmp/tan-quarter-line.json"
 
 echo "outputs of $rev and of the working tree: $tmp/out-base, $tmp/out-worktree" >&2
 cd "$tmp"

@@ -359,7 +359,7 @@ def riccati_check(problem_path, solve_rho):
                     "residual_sup": resid,
                     "tolerance": riccati.RESIDUAL_TOL,
                     "ok": ok,
-                    "coverage": {"lo": cov.lo, "hi": cov.hi, "full": cov.full, "detail": cov.detail},
+                    "coverage": cov.to_dict(),
                 }
             ),
             indent=2,

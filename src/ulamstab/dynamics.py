@@ -13,7 +13,7 @@ g = 1.  Their integrands are forcing-free weights times g and times the
 first cache F: e^P/alpha and e^{-(R+P)}, stored once at the unit caches'
 nodes.  Every other forcing is replayed on those panels (`quad.replay`) from
 the weights times its own g and F there, and takes the adaptive build only
-when its values are not finite or a panel ends dropped or singular.
+when its values are not finite or a panel ends singular.
 
 On top of the representation sit the experiments: reproduce the minimal
 constant with the extremal constant perturbation, dominate it over
@@ -157,7 +157,7 @@ class SolutionEngine:
         Every other forcing is replayed on the unit caches' panels
         (`quad.replay`) from weight times g at those nodes, and takes the
         adaptive build only when those values are not finite or a replayed
-        panel comes back dropped or singular; ``replay_counts`` counts the
+        panel comes back singular; ``replay_counts`` counts the
         panels the replays bisect and the forcings that fall back.  ``key``
         enables reuse across calls with the same forcing.
         """
@@ -767,12 +767,8 @@ def instability_probe(problem, xi_family, epsilon):
     c = problem.fn("gamma")
     f = problem.fn("forcing")
 
-    lo_edge = dom.tau if dom.lower.finite else -quad.RANGE_CAP
     truncations = _truncations(dom, t0)
-    grids = []
-    for T in truncations:
-        grid = probe_grid(Interval.open(max(lo_edge, dom.tau), float(T)))
-        grids.append(grid[grid > dom.tau])
+    grids = [probe_grid(Interval.open(dom.capped_ends()[0], float(T))) for T in truncations]
     # the residual and the solution family each once over every truncation's grid
     ts = np.concatenate(grids)
     # residual evaluation stays a modest distance from an open finite lower

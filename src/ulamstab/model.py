@@ -67,6 +67,8 @@ class Interval:
     def __post_init__(self):
         if not self.lower.value < self.upper.value:
             raise ValueError("interval requires lower < upper")
+        if self.lower.finite and self.upper.finite and not math.isfinite(self.upper.value - self.lower.value):
+            raise ValueError("interval length upper - lower overflows")
 
     @classmethod
     def open(cls, lo, hi):
@@ -79,6 +81,10 @@ class Interval:
     @property
     def sigma(self):
         return self.upper.value
+
+    def capped_ends(self):
+        """(tau, sigma) with an infinite end replaced by -`RANGE_CAP` or `RANGE_CAP`."""
+        return (self.tau if self.lower.finite else -RANGE_CAP, self.sigma if self.upper.finite else RANGE_CAP)
 
     def default_anchor(self):
         """Deterministic interior reference point; see `interior_anchor`."""
@@ -176,8 +182,7 @@ class Config:
 
 def probe_grid(interval: Interval):
     """1024 interior probe points, geometrically graded toward hard endpoints."""
-    lo = interval.tau if interval.lower.finite else -RANGE_CAP
-    hi = interval.sigma if interval.upper.finite else RANGE_CAP
+    lo, hi = interval.capped_ends()
     return graded_grid(lo, hi, 1024, include_lo=interval.lower.included, include_hi=interval.upper.included)
 
 

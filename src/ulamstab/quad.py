@@ -271,15 +271,15 @@ class CumulativeIntegral:
 class _Block(NamedTuple):
     """The roots ``first, first + 1, ...`` of group ``group`` that one bisection level finished.
 
-    Roots are counted within their group.  ``fates[j]`` is "" for a root
-    with leaves, else "dropped" or "singular".  Root ``first + j`` owns rows
-    ``bounds[j]:bounds[j + 1]`` of the leaf arrays, sorted by left edge; a
-    root with a fate owns none.
+    Roots are counted within their group.  ``singular[j]`` is True for a
+    root the integrand is not finite on (see `_leaf`).  Root ``first + j``
+    owns rows ``bounds[j]:bounds[j + 1]`` of the leaf arrays, sorted by left
+    edge; a singular root owns none.
     """
 
     group: int
     first: int
-    fates: list
+    singular: list
     bounds: list
     left: np.ndarray
     right: np.ndarray
@@ -353,14 +353,11 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
     level's blocks are out is done: its roots are not bisected further and it
     yields no more blocks.
 
-    A panel with a non-finite node is split further only while its root is
-    the first unfinished one of its group; a later root that turns
-    non-finite is dropped and gets the fate "dropped", so no bisection is
-    spent on a root the consumer may never ask for (a root given alone is
-    never dropped).  A non-finite panel that is not split (at ``_MAX_DEPTH``
-    or at the resolution floor), or one non-finite at all its nodes at any
-    depth, makes its root "singular".  The integrand is evaluated quietly:
-    its non-finite values are handled here, as data.  ``work`` (a
+    A panel with a non-finite node is split like any other.  One that is not
+    split (at ``_MAX_DEPTH`` or at the resolution floor), or one non-finite
+    at all its nodes at any depth, makes its root singular: the root is not
+    bisected further and keeps no leaves.  The integrand is evaluated
+    quietly: its non-finite values are handled here, as data.  ``work`` (a
     `collections.Counter`) counts integrand calls and points.
     """
     a = np.concatenate([np.asarray(lo, dtype=float) for lo, _ in groups])
@@ -370,15 +367,9 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
     starts = ends - sizes  # group k owns the roots starts[k] to ends[k] - 1
     grp = np.repeat(np.arange(len(groups)), sizes)  # the group of each root
     root = np.arange(a.size)
-    fate = np.full(a.size, "", dtype=object)  # "dropped" or "singular" once a root fails
+    singular = np.zeros(a.size, dtype=bool)
     kept = []
     done = starts.copy()  # group k's roots below done[k] are yielded
-
-    def first_per_group(roots):
-        """The lowest of ``roots`` in each group, or the group's end when it has none."""
-        first = ends.copy()
-        np.minimum.at(first, grp[roots], roots)
-        return first
 
     for depth in range(_MAX_DEPTH + 1):
         if not root.size:
@@ -429,22 +420,20 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
         split = np.ones(a.size, dtype=bool)
         split[acc] = False
         if not np.all(finite):
-            bad = np.unique(root[~finite])
-            # only the first unfinished root of each group splits its non-finite panels
-            fate[bad[bad != first_per_group(root[split])[grp[bad]]]] = "dropped"
             # a non-finite panel that is not split, or one non-finite at every
             # node (which would only double its non-finite panels per level)
-            fate[np.unique(root[~finite & (final | ~np.any(np.isfinite(y), axis=1))])] = "singular"
-            split &= fate[root] == ""
+            singular[root[~finite & (final | ~np.any(np.isfinite(y), axis=1))]] = True
+            split &= ~singular[root]
         root, a, mid, b = root[split], a[split], mid[split], b[split]
         # a group's roots are done below its first root that still has a panel to split
-        ready = first_per_group(root)
+        ready = ends.copy()
+        np.minimum.at(ready, grp[root], root)
         if np.any(ready > done):
             kr, left, right, vals, errs, anti, forced = (np.concatenate(part) for part in zip(*kept))
             later = kr >= ready[grp[kr]]
             kept = [tuple(part[later] for part in (kr, left, right, vals, errs, anti, forced))]
-            # a root with a fate keeps none of its leaves
-            now = ~later & (fate[kr] == "")
+            # a singular root keeps none of its leaves
+            now = ~later & ~singular[kr]
             # a root's leaves in left-edge order; ties keep their order of acceptance
             order = np.flatnonzero(now)[np.lexsort((left[now], kr[now]))]
             kr = kr[order]
@@ -454,8 +443,8 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
                 bounds = np.searchsorted(kr, np.arange(first, stop + 1))
                 rows = slice(bounds[0], bounds[-1])
                 done[k] = stop
-                fates = fate[first:stop].tolist()
-                yield _Block(k, first - int(starts[k]), fates, (bounds - bounds[0]).tolist(), *(p[rows] for p in parts))
+                flags = singular[first:stop].tolist()
+                yield _Block(k, first - int(starts[k]), flags, (bounds - bounds[0]).tolist(), *(p[rows] for p in parts))
         shut = [k for k in closed if done[k] < ends[k]]
         if shut:
             # a closed group is done: its roots are not split further, and the
@@ -566,8 +555,8 @@ def cumulative(g, t_ref, lower, upper, tol=1e-10, tail_mode=False):
     side's panel sums in skeleton order, one block of finished panels per
     side and level, in a `_Side` per side, so the two sides' blocks may come
     interleaved.  A side whose walk stops is closed in the batch, which then
-    bisects the other side alone; a panel the batch dropped is evaluated
-    alone once its side's walk reaches it.
+    bisects the other side alone.  A side ends "singular" at its first
+    singular skeleton panel.
     """
     leaf_tol, leaf_rel = _leaf_budget(tol, tail_mode)
     leaves = []
@@ -578,30 +567,20 @@ def cumulative(g, t_ref, lower, upper, tol=1e-10, tail_mode=False):
     for blk in _leaf(g, [(s.lo, s.hi) for s in sides], closed, leaf_tol, leaf_rel, work, None):
         side = sides[blk.group]
         vals = blk.vals.tolist()
-        alone = []  # the dropped roots, each evaluated alone
         taken = len(vals)  # rows of the block the walk keeps
-        for j, fate in enumerate(blk.fates):
-            k = blk.first + j
-            one = None
-            if fate == "dropped":
-                (one,) = _leaf(g, [(side.lo[k : k + 1], side.hi[k : k + 1])], (), leaf_tol, leaf_rel, work, None)
-                fate = one.fates[0]
-            if fate == "singular":
+        for j, singular in enumerate(blk.singular):
+            if singular:
                 side.status = "singular"
                 taken = blk.bounds[j]
                 closed.add(blk.group)
                 break
-            if one is None:
-                pv = sum(vals[blk.bounds[j] : blk.bounds[j + 1]])
-            else:
-                alone.append(one)
-                pv = sum(one.vals.tolist())
+            pv = sum(vals[blk.bounds[j] : blk.bounds[j + 1]])
             side.cum += pv
             contribs = side.contribs
             # only the endpoint-approach phase feeds the tail heuristics;
             # panels still growing away from the anchor carry growing mass
             # for perfectly integrable functions
-            if k >= side.n_grow:
+            if blk.first + j >= side.n_grow:
                 contribs.append(abs(pv))
             if tail_mode:
                 if len(contribs) >= 3:
@@ -630,10 +609,8 @@ def cumulative(g, t_ref, lower, upper, tol=1e-10, tail_mode=False):
                 taken = blk.bounds[j + 1]
                 closed.add(blk.group)
                 break
-        for part in (blk, *alone):
-            stop = taken if part is blk else len(part.vals)
-            leaves.append(part.rows(stop))
-            forced += np.bincount(part.forced[:stop], minlength=3)
+        leaves.append(blk.rows(taken))
+        forced += np.bincount(blk.forced[:taken], minlength=3)
 
     if not leaves:
         raise ValueError("empty coverage; t_ref too close to both endpoints")
@@ -652,7 +629,7 @@ def replay(template, y0, g, tol, tail_mode):
     `SideInfo`.  Returns the cache and the number of template panels that were
     bisected, or None when ``y0`` is not finite (the integrand has a
     singularity the template was not built for) or a panel comes back
-    dropped or singular.
+    singular.
     """
     if not np.all(np.isfinite(y0)):
         return None
@@ -660,7 +637,7 @@ def replay(template, y0, g, tol, tail_mode):
     work = Counter()
     blocks = []
     for blk in _leaf(g, [(template.bps[:-1], template.bps[1:])], (), leaf_tol, leaf_rel, work, y0):
-        if any(blk.fates):
+        if any(blk.singular):
             return None
         blocks.append(blk)
     bisected = sum(int(np.count_nonzero(np.diff(blk.bounds) > 1)) for blk in blocks)

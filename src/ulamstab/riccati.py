@@ -15,7 +15,7 @@ poles only certify stability on the part they cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,6 +75,9 @@ class RhoCoverage:
     hi: float
     full: bool
     detail: str = ""
+
+    def to_dict(self):
+        return asdict(self)
 
 
 def residual_sup(problem: OscillatorProblem, rho):
@@ -218,10 +221,9 @@ def rho_coverage(problem: OscillatorProblem, rho):
     which the whole grid would switch off everywhere.
     """
     dom = problem.domain
+    lo_edge, hi_edge = dom.capped_ends()
     if isinstance(rho, NumericSolution):
         lo, hi = rho.lo, rho.hi
-        lo_edge = dom.tau if dom.lower.finite else -RANGE_CAP
-        hi_edge = dom.sigma if dom.upper.finite else RANGE_CAP
         short = (lo > lo_edge + 1e-6 * max(1.0, abs(lo_edge)), hi < hi_edge - 1e-6 * max(1.0, abs(hi_edge)))
         full = not (rho.blowup_lower and short[0] or rho.blowup_upper and short[1])
         detail = "" if not any(short) else f"numeric {'solution resolved only on' if full else 'blow-up limits coverage to'} [{lo:.6g}, {hi:.6g}]"
@@ -229,8 +231,6 @@ def rho_coverage(problem: OscillatorProblem, rho):
 
     fn = problem.bind(rho)
     anchor = dom.default_anchor()
-    lo_edge = dom.tau if dom.lower.finite else -RANGE_CAP
-    hi_edge = dom.sigma if dom.upper.finite else RANGE_CAP
 
     def points(*pieces):
         """The distinct points of the pieces that lie in the domain, sorted."""

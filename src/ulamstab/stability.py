@@ -370,7 +370,7 @@ class StabilityEngine:
     def diagnostics(self):
         d = {
             "anchor": self.anchor,
-            "coverage": {"lo": self.lo, "hi": self.hi, "full": self.coverage.full, "detail": self.coverage.detail},
+            "coverage": self.coverage.to_dict(),
             "is_real": self.is_real,
         }
         for key, cache in self._cache.items():

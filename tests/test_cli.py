@@ -157,6 +157,39 @@ def test_bad_expression_is_input_error(runner, tmp_path, command, field, text, d
     assert detail in error["detail"]
 
 
+def _const_iii_on(tmp_path, lower, upper):
+    """const-iii's document on (lower, upper), written to ``tmp_path``."""
+    doc = json.loads((PROBLEMS / "const-iii.json").read_text())
+    doc["interval"] = {"lower": lower, "upper": upper}
+    path = tmp_path / "const-iii-wide.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["analyze", "--fast-path"], ["analyze"], ["empirical"], ["riccati-check"]],
+    ids=["fast-path", "analyze", "empirical", "riccati-check"],
+)
+def test_overflowing_interval_is_input_error(runner, tmp_path, args):
+    # two finite ends whose difference is not finite
+    result = _invoke(runner, [*args, str(_const_iii_on(tmp_path, -1.7e308, 1.7e308))])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == "problem"
+    assert "overflows" in error["detail"]
+
+
+def test_widest_finite_interval_gives_the_best_constant(runner, tmp_path):
+    # the span 1.6e308 is still finite
+    result = _invoke(runner, ["analyze", str(_const_iii_on(tmp_path, -8e307, 8e307)), "--reproducible"])
+    assert result.exit_code == 0
+    report = _json_out(result)["report"]
+    assert report["verdict"] == "best_constant"
+    assert abs(report["constant"]["B"] - 0.5) <= 1.3e-10
+
+
 @pytest.mark.parametrize("command", ["analyze", "empirical", "riccati-check"])
 @pytest.mark.parametrize(
     "spec, detail",

@@ -230,17 +230,17 @@ def _leaf_reference(g, lo, hi, leaf_tol, leaf_rel, max_depth=28):
 
 
 def _roots(blocks):
-    """(root, leaves or fate) for each root of `quad._leaf`'s blocks, in order.
+    """(root, leaves or "singular") for each root of `quad._leaf`'s blocks, in order.
 
     ``leaves`` are arrays (left, right, value, error, antiderivative
     coefficients (14, n)) and the leaves counted by their `quad._Block.forced`
     code.
     """
     for blk in blocks:
-        for j, fate in enumerate(blk.fates):
+        for j, singular in enumerate(blk.singular):
             i = slice(blk.bounds[j], blk.bounds[j + 1])
             forced = np.bincount(blk.forced[i], minlength=3)
-            yield blk.first + j, fate or (blk.left[i], blk.right[i], blk.vals[i], blk.errs[i], blk.anti[i].T, forced)
+            yield blk.first + j, "singular" if singular else (blk.left[i], blk.right[i], blk.vals[i], blk.errs[i], blk.anti[i].T, forced)
 
 
 def _leaves_alone(g, lo, hi, leaf_tol, leaf_rel, work):
@@ -333,13 +333,13 @@ def _kinked_with_poles(s):
 
 
 # an upper and a lower side, as `quad.cumulative` groups them: each has a
-# non-finite root that is not its first unfinished one, and the lower side's
-# first root is non-finite too
+# non-finite root after its kinked one, and the lower side's first root is
+# non-finite too
 _GROUPS = [([0.0, 1.0, 2.0], [1.0, 2.0, 3.0]), ([-1.0, -2.0, -3.0], [0.0, -1.0, -2.0])]
 
 
 def _by_root(blocks):
-    """{(group, root): leaves or fate} of `quad._leaf`'s blocks."""
+    """{(group, root): leaves or "singular"} of `quad._leaf`'s blocks."""
     out = {}
     for blk in blocks:
         for root, leaves in _roots([blk]):
@@ -348,7 +348,7 @@ def _by_root(blocks):
 
 
 def _assert_same_roots(g, got, want):
-    """The same roots, fates, leaves and values; errors and antiderivatives to rounding of each leaf's scale."""
+    """The same roots, singular flags, leaves and values; errors and antiderivatives to rounding of each leaf's scale."""
     eps = np.finfo(float).eps
     assert got.keys() == want.keys()
     for key, leaves in want.items():
@@ -373,10 +373,10 @@ def test_leaf_groups_match_each_group_alone():
         blocks = list(quad._leaf(_kinked_with_poles, [group], (), 1e-12, 1e-13, alone_work[k], None))
         alone.update({(k, root): leaves for (_, root), leaves in _by_root(blocks).items()})
     _assert_same_roots(_kinked_with_poles, both, alone)
-    # the drop rule is each group's own: a batch-wide first unfinished root
-    # would drop the lower side's first root, which is split instead
-    assert [both[k, i] for k, i in [(0, 2), (1, 2)]] == ["dropped", "dropped"]
-    assert not isinstance(both[1, 0], str)
+    # a root inf at its centre node is split there, in the batch, as any
+    # panel is: its halves have the pole as an end, not as a node
+    for key, centre in [((0, 2), 2.5), ((1, 0), -0.5), ((1, 2), -2.5)]:
+        assert centre in both[key][0]
     # one integrand call per level of the deeper group, on every panel once
     assert work["calls"] == max(w["calls"] for w in alone_work)
     assert work["points"] == sum(w["points"] for w in alone_work)
@@ -390,7 +390,7 @@ def test_closed_leaf_group_yields_no_more_blocks():
         blocks.append(blk)
         if blk.group == 1:
             closed.add(1)
-    assert [(blk.group, blk.first, len(blk.fates)) for blk in blocks if blk.group == 1] == [(1, 0, 1)]
+    assert [(blk.group, blk.first, len(blk.singular)) for blk in blocks if blk.group == 1] == [(1, 0, 1)]
     alone = list(quad._leaf(_kinked_with_poles, _GROUPS[:1], (), 1e-12, 1e-13, Counter(), None))
     _assert_same_roots(
         _kinked_with_poles,
@@ -512,7 +512,9 @@ def _spike(c, halfwidth):
 _STOPS = {
     "resolved": (np.cos, 0.0, -5.0, 5.0, {}, ("resolved", "resolved"), 1, 1380),
     "converged": (lambda s: np.exp(-s), 1.0, 0.0, math.inf, {"tail_mode": True}, ("resolved", "converged"), 14, 9270),
-    # exp(s) overflows past the budget stop: those panels are dropped, not split
+    # exp(s) overflows past the budget stop: the skeleton panel across the
+    # overflow is split once, and its upper half, inf at every node, makes
+    # it singular; the walk stops at the budget before it
     "diverging": (
         lambda s: np.exp(s),
         1.0,
@@ -521,7 +523,7 @@ _STOPS = {
         {"tail_mode": True},
         ("resolved", "diverging"),
         7,
-        4680,
+        4710,
     ),
     "range_cap": (lambda s: 1.0 / (1.0 + s * s), 0.0, -math.inf, math.inf, {}, ("range_cap", "range_cap"), 3, 1500),
     # |cum.real| > LOG_BUDGET
@@ -541,17 +543,17 @@ _STOPS = {
     # inf within 1e-9 of 2.3, after finite panels
     "singular": (_spike(2.3, 1e-9), 1.0, 0.0, 4.0, {}, ("resolved", "singular"), 29, 3465),
     # inf only at the centre node of the skeleton panel [2.5, 3.25]: the
-    # batch drops that panel while [1.15, 1.45] still splits at the kink,
-    # and the walk evaluates it alone
-    "dropped": (
+    # batch splits that panel, whose halves have 2.875 as an end, not as a
+    # node, while [1.15, 1.45] still splits at the kink
+    "non_finite_split": (
         lambda s: np.where(s == 2.875, np.inf, np.sqrt(np.abs(s - 1.3))),
         1.0,
         0.0,
         4.0,
         {},
         ("resolved", "resolved"),
-        22,
-        2580,
+        20,
+        2565,
     ),
 }
 
@@ -589,12 +591,22 @@ def test_cumulative_matches_sequential_reference(case):
 @pytest.mark.parametrize("case", list(_STOPS))
 def test_cumulative_work_is_pinned(case):
     # panels past a stop are bisected only until the walk reaches the stop,
-    # and a panel that turns non-finite there is dropped, not split; pinned
+    # and a non-finite panel is split in the batch like any other; pinned
     # so that a change of either rule updates these on purpose
     g, t_ref, lower, upper, opts, _, calls, points = _STOPS[case]
     counted, work = _counted(g)
     c = quad.cumulative(counted, t_ref, lower, upper, **opts)
     assert (c.integrand_calls, c.integrand_points) == (work["calls"], work["points"]) == (calls, points)
+
+
+@pytest.mark.parametrize("case", list(_STOPS))
+def test_cumulative_is_one_leaf_batch(case, monkeypatch):
+    # both sides' skeleton panels, as two groups of one `_leaf` call
+    g, t_ref, lower, upper, opts, *_ = _STOPS[case]
+    leaf, groups = quad._leaf, []
+    monkeypatch.setattr(quad, "_leaf", lambda g, gs, *rest: groups.append(len(gs)) or leaf(g, gs, *rest))
+    quad.cumulative(g, t_ref, lower, upper, **opts)
+    assert groups == [2]
 
 
 def test_panel_non_finite_at_every_node_ends_the_side():
