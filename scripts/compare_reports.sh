@@ -45,9 +45,11 @@
 #     its `instability.error` names the per-side panel budget and the t of
 #     the first unresolved side;
 #   - `empirical --trials 4 --seed 7 --reproducible` on exeq01, exeq03,
-#     exeq04 and exeq06, and on exeq03 moved to (1e5, 1e5 + 1), where the
-#     caches and the experiment grid must still cover each other (report
-#     and .extremal.csv);
+#     exeq04 and exeq06, on exeq03 moved to (1e5, 1e5 + 1), where the
+#     caches and the experiment grid must still cover each other, and on
+#     exeq03 multiplied through by -1 (alpha -1, beta -2/t, forcing 1),
+#     whose unit forcing's first cache is the negation of A4 (report and
+#     .extremal.csv);
 #   - `analyze --best --reproducible`, `analyze --fast-path --reproducible`,
 #     `empirical --trials 4 --seed 7 --reproducible` and `riccati-check` on
 #     const-iii moved to (-1.7e308, 1.7e308), two finite ends whose
@@ -101,6 +103,9 @@ printf '{"alpha": "t*(1 - t)", "beta": "2 - t", "gamma": "1", "interval": {"lowe
 # exeq03 on (1e5, 1e5 + 1), with B = 1/6 as on (0, 1)
 printf '{"name": "exeq03-at-1e5", "alpha": "1", "beta": "2/(t - 100000)", "gamma": "0", "forcing": "-1", "interval": {"lower": 100000.0, "upper": 100001.0}, "rho": "-1/(t - 100000)"}\n' \
   >"$tmp/exeq03-at-1e5.json"
+# exeq03 times -1: alpha = -1 < 0, the same solutions and B = 1/6
+printf '{"name": "exeq03-negated", "alpha": "-1", "beta": "-2/t", "gamma": "0", "forcing": "1", "interval": {"lower": 0.0, "upper": 1.0}, "rho": "-1/t"}\n' \
+  >"$tmp/exeq03-negated.json"
 # exeq01 on (1000, 1001), with B = 1/2 as on (0, 1)
 printf '{"name": "exeq01-at-1e3", "alpha": "(t - 1000)*(1001 - t)", "beta": "2 - (t - 1000)", "gamma": "1", "forcing": "0", "interval": {"lower": 1000.0, "upper": 1001.0}, "rho": "-1/(t - 1000)"}\n' \
   >"$tmp/exeq01-at-1e3.json"
@@ -175,6 +180,8 @@ contract() {
   done
   run "$tree" "$out" empirical.exeq03-at-1e5 empirical "$tmp/exeq03-at-1e5.json" \
     --trials 4 --seed 7 --reproducible --out "$out/empirical"
+  run "$tree" "$out" empirical.exeq03-negated empirical "$tmp/exeq03-negated.json" \
+    --trials 4 --seed 7 --reproducible --out "$out/empirical"
   run "$tree" "$out" analyze.const-iii-overflow analyze "$tmp/const-iii-overflow.json" --best --reproducible
   run "$tree" "$out" fast-path.const-iii-overflow analyze "$tmp/const-iii-overflow.json" --fast-path --reproducible
   run "$tree" "$out" empirical.const-iii-overflow empirical "$tmp/const-iii-overflow.json" \
@@ -194,7 +201,7 @@ contract() {
 
 contract "$tmp/base" "$tmp/out-base"
 contract "$root" "$tmp/out-worktree"
-rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
+rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json" "$tmp/exeq03-negated.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
   "$tmp/alpha-zero.json" "$tmp/const-iii-complex.json" "$tmp/const-iii-overflow.json" "$tmp/tan-pole.json" \
   "$tmp/tan-quarter-line.json"
 

@@ -281,16 +281,16 @@ def analyze(problem_path, best, fast_path, solve_rho, tol, reproducible, out):
 @main.command()
 @click.argument("problem_path", type=click.Path())
 @click.option("--epsilon", type=float, default=0.1, show_default=True)
-@click.option("--trials", type=int, default=32, show_default=True)
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--trials", type=click.IntRange(min=0), default=32, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--solve-rho", default=None, metavar="t0=..,rho0=..")
 @click.option("--tol", type=float, default=None)
 @click.option("--reproducible", is_flag=True)
 @click.option("--out", type=click.Path(file_okay=False), default=None)
 def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible, out):
     """Extremal and randomized perturbation experiments."""
-    if not epsilon > 0:
-        _fail("epsilon", "epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        _fail("epsilon", f"--epsilon must be a finite positive number, got {epsilon!r}")
     t_start = time.perf_counter()
     data = _load_document(problem_path)
     problem = _build_problem(data)
@@ -310,11 +310,14 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
 
     bound = report.constant.get("B", report.constant.get("L"))
     engine = dynamics.SolutionEngine(analysis)
-    extremal = dynamics.extremal_experiment(engine, report.case, epsilon)
     try:
+        extremal = dynamics.extremal_experiment(engine, report.case, epsilon)
         max_ratio, records = dynamics.random_perturbation_test(engine, epsilon, trials, seed, bound)
+        grid, dist = dynamics.extremal_profile(engine, report.case, epsilon)
     except dynamics.RatioExceedsConstant as exc:
         _fail("dominance", exc, code=EXIT_INCONCLUSIVE)
+    except dynamics.ExperimentOverflow as exc:
+        _fail("epsilon", exc)
 
     experiments = {
         "extremal": extremal.to_dict(),
@@ -333,11 +336,10 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
     )
     _emit(doc, out, Path(problem_path).stem)
 
-    grid, dist = dynamics.extremal_profile(engine, report.case, epsilon)
     csv_dir = Path(out) if out else Path(".")
     csv_dir.mkdir(parents=True, exist_ok=True)
     csv_path = csv_dir / f"{Path(problem_path).stem}.extremal.csv"
-    csv_path.write_text("t,value\n" + "".join(map("{!r},{!r}\n".format, grid.tolist(), dist.tolist())))
+    csv_path.write_text("t,value\n" + "".join([f"{t!r},{v!r}\n" for t, v in zip(grid.tolist(), dist.tolist())]))
     sys.exit(_VERDICT_EXIT[doc["report"]["verdict"]])
 
 

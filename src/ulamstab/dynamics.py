@@ -9,11 +9,13 @@ too; the other two depend on the forcing.  The extremal family coefficients
 read the case's nested kernel from the engine's case table.
 
 The two forcing caches are built adaptively only for the unit forcing
-g = 1.  Their integrands are forcing-free weights times g and times the
-first cache F: e^P/alpha and e^{-(R+P)}, stored once at the unit caches'
-nodes.  Every other forcing is replayed on those panels (`quad.replay`) from
-the weights times its own g and F there, and takes the adaptive build only
-when its values are not finite or a panel ends singular.
+g = 1, and for real data with alpha of one sign its F is the stability
+engine's A4 or A4's negation.  Their integrands are forcing-free weights
+times g and times the first cache F: e^P/alpha and e^{-(R+P)}, stored once
+at the unit caches' nodes.  Every other forcing is replayed on those panels
+(`quad.replay`) from the weights times its own g and F there, and takes the
+adaptive build only when g is not finite at a node or a panel ends
+singular; a finite g whose products overflow raises `ExperimentOverflow`.
 
 On top of the representation sit the experiments: reproduce the minimal
 constant with the extremal constant perturbation, dominate it over
@@ -41,6 +43,7 @@ a stall of the exchange, runs a log-barrier fit until the distance is within
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -56,6 +59,7 @@ __all__ = [
     "SolutionFamilyParams",
     "PerturbationExperiment",
     "CoverageExceeded",
+    "ExperimentOverflow",
     "RatioExceedsConstant",
     "SolutionEngine",
     "ivp_solution",
@@ -72,6 +76,10 @@ PROBE_EPSILON = 0.1  # residual size of the witness family an instability probe 
 
 class CoverageExceeded(quad.CoverageError):
     """No experiment-grid point inside the range the caches can serve."""
+
+
+class ExperimentOverflow(ValueError):
+    """An experiment's values, or those of a finite forcing's caches, overflow the double range."""
 
 
 class RatioExceedsConstant(Exception):
@@ -142,8 +150,16 @@ class SolutionEngine:
         return self._h1c
 
     def _fc_weight(self, s):
-        """e^P/alpha, the forcing's weight in the integrand of F."""
-        return np.exp(self.se.Pc.value(s)) / self.se._alpha(s)
+        """e^P/alpha, the forcing's weight in the integrand of F.
+
+        Real e^P over an alpha with no imaginary part divides in real
+        arithmetic, as A4's e^P/|alpha| does: numpy's complex quotient of
+        real operands is a (1/b), not a/b.
+        """
+        e, alpha = np.exp(self.se.Pc.value(s)), np.asarray(self.se._alpha(s))
+        if not (np.iscomplexobj(e) or np.any(alpha.imag)):
+            alpha = alpha.real
+        return e / alpha
 
     def _h2_weight(self, s):
         """e^{-(R+P)}, the weight of F in the integrand of its partner."""
@@ -152,19 +168,24 @@ class SolutionEngine:
     def forcing_caches(self, g, key=None):
         """Cumulatives F = int e^P g/alpha and its partner int F e^{-(R+P)}.
 
-        ``key`` "unit" names g = 1, whose two caches are built adaptively;
-        the weights e^P/alpha and e^{-(R+P)} are then stored at their nodes.
+        ``key`` "unit" names g = 1, whose F is the stability engine's A4 or
+        its negation where the adaptive build would give exactly that
+        (`_a4_as_fc`) and is built adaptively otherwise, as its partner
+        always is; the weights e^P/alpha and e^{-(R+P)} are then stored at
+        their nodes.
         Every other forcing is replayed on the unit caches' panels
         (`quad.replay`) from weight times g at those nodes, and takes the
-        adaptive build only when those values are not finite or a replayed
-        panel comes back singular; ``replay_counts`` counts the
-        panels the replays bisect and the forcings that fall back.  ``key``
+        adaptive build only when g is not finite at a node or a replayed
+        panel comes back singular; a finite g whose weighted values are not
+        finite overflows, and raises `ExperimentOverflow`.  ``replay_counts``
+        counts the panels the replays bisect and the forcings that fall back.  ``key``
         enables reuse across calls with the same forcing.
         """
         if key in self._forcing:
             return self._forcing[key]
         if key == "unit":
-            caches = self._build(g)
+            fc = self._a4_as_fc()
+            caches = self._build(g) if fc is None else self._with_partner(fc)
             nodes = [c.nodes() for c in caches]
             self._weights = nodes[0], self._fc_weight(nodes[0]), nodes[1], self._h2_weight(nodes[1])
         else:
@@ -177,12 +198,41 @@ class SolutionEngine:
         return caches
 
     def _build(self, g):
-        """The adaptive forcing caches of ``g``."""
+        """The adaptive forcing caches of ``g``.
+
+        The unit forcing's F is this build's only where `_a4_as_fc` gives
+        none; the partner is always built.
+        """
         lo, hi = self.se._overlap(self.se.Rc, self.se.Pc)
-        fc = self.se.cumulative(lambda s: self._fc_weight(s) * np.asarray(g(s)), lo, hi, tail=True)
+        return self._with_partner(self.se.cumulative(lambda s: self._fc_weight(s) * np.asarray(g(s)), lo, hi, tail=True))
+
+    def _with_partner(self, fc):
+        """``fc`` and its adaptive partner int F e^{-(R+P)}."""
         lo, hi = self.se._overlap(fc, self.H1c)
-        h2 = self.se.cumulative(lambda s: fc.value(s) * self._h2_weight(s), lo, hi, tail=True)
-        return fc, h2
+        return fc, self.se.cumulative(lambda s: fc.value(s) * self._h2_weight(s), lo, hi, tail=True)
+
+    def _a4_as_fc(self):
+        """The unit forcing's F as the stability engine's A4 or its negation, or None.
+
+        For g = 1, F's integrand e^P/alpha is A4's e^P/|alpha| bit for bit
+        where e^P is real and alpha is real and positive, and its exact
+        negation where alpha is negative.  When Pc is real, alpha is real
+        with one sign at A4's nodes and F's range is A4's, the adaptive
+        build of F therefore bisects as A4's did: F is A4 itself, or A4
+        with its panel values and antiderivatives negated.
+        """
+        se = self.se
+        if np.iscomplexobj(se.Pc.panel_vals) or se._overlap(se.Rc, se.Pc) != se._overlap(se.Pc):
+            return None
+        a4 = se.A4
+        alpha = np.asarray(se._alpha(a4.nodes()))
+        if np.any(alpha.imag):
+            return None
+        if np.all(alpha.real > 0):
+            return a4
+        if np.all(alpha.real < 0):
+            return dataclasses.replace(a4, panel_vals=-a4.panel_vals, antider=-a4.antider)
+        return None
 
     def _replay(self, g):
         """The forcing caches of ``g`` on the unit caches' panels, or None."""
@@ -190,12 +240,21 @@ class SolutionEngine:
         x_fc, w_fc, x_h2, w_h2 = self._weights
         tol = self.se.config.cum_tol
         with np.errstate(all="ignore"):
-            y = w_fc * np.asarray(g(x_fc))
+            gx = np.asarray(g(x_fc))
+            y = w_fc * gx
+        # the weights are finite at the nodes: where g is too, a value that
+        # is not is an overflow, which an adaptive build would only repeat
+        if not np.all(np.isfinite(y)) and np.all(np.isfinite(gx)):
+            raise ExperimentOverflow("the forcing's first cache overflows")
         replayed = quad.replay(unit[0], y, lambda s: self._fc_weight(s) * np.asarray(g(s)), tol, True)
         if replayed is None:
             return None
         fc, split_fc = replayed
-        replayed = quad.replay(unit[1], fc.value(x_h2) * w_h2, lambda s: fc.value(s) * self._h2_weight(s), tol, True)
+        with np.errstate(all="ignore"):
+            y = fc.value(x_h2) * w_h2
+        if not np.all(np.isfinite(y)):
+            raise ExperimentOverflow("the forcing's second cache overflows")
+        replayed = quad.replay(unit[1], y, lambda s: fc.value(s) * self._h2_weight(s), tol, True)
         if replayed is None:
             return None
         h2, split_h2 = replayed
@@ -654,7 +713,13 @@ def _extremal_setup(eng, case, epsilon):
         eng._extremal[case, epsilon] = params
     params = eng._extremal[case, epsilon]
     w = eng.homogeneous(t0, params)
-    distance = lambda t: np.abs(epsilon * u(t) - w(t))
+
+    def distance(t):
+        d = np.abs(epsilon * u(t) - w(t))
+        if not np.all(np.isfinite(d)):
+            raise ExperimentOverflow(f"the extremal distance at epsilon={epsilon!r} is not finite")
+        return d
+
     return params, grid, distance
 
 

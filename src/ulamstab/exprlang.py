@@ -596,7 +596,8 @@ def _pow(a, b):
             if np.all(ar >= 0):
                 return np.asarray(ar**br, dtype=complex)
             whole = br == np.round(br)
-            sign = np.where((ar >= 0) | (np.round(br) % 2 == 0), 1.0, -1.0)
+            # an infinite exponent is even, as in IEEE pow (inf % 2 is nan)
+            sign = np.where((ar >= 0) | np.isinf(br) | (np.round(br) % 2 == 0), 1.0, -1.0)
             real = sign * np.abs(ar) ** br
             if np.all(whole):
                 return np.asarray(real, dtype=complex)

@@ -72,6 +72,9 @@ def _pow(a, b, t):
         a = complex(a.real)  # normalize -0j so branch cuts don't flip
     if b.imag == 0:
         b = complex(b.real)
+    if a.imag == 0 and b.imag == 0 and math.isinf(b.real):
+        # an infinite exponent is even: IEEE pow, which raises for none
+        return complex(math.pow(a.real, b.real))
     # real base, real integer-ish exponent stays on the real branch
     try:
         if a.imag == 0 and b.imag == 0 and a.real > 0:

@@ -281,10 +281,11 @@ def test_empirical_builds_h1_once(runner, tmp_path, monkeypatch):
     args = ["empirical", str(PROBLEMS / "exeq03.json"), "--trials", str(trials), "--reproducible", "--out", str(tmp_path)]
     result = _invoke(runner, args)
     assert result.exit_code == 0
-    # Rc, Pc, A2, A4, C3 and H1 for the analysis, then the two caches of the
-    # unit forcing; the extremal experiment reads the unit forcing's member,
-    # and each trial's forcing is replayed on the unit caches' panels
-    assert len(calls) == 6 + 2
+    # Rc, Pc, A2, A4, C3 and H1 for the analysis, then the unit forcing's
+    # second cache (its F is A4, since alpha = 1); the extremal experiment
+    # reads the unit forcing's member, and each trial's forcing is replayed
+    # on the unit caches' panels
+    assert len(calls) == 6 + 1
 
 
 def test_empirical_sets_up_the_extremal_pair_once(runner, tmp_path, monkeypatch):
@@ -348,6 +349,26 @@ def test_partial_coverage_reports_no_case(runner, tmp_path, command):
 def test_empirical_rejects_zero_epsilon(runner):
     result = runner.invoke(cli.main, ["empirical", str(PROBLEMS / "exeq01.json"), "--epsilon", "0"])
     assert result.exit_code == 1
+
+
+@pytest.mark.parametrize(
+    "option, kind, detail",
+    [
+        (["--epsilon", "inf"], "epsilon", "finite positive"),
+        (["--epsilon", "1e308"], "epsilon", "extremal distance at epsilon=1e+308 is not finite"),
+        (["--seed", "-1"], "usage", "Invalid value for '--seed': -1 is not in the range x>=0."),
+        (["--trials", "-1"], "usage", "Invalid value for '--trials': -1 is not in the range x>=0."),
+    ],
+    ids=["epsilon-inf", "epsilon-overflows", "seed-negative", "trials-negative"],
+)
+def test_bad_empirical_option_is_input_error(runner, tmp_path, option, kind, detail):
+    # a structured input error, not a traceback or a report of no trials
+    result = _invoke(runner, ["empirical", str(PROBLEMS / "exeq03.json"), *option, "--reproducible", "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == kind and detail in error["detail"]
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

@@ -516,10 +516,83 @@ def _pick(name, label):
     return corpus.build(variant)
 
 
+_PICKS = [("exeq01", "default"), ("exeq03", "sigma=1.0"), ("exeq04", "sigma=1.0"), ("exeq06", "a=0.5 b=1.5 sigma=1.0")]
+
+
+def _adaptive_unit_f(eng):
+    """The unit forcing's F as `quad.cumulative` builds it."""
+    return eng._build(dynamics._unit)[0]
+
+
+def _same_cache(a, b):
+    """Bitwise equal panels, values, errors and antiderivatives, and equal side infos."""
+    for f in ("bps", "panel_vals", "panel_errs", "antider"):
+        x, y = getattr(a, f), getattr(b, f)
+        if x.dtype != y.dtype or x.tobytes() != y.tobytes():
+            return False
+    return (a.t_ref, a.lower_info, a.upper_info) == (b.t_ref, b.lower_info, b.upper_info)
+
+
 @pytest.mark.parametrize(
-    "name, label",
-    [("exeq01", "default"), ("exeq03", "sigma=1.0"), ("exeq04", "sigma=1.0"), ("exeq06", "a=0.5 b=1.5 sigma=1.0")],
+    "name, label", _PICKS + [("const-i", "(1.0,-3.0,2.0)"), ("const-ii", "(2.0,-2.0,-4.0)"), ("const-iii", "(1.0,3.0,2.0)")]
 )
+def test_unit_forcing_takes_f_from_a4(name, label, cfg):
+    # real data with alpha > 0: F = int e^P/alpha is A4 = int e^P/|alpha|,
+    # which is also what the adaptive build gives, bit for bit
+    eng = _engine(*_pick(name, label), cfg)
+    fc, _ = eng.forcing_caches(dynamics._unit, key="unit")
+    assert fc is eng.se.A4
+    assert _same_cache(fc, _adaptive_unit_f(eng))
+
+
+def test_negative_alpha_negates_a4(exeq03, cfg, monkeypatch):
+    # exeq03 times -1: alpha = -1, so F is the exact negation of A4
+    p = make_problem("-1", "-2/t", "0", "1", 0.0, 1.0)
+    eng = _engine(p, exeq03[1], cfg)
+    a4, _ = eng.se.A4, eng.H1c
+    calls = []
+    cumulative = quad.cumulative
+    monkeypatch.setattr(quad, "cumulative", lambda *args, **kwargs: calls.append(None) or cumulative(*args, **kwargs))
+    fc, h2 = eng.forcing_caches(dynamics._unit, key="unit")
+    assert len(calls) == 1  # the second cache only
+    monkeypatch.undo()
+    assert fc is not a4 and np.array_equal(fc.panel_vals, -a4.panel_vals)
+    assert _same_cache(fc, _adaptive_unit_f(eng))
+    # the prefix sums are formed anew: every read is A4's, negated
+    ts = np.linspace(0.01, 0.99, 57)
+    assert np.array_equal(fc.value(ts), -a4.value(ts))
+    assert np.array_equal(fc.from_edge("upper", ts), -a4.from_edge("upper", ts))
+    # and the solution is exeq03's
+    ref = _engine(*exeq03, cfg)
+    x = eng.representation(IvpData(0.5, 0.3, -0.2), forcing_key="problem")(ts)
+    assert np.max(np.abs(x - ref.representation(IvpData(0.5, 0.3, -0.2), forcing_key="problem")(ts))) < 1e-12
+
+
+def test_complex_data_builds_the_unit_forcing_adaptively(cfg):
+    # gamma = 2.25 - 0.5i, rho = -2 - 0.5i: Pc is complex, F is not A4
+    p = make_problem("1", "3", "2.25 - 0.5*i", "0", -40.0, 40.0)
+    eng = _engine(p, exprlang.parse("-2 - 0.5*i"), cfg)
+    fc, _ = eng.forcing_caches(dynamics._unit, key="unit")
+    assert np.iscomplexobj(eng.se.Pc.panel_vals) and np.iscomplexobj(fc.panel_vals)
+    assert fc is not eng.se.A4
+
+
+@pytest.mark.parametrize("name, which", [("const-i", "first"), ("const-iii", "second")])
+def test_overflowing_forcing_raises(name, which, cfg):
+    # weight times g overflows at the unit caches' nodes: no adaptive build,
+    # which would evaluate the same products
+    eng = _engine(*corpus.build(corpus_entry(name).default), cfg)
+    with pytest.raises(dynamics.ExperimentOverflow, match=f"{which} cache overflows"):
+        eng.forcing_caches(lambda s: np.full(np.shape(s), 1e280))
+    assert eng.replay_counts == {"bisected_panels": 0, "fallbacks": 0}
+
+
+def test_extremal_distance_that_overflows_raises(eng01):
+    with pytest.raises(dynamics.ExperimentOverflow, match="not finite"):
+        dynamics.extremal_experiment(eng01, "iii", 1e308)
+
+
+@pytest.mark.parametrize("name, label", _PICKS)
 def test_replayed_trials_match_adaptive_builds(name, label, cfg):
     # each trial as the parent algorithm computed it: adaptive caches for the
     # problem's forcing plus g, less the solution for the problem's forcing

@@ -155,6 +155,11 @@ _params = {"a": 1.25}
 
 @given(e=_ast, t=st.floats(min_value=0.3, max_value=2.7))
 @example(e=parse("exp(2/0.001953125)"), t=1.0)  # e^1024 outside the double range
+# a negative base to an exponent that overflows to inf: 1, as in IEEE pow
+@example(
+    e=exprlang.BinOp("^", exprlang.Neg(exprlang.Var()), exprlang.BinOp("^", exprlang.Num(7.972540881530111e-255), exprlang.Num(-2.0))),
+    t=1.0,
+)
 @settings(max_examples=150, deadline=None)
 def test_print_parse_roundtrip(e, t):
     try:
@@ -164,6 +169,16 @@ def test_print_parse_roundtrip(e, t):
     assume(abs(want) < 1e6)
     got = evaluate(parse(to_string(e)), t, _params)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [1.0, 2.0, 0.5])
+@pytest.mark.parametrize("exponent", ["7.972540881530111e-255^(-2)", "-7.972540881530111e-255^(-2)"], ids=["inf", "-inf"])
+def test_infinite_exponent_is_even(t, exponent):
+    # (-t)^(+-inf) is IEEE pow's 1, inf or 0, never the odd power's sign
+    e = parse(f"(-t)^({exponent})")
+    want = np.power(-t, evaluate(parse(exponent), t).real)
+    assert evaluate(e, t) == want
+    assert all(v == want and not np.signbit(v.real) for v in _scalar_and_batch(e, t))
 
 
 def _subtrees(e):
