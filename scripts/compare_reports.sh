@@ -48,8 +48,8 @@
 #     exeq04 and exeq06, on exeq03 moved to (1e5, 1e5 + 1), where the
 #     caches and the experiment grid must still cover each other, and on
 #     exeq03 multiplied through by -1 (alpha -1, beta -2/t, forcing 1),
-#     whose unit forcing's first cache is the negation of A4 (report and
-#     .extremal.csv);
+#     whose unit forcing's first cache is built adaptively, not taken from
+#     A4 (report and .extremal.csv);
 #   - `analyze --best --reproducible`, `analyze --fast-path --reproducible`,
 #     `empirical --trials 4 --seed 7 --reproducible` and `riccati-check` on
 #     const-iii moved to (-1.7e308, 1.7e308), two finite ends whose

@@ -9,13 +9,13 @@ too; the other two depend on the forcing.  The extremal family coefficients
 read the case's nested kernel from the engine's case table.
 
 The two forcing caches are built adaptively only for the unit forcing
-g = 1, and for real data with alpha of one sign its F is the stability
-engine's A4 or A4's negation.  Their integrands are forcing-free weights
-times g and times the first cache F: e^P/alpha and e^{-(R+P)}, stored once
-at the unit caches' nodes.  Every other forcing is replayed on those panels
-(`quad.replay`) from the weights times its own g and F there, and takes the
-adaptive build only when g is not finite at a node or a panel ends
-singular; a finite g whose products overflow raises `ExperimentOverflow`.
+g = 1, and for real data with alpha > 0 its F is the stability engine's
+A4.  Their integrands are forcing-free weights times g and times the first
+cache F: e^P/alpha and e^{-(R+P)}, stored once at the unit caches' nodes.
+Every other forcing is replayed on those panels (`quad.replay`) from the
+weights times its own g and F there, and takes the adaptive build only when
+g is not finite at a node or a panel ends singular; a finite g whose
+products overflow raises `ExperimentOverflow`.
 
 On top of the representation sit the experiments: reproduce the minimal
 constant with the extremal constant perturbation, dominate it over
@@ -43,7 +43,6 @@ a stall of the exchange, runs a log-barrier fit until the distance is within
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -168,11 +167,10 @@ class SolutionEngine:
     def forcing_caches(self, g, key=None):
         """Cumulatives F = int e^P g/alpha and its partner int F e^{-(R+P)}.
 
-        ``key`` "unit" names g = 1, whose F is the stability engine's A4 or
-        its negation where the adaptive build would give exactly that
-        (`_a4_as_fc`) and is built adaptively otherwise, as its partner
-        always is; the weights e^P/alpha and e^{-(R+P)} are then stored at
-        their nodes.
+        ``key`` "unit" names g = 1, whose F is the stability engine's A4
+        where the adaptive build would give exactly that (`_a4_as_fc`) and
+        is built adaptively otherwise, as its partner always is; the
+        weights e^P/alpha and e^{-(R+P)} are then stored at their nodes.
         Every other forcing is replayed on the unit caches' panels
         (`quad.replay`) from weight times g at those nodes, and takes the
         adaptive build only when g is not finite at a node or a replayed
@@ -212,27 +210,19 @@ class SolutionEngine:
         return fc, self.se.cumulative(lambda s: fc.value(s) * self._h2_weight(s), lo, hi, tail=True)
 
     def _a4_as_fc(self):
-        """The unit forcing's F as the stability engine's A4 or its negation, or None.
+        """The unit forcing's F as the stability engine's A4, or None.
 
         For g = 1, F's integrand e^P/alpha is A4's e^P/|alpha| bit for bit
-        where e^P is real and alpha is real and positive, and its exact
-        negation where alpha is negative.  When Pc is real, alpha is real
-        with one sign at A4's nodes and F's range is A4's, the adaptive
-        build of F therefore bisects as A4's did: F is A4 itself, or A4
-        with its panel values and antiderivatives negated.
+        where e^P is real and alpha is real and positive.  When Pc is real,
+        alpha is real and positive at A4's nodes and F's range is A4's, the
+        adaptive build of F therefore bisects as A4's did: F is A4 itself.
         """
         se = self.se
         if np.iscomplexobj(se.Pc.panel_vals) or se._overlap(se.Rc, se.Pc) != se._overlap(se.Pc):
             return None
         a4 = se.A4
         alpha = np.asarray(se._alpha(a4.nodes()))
-        if np.any(alpha.imag):
-            return None
-        if np.all(alpha.real > 0):
-            return a4
-        if np.all(alpha.real < 0):
-            return dataclasses.replace(a4, panel_vals=-a4.panel_vals, antider=-a4.antider)
-        return None
+        return a4 if not np.any(alpha.imag) and np.all(alpha.real > 0) else None
 
     def _replay(self, g):
         """The forcing caches of ``g`` on the unit caches' panels, or None."""
@@ -690,6 +680,13 @@ def _proof_solution_params(eng: SolutionEngine, case, epsilon, t0):
     return SolutionFamilyParams(complex(d1), complex(d2))
 
 
+def _finite(values, what, epsilon):
+    """``values``, or `ExperimentOverflow` naming ``what`` where one is not finite."""
+    if not np.all(np.isfinite(values)):
+        raise ExperimentOverflow(f"the {what} at epsilon={epsilon!r} is not finite")
+    return values
+
+
 def _extremal_setup(eng, case, epsilon):
     """Family coefficients, experiment grid and |xi - x| of the extremal pair.
 
@@ -709,16 +706,16 @@ def _extremal_setup(eng, case, epsilon):
         if eng.se.is_real:
             params = _proof_solution_params(eng, case, epsilon, t0)
         else:  # the proof's construction reads real-data kernels: the nearest member instead
-            params = SolutionFamilyParams(*map(complex, _fit(epsilon * u(grid), _fit_basis(eng, t0, grid)).coeffs))
+            with np.errstate(all="ignore"):
+                target = _finite(epsilon * u(grid), "extremal target", epsilon)
+            params = SolutionFamilyParams(*map(complex, _fit(target, _fit_basis(eng, t0, grid)).coeffs))
         eng._extremal[case, epsilon] = params
     params = eng._extremal[case, epsilon]
     w = eng.homogeneous(t0, params)
 
     def distance(t):
-        d = np.abs(epsilon * u(t) - w(t))
-        if not np.all(np.isfinite(d)):
-            raise ExperimentOverflow(f"the extremal distance at epsilon={epsilon!r} is not finite")
-        return d
+        with np.errstate(all="ignore"):
+            return _finite(np.abs(epsilon * u(t) - w(t)), "extremal distance", epsilon)
 
     return params, grid, distance
 
@@ -794,7 +791,9 @@ def random_perturbation_test(engine: SolutionEngine, epsilon, trials, seed, best
         g, desc = _random_smooth(rng, grid, epsilon)
         # linear in the forcing: the perturbed solution less the problem's
         # own is the solution for g alone
-        xi_arr = engine.representation(IvpData(t0, 0.0, 0.0), forcing=g)(grid)
+        member = engine.representation(IvpData(t0, 0.0, 0.0), forcing=g)
+        with np.errstate(all="ignore"):
+            xi_arr = _finite(member(grid), f"member of trial {trial}", epsilon)
         dist = _fit(xi_arr, basis).distance
         ratio = dist / epsilon
         records.append({"trial": trial, "perturbation": desc, "sup_distance": dist, "ratio": ratio})

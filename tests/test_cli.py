@@ -288,6 +288,17 @@ def test_empirical_builds_h1_once(runner, tmp_path, monkeypatch):
     assert len(calls) == 6 + 1
 
 
+# const-iii with gamma = 2.25 - 0.5i: complex data, B = 1/|rho1 - rho2|
+_CONST_III_COMPLEX = {
+    "alpha": "1",
+    "beta": "3",
+    "gamma": "2.25 - 0.5*i",
+    "forcing": "0",
+    "interval": {"lower": -40.0, "upper": 40.0},
+    "rho": "-2 - 0.5*i",
+}
+
+
 def test_empirical_sets_up_the_extremal_pair_once(runner, tmp_path, monkeypatch):
     # on complex data the extremal member is a nearest-solution fit; the
     # experiment and the written profile share one setup, so one fit
@@ -296,16 +307,8 @@ def test_empirical_sets_up_the_extremal_pair_once(runner, tmp_path, monkeypatch)
     fits = []
     fit = dynamics._fit
     monkeypatch.setattr(dynamics, "_fit", lambda *args: fits.append(None) or fit(*args))
-    doc = {
-        "alpha": "1",
-        "beta": "3",
-        "gamma": "2.25 - 0.5*i",
-        "forcing": "0",
-        "interval": {"lower": -40.0, "upper": 40.0},
-        "rho": "-2 - 0.5*i",
-    }
     path = tmp_path / "const-iii-complex.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_CONST_III_COMPLEX))
     result = _invoke(runner, ["empirical", str(path), "--trials", "0", "--reproducible", "--out", str(tmp_path)])
     assert result.exit_code == 0
     assert len(fits) == 1
@@ -352,23 +355,31 @@ def test_empirical_rejects_zero_epsilon(runner):
 
 
 @pytest.mark.parametrize(
-    "option, kind, detail",
+    "document, option, kind, detail",
     [
-        (["--epsilon", "inf"], "epsilon", "finite positive"),
-        (["--epsilon", "1e308"], "epsilon", "extremal distance at epsilon=1e+308 is not finite"),
-        (["--seed", "-1"], "usage", "Invalid value for '--seed': -1 is not in the range x>=0."),
-        (["--trials", "-1"], "usage", "Invalid value for '--trials': -1 is not in the range x>=0."),
+        ("exeq03", ["--epsilon", "inf"], "epsilon", "finite positive"),
+        ("exeq03", ["--epsilon", "1e308"], "epsilon", "extremal distance at epsilon=1e+308 is not finite"),
+        # complex data fits the extremal member to epsilon times the unit
+        # forcing's member, which overflows before any distance does
+        ("const-iii-complex", ["--epsilon", "1e308"], "epsilon", "extremal target at epsilon=1e+308 is not finite"),
+        ("exeq03", ["--seed", "-1"], "usage", "Invalid value for '--seed': -1 is not in the range x>=0."),
+        ("exeq03", ["--trials", "-1"], "usage", "Invalid value for '--trials': -1 is not in the range x>=0."),
     ],
-    ids=["epsilon-inf", "epsilon-overflows", "seed-negative", "trials-negative"],
+    ids=["epsilon-inf", "epsilon-overflows", "complex-epsilon-overflows", "seed-negative", "trials-negative"],
 )
-def test_bad_empirical_option_is_input_error(runner, tmp_path, option, kind, detail):
+def test_bad_empirical_option_is_input_error(runner, tmp_path, document, option, kind, detail):
     # a structured input error, not a traceback or a report of no trials
-    result = _invoke(runner, ["empirical", str(PROBLEMS / "exeq03.json"), *option, "--reproducible", "--out", str(tmp_path)])
+    path = PROBLEMS / f"{document}.json"
+    if document == "const-iii-complex":
+        path = tmp_path / f"{document}.json"
+        path.write_text(json.dumps(_CONST_III_COMPLEX))
+    out = tmp_path / "out"
+    result = _invoke(runner, ["empirical", str(path), *option, "--reproducible", "--out", str(out)])
     assert result.exit_code == 1
     assert result.stdout == ""
     error = json.loads(result.stderr)["error"]
     assert error["kind"] == kind and detail in error["detail"]
-    assert not list(tmp_path.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

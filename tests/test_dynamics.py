@@ -545,8 +545,8 @@ def test_unit_forcing_takes_f_from_a4(name, label, cfg):
     assert _same_cache(fc, _adaptive_unit_f(eng))
 
 
-def test_negative_alpha_negates_a4(exeq03, cfg, monkeypatch):
-    # exeq03 times -1: alpha = -1, so F is the exact negation of A4
+def test_negative_alpha_builds_the_unit_forcing_adaptively(exeq03, cfg, monkeypatch):
+    # exeq03 times -1: alpha = -1, so A4 = int e^P/|alpha| is not F
     p = make_problem("-1", "-2/t", "0", "1", 0.0, 1.0)
     eng = _engine(p, exeq03[1], cfg)
     a4, _ = eng.se.A4, eng.H1c
@@ -554,15 +554,12 @@ def test_negative_alpha_negates_a4(exeq03, cfg, monkeypatch):
     cumulative = quad.cumulative
     monkeypatch.setattr(quad, "cumulative", lambda *args, **kwargs: calls.append(None) or cumulative(*args, **kwargs))
     fc, h2 = eng.forcing_caches(dynamics._unit, key="unit")
-    assert len(calls) == 1  # the second cache only
+    assert len(calls) == 2
     monkeypatch.undo()
-    assert fc is not a4 and np.array_equal(fc.panel_vals, -a4.panel_vals)
+    assert fc is not a4
     assert _same_cache(fc, _adaptive_unit_f(eng))
-    # the prefix sums are formed anew: every read is A4's, negated
-    ts = np.linspace(0.01, 0.99, 57)
-    assert np.array_equal(fc.value(ts), -a4.value(ts))
-    assert np.array_equal(fc.from_edge("upper", ts), -a4.from_edge("upper", ts))
     # and the solution is exeq03's
+    ts = np.linspace(0.01, 0.99, 57)
     ref = _engine(*exeq03, cfg)
     x = eng.representation(IvpData(0.5, 0.3, -0.2), forcing_key="problem")(ts)
     assert np.max(np.abs(x - ref.representation(IvpData(0.5, 0.3, -0.2), forcing_key="problem")(ts))) < 1e-12
@@ -590,6 +587,12 @@ def test_overflowing_forcing_raises(name, which, cfg):
 def test_extremal_distance_that_overflows_raises(eng01):
     with pytest.raises(dynamics.ExperimentOverflow, match="not finite"):
         dynamics.extremal_experiment(eng01, "iii", 1e308)
+
+
+def test_trial_member_that_overflows_raises(eng03):
+    # the forcing's caches are finite, the trial's member is not
+    with pytest.raises(dynamics.ExperimentOverflow, match="member of trial 0 at epsilon=1e\\+308 is not finite"):
+        dynamics.random_perturbation_test(eng03, 1e308, 1, 7, 1.0)
 
 
 @pytest.mark.parametrize("name, label", _PICKS)
