@@ -49,7 +49,14 @@
 #     caches and the experiment grid must still cover each other, and on
 #     exeq03 multiplied through by -1 (alpha -1, beta -2/t, forcing 1),
 #     whose unit forcing's first cache is built adaptively, not taken from
-#     A4 (report and .extremal.csv);
+#     A4, and whose extremal perturbation is the constant sign(alpha) = -1,
+#     so that its extremal ratio is exeq03's B = 1/6 (report and
+#     .extremal.csv);
+#   - `empirical --trials 4 --seed 7 --reproducible` at large epsilon:
+#     `--epsilon 3e6` on exeq01, `--epsilon 1e308` on exeq03 and on the
+#     complex constant-coefficient document.  The experiments run at unit
+#     scale, so the ratios are those of epsilon = 0.1 and only the reported
+#     distances, coefficients and .extremal.csv values scale;
 #   - `analyze --best --reproducible`, `analyze --fast-path --reproducible`,
 #     `empirical --trials 4 --seed 7 --reproducible` and `riccati-check` on
 #     const-iii moved to (-1.7e308, 1.7e308), two finite ends whose
@@ -182,6 +189,12 @@ contract() {
     --trials 4 --seed 7 --reproducible --out "$out/empirical"
   run "$tree" "$out" empirical.exeq03-negated empirical "$tmp/exeq03-negated.json" \
     --trials 4 --seed 7 --reproducible --out "$out/empirical"
+  run "$tree" "$out" empirical-eps.exeq01 empirical "$tree/problems/exeq01.json" \
+    --epsilon 3e6 --trials 4 --seed 7 --reproducible --out "$out/empirical-eps"
+  run "$tree" "$out" empirical-eps.exeq03 empirical "$tree/problems/exeq03.json" \
+    --epsilon 1e308 --trials 4 --seed 7 --reproducible --out "$out/empirical-eps"
+  run "$tree" "$out" empirical-eps.const-iii-complex empirical "$tmp/const-iii-complex.json" \
+    --epsilon 1e308 --trials 4 --seed 7 --reproducible --out "$out/empirical-eps"
   run "$tree" "$out" analyze.const-iii-overflow analyze "$tmp/const-iii-overflow.json" --best --reproducible
   run "$tree" "$out" fast-path.const-iii-overflow analyze "$tmp/const-iii-overflow.json" --fast-path --reproducible
   run "$tree" "$out" empirical.const-iii-overflow empirical "$tmp/const-iii-overflow.json" \

@@ -15,16 +15,18 @@ cache F: e^P/alpha and e^{-(R+P)}, stored once at the unit caches' nodes.
 Every other forcing is replayed on those panels (`quad.replay`) from the
 weights times its own g and F there, and takes the adaptive build only when
 g is not finite at a node or a panel ends singular; a finite g whose
-products overflow raises `ExperimentOverflow`.
+products overflow raises ValueError.
 
 On top of the representation sit the experiments: reproduce the minimal
 constant with the extremal constant perturbation, dominate it over
 randomized smooth perturbations, and trace unbounded nearest-solution
 growth for instability witnesses.  The solution is linear in the forcing,
 so the experiments measure the solution of the perturbation alone: the
-extremal distance is |epsilon u - w| with u the unit forcing's member, and
-a trial fits its own g's member; only `nearest_solution` subtracts the
-solution for the problem's forcing.
+extremal distance is |sigma u - w| with u the unit forcing's member and
+sigma the sign of alpha, and a trial fits its own g's member; only
+`nearest_solution` subtracts the solution for the problem's forcing.  The
+fit is positively homogeneous, so both run at unit scale: epsilon scales
+only the reported distances, never a ratio.
 
 The instability probe and the tests take their solutions from
 `ivp_solution`, which reads none of the caches: Chebyshev panel
@@ -58,7 +60,6 @@ __all__ = [
     "SolutionFamilyParams",
     "PerturbationExperiment",
     "CoverageExceeded",
-    "ExperimentOverflow",
     "RatioExceedsConstant",
     "SolutionEngine",
     "ivp_solution",
@@ -75,10 +76,6 @@ PROBE_EPSILON = 0.1  # residual size of the witness family an instability probe 
 
 class CoverageExceeded(quad.CoverageError):
     """No experiment-grid point inside the range the caches can serve."""
-
-
-class ExperimentOverflow(ValueError):
-    """An experiment's values, or those of a finite forcing's caches, overflow the double range."""
 
 
 class RatioExceedsConstant(Exception):
@@ -137,7 +134,7 @@ class SolutionEngine:
         self._frames = {}
         self._reads = {}  # id of Rc or H1 -> (points, its values there) of its last read by a member
         self._grids = {}  # t0 -> its experiment grid, read-only
-        self._extremal = {}  # (case, epsilon) -> family coefficients of that extremal pair
+        self._extremal = {}  # case -> (sigma, unit family coefficients) of its extremal pair
         # template panels the replays bisected, and replays that took the adaptive build
         self.replay_counts = {"bisected_panels": 0, "fallbacks": 0}
 
@@ -175,7 +172,7 @@ class SolutionEngine:
         (`quad.replay`) from weight times g at those nodes, and takes the
         adaptive build only when g is not finite at a node or a replayed
         panel comes back singular; a finite g whose weighted values are not
-        finite overflows, and raises `ExperimentOverflow`.  ``replay_counts``
+        finite overflows, and raises ValueError.  ``replay_counts``
         counts the panels the replays bisect and the forcings that fall back.  ``key``
         enables reuse across calls with the same forcing.
         """
@@ -235,7 +232,7 @@ class SolutionEngine:
         # the weights are finite at the nodes: where g is too, a value that
         # is not is an overflow, which an adaptive build would only repeat
         if not np.all(np.isfinite(y)) and np.all(np.isfinite(gx)):
-            raise ExperimentOverflow("the forcing's first cache overflows")
+            raise ValueError("the forcing's first cache overflows")
         replayed = quad.replay(unit[0], y, lambda s: self._fc_weight(s) * np.asarray(g(s)), tol, True)
         if replayed is None:
             return None
@@ -243,7 +240,7 @@ class SolutionEngine:
         with np.errstate(all="ignore"):
             y = fc.value(x_h2) * w_h2
         if not np.all(np.isfinite(y)):
-            raise ExperimentOverflow("the forcing's second cache overflows")
+            raise ValueError("the forcing's second cache overflows")
         replayed = quad.replay(unit[1], y, lambda s: fc.value(s) * self._h2_weight(s), tol, True)
         if replayed is None:
             return None
@@ -656,18 +653,18 @@ def nearest_solution(xi, engine: SolutionEngine):
     }
 
 
-def _proof_solution_params(eng: SolutionEngine, case, epsilon, t0):
+def _proof_solution_params(eng: SolutionEngine, case, sigma, t0):
     """The designated best-approximating member for the constant perturbation.
 
-    With the approximate solution started at (t0, 0, 0) and g = epsilon, the
-    approximating true solution's family coefficients are explicit integrals
-    of the perturbation against the case kernels.
+    With the approximate solution started at (t0, 0, 0) and g = sigma, the
+    sign of alpha, the approximating true solution's family coefficients
+    are explicit integrals of the perturbation against the case kernels.
     """
     if case not in _KERNEL:
         raise ValueError(f"no extremal construction for case {case!r}")
     key, side = _KERNEL[case]
-    # d1 integrates 1/alpha to the edge of the boundedness function that
-    # the kernel nests
+    # d1 integrates sigma/alpha = 1/|alpha|, as the kernel does, to the edge
+    # of the boundedness function that the kernel nests
     inner = _F_SIDE[_NESTED[key]][1]
     s_in, s_out = (1.0 if s == "upper" else -1.0 for s in (inner, side))
     se = eng.se
@@ -675,76 +672,67 @@ def _proof_solution_params(eng: SolutionEngine, case, epsilon, t0):
     p0 = complex(se.Pc.value(t0a)[0])
     r0 = complex(se.Rc.value(t0a)[0])
     funit, _ = eng.forcing_caches(_unit, key="unit")
-    d1 = s_in * epsilon * np.exp(-p0) * complex(funit.from_edge(inner, t0a)[0])
-    d2 = -s_in * s_out * epsilon * np.exp(r0) * complex(getattr(se, key).from_edge(side, t0a)[0])
+    d1 = s_in * sigma * np.exp(-p0) * complex(funit.from_edge(inner, t0a)[0])
+    d2 = -s_in * s_out * np.exp(r0) * complex(getattr(se, key).from_edge(side, t0a)[0])
     return SolutionFamilyParams(complex(d1), complex(d2))
 
 
-def _finite(values, what, epsilon):
-    """``values``, or `ExperimentOverflow` naming ``what`` where one is not finite."""
-    if not np.all(np.isfinite(values)):
-        raise ExperimentOverflow(f"the {what} at epsilon={epsilon!r} is not finite")
-    return values
+def _extremal_setup(eng, case):
+    """Unit family coefficients, experiment grid and |sigma u - w| of the extremal pair.
 
-
-def _extremal_setup(eng, case, epsilon):
-    """Family coefficients, experiment grid and |xi - x| of the extremal pair.
-
+    Complex data takes sigma = 1 and the nearest member to u on the grid.
     The coefficients and the grid are computed once per engine.  The
     members are built anew: they hold the engine, which a stored member
     would keep alive in a reference cycle.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
     t0 = eng.se.anchor
     # the solution is linear in the forcing: the solution for the problem's
-    # forcing plus epsilon, less the one for the problem's forcing, is
-    # epsilon times the unit forcing's member
+    # forcing plus sigma, less the one for the problem's forcing, is sigma
+    # times the unit forcing's member
     u = eng.representation(IvpData(t0, 0.0, 0.0), forcing=_unit, forcing_key="unit")
     grid = eng.experiment_grid(t0)
-    if (case, epsilon) not in eng._extremal:
+    if case not in eng._extremal:
         if eng.se.is_real:
-            params = _proof_solution_params(eng, case, epsilon, t0)
+            sigma = 1.0 if eng.se._alpha(np.array([t0]))[0].real > 0 else -1.0
+            params = _proof_solution_params(eng, case, sigma, t0)
         else:  # the proof's construction reads real-data kernels: the nearest member instead
-            with np.errstate(all="ignore"):
-                target = _finite(epsilon * u(grid), "extremal target", epsilon)
-            params = SolutionFamilyParams(*map(complex, _fit(target, _fit_basis(eng, t0, grid)).coeffs))
-        eng._extremal[case, epsilon] = params
-    params = eng._extremal[case, epsilon]
+            sigma = 1.0
+            params = SolutionFamilyParams(*map(complex, _fit(u(grid), _fit_basis(eng, t0, grid)).coeffs))
+        eng._extremal[case] = sigma, params
+    sigma, params = eng._extremal[case]
     w = eng.homogeneous(t0, params)
-
-    def distance(t):
-        with np.errstate(all="ignore"):
-            return _finite(np.abs(epsilon * u(t) - w(t)), "extremal distance", epsilon)
-
-    return params, grid, distance
+    return params, grid, lambda t: np.abs(sigma * u(t) - w(t))
 
 
 def extremal_experiment(engine: SolutionEngine, case, epsilon):
-    """Reproduce the minimal constant with the constant perturbation g = eps."""
-    params, grid, distance = _extremal_setup(engine, case, epsilon)
+    """Reproduce the minimal constant with the constant perturbation g = sigma epsilon."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    params, grid, distance = _extremal_setup(engine, case)
     res = quad.sup_over(distance, float(grid[0]), float(grid[-1]))
-    sup_d = float(res.sup_value)
-    detail = {"params": [params.d1, params.d2], "attained_near": str(res.attained_near)}
+    ratio = float(res.sup_value)
+    detail = {"params": [epsilon * params.d1, epsilon * params.d2], "attained_near": str(res.attained_near)}
     if not engine.se.is_real:
         detail["member"] = "nearest-solution fit on the experiment grid"
     return PerturbationExperiment(
         epsilon=float(epsilon),
         perturbation="extremal-constant",
-        sup_distance=sup_d,
-        ratio=sup_d / epsilon,
+        sup_distance=epsilon * ratio,
+        ratio=ratio,
         detail=detail,
     )
 
 
 def extremal_profile(engine: SolutionEngine, case, epsilon):
     """(t, |xi - x|) arrays over the experiment grid for the extremal pair."""
-    _, grid, distance = _extremal_setup(engine, case, epsilon)
-    return grid, distance(grid)
+    if not epsilon > 0:
+        raise ValueError("epsilon must be positive")
+    _, grid, distance = _extremal_setup(engine, case)
+    return grid, epsilon * distance(grid)
 
 
-def _random_smooth(rng, grid, epsilon):
-    """Smooth random perturbation with certified sup |g| = epsilon on the grid.
+def _random_smooth(rng, grid):
+    """Smooth random perturbation with certified sup |g| = 1 on the grid.
 
     A constant component plus a few random-frequency cosines; the constant
     weight lets some draws approach the extremal shape, so the observed max
@@ -767,14 +755,14 @@ def _random_smooth(rng, grid, epsilon):
     sup = float(np.max(np.abs(raw(grid))))
     if sup == 0.0:
         return lambda t: np.zeros_like(np.asarray(t, float)), "zero"
-    scale = epsilon / sup
     desc = f"fourier(c0={c0:.3f}, freqs={np.round(freqs, 3).tolist()})"
-    return lambda t: scale * raw(t), desc
+    return lambda t: raw(t) / sup, desc
 
 
 def random_perturbation_test(engine: SolutionEngine, epsilon, trials, seed, best_value):
     """Nearest-solution ratio of randomized smooth perturbations vs the constant.
 
+    A trial's g has sup 1 on the grid, so its ratio is its fit distance.
     Every trial must satisfy ratio <= best_value * 1.02; returns the max
     ratio and the per-trial records.
     """
@@ -788,15 +776,12 @@ def random_perturbation_test(engine: SolutionEngine, epsilon, trials, seed, best
     max_ratio = 0.0
     for trial in range(int(trials)):
         rng = np.random.default_rng([int(seed), trial])
-        g, desc = _random_smooth(rng, grid, epsilon)
+        g, desc = _random_smooth(rng, grid)
         # linear in the forcing: the perturbed solution less the problem's
         # own is the solution for g alone
         member = engine.representation(IvpData(t0, 0.0, 0.0), forcing=g)
-        with np.errstate(all="ignore"):
-            xi_arr = _finite(member(grid), f"member of trial {trial}", epsilon)
-        dist = _fit(xi_arr, basis).distance
-        ratio = dist / epsilon
-        records.append({"trial": trial, "perturbation": desc, "sup_distance": dist, "ratio": ratio})
+        ratio = _fit(member(grid), basis).distance
+        records.append({"trial": trial, "perturbation": desc, "sup_distance": epsilon * ratio, "ratio": ratio})
         if ratio > bound:
             raise RatioExceedsConstant(ratio, bound, trial)
         max_ratio = max(max_ratio, ratio)

@@ -1,6 +1,7 @@
 """CLI: exit codes, report schema, determinism, error objects."""
 
 import copy
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -358,21 +359,14 @@ def test_empirical_rejects_zero_epsilon(runner):
     "document, option, kind, detail",
     [
         ("exeq03", ["--epsilon", "inf"], "epsilon", "finite positive"),
-        ("exeq03", ["--epsilon", "1e308"], "epsilon", "extremal distance at epsilon=1e+308 is not finite"),
-        # complex data fits the extremal member to epsilon times the unit
-        # forcing's member, which overflows before any distance does
-        ("const-iii-complex", ["--epsilon", "1e308"], "epsilon", "extremal target at epsilon=1e+308 is not finite"),
         ("exeq03", ["--seed", "-1"], "usage", "Invalid value for '--seed': -1 is not in the range x>=0."),
         ("exeq03", ["--trials", "-1"], "usage", "Invalid value for '--trials': -1 is not in the range x>=0."),
     ],
-    ids=["epsilon-inf", "epsilon-overflows", "complex-epsilon-overflows", "seed-negative", "trials-negative"],
+    ids=["epsilon-inf", "seed-negative", "trials-negative"],
 )
 def test_bad_empirical_option_is_input_error(runner, tmp_path, document, option, kind, detail):
     # a structured input error, not a traceback or a report of no trials
     path = PROBLEMS / f"{document}.json"
-    if document == "const-iii-complex":
-        path = tmp_path / f"{document}.json"
-        path.write_text(json.dumps(_CONST_III_COMPLEX))
     out = tmp_path / "out"
     result = _invoke(runner, ["empirical", str(path), *option, "--reproducible", "--out", str(out)])
     assert result.exit_code == 1
@@ -380,6 +374,49 @@ def test_bad_empirical_option_is_input_error(runner, tmp_path, document, option,
     error = json.loads(result.stderr)["error"]
     assert error["kind"] == kind and detail in error["detail"]
     assert not out.exists()
+
+
+def _empirical_doc(runner, path, out, epsilon):
+    args = ["empirical", str(path), "--epsilon", epsilon, "--trials", "2", "--reproducible", "--out", str(out)]
+    result = _invoke(runner, args)
+    assert result.exit_code == 0
+    return _json_out(result)["experiments"]
+
+
+@pytest.mark.parametrize("document, epsilon", [("exeq01", "3e6"), ("exeq03", "1e308"), ("const-iii-complex", "1e308")])
+def test_empirical_ratios_do_not_depend_on_epsilon(runner, tmp_path, document, epsilon):
+    # the experiments run at unit scale: a large epsilon reports the ratios
+    # of epsilon = 0.1, and scales only the distances
+    path = PROBLEMS / f"{document}.json"
+    if document == "const-iii-complex":
+        path = tmp_path / f"{document}.json"
+        path.write_text(json.dumps(_CONST_III_COMPLEX))
+    ref = _empirical_doc(runner, path, tmp_path / "ref", "0.1")
+    got = _empirical_doc(runner, path, tmp_path / "out", epsilon)
+    assert got["extremal"]["ratio"] == ref["extremal"]["ratio"]
+    assert got["extremal"]["sup_distance"] == float(epsilon) * got["extremal"]["ratio"]
+    assert [r["ratio"] for r in got["random"]["records"]] == [r["ratio"] for r in ref["random"]["records"]]
+
+
+def test_wrong_extremal_ratio_is_inconclusive(runner, tmp_path, monkeypatch):
+    # a member that does not reproduce the constant: exit 2 before any trial
+    from ulamstab import dynamics
+
+    params = dynamics._proof_solution_params
+
+    def spoiled(*args):
+        member = params(*args)
+        return dataclasses.replace(member, d1=1.01 * member.d1)
+
+    monkeypatch.setattr(dynamics, "_proof_solution_params", spoiled)
+    trials = []
+    monkeypatch.setattr(dynamics, "_random_smooth", lambda *args: trials.append(None))
+    out = tmp_path / "out"
+    result = _invoke(runner, ["empirical", str(PROBLEMS / "exeq03.json"), "--reproducible", "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == "" and not trials and not out.exists()
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == "extremal" and "differs from the constant" in error["detail"]
 
 
 @pytest.mark.parametrize(

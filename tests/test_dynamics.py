@@ -1,5 +1,6 @@
 """Solution representation and perturbation experiments."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -138,15 +139,61 @@ def test_members_read_the_forcing_free_caches_once_per_grid(exeq03, cfg, monkeyp
 
 
 def test_extremal_linear_in_epsilon(eng01):
-    e1 = dynamics.extremal_experiment(eng01, "iii", 0.05)
-    e2 = dynamics.extremal_experiment(eng01, "iii", 0.2)
-    assert e2.sup_distance == pytest.approx(4.0 * e1.sup_distance, rel=1e-6)
-    assert e2.ratio == pytest.approx(e1.ratio, rel=1e-6)
+    # epsilon scales the reported distance, coefficients and profile only
+    unit = dynamics.extremal_experiment(eng01, "iii", 1.0)
+    _, unit_profile = dynamics.extremal_profile(eng01, "iii", 1.0)
+    for eps in (0.05, 0.2):
+        exp = dynamics.extremal_experiment(eng01, "iii", eps)
+        assert exp.ratio == unit.ratio and exp.sup_distance == eps * unit.ratio
+        assert exp.detail["params"] == [eps * d for d in unit.detail["params"]]
+        assert np.array_equal(dynamics.extremal_profile(eng01, "iii", eps)[1], eps * unit_profile)
+
+
+_SWEEP_EPSILONS = [1e-300, 1e-6, 0.1, 1e6, 3e6, 1e7, 1e12, 1e308]
+
+
+def _sweep_problem(name):
+    """(problem, rho) of a document of the epsilon sweep."""
+    if name == "const-iii-complex":
+        return make_problem("1", "3", "2.25 - 0.5*i", "0", -40.0, 40.0), exprlang.parse("-2 - 0.5*i")
+    return corpus.build(corpus_entry(name).default)
+
+
+@pytest.mark.parametrize("name", ["exeq01", "exeq03", "const-iii", "const-iii-complex"])
+def test_ratios_do_not_depend_on_epsilon(name, cfg):
+    # the experiments run at unit scale: every epsilon, up to the largest
+    # double, gives the same extremal and trial ratios, bit for bit
+    se = StabilityEngine(*_sweep_problem(name), cfg)
+    case = analyze(se.problem, se.rho, cfg, best=True, engine=se).case
+    seen = set()
+    for eps in _SWEEP_EPSILONS:
+        eng = SolutionEngine(se)
+        exp = dynamics.extremal_experiment(eng, case, eps)
+        _, records = dynamics.random_perturbation_test(eng, eps, 4, 7, math.inf)
+        seen.add((exp.ratio, tuple(rec["ratio"] for rec in records)))
+        assert all(rec["sup_distance"] == eps * rec["ratio"] for rec in records)
+    assert len(seen) == 1
+
+
+@pytest.mark.parametrize("name", ["exeq01", "exeq03", "exeq04", "exeq06", "const-i", "const-ii", "const-iii"])
+def test_negated_problem_gives_the_same_extremal_ratio(name, cfg):
+    # alpha x'' + beta x' + gamma x = f times -1 has the same solutions and
+    # constant; its extremal perturbation is the constant -1, sign(alpha)
+    variant = corpus_entry(name).default
+    negated = {k: f"-({variant.data[k]})" for k in ("alpha", "beta", "gamma", "forcing")}
+    ratios = []
+    for data in (variant.data, {**variant.data, **negated}):
+        p, r = corpus.build(dataclasses.replace(variant, data=data))
+        ratios.append(dynamics.extremal_experiment(_engine(p, r, cfg), variant.expected_case, 0.1).ratio)
+    assert ratios[1] == ratios[0]
+    assert ratios[0] == pytest.approx(variant.expected_B, rel=1e-6)
 
 
 def test_epsilon_must_be_positive(eng01):
     with pytest.raises(ValueError):
         dynamics.extremal_experiment(eng01, "iii", 0.0)
+    with pytest.raises(ValueError):
+        dynamics.extremal_profile(eng01, "iii", -1.0)
     with pytest.raises(ValueError):
         dynamics.random_perturbation_test(eng01, -1.0, 4, 7, 0.5)
 
@@ -579,20 +626,9 @@ def test_overflowing_forcing_raises(name, which, cfg):
     # weight times g overflows at the unit caches' nodes: no adaptive build,
     # which would evaluate the same products
     eng = _engine(*corpus.build(corpus_entry(name).default), cfg)
-    with pytest.raises(dynamics.ExperimentOverflow, match=f"{which} cache overflows"):
+    with pytest.raises(ValueError, match=f"{which} cache overflows"):
         eng.forcing_caches(lambda s: np.full(np.shape(s), 1e280))
     assert eng.replay_counts == {"bisected_panels": 0, "fallbacks": 0}
-
-
-def test_extremal_distance_that_overflows_raises(eng01):
-    with pytest.raises(dynamics.ExperimentOverflow, match="not finite"):
-        dynamics.extremal_experiment(eng01, "iii", 1e308)
-
-
-def test_trial_member_that_overflows_raises(eng03):
-    # the forcing's caches are finite, the trial's member is not
-    with pytest.raises(dynamics.ExperimentOverflow, match="member of trial 0 at epsilon=1e\\+308 is not finite"):
-        dynamics.random_perturbation_test(eng03, 1e308, 1, 7, 1.0)
 
 
 @pytest.mark.parametrize("name, label", _PICKS)
@@ -608,10 +644,10 @@ def test_replayed_trials_match_adaptive_builds(name, label, cfg):
     base = eng.problem.fn("forcing")
     p_arr = eng._member(t0, 0j, 0j, eng._build(base))(grid)
     for trial, rec in enumerate(records):
-        g, _ = dynamics._random_smooth(np.random.default_rng([7, trial]), grid, 0.1)
+        g, _ = dynamics._random_smooth(np.random.default_rng([7, trial]), grid)
         forced = eng._build(lambda s: np.asarray(base(s)) + g(s))
         dist = dynamics._fit(eng._member(t0, 0j, 0j, forced)(grid) - p_arr, basis).distance
-        assert rec["ratio"] == pytest.approx(dist / 0.1, rel=1e-10, abs=0.0)
+        assert rec["ratio"] == pytest.approx(dist, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize(
