@@ -61,6 +61,10 @@
 #     `empirical --trials 4 --seed 7 --reproducible` and `riccati-check` on
 #     const-iii moved to (-1.7e308, 1.7e308), two finite ends whose
 #     difference overflows, which the problem input check rejects;
+#   - `analyze --best --reproducible` on the twelve documents of the
+#     benchmark's `closed-form-sweep` workload for each of seeds 1, 2 and 3
+#     (seeded exeq03, exeq04, exeq06 and constant-coefficient problems),
+#     written by importing perfbench/workloads.py;
 #   - `corpus run`;
 #   - `analyze`, `empirical` and `riccati-check` on seven bad-input
 #     documents written to the temporary directory: an unbound parameter in
@@ -135,6 +139,18 @@ printf '{"name": "const-iii-overflow", "alpha": "1", "beta": "3", "gamma": "2", 
 printf '{"name": "const-iii-complex", "alpha": "1", "beta": "3", "gamma": "2.25 - 0.5*i", "forcing": "0", "interval": {"lower": -40.0, "upper": 40.0}, "rho": "-2 - 0.5*i"}\n' \
   >"$tmp/const-iii-complex.json"
 
+# the closed-form-sweep documents of seeds 1 to 3, as the benchmark writes them
+python3 - "$root/perfbench" "$tmp/sweep" <<'EOF'
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+import workloads
+
+for seed in (1, 2, 3):
+    workloads.write_documents(workloads.operations("closed-form-sweep", seed), Path(sys.argv[2]) / f"seed{seed}")
+EOF
+
 # run <tree> <out dir> <name> <cli args...>: stdout to <name>.out, the last
 # stderr line to <name>.err (a structured error or a traceback's last line),
 # status to <name>.exit
@@ -200,6 +216,10 @@ contract() {
   run "$tree" "$out" empirical.const-iii-overflow empirical "$tmp/const-iii-overflow.json" \
     --trials 4 --seed 7 --reproducible --out "$out/empirical"
   run "$tree" "$out" riccati-check.const-iii-overflow riccati-check "$tmp/const-iii-overflow.json"
+  for p in "$tmp"/sweep/seed*/*.json; do
+    stem=$(basename "$(dirname "$p")").$(basename "$p" .json)
+    run "$tree" "$out" "sweep.$stem" analyze "$p" --best --reproducible
+  done
   run "$tree" "$out" corpus corpus run
   for p in "$tmp"/bad/*.json; do
     stem=$(basename "$p" .json)
@@ -214,7 +234,7 @@ contract() {
 
 contract "$tmp/base" "$tmp/out-base"
 contract "$root" "$tmp/out-worktree"
-rm -rf "$tmp/base" "$tmp/bad" "$tmp/exeq03-at-1e5.json" "$tmp/exeq03-negated.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
+rm -rf "$tmp/base" "$tmp/bad" "$tmp/sweep" "$tmp/exeq03-at-1e5.json" "$tmp/exeq03-negated.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
   "$tmp/alpha-zero.json" "$tmp/const-iii-complex.json" "$tmp/const-iii-overflow.json" "$tmp/tan-pole.json" \
   "$tmp/tan-quarter-line.json"
 

@@ -7,19 +7,24 @@ extrapolation.  Coverage of a cumulative grows from an interior anchor
 toward each endpoint, finite or infinite, and stops where the endpoint is
 resolved or a budget is hit; the reason is recorded per side.
 
-The numeric work runs as numpy batches.  All skeleton panels of both sides
-of a cumulative are bisected together one level at a time, with one
-integrand call on the nodes of the whole level (as in
-`scipy.integrate.quad_vec`).  Each level hands the panels it finished to the
-caller as one block of arrays per side, and each side's stopping rules walk
-its panels' sums in skeleton order as Python floats, so the walk costs one
-numpy pass per level, not per panel; a side whose walk stops is bisected no
-further.  The nodes are fixed, so a panel's fit residual and
-antiderivative coefficients are constant matrices applied to its node
-values.  Bisection stops at the resolution floor: a panel narrower than
-``_FLOOR_ULPS`` = 2^10 ulp of its larger end, whose node positions round by
-more than 2^-11 of its width, is kept as a panel at the depth cap is, and
-counted.
+The numeric work on wide arrays runs as numpy batches: the (panels x 15)
+node and value matrices of a bisection level, the (brackets x ``_ZOOM_K``)
+sample matrix of a zoom step, and the calls of the integrand and of the sup
+search's function.  All skeleton panels of both sides of a cumulative are
+bisected together one level at a time, with one integrand call on the nodes
+of the whole level (as in `scipy.integrate.quad_vec`).  Each level hands the
+panels it finished to the caller as one block of arrays per side, and each
+side's stopping rules walk its panels' sums in skeleton order as Python
+floats, so the walk costs one numpy pass per level, not per panel; a side
+whose walk stops is bisected no further.  The nodes are fixed, so a panel's
+fit residual and antiderivative coefficients are constant matrices applied
+to its node values.  BLAS rounds those two products by the row count of the
+batch, so each is fed exactly the rows of the level's fitted panels and of
+its kept ones; a level that fits, or keeps, every panel passes its
+C-contiguous value matrix itself, the same rows.  Bisection stops at the
+resolution floor: a panel narrower than ``_FLOOR_ULPS`` = 2^10 ulp of its
+larger end, whose node positions round by more than 2^-11 of its width, is
+kept as a panel at the depth cap is, and counted.
 
 `replay` integrates a second integrand on the panels of a built cache: it
 is given the integrand's values at that cache's nodes, keeps every panel
@@ -34,9 +39,12 @@ Chebyshev series, with one Clenshaw recurrence of three array operations
 per term, in the cache's dtype.  The sup search evaluates its scan and its
 endpoint approach sequences in one call of the function, stops there when
 an endpoint is unbounded, and otherwise zooms in on its candidate maxima in
-lockstep, one call per step on ``_ZOOM_K``
-equispaced points of every bracket, until the bracket is narrower than
-rounding or its samples agree to rounding.
+lockstep, one call per step on ``_ZOOM_K`` equispaced points of every
+bracket, until the bracket is narrower than rounding or its samples agree
+to rounding.  The state of so few brackets and tail values is Python floats
+and lists, where numpy's fixed cost per call would exceed the arithmetic:
+the zoom's bracket ends, end values, best samples and active list, the
+endpoint tests, the Richardson table and the tail limits.
 
 Everything here is pure; `CumulativeIntegral` objects are built once and
 read-only afterwards, so they can be shared freely between threads.
@@ -304,10 +312,10 @@ def node_sum(w, u):
 
 
 def _real_if_zero_imag(y):
-    """``y`` as float64 when its imaginary part is exactly zero everywhere, else as complex128."""
+    """``y`` as float64 when its imaginary part is exactly zero everywhere, else as complex128; C-contiguous."""
     y = np.asarray(y)
     if np.iscomplexobj(y) and np.any(y.imag):
-        return y.astype(complex, copy=False)
+        return np.ascontiguousarray(y, dtype=complex)
     return np.ascontiguousarray(y.real, dtype=float)
 
 
@@ -334,7 +342,11 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
     not: BLAS rounds those products differently with the batch's row count
     (one row alone and in a batch of 500 differ in about two thirds of the
     entries), so a borderline accept/split decision and a leaf's interpolant
-    can move with the other panels of a level (open ROADMAP item 2).  A
+    can move with the other panels of a level (open ROADMAP item 2).  So the
+    residual product takes exactly the rows of the fitted panels (finite, and
+    converged or not split) and the antiderivative product those of the kept
+    ones; where these are all of the level's rows, ``y`` itself goes in, the
+    same C-contiguous matrix as a gathered copy.  A
     panel is accepted when its error estimate and its fit residual meet the
     budget, or when it is not split: at ``_MAX_DEPTH``, or at the resolution
     floor, narrower than ``_FLOOR_ULPS`` ulp of its larger end, where
@@ -399,27 +411,36 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
             # relative scale: panel value, or sample magnitude when it cancels
             budget = leaf_tol + leaf_rel * np.maximum(np.abs(val), width * ymax)
         finite = np.all(np.isfinite(y), axis=1)
+        every_finite = bool(finite.all())
         # a panel is not split at _MAX_DEPTH or at the resolution floor: one
         # at least _FLOOR_ULPS ulp wide has its nodes at least 21 ulp apart
         # and 4 ulp inside it, so its halves' nodes are still distinct
-        final = (depth >= _MAX_DEPTH) | (width < _FLOOR_ULPS * np.spacing(np.maximum(np.abs(a), np.abs(b))))
-        converged = finite & (err <= budget)
-        fit = np.flatnonzero(converged | (finite & final))
+        mag = np.maximum(np.abs(a), np.abs(b))
+        final = (depth >= _MAX_DEPTH) | (width < _FLOOR_ULPS * np.spacing(mag))
+        # only finite panels are fitted, so `converged` needs no finite mask
+        converged = err <= budget
+        fit = np.flatnonzero(converged | final)
+        if not every_finite:
+            fit = fit[finite[fit]]
+        # the products get the rows of the fitted (kept) panels; when those are
+        # all of the level's, `y` itself, the same C-contiguous matrix
+        y_fit = y if fit.size == len(y) else y[fit]
         # interior value() queries read the interpolant, so the fit must
         # meet the same budget as the integral before the leaf is kept;
         # node abscissas are rounded to ulp(|t|), which floors the
         # attainable residual of steep narrow panels far from 0
-        resid = np.max(np.abs(y[fit] @ _RESID.T), axis=1, initial=0.0) * width[fit]
-        pos_noise = 64.0 * _EPS * np.maximum(np.abs(a[fit]), np.abs(b[fit])) * ymax[fit]
+        resid = np.max(np.abs(y_fit @ _RESID.T), axis=1, initial=0.0) * width[fit]
+        pos_noise = 64.0 * _EPS * mag[fit] * ymax[fit]
         fit_ok = ~(resid > budget[fit] + pos_noise)
         keep = fit_ok | final[fit]
-        acc = fit[keep]
+        every_kept = bool(keep.all())
+        acc = fit if every_kept else fit[keep]
         forced = np.where(converged[acc] & fit_ok[keep], 0, _AT_MAX_DEPTH if depth >= _MAX_DEPTH else _AT_FLOOR)
-        anti = (y[acc] @ _ANTI.T) * hw[acc, None]
+        anti = ((y_fit if every_kept else y[acc]) @ _ANTI.T) * hw[acc, None]
         kept.append((root[acc], a[acc], b[acc], val[acc], err[acc] + 0.1 * resid[keep], anti, forced))
         split = np.ones(a.size, dtype=bool)
         split[acc] = False
-        if not np.all(finite):
+        if not every_finite:
             # a non-finite panel that is not split, or one non-finite at every
             # node (which would only double its non-finite panels per level)
             singular[root[~finite & (final | ~np.any(np.isfinite(y), axis=1))]] = True
@@ -429,15 +450,20 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
         ready = ends.copy()
         np.minimum.at(ready, grp[root], root)
         if np.any(ready > done):
-            kr, left, right, vals, errs, anti, forced = (np.concatenate(part) for part in zip(*kept))
+            parts = kept[0] if len(kept) == 1 else [np.concatenate(part) for part in zip(*kept)]
+            kr = parts[0]
             later = kr >= ready[grp[kr]]
-            kept = [tuple(part[later] for part in (kr, left, right, vals, errs, anti, forced))]
-            # a singular root keeps none of its leaves
-            now = ~later & ~singular[kr]
-            # a root's leaves in left-edge order; ties keep their order of acceptance
-            order = np.flatnonzero(now)[np.lexsort((left[now], kr[now]))]
+            if later.any():
+                kept = [tuple(part[later] for part in parts)]
+                now = ~later & ~singular[kr]
+            else:
+                kept = []
+                now = ~singular[kr]
+            # a singular root keeps none of its leaves; a root's leaves in
+            # left-edge order, ties in their order of acceptance
+            order = np.flatnonzero(now)[np.lexsort((parts[1][now], kr[now]))]
             kr = kr[order]
-            parts = [part[order] for part in (left, right, vals, errs, anti, forced)]
+            parts = [part[order] for part in parts[1:]]
             for k in np.flatnonzero(ready > done).tolist():
                 first, stop = int(done[k]), int(ready[k])
                 bounds = np.searchsorted(kr, np.arange(first, stop + 1))
@@ -557,7 +583,15 @@ def cumulative(g, t_ref, lower, upper, tol=1e-10, tail_mode=False):
     interleaved.  A side whose walk stops is closed in the batch, which then
     bisects the other side alone.  A side ends "singular" at its first
     singular skeleton panel.
+
+    Raises `ValueError` unless ``lower < upper`` and ``t_ref`` is a finite
+    point of [lower, upper] (an end included), and when both sides end
+    singular at their first skeleton panel, so that no panel is covered.
     """
+    if not lower < upper:
+        raise ValueError(f"cumulative: lower end {lower} is not below upper end {upper}")
+    if not (math.isfinite(t_ref) and lower <= t_ref <= upper):
+        raise ValueError(f"cumulative: t_ref {t_ref} is not a finite point of [{lower}, {upper}]")
     leaf_tol, leaf_rel = _leaf_budget(tol, tail_mode)
     leaves = []
     forced = np.zeros(3, dtype=int)  # leaves by `_Block.forced` code
@@ -612,8 +646,8 @@ def cumulative(g, t_ref, lower, upper, tol=1e-10, tail_mode=False):
         leaves.append(blk.rows(taken))
         forced += np.bincount(blk.forced[:taken], minlength=3)
 
-    if not leaves:
-        raise ValueError("empty coverage; t_ref too close to both endpoints")
+    if not any(len(rows[0]) for rows in leaves):
+        raise ValueError(f"cumulative: empty coverage, both sides end singular next to t_ref {t_ref}")
     upper_info, lower_info = (side.info(tol, tail_mode) for side in sides)
     return _assemble(t_ref, leaves, lower_info, upper_info, forced, work)
 
@@ -712,6 +746,7 @@ class SupResult:
 
 
 _ZOOM_K = 16  # interior points per bracket and zoom step
+_ZOOM_FRAC = np.arange(1, _ZOOM_K + 1) / (_ZOOM_K + 1)
 _ZOOM_STEPS = 24
 _ZOOM_REL = 1e-13  # bracket width and sample spread that count as rounding
 SUP_SCAN = 257  # points of the coarse scan
@@ -725,53 +760,63 @@ TAIL_K = 8
 def _zoom_lockstep(h, a, b, fa, fb):
     """Maxima of ``h`` on the brackets [a_i, b_i], refined together by a multi-point zoom.
 
-    ``fa`` and ``fb`` are the values at the bracket ends.  Each step makes one
-    ``h`` call on ``_ZOOM_K`` equispaced interior points of every bracket still
-    active and keeps the two cells next to the bracket's best sample (one cell
-    when that sample is an end), so a bracket shrinks by (K + 1)/2 per step.  A
-    bracket stops when it is narrower than 1e-13 relative, when its samples
-    agree to 1e-13 relative (flat to rounding), or after ``_ZOOM_STEPS`` steps.
-    Non-finite values count as -inf.  A bracket's numbers depend on its own
-    samples only, so it gets the same result alone as in a batch.  Returns the
-    best sample of each bracket, ends included; a later sample replaces the
-    best only when strictly higher, and within a step the lowest t wins a tie.
+    ``a``, ``b``, ``fa`` and ``fb`` are lists of floats: the bracket ends and
+    the values there.  Each step makes one ``h`` call on ``_ZOOM_K``
+    equispaced interior points of every bracket still active and keeps the
+    two cells next to the bracket's best sample (one cell when that sample is
+    an end), so a bracket shrinks by (K + 1)/2 per step.  A bracket stops when
+    it is narrower than 1e-13 relative, when its samples agree to 1e-13
+    relative (flat to rounding), or after ``_ZOOM_STEPS`` steps.  Non-finite
+    values count as -inf.  A bracket's numbers depend on its own samples only,
+    so it gets the same result alone as in a batch.  Returns the lists of the
+    best sample of each bracket and its value, ends included; a later sample
+    replaces the best only when strictly higher, and within a step the lowest
+    t wins a tie.
+
+    Only the (brackets x ``_ZOOM_K``) sample matrix and the call of ``h`` are
+    numpy, one block per step; the ends, their values, the best samples and
+    the active list are Python floats and lists, and the width and flatness
+    tests compare floats.  ``fs.index(max(fs))`` keeps ``np.argmax``'s first
+    maximum, and the arithmetic is that of the same doubles.
     """
-    frac = np.arange(1, _ZOOM_K + 1) / (_ZOOM_K + 1)
-    a, b = a.copy(), b.copy()
-    fa, fb = (np.where(np.isfinite(v), v, -np.inf) for v in (fa, fb))
-    best_t, best_v = np.where(fb > fa, b, a), np.maximum(fa, fb)
-    active = np.arange(a.size)
+    a, b = list(a), list(b)
+    fa = [v if math.isfinite(v) else -math.inf for v in fa]
+    fb = [v if math.isfinite(v) else -math.inf for v in fb]
+    # np.maximum's choice between equal values: the second
+    best_t = [bi if vb > va else ai for ai, bi, va, vb in zip(a, b, fa, fb)]
+    best_v = [va if va > vb else vb for va, vb in zip(fa, fb)]
+    active = range(len(a))
     for _ in range(_ZOOM_STEPS):
-        lo, hi = a[active], b[active]
-        wide = ~(hi - lo < _ZOOM_REL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))))
-        active, lo, hi = active[wide], lo[wide], hi[wide]
-        if not active.size:
+        active = [i for i in active if not b[i] - a[i] < _ZOOM_REL * max(1.0, abs(a[i]), abs(b[i]))]
+        if not active:
             break
-        xs = np.empty((active.size, _ZOOM_K + 2))
-        xs[:, 0], xs[:, -1] = lo, hi
-        xs[:, 1:-1] = lo[:, None] + (hi - lo)[:, None] * frac
+        lo = np.array([a[i] for i in active])
+        hi = np.array([b[i] for i in active])
+        x = lo[:, None] + (hi - lo)[:, None] * _ZOOM_FRAC
         with np.errstate(all="ignore"):
-            vals = np.real(h(xs[:, 1:-1].ravel())).reshape(-1, _ZOOM_K)
-        fs = np.column_stack([fa[active], np.where(np.isfinite(vals), vals, -np.inf), fb[active]])
-        rows = np.arange(active.size)
-        j = np.argmax(fs, axis=1)
-        top, low = fs[rows, j], np.min(fs, axis=1)
-        better = top > best_v[active]
-        best_t[active[better]], best_v[active[better]] = xs[rows, j][better], top[better]
-        # keep the cells on both sides of the best sample
-        left, right = np.maximum(j - 1, 0), np.minimum(j + 1, _ZOOM_K + 1)
-        a[active], b[active] = xs[rows, left], xs[rows, right]
-        fa[active], fb[active] = fs[rows, left], fs[rows, right]
-        # a bracket with a -inf sample is never flat
-        with np.errstate(invalid="ignore"):
-            flat = np.isfinite(low) & (top - low <= _ZOOM_REL * np.maximum(np.abs(top), np.abs(low)))
-        active = active[~flat]
+            vals = np.real(h(x.ravel())).reshape(-1, _ZOOM_K)
+        vals = np.where(np.isfinite(vals), vals, -np.inf).tolist()
+        still = []
+        for i, xs, fs in zip(active, x.tolist(), vals):
+            xs = [a[i], *xs, b[i]]
+            fs = [fa[i], *fs, fb[i]]
+            top, low = max(fs), min(fs)
+            j = fs.index(top)
+            if top > best_v[i]:
+                best_t[i], best_v[i] = xs[j], top
+            # keep the cells on both sides of the best sample
+            left, right = max(j - 1, 0), min(j + 1, _ZOOM_K + 1)
+            a[i], b[i], fa[i], fb[i] = xs[left], xs[right], fs[left], fs[right]
+            # a bracket with a -inf sample is never flat
+            if not (math.isfinite(low) and top - low <= _ZOOM_REL * max(abs(top), abs(low))):
+                still.append(i)
+        active = still
     return best_t, best_v
 
 
 def _richardson(values, ratio):
-    """Extrapolate v_j = v* + O(d_j), d_{j+1} = ratio * d_j."""
-    table = [list(values)]
+    """Extrapolate v_j = v* + O(d_j), d_{j+1} = ratio * d_j, from a list of floats."""
+    table = [values]
     best = values[-1]
     for m in range(1, min(len(values), 6)):
         prev = table[-1]
@@ -820,24 +865,23 @@ def sup_over(h, lo, hi):
     if grid.size == 0:
         raise ValueError("sup_over: no evaluable points")
 
-    # the endpoint tests first: an unbounded endpoint needs no zoom
+    # the endpoint tests first: an unbounded endpoint needs no zoom; they and
+    # the tail limits run on Python floats
     tails = []  # (endpoint, points, values) of each approach sequence to extrapolate
     for (endpoint, pts), seq in zip(approach, seqs):
-        if pts.size < 4:
+        kept = [(t, v) for t, v in zip(pts.tolist(), seq.tolist()) if math.isfinite(v)]
+        if len(kept) < 4:
             continue
-        ok = np.isfinite(seq)
-        pts, seq = pts[ok], seq[ok]
-        if seq.size < 4:
-            continue
+        pts, seq = [t for t, _ in kept], [v for _, v in kept]
         tail = seq[-TAIL_K:]
-        incr = np.diff(tail)
-        if tail.size >= TAIL_K and np.all(incr > 0):
+        incr = [v1 - v0 for v0, v1 in zip(tail, tail[1:])]
+        if len(tail) >= TAIL_K and all(d > 0 for d in incr):
             if tail[-1] >= DIVERGENCE_THRESHOLD:
                 return SupResult(math.inf, endpoint, unbounded=True)
             # slow (power/log) divergence: increments along a geometric
             # approach keep their size instead of decaying with the gap
-            noise = 1e-9 * (1.0 + np.abs(tail[-1]))
-            if np.all(incr > noise) and np.all(incr[1:] >= 0.95 * incr[:-1]):
+            noise = 1e-9 * (1.0 + abs(tail[-1]))
+            if all(d > noise for d in incr) and all(d1 >= 0.95 * d0 for d0, d1 in zip(incr, incr[1:])):
                 return SupResult(math.inf, endpoint, unbounded=True)
         tails.append((endpoint, pts, seq))
 
@@ -848,18 +892,19 @@ def sup_over(h, lo, hi):
     top = order[:5]
     ia, ib = np.maximum(top - 1, 0), np.minimum(top + 1, grid.size - 1)
     ia, ib = ia[ib > ia], ib[ib > ia]
-    t_loc, v_loc = _zoom_lockstep(h, grid[ia], grid[ib], vals[ia], vals[ib])
-    for t, v in zip(t_loc.tolist(), v_loc.tolist()):
+    t_loc, v_loc = _zoom_lockstep(h, grid[ia].tolist(), grid[ib].tolist(), vals[ia].tolist(), vals[ib].tolist())
+    for t, v in zip(t_loc, v_loc):
         if v > best_val:
             best_val, best_t = v, t
 
     for endpoint, pts, seq in tails:
-        limit = _richardson(list(seq[-6:]), ratio)
-        if np.isfinite(limit) and limit > best_val:
+        limit = _richardson(seq[-6:], ratio)
+        top = max(seq)
+        if math.isfinite(limit) and limit > best_val:
             # never report below a sampled value
-            best_val = max(limit, float(np.max(seq)))
+            best_val = max(limit, top)
             best_t = endpoint
-        elif float(np.max(seq)) > best_val:
-            best_val = float(np.max(seq))
-            best_t = float(pts[int(np.argmax(seq))])
+        elif top > best_val:
+            best_val = top
+            best_t = pts[seq.index(top)]
     return SupResult(best_val, best_t, unbounded=False)

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
+import sup_oracle
 from ulamstab import quad
+from ulamstab.stability import StabilityEngine
 
 
 # -- cumulative ------------------------------------------------------------
@@ -621,6 +623,94 @@ def test_panel_non_finite_at_every_node_ends_the_side():
     assert np.max(np.abs(c.value(ts).real - (ts - 0.5))) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "g",
+    [lambda s: np.full_like(s, np.inf), lambda s: np.where(np.abs(s) < 0.5, np.nan, 1.0)],
+    ids=["inf-everywhere", "nan-around-t_ref"],
+)
+def test_both_sides_singular_at_t_ref_is_a_value_error(g):
+    # both sides end singular at their first skeleton panel, so no panel is covered
+    with pytest.raises(ValueError, match="empty coverage"):
+        quad.cumulative(g, 0.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "t_ref, lower, upper, match",
+    [
+        (2.0, -1.0, 1.0, "t_ref 2.0 is not a finite point"),
+        (-1.5, -1.0, 1.0, "t_ref -1.5 is not a finite point"),
+        (math.nan, -1.0, 1.0, "t_ref nan is not a finite point"),
+        (math.inf, 0.0, math.inf, "t_ref inf is not a finite point"),
+        (0.0, 1.0, -1.0, "lower end 1.0 is not below upper end -1.0"),
+        (0.0, 0.0, 0.0, "lower end 0.0 is not below upper end 0.0"),
+    ],
+)
+def test_bad_ends_or_t_ref_are_value_errors(t_ref, lower, upper, match):
+    with pytest.raises(ValueError, match=match):
+        quad.cumulative(np.cos, t_ref, lower, upper)
+
+
+@pytest.mark.parametrize("t_ref", [-1.0, 1.0])
+def test_t_ref_at_an_end_is_allowed(t_ref):
+    c = quad.cumulative(np.cos, t_ref, -1.0, 1.0)
+    # coverage reaches t_ref and stops within 1e-12 of the other end
+    assert t_ref in (c.lo, c.hi) and c.lo < -1.0 + 1e-12 and c.hi > 1.0 - 1e-12
+    ts = np.linspace(c.lo, c.hi, 9)
+    assert np.max(np.abs(c.value(ts) - (np.sin(ts) - math.sin(t_ref)))) < 1e-13
+
+
+class _ProductRows(np.ndarray):
+    """A leaf operator (`quad._RESID`, `quad._ANTI`) that records the rows of each product ``y @ op.T``."""
+
+    def __array_finalize__(self, obj):
+        self.rows = getattr(obj, "rows", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            self.rows.append(inputs[0].shape[0])
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+def _product_rows(monkeypatch, build):
+    """(rows of each residual product, rows of each antiderivative product, result) of ``build()``."""
+    resid, anti = quad._RESID.view(_ProductRows), quad._ANTI.view(_ProductRows)
+    resid.rows, anti.rows = [], []
+    monkeypatch.setattr(quad, "_RESID", resid)
+    monkeypatch.setattr(quad, "_ANTI", anti)
+    out = build()
+    return resid.rows, anti.rows, out
+
+
+# BLAS rounds `y @ _RESID.T` and `y @ _ANTI.T` differently with the row count
+# of `y`, so the rows of every product, one of each per bisection level, are
+# pinned: an edit that changes them moves fits and interpolants by an ulp
+_PRODUCT_ROWS = {
+    "exeq01-Pc": (
+        [72, 107, 16, 28, 25, 79, 179, 226, 104],
+        [20, 107, 16, 28, 25, 79, 179, 226, 104],
+    ),
+    "converged": (
+        [66, 5, 8, 16, 32, 66, 93, 56, 1, 6, 21, 45, 62, 4],
+        [65, 3, 4, 8, 16, 33, 65, 54, 0, 0, 1, 30, 62, 4],
+    ),
+    "diverging": ([50, 4, 8, 16, 32, 64, 64], [49, 2, 4, 8, 16, 32, 64]),
+}
+
+
+@pytest.mark.parametrize("case", list(_PRODUCT_ROWS))
+def test_leaf_product_rows_are_pinned(case, monkeypatch, exeq01, cfg):
+    if case == "exeq01-Pc":
+        build = lambda: StabilityEngine(*exeq01, cfg).Pc
+    else:
+        g, t_ref, lower, upper, opts, *_ = _STOPS[case]
+        build = lambda: quad.cumulative(g, t_ref, lower, upper, **opts)
+    want = build()
+    resid, anti, got = _product_rows(monkeypatch, build)
+    assert (resid, anti) == _PRODUCT_ROWS[case]
+    # recording does not move the cache
+    assert np.array_equal(got.panel_vals, want.panel_vals) and np.array_equal(got.antider, want.antider)
+
+
 # -- graded_grid -----------------------------------------------------------
 
 
@@ -721,7 +811,8 @@ def test_zoom_lockstep_bracket_does_not_depend_on_the_batch(h):
     rng = np.random.default_rng(5)
     a = rng.uniform(-5.0, 25.0, 5)
     b = a + rng.uniform(1e-12, 2.0, 5)
-    fa, fb = h(a), h(b)
+    fa, fb = h(a).tolist(), h(b).tolist()
+    a, b = a.tolist(), b.tolist()
     t, v = quad._zoom_lockstep(h, a, b, fa, fb)
     for i in range(5):
         t0, v0 = quad._zoom_lockstep(h, a[i : i + 1], b[i : i + 1], fa[i : i + 1], fb[i : i + 1])
@@ -763,7 +854,7 @@ def _sup_over_reference(h, lo, hi, n_scan, threshold, tail_k):
     top = order[:5]
     ia, ib = np.maximum(top - 1, 0), np.minimum(top + 1, grid.size - 1)
     ia, ib = ia[ib > ia], ib[ib > ia]
-    t_loc, v_loc = quad._zoom_lockstep(h, grid[ia], grid[ib], vals[ia], vals[ib])
+    t_loc, v_loc = sup_oracle.zoom_lockstep(h, grid[ia], grid[ib], vals[ia], vals[ib])
     for t, v in zip(t_loc.tolist(), v_loc.tolist()):
         if v > best_val:
             best_val, best_t = v, t
@@ -787,7 +878,7 @@ def _sup_over_reference(h, lo, hi, n_scan, threshold, tail_k):
             noise = 1e-9 * (1.0 + np.abs(tail[-1]))
             if np.all(incr > noise) and np.all(incr[1:] >= 0.95 * incr[:-1]):
                 return quad.SupResult(math.inf, endpoint, unbounded=True)
-        limit = quad._richardson(list(seq[-6:]), ratio)
+        limit = sup_oracle.richardson(list(seq[-6:]), ratio)
         if np.isfinite(limit) and limit > best_val:
             best_val, best_t = max(limit, float(np.max(seq))), endpoint
         elif float(np.max(seq)) > best_val:
@@ -815,3 +906,78 @@ def test_sup_over_matches_separate_calls(h, lo, hi):
     assert (got.sup_value, got.attained_near, got.unbounded) == (want.sup_value, want.attained_near, want.unbounded)
     # the scan and both approach sequences of 28 points each share one call
     assert one[0] == quad.graded_grid(lo, hi, _SUP["n_scan"]).size + 2 * 28
+
+
+def _bits(xs):
+    """The bit patterns of the floats ``xs``, so that -0.0 and 0.0 differ."""
+    return np.asarray(xs, dtype=float).view(np.int64).tolist()
+
+
+# h of each zoom case; non-finite samples count as -inf, and equal samples tie
+_ZOOM_H = {
+    "smooth": lambda t: np.sin(3.0 * t) * np.exp(-0.1 * t),
+    "plateaus": lambda t: np.round(np.cos(t), 2),  # ties at the maximum
+    "nan-and-minus-inf": lambda t: np.where(
+        np.sin(7.0 * t) > 0.5, np.nan, np.where(np.sin(7.0 * t) < -0.5, -np.inf, np.cos(t))
+    ),
+    "plus-inf": lambda t: np.where(np.cos(5.0 * t) > 0.9, np.inf, np.sin(t)),
+    "flat": lambda t: np.full(np.shape(t), 2.5),
+    "signed-zeros": lambda t: np.copysign(0.0, np.sin(9.0 * t)),
+    "complex": lambda t: np.exp(1j * t) * (1.0 + t),  # the real part counts
+}
+
+
+def _zoom_brackets(seed, n):
+    """``n`` seeded brackets in [-5, 25], from below 1e-13 relative (already narrow) to 3 wide."""
+    rng = np.random.default_rng([32, seed])
+    a = rng.uniform(-5.0, 25.0, n)
+    rel = rng.choice([1e-14, 9e-14, 2e-13, 1e-6, 0.3, 3.0], n)
+    return a, a + rel * np.maximum(1.0, np.abs(a))
+
+
+@pytest.mark.parametrize("seed, n", [(1, 0), (2, 1), (3, 5), (4, 9)])
+@pytest.mark.parametrize("name", list(_ZOOM_H))
+def test_zoom_lockstep_matches_the_numpy_oracle(name, seed, n):
+    h = _ZOOM_H[name]
+    a, b = _zoom_brackets(seed, n)
+    with np.errstate(all="ignore"):
+        fa, fb = np.real(h(a)), np.real(h(b))
+    h_new, new = _call_sizes(h)
+    h_old, old = _call_sizes(h)
+    t, v = quad._zoom_lockstep(h_new, a.tolist(), b.tolist(), fa.tolist(), fb.tolist())
+    t_ref, v_ref = sup_oracle.zoom_lockstep(h_old, a, b, fa, fb)
+    assert (_bits(t), _bits(v)) == (_bits(t_ref), _bits(v_ref))
+    assert new == old
+    assert len(t) == len(v) == n
+
+
+# sup_over cases whose approach sequences end in non-finite values, rise
+# strictly past the divergence threshold or slowly, or converge
+_SUP_TAILS = {
+    "nan-near-lower": (lambda t: np.where(t < 1e-4, np.nan, np.sqrt(t) + 1.0), 0.0, 1.0),
+    "inf-near-upper": (lambda t: np.where(1.0 - t < 1e-6, np.inf, t * t), 0.0, 1.0),
+    "minus-inf-near-both": (lambda t: np.where(np.minimum(t, 2.0 - t) < 1e-5, -np.inf, np.cos(t)), 0.0, 2.0),
+    "past-threshold": (lambda t: 1.0 / (t * t), 0.0, 1.0),
+    "rising-below-threshold": (lambda t: 10.0 / np.sqrt(1.0 - t), 0.0, 1.0),
+    "log-divergence": (lambda t: -np.log(t), 0.0, 1.0),
+    "rising-to-a-limit": (lambda t: np.exp(-t), 0.0, 3.0),
+    "converging-oscillation": (lambda t: np.sin(t) / t, 0.0, 3.0),
+    "limit-at-upper": (lambda t: t / (1.0 + t), 0.0, 5.0),
+    # the supremum is the Richardson limit itself, not a sample
+    "extrapolated-limit": (lambda t: t * np.log(t), 0.0, 1.0),
+    "interior": (lambda t: np.sin(3.0 * t) * np.exp(-0.1 * t), -1.0, 4.0),
+    "constant": (lambda t: np.full(np.shape(t), -0.0), -40.0, 40.0),
+}
+
+
+@pytest.mark.parametrize("name", list(_SUP_TAILS))
+def test_sup_over_matches_the_numpy_oracle(name):
+    h, lo, hi = _SUP_TAILS[name]
+    h_new, new = _call_sizes(h)
+    h_old, old = _call_sizes(h)
+    with np.errstate(all="ignore"):
+        got = quad.sup_over(h_new, lo, hi)
+        want = sup_oracle.sup_over(h_old, lo, hi)
+    assert _bits([got.sup_value, got.attained_near]) == _bits([want.sup_value, want.attained_near])
+    assert got.unbounded == want.unbounded
+    assert new == old
