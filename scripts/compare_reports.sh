@@ -15,6 +15,11 @@
 #     commands on a blow-up document (alpha 1, beta 0, gamma 1 on (0, 2),
 #     `--solve-rho t0=0.5,rho0=-0.5463024898437905`, which is -tan 0.5), whose
 #     rho = -tan(t) has its pole at pi/2, where x = cos(t)/cos(0.5) vanishes;
+#     `analyze --solve-rho t0=0.5,rho0=1e25 --best --reproducible` on
+#     exeq01, whose x vanishes within an ulp below t0; and `riccati-check
+#     --solve-rho t0=0.5,rho0=-1` on a beta-pole document (alpha 1, beta
+#     1/(t - 0.75), gamma 1 on (0, 1)), whose upper side collocation does
+#     not resolve, so coverage ends short of 0.75;
 #   - `riccati-check` and `analyze --best --reproducible` on a whole-line
 #     document (alpha 1, beta 0, gamma 1/16, forcing 0, rho -tan(t/4)/4 on
 #     (-inf, inf)), where x = cos(t/4) and rho's poles at -2 pi and 2 pi lie
@@ -22,6 +27,9 @@
 #     evaluates the rest of both sides' grids (exeq05's pole at pi/2 lies
 #     within that reach);
 #   - `analyze --fast-path --reproducible` on const-i, const-ii and const-iii;
+#   - `analyze --best --reproducible` and `empirical --trials 4 --seed 7
+#     --reproducible` on const-iii over (-inf, inf), whose caches end at
+#     the cumulative integral's budget;
 #   - `analyze --tol 1e-8 --best --reproducible` on exeq01 and const-iii;
 #   - `analyze --best --reproducible` and `empirical --trials 8 --seed 7
 #     --reproducible` on a complex constant-coefficient problem (gamma
@@ -129,6 +137,12 @@ printf '{"name": "alpha-zero", "alpha": "t - 3", "beta": "2/t", "gamma": "0", "f
 # rho' + rho^2 + 1 = 0 with no rho: --solve-rho from -tan(0.5) meets the pole of -tan(t) at pi/2
 printf '{"name": "tan-pole", "alpha": "1", "beta": "0", "gamma": "1", "forcing": "0", "interval": {"lower": 0.0, "upper": 2.0}}\n' \
   >"$tmp/tan-pole.json"
+# alpha 1, beta 1/(t - 0.75), gamma 1: --solve-rho from t0 = 0.5 does not resolve x next to the pole of beta
+printf '{"name": "beta-pole", "alpha": "1", "beta": "1/(t - 0.75)", "gamma": "1", "forcing": "0", "interval": {"lower": 0.0, "upper": 1.0}}\n' \
+  >"$tmp/beta-pole.json"
+# const-iii on the whole line
+printf '{"name": "const-iii-line", "alpha": "1", "beta": "3", "gamma": "2", "forcing": "0", "interval": {"lower": "-inf", "upper": "inf"}, "rho": "-2"}\n' \
+  >"$tmp/const-iii-line.json"
 # x = cos(t/4) on the whole line: rho = -tan(t/4)/4 has its poles at -2 pi and 2 pi
 printf '{"name": "tan-quarter-line", "alpha": "1", "beta": "0", "gamma": "1/16", "forcing": "0", "interval": {"lower": "-inf", "upper": "inf"}, "rho": "-tan(t/4)/4"}\n' \
   >"$tmp/tan-quarter-line.json"
@@ -183,11 +197,17 @@ contract() {
     --solve-rho t0=0.5,rho0=-0.5463024898437905 --best --reproducible
   run "$tree" "$out" solve-rho-check.tan-pole riccati-check "$tmp/tan-pole.json" \
     --solve-rho t0=0.5,rho0=-0.5463024898437905
+  run "$tree" "$out" solve-rho.exeq01-1e25 analyze "$tree/problems/exeq01.json" \
+    --solve-rho t0=0.5,rho0=1e25 --best --reproducible
+  run "$tree" "$out" solve-rho-check.beta-pole riccati-check "$tmp/beta-pole.json" --solve-rho t0=0.5,rho0=-1
   run "$tree" "$out" riccati-check.tan-quarter-line riccati-check "$tmp/tan-quarter-line.json"
   run "$tree" "$out" analyze.tan-quarter-line analyze "$tmp/tan-quarter-line.json" --best --reproducible
   for stem in const-i const-ii const-iii; do
     run "$tree" "$out" "fast-path.$stem" analyze "$tree/problems/$stem.json" --fast-path --reproducible
   done
+  run "$tree" "$out" analyze.const-iii-line analyze "$tmp/const-iii-line.json" --best --reproducible
+  run "$tree" "$out" empirical.const-iii-line empirical "$tmp/const-iii-line.json" \
+    --trials 4 --seed 7 --reproducible --out "$out/empirical"
   for stem in exeq01 const-iii; do
     run "$tree" "$out" "tol.$stem" analyze "$tree/problems/$stem.json" --tol 1e-8 --best --reproducible
   done
@@ -236,7 +256,7 @@ contract "$tmp/base" "$tmp/out-base"
 contract "$root" "$tmp/out-worktree"
 rm -rf "$tmp/base" "$tmp/bad" "$tmp/sweep" "$tmp/exeq03-at-1e5.json" "$tmp/exeq03-negated.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
   "$tmp/alpha-zero.json" "$tmp/const-iii-complex.json" "$tmp/const-iii-overflow.json" "$tmp/tan-pole.json" \
-  "$tmp/tan-quarter-line.json"
+  "$tmp/tan-quarter-line.json" "$tmp/beta-pole.json" "$tmp/const-iii-line.json"
 
 echo "outputs of $rev and of the working tree: $tmp/out-base, $tmp/out-worktree" >&2
 cd "$tmp"

@@ -10,10 +10,16 @@ panels and one LAPACK solve per panel.  The unknowns are the values of x''
 at the N Chebyshev nodes, so the panel's matrix is well conditioned
 (spectral integration: Greengard, SIAM J. Numer. Anal. 28, 1991;
 Trefethen, *Spectral Methods in MATLAB*, SIAM 2000).  A panel is accepted
-when the last 3 Chebyshev coefficients of every local solution are at most
-TAIL of its largest value.  The members are then carried across the
-accepted panels in order (`carry`) and read at their points by barycentric
-interpolation (`read`).
+when its coefficient and forcing values are finite and the last 3
+Chebyshev coefficients of every local solution are at most TAIL of its
+largest value.  The members are then carried across the accepted panels in
+order (`carry`) and read at their points by barycentric interpolation
+(`read`).
+
+A side that collocation does not resolve is data, not an exception:
+`panels` returns, per side, its panels nearer t0 than where it stopped and
+the message that names the stop.  `ivp_solution` raises that message, and
+`solve_riccati` ends the side there as a blow-up.
 
 A panel's numbers depend on its own nodes only: every sum runs over its
 own nodes in node order (no BLAS product across panels), and it is solved
@@ -29,7 +35,7 @@ from numpy.polynomial import chebyshev
 
 from .quad import node_sum
 
-__all__ = ["Unresolved", "panels", "panel_solutions", "evaluate", "carry", "read", "differentiate", "first_zero"]
+__all__ = ["panels", "panel_solutions", "evaluate", "carry", "read", "differentiate", "first_zero"]
 
 N = 20  # Chebyshev points per collocation panel
 TAIL = 1e-13  # trailing coefficients of an accepted local solution, relative to its largest value
@@ -62,14 +68,6 @@ _START = np.array([-1.0, 1.0])  # the start point of each first index of _INT
 _DIFF = np.ascontiguousarray(chebyshev.chebval(_X, chebyshev.chebder(_COEF)).T)  # node values to node values of the derivative
 
 
-class Unresolved(ValueError):
-    """A side that collocation does not resolve; ``side`` is its resolved part, as `panels` returns it."""
-
-    def __init__(self, why, side):
-        super().__init__(why)
-        self.side = side
-
-
 def _apply(M, u):
     """sum_j M[..., i, j] u[..., j]: M applied to the node values of every panel.
 
@@ -80,7 +78,7 @@ def _apply(M, u):
 
 
 def panels(fns, t0, *fars):
-    """Per far end, the panels of [t0, far] on which the local solutions are resolved, from t0 out.
+    """Per far end, the panels of [t0, far] on which the local solutions are resolved, from t0 out, and why the side stopped.
 
     ``fns`` are alpha, beta, gamma and the forcings (callables or nonzero
     constants).  Bisection starts from each whole side, and the pending
@@ -89,88 +87,59 @@ def panels(fns, t0, *fars):
     when the last 3 Chebyshev coefficients of every local solution are at
     most `TAIL` times its largest value, and split otherwise: at the
     geometric mean of its ends when they differ by more than a factor 4 in
-    |t|, else at its midpoint.  A side with a panel still failing at a few
-    ulp wide is unresolved, and so is a side that needs more than
-    `MAX_PANELS` panels or meets a value of ``fns`` that is not finite:
-    where rounding in the coefficients keeps the tail up, as next to a zero
-    of alpha, every panel fails at every level.  The first unresolved side
-    in the order of ``fars`` raises `Unresolved`, once every side before it
-    is resolved; the sides after it are no longer solved.
+    |t|, else at its midpoint.  A side stops, unresolved, where a value of
+    ``fns`` is not finite at a node, where a panel still fails at a few ulp
+    wide, or where it would need more than `MAX_PANELS` panels: where
+    rounding in the coefficients keeps the tail up, as next to a zero of
+    alpha, every panel fails at every level.  A stopped side is no longer
+    solved; the other sides go on.
 
-    Returns per far end the near ends, the far ends, the node values
-    (m, r, n) and the far-end values and derivatives (m, r, 2) of its m
-    accepted panels, in order from t0 out; `Unresolved` holds those of its
-    side nearer t0 than every unresolved panel.
+    Returns per far end a pair ``(panels, why)``.  ``panels`` holds the near
+    ends, the far ends, the node values (m, r, n) and the far-end values and
+    derivatives (m, r, 2) of the m accepted panels nearer t0 than every
+    unresolved one, in order from t0 out; ``why`` is None for a resolved
+    side, else the message that names where it stopped.
     """
-    k = len(fars)
+    k, r = len(fars), len(fns) - 1
     near, end, which = np.full(k, float(t0)), np.array(fars, dtype=float), np.arange(k)  # which: the side of each panel
-    done = [(near[:0], end[:0], np.empty((0, len(fns) - 1, N)), np.empty((0, len(fns) - 1, 2)), which[:0])]
-    accepted = 0  # over every side
-    first, error = k, None  # the first unresolved side and the arguments of its `Unresolved`
-
-    def fail(s, why, pending):
-        nonlocal first, error
-        if s < first:
-            first, error = s, (why, _accepted(done, pending, t0, s))
-
-    while near.size:
-        if accepted + near.size > MAX_PANELS:
-            sides = np.concatenate([d[4] for d in done] + [which])
-            for s in np.flatnonzero(np.bincount(sides, minlength=k) > MAX_PANELS):
-                mine = near[which == s]
-                t = mine[np.argmin(np.abs(mine - t0))]
-                fail(s, f"collocation does not resolve the solution near t={t:.17g} within {MAX_PANELS} panels", mine)
-        if first < k:
-            live = which < first
-            near, end, which = near[live], end[live], which[live]
-        try:
-            u, ends, ok = _solve_level(fns, near, end)
-        except ValueError:
-            # each side apart, in order, raises what it raises alone
-            for s in np.unique(which):
-                try:
-                    _solve_level(fns, near[which == s], end[which == s])
-                except ValueError as exc:
-                    fail(s, str(exc), near[which == s])
-                    break
-            live = which < first
-            near, end, which = near[live], end[live], which[live]
-            u, ends, ok = _solve_level(fns, near, end)
+    done = [(near[:0], end[:0], np.empty((0, r, N)), np.empty((0, r, 2)), which[:0])]
+    count = np.zeros(k, dtype=int)  # accepted panels per side
+    why, cut = [None] * k, np.full(k, np.inf)  # per side: its stop and the distance from t0 of its nearest unresolved panel
+    while True:
+        for s in np.flatnonzero((count + np.bincount(which, minlength=k) > MAX_PANELS) & np.isinf(cut)):
+            mine = near[which == s]
+            t = mine[np.argmin(np.abs(mine - t0))]
+            why[s], cut[s] = f"collocation does not resolve the solution near t={t:.17g} within {MAX_PANELS} panels", abs(t - t0)
+        # a stopped side is no longer solved
+        live = np.isinf(cut[which])
+        near, end, which = near[live], end[live], which[live]
+        if not near.size:
+            break
+        chunks = [panel_solutions(fns, near[i : i + CHUNK], end[i : i + CHUNK]) for i in range(0, near.size, CHUNK)]
+        u, ends, ok, bad = (np.concatenate(part) for part in zip(*chunks))
+        done.append((near[ok], end[ok], u[ok], ends[ok], which[ok]))
+        count += np.bincount(which[ok], minlength=k)
         mid = 0.5 * (near + end)
         floor = ~ok & (np.abs(end - near) <= FLOOR * np.maximum(np.abs(near), np.abs(end)))
-        done.append((near[ok], end[ok], u[ok], ends[ok], which[ok]))
-        if np.any(floor):
-            for s in np.unique(which[floor]):
-                why = f"collocation does not resolve the solution near t={mid[floor & (which == s)][0]:.17g}: the panel is a few ulp wide"
-                fail(s, why, near[~ok & (which == s)])
-        accepted += int(np.count_nonzero(ok))
+        for s in np.unique(which[floor | ~np.isnan(bad)]):
+            mine = which == s
+            t_bad = bad[mine & ~np.isnan(bad)]
+            if t_bad.size:
+                why[s] = f"a coefficient or forcing is not finite at the collocation node t={t_bad[0]:.17g}"
+            else:
+                why[s] = f"collocation does not resolve the solution near t={mid[floor & mine][0]:.17g}: the panel is a few ulp wide"
+            cut[s] = np.min(np.abs(near[mine & ~ok] - t0))
         # geometric splits grade the panels toward t = 0, where coefficients
-        # such as 2/t are singular, in a few levels; the sides from the first
-        # unresolved one on are dropped at the next level
+        # such as 2/t are singular, in a few levels
         a, b, side = near[~ok], end[~ok], which[~ok]
         geometric = (np.sign(a) == np.sign(b)) & (np.abs(a - b) > 3.0 * np.minimum(np.abs(a), np.abs(b)))
         split = np.where(geometric, np.sign(a) * np.sqrt(np.abs(a)) * np.sqrt(np.abs(b)), mid[~ok])
         near, end, which = np.concatenate((a, split)), np.concatenate((split, b)), np.concatenate((side, side))
-    if error is not None:
-        raise Unresolved(*error)
-    return tuple(_accepted(done, near, t0, s) for s in range(k))
-
-
-def _solve_level(fns, near, end):
-    """`panel_solutions` of the panels between ``near`` and ``end``, in chunks of at most `CHUNK`."""
-    if not near.size:
-        r = len(fns) - 1
-        return np.empty((0, r, N)), np.empty((0, r, 2)), np.empty(0, dtype=bool)
-    chunks = [panel_solutions(fns, near[i : i + CHUNK], end[i : i + CHUNK]) for i in range(0, near.size, CHUNK)]
-    return tuple(np.concatenate(part) for part in zip(*chunks))
-
-
-def _accepted(done, pending, t0, s):
-    """The accepted panels of side ``s`` in ``done`` nearer t0 than every ``pending`` near end, in order from t0 out."""
     near, end, u, ends, which = (np.concatenate(part) for part in zip(*done))
-    keep = (which == s) & (np.abs(near - t0) < np.min(np.abs(pending - t0), initial=np.inf))
-    order = np.argsort(np.abs(near[keep] - t0), kind="stable")
-    return near[keep][order], end[keep][order], u[keep][order], ends[keep][order]
+    dist = np.abs(near - t0)
+    order = np.argsort(dist, kind="stable")
+    keep = [order[(which[order] == s) & (dist[order] < cut[s])] for s in range(k)]
+    return tuple(((near[i], end[i], u[i], ends[i]), w) for i, w in zip(keep, why))
 
 
 def panel_solutions(fns, near, end):
@@ -187,11 +156,13 @@ def panel_solutions(fns, near, end):
     (0, 1) and, per forcing, with (0, 0).  Each panel takes its direction
     from its own ends: a is its end ``near``, at -1 on [-1, 1] when ``end``
     lies above it and at 1 when below, so one batch may hold panels of both
-    sides of t0.  A value of ``fns`` that is not finite at a node raises
-    ValueError.
+    sides of t0.
 
     Returns the node values (m, r, n), the far-end values and derivatives
-    (m, r, 2) and whether the Chebyshev tail of each panel is small enough.
+    (m, r, 2), whether each panel is accepted, and per panel the first node
+    at which a value of ``fns`` is not finite, NaN where none is.  A panel
+    is accepted when its values are finite and its Chebyshev tail is small
+    enough.
     """
     x = _X
     n = x.size
@@ -206,10 +177,8 @@ def panel_solutions(fns, near, end):
     h = 0.5 * np.abs(end - near)[:, None]
     nodes = 0.5 * (near + end)[:, None] + h * x
     vals = np.stack([np.broadcast_to(np.asarray(f(nodes) if callable(f) else f), nodes.shape) for f in fns])
-    bad = ~np.isfinite(vals)
-    if np.any(bad):
-        t_bad = nodes[np.any(bad, axis=0)][0]
-        raise ValueError(f"a coefficient or forcing is not finite at the collocation node t={t_bad:.17g}")
+    nonfinite = np.any(~np.isfinite(vals), axis=0)
+    bad = np.where(np.any(nonfinite, axis=1), nodes[panel, np.argmax(nonfinite, axis=1)], np.nan)
     real = ~np.any(vals.imag, axis=(0, 2)) if np.iscomplexobj(vals) else np.ones(near.size, dtype=bool)
     if np.all(real):
         vals = vals.real
@@ -228,8 +197,8 @@ def panel_solutions(fns, near, end):
         du = h * node_sum(K[panel, i1][:, None], v)
         du[:, 1] += 1.0
         tail = np.max(np.abs(_apply(_COEF[-3:], u)), axis=-1)
-        ok = np.all(tail <= TAIL * np.max(np.abs(u), axis=-1), axis=-1)
-    return u, np.stack((u[panel, :, i1], du), axis=-1), ok
+        ok = np.all(tail <= TAIL * np.max(np.abs(u), axis=-1), axis=-1) & np.isnan(bad)
+    return u, np.stack((u[panel, :, i1], du), axis=-1), ok, bad
 
 
 def _solve_panels(A, B, real):
@@ -324,19 +293,24 @@ def first_zero(side, state):
 
     The zero is a root in [-1, 1] of the member's Chebyshev interpolant on a
     panel, its coefficients below TAIL of the largest dropped as noise; a
-    root of complex data counts within 1e-12 of the axis.  Only a panel
-    whose node values change sign or vanish, in the real and in the
-    imaginary part, is searched: x and x' never vanish together, so a real
-    x changes sign at a zero, and with real coefficients so do both parts
-    of a complex x.
+    root of complex data counts within 1e-12 of the axis, and one within
+    1e-12 past an end of the panel counts at that end.  Only a panel whose
+    node values change sign or vanish, in the real and in the imaginary
+    part, is searched: x and x' never vanish together, so a real x changes
+    sign at a zero, and with real coefficients so do both parts of a
+    complex x.
     """
     near, end, u, _ = side
     x = np.sum(state[:-1, :, None] * u, axis=1)
+    # x at a near end is its carried state: the local solutions read it with
+    # a rounding error in proportion to x', which outweighs an x within an
+    # ulp of its zero, as from t0 with |rho0| >= 1e19
+    x[:, -1 if end[0] > near[0] else 0] = state[:-1, 0]
     crosses = [np.any(v[:, :-1] * v[:, 1:] <= 0.0, axis=1) for v in (x.real, x.imag)]
     for p in np.flatnonzero(crosses[0] & crosses[1]):
         c = _apply(_COEF, x[p])
         r = chebyshev.chebroots(chebyshev.chebtrim(c, TAIL * np.max(np.abs(c))))
-        r = r.real[(np.abs(r.imag) <= 1e-12) & (np.abs(r.real) <= 1.0)]
+        r = np.clip(r.real[(np.abs(r.imag) <= 1e-12) & (np.abs(r.real) <= 1.0 + 1e-12)], -1.0, 1.0)
         if r.size:
             t = 0.5 * (near[p] + end[p]) + 0.5 * np.abs(end[p] - near[p]) * r
             return float(t[np.argmin(np.abs(t - near[0]))]), int(p)

@@ -356,9 +356,10 @@ def ivp_solution(problem, ivps, ts, forcings):
     panels in order and read at ``ts`` by barycentric interpolation
     (`collocation.evaluate`).  Returns x at ``ts``, of shape
     ``(k,) + ts.shape``; a point at ``t0`` keeps the initial value exactly.
-    A coefficient or forcing that is not finite at a node, or a solution
-    that no panel resolves, raises ValueError naming t, the side below
-    ``t0`` first.
+    A side that `collocation.panels` stops, at a coefficient or forcing
+    that is not finite at a node or at a solution that no panel resolves,
+    raises ValueError with the message naming t, the side below ``t0``
+    first.
     """
     if len(forcings) != len(ivps):
         raise ValueError("one forcing per initial value problem")
@@ -386,7 +387,11 @@ def ivp_solution(problem, ivps, ts, forcings):
     masks = [mask for mask in (flat < t0, flat > t0) if np.any(mask)]
     points = [np.unique(flat[mask], return_inverse=True) for mask in masks]
     fars = [float(pts[0] if pts[0] < t0 else pts[-1]) for pts, _ in points]
-    for mask, (pts, where), side in zip(masks, points, collocation.panels(fns, t0, *fars)):
+    sides = collocation.panels(fns, t0, *fars)
+    for _, why in sides:
+        if why is not None:
+            raise ValueError(why)
+    for mask, (pts, where), (side, _) in zip(masks, points, sides):
         out[:, mask] = collocation.evaluate(side, x0, x0p, col, pts)[:, where]
     return out.reshape((k,) + ts.shape)
 

@@ -163,22 +163,19 @@ def _side(fns, t0, far, rho0):
     parts = []
     while a != far:
         b = far if abs(far - a) <= width else a + sign * width
-        try:
-            (side,), unresolved = collocation.panels(fns, a, b), False
-        except collocation.Unresolved as exc:
-            side, unresolved = exc.side, True
+        ((side, why),) = collocation.panels(fns, a, b)
         states = collocation.carry(side, list(state[:2]), list(state[2:]), [None, None], True)
         lost = _ROUNDING * max(1.0, abs(rho0)) * np.max(np.abs(states[:, 1::2]), axis=1) > 1e-8 * np.max(np.abs(states[:, ::2]), axis=1)
         m = int(np.argmax(lost)) if np.any(lost) else side[0].size
         zero = collocation.first_zero(tuple(v[:m] for v in side), states[: m + 1, ::2])
         if zero is not None:
             b, m = zero[0], zero[1] + 1
-        elif m < side[0].size or unresolved:
+        elif m < side[0].size or why is not None:
             b = side[0][m] if m < side[0].size else side[1][m - 1] if m else a
         side, states = tuple(v[:m] for v in side), states[: m + 1]
         parts.append((side, states[:-1, ::2]))
         count, a, width, state = count + m, b, 2.0 * width, states[-1]
-        blowup = zero is not None or (unresolved and not np.any(lost))
+        blowup = zero is not None or (why is not None and not np.any(lost))
         if blowup or np.any(lost) or count + 2 * m > collocation.MAX_PANELS:
             break
     else:

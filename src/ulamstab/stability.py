@@ -268,24 +268,19 @@ class StabilityEngine:
         notes = {}
         for case in ("i", "ii", "iii"):
             sups = {}
-            ok = True
             for name in _CASE_F[case]:
                 try:
                     res = self.f_sup(name)
+                    reason = "unbounded" if res.unbounded else None
                 except quad.Divergent:
-                    notes[name] = "divergent"
-                    ok = False
-                    break
+                    reason = "divergent"
                 except HypothesisFailed as exc:
-                    notes[name] = exc.reason
-                    ok = False
-                    break
-                if res.unbounded:
-                    notes[name] = "unbounded"
-                    ok = False
+                    reason = exc.reason
+                if reason is not None:
+                    notes[name] = reason
                     break
                 sups[name] = res
-            if ok:
+            else:
                 return CaseSelection(case, _CASE_F[case], _CASE_DIV[case], sups)
         return CaseSelection("none", (), (), notes)
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import re
 import warnings
 
 import mpmath
@@ -848,8 +849,8 @@ def test_panel_solutions_do_not_depend_on_the_batch(coeffs, t0, fars):
     p = make_problem(*coeffs)
     fns = [p.fn(which) for which in ("alpha", "beta", "gamma", "forcing")]
     sides = collocation.panels(fns, t0, *fars)
-    assert len(sides) == len(fars)
-    near, end, u, ends = (np.concatenate(part) for part in zip(*sides))
+    assert len(sides) == len(fars) and all(why is None for _, why in sides)
+    near, end, u, ends = (np.concatenate(part) for part in zip(*(side for side, _ in sides)))
     if len(fars) > 1:
         assert np.any(end < near) and np.any(end > near)
     batch = collocation.panel_solutions(fns, near, end)
@@ -857,8 +858,29 @@ def test_panel_solutions_do_not_depend_on_the_batch(coeffs, t0, fars):
     for i in range(near.size):
         alone = collocation.panel_solutions(fns, near[i : i + 1], end[i : i + 1])
         for got, want in zip(alone, batch):
-            assert np.array_equal(got[0], want[i])
+            assert np.array_equal(got[0], want[i], equal_nan=True)
         assert np.array_equal(alone[0][0], u[i]) and np.array_equal(alone[1][0], ends[i])
+
+
+def test_panel_failing_at_a_point_stops_its_side_at_the_floor(monkeypatch):
+    # a stub fails every panel that holds t = 3.1: the upper side is split
+    # down to a few ulp there and stops; the lower side resolves
+    p = make_problem("1", "2/t", "1", "-1", 0.0, math.inf)
+    fns = [p.fn(which) for which in ("alpha", "beta", "gamma", "forcing")]
+    panel_solutions = collocation.panel_solutions
+
+    def failing(fns, near, end):
+        u, ends, ok, bad = panel_solutions(fns, near, end)
+        return u, ends, ok & ~((np.minimum(near, end) <= 3.1) & (3.1 <= np.maximum(near, end))), bad
+
+    monkeypatch.setattr(collocation, "panel_solutions", failing)
+    (lower, why_lower), (upper, why_upper) = collocation.panels(fns, 2.0, 1.0, 4.0)
+    assert why_lower is None and lower[0][0] == 2.0 and lower[1][-1] == 1.0
+    match = re.fullmatch(r"collocation does not resolve the solution near t=(\S+): the panel is a few ulp wide", why_upper)
+    assert match and abs(float(match[1]) - 3.1) <= 1e-14
+    near, end = upper[0], upper[1]
+    assert near[0] == 2.0 and np.array_equal(near[1:], end[:-1])
+    assert np.all(end < 3.1) and end[-1] > 3.1 - 1e-14
 
 
 def test_min_sup_distance_reaches_grid_optimum():

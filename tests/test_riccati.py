@@ -117,6 +117,19 @@ def test_unresolved_side_is_blowup_data(alpha, beta):
     assert not cov.full and cov.hi == sol.hi
 
 
+@pytest.mark.parametrize("rho0", [1e19, 1e25, 1e100, -1e25, -1e100])
+def test_zero_within_an_ulp_of_t0_is_a_blowup(exeq01, rho0):
+    # x = 1 + rho0 (t - 0.5) + ... vanishes within 1/|rho0| of t0, below it
+    # for rho0 > 0: past that zero rho = x'/x is near 1/(t - t0), which
+    # solves the equation too, and the stability engine must not integrate
+    # across the pole at its anchor
+    p, _ = exeq01
+    sol = riccati.solve_riccati(p, 0.5, rho0)
+    assert (sol.blowup_lower, sol.blowup_upper) == (rho0 > 0, rho0 < 0)
+    assert (sol.lo if rho0 > 0 else sol.hi) == pytest.approx(0.5, abs=1e-14)
+    assert stability.analyze(p, sol, best=True).verdict != "best_constant"
+
+
 @pytest.mark.parametrize(
     "lo, hi, t0",
     [(-math.inf, math.inf, 0.0), (0.0, math.inf, 1.0), (-40.0, 40.0, 0.0)],
