@@ -301,6 +301,8 @@ def first_zero(side, state):
     complex x.
     """
     near, end, u, _ = side
+    if not near.size:
+        return None
     x = np.sum(state[:-1, :, None] * u, axis=1)
     # x at a near end is its carried state: the local solutions read it with
     # a rounding error in proportion to x', which outweighs an x within an

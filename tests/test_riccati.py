@@ -117,6 +117,22 @@ def test_unresolved_side_is_blowup_data(alpha, beta):
     assert not cov.full and cov.hi == sol.hi
 
 
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [("t - 0.75", "1"), ("1", "1/(t - 0.75)")],
+    ids=["alpha-zero", "beta-pole"],
+)
+def test_side_with_no_panels_is_blowup_at_t0(alpha, beta):
+    # with t0 on the zero of alpha or the pole of beta, the first panel of
+    # each side has its bad node at t0: neither side keeps a panel, and each
+    # ends as a blow-up at t0 instead of raising
+    p = make_problem(alpha, beta, "1", "0", 0.0, 1.0)
+    sol = riccati.solve_riccati(p, 0.75, -1.0)
+    assert (sol.lo, sol.hi) == (0.75, 0.75)
+    assert sol.blowup_lower and sol.blowup_upper
+    assert sol._sides == (None, None)
+
+
 @pytest.mark.parametrize("rho0", [1e19, 1e25, 1e100, -1e25, -1e100])
 def test_zero_within_an_ulp_of_t0_is_a_blowup(exeq01, rho0):
     # x = 1 + rho0 (t - 0.5) + ... vanishes within 1/|rho0| of t0, below it
