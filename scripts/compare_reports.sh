@@ -36,7 +36,9 @@
 #     2.25 - 0.5i, rho -2 - 0.5i, roots -1 + 0.5i and -2 - 0.5i on
 #     (-40, 40)), whose exponent caches are complex and whose extremal
 #     member and trials take complex nearest-solution fits (report and
-#     .extremal.csv);
+#     .extremal.csv), and `analyze --solve-rho t0=0,rho0=-2 --reproducible`
+#     and `riccati-check --solve-rho t0=0,rho0=-2` on it, whose collocation
+#     panels are complex;
 #   - `analyze --best --reproducible` on exeq01 moved to (1000, 1001), with
 #     B = 1/2 as on (0, 1): there ulp(t) is 1,024 times its size just below
 #     t = 1, so the resolution floor of the bisection acts on every panel
@@ -214,6 +216,9 @@ contract() {
   run "$tree" "$out" analyze.const-iii-complex analyze "$tmp/const-iii-complex.json" --best --reproducible
   run "$tree" "$out" empirical.const-iii-complex empirical "$tmp/const-iii-complex.json" \
     --trials 8 --seed 7 --reproducible --out "$out/empirical"
+  run "$tree" "$out" solve-rho.const-iii-complex analyze "$tmp/const-iii-complex.json" \
+    --solve-rho t0=0,rho0=-2 --reproducible
+  run "$tree" "$out" solve-rho-check.const-iii-complex riccati-check "$tmp/const-iii-complex.json" --solve-rho t0=0,rho0=-2
   run "$tree" "$out" analyze.exeq01-at-1e3 analyze "$tmp/exeq01-at-1e3.json" --best --reproducible
   run "$tree" "$out" analyze.exeq05-witness-k analyze "$tmp/exeq05-witness-k.json" --reproducible
   run "$tree" "$out" analyze.alpha-zero analyze "$tmp/alpha-zero.json" --reproducible

@@ -21,9 +21,11 @@ A side that collocation does not resolve is data, not an exception:
 the message that names the stop.  `ivp_solution` raises that message, and
 `solve_riccati` ends the side there as a blow-up.
 
-A panel's numbers depend on its own nodes only: every sum runs over its
-own nodes in node order (no BLAS product across panels), and it is solved
-in real arithmetic when its node values are real.
+A panel's numbers depend on its own nodes only.  It is solved by its own
+LAPACK call, in real arithmetic when its node values are real.  Every
+matrix is applied to its node values by one BLAS product per panel, of one
+shape for every panel of the call, with the real and imaginary parts apart
+(`_apply`).  `read`'s barycentric sums run over the nodes in node order.
 """
 
 from __future__ import annotations
@@ -51,8 +53,7 @@ def _chebyshev_operators(n):
     the barycentric weights, and, indexed by start point (0 for -1, 1 for
     1) and then by order, the matrices (2, 2, n, n) that map node values to
     node values of the integral and the double integral from that point,
-    both exact for the interpolant.  Every matrix is C-contiguous, so that
-    a broadcast product with it sums each row in node order (`_apply`).
+    both exact for the interpolant.
     """
     j = np.arange(n)
     x = np.sin(np.pi * (n - 1 - 2 * j) / (2 * (n - 1)))
@@ -71,10 +72,21 @@ _DIFF = np.ascontiguousarray(chebyshev.chebval(_X, chebyshev.chebder(_COEF)).T) 
 def _apply(M, u):
     """sum_j M[..., i, j] u[..., j]: M applied to the node values of every panel.
 
-    One broadcast product and one `node_sum` reduction over the node axis;
-    with M C-contiguous each row sums in node order, as alone.
+    One stacked `np.matmul`, which makes one BLAS product per panel, each of
+    the same shape, so a panel's numbers are those it gets alone.  A complex
+    ``u`` goes in as its real and imaginary parts, each C-contiguous (numpy
+    takes a strided view through its own loop, not BLAS) and each a real
+    product: a panel whose imaginary part is zero then reads as if real, and
+    the parts are put together without a product by 1j, which would turn a
+    non-finite imaginary part into a NaN real part.
     """
-    return node_sum(M, u[..., None, :])
+    Mt = np.swapaxes(M, -1, -2)
+    if not np.iscomplexobj(u):
+        return np.matmul(np.ascontiguousarray(u), Mt)
+    re, im = (np.matmul(np.ascontiguousarray(part), Mt) for part in (u.real, u.imag))
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
 
 
 def panels(fns, t0, *fars):
@@ -156,7 +168,10 @@ def panel_solutions(fns, near, end):
     (0, 1) and, per forcing, with (0, 0).  Each panel takes its direction
     from its own ends: a is its end ``near``, at -1 on [-1, 1] when ``end``
     lies above it and at 1 when below, so one batch may hold panels of both
-    sides of t0.
+    sides of t0.  The integrals, the far-end derivative and the tail's
+    Chebyshev coefficients are read off v and x by `_apply`: one BLAS
+    product per panel, of one shape for all, with the real and imaginary
+    parts apart, so that a panel's numbers do not depend on its batch.
 
     Returns the node values (m, r, n), the far-end values and derivatives
     (m, r, 2), whether each panel is accepted, and per panel the first node
@@ -191,10 +206,10 @@ def panel_solutions(fns, near, end):
         s = h * (x - start)  # t - a at the nodes
         v = _solve_panels(A, np.stack((-c, -b - c * s, *g), axis=-1), real)
         v = np.ascontiguousarray(np.moveaxis(v, -1, 1))
-        u = (h * h)[:, None] * _apply(K2[:, None], v)
+        u = (h * h)[:, None] * _apply(K2, v)
         u[:, 0] += 1.0
         u[:, 1] += s
-        du = h * node_sum(K[panel, i1][:, None], v)
+        du = h * _apply(K[panel, i1][:, None], v)[..., 0]
         du[:, 1] += 1.0
         tail = np.max(np.abs(_apply(_COEF[-3:], u)), axis=-1)
         ok = np.all(tail <= TAIL * np.max(np.abs(u), axis=-1), axis=-1) & np.isnan(bad)
@@ -281,11 +296,14 @@ def read(side, state, col, pts):
 
 
 def differentiate(side):
-    """``side`` with each local solution replaced by its derivative in t, for `read` to read x' off."""
+    """``side`` with each local solution replaced by its derivative in t, for `read` to read x' off.
+
+    The derivative matrix is applied by `_apply`, one BLAS product per
+    panel with the real and imaginary parts apart, so a panel reads the same
+    bits whatever else is on the side.
+    """
     near, end, u, ends = side
-    # in chunks of `CHUNK` panels, as they were solved, which bounds the temporaries
-    du = np.concatenate([_apply(_DIFF, u[i : i + CHUNK]) for i in range(0, len(u), CHUNK)])
-    return near, end, du / (0.5 * np.abs(end - near))[:, None, None], ends
+    return near, end, _apply(_DIFF, u) / (0.5 * np.abs(end - near))[:, None, None], ends
 
 
 def first_zero(side, state):

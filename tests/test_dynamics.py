@@ -862,6 +862,73 @@ def test_panel_solutions_do_not_depend_on_the_batch(coeffs, t0, fars):
         assert np.array_equal(alone[0][0], u[i]) and np.array_equal(alone[1][0], ends[i])
 
 
+def _node_stacks():
+    """1,024 panels of 3 members' node values, at magnitudes 1e-8 to 1e8: real, complex, complex with a zero imaginary part, strided, and of one member."""
+    rng = np.random.default_rng(7)
+    shape = (1024, 3, collocation.N)
+    real = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape[:2] + (1,))
+    cplx = real + 1j * rng.standard_normal(shape)
+    # the node axis strided, as the solve's output before it is made contiguous
+    strided = np.moveaxis(np.moveaxis(cplx, -1, 1).copy(), 1, -1)
+    # one-member: one row per panel, where a product over all panels' rows at
+    # once would change from a matrix-vector to a matrix-matrix product with the batch
+    return {"real": real, "complex": cplx, "zero-imag": real + 0j, "strided": strided, "strided-real": strided.real, "one-member": real[:, :1]}
+
+
+def _operators():
+    """Matrices as `panel_solutions` and `differentiate` apply them: per panel, shared, and one row per panel."""
+    back = np.random.default_rng(8).integers(0, 2, 1024)
+    far = collocation._INT[back, 0][np.arange(1024), back * (collocation.N - 1)]
+    return {"per-panel": collocation._INT[back, 1], "shared": collocation._DIFF, "row": far[:, None]}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("op", list(_operators()))
+@pytest.mark.parametrize("stack", list(_node_stacks()))
+def test_apply_does_not_depend_on_the_batch(stack, op):
+    # each panel's product is bit-identical alone and in batches of 2, 3 and
+    # 1,024 panels, and within 4 ulp of the node-order sum
+    U, M = _node_stacks()[stack], _operators()[op]
+    per_panel = M.ndim == 3
+    batch = collocation._apply(M, U)
+    for size in (1, 2, 3):
+        parts = [collocation._apply(M[i : i + size] if per_panel else M, U[i : i + size]) for i in range(0, len(U), size)]
+        assert np.array_equal(_bits(np.concatenate(parts)), _bits(batch))
+    if np.iscomplexobj(U):
+        # each part is the real product of that part alone
+        for part in (np.real, np.imag):
+            assert np.array_equal(_bits(part(batch)), _bits(collocation._apply(M, part(U))))
+    if stack == "zero-imag":
+        assert np.array_equal(_bits(batch.real), _bits(collocation._apply(M, _node_stacks()["real"]))) and not np.any(batch.imag)
+    W = M[:, None] if per_panel else M
+    for part in (np.real, np.imag):
+        # each row's scale: the largest sum of |M_ij u_j| over its entries
+        scale = np.max(quad.node_sum(np.abs(W), np.abs(part(U))[..., None, :]), axis=-1, keepdims=True)
+        assert np.all(np.abs(part(batch) - quad.node_sum(W, part(U)[..., None, :])) <= 4.0 * np.spacing(scale))
+
+
+def test_apply_keeps_a_nonfinite_imaginary_part_out_of_the_real_part():
+    U = _node_stacks()["complex"]
+    U.imag[:, :, 5] = np.inf
+    got = collocation._apply(collocation._DIFF, U)
+    assert np.array_equal(_bits(got.real), _bits(collocation._apply(collocation._DIFF, U.real)))
+    assert np.all(np.isfinite(got.real))
+
+
+def test_differentiate_does_not_depend_on_the_chunk():
+    # a side longer than CHUNK panels reads the same bits as its halves
+    m = collocation.CHUNK + collocation.CHUNK // 2
+    rng = np.random.default_rng(9)
+    near = np.linspace(1.0, 2.0, m + 1)
+    u = rng.standard_normal((m, 2, collocation.N)) + 1j * rng.standard_normal((m, 2, collocation.N))
+    side = (near[:-1], near[1:], u, np.zeros((m, 2, 2)))
+    halves = [collocation.differentiate(tuple(v[i : i + m // 2] for v in side))[2] for i in (0, m // 2)]
+    assert np.array_equal(_bits(collocation.differentiate(side)[2]), _bits(np.concatenate(halves)))
+
+
 def test_panel_failing_at_a_point_stops_its_side_at_the_floor(monkeypatch):
     # a stub fails every panel that holds t = 3.1: the upper side is split
     # down to a few ulp there and stops; the lower side resolves
