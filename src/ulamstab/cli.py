@@ -64,6 +64,66 @@ def _jsonable(obj):
     return str(obj)
 
 
+def _dumps(obj):
+    """``json.dumps(obj, indent=2, sort_keys=True)``, byte for byte, in one recursive pass.
+
+    With ``indent`` the standard library encodes in pure Python; here each
+    string goes through its C ``encode_basestring_ascii`` and each number
+    through ``int.__repr__`` or ``float.__repr__``, into one list of parts.
+    Keys are strings, as in every report; any other key raises `TypeError`.
+    """
+    parts = []
+    _encode(obj, "\n", parts)
+    return "".join(parts)
+
+
+def _float_text(x):
+    if x != x:
+        return "NaN"
+    return "Infinity" if x == math.inf else "-Infinity" if x == -math.inf else float.__repr__(x)
+
+
+_quote = json.encoder.encode_basestring_ascii
+# the JSON text of a scalar by its type; a subclass of str, int or float is
+# written as its base is, as json writes it
+_SCALARS = {
+    str: _quote,
+    float: _float_text,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj, indent, parts):
+    """Append the JSON text of ``obj`` to ``parts``; ``indent`` is the newline and indentation of its closing bracket."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is None and not isinstance(obj, (dict, list, tuple)):
+        scalar = next((text for base, text in _SCALARS.items() if isinstance(obj, base)), None)
+        if scalar is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if scalar is not None:
+        parts.append(scalar(obj))
+        return
+    inner = indent + "  "
+    if not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+    elif isinstance(obj, dict):
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            parts.append(sep + _quote(key) + ": ")
+            _encode(value, inner, parts)
+            sep = "," + inner
+        parts.append(indent + "}")
+    else:
+        sep = "[" + inner
+        for value in obj:
+            parts.append(sep)
+            _encode(value, inner, parts)
+            sep = "," + inner
+        parts.append(indent + "]")
+
+
 def _load_document(path):
     try:
         data = json.loads(Path(path).read_text())
@@ -164,7 +224,7 @@ def _report_doc(problem_data, report_dict, config, wall_time, reproducible, extr
 
 def _emit(doc, out, stem):
     schemacheck.check(doc, "report.schema.json")
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = _dumps(doc) + "\n"
     click.echo(text, nl=False)
     if out:
         out_dir = Path(out)
@@ -358,7 +418,7 @@ def riccati_check(problem_path, solve_rho):
     cov = riccati.rho_coverage(problem, rho)
     ok = resid <= riccati.RESIDUAL_TOL
     click.echo(
-        json.dumps(
+        _dumps(
             _jsonable(
                 {
                     "residual_sup": resid,
@@ -366,9 +426,7 @@ def riccati_check(problem_path, solve_rho):
                     "ok": ok,
                     "coverage": cov.to_dict(),
                 }
-            ),
-            indent=2,
-            sort_keys=True,
+            )
         )
     )
     sys.exit(EXIT_STABLE if ok else EXIT_INCONCLUSIVE)

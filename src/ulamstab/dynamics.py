@@ -132,7 +132,6 @@ class SolutionEngine:
         self._h1c = None
         self._weights = None  # the unit caches' nodes and forcing-free weights there
         self._frames = {}
-        self._reads = {}  # id of Rc or H1 -> (points, its values there) of its last read by a member
         self._grids = {}  # t0 -> its experiment grid, read-only
         self._extremal = {}  # case -> (sigma, unit family coefficients) of its extremal pair
         # template panels the replays bisected, and replays that took the adaptive build
@@ -259,7 +258,7 @@ class SolutionEngine:
         r0, p0, h1_0 = self._frame(float(t0))
         pre = np.exp(r0 + p0)
         # (coefficient, read of a cache, its value at t0) of each term
-        h1 = lambda tt: self._read(self.H1c, tt)
+        h1 = self.H1c.value
         if forced is None:
             terms = [(pre * c0, h1, h1_0)]
         else:
@@ -276,24 +275,10 @@ class SolutionEngine:
             out = x0
             for coef, read, k0 in terms:
                 out = out + coef * (read(tt) - k0)
-            out = out * np.exp(self._read(self.se.Rc, tt) - r0)
+            out = out * np.exp(self.se.Rc.value(tt) - r0)
             return out[0] if scalar else out
 
         return x
-
-    def _read(self, cache, t):
-        """``cache.value(t)`` of the forcing-free ``cache``, Rc or H1.
-
-        The last points each of the two was read at are kept with their
-        values, so the members of every forcing on one grid read it once.
-        """
-        key = (t.shape, t.tobytes())
-        last = self._reads.get(id(cache))
-        if last is None or last[0] != key:
-            vals = cache.value(t)
-            vals.flags.writeable = False
-            last = self._reads[id(cache)] = key, vals
-        return last[1]
 
     def _frame(self, t0):
         """(R, P, H1) at t0, the forcing-free values every member from t0 reads."""

@@ -46,8 +46,15 @@ and lists, where numpy's fixed cost per call would exceed the arithmetic:
 the zoom's bracket ends, end values, best samples and active list, the
 endpoint tests, the Richardson table and the tail limits.
 
-Everything here is pure; `CumulativeIntegral` objects are built once and
-read-only afterwards, so they can be shared freely between threads.
+A `CumulativeIntegral` remembers its recent reads: the panel index and
+in-panel integral of its last few query point sets, so a cache read again at
+the same points (two boundedness functions scanning one grid, the members
+of every forcing on one experiment grid) costs no second Clenshaw pass.
+
+Everything here is pure: a remembered read returns the bits of a fresh
+one.  A `CumulativeIntegral` is built once; what it adds afterwards, its
+prefix sums on first use and its recent reads, is the same whichever thread
+adds it, so a built cache can be shared between threads.
 """
 
 from __future__ import annotations
@@ -151,6 +158,7 @@ RANGE_CAP = 1e8  # an infinite side's coverage ends before |t| passes this
 # a side's coverage ends once |Re cum| passes this, or |cum| its exponential
 # in a tail cache
 LOG_BUDGET = 300.0
+_MEMO = 4  # query point sets a cache remembers its reads of
 
 
 def _leaf_operators():
@@ -193,6 +201,9 @@ class CumulativeIntegral:
     differences anchored at an edge accumulate the tiny near-edge panel
     contributions first, preserving relative accuracy of small tails.
     Reads come back in the panels' dtype: float64 for a real integrand.
+    Each set of prefix sums is built on first use, and a repeated read, from
+    either edge or from ``t_ref``, is answered from the last `_MEMO` point
+    sets read (`_in_panel`).
     """
 
     t_ref: float
@@ -208,19 +219,31 @@ class CumulativeIntegral:
     integrand_points: int = 0  # points it was evaluated at, past a stop too
 
     def __post_init__(self):
-        # the prefix sums keep the panels' dtype, so a real cache reads real
-        zero = np.zeros(1, self.panel_vals.dtype)
-        self._left = np.concatenate([zero, np.cumsum(self.panel_vals)])
-        self._right = np.concatenate([np.cumsum(self.panel_vals[::-1])[::-1], zero])
-        # accumulation anchored at the reference panel: differences near
-        # t_ref must not be formed by cancelling huge edge-anchored sums
+        self.error_bound = float(np.sum(self.panel_errs))
+        self._memo = ()  # (key, panel index, in-panel integral) of the last reads, newest first
+
+    # the prefix sums keep the panels' dtype, so a real cache reads real
+    @functools.cached_property
+    def _left(self):
+        return np.concatenate([np.zeros(1, self.panel_vals.dtype), np.cumsum(self.panel_vals)])
+
+    @functools.cached_property
+    def _right(self):
+        return np.concatenate([np.cumsum(self.panel_vals[::-1])[::-1], np.zeros(1, self.panel_vals.dtype)])
+
+    @functools.cached_property
+    def _anch(self):
+        """Prefix sums anchored at the reference panel's start.
+
+        Differences near t_ref must not be formed by cancelling huge
+        edge-anchored sums.
+        """
         k = int(np.clip(np.searchsorted(self.bps, self.t_ref, side="right") - 1, 0, len(self.panel_vals) - 1))
         anch = np.empty(len(self.panel_vals) + 1, dtype=self.panel_vals.dtype)
         anch[k] = 0.0
         anch[k + 1 :] = np.cumsum(self.panel_vals[k:])
         anch[:k] = -np.cumsum(self.panel_vals[:k][::-1])[::-1]
-        self._anch = anch
-        self.error_bound = float(np.sum(self.panel_errs))
+        return anch
 
     @functools.cached_property
     def _ref_offset(self):
@@ -236,8 +259,27 @@ class CumulativeIntegral:
         return float(self.bps[-1])
 
     def _in_panel(self, t):
-        """(panel index, int from the panel start to t) for covered t."""
+        """(panel index, int from the panel start to t) for covered t, read-only.
+
+        The last `_MEMO` point sets read are remembered with their results,
+        keyed by the shape and bytes of the float64 query, so a repeated read
+        costs no Clenshaw pass.  The memo is one tuple, replaced whole, so a
+        thread that shares the cache never sees it half updated.
+        """
         t = np.asarray(t, float)
+        key = (t.shape, t.tobytes())
+        for entry in self._memo:
+            if entry[0] == key:
+                return entry[1], entry[2]
+        idx, part = self._locate(t)
+        if t.ndim:  # a 0-d query reads numpy scalars, which are immutable
+            idx.setflags(write=False)
+            part.setflags(write=False)
+        self._memo = ((key, idx, part), *self._memo[: _MEMO - 1])
+        return idx, part
+
+    def _locate(self, t):
+        """(panel index, int from the panel start to t) of covered float64 t, by one Clenshaw pass."""
         if t.min(initial=np.inf) < self.bps[0] or t.max(initial=-np.inf) > self.bps[-1]:
             raise CoverageError(
                 f"query outside coverage [{self.bps[0]}, {self.bps[-1]}]"
@@ -460,8 +502,11 @@ def _leaf(g, groups, closed, leaf_tol, leaf_rel, work, y0):
                 kept = []
                 now = ~singular[kr]
             # a singular root keeps none of its leaves; a root's leaves in
-            # left-edge order, ties in their order of acceptance
-            order = np.flatnonzero(now)[np.lexsort((parts[1][now], kr[now]))]
+            # left-edge order, ties in their order of acceptance (at depth 0,
+            # one leaf per root, kept in root order)
+            order = np.flatnonzero(now)
+            if depth:
+                order = order[np.lexsort((parts[1][now], kr[now]))]
             kr = kr[order]
             parts = [part[order] for part in parts[1:]]
             for k in np.flatnonzero(ready > done).tolist():
@@ -598,23 +643,29 @@ def cumulative(g, t_ref, lower, upper, tol=1e-10, tail_mode=False):
     work = Counter()
     sides = (_Side(t_ref, upper, 1), _Side(t_ref, lower, -1))
     closed = set()  # the groups, by index into sides, whose walk has stopped
+    exp_budget = math.exp(LOG_BUDGET)
     for blk in _leaf(g, [(s.lo, s.hi) for s in sides], closed, leaf_tol, leaf_rel, work, None):
         side = sides[blk.group]
-        vals = blk.vals.tolist()
+        vals, bounds = blk.vals.tolist(), blk.bounds
         taken = len(vals)  # rows of the block the walk keeps
+        # the walk runs on locals, written back to the side after the block
+        cum, contribs, diverging = side.cum, side.contribs, side.diverging
+        approach = side.n_grow - blk.first  # the block's first endpoint-approach root
+        finite_end = math.isfinite(side.endpoint)
         for j, singular in enumerate(blk.singular):
             if singular:
                 side.status = "singular"
-                taken = blk.bounds[j]
+                taken = bounds[j]
                 closed.add(blk.group)
                 break
-            pv = sum(vals[blk.bounds[j] : blk.bounds[j + 1]])
-            side.cum += pv
-            contribs = side.contribs
+            start, stop = bounds[j], bounds[j + 1]
+            # sum() of one leaf is 0 + it, which adds to cum and to |pv| as it
+            pv = vals[start] if stop - start == 1 else sum(vals[start:stop])
+            cum += pv
             # only the endpoint-approach phase feeds the tail heuristics;
             # panels still growing away from the anchor carry growing mass
             # for perfectly integrable functions
-            if blk.first + j >= side.n_grow:
+            if j >= approach:
                 contribs.append(abs(pv))
             if tail_mode:
                 if len(contribs) >= 3:
@@ -623,26 +674,21 @@ def cumulative(g, t_ref, lower, upper, tol=1e-10, tail_mode=False):
                     # truncating coverage early would poison edge-anchored
                     # queries whose prefactor amplifies the missing mass
                     if len(contribs) > 6 and c3 >= c2 >= c1 and c3 > 10.0 * (contribs[0] + tol):
-                        side.diverging = True
+                        diverging = True
                     # log-type endpoint divergence: halved panels keep
                     # contributing the same mass instead of decaying
-                    if (
-                        len(contribs) > 8
-                        and math.isfinite(side.endpoint)
-                        and c3 > tol
-                        and c3 >= 0.999 * c2
-                        and c2 >= 0.999 * c1
-                    ):
-                        side.diverging = True
+                    if len(contribs) > 8 and finite_end and c3 > tol and c3 >= 0.999 * c2 and c2 >= 0.999 * c1:
+                        diverging = True
                 # tail caches hold exponential-scale values; budget their log
-                if abs(side.cum) > math.exp(LOG_BUDGET):
-                    side.status = "budget"
-            elif abs(side.cum.real) > LOG_BUDGET:
+                over = abs(cum) > exp_budget
+            else:
+                over = abs(cum.real) > LOG_BUDGET
+            if over:
                 side.status = "budget"
-            if side.status == "budget":
-                taken = blk.bounds[j + 1]
+                taken = stop
                 closed.add(blk.group)
                 break
+        side.cum, side.diverging = cum, diverging
         leaves.append(blk.rows(taken))
         forced += np.bincount(blk.forced[:taken], minlength=3)
 

@@ -111,6 +111,9 @@ class StabilityEngine:
 
     All heavy objects are constructed lazily and exactly once; the engine is
     read-only after each cache is built and can be shared across threads.
+    Each cache remembers its recent reads (`quad.CumulativeIntegral`), so the
+    boundedness functions, kernels and certificates that read one cache at
+    the same points take one Clenshaw pass between them.
     """
 
     def __init__(self, problem: OscillatorProblem, rho, config: Config = Config()):

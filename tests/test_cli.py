@@ -96,6 +96,38 @@ def test_analyze_deterministic_bytes(runner):
     assert "wall_time_s" not in _json_out(first)
 
 
+def test_analyze_and_empirical_repeat_in_one_process(runner, tmp_path):
+    # the caches of a command remember their reads; a second run of the same
+    # command in the same process prints and writes the same bytes
+    doc = str(PROBLEMS / "exeq01.json")
+    analyze = [_invoke(runner, ["analyze", doc, "--best", "--reproducible"]) for _ in range(2)]
+    assert analyze[0].exit_code == 0 and analyze[0].output == analyze[1].output
+    runs = []
+    for k in range(2):
+        out = tmp_path / str(k)
+        args = ["empirical", doc, "--trials", "2", "--reproducible", "--out", str(out)]
+        result = _invoke(runner, args)
+        assert result.exit_code == 0
+        runs.append((result.output, (out / "exeq01.report.json").read_bytes(), (out / "exeq01.extremal.csv").read_bytes()))
+    assert runs[0] == runs[1]
+
+
+_TRICKY_TEXT = ["", '"', "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "\u2028", "\ud800", "\U0001f600", "a\"b\\c"]
+_JSON_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 1e300, math.nan, math.inf, -math.inf])
+_JSON_TEXT = st.text() | st.sampled_from(_TRICKY_TEXT)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_FLOATS | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_JSON_VALUES)
+def test_report_text_is_json_dumps_text(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+
 def test_fast_path_constant_coefficients(runner):
     result = _invoke(runner, ["analyze", str(PROBLEMS / "const-iii.json"), "--fast-path", "--reproducible"])
     assert result.exit_code == 0

@@ -122,12 +122,13 @@ def test_solution_engine_reads_stability_h1(exeq01, cfg):
 
 def test_members_read_the_forcing_free_caches_once_per_grid(exeq03, cfg, monkeypatch):
     # Rc and H1 do not depend on the forcing: the basis and every trial's
-    # member read them on the experiment grid once between them
+    # member read them on the experiment grid, and each cache remembers its
+    # recent reads, so each takes one Clenshaw pass there between them
     eng = _engine(*exeq03, cfg)
-    reads = []  # (cache name, points) of each read
+    reads = []  # (cache name, points) of each Clenshaw pass
     for name in ("Rc", "H1"):
         cache = getattr(eng.se, name)
-        monkeypatch.setattr(cache, "value", lambda t, name=name, value=cache.value: reads.append((name, t.tobytes())) or value(t))
+        monkeypatch.setattr(cache, "_locate", lambda t, name=name, locate=cache._locate: reads.append((name, t.tobytes())) or locate(t))
     t0 = eng.se.anchor
     grid = eng.experiment_grid(t0)
     dynamics.random_perturbation_test(eng, 0.1, 3, 7, 1.0 / 6.0)

@@ -1,6 +1,8 @@
 """Quadrature layer: cumulative caches, graded grids, sup search."""
 
 import math
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -10,8 +12,11 @@ from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
+import cumulative_oracle
 import sup_oracle
-from ulamstab import quad
+from conftest import make_problem
+from ulamstab import corpus, exprlang, quad, stability
+from ulamstab.model import Config
 from ulamstab.stability import StabilityEngine
 
 
@@ -43,6 +48,132 @@ def test_reference_offset_is_read_on_first_value():
     assert "_ref_offset" not in vars(cum)
     assert cum.value(np.array([0.3]))[0] == 0.0
     assert "_ref_offset" in vars(cum)
+
+
+def test_prefix_sums_are_built_on_first_use():
+    # a cache read only from its upper edge builds only that edge's sums
+    cum = quad.cumulative(np.cos, 0.3, -5.0, 5.0)
+    cum.from_edge("upper", np.array([1.0]))
+    assert "_right" in vars(cum) and not {"_left", "_anch", "_ref_offset"} & set(vars(cum))
+    cum.from_edge("lower", np.array([1.0]))
+    assert "_left" in vars(cum) and "_anch" not in vars(cum)
+    cum.value(np.array([1.0]))
+    assert "_anch" in vars(cum)
+
+
+# a real and a complex cache whose reads are remembered
+_READ_CACHES = {
+    "real": lambda: quad.cumulative(np.cos, 0.3, -5.0, 5.0),
+    "complex": lambda: quad.cumulative(lambda s: np.exp((0.5 + 1j) * s), 0.3, -5.0, 5.0),
+}
+
+
+def _read_bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+def _fresh(c):
+    """A cache on ``c``'s panels that has read nothing."""
+    return quad.CumulativeIntegral(c.t_ref, c.bps, c.panel_vals, c.panel_errs, c.antider)
+
+
+def _reads(c, q):
+    """The bits of ``c``'s three reads at ``q``."""
+    return [_read_bits(c.value(q)), _read_bits(c.from_edge("upper", q)), _read_bits(c.from_edge("lower", q))]
+
+
+def _count_passes(monkeypatch, c):
+    """The list that gets one entry for each Clenshaw pass of ``c`` from now on."""
+    passes = []
+    monkeypatch.setattr(c, "_locate", lambda t, locate=c._locate: passes.append(t.shape) or locate(t))
+    return passes
+
+
+@pytest.mark.parametrize("kind", list(_READ_CACHES))
+def test_remembered_read_is_a_fresh_read(kind, monkeypatch):
+    c = _READ_CACHES[kind]()
+    ts = np.concatenate([c.bps, [c.t_ref], np.linspace(c.lo, c.hi, 37)])
+    queries = {
+        "0-d": np.asarray(c.bps[3]),
+        "lo": np.array([c.lo]),
+        "hi": np.array([c.hi]),
+        "one point": np.array([0.7]),
+        "breakpoints and more": ts,
+        # the same bytes in two shapes
+        "first 40": ts[:40],
+        "2-d": ts[:40].reshape(8, 5),
+    }
+    passes = _count_passes(monkeypatch, c)
+    for name, q in queries.items():
+        want = _reads(_fresh(c), q)
+        assert _reads(c, q) == _reads(c, q) == want, name
+    # one pass per query, and one at t_ref for the offset of `value`
+    assert len(passes) == len(queries) + 1
+    idx, part = c._in_panel(ts)
+    assert not (idx.flags.writeable or part.flags.writeable)
+    # a read's result is the caller's own
+    got = c.value(ts)
+    got[:] = 0.0
+    assert _read_bits(c.value(ts)) == _read_bits(_fresh(c).value(ts))
+
+
+def test_query_changed_in_place_is_read_afresh():
+    c = _READ_CACHES["complex"]()
+    q = np.linspace(-4.0, 4.0, 9)
+    c.value(q)
+    q[3] = 0.123
+    assert _reads(c, q) == _reads(_fresh(c), q)
+
+
+def test_uncovered_query_raises_every_time():
+    c = _READ_CACHES["real"]()
+    for _ in range(3):
+        for read in (c.value, lambda t: c.from_edge("upper", t), lambda t: c.from_edge("lower", t)):
+            with pytest.raises(quad.CoverageError):
+                read(np.array([0.0, 6.0]))
+    assert c._memo == ()
+
+
+def test_read_memo_stays_bounded(monkeypatch):
+    c = _READ_CACHES["real"]()
+    queries = [np.array([x]) for x in np.linspace(-4.0, 4.0, 10)]
+    for q in queries:
+        c.from_edge("upper", q)
+    assert len(c._memo) == quad._MEMO
+    passes = _count_passes(monkeypatch, c)
+    c.from_edge("upper", queries[-quad._MEMO])
+    assert passes == []
+    c.from_edge("upper", queries[0])
+    assert passes == [(1,)]
+
+
+def test_shared_cache_reads_alike_in_every_thread():
+    # threads reading one cache at more point sets than it remembers, with
+    # frequent switches, each read what a fresh cache reads
+    c = _READ_CACHES["complex"]()
+    queries = [np.linspace(-4.0, 4.0, 5 + k) for k in range(2 * quad._MEMO)]
+    want = [_reads(_fresh(c), q) for q in queries]
+    bad = []
+
+    def reader(shift):
+        for r in range(40):
+            k = (r + shift) % len(queries)
+            if _reads(c, queries[k]) != want[k]:
+                bad.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == [] and len(c._memo) <= quad._MEMO
 
 
 def test_cumulative_coverage_error(cos_cum):
@@ -609,6 +740,80 @@ def test_cumulative_is_one_leaf_batch(case, monkeypatch):
     monkeypatch.setattr(quad, "_leaf", lambda g, gs, *rest: groups.append(len(gs)) or leaf(g, gs, *rest))
     quad.cumulative(g, t_ref, lower, upper, **opts)
     assert groups == [2]
+
+
+def _same_cache(got, ref):
+    """Assert that ``got`` and the oracle's ``ref`` hold the same bits and read the same bits."""
+    for name in ("bps", "panel_vals", "panel_errs", "antider"):
+        assert _read_bits(getattr(got, name)) == _read_bits(getattr(ref, name)), name
+    assert (got.lower_info, got.upper_info) == (ref.lower_info, ref.upper_info)
+    for name in ("t_ref", "error_bound", "max_depth_leaves", "resolution_floor_leaves", "integrand_calls", "integrand_points"):
+        assert getattr(got, name) == getattr(ref, name), name
+    ts = np.concatenate([got.bps, [got.t_ref], np.random.default_rng(5).uniform(got.lo, got.hi, 64)])
+    for _ in range(2):
+        for q in (ts, ts[:1], np.asarray(ts[-1])):
+            assert _reads(got, q) == _reads(ref, q)
+
+
+# stops of a walk over roots of many leaves each: (integrand, t_ref, lower,
+# upper, options, (lower status, upper status))
+_MANY_LEAVES = {
+    "budget": (lambda s: s * (1.0 + 0.5 * np.sin(40.0 * s)), 1.0, 0.0, math.inf, {}, ("resolved", "budget")),
+    "converged": (
+        lambda s: np.exp(-s) * (1.0 + 0.5 * np.sin(40.0 * s)),
+        1.0,
+        0.0,
+        math.inf,
+        {"tail_mode": True},
+        ("resolved", "converged"),
+    ),
+    "diverging": (lambda s: 1.0 / s + 1.0 / (1.0 - s), 0.5, 0.0, 1.0, {"tail_mode": True}, ("diverging", "diverging")),
+}
+
+
+_BUILDS = {**_STOPS, **{f"many-leaves-{case}": v for case, v in _MANY_LEAVES.items()}}
+
+
+@pytest.mark.parametrize("case", list(_BUILDS))
+def test_cumulative_matches_the_earlier_build(case):
+    g, t_ref, lower, upper, opts, statuses, *_ = _BUILDS[case]
+    got = quad.cumulative(g, t_ref, lower, upper, **opts)
+    assert (got.lower_info.status, got.upper_info.status) == statuses
+    _same_cache(got, cumulative_oracle.cumulative(g, t_ref, lower, upper, **opts))
+
+
+def _seeded_problem(family, seed):
+    """(problem, rho) of ``family`` with parameters drawn from ``seed``, inside the corpus ranges."""
+    rng = np.random.default_rng([family == "exeq06", seed])
+    draw = lambda lo, hi: round(float(rng.uniform(lo, hi)), 4)
+    if family == "exeq03":
+        return corpus.build(corpus._exeq03_variant(draw(0.5, 2.0)))
+    if family == "exeq06":
+        return corpus.build(corpus._exeq06_variant(draw(0.5, 2.0), draw(1.5, 2.0), draw(0.5, 1.0)))
+    if family == "const-iii-complex":
+        return make_problem("1", "3", "2.25 - 0.5*i", "0", -40.0, 40.0), exprlang.parse("-2 - 0.5*i")
+    # roots l1 > l2 < 0 of a0 x'' + a1 x' + a2 x; rho is the smaller one
+    a0, m1, m2 = draw(1.0, 2.0), draw(1.0, 1.4), draw(1.6, 2.0)
+    l1, l2 = (m1, -m2) if family == "const-ii" else (-m1, -m2)
+    return corpus.build(corpus._const_variant(family, a0, -a0 * (l1 + l2), a0 * l1 * l2, repr(l2), family[6:]))
+
+
+@pytest.mark.parametrize(
+    "family, seed",
+    [("exeq03", 1), ("exeq03", 2), ("exeq06", 1), ("exeq06", 2), ("const-iii", 1), ("const-ii", 2), ("const-iii-complex", 0)],
+)
+def test_engine_caches_match_the_earlier_build(family, seed, monkeypatch):
+    # every cache an analysis builds, rebuilt by the earlier `cumulative`
+    # from the same integrand
+    builds = []
+    build = quad.cumulative
+    monkeypatch.setattr(quad, "cumulative", lambda g, *args, **kw: builds.append((g, args, kw, build(g, *args, **kw))) or builds[-1][3])
+    problem, rho = _seeded_problem(family, seed)
+    report = stability.analyze(problem, rho, Config())
+    assert report.verdict in ("stable_with_constant", "best_constant")
+    assert len(builds) >= 5
+    for g, args, kw, got in builds:
+        _same_cache(got, cumulative_oracle.cumulative(g, *args, **kw))
 
 
 def test_panel_non_finite_at_every_node_ends_the_side():
