@@ -71,6 +71,14 @@
 #     `empirical --trials 4 --seed 7 --reproducible` and `riccati-check` on
 #     const-iii moved to (-1.7e308, 1.7e308), two finite ends whose
 #     difference overflows, which the problem input check rejects;
+#   - `analyze --best --reproducible` on an oscillating document (alpha 1,
+#     beta 3 + 0.5 cos(t), gamma 2 + cos(t), forcing 0, rho -2 on
+#     (0, inf)), where the cumulative integral closes Pc's upper side at its
+#     budget while later roots of that side are still being bisected;
+#   - `analyze`, `empirical --trials 4 --seed 7 --reproducible` and
+#     `riccati-check` on const-iii moved to (2e8, inf) and to (-inf, -2e8),
+#     whose finite end lies beyond `quad.RANGE_CAP`, where the coverage of
+#     an infinite side ends, which the problem input check rejects;
 #   - `analyze --best --reproducible` on the twelve documents of the
 #     benchmark's `closed-form-sweep` workload for each of seeds 1, 2 and 3
 #     (seeded exeq03, exeq04, exeq06 and constant-coefficient problems),
@@ -151,6 +159,14 @@ printf '{"name": "tan-quarter-line", "alpha": "1", "beta": "0", "gamma": "1/16",
 # const-iii on (-1.7e308, 1.7e308): upper - lower overflows
 printf '{"name": "const-iii-overflow", "alpha": "1", "beta": "3", "gamma": "2", "forcing": "0", "interval": {"lower": -1.7e308, "upper": 1.7e308}, "rho": "-2"}\n' \
   >"$tmp/const-iii-overflow.json"
+# const-iii beyond RANGE_CAP: a finite end at or past 1e8 next to an infinite one
+printf '{"name": "const-iii-far-right", "alpha": "1", "beta": "3", "gamma": "2", "forcing": "0", "interval": {"lower": 2e8, "upper": "inf"}, "rho": "-2"}\n' \
+  >"$tmp/const-iii-far-right.json"
+printf '{"name": "const-iii-far-left", "alpha": "1", "beta": "3", "gamma": "2", "forcing": "0", "interval": {"lower": "-inf", "upper": -2e8}, "rho": "-2"}\n' \
+  >"$tmp/const-iii-far-left.json"
+# an oscillating problem on (0, inf) with rho = -2: Pc's upper side closes at its budget mid-bisection
+printf '{"name": "oscillating", "alpha": "1", "beta": "3 + 0.5*cos(t)", "gamma": "2 + cos(t)", "forcing": "0", "interval": {"lower": 0.0, "upper": "inf"}, "rho": "-2"}\n' \
+  >"$tmp/oscillating.json"
 # const-iii with complex gamma and rho: roots -1 + 0.5i and -2 - 0.5i, L = 1/2
 printf '{"name": "const-iii-complex", "alpha": "1", "beta": "3", "gamma": "2.25 - 0.5*i", "forcing": "0", "interval": {"lower": -40.0, "upper": 40.0}, "rho": "-2 - 0.5*i"}\n' \
   >"$tmp/const-iii-complex.json"
@@ -241,6 +257,13 @@ contract() {
   run "$tree" "$out" empirical.const-iii-overflow empirical "$tmp/const-iii-overflow.json" \
     --trials 4 --seed 7 --reproducible --out "$out/empirical"
   run "$tree" "$out" riccati-check.const-iii-overflow riccati-check "$tmp/const-iii-overflow.json"
+  run "$tree" "$out" analyze.oscillating analyze "$tmp/oscillating.json" --best --reproducible
+  for stem in const-iii-far-right const-iii-far-left; do
+    run "$tree" "$out" "analyze.$stem" analyze "$tmp/$stem.json"
+    run "$tree" "$out" "empirical.$stem" empirical "$tmp/$stem.json" \
+      --trials 4 --seed 7 --reproducible --out "$out/empirical"
+    run "$tree" "$out" "riccati-check.$stem" riccati-check "$tmp/$stem.json"
+  done
   for p in "$tmp"/sweep/seed*/*.json; do
     stem=$(basename "$(dirname "$p")").$(basename "$p" .json)
     run "$tree" "$out" "sweep.$stem" analyze "$p" --best --reproducible
@@ -261,7 +284,8 @@ contract "$tmp/base" "$tmp/out-base"
 contract "$root" "$tmp/out-worktree"
 rm -rf "$tmp/base" "$tmp/bad" "$tmp/sweep" "$tmp/exeq03-at-1e5.json" "$tmp/exeq03-negated.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
   "$tmp/alpha-zero.json" "$tmp/const-iii-complex.json" "$tmp/const-iii-overflow.json" "$tmp/tan-pole.json" \
-  "$tmp/tan-quarter-line.json" "$tmp/beta-pole.json" "$tmp/const-iii-line.json"
+  "$tmp/tan-quarter-line.json" "$tmp/beta-pole.json" "$tmp/const-iii-line.json" "$tmp/const-iii-far-right.json" \
+  "$tmp/const-iii-far-left.json" "$tmp/oscillating.json"
 
 echo "outputs of $rev and of the working tree: $tmp/out-base, $tmp/out-worktree" >&2
 cd "$tmp"

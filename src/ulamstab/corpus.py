@@ -231,7 +231,7 @@ def check_variant(entry: CorpusEntry, variant: Variant, config: Config = Config(
         if variant.f_sup_targets:
             sups = {}
             for fname, target in variant.f_sup_targets:
-                res = engine.f_sup(fname)
+                res, _ = engine.f_sup(fname)
                 sups[fname] = {"value": res.sup_value, "target": target}
                 ok = ok and abs(res.sup_value - target) <= F_SUP_TOL
             result["detail"]["f_sups"] = sups

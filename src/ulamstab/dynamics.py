@@ -60,7 +60,6 @@ __all__ = [
     "SolutionFamilyParams",
     "PerturbationExperiment",
     "CoverageExceeded",
-    "RatioExceedsConstant",
     "SolutionEngine",
     "ivp_solution",
     "nearest_solution",
@@ -76,14 +75,6 @@ PROBE_EPSILON = 0.1  # residual size of the witness family an instability probe 
 
 class CoverageExceeded(quad.CoverageError):
     """No experiment-grid point inside the range the caches can serve."""
-
-
-class RatioExceedsConstant(Exception):
-    def __init__(self, ratio, bound, trial):
-        super().__init__(f"trial {trial}: ratio {ratio:.6g} exceeds allowed {bound:.6g}")
-        self.ratio = ratio
-        self.bound = bound
-        self.trial = trial
 
 
 @dataclass(frozen=True)
@@ -749,21 +740,19 @@ def _random_smooth(rng, grid):
     return lambda t: raw(t) / sup, desc
 
 
-def random_perturbation_test(engine: SolutionEngine, epsilon, trials, seed, best_value):
-    """Nearest-solution ratio of randomized smooth perturbations vs the constant.
+def random_perturbation_test(engine: SolutionEngine, epsilon, trials, seed):
+    """Per-trial records of the nearest-solution ratio of randomized smooth perturbations.
 
     A trial's g has sup 1 on the grid, so its ratio is its fit distance.
-    Every trial must satisfy ratio <= best_value * 1.02; returns the max
-    ratio and the per-trial records.
+    The records are not judged here: `cli.empirical` compares them with the
+    constant.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be positive")
     t0 = engine.se.anchor
     grid = engine.experiment_grid(t0)
     basis = _fit_basis(engine, t0, grid)
-    bound = best_value * 1.02
     records = []
-    max_ratio = 0.0
     for trial in range(int(trials)):
         rng = np.random.default_rng([int(seed), trial])
         g, desc = _random_smooth(rng, grid)
@@ -772,10 +761,7 @@ def random_perturbation_test(engine: SolutionEngine, epsilon, trials, seed, best
         member = engine.representation(IvpData(t0, 0.0, 0.0), forcing=g)
         ratio = _fit(member(grid), basis).distance
         records.append({"trial": trial, "perturbation": desc, "sup_distance": epsilon * ratio, "ratio": ratio})
-        if ratio > bound:
-            raise RatioExceedsConstant(ratio, bound, trial)
-        max_ratio = max(max_ratio, ratio)
-    return max_ratio, records
+    return records
 
 
 def _truncations(domain: Interval, t0):

@@ -69,6 +69,11 @@ class Interval:
             raise ValueError("interval requires lower < upper")
         if self.lower.finite and self.upper.finite and not math.isfinite(self.upper.value - self.lower.value):
             raise ValueError("interval length upper - lower overflows")
+        lo, hi = self.capped_ends()
+        if not lo < hi:
+            raise ValueError(
+                f"interval's finite end is at or beyond {RANGE_CAP:g}, where coverage of its infinite side ends"
+            )
 
     @classmethod
     def open(cls, lo, hi):
@@ -189,10 +194,7 @@ def probe_grid(interval: Interval):
 def validate_problem(p: OscillatorProblem):
     """Check the standing hypotheses on a probe grid; violations are data."""
     violations = []
-    try:
-        grid = probe_grid(p.domain)
-    except ValueError as exc:
-        return [{"kind": "domain", "detail": str(exc)}]
+    grid = probe_grid(p.domain)
     for which in _COEFFICIENTS:
         with np.errstate(all="ignore"):
             vals = p.fn(which)(grid)

@@ -70,7 +70,6 @@ from numpy.polynomial import chebyshev as npcheb
 from numpy.polynomial import legendre as npleg
 
 __all__ = [
-    "Divergent",
     "CoverageError",
     "CumulativeIntegral",
     "cumulative",
@@ -80,10 +79,6 @@ __all__ = [
     "graded_grid",
     "node_sum",
 ]
-
-
-class Divergent(Exception):
-    """Integral grows without bound under refinement."""
 
 
 class CoverageError(Exception):

@@ -12,6 +12,10 @@ cached antiderivatives (one for rho, one for rho + beta/alpha); every
 boundedness function, nested kernel, and certificate is an algebraic
 combination of edge-anchored queries against those caches, so the whole
 analysis costs a handful of 1-D adaptive passes instead of a triple loop.
+
+Whether a hypothesis holds is data: `StabilityEngine.f_sup` and
+`StabilityEngine.ulam_constant` return a pair ``(result, why)``, where
+``why`` is None or the reason the report carries.
 """
 
 from __future__ import annotations
@@ -30,24 +34,11 @@ from .model import interior_anchor
 __all__ = [
     "CaseSelection",
     "DivergenceEvidence",
-    "HypothesisFailed",
-    "RealityViolated",
     "DegenerateLeadingCoefficient",
     "StabilityEngine",
     "analyze",
     "constant_coefficients",
 ]
-
-
-class HypothesisFailed(Exception):
-    def __init__(self, which, reason):
-        super().__init__(f"hypothesis on {which} failed: {reason}")
-        self.which = which
-        self.reason = reason
-
-
-class RealityViolated(Exception):
-    """Coefficients or rho have non-negligible imaginary parts."""
 
 
 class DegenerateLeadingCoefficient(Exception):
@@ -76,9 +67,7 @@ DIVERGENCE_POINTS = 24
 @dataclass(frozen=True)
 class CaseSelection:
     case: str  # "i" | "ii" | "iii" | "none"
-    required_f: tuple = ()
-    required_divergence: tuple = ()
-    f_sups: dict = field(default_factory=dict)
+    f_sups: dict = field(default_factory=dict)  # name: SupResult, or for "none" name: why it is not finite
 
 
 @dataclass
@@ -237,80 +226,74 @@ class StabilityEngine:
     f3 = functools.partialmethod(_edge_integral, *_F_SIDE["f3"])
     f4 = functools.partialmethod(_edge_integral, *_F_SIDE["f4"])
 
-    def _limit_cache(self, key, side, subject, which, prefix=""):
-        """Cache ``key``, once its ``side`` edge can stand in for the endpoint.
-
-        Raises `quad.Divergent` about ``subject`` when that side diverges and
-        `HypothesisFailed` on ``which`` when it is not resolved.
-        """
+    def _limit_cache(self, key, side):
+        """Cache ``key``, and its ``side`` edge's status when that edge cannot stand in for the endpoint, else None."""
         cache = getattr(self, key)
         info = cache.upper_info if side == "upper" else cache.lower_info
-        if info.status == "diverging":
-            raise quad.Divergent(f"{subject} diverges at the {side} endpoint")
-        if not info.usable_as_limit:
-            raise HypothesisFailed(which, prefix + info.status)
-        return cache
+        return cache, None if info.usable_as_limit else info.status
 
     def f_sup(self, name):
-        """Supremum of a boundedness function over the working interval.
+        """Supremum of a boundedness function over the working interval, and why it is not finite.
 
-        Raises `quad.Divergent` when the defining improper integral grows
-        without bound, `HypothesisFailed` when its endpoint behaviour could
-        not be resolved within the coverage budget.  Computed once per name:
-        case i and case ii both ask for f1.
+        Returns ``(result, why)``.  ``why`` is None, ``divergent`` when the
+        defining improper integral grows without bound, ``unresolved:<status>``
+        when its endpoint behaviour could not be resolved within the coverage
+        budget, or ``unbounded``; ``result`` is None when ``why`` is not.
+        Computed once per name: case i and case ii both ask for f1.
         """
-        cache = self._limit_cache(*_F_SIDE[name], name, name, prefix="unresolved:")
         if name not in self._sups:
-            self._sups[name] = quad.sup_over(getattr(self, name), cache.lo, cache.hi)
+            cache, status = self._limit_cache(*_F_SIDE[name])
+            if status is None:
+                res = quad.sup_over(getattr(self, name), cache.lo, cache.hi)
+                self._sups[name] = (None, "unbounded") if res.unbounded else (res, None)
+            else:
+                self._sups[name] = (None, "divergent" if status == "diverging" else "unresolved:" + status)
         return self._sups[name]
 
     # -- classification ---------------------------------------------------
 
     def classify(self):
-        """First case (in order i, ii, iii) whose boundedness sups are finite."""
+        """First case (in order i, ii, iii) whose boundedness sups are finite.
+
+        With none, `CaseSelection.f_sups` holds why each case's first failing
+        function is not finite.
+        """
         notes = {}
-        for case in ("i", "ii", "iii"):
+        for case, names in _CASE_F.items():
             sups = {}
-            for name in _CASE_F[case]:
-                try:
-                    res = self.f_sup(name)
-                    reason = "unbounded" if res.unbounded else None
-                except quad.Divergent:
-                    reason = "divergent"
-                except HypothesisFailed as exc:
-                    reason = exc.reason
-                if reason is not None:
-                    notes[name] = reason
+            for name in names:
+                res, why = self.f_sup(name)
+                if why is not None:
+                    notes[name] = why
                     break
                 sups[name] = res
             else:
-                return CaseSelection(case, _CASE_F[case], _CASE_DIV[case], sups)
-        return CaseSelection("none", (), (), notes)
+                return CaseSelection(case, sups)
+        return CaseSelection("none", notes)
 
     # -- constants ---------------------------------------------------------
 
     def ulam_constant(self, case):
-        """Sup of the nested double integral for the given case."""
+        """Sup of the nested double integral for the given case, and why it is not finite.
+
+        Returns ``(result, why)`` as `f_sup` does; ``why`` names the kernel
+        endpoint that diverges or the hypothesis on the kernel that failed.
+        With real data the no-real-part kernel coincides pointwise with this
+        one, so the minimal constant is this supremum itself, once
+        `check_divergence` evidences the growth certificates.
+        """
         if case not in _KERNEL:
             raise ValueError(f"no constant for case {case!r}")
         key, side = _KERNEL[case]
-        cache = self._limit_cache(key, side, "nested kernel", f"kernel_{case}")
-        res = quad.sup_over(lambda t: self._edge_integral(key, side, t), cache.lo, cache.hi)
-        if res.unbounded:
-            raise HypothesisFailed(f"kernel_{case}", "unbounded")
-        return res
-
-    def best_constant(self, case):
-        """Growth certificates that make the Ulam constant the minimal one.
-
-        Requires real-valued data; with real data the no-real-part kernel
-        coincides pointwise with the stability kernel, so the minimal
-        constant is the `ulam_constant` supremum itself, and the
-        certificates are what upgrade its status.
-        """
-        if not self.is_real:
-            raise RealityViolated("coefficients or rho are not real-valued on the probe grid")
-        return self.check_divergence(case)
+        cache, status = self._limit_cache(key, side)
+        if status is None:
+            res = quad.sup_over(lambda t: self._edge_integral(key, side, t), cache.lo, cache.hi)
+            if not res.unbounded:
+                return res, None
+            status = "unbounded"
+        if status == "diverging":
+            return None, f"nested kernel diverges at the {side} endpoint"
+        return None, f"hypothesis on kernel_{case} failed: {status}"
 
     # -- divergence certificates -----------------------------------------
 
@@ -478,20 +461,18 @@ def _classify_and_bound(report, engine, best):
     for name, res in selection.f_sups.items():
         report.f_sups[name] = {"value": float(res.sup_value), "attained_near": str(res.attained_near)}
 
-    try:
-        l_res = engine.ulam_constant(selection.case)
-    except (quad.Divergent, HypothesisFailed) as exc:
-        report.diagnostics["error"] = str(exc)
+    l_res, why = engine.ulam_constant(selection.case)
+    if why is not None:
+        report.diagnostics["error"] = why
         return
     report.constant["L"] = l_res.sup_value
     report.verdict = "stable_with_constant"
     if not best:
         return
-    try:
-        evidence = engine.best_constant(selection.case)
-    except RealityViolated as exc:
-        report.diagnostics["best_constant"] = str(exc)
+    if not engine.is_real:
+        report.diagnostics["best_constant"] = "coefficients or rho are not real-valued on the probe grid"
         return
+    evidence = engine.check_divergence(selection.case)
     report.divergence = [ev.to_dict() for ev in evidence]
     if all(ev.holds for ev in evidence):
         report.constant["B"] = l_res.sup_value

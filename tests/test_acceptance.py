@@ -82,8 +82,8 @@ def test_criterion_1(analyzed):
     rep, elapsed = analyzed[("exeq01", "default")]
     rel = abs(rep.constant.get("B", math.nan) - 0.5) / 0.5
     eng = stability.StabilityEngine(*corpus.build(_variant("exeq01", "default")), CFG)
-    f3 = abs(eng.f_sup("f3").sup_value - 0.5)
-    f4 = abs(eng.f_sup("f4").sup_value - 1.0)
+    f3 = abs(eng.f_sup("f3")[0].sup_value - 0.5)
+    f4 = abs(eng.f_sup("f4")[0].sup_value - 1.0)
     ok = rep.case == "iii" and rel <= 1e-4 and f3 <= 1e-6 and f4 <= 1e-6 and elapsed < 5.0
     _line(1, ok, f"case {rep.case}, B rel err {rel:.2e}, f3 err {f3:.2e}, f4 err {f4:.2e}, {elapsed:.2f}s")
 
@@ -143,12 +143,7 @@ def test_criterion_7(analyzed):
         rep, _ = analyzed[key]
         best = rep.constant["B"]
         eng = SolutionEngine(stability.StabilityEngine(problem, rho, CFG))
-        try:
-            max_ratio, _ = dynamics.random_perturbation_test(eng, 0.1, 32, 7, best)
-        except dynamics.RatioExceedsConstant as exc:
-            ok = False
-            detail.append(f"{key[0]}: EXCEEDED ({exc})")
-            continue
+        max_ratio = max(rec["ratio"] for rec in dynamics.random_perturbation_test(eng, 0.1, 32, 7))
         ok = ok and max_ratio <= best * 1.02
         if key[0] == "exeq01":
             ok = ok and max_ratio >= 0.2  # nondegenerate draws

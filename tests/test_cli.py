@@ -4,6 +4,11 @@ import copy
 import dataclasses
 import json
 import math
+import os
+import re
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -12,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ulamstab import cli, exprlang, quad, schemacheck
+from ulamstab import cli, exprlang, quad, schemacheck, stability
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -214,6 +219,23 @@ def test_overflowing_interval_is_input_error(runner, tmp_path, args):
     assert "overflows" in error["detail"]
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["analyze", "--fast-path"], ["analyze"], ["empirical"], ["riccati-check"]],
+    ids=["fast-path", "analyze", "empirical", "riccati-check"],
+)
+@pytest.mark.parametrize("lower, upper", [(2e8, "inf"), (1e8, "inf"), ("-inf", -2e8)])
+def test_end_beyond_range_cap_is_input_error(runner, tmp_path, args, lower, upper):
+    # an infinite side's coverage ends at |t| = quad.RANGE_CAP: beyond it
+    # the problem has no interval left to analyze
+    result = _invoke(runner, [*args, str(_const_iii_on(tmp_path, lower, upper))])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == "problem"
+    assert "at or beyond 1e+08" in error["detail"]
+
+
 def test_widest_finite_interval_gives_the_best_constant(runner, tmp_path):
     # the span 1.6e308 is still finite
     result = _invoke(runner, ["analyze", str(_const_iii_on(tmp_path, -8e307, 8e307)), "--reproducible"])
@@ -319,6 +341,69 @@ def test_empirical_builds_h1_once(runner, tmp_path, monkeypatch):
     # reads the unit forcing's member, and each trial's forcing is replayed
     # on the unit caches' panels
     assert len(calls) == 6 + 1
+
+
+def test_empirical_without_a_constant_writes_the_analyze_report(runner, tmp_path, monkeypatch):
+    # a case whose kernel hypothesis fails carries no constant: no
+    # experiment runs, and the report and exit are those of `analyze`
+    why = "hypothesis on kernel_iii failed: budget"
+    monkeypatch.setattr(stability.StabilityEngine, "ulam_constant", lambda self, case: (None, why))
+    doc = str(PROBLEMS / "exeq01.json")
+    analyzed = _invoke(runner, ["analyze", doc, "--reproducible"])
+    result = _invoke(runner, ["empirical", doc, "--reproducible", "--out", str(tmp_path)])
+    assert result.exit_code == analyzed.exit_code == 2
+    assert result.stdout == analyzed.stdout
+    report = _json_out(result)["report"]
+    assert (report["case"], report["constant"], report["diagnostics"]["error"]) == ("iii", {}, why)
+    assert [f.name for f in tmp_path.iterdir()] == ["exeq01.report.json"]
+
+
+def test_empirical_dominance_gate(runner, tmp_path, monkeypatch):
+    # every trial may exceed the constant by DOMINANCE_FACTOR only; at a
+    # millionth of it trial 0 already does
+    monkeypatch.setattr(cli, "DOMINANCE_FACTOR", 1e-6)
+    args = ["empirical", str(PROBLEMS / "exeq01.json"), "--trials", "2", "--reproducible", "--out", str(tmp_path)]
+    result = _invoke(runner, args)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    error = json.loads(result.stderr)["error"]
+    assert error["kind"] == "dominance"
+    assert re.fullmatch(r"trial 0: ratio 0\.\d+ exceeds allowed 5e-07", error["detail"]), error["detail"]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_side_closed_while_bisection_is_pending(tmp_path):
+    # Pc's upper side on (0, inf) meets its budget while later roots of the
+    # oscillating integrand are still being bisected; closing the side leaves
+    # them alone, where bisecting them on asks for a (1572864, 15) complex
+    # array at one level.  Run in a child process under a 2 GiB address
+    # space, so that a side that is not closed fails instead of filling memory
+    doc = {
+        "name": "oscillating",
+        "alpha": "1",
+        "beta": "3 + 0.5*cos(t)",
+        "gamma": "2 + cos(t)",
+        "forcing": "0",
+        "interval": {"lower": 0.0, "upper": "inf"},
+        "rho": "-2",
+    }
+    path = tmp_path / "oscillating.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ulamstab.cli", "analyze", str(path), "--best", "--reproducible"],
+        env={**os.environ, "PYTHONPATH": str(PROBLEMS.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=300,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 0, proc.stderr
+    pc = json.loads(proc.stdout)["report"]["diagnostics"]["cache_Pc"]
+    assert pc["upper_status"] == "budget"
+    assert pc["integrand_points"] <= 150_000
 
 
 # const-iii with gamma = 2.25 - 0.5i: complex data, B = 1/|rho1 - rho2|

@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import make_problem
 from ulamstab import exprlang, quad, stability
-from ulamstab.model import Config, problem_from_dict
+from ulamstab.model import Config, StabilityReport, problem_from_dict
 from ulamstab.riccati import RhoCoverage
 from ulamstab.stability import (
     DegenerateLeadingCoefficient,
-    HypothesisFailed,
-    RealityViolated,
     StabilityEngine,
     analyze,
     constant_coefficients,
@@ -30,8 +28,10 @@ def test_classify_case_iii(exeq01_engine):
 
 
 def test_f_sups_match_closed_forms(exeq01_engine):
-    assert exeq01_engine.f_sup("f3").sup_value == pytest.approx(0.5, abs=1e-6)
-    assert exeq01_engine.f_sup("f4").sup_value == pytest.approx(1.0, abs=1e-6)
+    (f3, why3), (f4, why4) = exeq01_engine.f_sup("f3"), exeq01_engine.f_sup("f4")
+    assert why3 is why4 is None
+    assert f3.sup_value == pytest.approx(0.5, abs=1e-6)
+    assert f4.sup_value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_exeq01_accuracy_beyond_the_corpus_gate(exeq01, cfg, exeq01_engine):
@@ -47,18 +47,22 @@ def test_exeq01_accuracy_beyond_the_corpus_gate(exeq01, cfg, exeq01_engine):
     assert report.f_sups["f4"]["value"] == pytest.approx(1.0, abs=2e-7)
 
 
-def test_divergent_f_raises(exeq01_engine):
+def test_divergent_f_says_why(exeq01_engine):
     # f1 has a 1/t(1-t) weight toward sigma: not summable
-    with pytest.raises((quad.Divergent, HypothesisFailed)):
-        exeq01_engine.f_sup("f1")
+    res, why = exeq01_engine.f_sup("f1")
+    assert res is None
+    assert why == "divergent" or why.startswith("unresolved:")
 
 
 def test_ulam_constant(exeq01_engine):
-    assert exeq01_engine.ulam_constant("iii").sup_value == pytest.approx(0.5, rel=1e-6)
+    res, why = exeq01_engine.ulam_constant("iii")
+    assert why is None
+    assert res.sup_value == pytest.approx(0.5, rel=1e-6)
 
 
 def test_best_constant_with_certificates(exeq01_engine):
-    evidence = exeq01_engine.best_constant("iii")
+    assert exeq01_engine.is_real
+    evidence = exeq01_engine.check_divergence("iii")
     assert len(evidence) == 2
     assert all(ev.holds for ev in evidence)
 
@@ -114,8 +118,13 @@ def test_best_constant_requires_real_data(cfg):
     rho = lambda t: np.full(np.shape(np.atleast_1d(t)), -2.0 + 0.5j)
     eng = StabilityEngine(p, rho, cfg)
     assert eng.coverage == RhoCoverage(-5.0, 5.0, True)
-    with pytest.raises(RealityViolated):
-        eng.best_constant("iii")
+    assert not eng.is_real
+    # the callable rho has no residual check: classify and bound directly
+    rep = StabilityReport()
+    stability._classify_and_bound(rep, eng, best=True)
+    assert rep.verdict == "stable_with_constant" and "B" not in rep.constant
+    assert rep.diagnostics["best_constant"] == "coefficients or rho are not real-valued on the probe grid"
+    assert rep.divergence == []
 
 
 _PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
