@@ -67,6 +67,12 @@
 #     complex constant-coefficient document.  The experiments run at unit
 #     scale, so the ratios are those of epsilon = 0.1 and only the reported
 #     distances, coefficients and .extremal.csv values scale;
+#   - `analyze --best --reproducible` and `empirical --trials 4 --seed 7
+#     --reproducible` on two documents whose alpha = t^2 vanishes only at
+#     t = 0, the anchor of their symmetric interval, which the probe grid
+#     misses: beta 1, rho 1/(1 + t^2) on (-5, 5) and beta 1, rho -2 on
+#     (-inf, inf), each with gamma = -(alpha (rho' + rho^2) + beta rho); the
+#     problem check reports the alpha_zero violation at t = 0;
 #   - `analyze --best --reproducible`, `analyze --fast-path --reproducible`,
 #     `empirical --trials 4 --seed 7 --reproducible` and `riccati-check` on
 #     const-iii moved to (-1.7e308, 1.7e308), two finite ends whose
@@ -156,6 +162,11 @@ printf '{"name": "const-iii-line", "alpha": "1", "beta": "3", "gamma": "2", "for
 # x = cos(t/4) on the whole line: rho = -tan(t/4)/4 has its poles at -2 pi and 2 pi
 printf '{"name": "tan-quarter-line", "alpha": "1", "beta": "0", "gamma": "1/16", "forcing": "0", "interval": {"lower": "-inf", "upper": "inf"}, "rho": "-tan(t/4)/4"}\n' \
   >"$tmp/tan-quarter-line.json"
+# alpha = t^2 vanishes at t = 0, the anchor of a symmetric interval, which the probe grid misses
+printf '{"name": "alpha-at-anchor", "alpha": "t^2", "beta": "1", "gamma": "-(t^2*(-2*t/(1 + t^2)^2 + 1/(1 + t^2)^2) + 1/(1 + t^2))", "forcing": "0", "interval": {"lower": -5.0, "upper": 5.0}, "rho": "1/(1 + t^2)"}\n' \
+  >"$tmp/alpha-at-anchor.json"
+printf '{"name": "alpha-at-anchor-line", "alpha": "t^2", "beta": "1", "gamma": "2 - 4*t^2", "forcing": "0", "interval": {"lower": "-inf", "upper": "inf"}, "rho": "-2"}\n' \
+  >"$tmp/alpha-at-anchor-line.json"
 # const-iii on (-1.7e308, 1.7e308): upper - lower overflows
 printf '{"name": "const-iii-overflow", "alpha": "1", "beta": "3", "gamma": "2", "forcing": "0", "interval": {"lower": -1.7e308, "upper": 1.7e308}, "rho": "-2"}\n' \
   >"$tmp/const-iii-overflow.json"
@@ -252,6 +263,11 @@ contract() {
     --epsilon 1e308 --trials 4 --seed 7 --reproducible --out "$out/empirical-eps"
   run "$tree" "$out" empirical-eps.const-iii-complex empirical "$tmp/const-iii-complex.json" \
     --epsilon 1e308 --trials 4 --seed 7 --reproducible --out "$out/empirical-eps"
+  for stem in alpha-at-anchor alpha-at-anchor-line; do
+    run "$tree" "$out" "analyze.$stem" analyze "$tmp/$stem.json" --best --reproducible
+    run "$tree" "$out" "empirical.$stem" empirical "$tmp/$stem.json" \
+      --trials 4 --seed 7 --reproducible --out "$out/empirical"
+  done
   run "$tree" "$out" analyze.const-iii-overflow analyze "$tmp/const-iii-overflow.json" --best --reproducible
   run "$tree" "$out" fast-path.const-iii-overflow analyze "$tmp/const-iii-overflow.json" --fast-path --reproducible
   run "$tree" "$out" empirical.const-iii-overflow empirical "$tmp/const-iii-overflow.json" \
@@ -285,7 +301,7 @@ contract "$root" "$tmp/out-worktree"
 rm -rf "$tmp/base" "$tmp/bad" "$tmp/sweep" "$tmp/exeq03-at-1e5.json" "$tmp/exeq03-negated.json" "$tmp/exeq01-at-1e3.json" "$tmp/exeq05-witness-k.json" \
   "$tmp/alpha-zero.json" "$tmp/const-iii-complex.json" "$tmp/const-iii-overflow.json" "$tmp/tan-pole.json" \
   "$tmp/tan-quarter-line.json" "$tmp/beta-pole.json" "$tmp/const-iii-line.json" "$tmp/const-iii-far-right.json" \
-  "$tmp/const-iii-far-left.json" "$tmp/oscillating.json"
+  "$tmp/const-iii-far-left.json" "$tmp/oscillating.json" "$tmp/alpha-at-anchor.json" "$tmp/alpha-at-anchor-line.json"
 
 echo "outputs of $rev and of the working tree: $tmp/out-base, $tmp/out-worktree" >&2
 cd "$tmp"

@@ -372,27 +372,36 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
     from . import dynamics
 
     engine = dynamics.SolutionEngine(analysis)
-    extremal = dynamics.extremal_experiment(engine, report.case, epsilon)
+    extremal = dynamics.extremal_experiment(engine, report.case)
+    ratio = extremal["ratio"]
     # the proof's member reproduces the constant on real data; complex
     # data's nearest-solution fit may stay below it
-    if analysis.is_real and not abs(extremal.ratio - bound) <= EXTREMAL_RTOL * bound:
-        _fail("extremal", f"ratio {extremal.ratio!r} differs from the constant {bound!r}", code=EXIT_INCONCLUSIVE)
-    records = dynamics.random_perturbation_test(engine, epsilon, trials, seed)
+    if analysis.is_real and not abs(ratio - bound) <= EXTREMAL_RTOL * bound:
+        _fail("extremal", f"ratio {ratio!r} differs from the constant {bound!r}", code=EXIT_INCONCLUSIVE)
+    records = dynamics.random_perturbation_test(engine, trials, seed)
     allowed = bound * DOMINANCE_FACTOR
     for rec in records:
         if rec["ratio"] > allowed:
             detail = f"trial {rec['trial']}: ratio {rec['ratio']:.6g} exceeds allowed {allowed:.6g}"
             _fail("dominance", detail, code=EXIT_INCONCLUSIVE)
-    grid, dist = dynamics.extremal_profile(engine, report.case, epsilon)
+    grid, dist = dynamics.extremal_profile(engine, report.case)
 
+    # the experiments run at unit scale: the solution is linear in the
+    # forcing, so epsilon scales the distances and the member, not a ratio
+    detail = extremal["detail"]
     experiments = {
-        "extremal": extremal.to_dict(),
+        "extremal": {
+            **extremal,
+            "epsilon": epsilon,
+            "sup_distance": epsilon * ratio,
+            "detail": {**detail, "params": [epsilon * d for d in detail["params"]]},
+        },
         "random": {
             "trials": trials,
             "seed": seed,
             "epsilon": epsilon,
             "max_ratio": max([0.0] + [rec["ratio"] for rec in records]),
-            "records": records,
+            "records": [{**rec, "sup_distance": epsilon * rec["ratio"]} for rec in records],
             # the trials' forcing caches, replayed on the unit forcing's panels
             "replay": dict(engine.replay_counts),
         },
@@ -405,7 +414,8 @@ def empirical(problem_path, epsilon, trials, seed, solve_rho, tol, reproducible,
     csv_dir = Path(out) if out else Path(".")
     csv_dir.mkdir(parents=True, exist_ok=True)
     csv_path = csv_dir / f"{Path(problem_path).stem}.extremal.csv"
-    csv_path.write_text("t,value\n" + "".join([f"{t!r},{v!r}\n" for t, v in zip(grid.tolist(), dist.tolist())]))
+    rows = zip(grid.tolist(), (epsilon * dist).tolist())
+    csv_path.write_text("t,value\n" + "".join([f"{t!r},{v!r}\n" for t, v in rows]))
     sys.exit(_VERDICT_EXIT[doc["report"]["verdict"]])
 
 
@@ -452,15 +462,14 @@ def corpus_list():
 
 
 @corpus.command("run")
-@click.option("--default-only", is_flag=True, help="Skip the parameter sweeps.")
 @click.option("--tol", type=float, default=None)
-def corpus_run(default_only, tol):
+def corpus_run(tol):
     """Run every corpus problem and compare against the analytic targets."""
     from . import corpus as corpus_mod
 
     config = _make_config(tol)
     failures = 0
-    for result in corpus_mod.run_all(config, default_only=default_only):
+    for result in corpus_mod.run_all(config):
         status = "PASS" if result["passed"] else "FAIL"
         failures += 0 if result["passed"] else 1
         d = result["detail"]

@@ -249,11 +249,6 @@ def check_variant(entry: CorpusEntry, variant: Variant, config: Config = Config(
     return result
 
 
-def run_all(config: Config = Config(), default_only=False):
+def run_all(config: Config = Config()):
     """Check every corpus variant; returns the per-variant result list."""
-    results = []
-    for entry in _ENTRIES:
-        variants = entry.variants[:1] if default_only else entry.variants
-        for variant in variants:
-            results.append(check_variant(entry, variant, config))
-    return results
+    return [check_variant(entry, variant, config) for entry in _ENTRIES for variant in entry.variants]

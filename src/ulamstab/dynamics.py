@@ -5,8 +5,11 @@ integral; with the stability engine's two cached exponent antiderivatives
 it collapses to an algebraic combination of three more cached cumulatives.
 The forcing-free one, H1 = int exp(-int(2 rho + beta/alpha)), is the
 stability engine's own `H1` cache, which its divergence certificates read
-too; the other two depend on the forcing.  The extremal family coefficients
-read the case's nested kernel from the engine's case table.
+too; the other two depend on the forcing.  Every cache is anchored at the
+stability engine's anchor and reads exactly 0 there, so a member takes its
+data at the anchor: with x = x0 and x' - rho x = c0 there it is
+(x0 + c0 H1 + H2) e^R, H2 the forcing's second cache.  The extremal family
+coefficients are the stability engine's (`StabilityEngine.extremal_member`).
 
 The two forcing caches are built adaptively only for the unit forcing
 g = 1, and for real data with alpha > 0 its F is the stability engine's
@@ -25,8 +28,9 @@ so the experiments measure the solution of the perturbation alone: the
 extremal distance is |sigma u - w| with u the unit forcing's member and
 sigma the sign of alpha, and a trial fits its own g's member; only
 `nearest_solution` subtracts the solution for the problem's forcing.  The
-fit is positively homogeneous, so both run at unit scale: epsilon scales
-only the reported distances, never a ratio.
+fit is positively homogeneous, so both run at unit scale and return no
+epsilon: `cli.empirical` scales the reported distances, coefficients and
+profile, never a ratio.
 
 The instability probe and the tests take their solutions from
 `ivp_solution`, which reads none of the caches: Chebyshev panel
@@ -46,19 +50,18 @@ a stall of the exchange, runs a log-barrier fit until the distance is within
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import collocation, exprlang, quad
 from .model import Interval, probe_grid
-from .stability import _F_SIDE, _KERNEL, _NESTED, StabilityEngine
+from .stability import StabilityEngine
 
 __all__ = [
     "IvpData",
     "SolutionFamilyParams",
-    "PerturbationExperiment",
     "CoverageExceeded",
     "SolutionEngine",
     "ivp_solution",
@@ -90,24 +93,6 @@ class SolutionFamilyParams:
     d2: complex = 0.0
 
 
-@dataclass
-class PerturbationExperiment:
-    epsilon: float
-    perturbation: str  # "extremal-constant" or a description of the drawn g
-    sup_distance: float
-    ratio: float
-    detail: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "epsilon": self.epsilon,
-            "perturbation": self.perturbation,
-            "sup_distance": self.sup_distance,
-            "ratio": self.ratio,
-            "detail": self.detail,
-        }
-
-
 def _unit(s):
     """The unit forcing g = 1."""
     return np.ones_like(np.asarray(s, float))
@@ -122,8 +107,7 @@ class SolutionEngine:
         self._forcing = {}
         self._h1c = None
         self._weights = None  # the unit caches' nodes and forcing-free weights there
-        self._frames = {}
-        self._grids = {}  # t0 -> its experiment grid, read-only
+        self._grid = None  # the experiment grid, read-only
         self._extremal = {}  # case -> (sigma, unit family coefficients) of its extremal pair
         # template panels the replays bisected, and replays that took the adaptive build
         self.replay_counts = {"bisected_panels": 0, "fallbacks": 0}
@@ -238,82 +222,65 @@ class SolutionEngine:
         self.replay_counts["bisected_panels"] += split_fc + split_h2
         return fc, h2
 
-    def _member(self, t0, x0, c0, forced=None):
-        """Callable x(t) with x(t0) = x0 and x'(t0) - rho(t0) x0 = c0.
+    def _member(self, x0, c0, forced=None):
+        """Callable x(t) with x = x0 and x' - rho x = c0 at the anchor.
 
-        Unforced without ``forced``; else ``forced`` is the pair that
+        Every cache reads 0 at the anchor, so x = (x0 + c0 H1 + H2) e^R,
+        with no H2 term without ``forced``; else ``forced`` is the pair that
         `forcing_caches` returns for the forcing.  A point outside the
         coverage of a cache it reads raises `quad.CoverageError`.
         """
-        t0a = np.array([float(t0)])
-        r0, p0, h1_0 = self._frame(float(t0))
-        pre = np.exp(r0 + p0)
-        # (coefficient, read of a cache, its value at t0) of each term
-        h1 = self.H1c.value
-        if forced is None:
-            terms = [(pre * c0, h1, h1_0)]
-        else:
-            f0 = complex(forced[0].value(t0a)[0])
-            h2_0 = complex(forced[1].value(t0a)[0])
-            terms = [(pre * (c0 - np.exp(-p0) * f0), h1, h1_0), (pre * np.exp(-p0), forced[1].value, h2_0)]
-        # a term with a zero coefficient adds nothing and is not evaluated
-        terms = [term for term in terms if term[0] != 0]
+        # (coefficient, read of a cache) of each term; a term with a zero
+        # coefficient adds nothing and is not evaluated
+        terms = [(c0, self.H1c.value)] if c0 != 0 else []
+        if forced is not None:
+            terms.append((1.0, forced[1].value))
 
         def x(t):
             t = np.asarray(t, float)
             scalar = t.ndim == 0
             tt = np.atleast_1d(t)
             out = x0
-            for coef, read, k0 in terms:
-                out = out + coef * (read(tt) - k0)
-            out = out * np.exp(self.se.Rc.value(tt) - r0)
+            for coef, read in terms:
+                out = out + coef * read(tt)
+            out = out * np.exp(self.se.Rc.value(tt))
             return out[0] if scalar else out
 
         return x
 
-    def _frame(self, t0):
-        """(R, P, H1) at t0, the forcing-free values every member from t0 reads."""
-        if t0 not in self._frames:
-            t0a = np.array([t0])
-            self._frames[t0] = tuple(complex(c.value(t0a)[0]) for c in (self.se.Rc, self.se.Pc, self.H1c))
-        return self._frames[t0]
-
-    def representation(self, ivp: IvpData, forcing=None, forcing_key=None):
-        """Callable x(t) solving the IVP, per the nested-integral formula."""
+    def representation(self, x0, x0p, forcing=None, forcing_key=None):
+        """Callable x(t) with x = x0 and x' = x0p at the anchor, per the nested-integral formula."""
         g = forcing if forcing is not None else self.problem.fn("forcing")
         forced = self.forcing_caches(g, key=forcing_key)
-        rho0 = complex(np.atleast_1d(self.se.rho_fn(np.array([float(ivp.t0)])))[0])
-        x0 = complex(ivp.x0)
-        return self._member(ivp.t0, x0, complex(ivp.x0p) - rho0 * x0, forced)
+        rho0 = complex(np.atleast_1d(self.se.rho_fn(np.array([self.se.anchor])))[0])
+        x0 = complex(x0)
+        return self._member(x0, complex(x0p) - rho0 * x0, forced)
 
-    def homogeneous(self, t0, params: SolutionFamilyParams):
-        """Callable w(t) = (d2 + d1 int_{t0}^t e^{-int(2rho+beta/alpha)}) e^{int rho}."""
-        return self._member(t0, complex(params.d2), complex(params.d1))
+    def homogeneous(self, params: SolutionFamilyParams):
+        """Callable w(t) = (d2 + d1 int e^{-int(2rho+beta/alpha)}) e^{int rho}, integrals from the anchor."""
+        return self._member(complex(params.d2), complex(params.d1))
 
-    def experiment_grid(self, t0):
+    def experiment_grid(self):
         """Graded grid restricted to moderate exponential amplification.
 
         Both a perturbed solution and its nearest true solution scale like
-        e^{R(t)-R(t0)}; where that factor is astronomically large their
-        difference cannot be formed in floating point, so the experiments
-        measure on the region with |R(t)-R(t0)| <= 8.  For every
-        corpus problem the sup of the distance kernel is attained there.
-        The grid is built once per t0 and comes back read-only.
+        e^{R(t)}, R = int rho from the anchor; where that factor is
+        astronomically large their difference cannot be formed in floating
+        point, so the experiments measure on the region with |R(t)| <= 8.
+        For every corpus problem the sup of the distance kernel is attained
+        there.  The grid is built once and comes back read-only.
         """
-        t0 = float(t0)
-        if t0 not in self._grids:
+        if self._grid is None:
             # every forcing's caches have the unit forcing's panels
             lo, hi = self.se._overlap(self.se.Rc, self.se.Pc, self.H1c, *self.forcing_caches(_unit, key="unit"))
             grid = quad.graded_grid(lo, hi, 1025)
-            r = self.se.Rc.value(grid).real
-            r0 = float(self.se.Rc.value(np.array([t0]))[0].real)
-            keep = np.abs(r - r0) <= 8.0
+            keep = np.abs(self.se.Rc.value(grid).real) <= 8.0
             if not np.any(keep):
                 raise CoverageExceeded("no grid point within the amplification cap")
             grid = grid[keep]
             grid.flags.writeable = False
-            self._grids[t0] = grid
-        return self._grids[t0]
+            self._grid = grid
+        return self._grid
 
 
 # ---------------------------------------------------------------------------
@@ -614,48 +581,23 @@ def _exchange(y, W, ref):
     return None
 
 
-def _fit_basis(eng, t0, grid):
+def _fit_basis(eng, grid):
     """The basis (w1, w2) of the solution family on ``grid``."""
-    w1 = eng.homogeneous(t0, SolutionFamilyParams(1.0, 0.0))(grid)
-    w2 = eng.homogeneous(t0, SolutionFamilyParams(0.0, 1.0))(grid)
+    w1 = eng.homogeneous(SolutionFamilyParams(1.0, 0.0))(grid)
+    w2 = eng.homogeneous(SolutionFamilyParams(0.0, 1.0))(grid)
     return w1, w2
 
 
 def nearest_solution(xi, engine: SolutionEngine):
     """Best (d1, d2) member of the solution family approximating xi in sup norm."""
-    t0 = engine.se.anchor
-    grid = engine.experiment_grid(t0)
+    grid = engine.experiment_grid()
     xi_arr = np.asarray(xi(grid), dtype=complex)
-    p_arr = engine.representation(IvpData(t0, 0.0, 0.0), forcing_key="problem")(grid)
-    fit = _fit(xi_arr - p_arr, _fit_basis(engine, t0, grid))
+    p_arr = engine.representation(0.0, 0.0, forcing_key="problem")(grid)
+    fit = _fit(xi_arr - p_arr, _fit_basis(engine, grid))
     return {
         "params": SolutionFamilyParams(complex(fit.coeffs[0]), complex(fit.coeffs[1])),
         "sup_distance": fit.distance,
     }
-
-
-def _proof_solution_params(eng: SolutionEngine, case, sigma, t0):
-    """The designated best-approximating member for the constant perturbation.
-
-    With the approximate solution started at (t0, 0, 0) and g = sigma, the
-    sign of alpha, the approximating true solution's family coefficients
-    are explicit integrals of the perturbation against the case kernels.
-    """
-    if case not in _KERNEL:
-        raise ValueError(f"no extremal construction for case {case!r}")
-    key, side = _KERNEL[case]
-    # d1 integrates sigma/alpha = 1/|alpha|, as the kernel does, to the edge
-    # of the boundedness function that the kernel nests
-    inner = _F_SIDE[_NESTED[key]][1]
-    s_in, s_out = (1.0 if s == "upper" else -1.0 for s in (inner, side))
-    se = eng.se
-    t0a = np.array([t0])
-    p0 = complex(se.Pc.value(t0a)[0])
-    r0 = complex(se.Rc.value(t0a)[0])
-    funit, _ = eng.forcing_caches(_unit, key="unit")
-    d1 = s_in * sigma * np.exp(-p0) * complex(funit.from_edge(inner, t0a)[0])
-    d2 = -s_in * s_out * np.exp(r0) * complex(getattr(se, key).from_edge(side, t0a)[0])
-    return SolutionFamilyParams(complex(d1), complex(d2))
 
 
 def _extremal_setup(eng, case):
@@ -666,50 +608,44 @@ def _extremal_setup(eng, case):
     members are built anew: they hold the engine, which a stored member
     would keep alive in a reference cycle.
     """
-    t0 = eng.se.anchor
     # the solution is linear in the forcing: the solution for the problem's
     # forcing plus sigma, less the one for the problem's forcing, is sigma
     # times the unit forcing's member
-    u = eng.representation(IvpData(t0, 0.0, 0.0), forcing=_unit, forcing_key="unit")
-    grid = eng.experiment_grid(t0)
+    u = eng.representation(0.0, 0.0, forcing=_unit, forcing_key="unit")
+    grid = eng.experiment_grid()
     if case not in eng._extremal:
-        if eng.se.is_real:
-            sigma = 1.0 if eng.se._alpha(np.array([t0]))[0].real > 0 else -1.0
-            params = _proof_solution_params(eng, case, sigma, t0)
+        se = eng.se
+        if se.is_real:
+            sigma = 1.0 if se._alpha(np.array([se.anchor]))[0].real > 0 else -1.0
+            params = SolutionFamilyParams(*se.extremal_member(case))
         else:  # the proof's construction reads real-data kernels: the nearest member instead
             sigma = 1.0
-            params = SolutionFamilyParams(*map(complex, _fit(u(grid), _fit_basis(eng, t0, grid)).coeffs))
+            params = SolutionFamilyParams(*map(complex, _fit(u(grid), _fit_basis(eng, grid)).coeffs))
         eng._extremal[case] = sigma, params
     sigma, params = eng._extremal[case]
-    w = eng.homogeneous(t0, params)
+    w = eng.homogeneous(params)
     return params, grid, lambda t: np.abs(sigma * u(t) - w(t))
 
 
-def extremal_experiment(engine: SolutionEngine, case, epsilon):
-    """Reproduce the minimal constant with the constant perturbation g = sigma epsilon."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+def extremal_experiment(engine: SolutionEngine, case):
+    """Reproduce the minimal constant with the constant perturbation g = sigma, at unit scale.
+
+    Returns the record ``perturbation``, ``ratio`` (the sup distance, since
+    sup |g| = 1) and ``detail``, which holds the member's family
+    coefficients as ``params``.
+    """
     params, grid, distance = _extremal_setup(engine, case)
     res = quad.sup_over(distance, float(grid[0]), float(grid[-1]))
-    ratio = float(res.sup_value)
-    detail = {"params": [epsilon * params.d1, epsilon * params.d2], "attained_near": str(res.attained_near)}
+    detail = {"params": [params.d1, params.d2], "attained_near": str(res.attained_near)}
     if not engine.se.is_real:
         detail["member"] = "nearest-solution fit on the experiment grid"
-    return PerturbationExperiment(
-        epsilon=float(epsilon),
-        perturbation="extremal-constant",
-        sup_distance=epsilon * ratio,
-        ratio=ratio,
-        detail=detail,
-    )
+    return {"perturbation": "extremal-constant", "ratio": float(res.sup_value), "detail": detail}
 
 
-def extremal_profile(engine: SolutionEngine, case, epsilon):
-    """(t, |xi - x|) arrays over the experiment grid for the extremal pair."""
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
+def extremal_profile(engine: SolutionEngine, case):
+    """(t, |xi - x|) arrays over the experiment grid for the extremal pair, at unit scale."""
     _, grid, distance = _extremal_setup(engine, case)
-    return grid, epsilon * distance(grid)
+    return grid, distance(grid)
 
 
 def _random_smooth(rng, grid):
@@ -740,27 +676,23 @@ def _random_smooth(rng, grid):
     return lambda t: raw(t) / sup, desc
 
 
-def random_perturbation_test(engine: SolutionEngine, epsilon, trials, seed):
+def random_perturbation_test(engine: SolutionEngine, trials, seed):
     """Per-trial records of the nearest-solution ratio of randomized smooth perturbations.
 
     A trial's g has sup 1 on the grid, so its ratio is its fit distance.
     The records are not judged here: `cli.empirical` compares them with the
     constant.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be positive")
-    t0 = engine.se.anchor
-    grid = engine.experiment_grid(t0)
-    basis = _fit_basis(engine, t0, grid)
+    grid = engine.experiment_grid()
+    basis = _fit_basis(engine, grid)
     records = []
     for trial in range(int(trials)):
         rng = np.random.default_rng([int(seed), trial])
         g, desc = _random_smooth(rng, grid)
         # linear in the forcing: the perturbed solution less the problem's
         # own is the solution for g alone
-        member = engine.representation(IvpData(t0, 0.0, 0.0), forcing=g)
-        ratio = _fit(member(grid), basis).distance
-        records.append({"trial": trial, "perturbation": desc, "sup_distance": epsilon * ratio, "ratio": ratio})
+        member = engine.representation(0.0, 0.0, forcing=g)
+        records.append({"trial": trial, "perturbation": desc, "ratio": _fit(member(grid), basis).distance})
     return records
 
 

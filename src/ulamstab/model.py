@@ -192,9 +192,13 @@ def probe_grid(interval: Interval):
 
 
 def validate_problem(p: OscillatorProblem):
-    """Check the standing hypotheses on a probe grid; violations are data."""
+    """Check the standing hypotheses on a probe grid and the domain's anchor; violations are data.
+
+    Every cumulative cache starts at the anchor, which the probe grid misses
+    on a symmetric interval.
+    """
     violations = []
-    grid = probe_grid(p.domain)
+    grid = np.union1d(probe_grid(p.domain), [p.domain.default_anchor()])
     for which in _COEFFICIENTS:
         with np.errstate(all="ignore"):
             vals = p.fn(which)(grid)

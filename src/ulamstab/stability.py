@@ -295,6 +295,26 @@ class StabilityEngine:
             return None, f"nested kernel diverges at the {side} endpoint"
         return None, f"hypothesis on kernel_{case} failed: {status}"
 
+    def extremal_member(self, case):
+        """Family coefficients (d1, d2) of the proof's member for the case's extremal perturbation.
+
+        The approximate solution starts at the anchor with x = x' = 0 and is
+        perturbed by g = sigma, the sign of alpha.  Its nearest member
+        (d2 + d1 H1) e^R has explicit coefficients: d1 integrates
+        sigma/alpha = 1/|alpha| against e^P, as A4 does, from the anchor to
+        the edge of the boundedness function that the kernel nests, and d2
+        is the kernel's own integral from its edge.
+        """
+        if case not in _KERNEL:
+            raise ValueError(f"no extremal construction for case {case!r}")
+        key, side = _KERNEL[case]
+        inner_key, inner = _F_SIDE[_NESTED[key]]
+        s_in, s_out = (1.0 if s == "upper" else -1.0 for s in (inner, side))
+        t = np.array([self.anchor])
+        d1 = s_in * getattr(self, inner_key).from_edge(inner, t)[0]
+        d2 = -s_in * s_out * getattr(self, key).from_edge(side, t)[0]
+        return complex(d1), complex(d2)
+
     # -- divergence certificates -----------------------------------------
 
     def _approach_points(self, side):
@@ -315,22 +335,19 @@ class StabilityEngine:
         calls a supremum unbounded by.
         """
         out = []
-        t0 = self.anchor
-        r0 = self._R(np.array([t0]))[0]
-        rp0 = r0 + self._P(np.array([t0]))[0]
-        h1_0 = complex(self.H1.value(np.array([t0]))[0])
+        # every cache reads 0 at the anchor, so R and H1 are the limits'
+        # integrals from there
         for kind, side, sign in _CASE_DIV[case]:
             pts = self._approach_points(side)
             pts = np.sort(pts) if side == "upper" else np.sort(pts)[::-1]
             if kind == "rho":
-                logmag = self._R(pts) - r0
+                logmag = self._R(pts)
                 signs = np.ones_like(logmag)
             else:
-                dh = self.H1.value(pts) - h1_0
-                re = dh.real
+                re = self.H1.value(pts).real
                 signs = np.sign(re)
                 with np.errstate(divide="ignore"):
-                    logmag = (self._R(pts) - r0) + rp0 + np.log(np.abs(re))
+                    logmag = self._R(pts) + np.log(np.abs(re))
             ev = DivergenceEvidence(kind, side, sign)
             vals = signs * np.exp(np.minimum(logmag, 700.0))
             ev.trace = list(zip(pts.tolist(), vals.tolist()))

@@ -1,7 +1,6 @@
 """CLI: exit codes, report schema, determinism, error objects."""
 
 import copy
-import dataclasses
 import json
 import math
 import os
@@ -476,10 +475,11 @@ def test_empirical_rejects_zero_epsilon(runner):
     "document, option, kind, detail",
     [
         ("exeq03", ["--epsilon", "inf"], "epsilon", "finite positive"),
+        ("exeq03", ["--epsilon", "-1"], "epsilon", "finite positive"),
         ("exeq03", ["--seed", "-1"], "usage", "Invalid value for '--seed': -1 is not in the range x>=0."),
         ("exeq03", ["--trials", "-1"], "usage", "Invalid value for '--trials': -1 is not in the range x>=0."),
     ],
-    ids=["epsilon-inf", "seed-negative", "trials-negative"],
+    ids=["epsilon-inf", "epsilon-negative", "seed-negative", "trials-negative"],
 )
 def test_bad_empirical_option_is_input_error(runner, tmp_path, document, option, kind, detail):
     # a structured input error, not a traceback or a report of no trials
@@ -515,17 +515,101 @@ def test_empirical_ratios_do_not_depend_on_epsilon(runner, tmp_path, document, e
     assert [r["ratio"] for r in got["random"]["records"]] == [r["ratio"] for r in ref["random"]["records"]]
 
 
+def _document(tmp_path, name):
+    """The path of ``problems/<name>.json``, or of the complex document written to ``tmp_path``."""
+    if name != "const-iii-complex":
+        return PROBLEMS / f"{name}.json"
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_CONST_III_COMPLEX))
+    return path
+
+
+def _empirical_run(runner, path, out, epsilon):
+    """The experiments of `empirical` at ``epsilon`` and the (t, value) rows of its .extremal.csv."""
+    args = ["empirical", str(path), "--epsilon", repr(epsilon), "--trials", "4", "--reproducible", "--out", str(out)]
+    result = _invoke(runner, args)
+    assert result.exit_code == 0
+    rows = (out / f"{path.stem}.extremal.csv").read_text().splitlines()[1:]
+    return _json_out(result)["experiments"], [tuple(map(float, row.split(","))) for row in rows]
+
+
+def _complex(value):
+    """A number of a report, where a complex one is written {"re": .., "im": ..}."""
+    return complex(value["re"], value["im"]) if isinstance(value, dict) else value
+
+
+@pytest.mark.parametrize("document", ["exeq01", "exeq03", "const-iii", "const-iii-complex"])
+def test_empirical_alone_scales_by_epsilon(runner, tmp_path, document):
+    # the experiments run at unit scale: at every epsilon the ratios are
+    # those of epsilon = 1 bit for bit, and each reported distance, member
+    # coefficient and profile value is epsilon times its value there
+    path = _document(tmp_path, document)
+    unit, unit_rows = _empirical_run(runner, path, tmp_path / "unit", 1.0)
+    extremal, records = unit["extremal"], unit["random"]["records"]
+    for eps in (1e-300, 0.1, 1e308):
+        got, rows = _empirical_run(runner, path, tmp_path / repr(eps), eps)
+        assert got["extremal"]["ratio"] == extremal["ratio"]
+        assert [r["ratio"] for r in got["random"]["records"]] == [r["ratio"] for r in records]
+        assert got["extremal"]["sup_distance"] == eps * extremal["sup_distance"]
+        assert got["extremal"]["detail"]["params"] == [cli._jsonable(eps * _complex(d)) for d in extremal["detail"]["params"]]
+        assert [r["sup_distance"] for r in got["random"]["records"]] == [eps * r["sup_distance"] for r in records]
+        assert rows == [(t, eps * v) for t, v in unit_rows]
+        assert got["extremal"]["detail"].get("member") == extremal["detail"].get("member")
+    if document == "const-iii-complex":
+        assert extremal["detail"]["member"] == "nearest-solution fit on the experiment grid"
+    else:
+        assert "member" not in extremal["detail"]
+
+
+# alpha = t^2 vanishes only at t = 0, the anchor of a symmetric interval,
+# which the probe grid misses; gamma = -(alpha (rho' + rho^2) + beta rho)
+_ALPHA_AT_ANCHOR = {
+    "finite": {
+        "alpha": "t^2",
+        "beta": "1",
+        "gamma": "-(t^2*(-2*t/(1 + t^2)^2 + 1/(1 + t^2)^2) + 1/(1 + t^2))",
+        "forcing": "0",
+        "interval": {"lower": -5.0, "upper": 5.0},
+        "rho": "1/(1 + t^2)",
+    },
+    "line": {
+        "alpha": "t^2",
+        "beta": "1",
+        "gamma": "2 - 4*t^2",
+        "forcing": "0",
+        "interval": {"lower": "-inf", "upper": "inf"},
+        "rho": "-2",
+    },
+}
+
+
+@pytest.mark.parametrize("command", [["analyze", "--best"], ["empirical", "--trials", "4", "--seed", "7"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("document", sorted(_ALPHA_AT_ANCHOR))
+def test_alpha_zero_at_the_anchor_is_a_violation(runner, tmp_path, document, command):
+    # every cache starts at the anchor: the problem check evaluates alpha
+    # there too, so the report is the alpha_zero violation, not a traceback
+    path = tmp_path / f"alpha-at-anchor-{document}.json"
+    path.write_text(json.dumps(_ALPHA_AT_ANCHOR[document]))
+    result = _invoke(runner, [command[0], str(path), *command[1:], "--reproducible", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    report = _json_out(result)["report"]
+    assert report["verdict"] == "inconclusive"
+    assert report["diagnostics"]["violations"] == [
+        {"kind": "alpha_zero", "which": "alpha", "detail": "alpha vanishes or changes sign on the probe grid", "first_t": 0.0}
+    ]
+
+
 def test_wrong_extremal_ratio_is_inconclusive(runner, tmp_path, monkeypatch):
     # a member that does not reproduce the constant: exit 2 before any trial
     from ulamstab import dynamics
 
-    params = dynamics._proof_solution_params
+    member = stability.StabilityEngine.extremal_member
 
-    def spoiled(*args):
-        member = params(*args)
-        return dataclasses.replace(member, d1=1.01 * member.d1)
+    def spoiled(self, case):
+        d1, d2 = member(self, case)
+        return 1.01 * d1, d2
 
-    monkeypatch.setattr(dynamics, "_proof_solution_params", spoiled)
+    monkeypatch.setattr(stability.StabilityEngine, "extremal_member", spoiled)
     trials = []
     monkeypatch.setattr(dynamics, "_random_smooth", lambda *args: trials.append(None))
     out = tmp_path / "out"

@@ -45,32 +45,34 @@ def eng03(exeq03, cfg):
 
 
 def test_representation_matches_closed_form(eng01):
-    # x(t) = 2 - 1/(4t) - t solves the IVP x(1/2)=1, x'(1/2)=0
-    x = eng01.representation(IvpData(0.5, 1.0, 0.0))
+    # x(t) = 2 - 1/(4t) - t solves the IVP x(1/2)=1, x'(1/2)=0 at the anchor 1/2
+    assert eng01.se.anchor == 0.5
+    x = eng01.representation(1.0, 0.0)
     ts = np.linspace(0.1, 0.9, 33)
     assert np.max(np.abs(x(ts) - (2.0 - 1.0 / (4.0 * ts) - ts))) < 1e-9
 
 
 def test_zero_ivp_gives_zero(eng01):
-    z = eng01.representation(IvpData(0.5, 0.0, 0.0))
+    z = eng01.representation(0.0, 0.0)
     assert np.max(np.abs(z(np.linspace(0.1, 0.9, 17)))) == 0.0
 
 
 def test_representation_vs_rk_oracle(exeq03, eng03):
     p, _ = exeq03
-    ivp = IvpData(0.5, 0.3, -0.2)
-    x = eng03.representation(ivp, forcing_key="problem")
+    ivp = IvpData(eng03.se.anchor, 0.3, -0.2)
+    x = eng03.representation(ivp.x0, ivp.x0p, forcing_key="problem")
     ts = np.linspace(0.05, 0.95, 41)
     oracle = dynamics.ivp_solution(p, (ivp,), ts, (None,))[0]
     assert np.max(np.abs(x(ts) - oracle)) < 1e-6
 
 
 def test_homogeneous_member_solves_equation(exeq03, eng03):
-    # w(t0)=d2, w'(t0)=d1 + rho(t0) d2; compare against direct integration
+    # w = d2, w' = d1 + rho d2 at the anchor t0; compare against direct integration
     d1, d2 = 0.7, -0.3
-    w = eng03.homogeneous(0.5, SolutionFamilyParams(d1, d2))
-    rho0 = -1.0 / 0.5
-    ivp = IvpData(0.5, d2, d1 + rho0 * d2)
+    w = eng03.homogeneous(SolutionFamilyParams(d1, d2))
+    t0 = eng03.se.anchor
+    rho0 = -1.0 / t0
+    ivp = IvpData(t0, d2, d1 + rho0 * d2)
     p, _ = exeq03
     ts = np.linspace(0.05, 0.95, 41)
     zero = lambda s: np.zeros_like(np.asarray(s, float))
@@ -79,7 +81,7 @@ def test_homogeneous_member_solves_equation(exeq03, eng03):
 
 
 def test_coverage_exceeded(eng01):
-    x = eng01.representation(IvpData(0.5, 1.0, 0.0))
+    x = eng01.representation(1.0, 0.0)
     with pytest.raises(quad.CoverageError):
         x(np.array([1.5]))
 
@@ -93,22 +95,22 @@ def test_extremal_reproduces_best_constant(cfg, name, case):
     # each case row of the kernel table: cache, edge and signs of (d1, d2)
     variant = corpus_entry(name).default
     p, r = corpus.build(variant)
-    exp = dynamics.extremal_experiment(_engine(p, r, cfg), case, 0.1)
-    assert exp.ratio == pytest.approx(variant.expected_B, rel=1e-6)
+    exp = dynamics.extremal_experiment(_engine(p, r, cfg), case)
+    assert exp["ratio"] == pytest.approx(variant.expected_B, rel=1e-6)
 
 
 def test_complex_extremal_member_is_the_nearest_solution(cfg, eng01):
     # the proof's member reads real-data kernels, and on this problem its
-    # distance is 345 times epsilon; the nearest member on the grid stays
+    # distance at unit scale is 345; the nearest member on the grid stays
     # under L = 1/2 (characteristic roots -1 + 0.5i and -2 - 0.5i)
     p = make_problem("1", "3", "2.25 - 0.5*i", "0", -40.0, 40.0)
     rho = exprlang.parse("-2 - 0.5*i")
     se = StabilityEngine(p, rho, cfg)
     rep = analyze(p, rho, cfg, best=True, engine=se)
-    exp = dynamics.extremal_experiment(SolutionEngine(se), rep.case, 0.1)
-    assert 0.4 < exp.ratio <= rep.constant["L"]
-    assert exp.detail["member"] == "nearest-solution fit on the experiment grid"
-    assert "member" not in dynamics.extremal_experiment(eng01, "iii", 0.1).detail
+    exp = dynamics.extremal_experiment(SolutionEngine(se), rep.case)
+    assert 0.4 < exp["ratio"] <= rep.constant["L"]
+    assert exp["detail"]["member"] == "nearest-solution fit on the experiment grid"
+    assert "member" not in dynamics.extremal_experiment(eng01, "iii")["detail"]
 
 
 def test_solution_engine_reads_stability_h1(exeq01, cfg):
@@ -128,52 +130,41 @@ def test_members_read_the_forcing_free_caches_once_per_grid(exeq03, cfg, monkeyp
     for name in ("Rc", "H1"):
         cache = getattr(eng.se, name)
         monkeypatch.setattr(cache, "_locate", lambda t, name=name, locate=cache._locate: reads.append((name, t.tobytes())) or locate(t))
-    t0 = eng.se.anchor
-    grid = eng.experiment_grid(t0)
-    dynamics.random_perturbation_test(eng, 0.1, 3, 7)
+    grid = eng.experiment_grid()
+    dynamics.random_perturbation_test(eng, 3, 7)
     assert reads.count(("Rc", grid.tobytes())) == reads.count(("H1", grid.tobytes())) == 1
     # a member reads the same bits as on an engine that never read the grid
     g = lambda t: 0.1 * np.cos(t)
-    got = eng.representation(IvpData(t0, 0.0, 0.0), forcing=g)(grid)
+    got = eng.representation(0.0, 0.0, forcing=g)(grid)
     fresh = _engine(*exeq03, cfg)
-    assert got.tobytes() == fresh.representation(IvpData(t0, 0.0, 0.0), forcing=g)(grid).tobytes()
+    assert got.tobytes() == fresh.representation(0.0, 0.0, forcing=g)(grid).tobytes()
 
 
-def test_extremal_linear_in_epsilon(eng01):
-    # epsilon scales the reported distance, coefficients and profile only
-    unit = dynamics.extremal_experiment(eng01, "iii", 1.0)
-    _, unit_profile = dynamics.extremal_profile(eng01, "iii", 1.0)
-    for eps in (0.05, 0.2):
-        exp = dynamics.extremal_experiment(eng01, "iii", eps)
-        assert exp.ratio == unit.ratio and exp.sup_distance == eps * unit.ratio
-        assert exp.detail["params"] == [eps * d for d in unit.detail["params"]]
-        assert np.array_equal(dynamics.extremal_profile(eng01, "iii", eps)[1], eps * unit_profile)
-
-
-_SWEEP_EPSILONS = [1e-300, 1e-6, 0.1, 1e6, 3e6, 1e7, 1e12, 1e308]
-
-
-def _sweep_problem(name):
-    """(problem, rho) of a document of the epsilon sweep."""
+def _anchor_problem(name):
+    """(problem, rho) of a corpus default, the complex document or exeq03 times -1."""
     if name == "const-iii-complex":
         return make_problem("1", "3", "2.25 - 0.5*i", "0", -40.0, 40.0), exprlang.parse("-2 - 0.5*i")
+    if name == "exeq03-negated":
+        return make_problem("-1", "-2/t", "0", "1", 0.0, 1.0), exprlang.parse("-1/t")
     return corpus.build(corpus_entry(name).default)
 
 
-@pytest.mark.parametrize("name", ["exeq01", "exeq03", "const-iii", "const-iii-complex"])
-def test_ratios_do_not_depend_on_epsilon(name, cfg):
-    # the experiments run at unit scale: every epsilon, up to the largest
-    # double, gives the same extremal and trial ratios, bit for bit
-    se = StabilityEngine(*_sweep_problem(name), cfg)
-    case = analyze(se.problem, se.rho, cfg, best=True, engine=se).case
-    seen = set()
-    for eps in _SWEEP_EPSILONS:
-        eng = SolutionEngine(se)
-        exp = dynamics.extremal_experiment(eng, case, eps)
-        records = dynamics.random_perturbation_test(eng, eps, 4, 7)
-        seen.add((exp.ratio, tuple(rec["ratio"] for rec in records)))
-        assert all(rec["sup_distance"] == eps * rec["ratio"] for rec in records)
-    assert len(seen) == 1
+@pytest.mark.parametrize("name", [entry.name for entry in corpus.entries()] + ["const-iii-complex", "exeq03-negated"])
+def test_every_cache_reads_zero_at_the_anchor(name, cfg):
+    # the members and certificates take their data at the anchor and read no
+    # cache there: every cache, the unit forcing's and a replayed trial's
+    # included, is anchored at it and reads exactly 0 there
+    se = StabilityEngine(*_anchor_problem(name), cfg)
+    eng = SolutionEngine(se)
+    caches = {key: getattr(se, key) for key in ("Rc", "Pc", "A2", "A4", "C1", "C3", "H1")}
+    caches.update(zip(("unit F", "unit H2"), eng.forcing_caches(dynamics._unit, key="unit")))
+    g, _ = dynamics._random_smooth(np.random.default_rng([7, 0]), eng.experiment_grid())
+    caches.update(zip(("trial F", "trial H2"), eng.forcing_caches(g)))
+    assert eng.replay_counts["fallbacks"] == 0
+    at = np.array([se.anchor])
+    for key, cache in caches.items():
+        assert cache.t_ref == se.anchor, key
+        assert cache.value(at).tolist() == [0.0], key
 
 
 @pytest.mark.parametrize("name", ["exeq01", "exeq03", "exeq04", "exeq06", "const-i", "const-ii", "const-iii"])
@@ -185,43 +176,34 @@ def test_negated_problem_gives_the_same_extremal_ratio(name, cfg):
     ratios = []
     for data in (variant.data, {**variant.data, **negated}):
         p, r = corpus.build(dataclasses.replace(variant, data=data))
-        ratios.append(dynamics.extremal_experiment(_engine(p, r, cfg), variant.expected_case, 0.1).ratio)
+        ratios.append(dynamics.extremal_experiment(_engine(p, r, cfg), variant.expected_case)["ratio"])
     assert ratios[1] == ratios[0]
     assert ratios[0] == pytest.approx(variant.expected_B, rel=1e-6)
 
 
-def test_epsilon_must_be_positive(eng01):
-    with pytest.raises(ValueError):
-        dynamics.extremal_experiment(eng01, "iii", 0.0)
-    with pytest.raises(ValueError):
-        dynamics.extremal_profile(eng01, "iii", -1.0)
-    with pytest.raises(ValueError):
-        dynamics.random_perturbation_test(eng01, -1.0, 4, 7)
-
-
 def test_random_trials_stay_under_constant(eng01):
-    records = dynamics.random_perturbation_test(eng01, 0.1, 4, 11)
+    records = dynamics.random_perturbation_test(eng01, 4, 11)
     assert len(records) == 4
     assert 0.0 < max(rec["ratio"] for rec in records) <= 0.5 * 1.02
     assert all(rec["ratio"] <= 0.5 * 1.02 for rec in records)
 
 
 def test_random_trials_are_seed_deterministic(eng01):
-    a = dynamics.random_perturbation_test(eng01, 0.1, 3, 5)
-    b = dynamics.random_perturbation_test(eng01, 0.1, 3, 5)
+    a = dynamics.random_perturbation_test(eng01, 3, 5)
+    b = dynamics.random_perturbation_test(eng01, 3, 5)
     assert a == b
 
 
 def test_ratio_exceeding_constant_is_recorded(eng01):
     # the trials are returned, not judged: a constant of 1e-6 is exceeded by
     # a recorded ratio, which `empirical` then reports as a dominance failure
-    records = dynamics.random_perturbation_test(eng01, 0.1, 4, 7)
+    records = dynamics.random_perturbation_test(eng01, 4, 7)
     assert [rec["trial"] for rec in records] == [0, 1, 2, 3]
     assert any(rec["ratio"] > 1e-6 * 1.02 for rec in records)
 
 
 def test_nearest_solution_recovers_member(eng01):
-    member = eng01.homogeneous(0.5, SolutionFamilyParams(0.4, 0.9))
+    member = eng01.homogeneous(SolutionFamilyParams(0.4, 0.9))
     out = dynamics.nearest_solution(member, eng01)
     assert out["sup_distance"] < 1e-8
 
@@ -455,7 +437,7 @@ def test_random_trial_with_non_finite_data_raises(eng01, monkeypatch):
 
     monkeypatch.setattr(dynamics, "_fit_basis", spoiled)
     with pytest.raises(ValueError, match="not finite"):
-        dynamics.random_perturbation_test(eng01, 0.1, 1, 5)
+        dynamics.random_perturbation_test(eng01, 1, 5)
 
 
 def _polygon_bracket(target, W, k=64):
@@ -524,7 +506,7 @@ def test_barrier_fit_keeps_the_pivoted_qr_columns_and_real_coefficients(seed):
 
 
 def test_random_trials_reach_grid_optimum(eng01, fits):
-    dynamics.random_perturbation_test(eng01, 0.1, 4, 11)
+    dynamics.random_perturbation_test(eng01, 4, 11)
     assert len(fits) == 4
     for target, basis, fit in fits:
         assert fit.distance == pytest.approx(_grid_optimum(target, basis, fit), rel=1e-10)
@@ -535,8 +517,8 @@ def test_replay_bisects_a_forcing_finer_than_the_unit(exeq03, cfg):
     p, _ = exeq03
     eng = _engine(*exeq03, cfg)
     g = lambda s: np.cos(100.0 * np.asarray(s, float))
-    ivp = IvpData(0.5, 0.3, -0.2)
-    x = eng.representation(ivp, forcing=g)
+    ivp = IvpData(eng.se.anchor, 0.3, -0.2)
+    x = eng.representation(ivp.x0, ivp.x0p, forcing=g)
     assert eng.replay_counts["bisected_panels"] > 0 and eng.replay_counts["fallbacks"] == 0
     unit = eng.forcing_caches(dynamics._unit, key="unit")
     replayed = eng.forcing_caches(g)
@@ -545,7 +527,7 @@ def test_replay_bisects_a_forcing_finer_than_the_unit(exeq03, cfg):
         assert (c.lo, c.hi, c.lower_info, c.upper_info) == (u.lo, u.hi, u.lower_info, u.upper_info)
     ts = np.linspace(0.05, 0.95, 41)
     oracle = dynamics.ivp_solution(p, (ivp,), ts, (g,))[0]
-    adaptive = eng._member(0.5, 0.3, -0.2 + 2.0 * 0.3, eng._build(g))  # rho(0.5) = -2
+    adaptive = eng._member(0.3, -0.2 + 2.0 * 0.3, eng._build(g))  # rho(0.5) = -2
     assert np.max(np.abs(x(ts) - oracle)) < 1e-10
     assert np.max(np.abs(x(ts) - adaptive(ts))) < 1e-12
 
@@ -612,8 +594,8 @@ def test_negative_alpha_builds_the_unit_forcing_adaptively(exeq03, cfg, monkeypa
     # and the solution is exeq03's
     ts = np.linspace(0.01, 0.99, 57)
     ref = _engine(*exeq03, cfg)
-    x = eng.representation(IvpData(0.5, 0.3, -0.2), forcing_key="problem")(ts)
-    assert np.max(np.abs(x - ref.representation(IvpData(0.5, 0.3, -0.2), forcing_key="problem")(ts))) < 1e-12
+    x = eng.representation(0.3, -0.2, forcing_key="problem")(ts)
+    assert np.max(np.abs(x - ref.representation(0.3, -0.2, forcing_key="problem")(ts))) < 1e-12
 
 
 def test_complex_data_builds_the_unit_forcing_adaptively(cfg):
@@ -640,17 +622,16 @@ def test_replayed_trials_match_adaptive_builds(name, label, cfg):
     # each trial as the parent algorithm computed it: adaptive caches for the
     # problem's forcing plus g, less the solution for the problem's forcing
     eng = _engine(*_pick(name, label), cfg)
-    records = dynamics.random_perturbation_test(eng, 0.1, 32, 7)
+    records = dynamics.random_perturbation_test(eng, 32, 7)
     assert eng.replay_counts["fallbacks"] == 0
-    t0 = eng.se.anchor
-    grid = eng.experiment_grid(t0)
-    basis = dynamics._fit_basis(eng, t0, grid)
+    grid = eng.experiment_grid()
+    basis = dynamics._fit_basis(eng, grid)
     base = eng.problem.fn("forcing")
-    p_arr = eng._member(t0, 0j, 0j, eng._build(base))(grid)
+    p_arr = eng._member(0j, 0j, eng._build(base))(grid)
     for trial, rec in enumerate(records):
         g, _ = dynamics._random_smooth(np.random.default_rng([7, trial]), grid)
         forced = eng._build(lambda s: np.asarray(base(s)) + g(s))
-        dist = dynamics._fit(eng._member(t0, 0j, 0j, forced)(grid) - p_arr, basis).distance
+        dist = dynamics._fit(eng._member(0j, 0j, forced)(grid) - p_arr, basis).distance
         assert rec["ratio"] == pytest.approx(dist, rel=1e-10, abs=0.0)
 
 
@@ -814,7 +795,7 @@ def test_ivp_solution_matches_dop853_oracle(cfg, variant):
     # criterion 10's points and data, against step-by-step DOP853
     p, r = corpus.build(variant)
     eng = _engine(p, r, cfg)
-    grid = eng.experiment_grid(eng.se.anchor)
+    grid = eng.experiment_grid()
     ts = grid[:: max(1, len(grid) // 25)]
     ivp = IvpData(eng.se.anchor, 0.3, -0.2)
     oracle = dop853(p, ivp, ts)
@@ -972,10 +953,10 @@ def test_min_sup_distance_reaches_grid_optimum():
 
 def test_nearest_solution_complex_member(eng01):
     # the member with a complex d1 is its own nearest solution
-    member = eng01.homogeneous(0.5, SolutionFamilyParams(0.4 + 0.2j, 0.9))
+    member = eng01.homogeneous(SolutionFamilyParams(0.4 + 0.2j, 0.9))
     out = dynamics.nearest_solution(member, eng01)
-    grid = eng01.experiment_grid(0.5)
-    w1 = eng01.homogeneous(0.5, SolutionFamilyParams(1.0, 0.0))(grid)
+    grid = eng01.experiment_grid()
+    w1 = eng01.homogeneous(SolutionFamilyParams(1.0, 0.0))(grid)
     assert out["sup_distance"] <= 1e-12 * float(np.max(np.abs(w1)))
     assert out["params"].d1 == pytest.approx(0.4 + 0.2j, abs=1e-9)
     assert out["params"].d2 == pytest.approx(0.9, abs=1e-9)

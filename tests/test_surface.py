@@ -20,7 +20,7 @@ import pytest
 import ulamstab
 from ulamstab.model import Config
 
-MAX_DEFAULTED = 23  # parameters with a default under src/ulamstab/
+MAX_DEFAULTED = 22  # parameters with a default under src/ulamstab/
 
 
 def _defaulted():
