@@ -16,6 +16,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import CONST_III_COMPLEX, empirical_run, problem_document
 from ulamstab import cli, exprlang, quad, schemacheck, stability
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -406,16 +407,6 @@ def test_side_closed_while_bisection_is_pending(tmp_path):
 
 
 # const-iii with gamma = 2.25 - 0.5i: complex data, B = 1/|rho1 - rho2|
-_CONST_III_COMPLEX = {
-    "alpha": "1",
-    "beta": "3",
-    "gamma": "2.25 - 0.5*i",
-    "forcing": "0",
-    "interval": {"lower": -40.0, "upper": 40.0},
-    "rho": "-2 - 0.5*i",
-}
-
-
 def test_empirical_sets_up_the_extremal_pair_once(runner, tmp_path, monkeypatch):
     # on complex data the extremal member is a nearest-solution fit; the
     # experiment and the written profile share one setup, so one fit
@@ -425,7 +416,7 @@ def test_empirical_sets_up_the_extremal_pair_once(runner, tmp_path, monkeypatch)
     fit = dynamics._fit
     monkeypatch.setattr(dynamics, "_fit", lambda *args: fits.append(None) or fit(*args))
     path = tmp_path / "const-iii-complex.json"
-    path.write_text(json.dumps(_CONST_III_COMPLEX))
+    path.write_text(json.dumps(CONST_III_COMPLEX))
     result = _invoke(runner, ["empirical", str(path), "--trials", "0", "--reproducible", "--out", str(tmp_path)])
     assert result.exit_code == 0
     assert len(fits) == 1
@@ -507,30 +498,12 @@ def test_empirical_ratios_do_not_depend_on_epsilon(runner, tmp_path, document, e
     path = PROBLEMS / f"{document}.json"
     if document == "const-iii-complex":
         path = tmp_path / f"{document}.json"
-        path.write_text(json.dumps(_CONST_III_COMPLEX))
+        path.write_text(json.dumps(CONST_III_COMPLEX))
     ref = _empirical_doc(runner, path, tmp_path / "ref", "0.1")
     got = _empirical_doc(runner, path, tmp_path / "out", epsilon)
     assert got["extremal"]["ratio"] == ref["extremal"]["ratio"]
     assert got["extremal"]["sup_distance"] == float(epsilon) * got["extremal"]["ratio"]
     assert [r["ratio"] for r in got["random"]["records"]] == [r["ratio"] for r in ref["random"]["records"]]
-
-
-def _document(tmp_path, name):
-    """The path of ``problems/<name>.json``, or of the complex document written to ``tmp_path``."""
-    if name != "const-iii-complex":
-        return PROBLEMS / f"{name}.json"
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(_CONST_III_COMPLEX))
-    return path
-
-
-def _empirical_run(runner, path, out, epsilon):
-    """The experiments of `empirical` at ``epsilon`` and the (t, value) rows of its .extremal.csv."""
-    args = ["empirical", str(path), "--epsilon", repr(epsilon), "--trials", "4", "--reproducible", "--out", str(out)]
-    result = _invoke(runner, args)
-    assert result.exit_code == 0
-    rows = (out / f"{path.stem}.extremal.csv").read_text().splitlines()[1:]
-    return _json_out(result)["experiments"], [tuple(map(float, row.split(","))) for row in rows]
 
 
 def _complex(value):
@@ -539,15 +512,15 @@ def _complex(value):
 
 
 @pytest.mark.parametrize("document", ["exeq01", "exeq03", "const-iii", "const-iii-complex"])
-def test_empirical_alone_scales_by_epsilon(runner, tmp_path, document):
+def test_empirical_alone_scales_by_epsilon(tmp_path, document):
     # the experiments run at unit scale: at every epsilon the ratios are
     # those of epsilon = 1 bit for bit, and each reported distance, member
     # coefficient and profile value is epsilon times its value there
-    path = _document(tmp_path, document)
-    unit, unit_rows = _empirical_run(runner, path, tmp_path / "unit", 1.0)
+    path = problem_document(tmp_path, document)
+    unit, unit_rows = empirical_run(path, tmp_path / "unit", 1.0)
     extremal, records = unit["extremal"], unit["random"]["records"]
     for eps in (1e-300, 0.1, 1e308):
-        got, rows = _empirical_run(runner, path, tmp_path / repr(eps), eps)
+        got, rows = empirical_run(path, tmp_path / repr(eps), eps)
         assert got["extremal"]["ratio"] == extremal["ratio"]
         assert [r["ratio"] for r in got["random"]["records"]] == [r["ratio"] for r in records]
         assert got["extremal"]["sup_distance"] == eps * extremal["sup_distance"]

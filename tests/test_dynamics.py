@@ -14,7 +14,7 @@ import scipy.linalg
 from scipy.optimize import linprog
 
 import exchange_oracle
-from conftest import corpus_entry, make_problem
+from conftest import PROBLEMS, corpus_entry, empirical_run, make_problem, problem_document
 from ivp_oracle import dop853
 from ulamstab import collocation, corpus, dynamics, exprlang, quad
 from ulamstab.dynamics import (
@@ -165,6 +165,41 @@ def test_every_cache_reads_zero_at_the_anchor(name, cfg):
     for key, cache in caches.items():
         assert cache.t_ref == se.anchor, key
         assert cache.value(at).tolist() == [0.0], key
+
+
+def test_extremal_linear_in_epsilon(exeq01, cfg, tmp_path):
+    # the experiments run at unit scale and `empirical` alone applies
+    # epsilon: it scales the reported distance, coefficients and profile only
+    eng = _engine(*exeq01, cfg)
+    unit = dynamics.extremal_experiment(eng, "iii")
+    grid, unit_profile = dynamics.extremal_profile(eng, "iii")
+    for eps in (0.05, 0.2):
+        experiments, rows = empirical_run(PROBLEMS / "exeq01.json", tmp_path / repr(eps), eps)
+        extremal = experiments["extremal"]
+        assert extremal["ratio"] == unit["ratio"] and extremal["sup_distance"] == eps * unit["ratio"]
+        assert extremal["detail"]["params"] == [eps * d for d in unit["detail"]["params"]]
+        assert rows == list(zip(grid.tolist(), (eps * unit_profile).tolist()))
+
+
+_SWEEP_EPSILONS = [1e-300, 1e-6, 0.1, 1e6, 3e6, 1e7, 1e12, 1e308]
+
+
+@pytest.mark.parametrize("name", ["exeq01", "exeq03", "const-iii", "const-iii-complex"])
+def test_ratios_do_not_depend_on_epsilon(name, cfg, tmp_path):
+    # every epsilon, up to the largest double, reports the extremal and
+    # trial ratios of the unit-scale experiments, bit for bit
+    se = StabilityEngine(*_anchor_problem(name), cfg)
+    case = analyze(se.problem, se.rho, cfg, best=True, engine=se).case
+    eng = SolutionEngine(se)
+    ratio = dynamics.extremal_experiment(eng, case)["ratio"]
+    trial_ratios = [rec["ratio"] for rec in dynamics.random_perturbation_test(eng, 4, 7)]
+    path = problem_document(tmp_path, name)
+    for eps in _SWEEP_EPSILONS:
+        experiments, _ = empirical_run(path, tmp_path / repr(eps), eps)
+        records = experiments["random"]["records"]
+        assert experiments["extremal"]["ratio"] == ratio
+        assert [rec["ratio"] for rec in records] == trial_ratios
+        assert all(rec["sup_distance"] == eps * rec["ratio"] for rec in records)
 
 
 @pytest.mark.parametrize("name", ["exeq01", "exeq03", "exeq04", "exeq06", "const-i", "const-ii", "const-iii"])
